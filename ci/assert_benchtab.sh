@@ -145,15 +145,6 @@ quantum)
          | all" \
       "aggregate driver.$metric does not equal the per-CPU sum"
   done
-  # Decoupling enables sharded cluster evaluation, and the method-style
-  # forwarding engines give it a multi-cluster topology to engage on:
-  # every decoupled cell must have executed sharded rounds.
-  jqe '[.runs[] | select(.quantum != null)
-        | (.counters["sim.cluster_merges"] // 0) > 0] | all' \
-    "decoupled cells recorded no sharded cluster merges"
-  jqe '[.runs[] | select(.quantum == null)
-        | (.counters["sim.cluster_merges"] // 0) == 0] | all' \
-    "lock-step cell recorded sharded cluster merges"
   ;;
 
 *)

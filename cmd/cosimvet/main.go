@@ -1,6 +1,6 @@
 // Command cosimvet runs the repository's domain-specific static
 // analyzers (poolsafe, timesafe, obsnames, schemeerr, lockedfield,
-// transportclose, ctxfirst, and the interprocedural lockorder, shardfx,
+// transportclose, ctxfirst, and the interprocedural lockorder and
 // detsafe) over module packages and exits non-zero if any rule fires.
 //
 // Usage:

@@ -1,6 +1,6 @@
 // Package callgraph builds a conservative per-package call graph plus a
 // per-function lock-acquisition summary, the shared substrate for the
-// interprocedural cosimvet analyzers (lockorder, shardfx, detsafe).
+// interprocedural cosimvet analyzers (lockorder, detsafe).
 //
 // The graph is deliberately over-approximate where Go's dynamism makes
 // precise resolution impossible without whole-program analysis:
@@ -17,7 +17,7 @@
 // Over-approximation is the safe direction for the checks built on top:
 // a spurious edge can at worst produce a suppressible false positive,
 // while a missing edge would silently hide a real lock-order inversion
-// or a sharded-round effect leak. Calls that cannot be resolved at all
+// or a nondeterminism source. Calls that cannot be resolved at all
 // (cross-package calls, function values received from outside the
 // package) produce no edge; the analyzers that care layer their own
 // cross-package approximations on top (see lockorder's class-owner

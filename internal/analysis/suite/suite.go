@@ -12,7 +12,6 @@ import (
 	"cosim/internal/analysis/obsnames"
 	"cosim/internal/analysis/poolsafe"
 	"cosim/internal/analysis/schemeerr"
-	"cosim/internal/analysis/shardfx"
 	"cosim/internal/analysis/timesafe"
 	"cosim/internal/analysis/transportclose"
 )
@@ -27,7 +26,6 @@ func Analyzers() []*analysis.Analyzer {
 		obsnames.Analyzer,
 		poolsafe.Analyzer,
 		schemeerr.Analyzer,
-		shardfx.Analyzer,
 		timesafe.Analyzer,
 		transportclose.Analyzer,
 	}

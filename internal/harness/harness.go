@@ -111,9 +111,8 @@ type Params struct {
 	// Quantum temporally decouples the Driver-Kernel scheme: each guest
 	// may run ahead of kernel time by up to this much, with conservative
 	// synchronization only at quantum boundaries and on early-sync
-	// breaks (port access, interrupt delivery, DMI revocation). It also
-	// enables the kernel's sharded cluster evaluation. Zero (the
-	// default) keeps per-cycle lock-step. Ignored by GDB schemes.
+	// breaks (port access, interrupt delivery, DMI revocation). Zero
+	// (the default) keeps per-cycle lock-step. Ignored by GDB schemes.
 	Quantum sim.Time
 	// InstrPerCycle is the GDB-Wrapper lock-step quantum (default 8).
 	InstrPerCycle uint64
@@ -273,13 +272,6 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	// run's registry records per-backend pair and byte counters.
 	tr := core.ObservedTransport(p.Transport, reg)
 	k := sim.NewKernel("soc")
-	if p.Quantum > 0 {
-		// Temporal decoupling pairs with sharded cluster evaluation: the
-		// decoupled kernel spends more consecutive cycles in pure model
-		// work, which the sharded evaluation phases spread across worker
-		// goroutines (merged deterministically; see sim/cluster.go).
-		k.EnableSharding(true)
-	}
 	clk := sim.NewClock(k, "clk", p.ClockPeriod)
 	if done := ctx.Done(); done != nil {
 		// Cooperative cancellation: one non-blocking poll per simulation

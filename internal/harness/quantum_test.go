@@ -36,9 +36,7 @@ func quantumParams(q sim.Time) Params {
 // checks that temporal decoupling is functionally invisible: every cell
 // produces the same packet signature, clean router checksums, and the
 // same forwarded/message totals — the quantum changes only how often
-// the driver and kernel synchronize, never what either computes. The
-// -race builds of this test double as the concurrency check on the
-// sharded cluster evaluation the harness enables at quantum > 0.
+// the driver and kernel synchronize, never what either computes.
 func TestQuantumAblationDeterministic(t *testing.T) {
 	var base *signature
 	var baseMsgs uint64
@@ -73,8 +71,8 @@ func TestQuantumAblationDeterministic(t *testing.T) {
 
 // TestQuantumRerunBitIdentical reruns one decoupled cell and requires
 // the functional signature and every simulated-time-driven counter to
-// repeat exactly: sharded evaluation and quantum boundary syncs must be
-// deterministic run to run, not merely functionally equivalent.
+// repeat exactly: quantum boundary syncs must be deterministic run to
+// run, not merely functionally equivalent.
 // (Wall-clock-paced counters — ISS instruction totals, early-sync
 // breaks — legitimately vary, as they always have under the
 // free-running guest.)

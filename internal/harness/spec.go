@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"cosim/internal/core"
 	"cosim/internal/sim"
@@ -219,13 +220,17 @@ func SpecFromParams(p Params) Spec {
 
 // DecodeSpec decodes one JSON spec, rejecting unknown fields so a typo
 // in a session request fails loudly instead of silently running the
-// defaults, then validates it.
+// defaults, and rejecting anything but whitespace after the spec's
+// closing brace, then validates it.
 func DecodeSpec(data []byte) (Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("spec: %w", err)
+	}
+	if dec.Decode(&struct{}{}) != io.EOF {
+		return Spec{}, fmt.Errorf("spec: trailing data after the JSON object")
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err

@@ -167,3 +167,57 @@ func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
 		t.Fatalf("DecodeSpec = %v, want unknown-field error", err)
 	}
 }
+
+// trailingDataSpecs are bodies whose first JSON value is a valid spec
+// but which carry more than whitespace after it.
+var trailingDataSpecs = []string{
+	`{"scheme":"gdb-wrapper"}{"scheme":"bogus"}`,
+	`{"scheme":"gdb-wrapper"} junk`,
+}
+
+// TestDecodeSpecRejectsTrailingData: a body is exactly one spec; a
+// second value or garbage after the first must not be ignored.
+func TestDecodeSpecRejectsTrailingData(t *testing.T) {
+	for _, in := range trailingDataSpecs {
+		if _, err := DecodeSpec([]byte(in)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("DecodeSpec(%s) = %v, want trailing-data error", in, err)
+		}
+	}
+	if _, err := DecodeSpec([]byte("{\"scheme\":\"gdb-wrapper\"}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
+// FuzzDecodeSpec feeds arbitrary bytes to DecodeSpec, the decoder of
+// the cosimd session-request body. It must never panic, and a spec it
+// accepts must survive json.Marshal and a second DecodeSpec unchanged.
+func FuzzDecodeSpec(f *testing.F) {
+	for _, seed := range append([]string{
+		`{"scheme": "driver-kernel", "simtime": "1ms"}`,
+		`{"scheme": "driver-kernel", "transport": "ring", "sim_time": "10ms", "cpus": 2, "quantum": "100ns"}`,
+		`{"scheme": "gdb-wrapper", "cpus": 2}`,
+		`{"scheme": "gdb-kernel", "error_rate": 0.25, "multicast_rate": 0.5, "seed": 42}`,
+		`{"scheme": "driver-kernel", "sim_time": "0ns", "delay": "0", "dmi": true, "coalesce": true}`,
+		`{"scheme": "driver-kernel", "sim_time": "10 parsecs"}`,
+		`{}`,
+	}, trailingDataSpecs...) {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSpec(data)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("accepted spec %+v does not marshal: %v", s, err)
+		}
+		back, err := DecodeSpec(enc)
+		if err != nil {
+			t.Fatalf("re-encoded spec %s rejected: %v", enc, err)
+		}
+		if back != s {
+			t.Fatalf("round trip mutated the spec:\n  first  %+v\n  second %+v", s, back)
+		}
+	})
+}

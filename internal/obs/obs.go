@@ -1,7 +1,6 @@
 // Package obs is the co-simulation observability layer: allocation-free
 // counters, gauges and power-of-two latency histograms collected in a
-// named Registry, plus lightweight span events for coarse co-sim
-// interactions.
+// named Registry.
 //
 // The design goal is that a *disabled* registry costs nothing on the
 // hot path: every lookup on a nil *Registry returns a nil metric, and
@@ -183,13 +182,6 @@ func bucketLe(i int) uint64 {
 	return 1<<uint(i) - 1
 }
 
-// SpanEvent is one recorded co-simulation interaction.
-type SpanEvent struct {
-	Name  string        `json:"name"`
-	Start time.Time     `json:"start"`
-	Dur   time.Duration `json:"dur_ns"`
-}
-
 // Registry is a named collection of metrics. All methods are safe for
 // concurrent use and safe on a nil receiver (lookups return nil metrics,
 // Snapshot returns a zero snapshot), so a disabled registry needs no
@@ -199,12 +191,6 @@ type Registry struct {
 	counters map[string]*Counter   // guarded by mu
 	gauges   map[string]*Gauge     // guarded by mu
 	hists    map[string]*Histogram // guarded by mu
-
-	evMu    sync.Mutex
-	events  []SpanEvent // ring buffer, evCap entries; guarded by evMu
-	evNext  int         // guarded by evMu
-	evCap   int         // guarded by evMu
-	evTotal uint64      // guarded by evMu
 }
 
 // NewRegistry creates an empty registry.
@@ -262,59 +248,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// EnableSpanEvents turns on the bounded span-event ring (n most recent
-// events are kept). Disabled by default; RecordSpan is a no-op until
-// enabled. No-op on a nil registry.
-func (r *Registry) EnableSpanEvents(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.evMu.Lock()
-	r.events = make([]SpanEvent, n)
-	r.evCap = n
-	r.evNext = 0
-	r.evTotal = 0
-	r.evMu.Unlock()
-}
-
-// RecordSpan appends a span event to the ring. No-op when the registry
-// is nil or the ring is disabled.
-func (r *Registry) RecordSpan(name string, start time.Time, dur time.Duration) {
-	if r == nil {
-		return
-	}
-	r.evMu.Lock()
-	if r.evCap > 0 {
-		r.events[r.evNext] = SpanEvent{Name: name, Start: start, Dur: dur}
-		r.evNext = (r.evNext + 1) % r.evCap
-		r.evTotal++
-	}
-	r.evMu.Unlock()
-}
-
-// SpanEvents returns the retained events, oldest first, plus the total
-// number ever recorded (the ring may have dropped older ones).
-func (r *Registry) SpanEvents() ([]SpanEvent, uint64) {
-	if r == nil {
-		return nil, 0
-	}
-	r.evMu.Lock()
-	defer r.evMu.Unlock()
-	if r.evTotal == 0 {
-		return nil, 0
-	}
-	n := int(r.evTotal)
-	if n > r.evCap {
-		n = r.evCap
-	}
-	out := make([]SpanEvent, 0, n)
-	start := (r.evNext - n + r.evCap) % r.evCap
-	for i := 0; i < n; i++ {
-		out = append(out, r.events[(start+i)%r.evCap])
-	}
-	return out, r.evTotal
 }
 
 // Snapshot is a point-in-time copy of every metric in a registry.

@@ -46,16 +46,13 @@ type Engine struct {
 // the doorbell (Driver-Kernel only), and collects the result from its
 // iss_in port.
 //
-// Forwarding is method-style (SC_METHOD) rather than thread-style so
-// the engines form disjoint sensitivity clusters and sharded rounds
-// (sim/cluster.go) can evaluate them on parallel workers: engine j is
-// statically sensitive only to its input-port partition (ports i with
-// i % engines == j) and its own csum port, and it stages verified
-// packets into a private queue. A single serial-only merger process
-// drains the staging queues in fixed engine order and performs the
-// table routing into the shared output FIFOs, so output ordering and
-// the shared counters stay deterministic regardless of worker
-// scheduling.
+// Forwarding is method-style (SC_METHOD) rather than thread-style:
+// engine j is statically sensitive only to its input-port partition
+// (ports i with i % engines == j) and its own csum port, and it stages
+// verified packets into a private queue. A single merger process drains
+// the staging queues in fixed engine order and performs the table
+// routing into the shared output FIFOs, so the shared outputs and
+// counters have one writer.
 type Router struct {
 	sim.Module
 	cfg Config
@@ -71,9 +68,7 @@ type Router struct {
 
 // fwdEngine is the per-engine forwarding state machine: the input
 // partition it services, the packet awaiting its checksum, and the
-// engine-owned counters. Everything it touches during an activation —
-// its input FIFOs, its iss ports, its staging queue — belongs to its
-// own sensitivity cluster, which is what makes the process shardable.
+// engine-owned counters.
 type fwdEngine struct {
 	r       *Router
 	eng     Engine
@@ -90,7 +85,7 @@ type fwdEngine struct {
 }
 
 // New builds the router with one forwarding process per engine plus the
-// serial-only merger.
+// merger.
 func New(k *sim.Kernel, name string, cfg Config, engines []Engine) *Router {
 	if cfg.FifoDepth <= 0 {
 		cfg.FifoDepth = 8
@@ -125,10 +120,7 @@ func New(k *sim.Kernel, name string, cfg Config, engines []Engine) *Router {
 		stagingEvents = append(stagingEvents, f.staging.DataWritten())
 		r.fwd = append(r.fwd, f)
 	}
-	// The merger reads every engine's staging queue and writes the
-	// shared outputs, so it must never co-run with the engines inside a
-	// sharded round.
-	k.MethodNoInit(r.Sub("merge"), r.merge, stagingEvents...).MarkSerialOnly()
+	k.MethodNoInit(r.Sub("merge"), r.merge, stagingEvents...)
 	return r
 }
 
@@ -210,9 +202,7 @@ func (f *fwdEngine) step() {
 }
 
 // merge drains the staging queues in fixed engine order and routes each
-// verified packet to the output FIFOs. It runs serially by
-// construction (MarkSerialOnly), so the shared outputs and counters see
-// one writer.
+// verified packet to the output FIFOs.
 func (r *Router) merge() {
 	for _, f := range r.fwd {
 		for {

@@ -155,10 +155,7 @@ func fakeCPU(k *sim.Kernel, corrupt bool) (*sim.IssOut, *sim.IssIn) {
 	csum := k.NewIssIn(CsumPortName)
 	poll := k.NewEvent("fakecpu.poll")
 	served := uint64(0)
-	// The poller reads the forwarding engine's ports from its own
-	// cluster, so it must never co-run with the engine in a sharded
-	// round.
-	proc := k.MethodNoInit("fakecpu", func() {
+	k.MethodNoInit("fakecpu", func() {
 		if pkt.Writes() > served {
 			served = pkt.Writes()
 			blob := pkt.Bytes()
@@ -175,7 +172,6 @@ func fakeCPU(k *sim.Kernel, corrupt bool) (*sim.IssOut, *sim.IssIn) {
 		}
 		poll.NotifyAfter(50 * sim.NS)
 	}, poll)
-	proc.MarkSerialOnly()
 	poll.NotifyAfter(50 * sim.NS)
 	return pkt, csum
 }

@@ -262,6 +262,7 @@ func TestQuotaRejections(t *testing.T) {
 		{"scheme", `{"scheme": "quantum"}`, "unknown scheme"},
 		{"transport", `{"scheme": "driver-kernel", "transport": "carrier-pigeon"}`, "unknown transport"},
 		{"unknown-field", `{"scheme": "driver-kernel", "simtime": "1ms"}`, "unknown field"},
+		{"trailing-data", `{"scheme": "gdb-wrapper"}{"scheme": "bogus"}`, "trailing data"},
 		{"multi-cpu-wrapper", `{"scheme": "gdb-wrapper", "cpus": 2}`, "single CPU"},
 	} {
 		code, _, body := c.post(tc.spec)

@@ -39,22 +39,12 @@ type Proc struct {
 	timeout   *Event // private timeout event for WaitTime / WaitTimeout
 	wake      *Event // the event that woke the last Wait, nil on timeout
 
-	runnable   bool  // already queued in the current evaluation phase
-	cluster    int32 // sensitivity cluster (cluster.go); -1 = unclustered
-	serialOnly bool  // never run in a sharded round (CallAt dispatcher)
-	ctx        *Ctx
+	runnable bool // already queued in the current evaluation phase
+	ctx      *Ctx
 }
 
 // Name returns the process name.
 func (p *Proc) Name() string { return p.name }
-
-// MarkSerialOnly excludes the process from sharded evaluation rounds:
-// any evaluation phase in which it is runnable is executed serially.
-// Mark a method process serial-only when it touches objects belonging
-// to several sensitivity clusters — a merger draining per-engine
-// staging queues, a poller reading another cluster's ports — which the
-// single-toucher round contract (cluster.go) cannot admit.
-func (p *Proc) MarkSerialOnly() { p.serialOnly = true }
 
 // Finished reports whether a thread's body has returned.
 func (p *Proc) Finished() bool { return p.finished }
@@ -75,7 +65,7 @@ func (c *Ctx) Now() Time { return c.p.k.now }
 // the given events. Like SC_METHOD, it is run once at the start of
 // simulation and then each time a sensitive event triggers.
 func (k *Kernel) Method(name string, fn func(), sensitivity ...*Event) *Proc {
-	p := &Proc{k: k, name: name, kind: methodProc, fn: fn, cluster: -1}
+	p := &Proc{k: k, name: name, kind: methodProc, fn: fn}
 	k.register(p, sensitivity)
 	return p
 }
@@ -93,8 +83,7 @@ func (k *Kernel) MethodNoInit(name string, fn func(), sensitivity ...*Event) *Pr
 // process (or the scheduler itself) is executing, so no locking is
 // needed between processes.
 func (k *Kernel) Thread(name string, body func(*Ctx)) *Proc {
-	p := &Proc{k: k, name: name, kind: threadProc, body: body,
-		cluster: -1, resume: make(chan struct{})}
+	p := &Proc{k: k, name: name, kind: threadProc, body: body, resume: make(chan struct{})}
 	p.ctx = &Ctx{p: p}
 	k.register(p, nil)
 	return p
@@ -111,7 +100,6 @@ func (k *Kernel) register(p *Proc, sensitivity []*Event) {
 		p.static = append(p.static, e)
 	}
 	k.procs = append(k.procs, p)
-	k.clustersDirty = true
 	k.makeRunnable(p)
 }
 

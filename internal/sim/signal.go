@@ -42,7 +42,7 @@ func (s *Signal[T]) Write(v T) {
 	s.writes++
 	if !s.hasNext {
 		s.hasNext = true
-		s.k.requestUpdateOwned(s, s.changed)
+		s.k.requestUpdate(s)
 	}
 	s.next = v
 }
