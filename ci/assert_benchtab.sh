@@ -15,7 +15,7 @@
 #                reconciling with the aggregates (needs -cpus 2)
 #   transports — per-transport counters for every swept backend
 #                (set TRANSPORTS, default "tcp unix ring")
-#   dmi        — DMI/coalesce ablation: hits iff granted, message
+#   dmi        — DMI ablation: hits iff granted, message
 #                reduction, per-CPU reconciliation, identical
 #                functional outcome across cells
 #   quantum    — quantum ablation: syncs iff decoupled, identical
@@ -96,8 +96,8 @@ transports)
   ;;
 
 dmi)
-  # Four cells: the off/on cross product of the two axes.
-  jqe '.runs | length == 4' "ablation sweep did not produce four cells"
+  # Two cells: DMI off and on.
+  jqe '.runs | length == 2' "ablation sweep did not produce two cells"
   # Windows actually serve traffic when granted...
   jqe '[.runs[] | select(.dmi)]
        | length > 0 and ([.[].counters["driver.dmi_hits"] > 0] | all)' \

@@ -6,7 +6,7 @@
 //
 //	benchtab -exp table1|figure7|loc|all [-full] [-times 1ms,5ms]
 //	         [-scheme NAME] [-cpus N] [-transport tcp|unix|ring|pipe]
-//	         [-dmi] [-coalesce] [-quantum DUR] [-ablate dmi,coalesce,quantum]
+//	         [-dmi] [-quantum DUR] [-ablate dmi,quantum]
 //	         [-parallel N] [-json] [-server URL]
 //
 // -full uses the paper-scale simulated durations (slow); the default
@@ -23,15 +23,15 @@
 // partitioned across N guest CPUs. Only gdb-kernel and driver-kernel
 // drive more than one CPU, so a multi-CPU Table 1 sweep drops the
 // GDB-Wrapper baseline and reports per-run records.
-// -dmi and -coalesce turn on the Driver-Kernel memory fast path (direct
-// memory windows / per-flush message batching; see the README's "Memory
-// fast path" section). -quantum sets the Driver-Kernel
+// -dmi turns on the Driver-Kernel memory fast path (direct memory
+// windows; see the README's "Memory fast path" section). -quantum sets
+// the Driver-Kernel
 // temporal-decoupling quantum (see the README's "Temporal decoupling"
 // section); empty or zero keeps per-cycle lock-step. -ablate
 // cross-sweeps those axes instead: every driver-kernel scenario runs
-// once per cell of the cross product, tagged /dmi=0|1, /co=0|1 and
-// /q=DUR, and the report carries per-run records only — the
-// BENCH_*_dmi.json evidence comes from `-ablate dmi,coalesce -json`,
+// once per cell of the cross product, tagged /dmi=0|1 and /q=DUR, and
+// the report carries per-run records only — the BENCH_*_dmi.json
+// evidence comes from `-ablate dmi -json`,
 // the BENCH_*_quantum.json evidence from `-ablate quantum -json`. The
 // quantum axis sweeps {0, -quantum} when -quantum is set, and a default
 // {0, 1x, 10x} of the 10ns default CPU period otherwise.
@@ -106,9 +106,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable metrics report")
 	noDC := flag.Bool("nodecodecache", false, "disable the ISS predecoded-instruction cache (ablation baseline)")
 	dmi := flag.Bool("dmi", false, "grant driver-kernel guests direct memory windows (memory fast path)")
-	coalesce := flag.Bool("coalesce", false, "batch driver-kernel kernel->guest messages into one frame per flush")
 	quantum := flag.String("quantum", "", "driver-kernel temporal-decoupling quantum (duration; empty or 0 = per-cycle lock-step)")
-	ablate := flag.String("ablate", "", `cross-sweep driver-kernel axes: comma list of "dmi", "coalesce", "quantum"`)
+	ablate := flag.String("ablate", "", `cross-sweep driver-kernel axes: comma list of "dmi", "quantum"`)
 	serverURL := flag.String("server", "", "drive a running cosimd at this base URL instead of simulating in-process")
 	flag.Parse()
 
@@ -120,7 +119,7 @@ func main() {
 	// validated request shape a cosimd session POST carries. benchtab
 	// sweeps schemes itself, so the base spec carries a placeholder
 	// scheme that every scenario overwrites.
-	baseSpec := harness.Spec{Scheme: "gdb-kernel", Delay: *delay, Seed: *seed, CPUs: *cpus, NoDecodeCache: *noDC, DMI: *dmi, Coalesce: *coalesce, Quantum: *quantum}
+	baseSpec := harness.Spec{Scheme: "gdb-kernel", Delay: *delay, Seed: *seed, CPUs: *cpus, NoDecodeCache: *noDC, DMI: *dmi, Quantum: *quantum}
 	base, err := baseSpec.Params()
 	if err != nil {
 		fatal(err)
@@ -231,18 +230,17 @@ func parseTransports(arg string) ([]core.Transport, error) {
 }
 
 // ablation names the driver-kernel axes a sweep cross-multiplies (the
-// -ablate flag): the memory fast path's dmi/coalesce booleans and the
+// -ablate flag): the memory fast path's dmi boolean and the
 // temporal-decoupling quantum cells.
 type ablation struct {
-	dmi, coalesce bool
-	quantum       []sim.Time // quantum axis cells; empty = axis off
+	dmi     bool
+	quantum []sim.Time // quantum axis cells; empty = axis off
 }
 
-func (a ablation) active() bool { return a.dmi || a.coalesce || len(a.quantum) > 0 }
+func (a ablation) active() bool { return a.dmi || len(a.quantum) > 0 }
 
 // parseAblate resolves the -ablate flag value: a comma list of axis
-// names ("dmi", "coalesce", "quantum"; "co" and "q" are accepted short
-// forms). The quantum axis sweeps {0, quantum} when the -quantum flag
+// names ("dmi", "quantum"; "q" is an accepted short form). The quantum axis sweeps {0, quantum} when the -quantum flag
 // supplies a non-zero value, and {0, 1x, 10x} of the 10ns default CPU
 // period otherwise — the 10x cell is the regime where temporal
 // decoupling should pay off.
@@ -255,8 +253,6 @@ func parseAblate(arg string, quantum sim.Time) (ablation, error) {
 		switch strings.TrimSpace(strings.ToLower(f)) {
 		case "dmi":
 			a.dmi = true
-		case "coalesce", "co":
-			a.coalesce = true
 		case "quantum", "q":
 			if quantum > 0 {
 				a.quantum = []sim.Time{0, quantum}
@@ -264,26 +260,20 @@ func parseAblate(arg string, quantum sim.Time) (ablation, error) {
 				a.quantum = []sim.Time{0, 10 * sim.NS, 100 * sim.NS}
 			}
 		default:
-			return a, fmt.Errorf("unknown -ablate axis %q (want dmi, coalesce, quantum)", f)
+			return a, fmt.Errorf("unknown -ablate axis %q (want dmi, quantum)", f)
 		}
 	}
 	return a, nil
 }
 
 // expand cross-multiplies every driver-kernel scenario over the active
-// ablation axes, tagging each cell /dmi=0|1, /co=0|1 and /q=DUR.
+// ablation axes, tagging each cell /dmi=0|1 and /q=DUR.
 // Schemes that ignore the memory fast path and temporal decoupling keep
 // their single base cell: re-running them per cell would only duplicate
 // identical measurements.
 func (a ablation) expand(scens []harness.Scenario) []harness.Scenario {
 	if !a.active() {
 		return scens
-	}
-	onOff := func(swept bool, base bool) []bool {
-		if swept {
-			return []bool{false, true}
-		}
-		return []bool{base}
 	}
 	var out []harness.Scenario
 	for _, sc := range scens {
@@ -295,24 +285,22 @@ func (a ablation) expand(scens []harness.Scenario) []harness.Scenario {
 		if len(qcells) == 0 {
 			qcells = []sim.Time{sc.Params.Quantum}
 		}
-		for _, dv := range onOff(a.dmi, sc.Params.DMI) {
-			for _, cv := range onOff(a.coalesce, sc.Params.Coalesce) {
-				for _, qv := range qcells {
-					cell := sc
-					cell.Params.DMI = dv
-					cell.Params.Coalesce = cv
-					cell.Params.Quantum = qv
-					if a.dmi {
-						cell.Name += fmt.Sprintf("/dmi=%d", b2i(dv))
-					}
-					if a.coalesce {
-						cell.Name += fmt.Sprintf("/co=%d", b2i(cv))
-					}
-					if len(a.quantum) > 0 {
-						cell.Name += "/q=" + qtag(qv)
-					}
-					out = append(out, cell)
+		dcells := []bool{sc.Params.DMI}
+		if a.dmi {
+			dcells = []bool{false, true}
+		}
+		for _, dv := range dcells {
+			for _, qv := range qcells {
+				cell := sc
+				cell.Params.DMI = dv
+				cell.Params.Quantum = qv
+				if a.dmi {
+					cell.Name += fmt.Sprintf("/dmi=%d", b2i(dv))
 				}
+				if len(a.quantum) > 0 {
+					cell.Name += "/q=" + qtag(qv)
+				}
+				out = append(out, cell)
 			}
 		}
 	}

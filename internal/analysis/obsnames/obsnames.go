@@ -55,10 +55,9 @@ var PerCPUMetrics = map[string]bool{
 // TransportMetrics is the documented transport.<backend>.* metric set
 // (README "Observability"); the backend segment is the transport name.
 var TransportMetrics = map[string]bool{
-	"pairs":        true,
-	"tx_bytes":     true,
-	"rx_bytes":     true,
-	"batched_msgs": true,
+	"pairs":    true,
+	"tx_bytes": true,
+	"rx_bytes": true,
 }
 
 var (

@@ -73,9 +73,9 @@ func (h *handles) transportConstants(r *obs.Registry) {
 	r.Counter("transport.ring.pairs").Inc()
 	r.Counter("transport.tcp.tx_bytes").Inc()
 	r.Counter("transport.unix.rx_bytes").Inc()
-	r.Counter("transport.pipe.batched_msgs").Inc()
+	r.Counter("transport.pipe.tx_bytes").Inc()
 }
 
 func newSprintfTransportOK(r *obs.Registry, backend string) *obs.Counter {
-	return r.Counter(fmt.Sprintf("transport.%s.batched_msgs", backend))
+	return r.Counter(fmt.Sprintf("transport.%s.rx_bytes", backend))
 }

@@ -53,13 +53,10 @@ type DriverKernel struct {
 	nextQuantum sim.Time
 
 	// dmi grants each CPU's bridge device direct windows into the
-	// side-effect-free backing memory of its bound ports; coalesce packs
-	// the kernel->guest messages accumulated between flush points into
-	// one BATCH envelope per transport write. Both are attach-time
-	// choices (DriverKernelOptions) — the hot paths branch on plain
-	// bools, never on configuration lookups.
-	dmi      bool
-	coalesce bool
+	// side-effect-free backing memory of its bound ports. It is an
+	// attach-time choice (DriverKernelOptions) — the hot paths branch on
+	// a plain bool, never on configuration lookups.
+	dmi bool
 
 	mu     sync.Mutex
 	inbox  []Message     // CPU-tagged, drained by the begin-of-cycle hook; guarded by mu
@@ -128,11 +125,6 @@ type driverCPU struct {
 	grants    []*dmiGrant
 	dmiActive atomic.Bool
 	stagedBuf []dev.StagedWrite
-
-	// outBatch accumulates kernel->guest DATA messages between flush
-	// points when coalescing is on; flushChannels writes it as one
-	// BATCH envelope. Kernel context only.
-	outBatch []Message
 
 	obs driverCPUObs
 }
@@ -265,11 +257,6 @@ type DriverKernelOptions struct {
 	// DMI grants direct memory windows over each channel's bound ports
 	// (requires the channel to carry a granter). Off by default.
 	DMI bool
-	// Coalesce packs the kernel->guest messages accumulated between
-	// flush points into versioned BATCH envelopes, one transport write
-	// per flush. The guest-side device must unwrap envelopes (its read
-	// pump is switched to frame mode by the harness). Off by default.
-	Coalesce bool
 }
 
 // NewDriverKernel attaches the scheme with a single CPU. data and irq
@@ -301,7 +288,6 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 		notify:      make(chan struct{}, 1),
 		obsReg:      opts.Obs,
 		dmi:         opts.DMI,
-		coalesce:    opts.Coalesce,
 	}
 	d.obs.init(opts.Obs)
 	for i, ch := range channels {
@@ -349,15 +335,11 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 
 		// Reader goroutine: decode frames from this CPU's data socket
 		// into the shared inbox, tagged with the CPU id so the drain
-		// hook routes them to the right per-CPU state. ReadMessages
-		// accepts plain frames and BATCH envelopes alike, so the reader
-		// is coalescing-agnostic.
+		// hook routes them to the right per-CPU state.
 		go func(c *driverCPU, r io.Reader) {
 			br := bufio.NewReader(r)
-			var batch []Message
 			for {
-				var err error
-				batch, err = ReadMessages(br, batch[:0])
+				m, err := ReadMessage(br)
 				if err != nil {
 					d.mu.Lock()
 					c.rdErr = err
@@ -370,11 +352,9 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 					}
 					return
 				}
+				m.CPU = c.id
 				d.mu.Lock()
-				for i := range batch {
-					batch[i].CPU = c.id
-					d.inbox = append(d.inbox, batch[i])
-				}
+				d.inbox = append(d.inbox, m)
 				d.mu.Unlock()
 				select {
 				case d.notify <- struct{}{}:
@@ -754,28 +734,13 @@ func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
 	}
 }
 
-// flushChannels pushes batched frames out of the channels at the three
-// hook boundaries — after the reply loops, before a conservative wait,
-// after the interrupt fan-out — so a buffered DATA reply or interrupt
-// is never left unsent past a point the guest may block on it. With
-// coalescing on, each CPU's accumulated replies go out here as one
-// BATCH envelope per flush; Flusher-capable channel ends are then
-// flushed as before.
+// flushChannels pushes buffered frames out of the Flusher-capable
+// channel ends at the three hook boundaries — after the reply loops,
+// before a conservative wait, after the interrupt fan-out — so a
+// buffered DATA reply or interrupt is never left unsent past a point
+// the guest may block on it.
 func (d *DriverKernel) flushChannels() {
 	for _, c := range d.cpus {
-		if len(c.outBatch) > 0 {
-			n := len(c.outBatch)
-			if err := WriteBatch(c.dataW, c.outBatch); err != nil && d.err == nil {
-				d.err = c.errf("data socket batch: %w", err)
-			}
-			if n > 1 {
-				transport.RecordBatch(c.dataW, n)
-			}
-			for i := range c.outBatch {
-				c.outBatch[i] = Message{}
-			}
-			c.outBatch = c.outBatch[:0]
-		}
 		if c.dataF != nil {
 			if err := c.dataF.Flush(); err != nil && d.err == nil {
 				d.err = c.errf("data socket flush: %w", err)
@@ -840,7 +805,7 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 	}
 
 	// Conservative sync: wait for lagging guests instead of letting
-	// simulated time race past an outstanding request. Batched replies
+	// simulated time race past an outstanding request. Buffered replies
 	// must be on the wire first, or the wait would stall on a guest
 	// that is itself waiting for an unflushed frame. Under temporal
 	// decoupling the sync runs only at quantum boundaries and breaks;
@@ -936,23 +901,11 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 }
 
 // reply sends the current iss_out port value as a DATA message followed
-// by a DATA_READY interrupt so a WFI-parked guest wakes up. With
-// coalescing on, the DATA frame joins the CPU's accumulating batch
-// (written as one envelope at the next flush point, still within this
-// hook) and the wakeup rides the end-of-cycle interrupt fan-out — safe
-// because the guest's RX-available level interrupt fires on the data
-// itself.
+// by a DATA_READY interrupt so a WFI-parked guest wakes up.
 func (d *DriverKernel) reply(c *driverCPU, b *binding) {
-	if d.coalesce {
-		// The payload references the port's buffer; flushChannels runs
-		// before any kernel process can overwrite it.
-		c.outBatch = append(c.outBatch, Message{Type: MsgData, Data: b.outPort.Bytes()})
-		c.intQueue = append(c.intQueue, IntDataReady)
-	} else {
-		if err := WriteMessage(c.dataW, Message{Type: MsgData, Data: b.outPort.Bytes()}); err != nil {
-			d.err = c.errf("data socket (port %q): %w", b.spec.Port, err)
-			return
-		}
+	if err := WriteMessage(c.dataW, Message{Type: MsgData, Data: b.outPort.Bytes()}); err != nil {
+		d.err = c.errf("data socket (port %q): %w", b.spec.Port, err)
+		return
 	}
 	b.consumed = b.outPort.Writes()
 	b.outPort.Consumed()
@@ -981,9 +934,6 @@ func (d *DriverKernel) reply(c *driverCPU, b *binding) {
 	})
 	// The guest idled while waiting; re-anchor its timeline.
 	c.syncTime = d.k.Now()
-	if d.coalesce {
-		return
-	}
 	if err := c.sendInterrupt(IntDataReady); err != nil {
 		d.err = err
 	}
@@ -1011,33 +961,14 @@ func (d *DriverKernel) flushInterrupts(k *sim.Kernel) {
 		if len(c.intQueue) == 0 {
 			continue
 		}
-		if d.coalesce && len(c.intQueue) > 1 {
-			// One transport write for the whole queue: the guest-side
-			// pump reads 4-byte ids in a loop, so a concatenation of
-			// notifications needs no envelope.
-			buf := make([]byte, 0, 4*len(c.intQueue))
-			for _, id := range c.intQueue {
-				buf = binary.LittleEndian.AppendUint32(buf, id)
-			}
-			if _, err := c.irqW.Write(buf); err != nil {
-				d.err = c.errf("interrupt socket (batch of %d): %w", len(c.intQueue), err)
+		for _, id := range c.intQueue {
+			if err := c.sendInterrupt(id); err != nil {
+				d.err = err
 				return
 			}
-			transport.RecordBatch(c.irqW, len(c.intQueue))
-			n := uint64(len(c.intQueue))
-			d.stats.IntsNotified += n
-			d.obs.interrupts.Add(n)
-			c.obs.interrupts.Add(n)
-		} else {
-			for _, id := range c.intQueue {
-				if err := c.sendInterrupt(id); err != nil {
-					d.err = err
-					return
-				}
-				d.stats.IntsNotified++
-				d.obs.interrupts.Inc()
-				c.obs.interrupts.Inc()
-			}
+			d.stats.IntsNotified++
+			d.obs.interrupts.Inc()
+			c.obs.interrupts.Inc()
 		}
 		c.intQueue = c.intQueue[:0]
 		// An interrupt usually solicits guest work; treat it as a

@@ -30,13 +30,7 @@ const (
 	MsgWrite = 1 // driver -> kernel: data for an iss_in port
 	MsgRead  = 2 // driver -> kernel: request the value of an iss_out port
 	MsgData  = 3 // kernel -> driver: reply to MsgRead
-	MsgBatch = 4 // either direction: versioned envelope of coalesced frames
 )
-
-// BatchVersion is the current BATCH envelope version. Decoders reject
-// other versions so the frame layout can evolve without silent
-// misparses on mixed-version links.
-const BatchVersion = 1
 
 // Reserved interrupt ids on the interrupt socket (mirrors rtos).
 const (
@@ -45,11 +39,6 @@ const (
 
 // MaxMessageSize bounds a single protocol message.
 const MaxMessageSize = 1 << 16
-
-// MaxBatchSize bounds a BATCH envelope: it must hold several ordinary
-// messages, so it is bounded separately from (and larger than) the
-// per-message cap.
-const MaxBatchSize = 1 << 20
 
 // dataBufsInUse tracks pooled payload buffers handed out by getDataBuf
 // and not yet returned by Release. It exists for the leak-regression
@@ -222,14 +211,15 @@ func WriteMessage(w io.Writer, m Message) error {
 }
 
 // decodeBody decodes one message body (type word onward, size word
-// already stripped) and the number of body bytes consumed. A decoded
-// payload comes from the codec buffer pool; decodeBody itself never
-// leaks — a pooled buffer is only checked out as the final, infallible
-// step of a branch — so error returns carry no buffers to release.
-func decodeBody(body []byte) (Message, int, error) {
+// already stripped). The body must hold exactly one message: trailing
+// bytes are rejected, so an accepted frame re-encodes to itself. A
+// decoded payload comes from the codec buffer pool; decodeBody itself
+// never leaks — the pooled buffer is checked out only after every
+// check has passed — so error returns carry no buffers to release.
+func decodeBody(body []byte) (Message, error) {
 	le := binary.LittleEndian
 	if len(body) < 4 {
-		return Message{}, 0, fmt.Errorf("core: truncated message header")
+		return Message{}, fmt.Errorf("core: truncated message header")
 	}
 	var m Message
 	m.Type = le.Uint32(body[0:4])
@@ -243,216 +233,66 @@ func decodeBody(body []byte) (Message, int, error) {
 	switch m.Type {
 	case MsgWrite, MsgRead:
 		if err := need(8); err != nil {
-			return Message{}, 0, err
+			return Message{}, err
 		}
 		m.Cycles = le.Uint32(rest[0:4])
 		nameLen := le.Uint32(rest[4:8])
 		rest = rest[8:]
 		if err := need(int(nameLen)); err != nil {
-			return Message{}, 0, err
+			return Message{}, err
 		}
 		m.Port = internPort(rest[:nameLen])
 		rest = rest[nameLen:]
-		if m.Type == MsgWrite {
-			if err := need(4); err != nil {
-				return Message{}, 0, err
-			}
-			dataLen := le.Uint32(rest[0:4])
-			rest = rest[4:]
-			if err := need(int(dataLen)); err != nil {
-				return Message{}, 0, err
-			}
-			if dataLen > 0 {
-				m.Data, m.pooled = getDataBuf(int(dataLen))
-				copy(m.Data, rest[:dataLen])
-			}
-			rest = rest[dataLen:]
-		}
 	case MsgData:
+	default:
+		return Message{}, fmt.Errorf("core: unknown message type %d", m.Type)
+	}
+	var payload []byte
+	if m.Type != MsgRead {
 		if err := need(4); err != nil {
-			return Message{}, 0, err
+			return Message{}, err
 		}
 		dataLen := le.Uint32(rest[0:4])
 		rest = rest[4:]
 		if err := need(int(dataLen)); err != nil {
-			return Message{}, 0, err
+			return Message{}, err
 		}
-		if dataLen > 0 {
-			m.Data, m.pooled = getDataBuf(int(dataLen))
-			copy(m.Data, rest[:dataLen])
-		}
-		rest = rest[dataLen:]
-	default:
-		return Message{}, 0, fmt.Errorf("core: unknown message type %d", m.Type)
+		payload, rest = rest[:dataLen], rest[dataLen:]
 	}
-	return m, len(body) - len(rest), nil
-}
-
-// readFrame reads one size-prefixed frame body into a pooled scratch
-// buffer. The caller must return bp to wireBufPool when done with body.
-func readFrame(r *bufio.Reader, limit uint32) (body []byte, bp *[]byte, err error) {
-	le := binary.LittleEndian
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, nil, err
+	if len(rest) != 0 {
+		return Message{}, fmt.Errorf("core: message type %d has %d trailing bytes", m.Type, len(rest))
 	}
-	size := le.Uint32(hdr[:])
-	if size < 4 || size > limit {
-		return nil, nil, fmt.Errorf("core: bad message size %d", size)
-	}
-	bp = wireBufPool.Get().(*[]byte)
-	body = *bp
-	if cap(body) < int(size) {
-		body = make([]byte, size)
-		*bp = body
-	}
-	body = body[:size]
-	if _, err := io.ReadFull(r, body); err != nil {
-		wireBufPool.Put(bp)
-		return nil, nil, err
-	}
-	return body, bp, nil
-}
-
-// ReadMessage decodes one message from the stream. The returned
-// message's Data (if any) comes from the codec buffer pool; callers on
-// steady-state paths should hand it back with Release once delivered.
-// BATCH envelopes are rejected — coalescing-aware readers use
-// ReadMessages, which accepts both plain frames and envelopes.
-func ReadMessage(r *bufio.Reader) (Message, error) {
-	body, bp, err := readFrame(r, MaxMessageSize)
-	if err != nil {
-		return Message{}, err
-	}
-	defer wireBufPool.Put(bp)
-	if binary.LittleEndian.Uint32(body[0:4]) == MsgBatch {
-		return Message{}, fmt.Errorf("core: unexpected BATCH envelope (use ReadMessages)")
-	}
-	m, _, err := decodeBody(body)
-	if err != nil {
-		return Message{}, err
+	if len(payload) > 0 {
+		m.Data, m.pooled = getDataBuf(len(payload))
+		copy(m.Data, payload)
 	}
 	return m, nil
 }
 
-// AppendBatchTo appends a version-1 BATCH envelope holding msgs to dst:
-//
-//	BATCH: [size][type=4][version][count][frame][frame]...
-//
-// where each inner frame is an ordinary size-prefixed WRITE/READ/DATA
-// frame. Envelopes never nest. An empty msgs encodes a valid zero-count
-// envelope; writers skip it instead (see WriteBatch).
-func AppendBatchTo(dst []byte, msgs []Message) ([]byte, error) {
-	le := binary.LittleEndian
-	start := len(dst)
-	dst = le.AppendUint32(dst, 0) // size, patched below
-	dst = le.AppendUint32(dst, MsgBatch)
-	dst = le.AppendUint32(dst, BatchVersion)
-	dst = le.AppendUint32(dst, uint32(len(msgs)))
-	for _, m := range msgs {
-		if m.Type == MsgBatch {
-			return dst[:start], fmt.Errorf("core: nested BATCH envelope")
-		}
-		var err error
-		if dst, err = m.AppendTo(dst); err != nil {
-			return dst[:start], err
-		}
+// ReadMessage decodes one size-prefixed message from the stream,
+// rejecting frames larger than MaxMessageSize. The frame body is read
+// into a pooled scratch buffer; the returned message's Data (if any)
+// comes from the codec buffer pool, and callers on steady-state paths
+// should hand it back with Release once delivered.
+func ReadMessage(r *bufio.Reader) (Message, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Message{}, err
 	}
-	size := len(dst) - start - 4
-	if size > MaxBatchSize {
-		return dst[:start], fmt.Errorf("core: batch size %d exceeds limit", size)
-	}
-	le.PutUint32(dst[start:start+4], uint32(size))
-	return dst, nil
-}
-
-// WriteBatch writes msgs to w as one BATCH envelope — one transport
-// write for every message coalesced since the last flush point. A
-// single message goes out as a plain frame (the envelope would only add
-// header bytes), and an empty slice writes nothing.
-func WriteBatch(w io.Writer, msgs []Message) error {
-	switch len(msgs) {
-	case 0:
-		return nil
-	case 1:
-		return WriteMessage(w, msgs[0])
+	size := binary.LittleEndian.Uint32(hdr[:])
+	if size < 4 || size > MaxMessageSize {
+		return Message{}, fmt.Errorf("core: bad message size %d", size)
 	}
 	bp := wireBufPool.Get().(*[]byte)
-	buf, err := AppendBatchTo((*bp)[:0], msgs)
-	if err == nil {
-		_, err = w.Write(buf)
-	}
-	*bp = buf
-	wireBufPool.Put(bp)
-	return err
-}
-
-// ReadMessages decodes the next frame from the stream, appending its
-// message — or, for a BATCH envelope, every inner message in order — to
-// dst and returning the extended slice. Decoded payloads come from the
-// codec buffer pool exactly as with ReadMessage. If an envelope fails
-// mid-decode (truncated inner frame, unknown inner type), the messages
-// already decoded from it are released before the error returns, so a
-// poisoned envelope cannot leak pooled buffers.
-func ReadMessages(r *bufio.Reader, dst []Message) ([]Message, error) {
-	body, bp, err := readFrame(r, MaxBatchSize)
-	if err != nil {
-		return dst, err
-	}
 	defer wireBufPool.Put(bp)
-	le := binary.LittleEndian
-	if le.Uint32(body[0:4]) != MsgBatch {
-		if len(body) > MaxMessageSize {
-			return dst, fmt.Errorf("core: bad message size %d", len(body))
-		}
-		m, _, err := decodeBody(body)
-		if err != nil {
-			return dst, err
-		}
-		return append(dst, m), nil
+	if cap(*bp) < int(size) {
+		*bp = make([]byte, size)
 	}
-	if len(body) < 12 {
-		return dst, fmt.Errorf("core: truncated BATCH header")
+	body := (*bp)[:size]
+	if _, err := io.ReadFull(r, body); err != nil {
+		return Message{}, err
 	}
-	if v := le.Uint32(body[4:8]); v != BatchVersion {
-		return dst, fmt.Errorf("core: unknown BATCH version %d", v)
-	}
-	count := le.Uint32(body[8:12])
-	rest := body[12:]
-	base := len(dst)
-	fail := func(err error) ([]Message, error) {
-		for i := base; i < len(dst); i++ {
-			dst[i].Release()
-		}
-		return dst[:base], err
-	}
-	for i := uint32(0); i < count; i++ {
-		if len(rest) < 4 {
-			return fail(fmt.Errorf("core: truncated BATCH envelope at frame %d", i))
-		}
-		size := le.Uint32(rest[0:4])
-		if size < 4 || size > MaxMessageSize || int(size) > len(rest)-4 {
-			return fail(fmt.Errorf("core: bad inner frame size %d at frame %d", size, i))
-		}
-		inner := rest[4 : 4+size]
-		if le.Uint32(inner[0:4]) == MsgBatch {
-			return fail(fmt.Errorf("core: nested BATCH envelope at frame %d", i))
-		}
-		m, n, err := decodeBody(inner)
-		if err != nil {
-			return fail(err)
-		}
-		if n != int(size) {
-			m.Release()
-			return fail(fmt.Errorf("core: inner frame %d has %d trailing bytes", i, int(size)-n))
-		}
-		dst = append(dst, m)
-		rest = rest[4+size:]
-	}
-	if len(rest) != 0 {
-		return fail(fmt.Errorf("core: BATCH envelope has %d trailing bytes", len(rest)))
-	}
-	return dst, nil
+	return decodeBody(body)
 }
 
 // EncodeInterrupt renders an interrupt-socket notification (a 4-byte

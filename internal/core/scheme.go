@@ -99,7 +99,7 @@ type Config struct {
 	// attachments declare one Channel per CPU instead. Channel ends
 	// that implement io.Closer are closed by the kernel's finalizers at
 	// Shutdown (terminating their reader goroutines); ends that
-	// implement transport.Flusher get their batched frames flushed at
+	// implement transport.Flusher get their buffered frames flushed at
 	// every cycle-hook boundary.
 	Data  io.ReadWriter
 	IRQ   io.Writer
@@ -113,9 +113,6 @@ type Config struct {
 	// their bound ports (channels must carry a DMI granter to benefit).
 	// Ignored by the GDB schemes.
 	DMI bool
-	// Coalesce batches the Driver-Kernel's kernel->guest messages into
-	// one BATCH envelope per flush point. Ignored by the GDB schemes.
-	Coalesce bool
 }
 
 // Attach constructs and attaches the scheme named by cfg.Scheme to the
@@ -151,14 +148,12 @@ func Attach(k *sim.Kernel, cfg Config) (Scheme, error) {
 			return NewDriverKernelMulti(k, cfg.Channels, DriverKernelOptions{
 				CommonOptions: cfg.Common,
 				DMI:           cfg.DMI,
-				Coalesce:      cfg.Coalesce,
 			})
 		}
 		return NewDriverKernel(k, cfg.Data, cfg.IRQ, DriverKernelOptions{
 			CommonOptions: cfg.Common,
 			Ports:         cfg.Ports,
 			DMI:           cfg.DMI,
-			Coalesce:      cfg.Coalesce,
 		})
 	}
 	return nil, fmt.Errorf("core: unknown scheme %q", cfg.Scheme)

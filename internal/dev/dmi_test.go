@@ -230,57 +230,6 @@ func (eofReader) Read([]byte) (int, error) { return 0, errEOF }
 
 var errEOF = net.ErrClosed
 
-func TestFramePumpUnwrapsEnvelopes(t *testing.T) {
-	d := NewCosimDev(NewPIC(newFakeSink(), 0), CosimLine)
-	d.DecodeBatches()
-	host, guest := net.Pipe()
-	d.ConnectData(guest, guest)
-
-	le := binary.LittleEndian
-	// One plain DATA frame...
-	plain := le.AppendUint32(nil, 8+1)
-	plain = le.AppendUint32(plain, cosimMsgData)
-	plain = le.AppendUint32(plain, 1)
-	plain = append(plain, 0x11)
-	// ...and an envelope of two DATA frames.
-	inner := le.AppendUint32(nil, 8+1)
-	inner = le.AppendUint32(inner, cosimMsgData)
-	inner = le.AppendUint32(inner, 1)
-	inner = append(inner, 0x22)
-	inner2 := le.AppendUint32(nil, 8+2)
-	inner2 = le.AppendUint32(inner2, cosimMsgData)
-	inner2 = le.AppendUint32(inner2, 2)
-	inner2 = append(inner2, 0x33, 0x44)
-	payload := append(append([]byte(nil), inner...), inner2...)
-	batch := le.AppendUint32(nil, uint32(12+len(payload)))
-	batch = le.AppendUint32(batch, cosimMsgBatch)
-	batch = le.AppendUint32(batch, cosimBatchVersion)
-	batch = le.AppendUint32(batch, 2)
-	batch = append(batch, payload...)
-
-	go func() {
-		host.Write(plain)
-		host.Write(batch)
-	}()
-
-	// The guest parser must see exactly the three plain frames, in
-	// order, with no envelope bytes in between.
-	want := append(append([]byte(nil), plain...), payload...)
-	waitFor(t, func() bool {
-		v, _ := d.Read(CosimRxAvail, 4)
-		return int(v) == len(want)
-	})
-	got := make([]byte, 0, len(want))
-	for range want {
-		v, _ := d.Read(CosimRxByte, 4)
-		got = append(got, byte(v))
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("rx stream\n got % x\nwant % x", got, want)
-	}
-	host.Close()
-}
-
 func TestMailboxWindowMirrorsDeliveries(t *testing.T) {
 	sa, sb := newFakeSink(), newFakeSink()
 	picA, picB := NewPIC(sa, 0), NewPIC(sb, 0)

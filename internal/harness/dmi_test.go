@@ -7,16 +7,14 @@ import (
 	"cosim/internal/sim"
 )
 
-// dmiCells is the memory fast-path ablation matrix (benchtab's
-// `-ablate dmi,coalesce` cross product).
+// dmiCells is the memory fast-path ablation axis (benchtab's
+// `-ablate dmi` cells).
 var dmiCells = []struct {
-	name          string
-	dmi, coalesce bool
+	name string
+	dmi  bool
 }{
-	{"off", false, false},
-	{"dmi", true, false},
-	{"co", false, true},
-	{"both", true, true},
+	{"off", false},
+	{"dmi", true},
 }
 
 // dmiParams is the bounded-workload configuration the determinism
@@ -24,12 +22,12 @@ var dmiCells = []struct {
 // simulated horizon is generous enough for all of them to complete in
 // every cell, so the functional outcome cannot depend on how fast the
 // co-simulation path serves accesses — only the wall clock may differ.
-func dmiParams(dmi, coalesce bool) Params {
+func dmiParams(dmi bool) Params {
 	return Params{
 		Scheme: DriverKernel, Transport: core.TransportRing,
 		SimTime: 20 * sim.MS, Delay: 200 * sim.US,
 		PacketsPerSource: 10, Seed: 77, CPUs: 2,
-		DMI: dmi, Coalesce: coalesce,
+		DMI: dmi,
 	}
 }
 
@@ -52,7 +50,7 @@ func signatureOf(r *Result) signature {
 	}
 }
 
-// TestDMIAblationDeterministic runs the four ablation cells at 2 CPUs
+// TestDMIAblationDeterministic runs the two ablation cells at 2 CPUs
 // and checks that the memory fast path is functionally invisible: every
 // cell produces the same packet signature and clean router checksums.
 // The -race builds of this test double as the concurrency check on the
@@ -62,7 +60,7 @@ func TestDMIAblationDeterministic(t *testing.T) {
 	for _, cell := range dmiCells {
 		cell := cell
 		t.Run(cell.name, func(t *testing.T) {
-			res, err := Run(dmiParams(cell.dmi, cell.coalesce))
+			res, err := Run(dmiParams(cell.dmi))
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -87,11 +85,11 @@ func TestDMIAblationDeterministic(t *testing.T) {
 // accesses stop crossing the transport, the hit/revocation counters
 // fire, and the per-CPU counters reconcile with the aggregates.
 func TestDMIMessageReductionAndCounters(t *testing.T) {
-	off, err := Run(dmiParams(false, false))
+	off, err := Run(dmiParams(false))
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
-	on, err := Run(dmiParams(true, true))
+	on, err := Run(dmiParams(true))
 	if err != nil {
 		t.Fatalf("dmi run: %v", err)
 	}
@@ -137,27 +135,4 @@ func TestDMIMessageReductionAndCounters(t *testing.T) {
 // perCPUName mirrors the driver's per-CPU metric naming.
 func perCPUName(cpu int, metric string) string {
 	return "driver.cpu" + string(rune('0'+cpu)) + "." + metric
-}
-
-// TestCoalesceAcceptsBatchedStream pins the envelope path end to end:
-// with coalescing on (and DMI off, so replies still flow as messages)
-// the guest-side frame pump decodes whatever mix of plain frames and
-// envelopes the kernel emits, and the run stays functionally identical
-// — the checksum replies parse, packets forward, integrity holds.
-func TestCoalesceAcceptsBatchedStream(t *testing.T) {
-	for _, tr := range []core.Transport{core.TransportRing, nil} { // nil = default pipe backend
-		res, err := Run(dmiParams(false, true).withTransport(tr))
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		if res.Forwarded != res.Generated || res.BadContent != 0 {
-			t.Fatalf("coalesced stream broke the run: %+v", signatureOf(res))
-		}
-	}
-}
-
-// withTransport returns a copy of p using tr (nil keeps the default).
-func (p Params) withTransport(tr core.Transport) Params {
-	p.Transport = tr
-	return p
 }

@@ -101,12 +101,12 @@ type Params struct {
 	SimTime sim.Time
 	// ClockPeriod is the system clock (default 100ns).
 	ClockPeriod sim.Time
-	// CPUPeriod is the guest cycle length for time coupling (default
-	// 10ns). Zero disables cycle coupling.
+	// CPUPeriod is the guest cycle length for time coupling. Zero
+	// means the default, 10ns; cycle coupling cannot be switched off.
 	CPUPeriod sim.Time
 	// SkewBound bounds how far simulated time may race past an
-	// in-flight ISS interaction (default 1us; see core). Zero =
-	// free-running.
+	// in-flight ISS interaction (see core). Zero means the default,
+	// 1us; a run is never free-running.
 	SkewBound sim.Time
 	// Quantum temporally decouples the Driver-Kernel scheme: each guest
 	// may run ahead of kernel time by up to this much, with conservative
@@ -141,10 +141,9 @@ type Params struct {
 	// bound ports, serving side-effect-free port accesses without a
 	// protocol message (benchtab's -dmi flag). Ignored by GDB schemes.
 	DMI bool
-	// Coalesce batches the Driver-Kernel's kernel->guest messages into
-	// one BATCH envelope per flush point and switches the guest device's
-	// read pump to frame mode (benchtab's -coalesce flag). Ignored by
-	// GDB schemes.
+	// Coalesce is inert: message coalescing was removed, and every
+	// scheme exchanges plain frames. The field stays only so existing
+	// callers still compile; setting it changes nothing.
 	Coalesce bool
 
 	// Trace, when set, receives a VCD of router occupancy.
@@ -375,12 +374,6 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 				return nil, err
 			}
 			plat.CPU.Reset(im.Entry)
-			if p.Coalesce {
-				// BATCH envelopes are a host-side framing; the guest
-				// driver parses one frame at a time, so the device's read
-				// pump must unwrap them.
-				plat.Cosim.DecodeBatches()
-			}
 			target, err := core.ConnectDriverTarget(plat, tr)
 			if err != nil {
 				return nil, err
@@ -410,7 +403,6 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 			},
 			Channels: channels,
 			DMI:      p.DMI,
-			Coalesce: p.Coalesce,
 		})
 		if err != nil {
 			return nil, err

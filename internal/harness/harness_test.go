@@ -162,10 +162,14 @@ func TestCountLoC(t *testing.T) {
 	if r.SWSideFactor < 3 {
 		t.Fatalf("SW-side factor %.1f implausibly low", r.SWSideFactor)
 	}
+	// The kernel side: Driver-Kernel adds code over GDB-Kernel.
+	if r.GDBKernelLines == 0 || r.DriverKernelLines <= r.GDBKernelLines || r.KernelSidePct <= 0 {
+		t.Fatalf("kernel-side row implausible: %+v", r)
+	}
 	var sb strings.Builder
 	PrintLoC(&sb, r)
-	if !strings.Contains(sb.String(), "overhead factor") {
-		t.Fatal("LoC print incomplete")
+	if !strings.Contains(sb.String(), "overhead factor") || !strings.Contains(sb.String(), "Kernel-side overhead") {
+		t.Fatalf("LoC print incomplete:\n%s", sb.String())
 	}
 }
 

@@ -25,7 +25,6 @@ type Metrics struct {
 	Stops        uint64 `json:"stops"`
 	IntsNotified uint64 `json:"ints_notified"`
 	DMI          bool   `json:"dmi,omitempty"`
-	Coalesce     bool   `json:"coalesce,omitempty"`
 	DMIHits      uint64 `json:"dmi_hits,omitempty"`
 	DMIMisses    uint64 `json:"dmi_misses,omitempty"`
 	// Quantum is the temporal-decoupling quantum ("" = lock-step);
@@ -64,7 +63,6 @@ func (r *Result) Metrics() Metrics {
 		Stops:        r.CoStats.Stops,
 		IntsNotified: r.CoStats.IntsNotified,
 		DMI:          r.Params.DMI,
-		Coalesce:     r.Params.Coalesce,
 		DMIHits:      r.CoStats.DMIHits,
 		DMIMisses:    r.CoStats.DMIMisses,
 		GuestInstr:   r.GuestInstructions,

@@ -144,16 +144,16 @@ func TestQuantumCountersReconcile(t *testing.T) {
 }
 
 // TestQuantumWithFastPath crosses temporal decoupling with the memory
-// fast path: DMI windows plus coalescing under a 10x quantum must still
-// produce the lock-step signature, exercising the revocation and
-// served-read early-sync breaks alongside batched flushes.
+// fast path: DMI windows under a 10x quantum must still produce the
+// lock-step signature, exercising the revocation and served-read
+// early-sync breaks.
 func TestQuantumWithFastPath(t *testing.T) {
 	plain, err := Run(quantumParams(0))
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
 	p := quantumParams(100 * sim.NS)
-	p.DMI, p.Coalesce = true, true
+	p.DMI = true
 	fast, err := Run(p)
 	if err != nil {
 		t.Fatalf("fast-path run: %v", err)

@@ -49,10 +49,12 @@ type Spec struct {
 
 	NoDecodeCache bool `json:"no_decode_cache,omitempty"`
 
-	// Memory fast path (Driver-Kernel scheme; see README "Memory fast
-	// path"). DMI grants guests direct memory windows over their bound
-	// ports; Coalesce batches kernel->guest messages per flush.
-	DMI      bool `json:"dmi,omitempty"`
+	// DMI grants Driver-Kernel guests direct memory windows over their
+	// bound ports (see README "Memory fast path").
+	DMI bool `json:"dmi,omitempty"`
+	// Coalesce is inert: message coalescing was removed. The field
+	// stays so specs written with "coalesce" still decode; its value is
+	// ignored and does not reach Params.
 	Coalesce bool `json:"coalesce,omitempty"`
 
 	// Quantum temporally decouples the Driver-Kernel scheme (see the
@@ -151,7 +153,6 @@ func (s Spec) Params() (Params, error) {
 		Seed:             s.Seed,
 		NoDecodeCache:    s.NoDecodeCache,
 		DMI:              s.DMI,
-		Coalesce:         s.Coalesce,
 	}
 	if s.Transport != "" {
 		tr, err := core.ParseTransport(s.Transport)
@@ -209,7 +210,6 @@ func SpecFromParams(p Params) Spec {
 		Seed:             p.Seed,
 		NoDecodeCache:    p.NoDecodeCache,
 		DMI:              p.DMI,
-		Coalesce:         p.Coalesce,
 		Quantum:          timeStr(p.Quantum),
 	}
 	if p.Transport != nil {

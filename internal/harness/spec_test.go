@@ -78,7 +78,7 @@ func TestSpecParamsRoundTrip(t *testing.T) {
 		SimTime: 2 * sim.MS, CPUPeriod: 10 * sim.NS,
 		CPUs: 3, Delay: 5 * sim.US, PayloadWords: 6,
 		ErrorRate: 0.1, FifoDepth: 4, PacketsPerSource: 9, Seed: 11,
-		DMI: true, Coalesce: true, Quantum: 100 * sim.NS,
+		DMI: true, Quantum: 100 * sim.NS,
 	}
 	back, err := SpecFromParams(orig).Params()
 	if err != nil {
@@ -165,6 +165,29 @@ func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
 	_, err := DecodeSpec([]byte(`{"scheme": "driver-kernel", "simtime": "1ms"}`))
 	if err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Fatalf("DecodeSpec = %v, want unknown-field error", err)
+	}
+}
+
+// TestDecodeSpecIgnoresRetiredField: specs written while message
+// coalescing existed still decode, and the retired field changes
+// nothing about the run they describe.
+func TestDecodeSpecIgnoresRetiredField(t *testing.T) {
+	params := func(body string) Params {
+		t.Helper()
+		s, err := DecodeSpec([]byte(body))
+		if err != nil {
+			t.Fatalf("DecodeSpec(%s): %v", body, err)
+		}
+		p, err := s.Params()
+		if err != nil {
+			t.Fatalf("Params(%s): %v", body, err)
+		}
+		return p
+	}
+	with := params(`{"scheme": "driver-kernel", "dmi": true, "coalesce": true}`)
+	without := params(`{"scheme": "driver-kernel", "dmi": true}`)
+	if !reflect.DeepEqual(with, without) {
+		t.Fatalf("coalesce changed the params:\n with    %+v\n without %+v", with, without)
 	}
 }
 

@@ -220,8 +220,15 @@ func readFull(c net.Conn, buf []byte) (int, error) {
 }
 
 func TestDriverWriteAndRead(t *testing.T) {
+	// The driver's dispatcher must be installed before cosim_read, as
+	// every application does: the DATA_READY id may be queued before
+	// the reply bytes reach RX, and with no ISR the kernel masks the
+	// co-simulation line, so the RX-available level could never wake
+	// the read loop's WFI.
 	p, im := buildPlatform(t, `
 main:
+    mv   a0, zero                 ; no user handler: ids are just acked
+    call cosim_register_isr
     ; WRITE 8 bytes to port "csum"
     la   a0, port_w
     addi a1, zero, 4

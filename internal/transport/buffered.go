@@ -24,10 +24,6 @@ func (b *bufferedEndpoint) Read(p []byte) (int, error)  { return b.ep.Read(p) }
 func (b *bufferedEndpoint) Write(p []byte) (int, error) { return b.bw.Write(p) }
 func (b *bufferedEndpoint) Flush() error                { return b.bw.Flush() }
 
-// RecordBatch forwards coalescing reports to the wrapped endpoint, so
-// Buffered composes with Observed's batch accounting in either order.
-func (b *bufferedEndpoint) RecordBatch(n int) { RecordBatch(b.ep, n) }
-
 func (b *bufferedEndpoint) Close() error {
 	flushErr := b.bw.Flush()
 	closeErr := b.ep.Close()

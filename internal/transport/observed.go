@@ -4,10 +4,9 @@ import "cosim/internal/obs"
 
 // Observed wraps tr so every endpoint pair it creates counts into reg:
 //
-//	transport.<name>.pairs        — endpoint pairs constructed
-//	transport.<name>.tx_bytes     — bytes written by the kernel (host) side
-//	transport.<name>.rx_bytes     — bytes read by the kernel (host) side
-//	transport.<name>.batched_msgs — messages coalesced into BATCH writes
+//	transport.<name>.pairs    — endpoint pairs constructed
+//	transport.<name>.tx_bytes — bytes written by the kernel (host) side
+//	transport.<name>.rx_bytes — bytes read by the kernel (host) side
 //
 // Only the host end is counted — both directions of the channel cross
 // it, so guest-side counting would double every byte. The counter
@@ -29,13 +28,12 @@ func newObservedTransport(tr Transport, reg *obs.Registry) *observedTransport {
 		pairs:     reg.Counter(prefix + "pairs"),
 		tx:        reg.Counter(prefix + "tx_bytes"),
 		rx:        reg.Counter(prefix + "rx_bytes"),
-		batched:   reg.Counter(prefix + "batched_msgs"),
 	}
 }
 
 type observedTransport struct {
 	Transport
-	pairs, tx, rx, batched *obs.Counter
+	pairs, tx, rx *obs.Counter
 }
 
 func (o *observedTransport) Pair() (host, guest Endpoint, err error) {
@@ -44,16 +42,15 @@ func (o *observedTransport) Pair() (host, guest Endpoint, err error) {
 		return nil, nil, err
 	}
 	o.pairs.Inc()
-	return &countedEndpoint{ep: host, tx: o.tx, rx: o.rx, batched: o.batched}, guest, nil
+	return &countedEndpoint{ep: host, tx: o.tx, rx: o.rx}, guest, nil
 }
 
 // countedEndpoint counts host-side traffic. It forwards Flush so a
 // Buffered underlying endpoint keeps its batch boundaries, and Close so
 // teardown ownership is unchanged.
 type countedEndpoint struct {
-	ep      Endpoint
-	tx, rx  *obs.Counter
-	batched *obs.Counter
+	ep     Endpoint
+	tx, rx *obs.Counter
 }
 
 func (c *countedEndpoint) Read(p []byte) (int, error) {
@@ -74,12 +71,3 @@ func (c *countedEndpoint) Write(p []byte) (int, error) {
 
 func (c *countedEndpoint) Close() error { return c.ep.Close() }
 func (c *countedEndpoint) Flush() error { return Flush(c.ep) }
-
-// RecordBatch counts a coalesced write of n messages and forwards the
-// report, so a Buffered endpoint underneath keeps its own accounting.
-func (c *countedEndpoint) RecordBatch(n int) {
-	if n > 0 {
-		c.batched.Add(uint64(n))
-	}
-	RecordBatch(c.ep, n)
-}

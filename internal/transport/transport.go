@@ -84,16 +84,16 @@ func Flush(w io.Writer) error {
 }
 
 // BatchRecorder is optionally implemented by endpoints that account for
-// message coalescing (Observed's counted endpoints). A protocol writer
-// that packs n>1 messages into one envelope reports it here so the
-// transport layer can expose coalescing effectiveness without decoding
-// frames itself.
+// writes packing several protocol messages. No protocol writer in this
+// module packs messages any more, so nothing reports here; the hook is
+// kept only because endpoint wrappers in the benchmark module still
+// forward it, and goes when they stop.
 type BatchRecorder interface {
 	RecordBatch(msgs int)
 }
 
-// RecordBatch reports a coalesced write of msgs messages on w, if w
-// accounts for batches; otherwise it is a no-op.
+// RecordBatch reports a write of msgs messages on w, if w accounts for
+// batches; otherwise it is a no-op.
 func RecordBatch(w io.Writer, msgs int) {
 	if r, ok := w.(BatchRecorder); ok {
 		r.RecordBatch(msgs)
