@@ -5,7 +5,7 @@
 # smoke matrix (one suite per matrix cell) and runnable locally:
 #
 #   go run ./cmd/benchtab ... -json > report.json
-#   ci/assert_benchtab.sh quantum report.json
+#   ci/assert_benchtab.sh dmi report.json
 #
 # Suites:
 #   base       — obs counters present on every run; scheme-specific
@@ -18,9 +18,6 @@
 #   dmi        — DMI ablation: hits iff granted, message
 #                reduction, per-CPU reconciliation, identical
 #                functional outcome across cells
-#   quantum    — quantum ablation: syncs iff decoupled, identical
-#                forwarded/message totals across cells, per-CPU
-#                reconciliation
 set -euo pipefail
 
 suite=${1:?usage: assert_benchtab.sh SUITE REPORT.json}
@@ -121,34 +118,8 @@ dmi)
     "ablation cells disagree on forwarded packets"
   ;;
 
-quantum)
-  # Three cells: lock-step plus the 1x/10x CPU-period quanta.
-  jqe '.runs | length == 3' "quantum sweep did not produce three cells"
-  jqe '[.runs[] | select(.quantum == null)] | length == 1' \
-    "quantum sweep has no lock-step cell"
-  # Boundary syncs fire iff the run is temporally decoupled.
-  jqe '[.runs[] | select(.quantum != null)]
-       | length == 2 and ([.[].quantum_syncs > 0] | all)' \
-    "decoupled cells counted no quantum syncs"
-  jqe '[.runs[] | select(.quantum == null) | (.quantum_syncs // 0) == 0] | all' \
-    "lock-step cell counted quantum syncs"
-  # The quantum changes only the synchronization cadence: forwarded
-  # packets and driver message totals are identical across cells.
-  jqe '[.runs[].forwarded] | unique | length == 1' \
-    "quantum cells disagree on forwarded packets"
-  jqe '[.runs[].counters["driver.messages"]] | unique | length == 1' \
-    "quantum cells disagree on driver message totals"
-  # Per-CPU quantum counters reconcile with the aggregates.
-  for metric in quantum_syncs quantum_breaks; do
-    jqe "[.runs[].counters
-          | (.[\"driver.$metric\"] // 0) == (.[\"driver.cpu0.$metric\"] // 0) + (.[\"driver.cpu1.$metric\"] // 0)]
-         | all" \
-      "aggregate driver.$metric does not equal the per-CPU sum"
-  done
-  ;;
-
 *)
-  fail "unknown suite (want base, percpu, transports, dmi, quantum)"
+  fail "unknown suite (want base, percpu, transports, dmi)"
   ;;
 esac
 

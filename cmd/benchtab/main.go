@@ -6,7 +6,7 @@
 //
 //	benchtab -exp table1|figure7|loc|all [-full] [-times 1ms,5ms]
 //	         [-scheme NAME] [-cpus N] [-transport tcp|unix|ring|pipe]
-//	         [-dmi] [-quantum DUR] [-ablate dmi,quantum]
+//	         [-dmi] [-ablate dmi]
 //	         [-parallel N] [-json] [-server URL]
 //
 // -full uses the paper-scale simulated durations (slow); the default
@@ -24,17 +24,11 @@
 // drive more than one CPU, so a multi-CPU Table 1 sweep drops the
 // GDB-Wrapper baseline and reports per-run records.
 // -dmi turns on the Driver-Kernel memory fast path (direct memory
-// windows; see the README's "Memory fast path" section). -quantum sets
-// the Driver-Kernel
-// temporal-decoupling quantum (see the README's "Temporal decoupling"
-// section); empty or zero keeps per-cycle lock-step. -ablate
-// cross-sweeps those axes instead: every driver-kernel scenario runs
-// once per cell of the cross product, tagged /dmi=0|1 and /q=DUR, and
-// the report carries per-run records only — the BENCH_*_dmi.json
-// evidence comes from `-ablate dmi -json`,
-// the BENCH_*_quantum.json evidence from `-ablate quantum -json`. The
-// quantum axis sweeps {0, -quantum} when -quantum is set, and a default
-// {0, 1x, 10x} of the 10ns default CPU period otherwise.
+// windows; see the README's "Memory fast path" section). -ablate dmi
+// sweeps that axis instead: every driver-kernel scenario runs once with
+// and once without the fast path, tagged /dmi=0|1, and the report
+// carries per-run records only — the BENCH_*_dmi.json evidence comes
+// from `-ablate dmi -json`.
 // -parallel runs the experiment sweep on N workers: every run owns its
 // kernel, ISS and sockets, so scheme results are identical to the
 // sequential sweep — only total wall time drops. -json replaces the
@@ -106,8 +100,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable metrics report")
 	noDC := flag.Bool("nodecodecache", false, "disable the ISS predecoded-instruction cache (ablation baseline)")
 	dmi := flag.Bool("dmi", false, "grant driver-kernel guests direct memory windows (memory fast path)")
-	quantum := flag.String("quantum", "", "driver-kernel temporal-decoupling quantum (duration; empty or 0 = per-cycle lock-step)")
-	ablate := flag.String("ablate", "", `cross-sweep driver-kernel axes: comma list of "dmi", "quantum"`)
+	ablate := flag.String("ablate", "", `cross-sweep driver-kernel axes: "dmi"`)
 	serverURL := flag.String("server", "", "drive a running cosimd at this base URL instead of simulating in-process")
 	flag.Parse()
 
@@ -119,14 +112,12 @@ func main() {
 	// validated request shape a cosimd session POST carries. benchtab
 	// sweeps schemes itself, so the base spec carries a placeholder
 	// scheme that every scenario overwrites.
-	baseSpec := harness.Spec{Scheme: "gdb-kernel", Delay: *delay, Seed: *seed, CPUs: *cpus, NoDecodeCache: *noDC, DMI: *dmi, Quantum: *quantum}
+	baseSpec := harness.Spec{Scheme: "gdb-kernel", Delay: *delay, Seed: *seed, CPUs: *cpus, NoDecodeCache: *noDC, DMI: *dmi}
 	base, err := baseSpec.Params()
 	if err != nil {
 		fatal(err)
 	}
-	// The quantum ablation axis sweeps {lock-step, -quantum} when a
-	// quantum was given, so the flag and the axis compose.
-	abl, err := parseAblate(*ablate, base.Quantum)
+	ablateDMI, err := parseAblate(*ablate)
 	if err != nil {
 		fatal(err)
 	}
@@ -178,15 +169,15 @@ func main() {
 	} else {
 		switch *exp {
 		case "table1":
-			runTable1(rep, simTimes, base, sel, trs, abl, *parallel, *jsonOut)
+			runTable1(rep, simTimes, base, sel, trs, ablateDMI, *parallel, *jsonOut)
 		case "figure7":
-			runFigure7(rep, base, sel, trs, abl, *parallel, *jsonOut)
+			runFigure7(rep, base, sel, trs, ablateDMI, *parallel, *jsonOut)
 		case "loc":
 			runLoC(rep, *jsonOut)
 		case "all":
-			runTable1(rep, simTimes, base, sel, trs, abl, *parallel, *jsonOut)
+			runTable1(rep, simTimes, base, sel, trs, ablateDMI, *parallel, *jsonOut)
 			sep(*jsonOut)
-			runFigure7(rep, base, sel, trs, abl, *parallel, *jsonOut)
+			runFigure7(rep, base, sel, trs, ablateDMI, *parallel, *jsonOut)
 			sep(*jsonOut)
 			runLoC(rep, *jsonOut)
 		default:
@@ -229,98 +220,40 @@ func parseTransports(arg string) ([]core.Transport, error) {
 	return trs, nil
 }
 
-// ablation names the driver-kernel axes a sweep cross-multiplies (the
-// -ablate flag): the memory fast path's dmi boolean and the
-// temporal-decoupling quantum cells.
-type ablation struct {
-	dmi     bool
-	quantum []sim.Time // quantum axis cells; empty = axis off
-}
-
-func (a ablation) active() bool { return a.dmi || len(a.quantum) > 0 }
-
-// parseAblate resolves the -ablate flag value: a comma list of axis
-// names ("dmi", "quantum"; "q" is an accepted short form). The quantum axis sweeps {0, quantum} when the -quantum flag
-// supplies a non-zero value, and {0, 1x, 10x} of the 10ns default CPU
-// period otherwise — the 10x cell is the regime where temporal
-// decoupling should pay off.
-func parseAblate(arg string, quantum sim.Time) (ablation, error) {
-	var a ablation
+// parseAblate resolves the -ablate flag value, a comma list of the
+// driver-kernel axes to cross-sweep; "dmi" is the only axis, so the
+// result is whether it was named.
+func parseAblate(arg string) (dmi bool, err error) {
 	if strings.TrimSpace(arg) == "" {
-		return a, nil
+		return false, nil
 	}
 	for _, f := range strings.Split(arg, ",") {
-		switch strings.TrimSpace(strings.ToLower(f)) {
-		case "dmi":
-			a.dmi = true
-		case "quantum", "q":
-			if quantum > 0 {
-				a.quantum = []sim.Time{0, quantum}
-			} else {
-				a.quantum = []sim.Time{0, 10 * sim.NS, 100 * sim.NS}
-			}
-		default:
-			return a, fmt.Errorf("unknown -ablate axis %q (want dmi, quantum)", f)
+		if strings.TrimSpace(strings.ToLower(f)) != "dmi" {
+			return false, fmt.Errorf("unknown -ablate axis %q (want dmi)", f)
 		}
 	}
-	return a, nil
+	return true, nil
 }
 
-// expand cross-multiplies every driver-kernel scenario over the active
-// ablation axes, tagging each cell /dmi=0|1 and /q=DUR.
-// Schemes that ignore the memory fast path and temporal decoupling keep
-// their single base cell: re-running them per cell would only duplicate
-// identical measurements.
-func (a ablation) expand(scens []harness.Scenario) []harness.Scenario {
-	if !a.active() {
-		return scens
-	}
+// expandDMI runs every driver-kernel scenario once without and once
+// with the memory fast path, tagging each cell /dmi=0|1. Schemes that
+// ignore the fast path keep their single base cell: re-running them per
+// cell would only duplicate identical measurements.
+func expandDMI(scens []harness.Scenario) []harness.Scenario {
 	var out []harness.Scenario
 	for _, sc := range scens {
 		if sc.Params.Scheme != harness.DriverKernel {
 			out = append(out, sc)
 			continue
 		}
-		qcells := a.quantum
-		if len(qcells) == 0 {
-			qcells = []sim.Time{sc.Params.Quantum}
-		}
-		dcells := []bool{sc.Params.DMI}
-		if a.dmi {
-			dcells = []bool{false, true}
-		}
-		for _, dv := range dcells {
-			for _, qv := range qcells {
-				cell := sc
-				cell.Params.DMI = dv
-				cell.Params.Quantum = qv
-				if a.dmi {
-					cell.Name += fmt.Sprintf("/dmi=%d", b2i(dv))
-				}
-				if len(a.quantum) > 0 {
-					cell.Name += "/q=" + qtag(qv)
-				}
-				out = append(out, cell)
-			}
+		for i, dv := range []bool{false, true} {
+			cell := sc
+			cell.Params.DMI = dv
+			cell.Name += fmt.Sprintf("/dmi=%d", i)
+			out = append(out, cell)
 		}
 	}
 	return out
-}
-
-// qtag renders a quantum cell's duration for the /q=DUR scenario tag;
-// the lock-step cell reads /q=0.
-func qtag(q sim.Time) string {
-	if q == 0 {
-		return "0"
-	}
-	return q.String()
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // tagTransport suffixes scenario names with /tr=NAME so records from a
@@ -332,7 +265,7 @@ func tagTransport(scens []harness.Scenario, tr core.Transport) []harness.Scenari
 	return scens
 }
 
-func runTable1(rep *report, simTimes []sim.Time, base harness.Params, sel harness.Scheme, trs []core.Transport, abl ablation, workers int, jsonOut bool) {
+func runTable1(rep *report, simTimes []sim.Time, base harness.Params, sel harness.Scheme, trs []core.Transport, ablateDMI bool, workers int, jsonOut bool) {
 	multiTr := len(trs) > 1
 	for _, tr := range trs {
 		b := base
@@ -342,10 +275,12 @@ func runTable1(rep *report, simTimes []sim.Time, base harness.Params, sel harnes
 		if multiTr {
 			scens = tagTransport(scens, tr)
 		}
-		scens = abl.expand(scens)
+		if ablateDMI {
+			scens = expandDMI(scens)
+		}
 		outs := harness.RunAll(scens, workers)
 		collectRuns(rep, outs)
-		if sel >= 0 || b.CPUs > 1 || multiTr || abl.active() {
+		if sel >= 0 || b.CPUs > 1 || multiTr || ablateDMI {
 			// The folded table needs every scheme's column in exact
 			// sweep order; a filtered, multi-CPU (which drops the
 			// single-CPU GDB-Wrapper baseline), multi-transport or
@@ -375,7 +310,7 @@ func runTable1(rep *report, simTimes []sim.Time, base harness.Params, sel harnes
 	}
 }
 
-func runFigure7(rep *report, base harness.Params, sel harness.Scheme, trs []core.Transport, abl ablation, workers int, jsonOut bool) {
+func runFigure7(rep *report, base harness.Params, sel harness.Scheme, trs []core.Transport, ablateDMI bool, workers int, jsonOut bool) {
 	delays := []sim.Time{5 * sim.US, 10 * sim.US, 20 * sim.US, 30 * sim.US, 50 * sim.US, 100 * sim.US}
 	base.SimTime = 2 * sim.MS
 	multiTr := len(trs) > 1
@@ -386,10 +321,12 @@ func runFigure7(rep *report, base harness.Params, sel harness.Scheme, trs []core
 		if multiTr {
 			scens = tagTransport(scens, tr)
 		}
-		scens = abl.expand(scens)
+		if ablateDMI {
+			scens = expandDMI(scens)
+		}
 		outs := harness.RunAll(scens, workers)
 		collectRuns(rep, outs)
-		if sel >= 0 || multiTr || abl.active() {
+		if sel >= 0 || multiTr || ablateDMI {
 			if err := harness.FirstError(outs); err != nil {
 				fatal(err)
 			}

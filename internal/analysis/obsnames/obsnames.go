@@ -48,8 +48,6 @@ var PerCPUMetrics = map[string]bool{
 	"dmi_hits":           true,
 	"dmi_misses":         true,
 	"dmi_revocations":    true,
-	"quantum_syncs":      true,
-	"quantum_breaks":     true,
 }
 
 // TransportMetrics is the documented transport.<backend>.* metric set

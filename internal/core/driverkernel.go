@@ -40,18 +40,6 @@ type DriverKernel struct {
 	skewBound   sim.Time
 	waitTimeout time.Duration // how long a conservative wait may block
 
-	// quantum, when non-zero, temporally decouples the scheme: the
-	// conservative per-cycle synchronization (flush + skew-bounded wait)
-	// is thinned out to quantum boundaries, plus early-sync "breaks" on
-	// externally visible activity (a non-DMI port access arriving as a
-	// READ/WRITE message, an interrupt delivery, a DMI window
-	// revocation). Message ingestion and CallAt delivery stay per-cycle,
-	// so the functional outcome is quantum-invariant — only the coupling
-	// cadence (and therefore the wall clock) changes. nextQuantum is the
-	// next boundary; kernel context only.
-	quantum     sim.Time
-	nextQuantum sim.Time
-
 	// dmi grants each CPU's bridge device direct windows into the
 	// side-effect-free backing memory of its bound ports. It is an
 	// attach-time choice (DriverKernelOptions) — the hot paths branch on
@@ -113,11 +101,6 @@ type driverCPU struct {
 	rdErr  error // reader goroutine's terminal error; guarded by d.mu
 	hadMsg bool  // batch scratch: a message from this CPU was drained
 
-	// syncBreak marks an early-sync cause observed for this CPU in
-	// quantum mode (message arrival, served READ, interrupt delivery,
-	// window revocation); consumed by quantumSync. Kernel context only.
-	syncBreak bool
-
 	// DMI state: the windows granted over this CPU's bound ports, the
 	// guest-activity flag its window hits raise (the lock-step wait
 	// treats window activity exactly like an arriving message), and a
@@ -161,9 +144,6 @@ type driverObs struct {
 	dmiHits        *obs.Counter
 	dmiMisses      *obs.Counter
 	dmiRevocations *obs.Counter
-
-	quantumSyncs  *obs.Counter
-	quantumBreaks *obs.Counter
 }
 
 func (o *driverObs) init(r *obs.Registry) {
@@ -180,8 +160,6 @@ func (o *driverObs) init(r *obs.Registry) {
 	o.dmiHits = r.Counter("driver.dmi_hits")
 	o.dmiMisses = r.Counter("driver.dmi_misses")
 	o.dmiRevocations = r.Counter("driver.dmi_revocations")
-	o.quantumSyncs = r.Counter("driver.quantum_syncs")
-	o.quantumBreaks = r.Counter("driver.quantum_breaks")
 }
 
 // driverCPUObs is the per-CPU counter set ("driver.cpu0.messages", ...)
@@ -196,9 +174,6 @@ type driverCPUObs struct {
 	dmiHits        *obs.Counter
 	dmiMisses      *obs.Counter
 	dmiRevocations *obs.Counter
-
-	quantumSyncs  *obs.Counter
-	quantumBreaks *obs.Counter
 
 	// pendingReads and its name are resolved once here so Publish — a
 	// per-flush hot path — never rebuilds "driver.cpuN.*" strings. The
@@ -215,8 +190,6 @@ func (o *driverCPUObs) init(r *obs.Registry, id int) {
 	o.dmiHits = r.Counter(fmt.Sprintf("driver.cpu%d.dmi_hits", id))
 	o.dmiMisses = r.Counter(fmt.Sprintf("driver.cpu%d.dmi_misses", id))
 	o.dmiRevocations = r.Counter(fmt.Sprintf("driver.cpu%d.dmi_revocations", id))
-	o.quantumSyncs = r.Counter(fmt.Sprintf("driver.cpu%d.quantum_syncs", id))
-	o.quantumBreaks = r.Counter(fmt.Sprintf("driver.cpu%d.quantum_breaks", id))
 	o.pendingReadsName = fmt.Sprintf("driver.cpu%d.pending_reads", id)
 	o.pendingReads = r.Gauge(o.pendingReadsName)
 }
@@ -282,7 +255,6 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 		k:           k,
 		period:      opts.CPUPeriod,
 		skewBound:   opts.SkewBound,
-		quantum:     opts.Quantum,
 		waitTimeout: time.Second,
 		journal:     opts.Journal,
 		notify:      make(chan struct{}, 1),
@@ -586,11 +558,6 @@ func (d *DriverKernel) flushGrantCounters(c *driverCPU, g *dmiGrant) {
 	if n := revs - g.lastRevs; n > 0 {
 		d.obs.dmiRevocations.Add(n)
 		c.obs.dmiRevocations.Add(n)
-		if d.quantum > 0 {
-			// A revoked window forces the guest back onto the message
-			// path; re-synchronize early instead of running ahead.
-			c.syncBreak = true
-		}
 	}
 	g.lastHits, g.lastMisses, g.lastRevs = hits, misses, revs
 }
@@ -612,50 +579,6 @@ func (c *driverCPU) advanceSync(cycles uint32, t sim.Time) {
 	} else {
 		c.syncTime = c.d.k.Now()
 	}
-}
-
-// quantumSync decides whether this cycle runs the conservative
-// synchronization (channel flush + skew-bounded lock-step wait). In
-// lock-step mode (quantum == 0) every cycle syncs. In quantum mode the
-// sync happens at quantum boundaries — counted as quantum_syncs, once
-// per CPU so the aggregate reconciles with the per-CPU sums — or when
-// an early-sync break was observed: a guest's non-DMI port access
-// (its READ/WRITE message is in the inbox, or a pending READ was just
-// served), an interrupt delivery, or a DMI window revocation. Breaks
-// are counted per causing CPU as quantum_breaks.
-func (d *DriverKernel) quantumSync(k *sim.Kernel) bool {
-	if d.quantum == 0 {
-		return true
-	}
-	if now := k.Now(); !now.Before(d.nextQuantum) {
-		d.nextQuantum = now.Add(d.quantum)
-		for _, c := range d.cpus {
-			c.syncBreak = false // the boundary subsumes any pending break
-			d.stats.QuantumSyncs++
-			d.obs.quantumSyncs.Inc()
-			c.obs.quantumSyncs.Inc()
-		}
-		return true
-	}
-	// A message sitting in the inbox is a guest port access the drain is
-	// about to serve; sync so the lock-step invariants hold around it.
-	d.mu.Lock()
-	for _, m := range d.inbox {
-		d.cpus[m.CPU].syncBreak = true
-	}
-	d.mu.Unlock()
-	due := false
-	for _, c := range d.cpus {
-		if !c.syncBreak {
-			continue
-		}
-		c.syncBreak = false
-		due = true
-		d.stats.QuantumBreaks++
-		d.obs.quantumBreaks.Inc()
-		c.obs.quantumBreaks.Inc()
-	}
-	return due
 }
 
 // inboxReadyFor reports whether the drain would make progress for this
@@ -807,13 +730,9 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 	// Conservative sync: wait for lagging guests instead of letting
 	// simulated time race past an outstanding request. Buffered replies
 	// must be on the wire first, or the wait would stall on a guest
-	// that is itself waiting for an unflushed frame. Under temporal
-	// decoupling the sync runs only at quantum boundaries and breaks;
-	// mid-quantum cycles let the kernel run ahead of the guests.
-	if d.quantumSync(k) {
-		d.flushChannels()
-		d.lockstepWait(k)
-	}
+	// that is itself waiting for an unflushed frame.
+	d.flushChannels()
+	d.lockstepWait(k)
 
 	d.mu.Lock()
 	msgs := d.inbox
@@ -923,11 +842,6 @@ func (d *DriverKernel) reply(c *driverCPU, b *binding) {
 	d.obs.replies.Inc()
 	c.outstanding = true
 	c.outSince = d.k.Now()
-	if d.quantum > 0 {
-		// A served READ is a non-DMI port access: synchronize around it
-		// rather than letting the kernel run ahead of the reply.
-		c.syncBreak = true
-	}
 	d.journal.Record(JournalEntry{
 		Time: d.k.Now(), Scheme: "driver-kernel", Dir: "sc->iss",
 		Port: b.spec.Port, Bytes: len(b.outPort.Bytes()),
@@ -975,11 +889,6 @@ func (d *DriverKernel) flushInterrupts(k *sim.Kernel) {
 		// request for skew-bound purposes.
 		c.outstanding = true
 		c.outSince = k.Now()
-		if d.quantum > 0 {
-			// Interrupt delivery ends this CPU's decoupled stretch: the
-			// next drain must re-synchronize with the guest's reaction.
-			c.syncBreak = true
-		}
 	}
 	d.flushChannels()
 }

@@ -11,15 +11,13 @@ import (
 
 // Stats counts co-simulation activity for the benchmark harness.
 type Stats struct {
-	Transfers     uint64 // variable/message data transfers
-	Stops         uint64 // breakpoint stops handled (GDB schemes)
-	Polls         uint64 // per-cycle checks performed
-	Messages      uint64 // protocol messages handled (Driver-Kernel)
-	IntsNotified  uint64 // interrupts sent to the driver
-	DMIHits       uint64 // guest accesses served by direct memory windows
-	DMIMisses     uint64 // windowed-port accesses that fell back to messages
-	QuantumSyncs  uint64 // conservative syncs at quantum boundaries (per CPU)
-	QuantumBreaks uint64 // early syncs forced before a quantum boundary (per CPU)
+	Transfers    uint64 // variable/message data transfers
+	Stops        uint64 // breakpoint stops handled (GDB schemes)
+	Polls        uint64 // per-cycle checks performed
+	Messages     uint64 // protocol messages handled (Driver-Kernel)
+	IntsNotified uint64 // interrupts sent to the driver
+	DMIHits      uint64 // guest accesses served by direct memory windows
+	DMIMisses    uint64 // windowed-port accesses that fell back to messages
 }
 
 // engineObs holds the GDB-scheme hot-path metrics, pre-resolved at

@@ -23,14 +23,6 @@ type CommonOptions struct {
 	// for the guest's response. Zero = free-running. Ignored by the
 	// lock-step GDB-Wrapper.
 	SkewBound sim.Time
-	// Quantum, when non-zero, temporally decouples the Driver-Kernel
-	// scheme: each CPU's guest may run ahead of kernel time by up to
-	// this much, and the per-cycle conservative synchronization (flush +
-	// skew-bounded wait) happens only at quantum boundaries or on an
-	// early-sync break — a non-DMI port access, an interrupt delivery,
-	// or a DMI window revocation. Zero keeps today's per-cycle
-	// lock-step. Ignored by the GDB schemes.
-	Quantum sim.Time
 	// Journal, when non-nil, records every transfer.
 	Journal *Journal
 	// Obs, when non-nil, receives live co-simulation counters (see the

@@ -80,6 +80,34 @@ func TestDMIAblationDeterministic(t *testing.T) {
 	}
 }
 
+// TestDriverKernelRerunBitIdentical reruns the lock-step baseline cell
+// and requires the functional signature and every simulated-time-driven
+// message counter to repeat exactly: per-cycle synchronization must be
+// deterministic run to run, not merely functionally equivalent.
+// (Wall-clock-paced counters such as ISS instruction totals legitimately
+// vary under the free-running guest.)
+func TestDriverKernelRerunBitIdentical(t *testing.T) {
+	first, err := Run(dmiParams(false))
+	if err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	second, err := Run(dmiParams(false))
+	if err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if signatureOf(first) != signatureOf(second) {
+		t.Fatalf("signatures diverged across reruns:\n %+v\n %+v", signatureOf(first), signatureOf(second))
+	}
+	for _, k := range []string{
+		"driver.messages", "driver.cpu0.messages", "driver.cpu1.messages",
+		"driver.interrupts",
+	} {
+		if v, w := first.Counters[k], second.Counters[k]; v != w {
+			t.Errorf("counter %s: %d then %d", k, v, w)
+		}
+	}
+}
+
 // TestDMIMessageReductionAndCounters is the fast path's effectiveness
 // and accounting test: with windows granted, the per-packet guest
 // accesses stop crossing the transport, the hit/revocation counters

@@ -108,11 +108,10 @@ type Params struct {
 	// in-flight ISS interaction (see core). Zero means the default,
 	// 1us; a run is never free-running.
 	SkewBound sim.Time
-	// Quantum temporally decouples the Driver-Kernel scheme: each guest
-	// may run ahead of kernel time by up to this much, with conservative
-	// synchronization only at quantum boundaries and on early-sync
-	// breaks (port access, interrupt delivery, DMI revocation). Zero
-	// (the default) keeps per-cycle lock-step. Ignored by GDB schemes.
+	// Quantum is inert: temporal decoupling was removed, and the
+	// Driver-Kernel scheme synchronises with its guests every cycle.
+	// The field stays only so existing callers still compile; setting
+	// it changes nothing.
 	Quantum sim.Time
 	// InstrPerCycle is the GDB-Wrapper lock-step quantum (default 8).
 	InstrPerCycle uint64
@@ -336,7 +335,6 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 				Common: core.CommonOptions{
 					CPUPeriod: p.CPUPeriod,
 					SkewBound: p.SkewBound,
-					Quantum:   p.Quantum,
 					Journal:   p.Journal,
 					Obs:       reg,
 				},
@@ -396,7 +394,6 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 			Common: core.CommonOptions{
 				CPUPeriod: p.CPUPeriod,
 				SkewBound: p.SkewBound,
-				Quantum:   p.Quantum,
 				Journal:   p.Journal,
 				Obs:       reg,
 				CPUs:      p.CPUs,
@@ -502,8 +499,6 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 		res.CoStats.IntsNotified += st.IntsNotified
 		res.CoStats.DMIHits += st.DMIHits
 		res.CoStats.DMIMisses += st.DMIMisses
-		res.CoStats.QuantumSyncs += st.QuantumSyncs
-		res.CoStats.QuantumBreaks += st.QuantumBreaks
 		sch.Publish(reg)
 	}
 	for _, cpu := range cpus {

@@ -57,11 +57,10 @@ type Spec struct {
 	// ignored and does not reach Params.
 	Coalesce bool `json:"coalesce,omitempty"`
 
-	// Quantum temporally decouples the Driver-Kernel scheme (see the
-	// README's "Temporal decoupling" section): guests sync with kernel
-	// time only at quantum boundaries or on an early-sync break. Empty
-	// or zero keeps per-cycle lock-step (the default, which for this
-	// field is also the meaningful zero value).
+	// Quantum is inert: temporal decoupling was removed. The field
+	// stays so specs written with "quantum" still decode; Validate
+	// still requires a well-formed duration, but the value is ignored
+	// and does not reach Params.
 	Quantum string `json:"quantum,omitempty"`
 }
 
@@ -177,9 +176,6 @@ func (s Spec) Params() (Params, error) {
 	if p.Delay, err = timeField("delay", s.Delay); err != nil {
 		return Params{}, err
 	}
-	if p.Quantum, err = timeField("quantum", s.Quantum); err != nil {
-		return Params{}, err
-	}
 	return p, nil
 }
 
@@ -210,7 +206,6 @@ func SpecFromParams(p Params) Spec {
 		Seed:             p.Seed,
 		NoDecodeCache:    p.NoDecodeCache,
 		DMI:              p.DMI,
-		Quantum:          timeStr(p.Quantum),
 	}
 	if p.Transport != nil {
 		s.Transport = core.TransportName(p.Transport)

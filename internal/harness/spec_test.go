@@ -78,7 +78,7 @@ func TestSpecParamsRoundTrip(t *testing.T) {
 		SimTime: 2 * sim.MS, CPUPeriod: 10 * sim.NS,
 		CPUs: 3, Delay: 5 * sim.US, PayloadWords: 6,
 		ErrorRate: 0.1, FifoDepth: 4, PacketsPerSource: 9, Seed: 11,
-		DMI: true, Quantum: 100 * sim.NS,
+		DMI: true,
 	}
 	back, err := SpecFromParams(orig).Params()
 	if err != nil {
@@ -104,6 +104,11 @@ func TestSpecValidate(t *testing.T) {
 		{"bad-scheme", Spec{Scheme: "quantum"}, "unknown scheme"},
 		{"bad-transport", Spec{Scheme: "driver-kernel", Transport: "smoke-signals"}, "unknown transport"},
 		{"bad-duration", Spec{Scheme: "driver-kernel", SimTime: "10 parsecs"}, "bad sim_time"},
+		// Unchecked, 18446745 s wraps to ~0.93 s and would slip under a
+		// server's simulated-time quota.
+		{"wrapped-duration", Spec{Scheme: "gdb-wrapper", SimTime: "18446745s"}, "bad sim_time"},
+		{"negative-duration", Spec{Scheme: "gdb-wrapper", SimTime: "-1.0ms"}, "bad sim_time"},
+		{"bad-retired-duration", Spec{Scheme: "driver-kernel", Quantum: "soon"}, "bad quantum"},
 		{"bad-rate", Spec{Scheme: "driver-kernel", ErrorRate: 1.5}, "outside [0,1]"},
 		{"negative-cpus", Spec{Scheme: "driver-kernel", CPUs: -1}, "negative"},
 	} {
@@ -141,12 +146,12 @@ func TestSpecZeroDurationCanonicalises(t *testing.T) {
 			t.Fatalf("zero spelling %q: %v", zero, err)
 		}
 		if p.SimTime != 0 || p.ClockPeriod != 0 || p.CPUPeriod != 0 ||
-			p.SkewBound != 0 || p.Delay != 0 || p.Quantum != 0 {
+			p.SkewBound != 0 || p.Delay != 0 {
 			t.Fatalf("zero spelling %q materialised non-zero: %+v", zero, p)
 		}
 		canon := SpecFromParams(p)
 		if canon.SimTime != "" || canon.ClockPeriod != "" || canon.CPUPeriod != "" ||
-			canon.SkewBound != "" || canon.Delay != "" || canon.Quantum != "" {
+			canon.SkewBound != "" || canon.Delay != "" {
 			t.Fatalf("zero spelling %q did not canonicalise to omitted: %+v", zero, canon)
 		}
 		p2, err := canon.Params()
@@ -169,8 +174,8 @@ func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
 }
 
 // TestDecodeSpecIgnoresRetiredField: specs written while message
-// coalescing existed still decode, and the retired field changes
-// nothing about the run they describe.
+// coalescing or temporal decoupling existed still decode, and the
+// retired fields change nothing about the run they describe.
 func TestDecodeSpecIgnoresRetiredField(t *testing.T) {
 	params := func(body string) Params {
 		t.Helper()
@@ -184,10 +189,14 @@ func TestDecodeSpecIgnoresRetiredField(t *testing.T) {
 		}
 		return p
 	}
-	with := params(`{"scheme": "driver-kernel", "dmi": true, "coalesce": true}`)
 	without := params(`{"scheme": "driver-kernel", "dmi": true}`)
-	if !reflect.DeepEqual(with, without) {
-		t.Fatalf("coalesce changed the params:\n with    %+v\n without %+v", with, without)
+	for _, body := range []string{
+		`{"scheme": "driver-kernel", "dmi": true, "coalesce": true}`,
+		`{"scheme": "driver-kernel", "dmi": true, "quantum": "100ns"}`,
+	} {
+		if with := params(body); !reflect.DeepEqual(with, without) {
+			t.Fatalf("%s changed the params:\n with    %+v\n without %+v", body, with, without)
+		}
 	}
 }
 

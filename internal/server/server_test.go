@@ -259,6 +259,8 @@ func TestQuotaRejections(t *testing.T) {
 	for _, tc := range []struct{ name, spec, wantErr string }{
 		{"cpus", `{"scheme": "driver-kernel", "cpus": 3}`, "exceeds per-session quota"},
 		{"simtime", `{"scheme": "driver-kernel", "sim_time": "50ms"}`, "exceeds per-session quota"},
+		{"simtime-overflow", `{"scheme": "gdb-wrapper", "sim_time": "18446745s"}`, "bad sim_time"},
+		{"simtime-negative", `{"scheme": "gdb-wrapper", "sim_time": "-1.0ms"}`, "bad sim_time"},
 		{"scheme", `{"scheme": "quantum"}`, "unknown scheme"},
 		{"transport", `{"scheme": "driver-kernel", "transport": "carrier-pigeon"}`, "unknown transport"},
 		{"unknown-field", `{"scheme": "driver-kernel", "simtime": "1ms"}`, "unknown field"},

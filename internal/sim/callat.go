@@ -46,9 +46,7 @@ func (k *Kernel) ensureCallAt() *callAtDispatcher {
 // CallAt schedules fn to run (as a one-shot simulation activity) at
 // absolute time t; times in the past run in the next delta cycle. It is
 // the mechanism co-simulation bridges use to deliver ISS data at the
-// simulated time implied by consumed CPU cycles — under temporal
-// decoupling these are exactly the batched time-advance notices a
-// quantum of guest progress produces.
+// simulated time implied by consumed CPU cycles.
 func (k *Kernel) CallAt(t Time, fn func()) {
 	d := k.ensureCallAt()
 	d.seq++

@@ -100,6 +100,7 @@ func (t Time) String() string {
 
 // ParseTime parses strings such as "10ns", "1.5us" or "100" (bare
 // picoseconds). It is the inverse of Time.String for exact values.
+// Negative values and values beyond MaxTime are errors, never wrapped.
 func ParseTime(s string) (Time, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -134,11 +135,24 @@ func ParseTime(s string) (Time, error) {
 		if err != nil {
 			return 0, fmt.Errorf("sim: bad time %q: %v", s, err)
 		}
-		return Time(f * float64(mult)), nil
+		if f < 0 {
+			return 0, fmt.Errorf("sim: negative time %q", s)
+		}
+		// float64(MaxTime) rounds up to 2^64, so any product at or
+		// above it is out of range.
+		ps := f * float64(mult)
+		if ps >= float64(MaxTime) {
+			return 0, fmt.Errorf("sim: time %q out of range", s)
+		}
+		return Time(ps), nil
 	}
 	v, err := strconv.ParseUint(num, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("sim: bad time %q: %v", s, err)
 	}
-	return Time(v) * mult, nil
+	hi, ps := bits.Mul64(v, uint64(mult))
+	if hi != 0 {
+		return 0, fmt.Errorf("sim: time %q out of range", s)
+	}
+	return Time(ps), nil
 }

@@ -41,6 +41,8 @@ func TestParseTime(t *testing.T) {
 		{"2s", 2 * SEC},
 		{" 5 us ", 5 * US},
 		{"0.5ns", 500 * PS},
+		{"18446744073709551615", MaxTime},
+		{"18446744s", 18446744 * SEC},
 	}
 	for _, c := range cases {
 		got, err := ParseTime(c.in)
@@ -55,7 +57,16 @@ func TestParseTime(t *testing.T) {
 }
 
 func TestParseTimeErrors(t *testing.T) {
-	for _, s := range []string{"", "ns", "1xx", "abc", "--3ns"} {
+	for _, s := range []string{
+		"", "ns", "1xx", "abc", "--3ns",
+		// Negative durations, on the integer and the float path.
+		"-1ms", "-1.0ms", "-1.0us",
+		// Beyond MaxTime (~18446744 s): an unchecked multiply would wrap
+		// 18446745 s to ~0.93 s, an unchecked float conversion to 2^63.
+		"18446745s", "18446744073709551616", "18446744073709551616.0",
+		"18446744073709552.0us",
+		"99999999999999999999.0s",
+	} {
 		if _, err := ParseTime(s); err == nil {
 			t.Errorf("ParseTime(%q) succeeded, want error", s)
 		}
