@@ -14,7 +14,6 @@ import (
 	"cosim/internal/dev"
 	"cosim/internal/obs"
 	"cosim/internal/sim"
-	"cosim/internal/transport"
 )
 
 // DriverKernel is the paper's second proposed scheme (§4): the guest OS
@@ -69,12 +68,6 @@ type driverCPU struct {
 
 	dataW io.Writer
 	irqW  io.Writer
-
-	// dataF/irqF are the channels' optional batched-I/O handles,
-	// resolved once at attach time so the per-cycle flush is two nil
-	// checks, not two type assertions. Nil for unbuffered transports.
-	dataF transport.Flusher
-	irqF  transport.Flusher
 
 	// Port routing: the guest names ports without knowing which CPU it
 	// is ("pkt", "csum"); the channel prefix maps those names onto this
@@ -175,9 +168,9 @@ type driverCPUObs struct {
 	dmiMisses      *obs.Counter
 	dmiRevocations *obs.Counter
 
-	// pendingReads and its name are resolved once here so Publish — a
-	// per-flush hot path — never rebuilds "driver.cpuN.*" strings. The
-	// name is kept for Publish calls against a foreign registry.
+	// pendingReads and its name are resolved once here so Publish never
+	// rebuilds "driver.cpuN.*" strings. The name is kept for Publish
+	// calls against a foreign registry.
 	pendingReads     *obs.Gauge
 	pendingReadsName string
 }
@@ -272,12 +265,6 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 			prefix:      ch.Prefix,
 			inPorts:     make(map[string]*sim.IssIn),
 			outBindings: make(map[string]*binding),
-		}
-		if f, ok := ch.Data.(transport.Flusher); ok {
-			c.dataF = f
-		}
-		if f, ok := ch.IRQ.(transport.Flusher); ok {
-			c.irqF = f
 		}
 		c.obs.init(opts.Obs, i)
 		for _, s := range ch.Ports {
@@ -657,26 +644,6 @@ func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
 	}
 }
 
-// flushChannels pushes buffered frames out of the Flusher-capable
-// channel ends at the three hook boundaries — after the reply loops,
-// before a conservative wait, after the interrupt fan-out — so a
-// buffered DATA reply or interrupt is never left unsent past a point
-// the guest may block on it.
-func (d *DriverKernel) flushChannels() {
-	for _, c := range d.cpus {
-		if c.dataF != nil {
-			if err := c.dataF.Flush(); err != nil && d.err == nil {
-				d.err = c.errf("data socket flush: %w", err)
-			}
-		}
-		if c.irqF != nil {
-			if err := c.irqF.Flush(); err != nil && d.err == nil {
-				d.err = c.errf("interrupt socket flush: %w", err)
-			}
-		}
-	}
-}
-
 // releaseFrom hands the pooled payload buffers of msgs[i:] back to the
 // codec pool. Error exits from the drain loop call it so a poisoned
 // batch does not leak the buffers of the messages it never processed.
@@ -728,10 +695,7 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 	}
 
 	// Conservative sync: wait for lagging guests instead of letting
-	// simulated time race past an outstanding request. Buffered replies
-	// must be on the wire first, or the wait would stall on a guest
-	// that is itself waiting for an unflushed frame.
-	d.flushChannels()
+	// simulated time race past an outstanding request.
 	d.lockstepWait(k)
 
 	d.mu.Lock()
@@ -816,7 +780,6 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 			return
 		}
 	}
-	d.flushChannels()
 }
 
 // reply sends the current iss_out port value as a DATA message followed
@@ -890,5 +853,4 @@ func (d *DriverKernel) flushInterrupts(k *sim.Kernel) {
 		c.outstanding = true
 		c.outSince = k.Now()
 	}
-	d.flushChannels()
 }

@@ -62,7 +62,7 @@ type Scheme interface {
 // Config describes a co-simulation attachment for the Attach factory.
 // Scheme selects which of the remaining fields apply: the GDB schemes
 // use Conn/Image/Bindings (plus Clock and InstrPerCycle for the
-// lock-step wrapper), the Driver-Kernel scheme uses Data/IRQ/Ports.
+// lock-step wrapper), the Driver-Kernel scheme uses Channels.
 type Config struct {
 	// Scheme is the scheme name: "gdb-wrapper", "gdb-kernel" or
 	// "driver-kernel" (short forms "wrapper", "kernel", "driver" are
@@ -85,20 +85,11 @@ type Config struct {
 	// InstrPerCycle is the GDB-Wrapper lock-step quantum (default 8).
 	InstrPerCycle uint64
 
-	// Driver-Kernel: the kernel-side ends of the data and interrupt
-	// channels, and the iss_in/iss_out ports the driver may address.
-	// These three fields describe a single CPU; multi-processor
-	// attachments declare one Channel per CPU instead. Channel ends
-	// that implement io.Closer are closed by the kernel's finalizers at
-	// Shutdown (terminating their reader goroutines); ends that
-	// implement transport.Flusher get their buffered frames flushed at
-	// every cycle-hook boundary.
-	Data  io.ReadWriter
-	IRQ   io.Writer
-	Ports []VarBinding
 	// Channels declares one data/interrupt channel pair per CPU for the
-	// Driver-Kernel scheme (channel i serves CPU i). When set it takes
-	// precedence over Data/IRQ/Ports.
+	// Driver-Kernel scheme (channel i serves CPU i), with the
+	// iss_in/iss_out ports each CPU's driver may address. Channel ends
+	// that implement io.Closer are closed by the kernel's finalizers at
+	// Shutdown, terminating their reader goroutines.
 	Channels []DriverChannel
 
 	// DMI grants the Driver-Kernel guests direct memory windows over
@@ -136,15 +127,8 @@ func Attach(k *sim.Kernel, cfg Config) (Scheme, error) {
 			Bindings:      cfg.Bindings,
 		})
 	case "driver-kernel", "driver":
-		if len(cfg.Channels) > 0 {
-			return NewDriverKernelMulti(k, cfg.Channels, DriverKernelOptions{
-				CommonOptions: cfg.Common,
-				DMI:           cfg.DMI,
-			})
-		}
-		return NewDriverKernel(k, cfg.Data, cfg.IRQ, DriverKernelOptions{
+		return NewDriverKernelMulti(k, cfg.Channels, DriverKernelOptions{
 			CommonOptions: cfg.Common,
-			Ports:         cfg.Ports,
 			DMI:           cfg.DMI,
 		})
 	}

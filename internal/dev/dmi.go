@@ -100,7 +100,7 @@ func (w *Window) TryRead(cycles uint32, sink func(data []byte)) bool {
 
 // TryWrite stages a guest WRITE of the windowed port. It fails — and
 // the caller falls back to the message path — when the window is
-// revoked or the staging bounds are reached. The data bytes are copied.
+// revoked or the staged-write bounds are reached. The data bytes are copied.
 func (w *Window) TryWrite(cycles uint32, data []byte) bool {
 	w.mu.Lock()
 	if !w.valid || len(w.staged) >= maxStagedWrites || w.stagedBytes+len(data) > maxStagedBytes {

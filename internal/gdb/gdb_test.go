@@ -130,7 +130,6 @@ func newTarget(t *testing.T, src string, buffered bool) (*Client, *iss.CPU, *asm
 	cpu, im := testCPU(t, src)
 	host, target := net.Pipe()
 	stub := NewStub(cpu, target)
-	stub.ChunkBudget = 1000
 	go func() {
 		_ = stub.Serve()
 		target.Close()

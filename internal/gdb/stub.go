@@ -57,13 +57,6 @@ type Stub struct {
 
 	planted map[uint32]uint32 // software breakpoints: addr -> original word
 
-	// ChunkBudget is the number of instructions a continue runs between
-	// break-in checks.
-	ChunkBudget uint64
-	// IdleSleep is how long the stub sleeps when the CPU is in WFI with
-	// no pending interrupt.
-	IdleSleep time.Duration
-
 	lastSignal byte
 
 	// Breakpoint-resume tracking: a planted breakpoint is stepped over
@@ -73,15 +66,22 @@ type Stub struct {
 	haveReported bool
 }
 
+const (
+	// chunkBudget is the number of instructions a continue runs between
+	// break-in checks.
+	chunkBudget = 50_000
+	// idleSleep is how long the stub sleeps when the CPU is in WFI with
+	// no pending interrupt.
+	idleSleep = 50 * time.Microsecond
+)
+
 // NewStub creates a stub for the CPU over the connection.
 func NewStub(cpu *iss.CPU, conn io.ReadWriter) *Stub {
 	return &Stub{
-		cpu:         cpu,
-		t:           newTransport(conn),
-		planted:     make(map[uint32]uint32),
-		ChunkBudget: 50_000,
-		IdleSleep:   50 * time.Microsecond,
-		lastSignal:  5,
+		cpu:        cpu,
+		t:          newTransport(conn),
+		planted:    make(map[uint32]uint32),
+		lastSignal: 5,
 	}
 }
 
@@ -611,7 +611,7 @@ func (s *Stub) resume(step bool, arg []byte) []byte {
 	}
 
 	for {
-		stop, _ := s.cpu.Run(s.ChunkBudget)
+		stop, _ := s.cpu.Run(chunkBudget)
 		if r := s.stopReply(stop); r != nil {
 			return r
 		}
@@ -622,7 +622,7 @@ func (s *Stub) resume(step bool, arg []byte) []byte {
 			return []byte("S02")
 		}
 		if stop == iss.StopIdle {
-			time.Sleep(s.IdleSleep)
+			time.Sleep(idleSleep)
 		}
 	}
 }

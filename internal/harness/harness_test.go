@@ -2,6 +2,10 @@ package harness
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -170,6 +174,52 @@ func TestCountLoC(t *testing.T) {
 	PrintLoC(&sb, r)
 	if !strings.Contains(sb.String(), "overhead factor") || !strings.Contains(sb.String(), "Kernel-side overhead") {
 		t.Fatalf("LoC print incomplete:\n%s", sb.String())
+	}
+}
+
+// TestExperimentsC1RowIsCurrent keeps the §5 code-size table in
+// EXPERIMENTS.md equal to what `benchtab -exp loc` prints, so a stale
+// C1 number fails the test suite.
+func TestExperimentsC1RowIsCurrent(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := CountLoC()
+	rows := []struct {
+		name string
+		re   *regexp.Regexp
+		want []string
+	}{
+		{
+			"software",
+			regexp.MustCompile(`(?m)^\| software \(guest\) \| (\d+) lines [^|]*\| (\d+) lines \(app (\d+) \+ driver (\d+)\) \| \*\*([\d.]+)×\*\*`),
+			[]string{
+				strconv.Itoa(r.GDBAppLines), strconv.Itoa(r.DrvAppLines + r.DriverLines),
+				strconv.Itoa(r.DrvAppLines), strconv.Itoa(r.DriverLines),
+				fmt.Sprintf("%.1f", r.SWSideFactor),
+			},
+		},
+		{
+			"kernel-side",
+			regexp.MustCompile(`(?m)^\| kernel-side scheme code \(Go\) \| .gdbkernel\.go. (\d+) lines \| .driverkernel\.go. (\d+) lines \| \*\*([+-]\d+) %\*\*`),
+			[]string{
+				strconv.Itoa(r.GDBKernelLines), strconv.Itoa(r.DriverKernelLines),
+				fmt.Sprintf("%+.0f", r.KernelSidePct),
+			},
+		},
+	}
+	for _, row := range rows {
+		m := row.re.FindSubmatch(doc)
+		if m == nil {
+			t.Errorf("EXPERIMENTS.md: no %s row in the §5 table", row.name)
+			continue
+		}
+		for i, want := range row.want {
+			if got := string(m[i+1]); got != want {
+				t.Errorf("EXPERIMENTS.md §5 %s row: field %d is %s, benchtab -exp loc gives %s", row.name, i+1, got, want)
+			}
+		}
 	}
 }
 

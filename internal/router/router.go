@@ -48,11 +48,10 @@ type Engine struct {
 //
 // Forwarding is method-style (SC_METHOD) rather than thread-style:
 // engine j is statically sensitive only to its input-port partition
-// (ports i with i % engines == j) and its own csum port, and it stages
-// verified packets into a private queue. A single merger process drains
-// the staging queues in fixed engine order and performs the table
-// routing into the shared output FIFOs, so the shared outputs and
-// counters have one writer.
+// (ports i with i % engines == j) and its own csum port, and it routes
+// each verified packet straight into the output FIFOs by the static
+// table. The simulation kernel runs one process at a time, so the
+// engines share the output FIFOs and one counter set.
 type Router struct {
 	sim.Module
 	cfg Config
@@ -60,32 +59,22 @@ type Router struct {
 	In  [NumPorts]*sim.Fifo[*Packet]
 	Out [NumPorts]*sim.Fifo[*Packet]
 
-	engines []Engine
-	fwd     []*fwdEngine
-
-	merged Stats // merger-owned counters (Forwarded, Copies, OutDrops)
+	stats Stats
 }
 
 // fwdEngine is the per-engine forwarding state machine: the input
-// partition it services, the packet awaiting its checksum, and the
-// engine-owned counters.
+// partition it services and the packet awaiting its checksum.
 type fwdEngine struct {
-	r       *Router
-	eng     Engine
-	ins     []int // input port indices this engine services
-	rr      int   // round-robin position within ins
-	staging *sim.Fifo[*Packet]
+	r   *Router
+	eng Engine
+	ins []int // input port indices this engine services
+	rr  int   // round-robin position within ins
 
 	pending  *Packet // offloaded packet awaiting its checksum
 	csumSeen uint64  // csum deliveries already consumed
-
-	dequeued   uint64
-	corrupted  uint64
-	stageDrops uint64 // verified packets lost to a full staging queue
 }
 
-// New builds the router with one forwarding process per engine plus the
-// merger.
+// New builds the router with one forwarding process per engine.
 func New(k *sim.Kernel, name string, cfg Config, engines []Engine) *Router {
 	if cfg.FifoDepth <= 0 {
 		cfg.FifoDepth = 8
@@ -94,21 +83,15 @@ func New(k *sim.Kernel, name string, cfg Config, engines []Engine) *Router {
 		panic("router: at least one checksum engine is required")
 	}
 	r := &Router{
-		Module:  k.NewModule(name),
-		cfg:     cfg,
-		engines: engines,
+		Module: k.NewModule(name),
+		cfg:    cfg,
 	}
 	for i := range r.In {
 		r.In[i] = sim.NewFifo[*Packet](k, r.Sub("in")+itoa(i), cfg.FifoDepth)
 		r.Out[i] = sim.NewFifo[*Packet](k, r.Sub("out")+itoa(i), cfg.FifoDepth)
 	}
-	stagingEvents := make([]*sim.Event, 0, len(engines))
 	for j := range engines {
-		f := &fwdEngine{
-			r:       r,
-			eng:     engines[j],
-			staging: sim.NewFifo[*Packet](k, r.Sub("stage")+itoa(j), cfg.FifoDepth),
-		}
+		f := &fwdEngine{r: r, eng: engines[j]}
 		sens := []*sim.Event{f.eng.Csum.Event()}
 		for i := 0; i < NumPorts; i++ {
 			if i%len(engines) == j {
@@ -117,24 +100,12 @@ func New(k *sim.Kernel, name string, cfg Config, engines []Engine) *Router {
 			}
 		}
 		k.Method(r.Sub("forward")+itoa(j), f.step, sens...)
-		stagingEvents = append(stagingEvents, f.staging.DataWritten())
-		r.fwd = append(r.fwd, f)
 	}
-	k.MethodNoInit(r.Sub("merge"), r.merge, stagingEvents...)
 	return r
 }
 
-// Stats returns the forwarding counters, summed over the merger and the
-// per-engine state.
-func (r *Router) Stats() Stats {
-	st := r.merged
-	for _, f := range r.fwd {
-		st.Dequeued += f.dequeued
-		st.Corrupted += f.corrupted
-		st.OutDrops += f.stageDrops
-	}
-	return st
-}
+// Stats returns the forwarding counters.
+func (r *Router) Stats() Stats { return r.stats }
 
 // Route returns the output port for a destination address (unicast).
 func (r *Router) Route(dst uint8) int {
@@ -177,11 +148,9 @@ func (f *fwdEngine) step() {
 			pkt := f.pending
 			f.pending = nil
 			if uint16(f.eng.Csum.Uint32()) != pkt.Checksum {
-				f.corrupted++
-				continue
-			}
-			if !f.staging.TryWrite(pkt) {
-				f.stageDrops++
+				f.r.stats.Corrupted++
+			} else {
+				f.r.deliver(pkt)
 			}
 			continue
 		}
@@ -189,7 +158,7 @@ func (f *fwdEngine) step() {
 		if pkt == nil {
 			return
 		}
-		f.dequeued++
+		f.r.stats.Dequeued++
 		f.pending = pkt
 
 		// Offload checksum verification to the CPU.
@@ -201,42 +170,28 @@ func (f *fwdEngine) step() {
 	}
 }
 
-// merge drains the staging queues in fixed engine order and routes each
-// verified packet to the output FIFOs.
-func (r *Router) merge() {
-	for _, f := range r.fwd {
-		for {
-			pkt, ok := f.staging.TryRead()
-			if !ok {
-				break
-			}
-			r.deliver(pkt)
-		}
-	}
-}
-
 // deliver performs the table routing of one verified packet.
 func (r *Router) deliver(pkt *Packet) {
 	if pkt.Dst == BroadcastDst {
 		delivered := false
 		for i := range r.Out {
 			if r.Out[i].TryWrite(pkt) {
-				r.merged.Copies++
+				r.stats.Copies++
 				delivered = true
 			} else {
-				r.merged.OutDrops++
+				r.stats.OutDrops++
 			}
 		}
 		if delivered {
-			r.merged.Forwarded++
+			r.stats.Forwarded++
 		}
 		return
 	}
 	if r.Out[r.Route(pkt.Dst)].TryWrite(pkt) {
-		r.merged.Forwarded++
-		r.merged.Copies++
+		r.stats.Forwarded++
+		r.stats.Copies++
 	} else {
-		r.merged.OutDrops++
+		r.stats.OutDrops++
 	}
 }
 

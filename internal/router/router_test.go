@@ -2,6 +2,7 @@ package router
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -149,13 +150,14 @@ func TestSealAndValid(t *testing.T) {
 
 // fakeCPU services the router's pkt/csum ports inside the simulation,
 // so the router model can be tested without an ISS: an iss_process
-// computes the checksum whenever a packet blob is consumed.
-func fakeCPU(k *sim.Kernel, corrupt bool) (*sim.IssOut, *sim.IssIn) {
-	pkt := k.NewIssOut(PktPortName)
-	csum := k.NewIssIn(CsumPortName)
-	poll := k.NewEvent("fakecpu.poll")
+// computes the checksum whenever a packet blob is consumed. prefix
+// namespaces the ports ("cpu1."), so several engines can coexist.
+func fakeCPU(k *sim.Kernel, prefix string, corrupt bool) (*sim.IssOut, *sim.IssIn) {
+	pkt := k.NewIssOut(prefix + PktPortName)
+	csum := k.NewIssIn(prefix + CsumPortName)
+	poll := k.NewEvent(prefix + "fakecpu.poll")
 	served := uint64(0)
-	k.MethodNoInit("fakecpu", func() {
+	k.MethodNoInit(prefix+"fakecpu", func() {
 		if pkt.Writes() > served {
 			served = pkt.Writes()
 			blob := pkt.Bytes()
@@ -178,7 +180,7 @@ func fakeCPU(k *sim.Kernel, corrupt bool) (*sim.IssOut, *sim.IssIn) {
 
 func TestRouterForwardsByTable(t *testing.T) {
 	k := sim.NewKernel("t")
-	pkt, csum := fakeCPU(k, false)
+	pkt, csum := fakeCPU(k, "", false)
 	r := New(k, "rt", Config{FifoDepth: 8, Table: map[uint8]int{9: 2}}, []Engine{{Pkt: pkt, Csum: csum}})
 
 	sent := []*Packet{
@@ -218,7 +220,7 @@ func TestRouterForwardsByTable(t *testing.T) {
 
 func TestRouterDropsCorrupted(t *testing.T) {
 	k := sim.NewKernel("t")
-	pkt, csum := fakeCPU(k, true) // CPU reports wrong checksums
+	pkt, csum := fakeCPU(k, "", true) // CPU reports wrong checksums
 	r := New(k, "rt", Config{FifoDepth: 8}, []Engine{{Pkt: pkt, Csum: csum}})
 	p := &Packet{Src: 0, Dst: 1, ID: 1, Payload: []uint32{5}}
 	p.Seal()
@@ -233,6 +235,62 @@ func TestRouterDropsCorrupted(t *testing.T) {
 	k.Shutdown()
 	if r.Stats().Corrupted != 1 || r.Stats().Forwarded != 0 {
 		t.Fatalf("stats = %+v", r.Stats())
+	}
+}
+
+// TestRouterConservation drives unicast traffic, some of it with bad
+// checksums, through 1, 2 and 4 engines into 1-deep output queues that
+// nobody drains, and checks that every dequeued packet is accounted
+// for: forwarded, dropped as corrupted, lost to a full output queue,
+// or still awaiting its checksum (at most one per engine).
+func TestRouterConservation(t *testing.T) {
+	for _, engines := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("engines=%d", engines), func(t *testing.T) {
+			k := sim.NewKernel("t")
+			var engs []Engine
+			for j := 0; j < engines; j++ {
+				pkt, csum := fakeCPU(k, fmt.Sprintf("cpu%d.", j), false)
+				engs = append(engs, Engine{Pkt: pkt, Csum: csum})
+			}
+			r := New(k, "rt", Config{FifoDepth: 1}, engs)
+			rng := rand.New(rand.NewSource(int64(engines)))
+			offered := uint64(0)
+			k.Thread("feeder", func(c *sim.Ctx) {
+				for id := uint32(0); id < 400; id++ {
+					p := &Packet{Src: uint8(id % NumPorts), Dst: uint8(rng.Intn(NumPorts)), ID: id, Payload: []uint32{id}}
+					p.Seal()
+					if id%5 == 0 {
+						p.Payload[0] ^= 1 // bad checksum
+					}
+					if r.In[p.Src].TryWrite(p) {
+						offered++
+					}
+					c.WaitTime(50 * sim.NS)
+				}
+				c.WaitTime(sim.US)
+				k.Stop()
+			})
+			if err := k.Run(sim.MaxTime); err != nil {
+				t.Fatal(err)
+			}
+			k.Shutdown()
+
+			st := r.Stats()
+			if st.Copies != st.Forwarded {
+				t.Errorf("unicast copies %d != forwarded %d", st.Copies, st.Forwarded)
+			}
+			done := st.Forwarded + st.Corrupted + st.OutDrops
+			if st.Dequeued < done || st.Dequeued-done > uint64(engines) {
+				t.Errorf("dequeued %d vs %d forwarded + %d corrupted + %d output drops: more than %d in flight",
+					st.Dequeued, st.Forwarded, st.Corrupted, st.OutDrops, engines)
+			}
+			if st.Dequeued > offered {
+				t.Errorf("dequeued %d > offered %d", st.Dequeued, offered)
+			}
+			if st.Forwarded == 0 || st.Corrupted == 0 || st.OutDrops == 0 {
+				t.Errorf("stats = %+v: want forwards, corruptions and output drops", st)
+			}
+		})
 	}
 }
 
@@ -350,7 +408,7 @@ func TestGuestBuildsAndBindings(t *testing.T) {
 
 func TestRouterMulticast(t *testing.T) {
 	k := sim.NewKernel("t")
-	pkt, csum := fakeCPU(k, false)
+	pkt, csum := fakeCPU(k, "", false)
 	r := New(k, "rt", Config{FifoDepth: 8}, []Engine{{Pkt: pkt, Csum: csum}})
 	bc := &Packet{Src: 0, Dst: BroadcastDst, ID: 1, Payload: []uint32{7}}
 	bc.Seal()

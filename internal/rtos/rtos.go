@@ -78,19 +78,22 @@ type Runner struct {
 	// from the platform's instance id — it identifies which RTOS
 	// instance this runner drives in logs and tests.
 	ID int
-	// IdleSleep is the host-side wait when the guest is in WFI.
-	IdleSleep time.Duration
-	// Quantum is the instruction budget per inner run call.
-	Quantum uint64
 
 	stop atomic.Bool
 	done chan struct{}
 	last iss.Stop
 }
 
-// NewRunner creates a runner with sensible defaults.
+const (
+	// runnerQuantum is the instruction budget per inner run call.
+	runnerQuantum = 100_000
+	// runnerIdleSleep is the host-side wait when the guest is in WFI.
+	runnerIdleSleep = 20 * time.Microsecond
+)
+
+// NewRunner creates a runner for the platform.
 func NewRunner(p *dev.Platform) *Runner {
-	return &Runner{P: p, ID: p.ID, IdleSleep: 20 * time.Microsecond, Quantum: 100_000, done: make(chan struct{})}
+	return &Runner{P: p, ID: p.ID, done: make(chan struct{})}
 }
 
 // Start launches the run loop in its own goroutine.
@@ -99,7 +102,7 @@ func (r *Runner) Start() {
 		defer close(r.done)
 		wake := r.P.CPU.WakeChan()
 		for !r.stop.Load() {
-			stop, _ := r.P.Run(r.Quantum)
+			stop, _ := r.P.Run(runnerQuantum)
 			r.last = stop
 			switch stop {
 			case iss.StopBudget:
@@ -109,7 +112,7 @@ func (r *Runner) Start() {
 				// (with a fallback poll for timer-driven wakeups).
 				select {
 				case <-wake:
-				case <-time.After(r.IdleSleep):
+				case <-time.After(runnerIdleSleep):
 				}
 			default:
 				return // halt, error, ...

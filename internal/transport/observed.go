@@ -45,8 +45,7 @@ func (o *observedTransport) Pair() (host, guest Endpoint, err error) {
 	return &countedEndpoint{ep: host, tx: o.tx, rx: o.rx}, guest, nil
 }
 
-// countedEndpoint counts host-side traffic. It forwards Flush so a
-// Buffered underlying endpoint keeps its batch boundaries, and Close so
+// countedEndpoint counts host-side traffic. It forwards Close so
 // teardown ownership is unchanged.
 type countedEndpoint struct {
 	ep     Endpoint
@@ -70,4 +69,3 @@ func (c *countedEndpoint) Write(p []byte) (int, error) {
 }
 
 func (c *countedEndpoint) Close() error { return c.ep.Close() }
-func (c *countedEndpoint) Flush() error { return Flush(c.ep) }

@@ -66,11 +66,11 @@ type Transport interface {
 	Dial(addr string) (Endpoint, error)
 }
 
-// Flusher is optionally implemented by endpoints that batch frames
-// (Buffered, or any custom buffering channel). Schemes call Flush at
-// batch boundaries — end of a cycle hook, before a conservative wait —
-// so a buffered reply is never left unsent past a point the guest may
-// block on it.
+// Flusher is optionally implemented by endpoints that buffer writes.
+// Every endpoint this module builds delivers on Write, and nothing in
+// this module calls Flush; the interface and Flush are kept only
+// because endpoint wrappers in the benchmark module still compile
+// against them, and go when they stop.
 type Flusher interface {
 	Flush() error
 }
@@ -85,9 +85,9 @@ func Flush(w io.Writer) error {
 
 // BatchRecorder is optionally implemented by endpoints that account for
 // writes packing several protocol messages. No protocol writer in this
-// module packs messages any more, so nothing reports here; the hook is
-// kept only because endpoint wrappers in the benchmark module still
-// forward it, and goes when they stop.
+// module packs messages, and nothing in this module calls RecordBatch;
+// the hook is kept only because endpoint wrappers in the benchmark
+// module still forward it, and goes when they stop.
 type BatchRecorder interface {
 	RecordBatch(msgs int)
 }

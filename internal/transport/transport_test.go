@@ -240,54 +240,6 @@ func TestParse(t *testing.T) {
 	}
 }
 
-func TestBufferedFlushAndClose(t *testing.T) {
-	host, guest, err := Ring.Pair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := Buffered(host, 1<<10)
-	if _, err := b.Write([]byte("held")); err != nil {
-		t.Fatal(err)
-	}
-	// Unflushed data must not be visible yet (ring reads don't block
-	// when probed via a racing goroutine; use a short poll instead).
-	read := make(chan []byte, 1)
-	go func() {
-		buf := make([]byte, 4)
-		if _, err := io.ReadFull(guest, buf); err == nil {
-			read <- buf
-		}
-	}()
-	select {
-	case <-read:
-		t.Fatal("bytes visible before Flush")
-	case <-time.After(50 * time.Millisecond):
-	}
-	if err := Flush(b); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case buf := <-read:
-		if string(buf) != "held" {
-			t.Fatalf("read %q", buf)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("flushed bytes never arrived")
-	}
-
-	// Close flushes the residue.
-	if _, err := b.Write([]byte("tail")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(guest)
-	if !bytes.Equal(data, []byte("tail")) {
-		t.Fatalf("after close drained %q, want %q", data, "tail")
-	}
-}
-
 func TestFlushIsNoOpOnPlainWriters(t *testing.T) {
 	var sink bytes.Buffer
 	if err := Flush(&sink); err != nil {
