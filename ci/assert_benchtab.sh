@@ -38,7 +38,7 @@ base)
   jqe '.runs | length > 0' "report has no runs"
   for key in iss.instructions iss.cycles iss.decode_cache_hits \
     iss.decode_cache_misses iss.decode_cache_invalidations \
-    sim.cycles sim.activations sim.cycle_hook_ns.count; do
+    sim.cycles sim.activations sim.delta_cycles; do
     jqe "[.runs[].counters | has(\"$key\")] | all" \
       "counter $key missing from a run snapshot"
   done

@@ -47,7 +47,20 @@ type DriverKernel struct {
 
 	mu     sync.Mutex
 	inbox  []Message     // CPU-tagged, drained by the begin-of-cycle hook; guarded by mu
+	spare  []Message     // the drained inbox buffer, reused by the next swap (kernel context)
 	notify chan struct{} // signalled by a reader when messages arrive
+
+	// queued and rdErrs let an idle drain skip d.mu. Readers set them
+	// while holding d.mu, right after appending to the inbox or
+	// recording a reader error, so anything lockstepWait saw under the
+	// lock is also visible to the drain of the same cycle. queued is
+	// cleared by the drain that takes the inbox; rdErrs is sticky.
+	queued atomic.Bool
+	rdErrs atomic.Bool
+
+	// timer bounds each conservative wait; one timer is reused across
+	// waits (kernel context only).
+	timer *time.Timer
 
 	cpus []*driverCPU
 
@@ -91,7 +104,7 @@ type driverCPU struct {
 	intQueue     []uint32
 	irqBuf       [4]byte // scratch for interrupt notifications (kernel context only)
 
-	rdErr  error // reader goroutine's terminal error; guarded by d.mu
+	rdErr  error // reader goroutine's terminal error; guarded by d.mu, flagged by d.rdErrs
 	hadMsg bool  // batch scratch: a message from this CPU was drained
 
 	// DMI state: the windows granted over this CPU's bound ports, the
@@ -302,6 +315,7 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 				if err != nil {
 					d.mu.Lock()
 					c.rdErr = err
+					d.rdErrs.Store(true)
 					d.mu.Unlock()
 					// Wake a conservative wait so it can surface the
 					// error instead of sleeping out its timeout.
@@ -314,6 +328,7 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 				m.CPU = c.id
 				d.mu.Lock()
 				d.inbox = append(d.inbox, m)
+				d.queued.Store(true)
 				d.mu.Unlock()
 				select {
 				case d.notify <- struct{}{}:
@@ -487,7 +502,8 @@ func (d *DriverKernel) reconcileWindows(k *sim.Kernel) {
 		return
 	}
 	for _, c := range d.cpus {
-		if !c.dmiActive.Swap(false) {
+		// Load first: the common idle case then skips the atomic swap.
+		if !c.dmiActive.Load() || !c.dmiActive.Swap(false) {
 			continue
 		}
 		for _, g := range c.grants {
@@ -620,8 +636,12 @@ func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
 		// fires when a guest stops responding, i.e. when determinism is
 		// already lost, and it must not depend on simulated time that
 		// is no longer advancing.
-		//cosimvet:ignore detsafe stall-escape timeout is intentionally host wall-clock
-		timer := time.NewTimer(d.waitTimeout)
+		if d.timer == nil {
+			//cosimvet:ignore detsafe stall-escape timeout is intentionally host wall-clock
+			d.timer = time.NewTimer(d.waitTimeout)
+		} else {
+			d.timer.Reset(d.waitTimeout)
+		}
 	wait:
 		for {
 			select {
@@ -629,9 +649,17 @@ func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
 				// The token may belong to another CPU's message; only
 				// this CPU's traffic (or reader error) ends its wait.
 				if d.inboxReadyFor(c) {
+					if !d.timer.Stop() {
+						// It fired as the wait ended: drop the tick so
+						// the next Reset starts clean.
+						select {
+						case <-d.timer.C:
+						default:
+						}
+					}
 					break wait
 				}
-			case <-timer.C:
+			case <-d.timer.C:
 				// Give up on this request; don't stall the simulation.
 				c.outstanding = false
 				d.obs.skewTimeouts.Inc()
@@ -639,7 +667,6 @@ func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
 				break wait
 			}
 		}
-		timer.Stop()
 		sp.End()
 	}
 }
@@ -698,33 +725,40 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 	// simulated time race past an outstanding request.
 	d.lockstepWait(k)
 
-	d.mu.Lock()
-	msgs := d.inbox
-	d.inbox = nil
-	d.mu.Unlock()
+	// Take the inbox, swapping in the buffer drained last time. An idle
+	// cycle (nothing queued) takes no lock.
+	var msgs []Message
+	if d.queued.Swap(false) {
+		d.mu.Lock()
+		msgs = d.inbox
+		d.inbox, d.spare = d.spare[:0], nil
+		d.mu.Unlock()
+	}
 
 	// A conservative wait may have ended on window activity rather than
 	// a message; reconcile again so that activity lands this cycle.
 	d.reconcileWindows(k)
 
-	for _, c := range d.cpus {
-		c.hadMsg = false
-	}
-	for _, m := range msgs {
-		d.cpus[m.CPU].hadMsg = true
-	}
 	// Surface read errors once a CPU's stream is dry. A clean EOF is a
 	// normal guest shutdown; an unexpected EOF mid-message (or any
 	// wrapped error) is a real connection failure.
-	for _, c := range d.cpus {
-		d.mu.Lock()
-		err := c.rdErr
-		d.mu.Unlock()
-		if err == nil || c.hadMsg || d.err != nil {
-			continue
+	if d.rdErrs.Load() {
+		for _, c := range d.cpus {
+			c.hadMsg = false
 		}
-		if !errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			d.err = c.errf("data socket: %w", err)
+		for _, m := range msgs {
+			d.cpus[m.CPU].hadMsg = true
+		}
+		for _, c := range d.cpus {
+			d.mu.Lock()
+			err := c.rdErr
+			d.mu.Unlock()
+			if err == nil || c.hadMsg || d.err != nil {
+				continue
+			}
+			if !errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				d.err = c.errf("data socket: %w", err)
+			}
 		}
 	}
 
@@ -779,6 +813,10 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 			releaseFrom(msgs, i)
 			return
 		}
+	}
+	if msgs != nil {
+		clear(msgs)
+		d.spare = msgs[:0]
 	}
 }
 

@@ -143,6 +143,38 @@ func TestSkewWaitIgnoresStaleNotify(t *testing.T) {
 	}
 }
 
+// TestSkewWaitTimerIsReusable checks that consecutive conservative
+// waits share one timer and each still runs its full timeout: a tick
+// left over from an earlier wait must not end a later one early.
+func TestSkewWaitTimerIsReusable(t *testing.T) {
+	reg := obs.NewRegistry()
+	k, d, _ := newTestDriverKernel(t, DriverKernelOptions{
+		CommonOptions: CommonOptions{CPUPeriod: 10 * sim.NS, SkewBound: sim.NS, Obs: reg},
+	})
+	d.waitTimeout = 50 * time.Millisecond
+	advanceKernel(t, k, sim.US)
+
+	c := d.cpus[0]
+	var timer *time.Timer
+	for i := 1; i <= 3; i++ {
+		c.outstanding = true
+		c.outSince = 0
+		start := time.Now()
+		d.drain(k)
+		if elapsed := time.Since(start); elapsed < d.waitTimeout/2 {
+			t.Fatalf("wait %d returned after %v, want about %v", i, elapsed, d.waitTimeout)
+		}
+		if timer == nil {
+			timer = d.timer
+		} else if d.timer != timer {
+			t.Fatalf("wait %d built a new timer", i)
+		}
+	}
+	if n := reg.Counter("driver.skew_wait_timeouts").Load(); n != 3 {
+		t.Errorf("driver.skew_wait_timeouts = %d, want 3", n)
+	}
+}
+
 // TestSkewWaitWakesOnFreshMessage is the counterpart: a message that
 // arrives during the wait must wake it early and be processed.
 func TestSkewWaitWakesOnFreshMessage(t *testing.T) {
@@ -231,6 +263,36 @@ func TestMidMessageEOFIsError(t *testing.T) {
 	}
 	if !strings.Contains(d.err.Error(), "cpu0") {
 		t.Fatalf("scheme error %q does not name the failing CPU", d.err)
+	}
+}
+
+// TestReadErrorBehindMessageSurfacesLater checks that a reader error
+// arriving in the same batch as a message does not void the message:
+// the drain processes the message first and surfaces the error on a
+// later cycle, once the CPU's stream is dry.
+func TestReadErrorBehindMessageSurfacesLater(t *testing.T) {
+	k, d, guest := newTestDriverKernel(t, DriverKernelOptions{
+		Ports: []VarBinding{{Port: "in", Dir: ToSystemC, Size: 4}},
+	})
+	go func() {
+		_ = WriteMessage(guest, Message{Type: MsgWrite, Cycles: 7, Port: "in", Data: []byte{1, 2, 3, 4}})
+		_, _ = guest.Write([]byte{12, 0, 0, 0, 1, 0, 0, 0}) // then a truncated frame
+		guest.Close()
+	}()
+	if err := waitReadErr(t, d, 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("reader error = %v, want io.ErrUnexpectedEOF", err)
+	}
+
+	d.drain(k)
+	if d.stats.Messages != 1 {
+		t.Fatalf("first drain handled %d messages, want 1", d.stats.Messages)
+	}
+	if d.err != nil {
+		t.Fatalf("error surfaced in the cycle that still had a message: %v", d.err)
+	}
+	d.drain(k)
+	if !errors.Is(d.err, io.ErrUnexpectedEOF) {
+		t.Fatalf("second drain: scheme error = %v, want one wrapping io.ErrUnexpectedEOF", d.err)
 	}
 }
 

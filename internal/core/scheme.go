@@ -100,13 +100,8 @@ type Config struct {
 
 // Attach constructs and attaches the scheme named by cfg.Scheme to the
 // kernel — the single entry point the harness and tools use instead of
-// calling the per-scheme constructors. When an observability registry
-// is configured it is also wired into the kernel (per-cycle hook
-// latency).
+// calling the per-scheme constructors.
 func Attach(k *sim.Kernel, cfg Config) (Scheme, error) {
-	if cfg.Common.Obs != nil {
-		k.SetObs(cfg.Common.Obs)
-	}
 	switch strings.ToLower(strings.TrimSpace(cfg.Scheme)) {
 	case "gdb-wrapper", "wrapper":
 		if cfg.Common.CPUs > 1 {

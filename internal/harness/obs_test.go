@@ -49,7 +49,7 @@ func TestObsCountersConsistentAcrossSchemes(t *testing.T) {
 			// Substrate metrics every scheme must populate.
 			for _, name := range []string{
 				"iss.instructions", "iss.cycles",
-				"sim.cycles", "sim.activations", "sim.cycle_hook_ns.count",
+				"sim.cycles", "sim.activations", "sim.delta_cycles",
 			} {
 				if counter(t, c, name) == 0 {
 					t.Errorf("counter %q = 0, want > 0", name)

@@ -101,6 +101,7 @@ func (r *Runner) Start() {
 	go func() {
 		defer close(r.done)
 		wake := r.P.CPU.WakeChan()
+		var idle *time.Timer // the WFI fallback poll, reused across parks
 		for !r.stop.Load() {
 			stop, _ := r.P.Run(runnerQuantum)
 			r.last = stop
@@ -110,9 +111,22 @@ func (r *Runner) Start() {
 			case iss.StopIdle:
 				// Parked in WFI: sleep until an interrupt is raised
 				// (with a fallback poll for timer-driven wakeups).
+				if idle == nil {
+					idle = time.NewTimer(runnerIdleSleep)
+				} else {
+					idle.Reset(runnerIdleSleep)
+				}
 				select {
 				case <-wake:
-				case <-time.After(runnerIdleSleep):
+					if !idle.Stop() {
+						// It fired as the wake arrived: drop the tick so
+						// the next Reset starts clean.
+						select {
+						case <-idle.C:
+						default:
+						}
+					}
+				case <-idle.C:
 				}
 			default:
 				return // halt, error, ...

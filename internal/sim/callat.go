@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // callAtItem is one deferred call.
 type callAtItem struct {
 	t   Time
@@ -9,18 +7,55 @@ type callAtItem struct {
 	fn  func()
 }
 
+// callAtHeap is a binary min-heap of deferred calls ordered by
+// (t, seq), so calls due at the same time run in CallAt order.
 type callAtHeap []callAtItem
 
-func (h callAtHeap) Len() int { return len(h) }
-func (h callAtHeap) Less(i, j int) bool {
+func (h callAtHeap) less(i, j int) bool {
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
 	}
 	return h[i].seq < h[j].seq
 }
-func (h callAtHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *callAtHeap) Push(x any)   { *h = append(*h, x.(callAtItem)) }
-func (h *callAtHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+func (h *callAtHeap) push(it callAtItem) {
+	*h = append(*h, it)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *callAtHeap) pop() callAtItem {
+	q := *h
+	it := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = callAtItem{}
+	q = q[:n]
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && q.less(l, smallest) {
+			smallest = l
+		}
+		if r < n && q.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		q[i], q[smallest] = q[smallest], q[i]
+		i = smallest
+	}
+	*h = q
+	return it
+}
 
 // callAtDispatcher runs deferred calls; created lazily by CallAt.
 type callAtDispatcher struct {
@@ -50,7 +85,7 @@ func (k *Kernel) ensureCallAt() *callAtDispatcher {
 func (k *Kernel) CallAt(t Time, fn func()) {
 	d := k.ensureCallAt()
 	d.seq++
-	heap.Push(&d.queue, callAtItem{t: t, seq: d.seq, fn: fn})
+	d.queue.push(callAtItem{t: t, seq: d.seq, fn: fn})
 	if t <= k.now {
 		d.ev.NotifyDelta()
 	} else {
@@ -63,11 +98,10 @@ func (k *Kernel) CallAfter(d Time, fn func()) { k.CallAt(k.now+d, fn) }
 
 // dispatch runs every due call and re-arms for the next one.
 func (d *callAtDispatcher) dispatch() {
-	for d.queue.Len() > 0 && d.queue[0].t <= d.k.now {
-		it := heap.Pop(&d.queue).(callAtItem)
-		it.fn()
+	for len(d.queue) > 0 && d.queue[0].t <= d.k.now {
+		d.queue.pop().fn()
 	}
-	if d.queue.Len() > 0 {
+	if len(d.queue) > 0 {
 		d.ev.NotifyAt(d.queue[0].t)
 	}
 }

@@ -144,6 +144,37 @@ func TestFifoPeek(t *testing.T) {
 	k.Shutdown()
 }
 
+func TestFifoRingKeepsOrder(t *testing.T) {
+	// Interleaved writes and reads wrap the ring and grow it while it
+	// holds items; reads must still return the writes in order.
+	k := NewKernel("t")
+	f := NewFifo[int](k, "f", 7)
+	next, want := 0, 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < round%5+1; i++ {
+			if f.TryWrite(next) {
+				next++
+			}
+		}
+		for i := 0; i < round%3+1; i++ {
+			v, ok := f.TryRead()
+			if !ok {
+				break
+			}
+			if v != want {
+				t.Fatalf("round %d: read %d, want %d", round, v, want)
+			}
+			want++
+		}
+		if f.Len() != next-want || f.Free() != f.Cap()-f.Len() {
+			t.Fatalf("round %d: Len %d Free %d, want %d stored", round, f.Len(), f.Free(), next-want)
+		}
+	}
+	if want == 0 || f.Dropped() == 0 {
+		t.Fatalf("read %d items, dropped %d: the pattern must both drain and fill the FIFO", want, f.Dropped())
+	}
+}
+
 func TestFifoConservation(t *testing.T) {
 	// Property: writes accepted == reads + still-buffered, drops counted.
 	f := func(ops []bool) bool {

@@ -12,7 +12,9 @@ package sim
 type Fifo[T any] struct {
 	k        *Kernel
 	name     string
-	buf      []T
+	buf      []T // ring storage, grown on demand up to capacity
+	head     int // index of the oldest item in buf
+	n        int // number of items stored
 	capacity int
 
 	dataWritten *Event
@@ -39,13 +41,13 @@ func NewFifo[T any](k *Kernel, name string, capacity int) *Fifo[T] {
 func (f *Fifo[T]) Name() string { return f.name }
 
 // Len returns the number of items currently stored.
-func (f *Fifo[T]) Len() int { return len(f.buf) }
+func (f *Fifo[T]) Len() int { return f.n }
 
 // Cap returns the FIFO capacity.
 func (f *Fifo[T]) Cap() int { return f.capacity }
 
 // Free returns the remaining space.
-func (f *Fifo[T]) Free() int { return f.capacity - len(f.buf) }
+func (f *Fifo[T]) Free() int { return f.capacity - f.n }
 
 // DataWritten returns the event notified (delta) after each write.
 func (f *Fifo[T]) DataWritten() *Event { return f.dataWritten }
@@ -66,11 +68,15 @@ func (f *Fifo[T]) Dropped() uint64 { return f.dropped }
 // TryWrite appends v if there is space and reports success. On failure
 // the drop counter is incremented.
 func (f *Fifo[T]) TryWrite(v T) bool {
-	if len(f.buf) >= f.capacity {
+	if f.n >= f.capacity {
 		f.dropped++
 		return false
 	}
-	f.buf = append(f.buf, v)
+	if f.n == len(f.buf) {
+		f.grow()
+	}
+	f.buf[(f.head+f.n)%len(f.buf)] = v
+	f.n++
 	f.totalWritten++
 	f.dataWritten.NotifyDelta()
 	return true
@@ -79,11 +85,13 @@ func (f *Fifo[T]) TryWrite(v T) bool {
 // TryRead pops the oldest item if available.
 func (f *Fifo[T]) TryRead() (T, bool) {
 	var zero T
-	if len(f.buf) == 0 {
+	if f.n == 0 {
 		return zero, false
 	}
-	v := f.buf[0]
-	f.buf = f.buf[1:]
+	v := f.buf[f.head]
+	f.buf[f.head] = zero
+	f.head = (f.head + 1) % len(f.buf)
+	f.n--
 	f.totalRead++
 	f.dataRead.NotifyDelta()
 	return v, true
@@ -92,10 +100,19 @@ func (f *Fifo[T]) TryRead() (T, bool) {
 // Peek returns the oldest item without removing it.
 func (f *Fifo[T]) Peek() (T, bool) {
 	var zero T
-	if len(f.buf) == 0 {
+	if f.n == 0 {
 		return zero, false
 	}
-	return f.buf[0], true
+	return f.buf[f.head], true
+}
+
+// grow enlarges the full ring, keeping item order, so a steady
+// write/read pattern reuses one buffer instead of reallocating.
+func (f *Fifo[T]) grow() {
+	buf := make([]T, min(f.capacity, max(2*len(f.buf), 4)))
+	copy(buf, f.buf[f.head:])
+	copy(buf[len(f.buf)-f.head:], f.buf[:f.head])
+	f.buf, f.head = buf, 0
 }
 
 // Write blocks the calling thread until space is available, then appends v.

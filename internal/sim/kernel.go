@@ -32,16 +32,19 @@ type Kernel struct {
 	cycleCount  uint64 // total timed simulation cycles executed
 	activations uint64 // total process activations executed
 
-	// hookNS, when set via SetObs, receives the wall-clock latency of
-	// the begin-of-cycle hook chain — the per-cycle cost the paper's
-	// kernel-embedded schemes add to the scheduler.
-	hookNS *obs.Histogram
-
-	runnable []*Proc
-	updates  []updatable
-	deltas   []*Event
-	timed    timedQueue
-	procs    []*Proc
+	// The scheduler queues are reused across delta cycles so an idle
+	// cycle allocates nothing: runnable is consumed from runHead and
+	// truncated once drained; updates and deltas swap with a spare
+	// buffer at each phase. Consumed slots are cleared so the buffers
+	// retain no pointers.
+	runnable     []*Proc
+	runHead      int // next runnable entry to evaluate
+	updates      []updatable
+	spareUpdates []updatable
+	deltas       []*Event
+	spareDeltas  []*Event
+	timed        timedQueue
+	procs        []*Proc
 
 	cycleHooks    []CycleHook
 	endCycleHooks []CycleHook
@@ -84,14 +87,6 @@ func (k *Kernel) CycleCount() uint64 { return k.cycleCount }
 
 // Activations returns the number of process activations executed so far.
 func (k *Kernel) Activations() uint64 { return k.activations }
-
-// SetObs attaches an observability registry to the kernel: the
-// begin-of-cycle hook chain is timed into the "sim.cycle_hook_ns"
-// histogram. A nil registry detaches (and removes the per-cycle timing
-// entirely).
-func (k *Kernel) SetObs(r *obs.Registry) {
-	k.hookNS = r.Histogram("sim.cycle_hook_ns")
-}
 
 // PublishObs copies the kernel's scheduler counters into the registry
 // as gauges: sim.cycles, sim.delta_cycles, sim.activations. Call it
@@ -136,8 +131,9 @@ func (k *Kernel) requestUpdate(u updatable) {
 func (k *Kernel) Stop() { k.stopReq = true }
 
 // ErrDeadlock is returned by Run when, before the time limit, there are
-// no runnable processes, no pending notifications, and no cycle hooks
-// that could inject external activity.
+// no runnable processes and no pending notifications. Cycle hooks do not
+// prevent it: they run only at cycle boundaries, so with no timed event
+// left the simulation cannot reach another one.
 var ErrDeadlock = errors.New("sim: no pending activity (deadlock)")
 
 // Run advances the simulation until the given absolute time, until
@@ -153,43 +149,44 @@ func (k *Kernel) Run(until Time) error {
 	for {
 		// ---- begin of simulation cycle (paper: Figure 3 / Figure 5) ----
 		k.cycleCount++
-		sp := k.hookNS.Start()
 		for _, h := range k.cycleHooks {
 			h(k)
 		}
-		sp.End()
 
 		// Delta loop: evaluate / update / delta-notify until quiescent.
-		for {
-			if len(k.runnable) == 0 && len(k.updates) == 0 && len(k.deltas) == 0 {
-				break
-			}
+		for k.pending() {
 			k.deltaCount++
 
 			// Evaluation phase. Immediate notifications may append to
-			// k.runnable while we iterate; process until drained.
-			for len(k.runnable) > 0 {
-				p := k.runnable[0]
-				k.runnable = k.runnable[1:]
+			// k.runnable while we iterate; process until drained. The
+			// head advances before the process runs, so a panicking
+			// process leaves exactly the unrun ones queued.
+			for k.runHead < len(k.runnable) {
+				p := k.runnable[k.runHead]
+				k.runnable[k.runHead] = nil
+				k.runHead++
 				p.runnable = false
 				k.runProc(p)
 			}
+			k.runnable = k.runnable[:0]
+			k.runHead = 0
 
-			// Update phase.
-			ups := k.updates
-			k.updates = nil
-			for _, u := range ups {
+			// Update phase. Updates requested while it runs go to the
+			// other buffer and are applied in the next delta cycle.
+			k.updates, k.spareUpdates = k.spareUpdates[:0], k.updates
+			for _, u := range k.spareUpdates {
 				u.update()
 			}
+			clear(k.spareUpdates)
 
 			// Delta notification phase.
-			ds := k.deltas
-			k.deltas = nil
-			for _, e := range ds {
+			k.deltas, k.spareDeltas = k.spareDeltas[:0], k.deltas
+			for _, e := range k.spareDeltas {
 				if e.pending == pendingDelta {
 					e.fire()
 				}
 			}
+			clear(k.spareDeltas)
 
 			if k.stopReq {
 				k.sample()
@@ -205,18 +202,14 @@ func (k *Kernel) Run(until Time) error {
 		}
 		// Hooks may have made processes runnable or queued deltas at the
 		// current time; loop back into the delta loop without advancing.
-		if len(k.runnable) > 0 || len(k.updates) > 0 || len(k.deltas) > 0 {
+		if k.pending() {
 			continue
 		}
 
-		// Advance time.
+		// Advance time. Hooks run only at cycle boundaries, so with no
+		// timed event left no further cycle can start: deadlock.
 		next := k.timed.peek()
 		if next == nil {
-			if len(k.cycleHooks) == 0 {
-				return ErrDeadlock
-			}
-			// External activity could still arrive through hooks, but
-			// with no timed events the simulation cannot advance.
 			return ErrDeadlock
 		}
 		if next.due > until {
@@ -228,6 +221,12 @@ func (k *Kernel) Run(until Time) error {
 			k.timed.pop().fire()
 		}
 	}
+}
+
+// pending reports whether the current time point has work left: a
+// runnable process, a requested update or a delta notification.
+func (k *Kernel) pending() bool {
+	return k.runHead < len(k.runnable) || len(k.updates) > 0 || len(k.deltas) > 0
 }
 
 // RunFor advances the simulation by d from the current time.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -248,6 +250,116 @@ func TestDeadlockDetection(t *testing.T) {
 	if err != ErrDeadlock {
 		t.Fatalf("Run = %v, want ErrDeadlock", err)
 	}
+
+	// A registered cycle hook does not change the outcome: hooks run
+	// only at cycle boundaries, and with no timed event left there is
+	// no further boundary to reach.
+	k = NewKernel("t")
+	e = k.NewEvent("never")
+	hooks := 0
+	k.AddCycleHook(func(*Kernel) { hooks++ })
+	k.Thread("stuck", func(c *Ctx) { c.Wait(e) })
+	err = k.Run(100 * NS)
+	k.Shutdown()
+	if err != ErrDeadlock {
+		t.Fatalf("with a cycle hook: Run = %v, want ErrDeadlock", err)
+	}
+	if hooks != 1 {
+		t.Fatalf("with a cycle hook: hook ran %d times, want 1 (the init cycle)", hooks)
+	}
+}
+
+func TestImmediateRenotifyRequeuesInSamePhase(t *testing.T) {
+	// A process that immediately notifies an event it is sensitive to is
+	// queued again behind the processes already runnable, and runs again
+	// in the same evaluation phase.
+	k := NewKernel("t")
+	e := k.NewEvent("again")
+	var order []string
+	runs := 0
+	k.Method("a", func() {
+		order = append(order, "a")
+		if runs++; runs == 1 {
+			e.Notify()
+		}
+	}, e)
+	k.Method("b", func() { order = append(order, "b") })
+	k.Method("c", func() { order = append(order, "c") })
+	runKernel(t, k, NS)
+	if got, want := strings.Join(order, " "), "a b c a"; got != want {
+		t.Fatalf("order = %q, want %q", got, want)
+	}
+	if k.DeltaCount() != 1 {
+		t.Fatalf("deltas = %d, want 1 (the re-run stays in the init phase)", k.DeltaCount())
+	}
+}
+
+func TestPanicLeavesUnrunProcessesQueued(t *testing.T) {
+	// A method that panics mid-evaluation propagates out of Run; the
+	// processes queued behind it stay queued and run on the next Run.
+	k := NewKernel("t")
+	var order []string
+	first := true
+	k.Method("a", func() { order = append(order, "a") })
+	k.Method("boom", func() {
+		if first {
+			first = false
+			panic("bang")
+		}
+		order = append(order, "boom")
+	})
+	k.Method("b", func() { order = append(order, "b") })
+	k.Method("c", func() { order = append(order, "c") })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected the method's panic to propagate")
+			}
+		}()
+		_ = k.Run(NS)
+	}()
+	runKernel(t, k, NS)
+	if got, want := strings.Join(order, " "), "a b c"; got != want {
+		t.Fatalf("order = %q, want %q", got, want)
+	}
+}
+
+func TestSteadyStateCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	k := NewKernel("t")
+	defer k.Shutdown()
+	clk := NewClock(k, "clk", 10*NS)
+	sig := NewSignal[int](k, "sig")
+	f := NewFifo[int](k, "f", 4)
+	var v, got, begins, ends int
+	k.MethodNoInit("writer", func() {
+		v++
+		sig.Write(v)
+		f.TryWrite(v)
+	}, clk.Pos())
+	k.MethodNoInit("reader", func() {
+		if x, ok := f.TryRead(); ok {
+			got = x
+		}
+	}, f.DataWritten())
+	k.AddCycleHook(func(*Kernel) { begins++ })
+	k.AddEndCycleHook(func(*Kernel) { ends++ })
+
+	run := func() {
+		if err := k.RunFor(100 * clk.Period()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: the scheduler queues and the FIFO ring reach size
+	allocs := testing.AllocsPerRun(10, run)
+	if allocs != 0 {
+		t.Fatalf("RunFor(100 cycles) allocates %.1f times, want 0", allocs)
+	}
+	if got != v || sig.Read() != v || begins == 0 || ends == 0 {
+		t.Fatalf("model did not run: wrote %d, read %d, signal %d, hooks %d/%d", v, got, sig.Read(), begins, ends)
+	}
 }
 
 func TestRunInSlices(t *testing.T) {
@@ -394,6 +506,23 @@ func TestCallAt(t *testing.T) {
 	runKernel(t, k, 100*NS)
 	if len(order) != 3 || order[0] != 5*NS || order[1] != 25*NS || order[2] != 25*NS {
 		t.Fatalf("order = %v", order)
+	}
+}
+
+func TestCallAtOrdersByTimeThenCall(t *testing.T) {
+	// Calls run by due time; calls due at the same time run in CallAt
+	// order, however many are queued.
+	k := NewKernel("t")
+	k.Thread("keeper", func(c *Ctx) { c.WaitTime(100 * NS) })
+	var got []int
+	due := []Time{30, 10, 20, 10, 30, 20, 10, 30, 20, 10}
+	for i, d := range due {
+		k.CallAt(d*NS, func() { got = append(got, i) })
+	}
+	runKernel(t, k, 100*NS)
+	want := []int{1, 3, 6, 9, 2, 5, 8, 0, 4, 7}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("call order = %v, want %v", got, want)
 	}
 }
 

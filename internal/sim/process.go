@@ -109,8 +109,8 @@ func (k *Kernel) unqueue(p *Proc) {
 		return
 	}
 	p.runnable = false
-	for i, q := range k.runnable {
-		if q == p {
+	for i := k.runHead; i < len(k.runnable); i++ {
+		if k.runnable[i] == p {
 			k.runnable = append(k.runnable[:i], k.runnable[i+1:]...)
 			return
 		}
