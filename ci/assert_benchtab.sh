@@ -10,7 +10,8 @@
 # Suites:
 #   base       — obs counters present on every run; scheme-specific
 #                counters on the right schemes; GDB-scheme clients
-#                in no-ack mode after the handshake
+#                in no-ack mode after the handshake; GDB-Kernel
+#                round trips are its transfers plus set-up
 #   percpu     — per-CPU driver counters present, non-zero, and
 #                reconciling with the aggregates (needs -cpus 2)
 #   transports — per-transport counters for every swept backend
@@ -57,6 +58,17 @@ base)
           and .counters["rsp.acks_sent"] <= (.cpus // 1)]
        | all' \
     "a GDB-scheme run sent acks beyond its no-ack handshake (rsp.acks_sent)"
+  # Stop replies expedite the PC and cycle counter, so a GDB-Kernel
+  # stop costs no transaction: past each CPU's set-up (the handshake
+  # and one Z packet per binding, 3 for the router guest) every round
+  # trip is a variable transfer.
+  jqe '[.runs[] | select(.scheme == "GDB-Kernel")
+        | (.counters["rsp.round_trips"]
+           - (.counters["cosim.transfers_to_sc"] // 0)
+           - (.counters["cosim.transfers_to_iss"] // 0)) as $setup
+        | $setup >= 0 and $setup <= 4 * (.cpus // 1)]
+       | length > 0 and all' \
+    "a GDB-Kernel run spent round trips beyond its transfers and set-up (rsp.round_trips)"
   ;;
 
 percpu)

@@ -27,8 +27,7 @@
 // windows; see the README's "Memory fast path" section). -ablate dmi
 // sweeps that axis instead: every driver-kernel scenario runs once with
 // and once without the fast path, tagged /dmi=0|1, and the report
-// carries per-run records only — the BENCH_*_dmi.json evidence comes
-// from `-ablate dmi -json`.
+// carries per-run records only.
 // -parallel runs the experiment sweep on N workers: every run owns its
 // kernel, ISS and sockets, so scheme results are identical to the
 // sequential sweep — only total wall time drops. -json replaces the
@@ -39,7 +38,7 @@
 // -parallel concurrent clients (absorbing 429 backpressure via
 // Retry-After), each session is polled to a terminal state, and the
 // report carries per-session submit/queue/run/total latencies plus a
-// throughput summary — the BENCH_*_cosimd.json baseline.
+// throughput summary.
 package main
 
 import (

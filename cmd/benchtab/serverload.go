@@ -22,7 +22,7 @@ import (
 // every scenario as a session spec with -parallel concurrent clients,
 // polls each session to a terminal state, and reports client-observed
 // submit/total latency next to the daemon-reported queue wait and run
-// wall — the BENCH_*_cosimd.json trajectory record.
+// wall.
 
 // serverSession is one driven session's record.
 type serverSession struct {

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -286,6 +287,48 @@ resp: .word 0
 	_ = target.Wait()
 	if n := reg.Counter("cosim.skew_wait_timeouts").Load(); n != 1 {
 		t.Fatalf("cosim.skew_wait_timeouts = %d, want 1", n)
+	}
+}
+
+// TestStopWithoutExpeditedRegistersFails: handleStop takes the PC and
+// cycle counter from the stop reply and never falls back to a 'g'
+// transaction, so a stop reply without them (an ECALL's S1f) fails the
+// scheme with an error naming the reply and the scheme.
+func TestStopWithoutExpeditedRegistersFails(t *testing.T) {
+	for _, scheme := range []string{"gdb-kernel", "gdb-wrapper"} {
+		t.Run(scheme, func(t *testing.T) {
+			cpu, im := buildBareMetal(t, strings.Replace(doublerSrc, "_start:\n", "_start:\n    ecall\n", 1))
+			target, err := StartGDBTarget(cpu, TransportPipe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := sim.NewKernel("top")
+			clk := sim.NewClock(k, "clk", 10*sim.NS)
+			var sch interface{ Err() error }
+			if scheme == "gdb-kernel" {
+				// The skew bound makes the hook wait for the stop.
+				sch, err = NewGDBKernel(k, target.HostConn, im, GDBKernelOptions{
+					CommonOptions: CommonOptions{CPUPeriod: sim.NS, SkewBound: 10 * sim.NS},
+					Bindings:      doublerBindings,
+				})
+			} else {
+				sch, err = NewGDBWrapper(k, target.HostConn, im, GDBWrapperOptions{
+					Clock: clk, Bindings: doublerBindings,
+				})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := k.Run(100 * sim.NS); err != nil {
+				t.Fatal(err)
+			}
+			k.Shutdown()
+			_ = target.Wait()
+			err = sch.Err()
+			if err == nil || !strings.Contains(err.Error(), scheme+": stop reply S1f") {
+				t.Fatalf("scheme error = %v, want %q to name the S1f reply", err, scheme)
+			}
+		})
 	}
 }
 

@@ -157,20 +157,19 @@ func (e *gdbEngine) targetTime(cycles uint64) sim.Time {
 	return e.syncTime.AddCycles(cycles-e.syncCycles, e.period)
 }
 
-// handleStop services a breakpoint stop. It reads the full register
-// file (one 'g' transaction, as gdb itself does on every stop) to learn
-// the PC and cycle counter, then transfers data according to the
-// binding. It returns true if the ISS may resume immediately, false if
-// it must stay stopped waiting for SystemC-side data.
+// handleStop services a breakpoint or watchpoint stop. The stop reply
+// expedites the PC and cycle counter, so the stop itself costs no
+// transaction; the binding's variable transfer is the only one. It
+// returns true if the ISS may resume immediately, false if it must stay
+// stopped waiting for SystemC-side data.
 func (e *gdbEngine) handleStop(ev *gdb.StopEvent) (bool, error) {
 	e.stats.Stops++
 	e.obs.stops.Inc()
-	regs, err := e.cl.ReadRegisters()
-	if err != nil {
-		return false, err
+	if !ev.Expedited {
+		return false, e.errf("stop reply %v carries no expedited PC and cycle counter", ev)
 	}
 	var b *binding
-	if ev != nil && ev.IsWatch {
+	if ev.IsWatch {
 		e.obs.watchHits.Inc()
 		b = e.byWatch[ev.WatchAddr]
 		if b == nil {
@@ -178,11 +177,11 @@ func (e *gdbEngine) handleStop(ev *gdb.StopEvent) (bool, error) {
 		}
 	} else {
 		e.obs.breakHits.Inc()
-		b = e.byAddr[regs.PC]
+		b = e.byAddr[ev.PC]
 	}
-	e.debugf("stop pc=%#x cycles=%d sync=(%d,%v) now=%v", regs.PC, regs.Cycles, e.syncCycles, e.syncTime, e.k.Now())
+	e.debugf("stop pc=%#x cycles=%d sync=(%d,%v) now=%v", ev.PC, ev.Cycles, e.syncCycles, e.syncTime, e.k.Now())
 	if b == nil {
-		return false, e.errf("ISS stopped at unbound address %#x", regs.PC)
+		return false, e.errf("ISS stopped at unbound address %#x", ev.PC)
 	}
 
 	if b.inPort != nil {
@@ -192,7 +191,7 @@ func (e *gdbEngine) handleStop(ev *gdb.StopEvent) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		t := e.targetTime(regs.Cycles)
+		t := e.targetTime(ev.Cycles)
 		port := b.inPort
 		e.k.CallAt(t, func() { port.Deliver(data) })
 		if t.After(e.k.Now()) {
@@ -200,13 +199,13 @@ func (e *gdbEngine) handleStop(ev *gdb.StopEvent) (bool, error) {
 		} else {
 			e.syncTime = e.k.Now()
 		}
-		e.syncCycles = regs.Cycles
+		e.syncCycles = ev.Cycles
 		e.stats.Transfers++
 		e.obs.toSC.Inc()
 		e.outstanding = false
 		e.journal.Record(JournalEntry{
 			Time: t, Scheme: e.schemeName, Dir: "iss->sc",
-			Port: b.spec.Port, Bytes: len(data), Cycles: regs.Cycles,
+			Port: b.spec.Port, Bytes: len(data), Cycles: ev.Cycles,
 		})
 		return true, nil
 	}
@@ -217,12 +216,12 @@ func (e *gdbEngine) handleStop(ev *gdb.StopEvent) (bool, error) {
 		if err := e.pokeOut(b); err != nil {
 			return false, err
 		}
-		e.syncCycles = regs.Cycles
+		e.syncCycles = ev.Cycles
 		e.syncTime = e.k.Now()
 		return true, nil
 	}
 	e.waiting = b
-	e.syncCycles = regs.Cycles
+	e.syncCycles = ev.Cycles
 	return false, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -17,6 +18,29 @@ type StopEvent struct {
 	WatchAddr uint32
 	Exited    bool
 	ExitCode  byte
+	// Expedited reports that the reply carried the PC and both halves
+	// of the cycle counter, which PC and Cycles then hold.
+	Expedited bool
+	PC        uint32
+	Cycles    uint64
+}
+
+// String renders the event as the shortest RSP stop reply carrying it.
+func (ev StopEvent) String() string {
+	switch {
+	case ev.Exited:
+		return fmt.Sprintf("W%02x", ev.ExitCode)
+	case !ev.IsWatch && !ev.Expedited:
+		return fmt.Sprintf("S%02x", ev.Signal)
+	}
+	b := fmt.Appendf(nil, "T%02x", ev.Signal)
+	if ev.IsWatch {
+		b = fmt.Appendf(b, "watch:%x;", ev.WatchAddr)
+	}
+	if ev.Expedited {
+		b = appendExpedited(b, ev.PC, ev.Cycles)
+	}
+	return string(b)
 }
 
 // Regs is the full RSP register file.
@@ -237,20 +261,6 @@ func (c *Client) WriteRegister(n int, v uint32) error {
 // ReadPC fetches the program counter.
 func (c *Client) ReadPC() (uint32, error) { return c.ReadRegister(RegPC) }
 
-// Cycles fetches the target's cycle counter (used by the co-simulation
-// bridge to couple ISS time to SystemC time).
-func (c *Client) Cycles() (uint64, error) {
-	lo, err := c.ReadRegister(RegCycle)
-	if err != nil {
-		return 0, err
-	}
-	hi, err := c.ReadRegister(RegCycleH)
-	if err != nil {
-		return 0, err
-	}
-	return uint64(hi)<<32 | uint64(lo), nil
-}
-
 // ReadMemory fetches length bytes from the target.
 func (c *Client) ReadMemory(addr uint32, length int) ([]byte, error) {
 	r, err := c.transact(c.addrLen("m", addr, length))
@@ -461,7 +471,9 @@ func (c *Client) Detach() error {
 	return err
 }
 
-// parseStop decodes S/T/W stop replies.
+// parseStop decodes S/T/W stop replies. In a T reply it decodes the
+// watch address and the expedited PC and cycle counter; a malformed one
+// is an error, never a zero. Other fields are skipped.
 func parseStop(pkt []byte) (*StopEvent, error) {
 	if len(pkt) < 3 {
 		return nil, fmt.Errorf("gdb: short stop reply %q", pkt)
@@ -469,7 +481,7 @@ func parseStop(pkt []byte) (*StopEvent, error) {
 	ev := &StopEvent{}
 	sig, err := parseHexByte(pkt[1], pkt[2])
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("gdb: bad signal in stop reply %q", pkt)
 	}
 	switch pkt[0] {
 	case 'S':
@@ -481,15 +493,40 @@ func parseStop(pkt []byte) (*StopEvent, error) {
 		return ev, nil
 	case 'T':
 		ev.Signal = sig
+		var lo, hi uint32
+		var seen uint8 // expedited registers found: 1 PC, 2 cycle, 4 cycleh
 		for rest := pkt[3:]; len(rest) > 0; {
 			var field []byte
 			field, rest, _ = bytes.Cut(rest, []byte(";"))
-			if v, ok := bytes.CutPrefix(field, []byte("watch:")); ok {
+			key, val, _ := bytes.Cut(field, []byte(":"))
+			if string(key) == "watch" {
+				addr, ok := parseHex(val)
+				if !ok || addr > math.MaxUint32 {
+					return nil, fmt.Errorf("gdb: bad watch address in stop reply %q", pkt)
+				}
 				ev.IsWatch = true
-				addr, _ := parseHex(v)
 				ev.WatchAddr = uint32(addr)
+				continue
+			}
+			n, isReg := parseHex(key)
+			if !isReg {
+				continue // a named field, such as swbreak
+			}
+			v, err := parseU32LE(val)
+			if err != nil {
+				return nil, fmt.Errorf("gdb: bad register %s in stop reply %q", key, pkt)
+			}
+			switch n {
+			case RegPC:
+				ev.PC, seen = v, seen|1
+			case RegCycle:
+				lo, seen = v, seen|2
+			case RegCycleH:
+				hi, seen = v, seen|4
 			}
 		}
+		ev.Cycles = uint64(hi)<<32 | uint64(lo)
+		ev.Expedited = seen == 7
 		return ev, nil
 	}
 	return nil, fmt.Errorf("gdb: unrecognized stop reply %q", pkt)

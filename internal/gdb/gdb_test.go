@@ -534,12 +534,8 @@ func TestOverTCP(t *testing.T) {
 	}
 	_ = cl.Continue()
 	ev, err := cl.WaitStop()
-	if err != nil || ev.Signal != 5 {
+	if err != nil || ev.Signal != 5 || !ev.Expedited || ev.Cycles == 0 {
 		t.Fatalf("tcp stop = %+v, %v", ev, err)
-	}
-	cyc, err := cl.Cycles()
-	if err != nil || cyc == 0 {
-		t.Fatalf("cycles = %d, %v", cyc, err)
 	}
 }
 
@@ -554,6 +550,17 @@ func TestParseStop(t *testing.T) {
 		{"W2a", StopEvent{Exited: true, ExitCode: 42}},
 		{"T05watch:10004;", StopEvent{Signal: 5, IsWatch: true, WatchAddr: 0x10004}},
 		{"T05swbreak:;", StopEvent{Signal: 5}},
+		// Expedited registers: PC (20) and the cycle counter (26, 27)
+		// in target byte order.
+		{"T05swbreak:;20:10100000;26:78563412;27:02000000;",
+			StopEvent{Signal: 5, Expedited: true, PC: 0x1010, Cycles: 0x2_12345678}},
+		{"T05watch:10004;20:0c000000;26:05000000;27:00000000;",
+			StopEvent{Signal: 5, IsWatch: true, WatchAddr: 0x10004, Expedited: true, PC: 0xc, Cycles: 5}},
+		{"T0527:01000000;thread:1;20:04000000;26:ffffffff;swbreak:;",
+			StopEvent{Signal: 5, Expedited: true, PC: 4, Cycles: 0x1_ffffffff}},
+		// Other registers are skipped; a partial set is not expedited.
+		{"T0505:aabbccdd;20:04000000;26:01000000;",
+			StopEvent{Signal: 5, PC: 4, Cycles: 1}},
 	}
 	for _, c := range cases {
 		got, err := parseStop([]byte(c.in))
@@ -565,11 +572,45 @@ func TestParseStop(t *testing.T) {
 			t.Errorf("parseStop(%q) = %+v, want %+v", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "S", "Q05", "Sxx"} {
+	for _, bad := range []string{
+		"", "S", "Q05", "Sxx",
+		"T05watch:;", "T05watch:xyz;", "T05watch:100000000;",
+		"T05swbreak:;20:1234;26:00000000;27:00000000;",
+		"T05swbreak:;20:0400000g;26:00000000;27:00000000;",
+		"T05swbreak:;20;26:00000000;27:00000000;",
+		"T05watch:10;20:04000000;26:00000000;27:000000000;",
+	} {
 		if _, err := parseStop([]byte(bad)); err == nil {
 			t.Errorf("parseStop(%q) succeeded", bad)
 		}
 	}
+}
+
+// FuzzParseStop feeds arbitrary replies to parseStop, which must never
+// panic, and checks that a breakpoint or watchpoint stop reply built as
+// the stub builds it parses back to its PC, cycle counter and watch
+// address, as does the event's String form.
+func FuzzParseStop(f *testing.F) {
+	f.Add([]byte("T05swbreak:;20:10100000;26:78563412;27:02000000;"), false, uint32(0), uint32(0x1010), uint64(0x2_12345678))
+	f.Add([]byte("T05watch:10004;"), true, uint32(0x10004), uint32(4), uint64(5))
+	f.Add([]byte("T05;;:;20:;watch;27"), true, uint32(0), uint32(0), uint64(0))
+	f.Add([]byte("S1f"), false, uint32(0), ^uint32(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, reply []byte, watch bool, addr, pc uint32, cycles uint64) {
+		if ev, err := parseStop(reply); (ev == nil) == (err == nil) {
+			t.Fatalf("parseStop(%q) = %v, %v", reply, ev, err)
+		}
+		want := StopEvent{Signal: 5, IsWatch: watch, Expedited: true, PC: pc, Cycles: cycles}
+		if watch {
+			want.WatchAddr = addr
+		}
+		built := appendStopT(nil, watch, addr, pc, cycles)
+		for _, r := range [][]byte{built, []byte(want.String())} {
+			ev, err := parseStop(r)
+			if err != nil || *ev != want {
+				t.Fatalf("parseStop(%q) = %v, %v; want %v", r, ev, err, want)
+			}
+		}
+	})
 }
 
 func TestUnknownPacketGetsEmptyReply(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -307,18 +308,30 @@ func TestServeCleanEOF(t *testing.T) {
 	}
 }
 
-// TestRoundTripAllocs pins the allocation cost of the two hot RSP
+// TestRoundTripAllocs pins the allocation cost of the hot RSP
 // transactions, counted over both the client and the stub goroutine.
-// Each packet read allocates its retainable payload; ReadRegisters also
-// returns a fresh *Regs. Command and reply coding allocate nothing.
+// Each packet read allocates its retainable payload; a stop also
+// returns a fresh *StopEvent and ReadRegisters a fresh *Regs. Command
+// and reply coding, the expedited stop reply included, allocate nothing.
 func TestRoundTripAllocs(t *testing.T) {
 	cl, _, _ := newTarget(t, warmLoopProg, false)
+	bpcl, _, im := newTarget(t, warmLoopProg, false)
+	if err := bpcl.SetBreakpoint(im.MustSymbol("target")); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
 		max  float64
 		op   func() error
 	}{
 		{"RunQuantum", 2, func() error { _, _, err := cl.RunQuantum(8); return err }},
+		{"RunQuantum/breakpoint-stop", 3, func() error {
+			ev, _, err := bpcl.RunQuantum(8)
+			if err == nil && (ev == nil || !ev.Expedited) {
+				err = fmt.Errorf("quantum ended in %v, want an expedited breakpoint stop", ev)
+			}
+			return err
+		}},
 		{"ReadRegisters", 3, func() error { _, err := cl.ReadRegisters(); return err }},
 	} {
 		var err error

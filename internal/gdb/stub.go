@@ -515,6 +515,34 @@ func (s *Stub) resumingFromBP() bool {
 	return false
 }
 
+// appendStopT appends the T05 reply of a breakpoint stop, or of a write
+// watchpoint hit at addr when watch is set. Like gdbserver, it expedites
+// the registers the debugger needs at every stop (the PC and the cycle
+// counter) as "nn:<8 hex digits, target byte order>;" fields, so stop
+// handling costs no 'g' round trip.
+func appendStopT(dst []byte, watch bool, addr, pc uint32, cycles uint64) []byte {
+	if watch {
+		dst = strconv.AppendUint(append(dst, "T05watch:"...), uint64(addr), 16)
+		dst = append(dst, ';')
+	} else {
+		dst = append(dst, "T05swbreak:;"...)
+	}
+	return appendExpedited(dst, pc, cycles)
+}
+
+// appendExpedited appends the expedited PC and cycle counter fields.
+func appendExpedited(dst []byte, pc uint32, cycles uint64) []byte {
+	dst = appendRegField(dst, RegPC, pc)
+	dst = appendRegField(dst, RegCycle, uint32(cycles))
+	return appendRegField(dst, RegCycleH, uint32(cycles>>32))
+}
+
+// appendRegField appends one expedited register, "nn:<value>;".
+func appendRegField(dst []byte, n int, v uint32) []byte {
+	dst = appendHexU32LE(append(dst, hexDigits[n>>4], hexDigits[n&0xf], ':'), v)
+	return append(dst, ';')
+}
+
 // stopReply converts a CPU stop into an RSP stop-reply packet, or nil
 // if execution should continue (budget exhausted).
 func (s *Stub) stopReply(stop iss.Stop) []byte {
@@ -524,11 +552,12 @@ func (s *Stub) stopReply(stop iss.Stop) []byte {
 		s.lastSignal = 5
 		s.reportedBP = s.cpu.PC
 		s.haveReported = true
-		return []byte("T05swbreak:;")
+		s.reply = appendStopT(s.reply[:0], false, 0, s.cpu.PC, s.cpu.Cycles())
+		return s.reply
 	case iss.StopWatch:
 		s.lastSignal = 5
-		s.reply = strconv.AppendUint(append(s.reply[:0], "T05watch:"...), uint64(s.cpu.WatchHit()), 16)
-		return append(s.reply, ';')
+		s.reply = appendStopT(s.reply[:0], true, s.cpu.WatchHit(), s.cpu.PC, s.cpu.Cycles())
+		return s.reply
 	case iss.StopHalt:
 		return []byte("W00")
 	case iss.StopEcall:

@@ -233,3 +233,81 @@ func TestTargetDescriptionXML(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// expediteProg loops forever storing a counter, so a breakpoint at bp
+// and a watchpoint on target each stop it once per iteration.
+const expediteProg = `
+_start:
+    la   gp, target
+loop:
+    addi a0, a0, 1
+bp:
+    sw   a0, 0(gp)
+    j    loop
+.data
+target: .word 0
+`
+
+// TestStopReplyExpeditesPCAndCycles checks that breakpoint and
+// watchpoint stop replies, whether they end a continue or a qRun
+// quantum, carry the PC and cycle counter a following 'g' reads.
+func TestStopReplyExpeditesPCAndCycles(t *testing.T) {
+	cont := func(cl *Client) (*StopEvent, error) {
+		if err := cl.Continue(); err != nil {
+			return nil, err
+		}
+		return cl.WaitStop()
+	}
+	quantum := func(cl *Client) (*StopEvent, error) {
+		for {
+			ev, _, err := cl.RunQuantum(2)
+			if ev != nil || err != nil {
+				return ev, err
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		watch bool
+		stop  func(*Client) (*StopEvent, error)
+	}{
+		{"continue-breakpoint", false, cont},
+		{"continue-watchpoint", true, cont},
+		{"qRun-breakpoint", false, quantum},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cl, _, im := newTarget(t, expediteProg, false)
+			var err error
+			if c.watch {
+				err = cl.SetWatchpoint(im.MustSymbol("target"), 4)
+			} else {
+				err = cl.SetBreakpoint(im.MustSymbol("bp"))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var last uint64
+			for i := 0; i < 3; i++ {
+				ev, err := c.stop(cl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ev.Expedited || ev.IsWatch != c.watch {
+					t.Fatalf("stop %d = %v, want an expedited %s stop", i, ev, c.name)
+				}
+				regs, err := cl.ReadRegisters()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ev.PC != regs.PC || ev.Cycles != regs.Cycles {
+					t.Fatalf("stop %d expedited pc=%#x cycles=%d, g reads pc=%#x cycles=%d",
+						i, ev.PC, ev.Cycles, regs.PC, regs.Cycles)
+				}
+				if ev.Cycles <= last {
+					t.Fatalf("stop %d: cycles %d did not advance past %d", i, ev.Cycles, last)
+				}
+				last = ev.Cycles
+			}
+		})
+	}
+}

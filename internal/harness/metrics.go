@@ -7,9 +7,7 @@ import (
 )
 
 // Metrics is the machine-readable per-run measurement record emitted by
-// `benchtab -json`: the substrate the bench trajectory (BENCH_*.json)
-// is built from, so successive perf PRs can report against a stable
-// schema. Durations are plain nanosecond/picosecond integers to keep
+// `benchtab -json`, a stable schema for reports to build on. Durations are plain nanosecond/picosecond integers to keep
 // the report trivially parseable.
 type Metrics struct {
 	Scheme       string  `json:"scheme"`
