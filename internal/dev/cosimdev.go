@@ -54,6 +54,7 @@ type CosimDev struct {
 	rx      []byte
 	ints    []uint32
 	rxIntEn bool
+	level   bool // the PIC line level last driven
 
 	data io.Writer
 	pic  *PIC
@@ -93,9 +94,16 @@ func (d *CosimDev) Name() string { return d.name }
 // Size implements iss.Device.
 func (d *CosimDev) Size() uint32 { return CosimDevSize }
 
-// refresh drives the PIC line from the device state; callers hold d.mu.
+// refresh drives the PIC line from the device state when its level
+// changes; callers hold d.mu. The PIC holds a level until it is
+// changed, so an unchanged level needs no PIC traffic.
 func (d *CosimDev) refresh() {
-	if len(d.ints) > 0 || (d.rxIntEn && len(d.rx) > 0) {
+	level := len(d.ints) > 0 || (d.rxIntEn && len(d.rx) > 0)
+	if level == d.level {
+		return
+	}
+	d.level = level
+	if level {
 		d.pic.Assert(d.line)
 	} else {
 		d.pic.Deassert(d.line)
@@ -326,8 +334,12 @@ func (d *CosimDev) Write(off uint32, size int, v uint32) error {
 		d.mu.Unlock()
 		return nil
 	case CosimTxFlush:
+		// The buffer is reused by the next message: the window path
+		// copies what it stages, and transports do not retain a
+		// written slice. Only the guest's CPU appends to it, and it is
+		// blocked in this call until the flush returns.
 		out := d.tx
-		d.tx = nil
+		d.tx = d.tx[:0]
 		w := d.data
 		d.txMessages++
 		var win *Window

@@ -353,12 +353,8 @@ func (s *Stub) readMem(arg []byte) []byte {
 	}
 	buf := append(s.mem[:0], make([]byte, length)...)
 	s.mem = buf
-	for i := 0; i < length; i++ {
-		v, err := s.cpu.Bus().Read(addr+uint32(i), 1)
-		if err != nil {
-			return replyE02
-		}
-		buf[i] = byte(v)
+	if err := iss.ReadBytes(s.cpu.Bus(), addr, buf); err != nil {
+		return replyE02
 	}
 	// Overlay original words for planted breakpoints in range.
 	for ba, orig := range s.planted {
@@ -398,19 +394,26 @@ func (s *Stub) writeMemBin(arg []byte) []byte {
 }
 
 // writeMem stores bytes, keeping software breakpoints planted: writes
-// covering a planted word update the saved original instead. The
+// covering a planted word update the saved original instead. Only the
+// planted words the range overlaps are lifted and replanted. The
 // written range is invalidated in the ISS's decode cache — a debugger
 // patching live code must not leave stale predecoded entries behind.
 func (s *Stub) writeMem(addr uint32, data []byte) []byte {
-	s.unplantAll()
-	var werr error
-	for i, b := range data {
-		if werr = s.cpu.Bus().Write(addr+uint32(i), 1, uint32(b)); werr != nil {
-			break
+	end := uint64(addr) + uint64(len(data))
+	var hit []uint32
+	for ba, orig := range s.planted {
+		if uint64(ba) < end && uint64(addr) < uint64(ba)+4 {
+			_ = s.pokeWord(ba, orig)
+			hit = append(hit, ba)
 		}
 	}
+	werr := iss.WriteBytes(s.cpu.Bus(), addr, data)
 	s.cpu.InvalidateDecode(addr, uint32(len(data)))
-	s.replantAll()
+	for _, ba := range hit {
+		v, _ := s.cpu.Bus().Read(ba, 4)
+		s.planted[ba] = v
+		_ = s.pokeWord(ba, isa.BreakpointWord)
+	}
 	if werr != nil {
 		return replyE02
 	}
@@ -424,20 +427,6 @@ func (s *Stub) pokeWord(addr, v uint32) error {
 	err := s.cpu.Bus().Write(addr, 4, v)
 	s.cpu.InvalidateDecode(addr, 4)
 	return err
-}
-
-func (s *Stub) unplantAll() {
-	for addr, orig := range s.planted {
-		_ = s.pokeWord(addr, orig)
-	}
-}
-
-func (s *Stub) replantAll() {
-	for addr := range s.planted {
-		v, _ := s.cpu.Bus().Read(addr, 4)
-		s.planted[addr] = v
-		_ = s.pokeWord(addr, isa.BreakpointWord)
-	}
 }
 
 // parsePoint parses "type,addr,kind".

@@ -2,11 +2,14 @@ package gdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"testing"
 
+	"cosim/internal/asm"
 	"cosim/internal/isa"
+	"cosim/internal/iss"
 )
 
 func netPipe() (net.Conn, net.Conn) { return net.Pipe() }
@@ -309,5 +312,78 @@ func TestStopReplyExpeditesPCAndCycles(t *testing.T) {
 				last = ev.Cycles
 			}
 		})
+	}
+}
+
+// pokeCounter counts the word stores made through a bus, by address:
+// on a bus that is not a SystemBus the stub's memory writes go byte by
+// byte, so its word stores are its breakpoint pokes.
+type pokeCounter struct {
+	iss.Bus
+	pokes map[uint32]int
+}
+
+func (b *pokeCounter) Write(addr uint32, size int, v uint32) error {
+	if size == 4 {
+		b.pokes[addr]++
+	}
+	return b.Bus.Write(addr, size, v)
+}
+
+func TestMemoryWriteTouchesOnlyOverlappedBreakpoints(t *testing.T) {
+	im, err := asm.Assemble(asm.Options{DataBase: 0x10000}, asm.Source{Name: "t.s", Text: testProg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ram := iss.NewRAM(1 << 20)
+	if err := im.LoadInto(ram); err != nil {
+		t.Fatal(err)
+	}
+	bus := &pokeCounter{Bus: iss.NewSystemBus(ram), pokes: make(map[uint32]int)}
+	cpu := iss.New(bus)
+	cpu.Reset(im.Entry)
+	host, target := net.Pipe()
+	go func() {
+		_ = NewStub(cpu, target).Serve()
+		target.Close()
+	}()
+	cl, err := NewClient(host, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Kill(); host.Close() })
+
+	work, after := im.MustSymbol("work"), im.MustSymbol("after")
+	workWord, _ := ram.Read(work, 4)
+	for _, bp := range []uint32{work, after} {
+		if err := cl.SetBreakpoint(bp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clear(bus.pokes)
+
+	// A data write away from both breakpoints pokes neither.
+	if err := cl.WriteMemory(im.MustSymbol("var"), []byte{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if len(bus.pokes) != 0 {
+		t.Fatalf("data write poked planted words: %v", bus.pokes)
+	}
+	// A write straddling into `after` lifts and replants it alone, and
+	// the saved word takes the written bytes.
+	var w [4]byte
+	binary.LittleEndian.PutUint32(w[:], workWord)
+	if err := cl.WriteMemory(after+2, w[2:]); err != nil {
+		t.Fatal(err)
+	}
+	if bus.pokes[work] != 0 || bus.pokes[after] != 2 {
+		t.Fatalf("pokes = %v, want after twice and work never", bus.pokes)
+	}
+	if raw, _ := ram.Read(after, 4); raw != isa.BreakpointWord {
+		t.Fatalf("memory at after = %#x, want the planted EBREAK", raw)
+	}
+	origAfter, _ := cl.ReadMemory(after, 4)
+	if got := binary.LittleEndian.Uint32(origAfter); got>>16 != workWord>>16 {
+		t.Fatalf("saved word at after = %#x, want its high half from %#x", got, workWord)
 	}
 }

@@ -85,6 +85,7 @@ type CPU struct {
 	SR   [isa.NumSRegs]uint32
 
 	bus    Bus
+	sbus   *SystemBus // bus, when it is one: RAM accesses below its devices skip the interface
 	cpi    CPIModel
 	cycles uint64
 	icount uint64
@@ -126,6 +127,7 @@ func New(bus Bus) *CPU {
 		watchpoints: make(map[uint32]uint32),
 		wakeCh:      make(chan struct{}, 1),
 	}
+	c.sbus, _ = bus.(*SystemBus)
 	c.enableDecodeCache()
 	return c
 }
@@ -206,7 +208,9 @@ func (c *CPU) Sleeping() bool { return c.sleeping }
 
 // Reset returns the CPU to its power-on state, keeping breakpoints.
 // Predecoded entries are dropped so a freshly loaded image is never
-// executed through a stale cache.
+// executed through a stale cache. Reset clears every raised interrupt
+// line, so call it before any device can assert one: a level-driven
+// device re-drives its line only when its level changes.
 func (c *CPU) Reset(pc uint32) {
 	c.Regs = [isa.NumRegs]uint32{}
 	c.SR = [isa.NumSRegs]uint32{}

@@ -50,7 +50,7 @@ func (c *CPU) fetchExec() Stop {
 // fillExec services a decode miss: fetch the word at PC, decode it into
 // the cache slot, and execute it.
 func (c *CPU) fillExec(e *dcEntry) Stop {
-	w, err := c.bus.Read(c.PC, 4)
+	w, err := c.load(c.PC, 4)
 	if err != nil {
 		return c.fault(isa.CauseBus)
 	}
@@ -88,14 +88,28 @@ func (c *CPU) fetchExecSlow() Stop {
 	return c.exec(inst)
 }
 
-// busIsRAM reports whether addr is plain RAM (no device overlay) on the
-// CPU's bus; plain-RAM buses trivially qualify.
+// busIsRAM reports whether the word at addr is plain RAM (no device
+// overlay) on the CPU's bus; other buses trivially qualify.
 func (c *CPU) busIsRAM(addr uint32) bool {
-	if b, ok := c.bus.(*SystemBus); ok {
-		_, dev := b.find(addr)
-		return !dev
+	return c.sbus == nil || c.sbus.find(addr, isa.Word) == nil
+}
+
+// load reads guest memory. On a SystemBus an access wholly below the
+// lowest device base goes straight to RAM; everything else takes the
+// Bus interface.
+func (c *CPU) load(addr uint32, size int) (uint32, error) {
+	if b := c.sbus; b != nil && b.belowDevices(addr, size) {
+		return b.ram.Read(addr, size)
 	}
-	return true
+	return c.bus.Read(addr, size)
+}
+
+// store is load's write-side twin.
+func (c *CPU) store(addr uint32, size int, v uint32) error {
+	if b := c.sbus; b != nil && b.belowDevices(addr, size) {
+		return b.ram.Write(addr, size, v)
+	}
+	return c.bus.Write(addr, size, v)
 }
 
 // fault routes a synchronous fault to the trap vector if one is
@@ -199,7 +213,7 @@ func (c *CPU) exec(i isa.Inst) Stop {
 		if addr%uint32(size) != 0 {
 			return c.fault(isa.CauseAlign)
 		}
-		v, err := c.bus.Read(addr, size)
+		v, err := c.load(addr, size)
 		if err != nil {
 			return c.fault(isa.CauseBus)
 		}
@@ -219,7 +233,7 @@ func (c *CPU) exec(i isa.Inst) Stop {
 		if addr%uint32(size) != 0 {
 			return c.fault(isa.CauseAlign)
 		}
-		if err := c.bus.Write(addr, size, c.Regs[i.Rd]); err != nil {
+		if err := c.store(addr, size, c.Regs[i.Rd]); err != nil {
 			return c.fault(isa.CauseBus)
 		}
 		if d := c.dc; d != nil && addr < d.limit {

@@ -114,7 +114,10 @@ src: .asciz "hello, world"
 dst: .space 16
 `)
 	runToHalt(t, c, 1000)
-	got, _ := c.Bus().(*SystemBus).RAM().ReadBytes(im.MustSymbol("dst"), 13)
+	got := make([]byte, 13)
+	if err := c.Bus().(*SystemBus).RAM().ReadBytes(im.MustSymbol("dst"), got); err != nil {
+		t.Fatal(err)
+	}
 	if string(got[:12]) != "hello, world" || got[12] != 0 {
 		t.Fatalf("dst = %q", got)
 	}

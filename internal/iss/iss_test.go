@@ -8,7 +8,7 @@ import (
 )
 
 // buildCPU assembles src and loads it into a fresh CPU.
-func buildCPU(t *testing.T, src string) (*CPU, *asm.Image) {
+func buildCPU(t testing.TB, src string) (*CPU, *asm.Image) {
 	t.Helper()
 	im, err := asm.Assemble(asm.Options{DataBase: 0x10000}, asm.Source{Name: "t.s", Text: src})
 	if err != nil {

@@ -13,8 +13,8 @@ package rtos
 
 import (
 	_ "embed"
+	"sync"
 	"sync/atomic"
-	"time"
 
 	"cosim/internal/asm"
 	"cosim/internal/dev"
@@ -69,9 +69,10 @@ func Build(app ...asm.Source) (*asm.Image, error) {
 }
 
 // Runner drives a platform in a host goroutine: it keeps executing
-// until the guest halts or Stop is called, sleeping briefly when the
-// CPU is parked in WFI with nothing pending (waiting for an external
-// co-simulation interrupt).
+// until the guest halts or Stop is called. When the CPU parks in WFI
+// with nothing pending, the runner blocks until an interrupt is raised
+// (every interrupt source goes through CPU.RaiseIRQ, and the platform
+// fast-forwards its own timer in WFI) or until Stop.
 type Runner struct {
 	P *dev.Platform
 	// ID is the guest's CPU index in a multi-processor SoC, inherited
@@ -79,21 +80,18 @@ type Runner struct {
 	// instance this runner drives in logs and tests.
 	ID int
 
-	stop atomic.Bool
-	done chan struct{}
-	last iss.Stop
+	quit     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
+	last     atomic.Int32 // iss.Stop of the latest run
 }
 
-const (
-	// runnerQuantum is the instruction budget per inner run call.
-	runnerQuantum = 100_000
-	// runnerIdleSleep is the host-side wait when the guest is in WFI.
-	runnerIdleSleep = 20 * time.Microsecond
-)
+// runnerQuantum is the instruction budget per inner run call.
+const runnerQuantum = 100_000
 
 // NewRunner creates a runner for the platform.
 func NewRunner(p *dev.Platform) *Runner {
-	return &Runner{P: p, ID: p.ID, done: make(chan struct{})}
+	return &Runner{P: p, ID: p.ID, quit: make(chan struct{}), done: make(chan struct{})}
 }
 
 // Start launches the run loop in its own goroutine.
@@ -101,32 +99,24 @@ func (r *Runner) Start() {
 	go func() {
 		defer close(r.done)
 		wake := r.P.CPU.WakeChan()
-		var idle *time.Timer // the WFI fallback poll, reused across parks
-		for !r.stop.Load() {
+		for {
+			select {
+			case <-r.quit:
+				return
+			default:
+			}
 			stop, _ := r.P.Run(runnerQuantum)
-			r.last = stop
+			r.last.Store(int32(stop))
 			switch stop {
 			case iss.StopBudget:
 				// keep going
 			case iss.StopIdle:
-				// Parked in WFI: sleep until an interrupt is raised
-				// (with a fallback poll for timer-driven wakeups).
-				if idle == nil {
-					idle = time.NewTimer(runnerIdleSleep)
-				} else {
-					idle.Reset(runnerIdleSleep)
-				}
+				// Parked in WFI: a raise after Run returned is not lost,
+				// since the wake channel buffers one signal.
 				select {
 				case <-wake:
-					if !idle.Stop() {
-						// It fired as the wake arrived: drop the tick so
-						// the next Reset starts clean.
-						select {
-						case <-idle.C:
-						default:
-						}
-					}
-				case <-idle.C:
+				case <-r.quit:
+					return
 				}
 			default:
 				return // halt, error, ...
@@ -135,17 +125,18 @@ func (r *Runner) Start() {
 	}()
 }
 
-// Stop requests termination and waits for the loop to exit.
+// Stop requests termination and waits for the loop to exit. It may be
+// called more than once.
 func (r *Runner) Stop() {
-	r.stop.Store(true)
+	r.stopOnce.Do(func() { close(r.quit) })
 	<-r.done
 }
 
 // Wait blocks until the guest halts on its own.
 func (r *Runner) Wait() iss.Stop {
 	<-r.done
-	return r.last
+	return r.LastStop()
 }
 
 // LastStop returns the most recent stop reason.
-func (r *Runner) LastStop() iss.Stop { return r.last }
+func (r *Runner) LastStop() iss.Stop { return iss.Stop(r.last.Load()) }

@@ -3,6 +3,7 @@ package rtos
 import (
 	"encoding/binary"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -302,7 +303,10 @@ readlen: .word 0
 	if got := peekWord(t, p, im, "readlen"); got != 5 {
 		t.Fatalf("readlen = %d, want 5", got)
 	}
-	buf, _ := p.RAM.ReadBytes(im.MustSymbol("inbuf"), 5)
+	buf := make([]byte, 5)
+	if err := p.RAM.ReadBytes(im.MustSymbol("inbuf"), buf); err != nil {
+		t.Fatal(err)
+	}
 	want := []byte{0xAA, 0xBB, 0xCC, 0xDD, 0xEE}
 	for i := range want {
 		if buf[i] != want[i] {
@@ -369,6 +373,87 @@ spin:
 	r.Stop()
 	if p.CPU.Instructions() == 0 {
 		t.Fatal("runner never executed anything")
+	}
+}
+
+// parkedGuest registers an ISR, then sleeps in WFI until it has run.
+const parkedGuest = `
+main:
+    la   a0, my_isr
+    call cosim_register_isr
+park:
+    wfi
+    la   t0, got
+    lw   t1, 0(t0)
+    beqz t1, park
+    halt
+
+my_isr:
+    la   t0, got
+    sw   a0, 0(t0)
+    ret
+
+.data
+got: .word 0
+`
+
+// waitParked waits until the runner's latest run ended in WFI.
+func waitParked(t *testing.T, r *Runner) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for r.LastStop() != iss.StopIdle {
+		if time.Now().After(deadline) {
+			t.Fatal("runner never parked in WFI")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+func TestRunnerStopWhileParked(t *testing.T) {
+	p, _ := buildPlatform(t, parkedGuest)
+	before := runtime.NumGoroutine()
+	r := NewRunner(p)
+	r.Start()
+	waitParked(t, r)
+	stopped := make(chan struct{})
+	go func() {
+		r.Stop()
+		r.Stop() // idempotent
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stop on a parked runner did not return")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stop, %d before Start", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestRunnerWakesOnIRQAfterPark(t *testing.T) {
+	p, im := buildPlatform(t, parkedGuest)
+	r := NewRunner(p)
+	r.Start()
+	defer r.Stop()
+	waitParked(t, r)
+	p.Cosim.InjectIRQ(5)
+	done := make(chan iss.Stop, 1)
+	go func() { done <- r.Wait() }()
+	select {
+	case stop := <-done:
+		if stop != iss.StopHalt {
+			t.Fatalf("stop = %v", stop)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an IRQ raised while parked did not wake the runner")
+	}
+	if got := peekWord(t, p, im, "got"); got != 5 {
+		t.Fatalf("isr saw id %d, want 5", got)
 	}
 }
 
