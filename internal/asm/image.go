@@ -20,6 +20,11 @@ type Line struct {
 
 // Image is the output of the assembler: loadable segments, a symbol
 // table, and a line table usable for source-level breakpoints.
+//
+// Assemble returns a fresh image its caller owns. An image shared
+// between runs (the router's embedded guests) is read-only: its users
+// copy it into guest memory with LoadInto and look up symbols and
+// lines, and nothing writes its fields after Assemble returns.
 type Image struct {
 	Entry    uint32
 	Segments []Segment

@@ -288,10 +288,15 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 		schemes []core.Scheme
 		cpus    []*iss.CPU
 		engines []router.Engine
-		cleanup []func()
+		cleanup []func() // teardown of every endpoint and runner, registered as each is made
 		quiesce []func() // halts guest goroutines before counters are read
 	)
 	defer func() {
+		// The kernel goes first: its finalizers shut down the attached
+		// schemes and close their channels. The cleanup list then closes
+		// the host ends no scheme took over (a set-up that failed part
+		// way) and stops the RTOS runners. Every close is idempotent.
+		k.Shutdown()
 		for i := len(cleanup) - 1; i >= 0; i-- {
 			cleanup[i]()
 		}
@@ -311,12 +316,12 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 
 	switch p.Scheme {
 	case GDBWrapper, GDBKernel:
+		im, err := router.GDBGuest()
+		if err != nil {
+			return nil, err
+		}
 		for n := 0; n < p.CPUs; n++ {
 			prefix := portPrefix(n)
-			im, err := router.BuildGDBGuest()
-			if err != nil {
-				return nil, err
-			}
 			ram := iss.NewRAM(1 << 20)
 			if err := im.LoadInto(ram); err != nil {
 				return nil, err
@@ -330,6 +335,7 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			cleanup = append(cleanup, func() { target.HostConn.Close() })
 			sch, err := core.Attach(k, core.Config{
 				Scheme: p.Scheme.CoreName(),
 				Common: core.CommonOptions{
@@ -357,7 +363,7 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	case DriverKernel:
 		// One RTOS guest, one data/interrupt channel pair per CPU; a
 		// single scheme instance routes traffic between them (§5.6).
-		im, err := router.BuildDriverGuest()
+		im, err := router.DriverGuest()
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +384,12 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 			}
 			runner := rtos.NewRunner(plat)
 			runner.Start()
-			cleanup = append(cleanup, runner.Stop)
+			// Teardown runs in reverse, so the host ends close first and
+			// release a runner blocked writing into a full channel.
+			cleanup = append(cleanup, runner.Stop, func() {
+				target.DataHost.Close()
+				target.IRQHost.Close()
+			})
 			quiesce = append(quiesce, runner.Stop) // Stop is idempotent
 			channels = append(channels, core.DriverChannel{
 				Data:   target.DataHost,
@@ -420,7 +431,6 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown scheme %v", p.Scheme)
 	}
-	cleanup = append(cleanup, k.Shutdown)
 
 	// Hardware side: the router, producers and consumers of Figure 6.
 	rt := router.New(k, "router", router.Config{FifoDepth: p.FifoDepth}, engines)

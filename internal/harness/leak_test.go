@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"cosim/internal/core"
 	"cosim/internal/sim"
+	"cosim/internal/transport"
 )
 
 // settledGoroutines samples the goroutine count until it holds still,
@@ -82,4 +84,50 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 		}
 		waitGoroutineBaseline(t, baseline)
 	})
+}
+
+// errPairRefused is the fault failingTransport injects.
+var errPairRefused = errors.New("pair refused")
+
+// failingTransport wraps a backend and fails its failAt-th Pair call
+// (1-based), so a multi-CPU set-up breaks after earlier CPUs are wired.
+type failingTransport struct {
+	core.Transport
+	failAt, calls int
+}
+
+func (f *failingTransport) Pair() (host, guest transport.Endpoint, err error) {
+	f.calls++
+	if f.calls == f.failAt {
+		return nil, nil, errPairRefused
+	}
+	return f.Transport.Pair()
+}
+
+// TestRunSetupFailureLeaksNothing fails the N-th channel pair of a
+// 2-CPU set-up. Run must return the fault, and every goroutine of the
+// CPUs wired before it (stub serve loops, scheme runners and client
+// readers, CosimDev pumps, RTOS runners) must be gone afterwards.
+func TestRunSetupFailureLeaksNothing(t *testing.T) {
+	for _, tc := range []struct {
+		scheme Scheme
+		failAt int
+	}{
+		{GDBKernel, 1}, // CPU 0's RSP pair: nothing wired yet
+		{GDBKernel, 2}, // CPU 1's RSP pair: CPU 0 attached and free-running
+		{DriverKernel, 1},
+		{DriverKernel, 2}, // CPU 0's interrupt pair
+		{DriverKernel, 3}, // CPU 1's data pair: CPU 0's pumps and runner live
+		{DriverKernel, 4}, // CPU 1's interrupt pair
+	} {
+		t.Run(fmt.Sprintf("%v/pair=%d", tc.scheme, tc.failAt), func(t *testing.T) {
+			baseline := settledGoroutines()
+			tr := &failingTransport{Transport: core.TransportRing, failAt: tc.failAt}
+			_, err := Run(Params{Scheme: tc.scheme, Transport: tr, SimTime: 200 * sim.US, CPUs: 2})
+			if !errors.Is(err, errPairRefused) {
+				t.Fatalf("Run error = %v, want %v", err, errPairRefused)
+			}
+			waitGoroutineBaseline(t, baseline)
+		})
+	}
 }

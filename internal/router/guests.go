@@ -2,6 +2,7 @@ package router
 
 import (
 	_ "embed"
+	"sync"
 
 	"cosim/internal/asm"
 	"cosim/internal/core"
@@ -38,10 +39,15 @@ func GDBGuestSources() []asm.Source {
 	}
 }
 
-// BuildGDBGuest assembles the bare-metal checksum application.
-func BuildGDBGuest() (*asm.Image, error) {
+// GDBGuest returns the assembled bare-metal checksum application. The
+// sources are embedded, so the image is assembled once per process and
+// every caller shares it: the image is read-only, and a run copies it
+// into its own guest RAM with LoadInto.
+func GDBGuest() (*asm.Image, error) { return gdbGuest() }
+
+var gdbGuest = sync.OnceValues(func() (*asm.Image, error) {
 	return asm.Assemble(asm.Options{DataBase: 0x10000}, GDBGuestSources()...)
-}
+})
 
 // GDBBindings returns the variable/port bindings of §3.2 for the
 // bare-metal guest.
@@ -65,11 +71,15 @@ func DriverGuestSources() []asm.Source {
 	}
 }
 
-// BuildDriverGuest links uKOS, the co-simulation driver and the RTOS
-// checksum application.
-func BuildDriverGuest() (*asm.Image, error) {
+// DriverGuest returns uKOS, the co-simulation driver and the RTOS
+// checksum application, linked once per process — the paper's eCos
+// image, built once and loaded for every co-simulation. Like GDBGuest,
+// the shared image is read-only.
+func DriverGuest() (*asm.Image, error) { return driverGuest() }
+
+var driverGuest = sync.OnceValues(func() (*asm.Image, error) {
 	return rtos.Build(DriverGuestSources()...)
-}
+})
 
 // DriverPorts declares the iss ports the driver addresses by name.
 func DriverPorts() []core.VarBinding {

@@ -385,7 +385,7 @@ func TestConsumerVerifies(t *testing.T) {
 }
 
 func TestGuestBuildsAndBindings(t *testing.T) {
-	im, err := BuildGDBGuest()
+	im, err := GDBGuest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestGuestBuildsAndBindings(t *testing.T) {
 			t.Errorf("GDB guest missing symbol %q", sym)
 		}
 	}
-	if _, err := BuildDriverGuest(); err != nil {
+	if _, err := DriverGuest(); err != nil {
 		t.Fatal(err)
 	}
 	if len(GDBBindings()) != 2 || len(DriverPorts()) != 2 {

@@ -11,6 +11,12 @@ import (
 // writer in practice; a full ring degrades to blocking, not to loss.
 const ringBufSize = 64 << 10
 
+// ringStartSize is the storage a ring direction starts with. It holds
+// the largest frame a run writes (an RSP write of a full packet blob is
+// just over 500 bytes), so a ring doubles its storage towards ringBufSize
+// only when frames pile up behind a slow reader.
+const ringStartSize = 1 << 10
+
 // ringBuf is a bounded byte queue with blocking Read/Write — one
 // direction of a ring endpoint pair. A mutex plus two condition
 // variables keeps it simple and race-free; the win over sockets is
@@ -19,17 +25,34 @@ type ringBuf struct {
 	mu       sync.Mutex
 	notEmpty sync.Cond // data arrived, or the ring closed
 	notFull  sync.Cond // space freed, or the ring closed
-	buf      []byte
-	r        int // read index
-	n        int // bytes buffered
+	buf      []byte    // storage, grown on demand up to limit
+	limit    int       // capacity: a writer blocks while limit bytes are buffered
+	r        int       // read index
+	n        int       // bytes buffered
 	closed   bool
 }
 
-func newRingBuf(size int) *ringBuf {
-	rb := &ringBuf{buf: make([]byte, size)}
+// newRingBuf returns a ring holding up to limit bytes, with start bytes
+// of storage allocated up front.
+func newRingBuf(start, limit int) *ringBuf {
+	rb := &ringBuf{buf: make([]byte, min(start, limit)), limit: limit}
 	rb.notEmpty.L = &rb.mu
 	rb.notFull.L = &rb.mu
 	return rb
+}
+
+// grow doubles the storage until need bytes fit or it reaches the
+// capacity, moving the buffered bytes to the front in order (they may
+// wrap around the end of the old storage). Callers hold rb.mu.
+func (rb *ringBuf) grow(need int) {
+	size := len(rb.buf)
+	for size < need && size < rb.limit {
+		size *= 2
+	}
+	buf := make([]byte, min(size, rb.limit))
+	first := copy(buf, rb.buf[rb.r:min(rb.r+rb.n, len(rb.buf))])
+	copy(buf[first:], rb.buf[:rb.n-first])
+	rb.buf, rb.r = buf, 0
 }
 
 // read blocks until data is available or the ring is closed; a closed
@@ -64,11 +87,14 @@ func (rb *ringBuf) write(p []byte) (int, error) {
 	defer rb.mu.Unlock()
 	total := 0
 	for len(p) > 0 {
-		for rb.n == len(rb.buf) && !rb.closed {
+		for rb.n == rb.limit && !rb.closed {
 			rb.notFull.Wait()
 		}
 		if rb.closed {
 			return total, io.ErrClosedPipe
+		}
+		if need := rb.n + len(p); need > len(rb.buf) && len(rb.buf) < rb.limit {
+			rb.grow(need)
 		}
 		n := min(len(p), len(rb.buf)-rb.n)
 		w := (rb.r + rb.n) % len(rb.buf)
@@ -119,8 +145,8 @@ type ringTransport struct{}
 func (ringTransport) Name() string { return "ring" }
 
 func (ringTransport) Pair() (host, guest Endpoint, err error) {
-	toGuest := newRingBuf(ringBufSize)
-	toHost := newRingBuf(ringBufSize)
+	toGuest := newRingBuf(ringStartSize, ringBufSize)
+	toHost := newRingBuf(ringStartSize, ringBufSize)
 	host = &ringEndpoint{rd: toHost, wr: toGuest}
 	guest = &ringEndpoint{rd: toGuest, wr: toHost}
 	return host, guest, nil

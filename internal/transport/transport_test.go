@@ -133,7 +133,7 @@ func TestRingWriteAfterCloseFails(t *testing.T) {
 // TestRingWrap pushes more data than the buffer holds through a slow
 // reader, exercising the wraparound copies in both read and write.
 func TestRingWrap(t *testing.T) {
-	a := newRingBuf(16)
+	a := newRingBuf(16, 16)
 	const total = 1000
 	done := make(chan error, 1)
 	go func() {
@@ -161,6 +161,153 @@ func TestRingWrap(t *testing.T) {
 		if b != byte(i) {
 			t.Fatalf("byte %d = %#x, want %#x", i, b, byte(i))
 		}
+	}
+}
+
+// TestRingGrow drives a ring that starts with 8 bytes of storage and
+// holds up to 64 through writes and reads. Each write carries the next
+// bytes of one counting sequence; draining the ring at the end must
+// return the whole sequence in order, whatever storage moves happened
+// in between.
+func TestRingGrow(t *testing.T) {
+	type op struct {
+		write bool
+		n     int
+	}
+	w := func(n int) op { return op{write: true, n: n} }
+	r := func(n int) op { return op{n: n} }
+	for _, tc := range []struct {
+		name    string
+		ops     []op
+		storage int // storage after the ops
+	}{
+		{"fits without growing", []op{w(6), r(4), w(6)}, 8},
+		{"grows while the buffered bytes wrap", []op{w(6), r(4), w(5), w(10)}, 32},
+		{"doubles several times for one write", []op{w(3), r(2), w(60)}, 64},
+		{"stops at the capacity", []op{w(40), r(30), w(50), w(4)}, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rb := newRingBuf(8, 64)
+			ep := &ringEndpoint{rd: rb, wr: rb} // a loop: what it writes, it reads back
+			var next, want byte
+			for _, o := range tc.ops {
+				p := make([]byte, o.n)
+				if o.write {
+					for i := range p {
+						p[i] = next
+						next++
+					}
+					if n, err := ep.Write(p); n != o.n || err != nil {
+						t.Fatalf("write(%d) = %d, %v", o.n, n, err)
+					}
+				} else {
+					readFull(t, ep, p)
+					for i, b := range p {
+						if b != want+byte(i) {
+							t.Fatalf("read byte %d = %d, want %d", i, b, want+byte(i))
+						}
+					}
+					want += byte(o.n)
+				}
+				if len(rb.buf) > rb.limit {
+					t.Fatalf("storage %d exceeds the capacity %d", len(rb.buf), rb.limit)
+				}
+			}
+			if len(rb.buf) != tc.storage {
+				t.Fatalf("storage = %d, want %d", len(rb.buf), tc.storage)
+			}
+			rest := make([]byte, rb.n)
+			readFull(t, ep, rest)
+			for i, b := range rest {
+				if b != want+byte(i) {
+					t.Fatalf("drained byte %d = %d, want %d", i, b, want+byte(i))
+				}
+			}
+		})
+	}
+}
+
+// TestRingFullBlocksWriter fills one direction of a fresh pair to its
+// 64 KiB capacity: the storage grows to exactly that, the writer of one
+// byte more blocks until a read frees space, or until Close releases it
+// with io.ErrClosedPipe.
+func TestRingFullBlocksWriter(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		release func(guest Endpoint) error
+		wantErr error
+	}{
+		{"read", func(guest Endpoint) error { _, err := guest.Read(make([]byte, 1)); return err }, nil},
+		{"close", func(guest Endpoint) error { return guest.Close() }, io.ErrClosedPipe},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			host, guest, err := Ring.Pair()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer host.Close()
+			rb := guest.(*ringEndpoint).rd
+			type result struct {
+				n   int
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				n, err := host.Write(make([]byte, ringBufSize+1))
+				done <- result{n, err}
+			}()
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				rb.mu.Lock()
+				full, storage := rb.n == ringBufSize, len(rb.buf)
+				rb.mu.Unlock()
+				if full {
+					if storage != ringBufSize {
+						t.Fatalf("full ring has %d bytes of storage, want %d", storage, ringBufSize)
+					}
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("ring never filled")
+				}
+			}
+			time.Sleep(10 * time.Millisecond)
+			select {
+			case res := <-done:
+				t.Fatalf("write to a full ring returned %d, %v without blocking", res.n, res.err)
+			default:
+			}
+			if err := tc.release(guest); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case res := <-done:
+				wantN := ringBufSize + 1
+				if tc.wantErr != nil {
+					wantN = ringBufSize
+				}
+				if res.n != wantN || !errors.Is(res.err, tc.wantErr) {
+					t.Fatalf("write = %d, %v; want %d, %v", res.n, res.err, wantN, tc.wantErr)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("writer still blocked after release")
+			}
+		})
+	}
+}
+
+// TestRingPairAllocatesLittle pins on-demand storage: a fresh pair
+// allocates its small start buffers, not 2 × 64 KiB.
+func TestRingPairAllocatesLittle(t *testing.T) {
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, _, err := Ring.Pair(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > 4<<10 {
+		t.Fatalf("Ring.Pair allocates %d B, want at most 4 KiB", got)
 	}
 }
 
