@@ -11,7 +11,8 @@
 #   base       — obs counters present on every run; scheme-specific
 #                counters on the right schemes; GDB-scheme clients
 #                in no-ack mode after the handshake; GDB-Kernel
-#                round trips are its transfers plus set-up
+#                round trips are its transfers plus set-up; kernel
+#                schemes activate fewer processes than they run cycles
 #   percpu     — per-CPU driver counters present, non-zero, and
 #                reconciling with the aggregates (needs -cpus 2)
 #   transports — per-transport counters for every swept backend
@@ -69,6 +70,13 @@ base)
         | $setup >= 0 and $setup <= 4 * (.cpus // 1)]
        | length > 0 and all' \
     "a GDB-Kernel run spent round trips beyond its transfers and set-up (rsp.round_trips)"
+  # The kernel schemes poll on a grid of clock-edge times with no clock
+  # process: most cycles activate nothing. A clock would add one
+  # activation per cycle, more than the model's own.
+  jqe '[.runs[] | select(.scheme == "GDB-Kernel" or .scheme == "Driver-Kernel")
+        | .counters["sim.activations"] < .counters["sim.cycles"]]
+       | length > 0 and all' \
+    "a kernel-scheme run has as many process activations as cycles (sim.activations): is a clock back?"
   ;;
 
 percpu)

@@ -108,8 +108,12 @@ func main() {
 	runner.Start()
 	defer runner.Stop()
 
+	// The scheme drains the driver's messages at every simulation cycle;
+	// a 50ns poll grid gives it the cycles a 100ns clock would have.
 	k := sim.NewKernel("sensor-soc")
-	sim.NewClock(k, "clk", 100*sim.NS)
+	if err := k.SetPollGrid(50 * sim.NS); err != nil {
+		log.Fatal(err)
+	}
 	dk, err := core.NewDriverKernel(k, target.DataHost, target.IRQHost, core.DriverKernelOptions{
 		CommonOptions: core.CommonOptions{CPUPeriod: 10 * sim.NS, SkewBound: 10 * sim.US},
 		Ports: []core.VarBinding{

@@ -64,9 +64,13 @@ func main() {
 	}
 
 	// 3. Create the hardware simulation kernel and attach the
-	// GDB-Kernel co-simulation scheme.
+	// GDB-Kernel co-simulation scheme. Nothing here is clocked: the
+	// scheme's begin-of-cycle hook polls the stub on a 5ns grid, the
+	// edge times a 10ns clock would have.
 	k := sim.NewKernel("quickstart")
-	sim.NewClock(k, "clk", 10*sim.NS)
+	if err := k.SetPollGrid(5 * sim.NS); err != nil {
+		log.Fatal(err)
+	}
 	scheme, err := core.Attach(k, core.Config{
 		Scheme: "gdb-kernel",
 		Common: core.CommonOptions{CPUPeriod: sim.NS, SkewBound: sim.US},

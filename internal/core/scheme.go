@@ -80,7 +80,8 @@ type Config struct {
 	Image    *asm.Image
 	Bindings []VarBinding
 	// Clock drives the GDB-Wrapper's per-cycle sc_method; required for
-	// that scheme, ignored by the others.
+	// that scheme, ignored by the others, whose kernel hooks need only a
+	// poll grid (sim.Kernel.SetPollGrid) to have cycles to run in.
 	Clock *sim.Clock
 	// InstrPerCycle is the GDB-Wrapper lock-step quantum (default 8).
 	InstrPerCycle uint64

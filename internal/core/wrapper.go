@@ -18,7 +18,6 @@ import (
 // advancing the ISS by a bounded instruction quantum.
 type GDBWrapper struct {
 	gdbEngine
-	clock   *sim.Clock
 	quantum uint64
 	err     error
 }
@@ -30,7 +29,9 @@ type GDBWrapperOptions struct {
 	// implicit in the per-cycle quantum.
 	CommonOptions
 	// Clock drives the wrapper's sc_method (one RSP round trip per
-	// positive edge).
+	// positive edge). Required: the wrapper is the one scheme with a
+	// clocked module. The kernel-embedded schemes need no clock; give
+	// their kernel a poll grid (sim.Kernel.SetPollGrid) instead.
 	Clock *sim.Clock
 	// InstrPerCycle is the ISS instruction quantum per clock cycle
 	// (the lock-step ratio between guest speed and the clock). Default 8.
@@ -46,7 +47,7 @@ func NewGDBWrapper(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBWra
 	if opts.Clock == nil {
 		return nil, fmt.Errorf("gdb-wrapper: a clock is required")
 	}
-	w := &GDBWrapper{clock: opts.Clock, quantum: opts.InstrPerCycle}
+	w := &GDBWrapper{quantum: opts.InstrPerCycle}
 	if w.quantum == 0 {
 		w.quantum = 8
 	}

@@ -99,7 +99,11 @@ type Params struct {
 
 	// SimTime is the simulated duration to execute.
 	SimTime sim.Time
-	// ClockPeriod is the system clock (default 100ns).
+	// ClockPeriod is the system clock period (default 100ns, at least
+	// 2ps). Only the GDB-Wrapper gets a clock process: its sc_method is
+	// sensitive to the positive edge. The kernel schemes need no clocked
+	// module, so their cycle hooks poll on a grid of the clock's edge
+	// times (every ClockPeriod/2) instead.
 	ClockPeriod sim.Time
 	// CPUPeriod is the guest cycle length for time coupling. Zero
 	// means the default, 10ns; cycle coupling cannot be switched off.
@@ -262,6 +266,9 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 		return nil, err
 	}
 	p = p.withDefaults()
+	if p.ClockPeriod < 2 {
+		return nil, fmt.Errorf("harness: clock period %v is below 2ps: its edges must be half a period apart", p.ClockPeriod)
+	}
 	reg := p.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -270,7 +277,16 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	// run's registry records per-backend pair and byte counters.
 	tr := core.ObservedTransport(p.Transport, reg)
 	k := sim.NewKernel("soc")
-	clk := sim.NewClock(k, "clk", p.ClockPeriod)
+	// Only the wrapper's sc_method listens to a clock. The kernel schemes
+	// poll at the same edge times without one: a clock nothing listens to
+	// would cost a process activation, a signal update and two delta
+	// notifications per edge.
+	var clk *sim.Clock
+	if p.Scheme == GDBWrapper {
+		clk = sim.NewClock(k, "clk", p.ClockPeriod)
+	} else if err := k.SetPollGrid(p.ClockPeriod / 2); err != nil {
+		return nil, err
+	}
 	if done := ctx.Done(); done != nil {
 		// Cooperative cancellation: one non-blocking poll per simulation
 		// cycle, the same cadence the paper's kernel-embedded schemes use

@@ -90,7 +90,8 @@ func rateField(name string, v float64) error {
 }
 
 // Validate checks the spec without materialising it: the scheme and
-// transport names resolve, every duration parses, rates are in [0,1],
+// transport names resolve, every duration parses, a clock period is
+// zero or at least 2ps, rates are in [0,1],
 // counts are non-negative, and a multi-CPU request names a scheme that
 // can drive it (ErrSingleCPUScheme otherwise, testable with errors.Is).
 func (s Spec) Validate() error {
@@ -114,6 +115,11 @@ func (s Spec) Validate() error {
 		if _, err := timeField(f.name, f.v); err != nil {
 			return err
 		}
+	}
+	// Zero means the default; any other period is split into two edges
+	// (the wrapper's clock, the kernel schemes' poll grid) of at least 1ps.
+	if cp, _ := timeField("clock_period", s.ClockPeriod); cp != 0 && cp < 2 {
+		return fmt.Errorf("spec: clock_period %v is below 2ps", cp)
 	}
 	if err := rateField("error_rate", s.ErrorRate); err != nil {
 		return err

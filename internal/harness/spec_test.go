@@ -111,6 +111,10 @@ func TestSpecValidate(t *testing.T) {
 		{"bad-retired-duration", Spec{Scheme: "driver-kernel", Quantum: "soon"}, "bad quantum"},
 		{"bad-rate", Spec{Scheme: "driver-kernel", ErrorRate: 1.5}, "outside [0,1]"},
 		{"negative-cpus", Spec{Scheme: "driver-kernel", CPUs: -1}, "negative"},
+		// A 1ps clock has no half period: NewClock panics on it and the
+		// kernel schemes' poll grid would be zero.
+		{"clock-period-1ps", Spec{Scheme: "gdb-kernel", ClockPeriod: "1ps"}, "clock_period 1ps is below 2ps"},
+		{"clock-period-sub-ps", Spec{Scheme: "gdb-wrapper", ClockPeriod: "0.001ns"}, "clock_period"},
 	} {
 		err := tc.spec.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -123,6 +127,23 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := (Spec{Scheme: "driver-kernel"}).Validate(); err != nil {
 		t.Errorf("minimal spec rejected: %v", err)
+	}
+	for _, cp := range []string{"0", "2ps", "100ns"} {
+		if err := (Spec{Scheme: "gdb-kernel", ClockPeriod: cp}).Validate(); err != nil {
+			t.Errorf("clock_period %q rejected: %v", cp, err)
+		}
+	}
+}
+
+// TestRunRejectsClockPeriodBelow2ps: Params callers bypass Validate, so
+// RunContext itself refuses a period with no half, for every scheme,
+// instead of panicking in NewClock or polling on a zero grid.
+func TestRunRejectsClockPeriodBelow2ps(t *testing.T) {
+	for _, scheme := range []Scheme{GDBWrapper, GDBKernel, DriverKernel} {
+		res, err := Run(Params{Scheme: scheme, Transport: core.TransportRing, ClockPeriod: 1, SimTime: 10 * sim.US})
+		if err == nil || !strings.Contains(err.Error(), "clock period") {
+			t.Errorf("%v: Run with a 1ps clock = (%v, %v), want a clock period error", scheme, res, err)
+		}
 	}
 }
 
@@ -231,6 +252,7 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"scheme": "gdb-kernel", "error_rate": 0.25, "multicast_rate": 0.5, "seed": 42}`,
 		`{"scheme": "driver-kernel", "sim_time": "0ns", "delay": "0", "dmi": true, "coalesce": true}`,
 		`{"scheme": "driver-kernel", "sim_time": "10 parsecs"}`,
+		`{"scheme": "gdb-kernel", "clock_period": "1ps"}`,
 		`{}`,
 	}, trailingDataSpecs...) {
 		f.Add([]byte(seed))

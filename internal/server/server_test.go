@@ -266,6 +266,10 @@ func TestQuotaRejections(t *testing.T) {
 		{"unknown-field", `{"scheme": "driver-kernel", "simtime": "1ms"}`, "unknown field"},
 		{"trailing-data", `{"scheme": "gdb-wrapper"}{"scheme": "bogus"}`, "trailing data"},
 		{"multi-cpu-wrapper", `{"scheme": "gdb-wrapper", "cpus": 2}`, "single CPU"},
+		// A 1ps clock passed admission and panicked the worker, which has
+		// no recover: one POST took the daemon down.
+		{"clock-period", `{"scheme": "gdb-kernel", "clock_period": "1ps"}`, "clock_period"},
+		{"clock-period-wrapper", `{"scheme": "gdb-wrapper", "clock_period": "1ps"}`, "clock_period"},
 	} {
 		code, _, body := c.post(tc.spec)
 		if code != http.StatusBadRequest {

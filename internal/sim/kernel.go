@@ -46,6 +46,12 @@ type Kernel struct {
 	timed        timedQueue
 	procs        []*Proc
 
+	// The poll grid (see SetPollGrid): its spacing, and its next point
+	// after now, which is zero when there is no grid or no point is left
+	// before MaxTime.
+	gridStep Time
+	gridNext Time
+
 	cycleHooks    []CycleHook
 	endCycleHooks []CycleHook
 
@@ -108,6 +114,33 @@ func (k *Kernel) AddCycleHook(h CycleHook) { k.cycleHooks = append(k.cycleHooks,
 // where the Driver-Kernel scheme notifies interrupts to the driver.
 func (k *Kernel) AddEndCycleHook(h CycleHook) { k.endCycleHooks = append(k.endCycleHooks, h) }
 
+// SetPollGrid makes every multiple of step a simulation cycle, even when
+// no timed event is due then, so the cycle hooks get a time point to
+// poll at without a clock process running. The grid points are exactly
+// the edge times of a Clock with period 2*step, and a kernel with a grid
+// always reaches Run's time limit instead of returning ErrDeadlock. This
+// is how the kernel-embedded schemes check for ISS activity at the
+// beginning of each simulation cycle with no clocked module attached.
+// A zero step is rejected.
+func (k *Kernel) SetPollGrid(step Time) error {
+	if step == 0 {
+		return errors.New("sim: poll grid step must be positive")
+	}
+	k.gridStep = step
+	k.gridNext = k.nextGridPoint(k.now)
+	return nil
+}
+
+// nextGridPoint returns the first grid point strictly after t, or zero
+// when it would pass MaxTime.
+func (k *Kernel) nextGridPoint(t Time) Time {
+	n := t - t%k.gridStep
+	if n > MaxTime-k.gridStep {
+		return 0
+	}
+	return n + k.gridStep
+}
+
 // AddFinalizer registers a function run by Shutdown (in reverse
 // registration order), used to close co-simulation transports.
 func (k *Kernel) AddFinalizer(f func()) { k.finalizers = append(k.finalizers, f) }
@@ -133,7 +166,7 @@ func (k *Kernel) Stop() { k.stopReq = true }
 // ErrDeadlock is returned by Run when, before the time limit, there are
 // no runnable processes and no pending notifications. Cycle hooks do not
 // prevent it: they run only at cycle boundaries, so with no timed event
-// left the simulation cannot reach another one.
+// and no poll grid (SetPollGrid) the simulation cannot reach another one.
 var ErrDeadlock = errors.New("sim: no pending activity (deadlock)")
 
 // Run advances the simulation until the given absolute time, until
@@ -195,6 +228,10 @@ func (k *Kernel) Run(until Time) error {
 		}
 
 		k.sample()
+		// A hook may have stopped a cycle that had no delta work.
+		if k.stopReq {
+			return nil
+		}
 
 		// ---- end of simulation cycle ----
 		for _, h := range k.endCycleHooks {
@@ -206,17 +243,23 @@ func (k *Kernel) Run(until Time) error {
 			continue
 		}
 
-		// Advance time. Hooks run only at cycle boundaries, so with no
-		// timed event left no further cycle can start: deadlock.
-		next := k.timed.peek()
-		if next == nil {
+		// Advance time to the next timed event or grid point, whichever
+		// comes first. Hooks run only at cycle boundaries, so with neither
+		// left no further cycle can start: deadlock.
+		next := k.gridNext
+		if e := k.timed.peek(); e != nil && (next == 0 || e.due < next) {
+			next = e.due
+		} else if next == 0 {
 			return ErrDeadlock
 		}
-		if next.due > until {
+		if next > until {
 			k.now = until
 			return nil
 		}
-		k.now = next.due
+		k.now = next
+		if next == k.gridNext {
+			k.gridNext = k.nextGridPoint(next)
+		}
 		for k.timed.Len() > 0 && k.timed.peek().due == k.now {
 			k.timed.pop().fire()
 		}

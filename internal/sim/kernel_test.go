@@ -328,9 +328,32 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	k := NewKernel("t")
-	defer k.Shutdown()
-	clk := NewClock(k, "clk", 10*NS)
+	t.Run("clock", func(t *testing.T) {
+		k := NewKernel("t")
+		defer k.Shutdown()
+		clk := NewClock(k, "clk", 10*NS)
+		checkSteadyStateAllocs(t, k, clk.Pos(), 100*clk.Period(), 100)
+	})
+	t.Run("grid", func(t *testing.T) {
+		// The writer wakes between grid points, as a model's own timed
+		// activity does; the other grid cycles run the hooks alone.
+		k := NewKernel("t")
+		defer k.Shutdown()
+		if err := k.SetPollGrid(5 * NS); err != nil {
+			t.Fatal(err)
+		}
+		tick := k.NewEvent("tick")
+		k.Method("pacer", func() { tick.NotifyAfter(33 * NS) }, tick)
+		checkSteadyStateAllocs(t, k, tick, 200*5*NS, 200)
+	})
+}
+
+// checkSteadyStateAllocs requires RunFor(span) to allocate nothing once
+// the scheduler queues and a FIFO ring have reached size, in a model
+// whose writer wakes on pace, and the hooks to run at least cycles
+// times per span.
+func checkSteadyStateAllocs(t *testing.T, k *Kernel, pace *Event, span Time, cycles int) {
+	t.Helper()
 	sig := NewSignal[int](k, "sig")
 	f := NewFifo[int](k, "f", 4)
 	var v, got, begins, ends int
@@ -338,7 +361,7 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 		v++
 		sig.Write(v)
 		f.TryWrite(v)
-	}, clk.Pos())
+	}, pace)
 	k.MethodNoInit("reader", func() {
 		if x, ok := f.TryRead(); ok {
 			got = x
@@ -348,17 +371,22 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 	k.AddEndCycleHook(func(*Kernel) { ends++ })
 
 	run := func() {
-		if err := k.RunFor(100 * clk.Period()); err != nil {
+		if err := k.RunFor(span); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run() // warm-up: the scheduler queues and the FIFO ring reach size
+	before := begins
 	allocs := testing.AllocsPerRun(10, run)
 	if allocs != 0 {
-		t.Fatalf("RunFor(100 cycles) allocates %.1f times, want 0", allocs)
+		t.Fatalf("RunFor(%v) allocates %.1f times, want 0", span, allocs)
 	}
-	if got != v || sig.Read() != v || begins == 0 || ends == 0 {
-		t.Fatalf("model did not run: wrote %d, read %d, signal %d, hooks %d/%d", v, got, sig.Read(), begins, ends)
+	if got != v || sig.Read() != v || v == 0 || ends == 0 {
+		t.Fatalf("model did not run: wrote %d, read %d, signal %d, end hooks %d", v, got, sig.Read(), ends)
+	}
+	// AllocsPerRun adds one warm-up call to its 10 runs.
+	if n := (begins - before) / 11; n < cycles {
+		t.Fatalf("%d cycles per RunFor(%v), want at least %d", n, span, cycles)
 	}
 }
 
