@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"cosim/internal/core"
@@ -43,6 +46,34 @@ func TestGDBOutcomesPinned(t *testing.T) {
 			got := gdbOutcome{res.Forwarded, res.Received, res.CoStats.Transfers, res.CoStats.Stops, res.GuestInstructions}
 			if got != tc.want {
 				t.Fatalf("outcome %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestGDBWrapperJournalPinned pins the whole transfer history of the
+// seed-1 GDB-Wrapper run of TestGDBOutcomesPinned, byte for byte: every
+// transfer's time, port, size and cycle stamp. The lock-step wrapper
+// holds simulated time on every exchange, so the journal depends on
+// spec and seed only and must be the same over every transport.
+func TestGDBWrapperJournalPinned(t *testing.T) {
+	const want = "817b4d850f08d98e2a21d337834392bae72fad6207dd6deee9ff5976d31f765d"
+	for _, tr := range []core.Transport{core.TransportTCP, core.TransportRing, core.TransportPipe} {
+		t.Run(tr.Name(), func(t *testing.T) {
+			jl := core.NewJournal(0)
+			if _, err := Run(Params{
+				Scheme: GDBWrapper, Transport: tr,
+				SimTime: 2 * sim.MS, Delay: 20 * sim.US, Seed: 1, Journal: jl,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var csv bytes.Buffer
+			if err := jl.WriteCSV(&csv); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(csv.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Fatalf("journal (%d entries) SHA-256 %s, want %s", jl.Len(), got, want)
 			}
 		})
 	}

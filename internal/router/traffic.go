@@ -52,34 +52,47 @@ func NewProducer(k *sim.Kernel, name string, src uint8, in *sim.Fifo[*Packet], i
 	}
 	p := &Producer{Module: k.NewModule(name), cfg: cfg}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(src)<<32))
-	k.Thread(p.Sub("gen"), func(c *sim.Ctx) {
-		for cfg.Count == 0 || p.Generated < cfg.Count {
-			c.WaitTime(cfg.Delay)
-			dst := uint8(rng.Intn(NumPorts))
-			if cfg.MulticastRate > 0 && rng.Float64() < cfg.MulticastRate {
-				dst = BroadcastDst
-			}
-			pkt := &Packet{
-				Src:     src,
-				Dst:     dst,
-				ID:      ids.Next(),
-				Payload: randomWords(rng, cfg.PayloadWords),
-				Born:    c.Now(),
-			}
-			pkt.Seal()
-			if cfg.ErrorRate > 0 && rng.Float64() < cfg.ErrorRate {
-				pkt.Checksum ^= 0x0001 // inject a detectable corruption
-				p.BadSent++
-			}
-			p.Generated++
-			if in.TryWrite(pkt) {
-				p.Offered++
-			} else {
-				p.InDrops++
-			}
+	tick := k.NewEvent(p.Sub("tick"))
+	started := false
+	// A method, not a thread (see Kernel.Thread): the initialisation run
+	// only arms the first tick, and each tick generates one packet and
+	// re-arms. Coincident producers re-arm in the order they ran and the
+	// timed queue breaks ties by insertion order, so they keep firing,
+	// and drawing ids, in registration order.
+	k.Method(p.Sub("gen"), func() {
+		if !started {
+			started = true
+			tick.NotifyAfter(cfg.Delay)
+			return
 		}
-		p.done = true
-	})
+		dst := uint8(rng.Intn(NumPorts))
+		if cfg.MulticastRate > 0 && rng.Float64() < cfg.MulticastRate {
+			dst = BroadcastDst
+		}
+		pkt := &Packet{
+			Src:     src,
+			Dst:     dst,
+			ID:      ids.Next(),
+			Payload: randomWords(rng, cfg.PayloadWords),
+			Born:    k.Now(),
+		}
+		pkt.Seal()
+		if cfg.ErrorRate > 0 && rng.Float64() < cfg.ErrorRate {
+			pkt.Checksum ^= 0x0001 // inject a detectable corruption
+			p.BadSent++
+		}
+		p.Generated++
+		if in.TryWrite(pkt) {
+			p.Offered++
+		} else {
+			p.InDrops++
+		}
+		if cfg.Count != 0 && p.Generated >= cfg.Count {
+			p.done = true
+			return
+		}
+		tick.NotifyAfter(cfg.Delay)
+	}, tick)
 	return p
 }
 
@@ -116,9 +129,8 @@ type Consumer struct {
 // RouteOK, which also accepts broadcast copies).
 func NewConsumer(k *sim.Kernel, name string, out int, q *sim.Fifo[*Packet], routeOK func(uint8, int) bool) *Consumer {
 	c := &Consumer{Module: k.NewModule(name)}
-	k.Thread(c.Sub("sink"), func(ctx *sim.Ctx) {
-		for {
-			pkt := q.Read(ctx)
+	k.Method(c.Sub("sink"), func() {
+		for pkt, ok := q.TryRead(); ok; pkt, ok = q.TryRead() {
 			c.Received++
 			if !pkt.Valid() {
 				c.BadContent++
@@ -126,9 +138,9 @@ func NewConsumer(k *sim.Kernel, name string, out int, q *sim.Fifo[*Packet], rout
 			if !routeOK(pkt.Dst, out) {
 				c.Misrouted++
 			}
-			c.TotalLat = c.TotalLat.Add(ctx.Now().Sub(pkt.Born))
+			c.TotalLat = c.TotalLat.Add(k.Now().Sub(pkt.Born))
 		}
-	})
+	}, q.DataWritten())
 	return c
 }
 

@@ -208,6 +208,19 @@ func TestThreadWaitTimeout(t *testing.T) {
 	}
 }
 
+// TestWaitTimeoutLeavesCallerSliceAlone: the private timeout event
+// must not be stored in the spare capacity of the caller's slice.
+func TestWaitTimeoutLeavesCallerSliceAlone(t *testing.T) {
+	k := NewKernel("t")
+	evs := make([]*Event, 1, 4)
+	evs[0] = k.NewEvent("never")
+	k.Thread("t", func(c *Ctx) { c.WaitTimeout(10*NS, evs...) })
+	runKernel(t, k, 100*NS)
+	if spare := evs[:2][1]; spare != nil {
+		t.Fatalf("WaitTimeout wrote %q into the caller's slice", spare.Name())
+	}
+}
+
 func TestThreadWaitTimeoutEventWins(t *testing.T) {
 	k := NewKernel("t")
 	e := k.NewEvent("e")
@@ -585,5 +598,34 @@ func TestCallAfterChaining(t *testing.T) {
 	runKernel(t, k, MS)
 	if count != 5 {
 		t.Fatalf("count = %d", count)
+	}
+}
+
+// BenchmarkThreadActivation and BenchmarkMethodActivation time one
+// activation of a process that re-arms itself 1ns ahead: the thread
+// through WaitTime, the method through a timed self-notification. The
+// difference is the cost of the two goroutine handoffs of a Thread.
+func BenchmarkThreadActivation(b *testing.B) {
+	k := NewKernel("b")
+	defer k.Shutdown()
+	k.Thread("t", func(c *Ctx) {
+		for {
+			c.WaitTime(NS)
+		}
+	})
+	b.ResetTimer()
+	if err := k.Run(Time(b.N) * NS); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkMethodActivation(b *testing.B) {
+	k := NewKernel("b")
+	defer k.Shutdown()
+	tick := k.NewEvent("tick")
+	k.Method("m", func() { tick.NotifyAfter(NS) }, tick)
+	b.ResetTimer()
+	if err := k.Run(Time(b.N) * NS); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // procKind distinguishes method processes (run-to-completion callbacks,
 // like SC_METHOD) from thread processes (coroutines, like SC_THREAD).
@@ -82,6 +85,12 @@ func (k *Kernel) MethodNoInit(name string, fn func(), sensitivity ...*Event) *Pr
 // goroutine but the kernel guarantees that at any instant at most one
 // process (or the scheduler itself) is executing, so no locking is
 // needed between processes.
+//
+// Each activation costs two goroutine handoffs over unbuffered channels
+// (resume, then yield back): about 0.8µs against 0.06µs for a Method
+// re-armed by a timed notification (BenchmarkThreadActivation and
+// BenchmarkMethodActivation on a 2-CPU Xeon). A process that runs often
+// should be a Method.
 func (k *Kernel) Thread(name string, body func(*Ctx)) *Proc {
 	p := &Proc{k: k, name: name, kind: threadProc, body: body, resume: make(chan struct{})}
 	p.ctx = &Ctx{p: p}
@@ -220,7 +229,8 @@ func (c *Ctx) WaitTimeout(d Time, events ...*Event) *Event {
 		p.timeout = p.k.NewEvent(p.name + ".timeout")
 	}
 	p.timeout.NotifyAfter(d)
-	woke := c.Wait(append(events, p.timeout)...)
+	// Clip so append copies: the caller's spare capacity stays untouched.
+	woke := c.Wait(append(slices.Clip(events), p.timeout)...)
 	if woke == p.timeout {
 		return nil
 	}
