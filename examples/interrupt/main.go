@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -90,19 +91,27 @@ maxval: .word 0
 `
 
 func main() {
-	im, err := rtos.Build(asm.Source{Name: "monitor.s", Text: guestSrc})
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	plat := dev.NewPlatform(0, os.Stdout)
+}
+
+// run co-simulates ten sensor samples and checks that the guest
+// serviced an interrupt for each and reports the maximum, 142.
+func run(w io.Writer) error {
+	im, err := rtos.Build(asm.Source{Name: "monitor.s", Text: guestSrc})
+	if err != nil {
+		return err
+	}
+	plat := dev.NewPlatform(0, w)
 	if err := im.LoadInto(plat.RAM); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	plat.CPU.Reset(im.Entry)
 
 	target, err := core.ConnectDriverTarget(plat, core.TransportPipe)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	runner := rtos.NewRunner(plat)
 	runner.Start()
@@ -111,8 +120,9 @@ func main() {
 	// The scheme drains the driver's messages at every simulation cycle;
 	// a 50ns poll grid gives it the cycles a 100ns clock would have.
 	k := sim.NewKernel("sensor-soc")
+	defer k.Shutdown()
 	if err := k.SetPollGrid(50 * sim.NS); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dk, err := core.NewDriverKernel(k, target.DataHost, target.IRQHost, core.DriverKernelOptions{
 		CommonOptions: core.CommonOptions{CPUPeriod: 10 * sim.NS, SkewBound: 10 * sim.US},
@@ -122,37 +132,49 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	samplePort, _ := k.IssOutPort("sample")
 	maxPort, _ := k.IssInPort("max")
 
-	// The sensor model: a pseudo-random waveform sampled every 100us.
+	// The sensor model: a pseudo-random waveform sampled 100us after
+	// the start and 100us after each answer. One method publishes the
+	// sample and raises the interrupt; another reports the answer and
+	// arms the next sample.
 	samples := []uint32{17, 4, 99, 23, 56, 142, 8, 141, 77, 3}
-	k.Thread("sensor", func(c *sim.Ctx) {
-		for i, v := range samples {
-			c.WaitTime(100 * sim.US)
-			samplePort.WriteUint32(v)
-			dk.RaiseInterrupt(5)
-			c.Wait(maxPort.Event())
-			fmt.Printf("t=%-8v sample[%d]=%-4d guest reports max=%d\n",
-				c.Now(), i, v, maxPort.Uint32())
+	next := 0
+	tick := k.NewEvent("sensor.tick")
+	k.MethodNoInit("sensor", func() {
+		samplePort.WriteUint32(samples[next])
+		dk.RaiseInterrupt(5)
+	}, tick)
+	k.MethodNoInit("monitor", func() {
+		fmt.Fprintf(w, "t=%-8v sample[%d]=%-4d guest reports max=%d\n",
+			k.Now(), next, samples[next], maxPort.Uint32())
+		if next++; next == len(samples) {
+			k.Stop()
+			return
 		}
-		k.Stop()
-	})
+		tick.NotifyAfter(100 * sim.US)
+	}, maxPort.Event())
+	tick.NotifyAfter(100 * sim.US)
 
 	if err := k.Run(sim.MaxTime); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	k.Shutdown()
 	if err := dk.Err(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if got := maxPort.Uint32(); got != 142 {
-		log.Fatalf("final max = %d, want 142", got)
+		return fmt.Errorf("final max = %d, want 142", got)
 	}
-	fmt.Printf("\n%d interrupts were raised by hardware and serviced by the guest ISR\n",
+	if n := dk.Stats().IntsNotified; n != uint64(len(samples)) {
+		return fmt.Errorf("%d interrupts notified, want %d", n, len(samples))
+	}
+	fmt.Fprintf(w, "\n%d interrupts were raised by hardware and serviced by the guest ISR\n",
 		dk.Stats().IntsNotified)
-	fmt.Printf("guest console: %q\n", plat.Console.Output())
+	fmt.Fprintf(w, "guest console: %q\n", plat.Console.Output())
+	return nil
 }

@@ -1,22 +1,22 @@
 // Multicore: the "Multi-Processor SoC" of the paper's title — two ISSs
-// co-simulated with one SystemC kernel, forming a processing pipeline,
-// with results transported over the shared arbitrated system bus model.
+// co-simulated with one SystemC kernel, forming a processing pipeline.
 //
 // CPU0 runs a checksum stage (as in the router case study); CPU1 runs a
-// scrambler stage (XOR whitening). A hardware DMA thread moves each
-// stage's output into the bus-attached memory, where a checker verifies
-// the pipeline end-to-end. Both CPUs are attached with the GDB-Kernel
-// scheme under distinct port names.
+// scrambler stage (XOR whitening). Hardware method processes hand each
+// CPU0 result to CPU1 and each CPU1 result to a results FIFO, where a
+// checker verifies the pipeline end-to-end. Both CPUs are attached with
+// the GDB-Kernel scheme under distinct port names.
 //
 // Run with: go run ./examples/multicore
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"cosim/internal/asm"
-	"cosim/internal/bus"
 	"cosim/internal/core"
 	"cosim/internal/iss"
 	"cosim/internal/sim"
@@ -83,9 +83,10 @@ func fold(v uint32) uint32 {
 	return s & 0xffff
 }
 
-// attachCPU boots a guest and couples it to the kernel with GDB-Kernel
-// under a port-name prefix.
-func attachCPU(k *sim.Kernel, name, src string) (*core.GDBKernel, *iss.CPU, error) {
+// attachCPU boots a guest and couples it to the kernel with GDB-Kernel,
+// binding its inVar and outVar variables to the ports name.in and
+// name.out.
+func attachCPU(k *sim.Kernel, name, src, inVar, outVar string) (*core.GDBKernel, *iss.CPU, error) {
 	im, err := asm.Assemble(asm.Options{DataBase: 0x10000},
 		asm.Source{Name: name + ".s", Text: src})
 	if err != nil {
@@ -104,114 +105,106 @@ func attachCPU(k *sim.Kernel, name, src string) (*core.GDBKernel, *iss.CPU, erro
 	g, err := core.NewGDBKernel(k, target.HostConn, im, core.GDBKernelOptions{
 		CommonOptions: core.CommonOptions{CPUPeriod: sim.NS, SkewBound: 10 * sim.US},
 		Bindings: []core.VarBinding{
-			{Port: name + ".in", Var: "in0", Size: 4, Dir: core.ToISS, Label: "bp_in"},
-			{Port: name + ".out", Var: "out0", Size: 4, Dir: core.ToSystemC, Label: "bp_out"},
+			{Port: name + ".in", Var: inVar, Size: 4, Dir: core.ToISS, Label: "bp_in"},
+			{Port: name + ".out", Var: outVar, Size: 4, Dir: core.ToSystemC, Label: "bp_out"},
 		},
 	})
 	return g, cpu, err
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run pushes six values through the two-CPU pipeline and checks every
+// result against the Go reference models.
+func run(w io.Writer) error {
+	// The GDB-Kernel hooks poll both stubs on a 5ns grid, the edge
+	// times of a 10ns clock.
 	k := sim.NewKernel("mpsoc")
-	clk := sim.NewClock(k, "clk", 10*sim.NS)
-
-	// Fix up variable names per guest: stage1 uses in1/out1.
-	stage1 := stage1Src
-	g0, cpu0, err := attachCPU(k, "cpu0", stage0Src)
+	defer k.Shutdown()
+	if err := k.SetPollGrid(5 * sim.NS); err != nil {
+		return err
+	}
+	g0, cpu0, err := attachCPU(k, "cpu0", stage0Src, "in0", "out0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	// attachCPU binds in0/out0; stage1's variables are named in1/out1,
-	// so bind it explicitly.
-	im1, err := asm.Assemble(asm.Options{DataBase: 0x10000},
-		asm.Source{Name: "cpu1.s", Text: stage1})
+	g1, cpu1, err := attachCPU(k, "cpu1", stage1Src, "in1", "out1")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	ram1 := iss.NewRAM(1 << 20)
-	if err := im1.LoadInto(ram1); err != nil {
-		log.Fatal(err)
-	}
-	cpu1 := iss.New(iss.NewSystemBus(ram1))
-	cpu1.Reset(im1.Entry)
-	target1, err := core.StartGDBTarget(cpu1, core.TransportPipe)
-	if err != nil {
-		log.Fatal(err)
-	}
-	g1, err := core.NewGDBKernel(k, target1.HostConn, im1, core.GDBKernelOptions{
-		CommonOptions: core.CommonOptions{CPUPeriod: sim.NS, SkewBound: 10 * sim.US},
-		Bindings: []core.VarBinding{
-			{Port: "cpu1.in", Var: "in1", Size: 4, Dir: core.ToISS, Label: "bp_in"},
-			{Port: "cpu1.out", Var: "out1", Size: 4, Dir: core.ToSystemC, Label: "bp_out"},
-		},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Shared system bus with a result memory; the pipeline DMA is
-	// master 0, a background "scrubber" master 1 creates contention.
-	sysBus := bus.New(k, "sysbus", bus.Config{Clock: clk, Masters: 2, CyclesPerTransaction: 2})
-	mem := bus.NewMemory("results", 4096)
-	if err := sysBus.Map(0x2000_0000, mem); err != nil {
-		log.Fatal(err)
-	}
-	k.Thread("scrubber", func(c *sim.Ctx) {
-		for i := uint32(0); ; i++ {
-			_, _ = sysBus.Read(c, 1, 0x2000_0000+(i%64)*4)
-			c.WaitTime(500 * sim.NS)
-		}
-	})
 
 	in0, _ := k.IssOutPort("cpu0.in")
 	out0, _ := k.IssInPort("cpu0.out")
 	in1, _ := k.IssOutPort("cpu1.in")
 	out1, _ := k.IssInPort("cpu1.out")
 
-	// The pipeline driver: value -> CPU0 (fold) -> CPU1 (scramble) ->
-	// DMA into the bus memory.
+	// The pipeline: value -> CPU0 (fold) -> CPU1 (scramble) -> results
+	// FIFO -> checker. The feeder's initialization run sends the first
+	// value; each CPU1 result makes it queue the result and send the
+	// next value.
 	inputs := []uint32{0xdeadbeef, 0x12345678, 0x00000001, 0xffffffff, 0xcafef00d, 42}
-	k.Thread("pipeline", func(c *sim.Ctx) {
-		for i, v := range inputs {
-			in0.WriteUint32(v)
-			c.Wait(out0.Event())
-			stage0 := out0.Uint32()
-
-			in1.WriteUint32(stage0)
-			c.Wait(out1.Event())
-			stage1v := out1.Uint32()
-
-			if err := sysBus.Write(c, 0, 0x2000_0000+uint32(i)*4, stage1v); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("t=%-9v %#08x --cpu0--> %#06x --cpu1--> %#08x\n",
-				c.Now(), v, stage0, stage1v)
+	results := sim.NewFifo[uint32](k, "results", len(inputs))
+	var stage0 uint32
+	k.MethodNoInit("cpu0-to-cpu1", func() {
+		stage0 = out0.Uint32()
+		in1.WriteUint32(stage0)
+	}, out0.Event())
+	fed := 0
+	k.Method("feeder", func() {
+		if fed > 0 {
+			fmt.Fprintf(w, "t=%-9v %#08x --cpu0--> %#06x --cpu1--> %#08x\n",
+				k.Now(), inputs[fed-1], stage0, out1.Uint32())
+			results.TryWrite(out1.Uint32())
 		}
-		k.Stop()
-	})
+		if fed < len(inputs) {
+			in0.WriteUint32(inputs[fed])
+			fed++
+		}
+	}, out1.Event())
 
-	if err := k.Run(sim.MaxTime); err != nil && err != sim.ErrDeadlock {
-		log.Fatal(err)
+	// The checker verifies the whole pipeline against the Go reference
+	// models.
+	verified := 0
+	var bad error
+	k.MethodNoInit("checker", func() {
+		for {
+			got, ok := results.TryRead()
+			if !ok {
+				break
+			}
+			if want := scramble(fold(inputs[verified])); got != want {
+				bad = fmt.Errorf("result[%d] = %#x, want %#x", verified, got, want)
+				k.Stop()
+				return
+			}
+			verified++
+		}
+		if verified == len(inputs) {
+			k.Stop()
+		}
+	}, results.DataWritten())
+
+	if err := k.Run(sim.MaxTime); err != nil {
+		return err
 	}
 	k.Shutdown()
 	for _, g := range []*core.GDBKernel{g0, g1} {
 		if err := g.Err(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-
-	// Verify the whole pipeline against the Go reference models.
-	for i, v := range inputs {
-		want := scramble(fold(v))
-		got, err := mem.Read(uint32(i)*4, 4)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if got != want {
-			log.Fatalf("result[%d] = %#x, want %#x", i, got, want)
-		}
+	if bad != nil {
+		return bad
 	}
-	fmt.Printf("\npipeline verified for %d values\n", len(inputs))
-	fmt.Printf("cpu0 executed %d instructions, cpu1 %d; bus carried %d transactions (%.0f%% utilized)\n",
-		cpu0.Instructions(), cpu1.Instructions(), sysBus.Granted(), 100*sysBus.Utilization())
+	if verified != len(inputs) {
+		return fmt.Errorf("verified %d of %d results", verified, len(inputs))
+	}
+	fmt.Fprintf(w, "\npipeline verified for %d values\n", verified)
+	fmt.Fprintf(w, "cpu0 executed %d instructions, cpu1 %d\n",
+		cpu0.Instructions(), cpu1.Instructions())
+	return nil
 }

@@ -1,8 +1,8 @@
 // Quickstart: the smallest complete ISS–SystemC co-simulation.
 //
 // A bare-metal FV32 guest program doubles whatever the hardware model
-// hands it. The hardware side is a thread in the SystemC-like kernel;
-// the two are coupled with the paper's GDB-Kernel scheme: breakpoints
+// hands it. The hardware side is a method process in the SystemC-like
+// kernel; the two are coupled with the paper's GDB-Kernel scheme: breakpoints
 // on the guest's variable accesses, serviced by a hook inside the
 // simulation kernel.
 //
@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"cosim/internal/asm"
 	"cosim/internal/core"
@@ -43,15 +45,23 @@ resp: .word 0
 `
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run co-simulates five requests and checks that the guest answered
+// each with its double.
+func run(w io.Writer) error {
 	// 1. Build the guest and boot an ISS with it.
 	im, err := asm.Assemble(asm.Options{DataBase: 0x10000},
 		asm.Source{Name: "guest.s", Text: guestSrc})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ram := iss.NewRAM(1 << 20)
 	if err := im.LoadInto(ram); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cpu := iss.New(iss.NewSystemBus(ram))
 	cpu.Reset(im.Entry)
@@ -60,7 +70,7 @@ func main() {
 	// goroutine — the "software simulator process").
 	target, err := core.StartGDBTarget(cpu, core.TransportPipe)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 3. Create the hardware simulation kernel and attach the
@@ -68,8 +78,9 @@ func main() {
 	// scheme's begin-of-cycle hook polls the stub on a 5ns grid, the
 	// edge times a 10ns clock would have.
 	k := sim.NewKernel("quickstart")
+	defer k.Shutdown()
 	if err := k.SetPollGrid(5 * sim.NS); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	scheme, err := core.Attach(k, core.Config{
 		Scheme: "gdb-kernel",
@@ -82,29 +93,47 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	// 4. The hardware model: a thread feeding the CPU work.
+	// 4. The hardware model: a method feeding the CPU work. Its
+	// initialization run sends the first request; each answer runs it
+	// again to print the answer and send the next request.
 	req, _ := k.IssOutPort("req")
 	resp, _ := k.IssInPort("resp")
-	k.Thread("hw", func(c *sim.Ctx) {
-		for i := uint32(1); i <= 5; i++ {
-			req.WriteUint32(i)
-			c.Wait(resp.Event())
-			fmt.Printf("t=%-8v  hw sent %d, cpu answered %d\n", c.Now(), i, resp.Uint32())
+	const requests = 5
+	var sent uint32
+	var answers []uint32
+	k.Method("hw", func() {
+		if sent > 0 {
+			answers = append(answers, resp.Uint32())
+			fmt.Fprintf(w, "t=%-8v  hw sent %d, cpu answered %d\n", k.Now(), sent, resp.Uint32())
 		}
-		k.Stop()
-	})
+		if sent == requests {
+			k.Stop()
+			return
+		}
+		sent++
+		req.WriteUint32(sent)
+	}, resp.Event())
 
 	// 5. Run.
 	if err := k.Run(sim.MaxTime); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	k.Shutdown()
 	if err := scheme.Err(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("guest executed %d instructions; co-sim stats: %+v\n",
+	if len(answers) != requests {
+		return fmt.Errorf("got %d answers, want %d", len(answers), requests)
+	}
+	for i, a := range answers {
+		if want := 2 * uint32(i+1); a != want {
+			return fmt.Errorf("answer %d = %d, want %d", i+1, a, want)
+		}
+	}
+	fmt.Fprintf(w, "guest executed %d instructions; co-sim stats: %+v\n",
 		cpu.Instructions(), scheme.Stats())
+	return nil
 }

@@ -6,60 +6,75 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"cosim/internal/core"
 	"cosim/internal/harness"
 	"cosim/internal/sim"
 )
 
-func main() {
-	scheme := flag.String("scheme", "gdb-kernel", "co-simulation scheme")
-	delay := flag.String("delay", "20us", "inter-packet delay")
-	errors := flag.Float64("errors", 0.05, "corrupted packet injection rate")
-	flag.Parse()
+var (
+	scheme    = flag.String("scheme", "gdb-kernel", "co-simulation scheme")
+	delay     = flag.String("delay", "20us", "inter-packet delay")
+	errorRate = flag.Float64("errors", 0.05, "corrupted packet injection rate")
+)
 
+func main() {
+	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates 5ms of the case study under the flags' settings and
+// checks that every forwarded packet arrived intact and correctly
+// routed, and that the CPUs caught corrupted traffic.
+func run(w io.Writer) error {
 	s, err := harness.ParseScheme(*scheme)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	d, err := sim.ParseTime(*delay)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("router case study, %v scheme, %v inter-packet delay, %.0f%% corrupt traffic\n",
-		s, d, *errors*100)
+	fmt.Fprintf(w, "router case study, %v scheme, %v inter-packet delay, %.0f%% corrupt traffic\n",
+		s, d, *errorRate*100)
 
 	res, err := harness.Run(harness.Params{
 		Scheme:    s,
 		Transport: core.TransportTCP,
 		SimTime:   5 * sim.MS,
 		Delay:     d,
-		ErrorRate: *errors,
+		ErrorRate: *errorRate,
 		Seed:      2026,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("\nsimulated %v in %v of wall time\n", res.Simulated, res.Wall)
-	fmt.Printf("  generated: %4d packets (%d deliberately corrupted)\n", res.Generated, res.BadSent)
-	fmt.Printf("  forwarded: %4d (%.1f%%)\n", res.Forwarded, res.ForwardedPct())
-	fmt.Printf("  corrupted packets caught by the CPU checksum: %d\n", res.Corrupted)
-	fmt.Printf("  dropped at full input queues: %d\n", res.InDrops)
-	fmt.Printf("  consumer verified %d packets end-to-end (%d bad, %d misrouted)\n",
+	fmt.Fprintf(w, "\nsimulated %v in %v of wall time\n", res.Simulated, res.Wall)
+	fmt.Fprintf(w, "  generated: %4d packets (%d deliberately corrupted)\n", res.Generated, res.BadSent)
+	fmt.Fprintf(w, "  forwarded: %4d (%.1f%%)\n", res.Forwarded, res.ForwardedPct())
+	fmt.Fprintf(w, "  corrupted packets caught by the CPU checksum: %d\n", res.Corrupted)
+	fmt.Fprintf(w, "  dropped at full input queues: %d\n", res.InDrops)
+	fmt.Fprintf(w, "  consumer verified %d packets end-to-end (%d bad, %d misrouted)\n",
 		res.Received, res.BadContent, res.Misrouted)
-	fmt.Printf("  mean ingress->egress latency: %v\n", res.MeanLat)
-	fmt.Printf("  guest software executed %d instructions\n", res.GuestInstructions)
+	fmt.Fprintf(w, "  mean ingress->egress latency: %v\n", res.MeanLat)
+	fmt.Fprintf(w, "  guest software executed %d instructions\n", res.GuestInstructions)
 
 	if res.BadContent != 0 || res.Misrouted != 0 {
-		log.Fatal("integrity check failed")
+		return errors.New("integrity check failed")
 	}
 	if res.Corrupted == 0 && res.BadSent > 0 {
-		log.Fatal("corrupted packets slipped through the checksum")
+		return errors.New("corrupted packets slipped through the checksum")
 	}
-	fmt.Println("\nintegrity OK: every forwarded packet was valid and correctly routed")
+	fmt.Fprintln(w, "\nintegrity OK: every forwarded packet was valid and correctly routed")
+	return nil
 }

@@ -119,8 +119,9 @@ var doublerBindings = []VarBinding{
 	{Port: "resp", Var: "resp", Size: 4, Dir: ToSystemC, Label: "bp_resp"},
 }
 
-// driveDoubler runs the SystemC side: feed values, check doubled
-// responses. The returned slice pointer is filled as the sim runs.
+// driveDoubler runs the SystemC side: a method that writes request i,
+// collects the response it triggers and writes request i+1, until n
+// responses are in. The returned slice pointer is filled as the sim runs.
 func driveDoubler(t *testing.T, k *sim.Kernel, n int) *[]uint32 {
 	t.Helper()
 	results := new([]uint32)
@@ -132,14 +133,18 @@ func driveDoubler(t *testing.T, k *sim.Kernel, n int) *[]uint32 {
 	if !ok {
 		t.Fatal("resp port missing")
 	}
-	k.Thread("driver", func(c *sim.Ctx) {
-		for i := 1; i <= n; i++ {
-			req.WriteUint32(uint32(i))
-			c.Wait(resp.Event())
+	sent := 0
+	k.Method("driver", func() {
+		if sent > 0 {
 			*results = append(*results, resp.Uint32())
 		}
-		k.Stop()
-	})
+		if sent == n {
+			k.Stop()
+			return
+		}
+		sent++
+		req.WriteUint32(uint32(sent))
+	}, resp.Event())
 	return results
 }
 
@@ -159,17 +164,7 @@ func TestGDBKernelEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var results []uint32
-		req, _ := k.IssOutPort("req")
-		resp, _ := k.IssInPort("resp")
-		k.Thread("driver", func(c *sim.Ctx) {
-			for i := 1; i <= 5; i++ {
-				req.WriteUint32(uint32(i))
-				c.Wait(resp.Event())
-				results = append(results, resp.Uint32())
-			}
-			k.Stop()
-		})
+		resultsP := driveDoubler(t, k, 5)
 		if err := k.Run(sim.MaxTime); err != nil {
 			t.Fatalf("run: %v (scheme err %v)", err, g.Err())
 		}
@@ -177,6 +172,7 @@ func TestGDBKernelEndToEnd(t *testing.T) {
 		if g.Err() != nil {
 			t.Fatal(g.Err())
 		}
+		results := *resultsP
 		want := []uint32{2, 4, 6, 8, 10}
 		if len(results) != len(want) {
 			t.Fatalf("results = %v", results)
@@ -214,20 +210,27 @@ func TestGDBKernelTimeCoupling(t *testing.T) {
 	req, _ := k.IssOutPort("req")
 	resp, _ := k.IssInPort("resp")
 	var reqTime, respTime sim.Time
-	k.Thread("driver", func(c *sim.Ctx) {
-		// First exchange absorbs the boot-time skew between the
-		// wall-clock-paced ISS and the freely advancing simulation.
-		req.WriteUint32(1)
-		c.Wait(resp.Event())
-		// Second exchange: the guest is parked at bp_req, so latency is
-		// governed by the skew bound and guest cycles.
-		c.WaitTime(100 * sim.NS)
-		reqTime = c.Now()
-		req.WriteUint32(21)
-		c.Wait(resp.Event())
-		respTime = c.Now()
-		k.Stop()
-	})
+	pause := k.NewEvent("pause")
+	step := 0
+	k.Method("driver", func() {
+		switch step {
+		case 0:
+			// First exchange absorbs the boot-time skew between the
+			// wall-clock-paced ISS and the freely advancing simulation.
+			req.WriteUint32(1)
+		case 1:
+			pause.NotifyAfter(100 * sim.NS)
+		case 2:
+			// Second exchange: the guest is parked at bp_req, so
+			// latency is governed by the skew bound and guest cycles.
+			reqTime = k.Now()
+			req.WriteUint32(21)
+		case 3:
+			respTime = k.Now()
+			k.Stop()
+		}
+		step++
+	}, resp.Event(), pause)
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatalf("run: %v (scheme err %v)", err, g.Err())
 	}
@@ -454,15 +457,19 @@ func TestDriverKernelEndToEnd(t *testing.T) {
 		var results []uint32
 		req, _ := k.IssOutPort("req")
 		resp, _ := k.IssInPort("resp")
-		k.Thread("driver", func(c *sim.Ctx) {
-			for i := 1; i <= 5; i++ {
-				req.WriteUint32(uint32(i))
-				d.RaiseInterrupt(7) // "new request" doorbell
-				c.Wait(resp.Event())
+		sent := 0
+		k.Method("driver", func() {
+			if sent > 0 {
 				results = append(results, resp.Uint32())
 			}
-			k.Stop()
-		})
+			if sent == 5 {
+				k.Stop()
+				return
+			}
+			sent++
+			req.WriteUint32(uint32(sent))
+			d.RaiseInterrupt(7) // "new request" doorbell
+		}, resp.Event())
 		if err := k.Run(sim.MaxTime); err != nil {
 			t.Fatalf("run: %v (scheme err %v)", err, d.Err())
 		}

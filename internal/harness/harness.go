@@ -99,8 +99,8 @@ type Params struct {
 
 	// SimTime is the simulated duration to execute.
 	SimTime sim.Time
-	// ClockPeriod is the system clock period (default 100ns, at least
-	// 2ps). Only the GDB-Wrapper gets a clock process: its sc_method is
+	// ClockPeriod is the system clock period (default 100ns; an even
+	// number of picoseconds, at least 2ps). Only the GDB-Wrapper gets a clock process: its sc_method is
 	// sensitive to the positive edge. The kernel schemes need no clocked
 	// module, so their cycle hooks poll on a grid of the clock's edge
 	// times (every ClockPeriod/2) instead.
@@ -266,8 +266,8 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 		return nil, err
 	}
 	p = p.withDefaults()
-	if p.ClockPeriod < 2 {
-		return nil, fmt.Errorf("harness: clock period %v is below 2ps: its edges must be half a period apart", p.ClockPeriod)
+	if why := badClockPeriod(p.ClockPeriod); why != "" {
+		return nil, fmt.Errorf("harness: clock period %v %s: its edges must be half a period apart", p.ClockPeriod, why)
 	}
 	reg := p.Obs
 	if reg == nil {

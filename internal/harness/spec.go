@@ -82,6 +82,18 @@ func timeField(name, v string) (sim.Time, error) {
 }
 
 // rateField checks one injection-rate field.
+// badClockPeriod says why a clock period cannot be split into two equal
+// half periods of whole picoseconds, or returns "" when it can.
+func badClockPeriod(p sim.Time) string {
+	switch {
+	case p < 2:
+		return "is below 2ps"
+	case p%2 != 0:
+		return "is an odd number of picoseconds"
+	}
+	return ""
+}
+
 func rateField(name string, v float64) error {
 	if v < 0 || v > 1 {
 		return fmt.Errorf("spec: %s %v outside [0,1]", name, v)
@@ -91,7 +103,7 @@ func rateField(name string, v float64) error {
 
 // Validate checks the spec without materialising it: the scheme and
 // transport names resolve, every duration parses, a clock period is
-// zero or at least 2ps, rates are in [0,1],
+// zero or an even number of picoseconds of at least 2ps, rates are in [0,1],
 // counts are non-negative, and a multi-CPU request names a scheme that
 // can drive it (ErrSingleCPUScheme otherwise, testable with errors.Is).
 func (s Spec) Validate() error {
@@ -118,8 +130,10 @@ func (s Spec) Validate() error {
 	}
 	// Zero means the default; any other period is split into two edges
 	// (the wrapper's clock, the kernel schemes' poll grid) of at least 1ps.
-	if cp, _ := timeField("clock_period", s.ClockPeriod); cp != 0 && cp < 2 {
-		return fmt.Errorf("spec: clock_period %v is below 2ps", cp)
+	if cp, _ := timeField("clock_period", s.ClockPeriod); cp != 0 {
+		if why := badClockPeriod(cp); why != "" {
+			return fmt.Errorf("spec: clock_period %v %s", cp, why)
+		}
 	}
 	if err := rateField("error_rate", s.ErrorRate); err != nil {
 		return err

@@ -115,6 +115,9 @@ func TestSpecValidate(t *testing.T) {
 		// kernel schemes' poll grid would be zero.
 		{"clock-period-1ps", Spec{Scheme: "gdb-kernel", ClockPeriod: "1ps"}, "clock_period 1ps is below 2ps"},
 		{"clock-period-sub-ps", Spec{Scheme: "gdb-wrapper", ClockPeriod: "0.001ns"}, "clock_period"},
+		// An odd period's half periods would truncate to a faster clock.
+		{"clock-period-odd", Spec{Scheme: "gdb-wrapper", ClockPeriod: "3ps"}, "clock_period 3ps is an odd number of picoseconds"},
+		{"clock-period-odd-1001ps", Spec{Scheme: "gdb-kernel", ClockPeriod: "1001ps"}, "clock_period"},
 	} {
 		err := tc.spec.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -143,6 +146,18 @@ func TestRunRejectsClockPeriodBelow2ps(t *testing.T) {
 		res, err := Run(Params{Scheme: scheme, Transport: core.TransportRing, ClockPeriod: 1, SimTime: 10 * sim.US})
 		if err == nil || !strings.Contains(err.Error(), "clock period") {
 			t.Errorf("%v: Run with a 1ps clock = (%v, %v), want a clock period error", scheme, res, err)
+		}
+	}
+}
+
+// TestRunRejectsOddClockPeriod: an odd period has no whole-picosecond
+// half, so RunContext refuses it for every scheme rather than run a
+// clock or poll grid faster than the one asked for.
+func TestRunRejectsOddClockPeriod(t *testing.T) {
+	for _, scheme := range []Scheme{GDBWrapper, GDBKernel, DriverKernel} {
+		res, err := Run(Params{Scheme: scheme, Transport: core.TransportRing, ClockPeriod: 1001, SimTime: 10 * sim.US})
+		if err == nil || !strings.Contains(err.Error(), "clock period 1001ps is an odd number") {
+			t.Errorf("%v: Run with a 1001ps clock = (%v, %v), want an odd clock period error", scheme, res, err)
 		}
 	}
 }

@@ -191,14 +191,10 @@ func TestRouterForwardsByTable(t *testing.T) {
 	for _, p := range sent {
 		p.Seal()
 	}
-	k.Thread("feeder", func(c *sim.Ctx) {
-		for _, p := range sent {
-			r.In[p.Src].TryWrite(p)
-			c.WaitTime(sim.US)
-		}
-		c.WaitTime(10 * sim.US)
-		k.Stop()
-	})
+	for i, p := range sent {
+		k.CallAt(sim.Time(i)*sim.US, func() { r.In[p.Src].TryWrite(p) })
+	}
+	k.CallAt(sim.Time(len(sent))*sim.US+10*sim.US, k.Stop)
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +220,8 @@ func TestRouterDropsCorrupted(t *testing.T) {
 	r := New(k, "rt", Config{FifoDepth: 8}, []Engine{{Pkt: pkt, Csum: csum}})
 	p := &Packet{Src: 0, Dst: 1, ID: 1, Payload: []uint32{5}}
 	p.Seal()
-	k.Thread("feeder", func(c *sim.Ctx) {
-		r.In[0].TryWrite(p)
-		c.WaitTime(10 * sim.US)
-		k.Stop()
-	})
+	k.CallAt(0, func() { r.In[0].TryWrite(p) })
+	k.CallAt(10*sim.US, k.Stop)
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +248,8 @@ func TestRouterConservation(t *testing.T) {
 			r := New(k, "rt", Config{FifoDepth: 1}, engs)
 			rng := rand.New(rand.NewSource(int64(engines)))
 			offered := uint64(0)
-			k.Thread("feeder", func(c *sim.Ctx) {
-				for id := uint32(0); id < 400; id++ {
+			for id := uint32(0); id < 400; id++ {
+				k.CallAt(sim.Time(id)*50*sim.NS, func() {
 					p := &Packet{Src: uint8(id % NumPorts), Dst: uint8(rng.Intn(NumPorts)), ID: id, Payload: []uint32{id}}
 					p.Seal()
 					if id%5 == 0 {
@@ -265,11 +258,9 @@ func TestRouterConservation(t *testing.T) {
 					if r.In[p.Src].TryWrite(p) {
 						offered++
 					}
-					c.WaitTime(50 * sim.NS)
-				}
-				c.WaitTime(sim.US)
-				k.Stop()
-			})
+				})
+			}
+			k.CallAt(400*50*sim.NS+sim.US, k.Stop)
 			if err := k.Run(sim.MaxTime); err != nil {
 				t.Fatal(err)
 			}
@@ -302,10 +293,7 @@ func TestProducerConservation(t *testing.T) {
 		Delay: sim.US, Count: 20, Seed: 5,
 	})
 	// No consumer: the queue fills and drops accumulate.
-	k.Thread("stopper", func(c *sim.Ctx) {
-		c.WaitTime(100 * sim.US)
-		k.Stop()
-	})
+	k.CallAt(100*sim.US, k.Stop)
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +317,7 @@ func TestProducerSealsValidPackets(t *testing.T) {
 	in := sim.NewFifo[*Packet](k, "in", 64)
 	ids := &IDSource{}
 	NewProducer(k, "prod", 2, in, ids, ProducerConfig{Delay: sim.US, Count: 10, Seed: 1})
-	k.Thread("stopper", func(c *sim.Ctx) { c.WaitTime(50 * sim.US); k.Stop() })
+	k.CallAt(50*sim.US, k.Stop)
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -361,20 +349,19 @@ func TestConsumerVerifies(t *testing.T) {
 	q := sim.NewFifo[*Packet](k, "out", 8)
 	routeOK := func(dst uint8, out int) bool { return int(dst)%NumPorts == out }
 	cons := NewConsumer(k, "cons", 1, q, routeOK)
-	k.Thread("feeder", func(c *sim.Ctx) {
-		good := &Packet{Src: 0, Dst: 1, ID: 1, Payload: []uint32{1}, Born: c.Now()}
+	k.CallAt(0, func() {
+		good := &Packet{Src: 0, Dst: 1, ID: 1, Payload: []uint32{1}, Born: k.Now()}
 		good.Seal()
 		q.TryWrite(good)
-		bad := &Packet{Src: 0, Dst: 1, ID: 2, Payload: []uint32{2}, Born: c.Now()}
+		bad := &Packet{Src: 0, Dst: 1, ID: 2, Payload: []uint32{2}, Born: k.Now()}
 		bad.Seal()
 		bad.Payload[0] = 99 // corrupt after sealing
 		q.TryWrite(bad)
-		wrong := &Packet{Src: 0, Dst: 2, ID: 3, Payload: []uint32{3}, Born: c.Now()}
+		wrong := &Packet{Src: 0, Dst: 2, ID: 3, Payload: []uint32{3}, Born: k.Now()}
 		wrong.Seal() // dst 2 should not arrive on out 1
 		q.TryWrite(wrong)
-		c.WaitTime(10 * sim.US)
-		k.Stop()
 	})
+	k.CallAt(10*sim.US, k.Stop)
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -412,11 +399,8 @@ func TestRouterMulticast(t *testing.T) {
 	r := New(k, "rt", Config{FifoDepth: 8}, []Engine{{Pkt: pkt, Csum: csum}})
 	bc := &Packet{Src: 0, Dst: BroadcastDst, ID: 1, Payload: []uint32{7}}
 	bc.Seal()
-	k.Thread("feeder", func(c *sim.Ctx) {
-		r.In[0].TryWrite(bc)
-		c.WaitTime(10 * sim.US)
-		k.Stop()
-	})
+	k.CallAt(0, func() { r.In[0].TryWrite(bc) })
+	k.CallAt(10*sim.US, k.Stop)
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}

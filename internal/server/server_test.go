@@ -270,6 +270,7 @@ func TestQuotaRejections(t *testing.T) {
 		// no recover: one POST took the daemon down.
 		{"clock-period", `{"scheme": "gdb-kernel", "clock_period": "1ps"}`, "clock_period"},
 		{"clock-period-wrapper", `{"scheme": "gdb-wrapper", "clock_period": "1ps"}`, "clock_period"},
+		{"clock-period-odd", `{"scheme": "gdb-wrapper", "clock_period": "1001ps"}`, "clock_period"},
 	} {
 		code, _, body := c.post(tc.spec)
 		if code != http.StatusBadRequest {

@@ -70,27 +70,20 @@ func (k *Kernel) ensureCallAt() *callAtDispatcher {
 	if k.callAt == nil {
 		d := &callAtDispatcher{k: k, ev: k.NewEvent("kernel.call_at")}
 		k.callAt = d
-		p := &Proc{k: k, name: "kernel.call_at_dispatch", kind: methodProc, fn: d.dispatch}
-		d.ev.addStatic(p)
-		p.static = append(p.static, d.ev)
-		k.procs = append(k.procs, p)
+		newProc("kernel.call_at_dispatch", d.dispatch, []*Event{d.ev})
 	}
 	return k.callAt
 }
 
 // CallAt schedules fn to run (as a one-shot simulation activity) at
-// absolute time t; times in the past run in the next delta cycle. It is
-// the mechanism co-simulation bridges use to deliver ISS data at the
+// absolute time t; times not after Now run in the next delta cycle. It
+// is the mechanism co-simulation bridges use to deliver ISS data at the
 // simulated time implied by consumed CPU cycles.
 func (k *Kernel) CallAt(t Time, fn func()) {
 	d := k.ensureCallAt()
 	d.seq++
 	d.queue.push(callAtItem{t: t, seq: d.seq, fn: fn})
-	if t <= k.now {
-		d.ev.NotifyDelta()
-	} else {
-		d.ev.NotifyAt(t)
-	}
+	d.ev.NotifyAt(t)
 }
 
 // CallAfter schedules fn after a relative delay.

@@ -81,35 +81,6 @@ func TestPortsBindAndTransfer(t *testing.T) {
 	}
 }
 
-func TestFifoBlockingRoundTrip(t *testing.T) {
-	k := NewKernel("t")
-	f := NewFifo[int](k, "f", 2)
-	var received []int
-	k.Thread("producer", func(c *Ctx) {
-		for i := 1; i <= 10; i++ {
-			f.Write(c, i)
-		}
-	})
-	k.Thread("consumer", func(c *Ctx) {
-		for i := 0; i < 10; i++ {
-			c.WaitTime(5 * NS) // slow consumer forces backpressure
-			received = append(received, f.Read(c))
-		}
-	})
-	runKernel(t, k, MS)
-	if len(received) != 10 {
-		t.Fatalf("received %d items", len(received))
-	}
-	for i, v := range received {
-		if v != i+1 {
-			t.Fatalf("received = %v (order broken)", received)
-		}
-	}
-	if f.Dropped() != 0 {
-		t.Fatalf("blocking writes recorded %d drops", f.Dropped())
-	}
-}
-
 func TestFifoTryWriteDrops(t *testing.T) {
 	k := NewKernel("t")
 	f := NewFifo[int](k, "f", 3)
@@ -225,6 +196,21 @@ func TestClockEdges(t *testing.T) {
 	}
 }
 
+// TestClockRejectsOddPeriod: a 3ps clock would tick every 1ps, a 2ps
+// period, so NewClock refuses a period with no whole half.
+func TestClockRejectsOddPeriod(t *testing.T) {
+	for _, period := range []Time{1, 3, 1001} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewClock(%v) did not panic", period)
+				}
+			}()
+			NewClock(NewKernel("t"), "c", period)
+		}()
+	}
+}
+
 func TestClockSignalFollowsEdges(t *testing.T) {
 	k := NewKernel("t")
 	clk := NewClock(k, "clk", 10*NS)
@@ -239,74 +225,6 @@ func TestClockSignalFollowsEdges(t *testing.T) {
 	runKernel(t, k, 100*NS)
 	if high == 0 || low == 0 {
 		t.Fatalf("high=%d low=%d", high, low)
-	}
-}
-
-func TestMutexExclusion(t *testing.T) {
-	k := NewKernel("t")
-	m := NewMutex(k, "m")
-	var trace []string
-	for i, name := range []string{"a", "b"} {
-		name := name
-		delay := Time(i+1) * NS
-		k.Thread(name, func(c *Ctx) {
-			c.WaitTime(delay)
-			m.Lock(c)
-			trace = append(trace, name+"+")
-			c.WaitTime(10 * NS)
-			trace = append(trace, name+"-")
-			m.Unlock(c)
-		})
-	}
-	runKernel(t, k, MS)
-	want := "a+ a- b+ b-"
-	if got := strings.Join(trace, " "); got != want {
-		t.Fatalf("trace = %q, want %q", got, want)
-	}
-}
-
-func TestMutexTryLockAndPanic(t *testing.T) {
-	k := NewKernel("t")
-	m := NewMutex(k, "m")
-	var tried, locked bool
-	k.Thread("a", func(c *Ctx) {
-		m.Lock(c)
-		c.WaitTime(10 * NS)
-		m.Unlock(c)
-	})
-	k.Thread("b", func(c *Ctx) {
-		c.WaitTime(NS)
-		tried = true
-		locked = m.TryLock(c)
-	})
-	runKernel(t, k, MS)
-	if !tried || locked {
-		t.Fatalf("tried=%v locked=%v, want tried and not locked", tried, locked)
-	}
-}
-
-func TestSemaphore(t *testing.T) {
-	k := NewKernel("t")
-	s := NewSemaphore(k, "s", 2)
-	active, maxActive := 0, 0
-	for i := 0; i < 5; i++ {
-		k.Thread("w", func(c *Ctx) {
-			s.Wait(c)
-			active++
-			if active > maxActive {
-				maxActive = active
-			}
-			c.WaitTime(10 * NS)
-			active--
-			s.Post()
-		})
-	}
-	runKernel(t, k, MS)
-	if maxActive != 2 {
-		t.Fatalf("max concurrent holders = %d, want 2", maxActive)
-	}
-	if s.Value() != 2 {
-		t.Fatalf("final value = %d, want 2", s.Value())
 	}
 }
 

@@ -14,10 +14,12 @@ type Clock struct {
 }
 
 // NewClock creates a clock with the given period and a 50% duty cycle.
-// The clock starts low; the first positive edge occurs at period/2.
+// The clock starts low; the first positive edge occurs at period/2. The
+// period must be an even number of picoseconds, at least 2ps, so both
+// half periods are whole picoseconds.
 func NewClock(k *Kernel, name string, period Time) *Clock {
-	if period < 2 {
-		panic("sim: clock period must be at least 2ps")
+	if period < 2 || period%2 != 0 {
+		panic("sim: clock period must be an even number of picoseconds, at least 2ps")
 	}
 	c := &Clock{
 		k: k, name: name, period: period,

@@ -10,8 +10,8 @@ const (
 )
 
 // Event is a synchronization primitive equivalent to sc_event. Processes
-// become runnable when an event they are (statically or dynamically)
-// sensitive to is triggered.
+// become runnable when an event they are statically sensitive to is
+// triggered.
 //
 // An Event carries at most one outstanding notification. Following
 // SystemC semantics, an immediate notification always takes effect; a
@@ -22,8 +22,7 @@ type Event struct {
 	k    *Kernel
 	name string
 
-	static  []*Proc // statically sensitive processes
-	dynamic []*Proc // processes blocked in Wait on this event
+	static []*Proc // statically sensitive processes
 
 	pending pendingKind
 	due     Time // valid when pending == pendingTimed
@@ -61,18 +60,18 @@ func (e *Event) NotifyDelta() {
 
 // NotifyAfter schedules the event to trigger after delay d. A delay of
 // zero is equivalent to NotifyDelta.
-func (e *Event) NotifyAfter(d Time) {
-	if d == 0 {
+func (e *Event) NotifyAfter(d Time) { e.NotifyAt(e.k.now + d) }
+
+// NotifyAt schedules the event to trigger at absolute time t. A time
+// not after Now is a delta notification, like SystemC's
+// notify(SC_ZERO_TIME), so no time point is visited twice. Per SystemC
+// override rules, an already-pending delta notification wins, and an
+// already-pending earlier timed notification wins.
+func (e *Event) NotifyAt(t Time) {
+	if t <= e.k.now {
 		e.NotifyDelta()
 		return
 	}
-	e.NotifyAt(e.k.now + d)
-}
-
-// NotifyAt schedules the event to trigger at absolute time t. Per
-// SystemC override rules, an already-pending delta notification wins, and
-// an already-pending earlier timed notification wins.
-func (e *Event) NotifyAt(t Time) {
 	switch e.pending {
 	case pendingDelta:
 		return
@@ -81,9 +80,6 @@ func (e *Event) NotifyAt(t Time) {
 			return
 		}
 		e.k.timed.remove(e)
-	}
-	if t < e.k.now {
-		t = e.k.now
 	}
 	e.pending = pendingTimed
 	e.due = t
@@ -117,26 +113,6 @@ func (e *Event) fire() {
 func (e *Event) trigger() {
 	for _, p := range e.static {
 		e.k.makeRunnable(p)
-	}
-	for _, p := range e.dynamic {
-		p.clearDynamic()
-		p.wake = e
-		e.k.makeRunnable(p)
-	}
-	e.dynamic = e.dynamic[:0]
-}
-
-// addStatic registers p in the event's static sensitivity list.
-func (e *Event) addStatic(p *Proc) { e.static = append(e.static, p) }
-
-// removeDynamic removes p from the dynamic waiter list (used when a
-// process waiting on several events is woken by one of them).
-func (e *Event) removeDynamic(p *Proc) {
-	for i, q := range e.dynamic {
-		if q == p {
-			e.dynamic = append(e.dynamic[:i], e.dynamic[i+1:]...)
-			return
-		}
 	}
 }
 

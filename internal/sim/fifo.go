@@ -1,16 +1,16 @@
 package sim
 
-// Fifo is a bounded FIFO channel equivalent to sc_fifo[T]. Blocking
-// Read/Write may only be called from thread processes; the non-blocking
-// variants may be called from methods as well.
+// Fifo is a bounded FIFO channel equivalent to sc_fifo[T], with the
+// non-blocking sc_fifo interface only: a writer whose TryWrite fails, or
+// a reader whose TryRead finds nothing, returns and runs again on
+// DataRead or DataWritten.
 //
 // Like sc_fifo, reads and writes performed in the same delta cycle are
 // decoupled: items written become readable immediately (sc_fifo's
 // num_available is conservative; we use the simpler immediate-visibility
-// model, which is what sc_fifo readers observe after their wait on
-// data_written_event).
+// model, which is what a reader sensitive to data_written_event
+// observes).
 type Fifo[T any] struct {
-	k        *Kernel
 	name     string
 	buf      []T // ring storage, grown on demand up to capacity
 	head     int // index of the oldest item in buf
@@ -31,7 +31,7 @@ func NewFifo[T any](k *Kernel, name string, capacity int) *Fifo[T] {
 		panic("sim: fifo capacity must be >= 1")
 	}
 	return &Fifo[T]{
-		k: k, name: name, capacity: capacity,
+		name: name, capacity: capacity,
 		dataWritten: k.NewEvent(name + ".data_written"),
 		dataRead:    k.NewEvent(name + ".data_read"),
 	}
@@ -113,22 +113,4 @@ func (f *Fifo[T]) grow() {
 	copy(buf, f.buf[f.head:])
 	copy(buf[len(f.buf)-f.head:], f.buf[:f.head])
 	f.buf, f.head = buf, 0
-}
-
-// Write blocks the calling thread until space is available, then appends v.
-func (f *Fifo[T]) Write(c *Ctx, v T) {
-	for !f.TryWrite(v) {
-		f.dropped-- // blocking writers don't count as drops
-		c.Wait(f.dataRead)
-	}
-}
-
-// Read blocks the calling thread until an item is available and pops it.
-func (f *Fifo[T]) Read(c *Ctx) T {
-	for {
-		if v, ok := f.TryRead(); ok {
-			return v
-		}
-		c.Wait(f.dataWritten)
-	}
 }

@@ -15,13 +15,8 @@ import (
 func gridModel(k *Kernel, step Time) func() []string {
 	var trace []string
 	note := func(format string, args ...any) { trace = append(trace, fmt.Sprintf(format, args...)) }
-	k.Thread("timer", func(c *Ctx) {
-		// 7 steps lands on the grid, the others between its points.
-		for _, d := range []Time{step + 2*PS, 7*step - 2*PS, step / 2, 9 * step} {
-			c.WaitTime(d)
-			note("wait@%v", c.Now())
-		}
-	})
+	// 7 steps lands on the grid, the others between its points.
+	sleeps(k, "timer", []Time{step + 2*PS, 7*step - 2*PS, step / 2, 9 * step}, func() { note("wait@%v", k.Now()) })
 	k.CallAt(3*step+345*PS, func() { note("call@%v", k.Now()) })
 	stopAt, stopped := 13*step, false
 	k.AddCycleHook(func(k *Kernel) {
@@ -97,7 +92,7 @@ func TestPollGridReachesUntil(t *testing.T) {
 	k := NewKernel("t")
 	defer k.Shutdown()
 	e := k.NewEvent("never")
-	k.Thread("stuck", func(c *Ctx) { c.Wait(e) })
+	k.Method("stuck", func() {}, e)
 	var polls []Time
 	k.AddCycleHook(func(k *Kernel) { polls = append(polls, k.Now()) })
 	if err := k.SetPollGrid(10 * NS); err != nil {

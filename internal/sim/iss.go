@@ -149,13 +149,11 @@ func (k *Kernel) IssProcess(name string, fn func(), ins ...*IssIn) *Proc {
 	if len(ins) == 0 {
 		panic("sim: iss_process needs at least one iss_in port")
 	}
-	p := &Proc{k: k, name: name, kind: issProc, fn: fn}
-	for _, in := range ins {
-		in.ev.addStatic(p)
-		p.static = append(p.static, in.ev)
+	evs := make([]*Event, len(ins))
+	for i, in := range ins {
+		evs[i] = in.ev
 	}
-	k.procs = append(k.procs, p)
-	return p
+	return newProc(name, fn, evs)
 }
 
 // leU32 decodes up to 4 little-endian bytes.

@@ -44,7 +44,6 @@ type Kernel struct {
 	deltas       []*Event
 	spareDeltas  []*Event
 	timed        timedQueue
-	procs        []*Proc
 
 	// The poll grid (see SetPollGrid): its spacing, and its next point
 	// after now, which is zero when there is no grid or no point is left
@@ -63,19 +62,15 @@ type Kernel struct {
 
 	callAt *callAtDispatcher
 
-	running     bool
-	stopReq     bool
-	killing     bool
-	current     *Proc
-	yield       chan struct{}
-	threadPanic any
+	running bool
+	stopReq bool
 
 	finalizers []func()
 }
 
 // NewKernel creates an empty simulation kernel.
 func NewKernel(name string) *Kernel {
-	return &Kernel{name: name, yield: make(chan struct{})}
+	return &Kernel{name: name}
 }
 
 // Name returns the kernel's name.
@@ -147,7 +142,7 @@ func (k *Kernel) AddFinalizer(f func()) { k.finalizers = append(k.finalizers, f)
 
 // makeRunnable queues the process for the current evaluation phase.
 func (k *Kernel) makeRunnable(p *Proc) {
-	if p.runnable || p.finished {
+	if p.runnable {
 		return
 	}
 	p.runnable = true
@@ -199,7 +194,8 @@ func (k *Kernel) Run(until Time) error {
 				k.runnable[k.runHead] = nil
 				k.runHead++
 				p.runnable = false
-				k.runProc(p)
+				k.activations++
+				p.fn()
 			}
 			k.runnable = k.runnable[:0]
 			k.runHead = 0
@@ -275,28 +271,14 @@ func (k *Kernel) pending() bool {
 // RunFor advances the simulation by d from the current time.
 func (k *Kernel) RunFor(d Time) error { return k.Run(k.now + d) }
 
-// Shutdown terminates all thread goroutines and runs finalizers. The
-// kernel must not be used afterwards. It is safe to call Shutdown more
-// than once.
+// Shutdown runs the finalizers, once. The kernel must not be used
+// afterwards. It is safe to call Shutdown more than once.
 func (k *Kernel) Shutdown() {
-	if k.killing {
-		return
-	}
-	k.killing = true
-	for _, p := range k.procs {
-		if p.kind != threadProc || p.finished {
-			continue
-		}
-		if !p.started {
-			p.start()
-		}
-		p.resume <- struct{}{}
-		<-k.yield
-	}
-	for i := len(k.finalizers) - 1; i >= 0; i-- {
-		k.finalizers[i]()
-	}
+	fs := k.finalizers
 	k.finalizers = nil
+	for i := len(fs) - 1; i >= 0; i-- {
+		fs[i]()
+	}
 }
 
 // sample lets every tracer record the state at the end of a delta/timed

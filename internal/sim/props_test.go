@@ -50,29 +50,31 @@ func TestSchedulerDeterminism(t *testing.T) {
 	}
 }
 
-// TestTimeMonotonicity: a thread observing Now() across arbitrary waits
-// never sees time move backwards, and wakeups land exactly on schedule.
+// TestTimeMonotonicity: a process observing Now() across arbitrary
+// waits never sees time move backwards, and wakeups land exactly on
+// schedule.
 func TestTimeMonotonicity(t *testing.T) {
 	f := func(delaysRaw []uint16) bool {
 		if len(delaysRaw) == 0 || len(delaysRaw) > 50 {
 			return true
 		}
 		k := NewKernel("m")
-		ok := true
-		k.Thread("walker", func(c *Ctx) {
-			prev := c.Now()
-			for _, d := range delaysRaw {
-				want := prev + Time(d)*NS
-				c.WaitTime(Time(d) * NS)
-				if c.Now() != want {
-					ok = false
-				}
-				prev = c.Now()
+		delays := make([]Time, len(delaysRaw))
+		for i, d := range delaysRaw {
+			delays[i] = Time(d) * NS
+		}
+		ok, woken := true, 0
+		var prev Time
+		sleeps(k, "walker", delays, func() {
+			if k.Now() != prev+delays[woken] {
+				ok = false
 			}
+			prev = k.Now()
+			woken++
 		})
 		_ = k.Run(MaxTime)
 		k.Shutdown()
-		return ok
+		return ok && woken == len(delays)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -127,35 +129,6 @@ func TestFifoOrderPreserved(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestManyThreadsFairProgress: N threads ticking at the same period all
-// advance the same number of times.
-func TestManyThreadsFairProgress(t *testing.T) {
-	k := NewKernel("fair")
-	const n = 32
-	counts := make([]int, n)
-	for i := 0; i < n; i++ {
-		i := i
-		k.Thread("t", func(c *Ctx) {
-			for {
-				c.WaitTime(10 * NS)
-				counts[i]++
-			}
-		})
-	}
-	if err := k.Run(10 * US); err != nil {
-		t.Fatal(err)
-	}
-	k.Shutdown()
-	for i, got := range counts {
-		if got != counts[0] {
-			t.Fatalf("thread %d advanced %d times vs %d", i, got, counts[0])
-		}
-	}
-	if counts[0] != 1000 {
-		t.Fatalf("ticks = %d, want 1000", counts[0])
 	}
 }
 

@@ -1,12 +1,15 @@
 // Package sim implements a SystemC-like discrete-event simulation kernel.
 //
 // The kernel follows the OSCI SystemC 2.0 scheduler semantics: an
-// evaluation phase runs every runnable process to completion (methods) or
-// to its next wait (threads); writes to primitive channels such as Signal
-// are deferred to the update phase; update may trigger delta
+// evaluation phase runs every runnable process to completion; writes to
+// primitive channels such as Signal are deferred to the update phase; update may trigger delta
 // notifications, which start a new evaluation phase at the same simulated
 // time; when no delta work remains, simulated time advances to the next
 // timed notification.
+//
+// Every process is a method (SC_METHOD): a callback that runs to
+// completion and never blocks. There are no thread processes; a model
+// that must wait re-arms an event it is sensitive to and returns.
 //
 // On top of the plain SystemC semantics the package implements the kernel
 // extensions proposed by Fummi et al. (DATE 2004) for native ISS
