@@ -16,7 +16,7 @@
 #   percpu     — per-CPU driver counters present, non-zero, and
 #                reconciling with the aggregates (needs -cpus 2)
 #   transports — per-transport counters for every swept backend
-#                (set TRANSPORTS, default "tcp unix ring")
+#                (set TRANSPORTS, default "tcp ring pipe")
 #   dmi        — DMI ablation: hits iff granted, message
 #                reduction, per-CPU reconciliation, identical
 #                functional outcome across cells
@@ -98,7 +98,7 @@ percpu)
   ;;
 
 transports)
-  want=${TRANSPORTS:-tcp unix ring}
+  want=${TRANSPORTS:-tcp ring pipe}
   jqe '.runs | length > 0' "report has no runs"
   # shellcheck disable=SC2086  # word splitting over the transport list is the point
   for tr in $want; do

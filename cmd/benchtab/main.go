@@ -5,7 +5,7 @@
 // Usage:
 //
 //	benchtab -exp table1|figure7|loc|all [-full] [-times 1ms,5ms]
-//	         [-scheme NAME] [-cpus N] [-transport tcp|unix|ring|pipe]
+//	         [-scheme NAME] [-cpus N] [-transport tcp|ring|pipe]
 //	         [-dmi] [-ablate dmi]
 //	         [-parallel N] [-json] [-server URL]
 //
@@ -49,9 +49,9 @@ import (
 	"strings"
 	"time"
 
-	"cosim/internal/core"
 	"cosim/internal/harness"
 	"cosim/internal/sim"
+	"cosim/internal/transport"
 )
 
 // report is the -json output schema.
@@ -91,7 +91,7 @@ func main() {
 	times := flag.String("times", "", "comma-separated simulated durations for Table 1 (overrides -full)")
 	sel := harness.Scheme(-1) // sentinel: no filter
 	flag.Var(&sel, "scheme", "restrict the sweep to one scheme (default: all)")
-	transport := flag.String("transport", "tcp", `IPC transport: tcp, unix, ring or pipe; a comma list or "all" sweeps several`)
+	trFlag := flag.String("transport", "tcp", `IPC transport: tcp, ring or pipe; a comma list or "all" sweeps several`)
 	delay := flag.String("delay", "20us", "inter-packet delay for Table 1")
 	seed := flag.Int64("seed", 1, "traffic seed")
 	cpus := flag.Int("cpus", 1, "checksum CPUs servicing the router (gdb-kernel and driver-kernel)")
@@ -103,7 +103,7 @@ func main() {
 	serverURL := flag.String("server", "", "drive a running cosimd at this base URL instead of simulating in-process")
 	flag.Parse()
 
-	trs, err := parseTransports(*transport)
+	trs, err := parseTransports(*trFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -144,7 +144,7 @@ func main() {
 
 	names := make([]string, len(trs))
 	for i, tr := range trs {
-		names[i] = core.TransportName(tr)
+		names[i] = tr.Name()
 	}
 	rep := &report{
 		Experiment:  *exp,
@@ -201,13 +201,13 @@ func sep(jsonOut bool) {
 
 // parseTransports resolves the -transport flag value: one backend name,
 // a comma list, or "all".
-func parseTransports(arg string) ([]core.Transport, error) {
+func parseTransports(arg string) ([]transport.Transport, error) {
 	if strings.TrimSpace(strings.ToLower(arg)) == "all" {
-		return core.Transports(), nil
+		return transport.All(), nil
 	}
-	var trs []core.Transport
+	var trs []transport.Transport
 	for _, name := range strings.Split(arg, ",") {
-		tr, err := core.ParseTransport(name)
+		tr, err := transport.Parse(name)
 		if err != nil {
 			return nil, err
 		}
@@ -257,14 +257,14 @@ func expandDMI(scens []harness.Scenario) []harness.Scenario {
 
 // tagTransport suffixes scenario names with /tr=NAME so records from a
 // multi-transport sweep stay distinguishable.
-func tagTransport(scens []harness.Scenario, tr core.Transport) []harness.Scenario {
+func tagTransport(scens []harness.Scenario, tr transport.Transport) []harness.Scenario {
 	for i := range scens {
-		scens[i].Name += "/tr=" + core.TransportName(tr)
+		scens[i].Name += "/tr=" + tr.Name()
 	}
 	return scens
 }
 
-func runTable1(rep *report, simTimes []sim.Time, base harness.Params, sel harness.Scheme, trs []core.Transport, ablateDMI bool, workers int, jsonOut bool) {
+func runTable1(rep *report, simTimes []sim.Time, base harness.Params, sel harness.Scheme, trs []transport.Transport, ablateDMI bool, workers int, jsonOut bool) {
 	multiTr := len(trs) > 1
 	for _, tr := range trs {
 		b := base
@@ -309,7 +309,7 @@ func runTable1(rep *report, simTimes []sim.Time, base harness.Params, sel harnes
 	}
 }
 
-func runFigure7(rep *report, base harness.Params, sel harness.Scheme, trs []core.Transport, ablateDMI bool, workers int, jsonOut bool) {
+func runFigure7(rep *report, base harness.Params, sel harness.Scheme, trs []transport.Transport, ablateDMI bool, workers int, jsonOut bool) {
 	delays := []sim.Time{5 * sim.US, 10 * sim.US, 20 * sim.US, 30 * sim.US, 50 * sim.US, 100 * sim.US}
 	base.SimTime = 2 * sim.MS
 	multiTr := len(trs) > 1

@@ -10,10 +10,10 @@ import (
 	"sync"
 	"time"
 
-	"cosim/internal/core"
 	"cosim/internal/harness"
 	"cosim/internal/server"
 	"cosim/internal/sim"
+	"cosim/internal/transport"
 )
 
 // Server-load mode: `benchtab -server URL` turns benchtab into a load
@@ -61,7 +61,7 @@ type serverSummary struct {
 // serverScenarios builds the load matrix: the experiment's scenario
 // list per transport, scheme-filtered, every entry tagged with its
 // transport so records from the sweep stay distinguishable.
-func serverScenarios(exp string, simTimes []sim.Time, base harness.Params, sel harness.Scheme, trs []core.Transport) ([]harness.Scenario, error) {
+func serverScenarios(exp string, simTimes []sim.Time, base harness.Params, sel harness.Scheme, trs []transport.Transport) ([]harness.Scenario, error) {
 	delays := []sim.Time{5 * sim.US, 20 * sim.US, 100 * sim.US}
 	var all []harness.Scenario
 	for _, tr := range trs {
@@ -94,7 +94,7 @@ func serverScenarios(exp string, simTimes []sim.Time, base harness.Params, sel h
 
 // runServerLoad drives the daemon across the selected experiment's
 // scenario matrix with `workers` concurrent clients.
-func runServerLoad(rep *report, baseURL, exp string, simTimes []sim.Time, base harness.Params, sel harness.Scheme, trs []core.Transport, workers int, jsonOut bool) error {
+func runServerLoad(rep *report, baseURL, exp string, simTimes []sim.Time, base harness.Params, sel harness.Scheme, trs []transport.Transport, workers int, jsonOut bool) error {
 	scens, err := serverScenarios(exp, simTimes, base, sel, trs)
 	if err != nil {
 		return err

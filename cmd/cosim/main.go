@@ -28,7 +28,7 @@ func main() {
 	errRate := flag.Float64("errors", 0.0, "corrupted-packet injection rate [0,1]")
 	mcast := flag.Float64("multicast", 0.0, "broadcast packet rate [0,1]")
 	fifo := flag.Int("fifo", 8, "router FIFO depth")
-	transport := flag.String("transport", "tcp", "IPC transport: tcp, unix, ring or pipe")
+	transport := flag.String("transport", "tcp", "IPC transport: tcp, ring or pipe")
 	seed := flag.Int64("seed", 1, "traffic seed")
 	cpus := flag.Int("cpus", 1, "checksum CPUs servicing the router (gdb-kernel and driver-kernel)")
 	dmi := flag.Bool("dmi", false, "grant driver-kernel guests direct memory windows (memory fast path)")

@@ -82,11 +82,8 @@ func run(w io.Writer) error {
 	if err := k.SetPollGrid(5 * sim.NS); err != nil {
 		return err
 	}
-	scheme, err := core.Attach(k, core.Config{
-		Scheme: "gdb-kernel",
-		Common: core.CommonOptions{CPUPeriod: sim.NS, SkewBound: sim.US},
-		Conn:   target.HostConn,
-		Image:  im,
+	scheme, err := core.NewGDBKernel(k, target.HostConn, im, core.GDBKernelOptions{
+		CommonOptions: core.CommonOptions{CPUPeriod: sim.NS, SkewBound: sim.US},
 		Bindings: []core.VarBinding{
 			{Port: "req", Var: "req", Size: 4, Dir: core.ToISS, Label: "bp_req"},
 			{Port: "resp", Var: "resp", Size: 4, Dir: core.ToSystemC, Label: "bp_resp"},

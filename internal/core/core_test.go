@@ -555,27 +555,6 @@ resp: .word 0
 	_ = target.Wait()
 }
 
-func TestConnPairBackends(t *testing.T) {
-	// nil exercises the pipe default alongside every named backend.
-	backends := append([]Transport{nil}, Transports()...)
-	for _, tr := range backends {
-		h, g, err := connPair(tr)
-		if err != nil {
-			t.Fatalf("%s: %v", TransportName(tr), err)
-		}
-		go func() { _, _ = h.Write([]byte("ping")) }()
-		buf := make([]byte, 4)
-		if _, err := readFullConn(g, buf); err != nil {
-			t.Fatalf("%s: %v", TransportName(tr), err)
-		}
-		if string(buf) != "ping" {
-			t.Fatalf("%s: got %q", TransportName(tr), buf)
-		}
-		h.Close()
-		g.Close()
-	}
-}
-
 func readFullConn(c interface{ Read([]byte) (int, error) }, buf []byte) (int, error) {
 	n := 0
 	for n < len(buf) {

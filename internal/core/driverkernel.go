@@ -223,8 +223,7 @@ type DriverChannel struct {
 // DriverKernelOptions configures the scheme.
 type DriverKernelOptions struct {
 	// CommonOptions carries the timing, skew, journal and observability
-	// configuration shared by all schemes. When CPUs is non-zero it must
-	// match the channel count.
+	// configuration shared by all schemes.
 	CommonOptions
 	// Ports declares the iss_in (ToSystemC) and iss_out (ToISS) ports
 	// the driver may address. Var/breakpoint fields are unused here —
@@ -253,9 +252,6 @@ func NewDriverKernel(k *sim.Kernel, data io.ReadWriter, irq io.Writer, opts Driv
 func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKernelOptions) (*DriverKernel, error) {
 	if len(channels) == 0 {
 		return nil, errors.New("driver-kernel: at least one CPU channel is required")
-	}
-	if opts.CPUs != 0 && opts.CPUs != len(channels) {
-		return nil, fmt.Errorf("driver-kernel: CPUs = %d but %d channels given", opts.CPUs, len(channels))
 	}
 	d := &DriverKernel{
 		k:           k,

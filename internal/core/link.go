@@ -7,7 +7,6 @@ import (
 	"cosim/internal/dev"
 	"cosim/internal/gdb"
 	"cosim/internal/iss"
-	"cosim/internal/obs"
 	"cosim/internal/transport"
 )
 
@@ -29,47 +28,10 @@ var (
 	TransportPipe = transport.Pipe
 	// TransportTCP uses a loopback TCP connection.
 	TransportTCP = transport.TCP
-	// TransportUnix uses a Unix domain socket.
-	TransportUnix = transport.Unix
 	// TransportRing uses in-process ring buffers — the same-process
 	// fast path that skips the socket layer entirely.
 	TransportRing = transport.Ring
 )
-
-// Transports lists the built-in backends in sweep order.
-func Transports() []Transport { return transport.All() }
-
-// ParseTransport resolves a transport backend by flag name
-// (tcp, unix, ring, pipe).
-func ParseTransport(name string) (Transport, error) { return transport.Parse(name) }
-
-// TransportName names tr for reports and scenario labels, mapping the
-// nil default to the pipe backend.
-func TransportName(tr Transport) string {
-	if tr == nil {
-		return transport.Pipe.Name()
-	}
-	return tr.Name()
-}
-
-// ObservedTransport wraps tr so the endpoint pairs it creates count
-// transport.<name>.{pairs,tx_bytes,rx_bytes} into reg. Nil-safe on both
-// arguments; a nil transport resolves to the pipe default first.
-func ObservedTransport(tr Transport, reg *obs.Registry) Transport {
-	if tr == nil {
-		tr = transport.Pipe
-	}
-	return transport.Observed(tr, reg)
-}
-
-// connPair creates a connected endpoint pair using the chosen
-// transport; nil selects the in-process pipe default.
-func connPair(tr Transport) (host, guest Endpoint, err error) {
-	if tr == nil {
-		tr = transport.Pipe
-	}
-	return tr.Pair()
-}
 
 // shutdownClient stops a possibly-running target and tears the
 // connection down: break-in (0x03) if a continue is outstanding, then
@@ -107,7 +69,7 @@ type GDBTarget struct {
 // StartGDBTarget launches a stub serving cpu in its own goroutine (the
 // ISS "process") and returns the kernel-side connection.
 func StartGDBTarget(cpu *iss.CPU, tr Transport) (*GDBTarget, error) {
-	host, guest, err := connPair(tr)
+	host, guest, err := tr.Pair()
 	if err != nil {
 		return nil, err
 	}
@@ -137,11 +99,11 @@ type DriverTarget struct {
 // pair per §4.1: the data channel ("port 4444") and the interrupt
 // channel ("port 4445").
 func ConnectDriverTarget(p *dev.Platform, tr Transport) (*DriverTarget, error) {
-	dataHost, dataGuest, err := connPair(tr)
+	dataHost, dataGuest, err := tr.Pair()
 	if err != nil {
 		return nil, err
 	}
-	irqHost, irqGuest, err := connPair(tr)
+	irqHost, irqGuest, err := tr.Pair()
 	if err != nil {
 		dataHost.Close()
 		dataGuest.Close()

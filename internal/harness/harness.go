@@ -20,6 +20,7 @@ import (
 	"cosim/internal/router"
 	"cosim/internal/rtos"
 	"cosim/internal/sim"
+	"cosim/internal/transport"
 )
 
 // Scheme selects the co-simulation scheme under test.
@@ -74,7 +75,8 @@ func (s *Scheme) Set(name string) error {
 	return nil
 }
 
-// CoreName returns the canonical scheme name core.Attach accepts.
+// CoreName returns the canonical lower-case scheme name, the spelling
+// Spec carries.
 func (s Scheme) CoreName() string { return strings.ToLower(s.String()) }
 
 // ErrSingleCPUScheme reports a multi-CPU request against a scheme that
@@ -92,8 +94,8 @@ func (s Scheme) SupportsMultiCPU() bool { return s == GDBKernel || s == DriverKe
 type Params struct {
 	Scheme Scheme
 	// Transport selects the IPC backend connecting the two simulators
-	// (core.TransportTCP/Unix/Ring/Pipe); nil means the in-process pipe
-	// default. Run wraps it with core.ObservedTransport, so every run's
+	// (core.TransportTCP/Ring/Pipe); nil means the in-process pipe
+	// default. Run wraps it with transport.Observed, so every run's
 	// registry carries transport.<name>.{pairs,tx_bytes,rx_bytes}.
 	Transport core.Transport
 
@@ -163,8 +165,12 @@ type Params struct {
 // against (an empty SimTime is a 1ms run, not a zero-length one).
 func (p Params) WithDefaults() Params { return p.withDefaults() }
 
-// withDefaults fills zero fields.
+// withDefaults fills zero fields. It is the one place a nil transport
+// becomes the pipe backend.
 func (p Params) withDefaults() Params {
+	if p.Transport == nil {
+		p.Transport = transport.Pipe
+	}
 	if p.ClockPeriod == 0 {
 		p.ClockPeriod = 100 * sim.NS
 	}
@@ -269,13 +275,16 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	if why := badClockPeriod(p.ClockPeriod); why != "" {
 		return nil, fmt.Errorf("harness: clock period %v %s: its edges must be half a period apart", p.ClockPeriod, why)
 	}
+	if p.PayloadWords > router.MaxPayloadWords {
+		return nil, fmt.Errorf("harness: payload words %d above the maximum of %d", p.PayloadWords, router.MaxPayloadWords)
+	}
 	reg := p.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	// All channel pairs below go through the observed transport so the
 	// run's registry records per-backend pair and byte counters.
-	tr := core.ObservedTransport(p.Transport, reg)
+	tr := transport.Observed(p.Transport, reg)
 	k := sim.NewKernel("soc")
 	// Only the wrapper's sc_method listens to a clock. The kernel schemes
 	// poll at the same edge times without one: a clock nothing listens to
@@ -330,6 +339,12 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 		return ""
 	}
 
+	common := core.CommonOptions{
+		CPUPeriod: p.CPUPeriod,
+		SkewBound: p.SkewBound,
+		Journal:   p.Journal,
+		Obs:       reg,
+	}
 	switch p.Scheme {
 	case GDBWrapper, GDBKernel:
 		im, err := router.GDBGuest()
@@ -352,20 +367,20 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 				return nil, err
 			}
 			cleanup = append(cleanup, func() { target.HostConn.Close() })
-			sch, err := core.Attach(k, core.Config{
-				Scheme: p.Scheme.CoreName(),
-				Common: core.CommonOptions{
-					CPUPeriod: p.CPUPeriod,
-					SkewBound: p.SkewBound,
-					Journal:   p.Journal,
-					Obs:       reg,
-				},
-				Conn:          target.HostConn,
-				Image:         im,
-				Bindings:      router.GDBBindingsPrefixed(prefix),
-				Clock:         clk,
-				InstrPerCycle: p.InstrPerCycle,
-			})
+			var sch core.Scheme
+			if p.Scheme == GDBWrapper {
+				sch, err = core.NewGDBWrapper(k, target.HostConn, im, core.GDBWrapperOptions{
+					CommonOptions: common,
+					Clock:         clk,
+					InstrPerCycle: p.InstrPerCycle,
+					Bindings:      router.GDBBindingsPrefixed(prefix),
+				})
+			} else {
+				sch, err = core.NewGDBKernel(k, target.HostConn, im, core.GDBKernelOptions{
+					CommonOptions: common,
+					Bindings:      router.GDBBindingsPrefixed(prefix),
+				})
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -416,23 +431,14 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 			})
 			cpus = append(cpus, plat.CPU)
 		}
-		sch, err := core.Attach(k, core.Config{
-			Scheme: p.Scheme.CoreName(),
-			Common: core.CommonOptions{
-				CPUPeriod: p.CPUPeriod,
-				SkewBound: p.SkewBound,
-				Journal:   p.Journal,
-				Obs:       reg,
-				CPUs:      p.CPUs,
-			},
-			Channels: channels,
-			DMI:      p.DMI,
+		d, err := core.NewDriverKernelMulti(k, channels, core.DriverKernelOptions{
+			CommonOptions: common,
+			DMI:           p.DMI,
 		})
 		if err != nil {
 			return nil, err
 		}
-		d := sch.(*core.DriverKernel) // the doorbells below need RaiseInterruptCPU
-		schemes = append(schemes, sch)
+		schemes = append(schemes, d)
 		for n := 0; n < p.CPUs; n++ {
 			pktPort, _ := k.IssOutPort(portPrefix(n) + router.PktPortName)
 			csumPort, _ := k.IssInPort(portPrefix(n) + router.CsumPortName)

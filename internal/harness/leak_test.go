@@ -57,12 +57,12 @@ func waitGoroutineBaseline(t *testing.T, baseline int) {
 // open, their reader goroutines would stay parked, and this test would
 // fail on the ring cases with their stacks in the failure output.
 func TestRunLeaksNoGoroutines(t *testing.T) {
-	transports := append([]core.Transport{nil}, core.Transports()...)
+	transports := append([]transport.Transport{nil}, transport.All()...)
 	for _, s := range Schemes {
 		for _, tr := range transports {
 			label := "default"
 			if tr != nil {
-				label = core.TransportName(tr)
+				label = tr.Name()
 			}
 			t.Run(fmt.Sprintf("%v/%s", s, label), func(t *testing.T) {
 				baseline := settledGoroutines()

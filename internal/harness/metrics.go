@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"time"
-
-	"cosim/internal/core"
-)
+import "time"
 
 // Metrics is the machine-readable per-run measurement record emitted by
 // `benchtab -json`, a stable schema for reports to build on. Durations are plain nanosecond/picosecond integers to keep
@@ -40,11 +36,13 @@ type Metrics struct {
 	TraceErr string `json:"trace_err,omitempty"`
 }
 
-// Metrics flattens the run into its measurement record.
+// Metrics flattens the run into its measurement record. The transport
+// is named through withDefaults: Run's Params are already defaulted,
+// but a Result built elsewhere may carry a nil transport.
 func (r *Result) Metrics() Metrics {
 	m := Metrics{
 		Scheme:       r.Params.Scheme.String(),
-		Transport:    core.TransportName(r.Params.Transport),
+		Transport:    r.Params.withDefaults().Transport.Name(),
 		CPUs:         r.Params.CPUs,
 		SimTime:      r.Params.SimTime.String(),
 		Delay:        r.Params.Delay.String(),

@@ -158,3 +158,19 @@ func TestTraceErrPropagated(t *testing.T) {
 		t.Error("Metrics.TraceErr empty, want the error string")
 	}
 }
+
+// TestNilTransportReportsPipe: a run with no transport uses the pipe
+// default that Params.withDefaults fills in, and its metrics name it
+// and carry its per-backend counters.
+func TestNilTransportReportsPipe(t *testing.T) {
+	res, err := Run(Params{Scheme: GDBKernel, SimTime: 200 * sim.US, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Metrics().Transport; got != "pipe" {
+		t.Errorf("Metrics().Transport = %q, want pipe", got)
+	}
+	if counter(t, res.Counters, "transport.pipe.pairs") == 0 {
+		t.Error("transport.pipe.pairs = 0, want > 0")
+	}
+}

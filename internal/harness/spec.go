@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"io"
 
-	"cosim/internal/core"
+	"cosim/internal/router"
 	"cosim/internal/sim"
+	"cosim/internal/transport"
 )
 
 // Spec is the wire-serializable form of Params: the subset of a run's
@@ -19,7 +20,7 @@ import (
 // on the executing side.
 //
 // Durations are sim.ParseTime strings ("10ms", "1.5us"); the transport
-// is named, resolved through core.ParseTransport on decode. Zero-valued
+// is named, resolved through transport.Parse on decode. Zero-valued
 // fields mean "use the run defaults" — Params.withDefaults applies them
 // on the executing side, so a Spec decoded from `{"scheme":"driver-kernel"}`
 // is a complete, runnable request.
@@ -27,8 +28,8 @@ type Spec struct {
 	// Scheme is the co-simulation scheme name (ParseScheme spelling:
 	// "gdb-wrapper", "gdb-kernel", "driver-kernel"). Required.
 	Scheme string `json:"scheme"`
-	// Transport names the IPC backend (core.ParseTransport spelling:
-	// "tcp", "unix", "ring", "pipe"); empty selects the pipe default.
+	// Transport names the IPC backend (transport.Parse spelling: "tcp",
+	// "ring", "pipe"); empty selects the pipe default.
 	Transport string `json:"transport,omitempty"`
 
 	SimTime       string `json:"sim_time,omitempty"`
@@ -104,7 +105,8 @@ func rateField(name string, v float64) error {
 // Validate checks the spec without materialising it: the scheme and
 // transport names resolve, every duration parses, a clock period is
 // zero or an even number of picoseconds of at least 2ps, rates are in [0,1],
-// counts are non-negative, and a multi-CPU request names a scheme that
+// counts are non-negative, payload_words is at most
+// router.MaxPayloadWords, and a multi-CPU request names a scheme that
 // can drive it (ErrSingleCPUScheme otherwise, testable with errors.Is).
 func (s Spec) Validate() error {
 	if s.Scheme == "" {
@@ -115,7 +117,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("spec: %w", err)
 	}
 	if s.Transport != "" {
-		if _, err := core.ParseTransport(s.Transport); err != nil {
+		if _, err := transport.Parse(s.Transport); err != nil {
 			return fmt.Errorf("spec: %w", err)
 		}
 	}
@@ -144,6 +146,9 @@ func (s Spec) Validate() error {
 	if s.CPUs < 0 || s.PayloadWords < 0 || s.FifoDepth < 0 {
 		return fmt.Errorf("spec: negative cpus/payload_words/fifo_depth")
 	}
+	if s.PayloadWords > router.MaxPayloadWords {
+		return fmt.Errorf("spec: payload_words %d above the maximum of %d", s.PayloadWords, router.MaxPayloadWords)
+	}
 	if s.CPUs > 1 && !scheme.SupportsMultiCPU() {
 		return fmt.Errorf("spec: %v %w", scheme, ErrSingleCPUScheme)
 	}
@@ -151,7 +156,7 @@ func (s Spec) Validate() error {
 }
 
 // Params materialises the spec into runnable Params: names are resolved
-// (scheme via ParseScheme, transport via core.ParseTransport), duration
+// (scheme via ParseScheme, transport via transport.Parse), duration
 // strings are parsed, and zero fields stay zero so Run applies the
 // usual defaults. The non-serializable Params fields (Trace, Journal,
 // Obs) are left nil for the caller to attach.
@@ -174,7 +179,7 @@ func (s Spec) Params() (Params, error) {
 		DMI:              s.DMI,
 	}
 	if s.Transport != "" {
-		tr, err := core.ParseTransport(s.Transport)
+		tr, err := transport.Parse(s.Transport)
 		if err != nil {
 			return Params{}, fmt.Errorf("spec: %w", err)
 		}
@@ -228,7 +233,7 @@ func SpecFromParams(p Params) Spec {
 		DMI:              p.DMI,
 	}
 	if p.Transport != nil {
-		s.Transport = core.TransportName(p.Transport)
+		s.Transport = p.Transport.Name()
 	}
 	return s
 }

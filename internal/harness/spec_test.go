@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"cosim/internal/core"
+	"cosim/internal/router"
 	"cosim/internal/sim"
+	"cosim/internal/transport"
 )
 
 func TestSpecJSONRoundTrip(t *testing.T) {
@@ -56,8 +58,8 @@ func TestSpecParamsMaterialisation(t *testing.T) {
 	if p.SimTime != 10*sim.MS || p.Delay != 20*sim.US {
 		t.Fatalf("durations %v/%v, want 10ms/20us", p.SimTime, p.Delay)
 	}
-	if core.TransportName(p.Transport) != "ring" {
-		t.Fatalf("transport %q, want ring", core.TransportName(p.Transport))
+	if p.Transport.Name() != "ring" {
+		t.Fatalf("transport %q, want ring", p.Transport.Name())
 	}
 	// Zero fields stay zero so Run's defaults apply on the executing
 	// side.
@@ -68,13 +70,18 @@ func TestSpecParamsMaterialisation(t *testing.T) {
 	if d := p.WithDefaults(); d.ClockPeriod != 100*sim.NS || d.CPUs != 2 {
 		t.Fatalf("defaults view %+v", d)
 	}
+	// The defaults view is also the one place a nil transport becomes
+	// the pipe backend.
+	if tr := (Params{}).WithDefaults().Transport; tr != transport.Pipe {
+		t.Fatalf("default transport %v, want transport.Pipe", tr)
+	}
 }
 
 // TestSpecParamsRoundTrip: Params → Spec → Params is lossless for every
 // wire-safe field.
 func TestSpecParamsRoundTrip(t *testing.T) {
 	orig := Params{
-		Scheme: GDBKernel, Transport: core.TransportUnix,
+		Scheme: GDBKernel, Transport: core.TransportTCP,
 		SimTime: 2 * sim.MS, CPUPeriod: 10 * sim.NS,
 		CPUs: 3, Delay: 5 * sim.US, PayloadWords: 6,
 		ErrorRate: 0.1, FifoDepth: 4, PacketsPerSource: 9, Seed: 11,
@@ -85,8 +92,8 @@ func TestSpecParamsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The transport interface value survives by name.
-	if core.TransportName(back.Transport) != "unix" {
-		t.Fatalf("transport %q", core.TransportName(back.Transport))
+	if back.Transport.Name() != "tcp" {
+		t.Fatalf("transport %q", back.Transport.Name())
 	}
 	orig.Transport, back.Transport = nil, nil
 	if !reflect.DeepEqual(orig, back) {
@@ -103,6 +110,8 @@ func TestSpecValidate(t *testing.T) {
 		{"missing-scheme", Spec{}, "missing scheme"},
 		{"bad-scheme", Spec{Scheme: "quantum"}, "unknown scheme"},
 		{"bad-transport", Spec{Scheme: "driver-kernel", Transport: "smoke-signals"}, "unknown transport"},
+		// The unix backend is gone; the error lists what remains.
+		{"unix-transport", Spec{Scheme: "driver-kernel", Transport: "unix"}, "want tcp, ring or pipe"},
 		{"bad-duration", Spec{Scheme: "driver-kernel", SimTime: "10 parsecs"}, "bad sim_time"},
 		// Unchecked, 18446745 s wraps to ~0.93 s and would slip under a
 		// server's simulated-time quota.
@@ -118,6 +127,15 @@ func TestSpecValidate(t *testing.T) {
 		// An odd period's half periods would truncate to a faster clock.
 		{"clock-period-odd", Spec{Scheme: "gdb-wrapper", ClockPeriod: "3ps"}, "clock_period 3ps is an odd number of picoseconds"},
 		{"clock-period-odd-1001ps", Spec{Scheme: "gdb-kernel", ClockPeriod: "1001ps"}, "clock_period"},
+		// 1.001ns parses exactly, as an odd 1001ps.
+		{"clock-period-odd-1.001ns", Spec{Scheme: "gdb-kernel", ClockPeriod: "1.001ns"}, "clock_period 1001ps is an odd number of picoseconds"},
+		// A digit finer than 1ps is an error, not a zero that would
+		// silently select the default.
+		{"clock-period-sub-ps-digit", Spec{Scheme: "gdb-kernel", ClockPeriod: "0.0001ns"}, "bad clock_period"},
+		{"sim-time-sub-ps-digit", Spec{Scheme: "gdb-kernel", SimTime: "0.0004ns"}, "bad sim_time"},
+		// The producer would cap the payload at router.MaxPayloadWords
+		// and run a workload nobody asked for.
+		{"payload-words-above-max", Spec{Scheme: "gdb-kernel", PayloadWords: 100}, "payload_words 100"},
 	} {
 		err := tc.spec.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -135,6 +153,9 @@ func TestSpecValidate(t *testing.T) {
 		if err := (Spec{Scheme: "gdb-kernel", ClockPeriod: cp}).Validate(); err != nil {
 			t.Errorf("clock_period %q rejected: %v", cp, err)
 		}
+	}
+	if err := (Spec{Scheme: "gdb-kernel", PayloadWords: router.MaxPayloadWords}).Validate(); err != nil {
+		t.Errorf("payload_words %d rejected: %v", router.MaxPayloadWords, err)
 	}
 }
 
@@ -158,6 +179,17 @@ func TestRunRejectsOddClockPeriod(t *testing.T) {
 		res, err := Run(Params{Scheme: scheme, Transport: core.TransportRing, ClockPeriod: 1001, SimTime: 10 * sim.US})
 		if err == nil || !strings.Contains(err.Error(), "clock period 1001ps is an odd number") {
 			t.Errorf("%v: Run with a 1001ps clock = (%v, %v), want an odd clock period error", scheme, res, err)
+		}
+	}
+}
+
+// TestRunRejectsOversizedPayload: Params callers bypass Validate, so
+// RunContext itself refuses a payload the producers would silently cap.
+func TestRunRejectsOversizedPayload(t *testing.T) {
+	for _, scheme := range []Scheme{GDBWrapper, GDBKernel, DriverKernel} {
+		res, err := Run(Params{Scheme: scheme, Transport: core.TransportRing, PayloadWords: router.MaxPayloadWords + 1, SimTime: 10 * sim.US})
+		if err == nil || !strings.Contains(err.Error(), "payload words 61") {
+			t.Errorf("%v: Run with 61 payload words = (%v, %v), want a payload words error", scheme, res, err)
 		}
 	}
 }

@@ -263,6 +263,9 @@ func TestQuotaRejections(t *testing.T) {
 		{"simtime-negative", `{"scheme": "gdb-wrapper", "sim_time": "-1.0ms"}`, "bad sim_time"},
 		{"scheme", `{"scheme": "quantum"}`, "unknown scheme"},
 		{"transport", `{"scheme": "driver-kernel", "transport": "carrier-pigeon"}`, "unknown transport"},
+		{"transport-unix", `{"scheme": "driver-kernel", "transport": "unix"}`, "want tcp, ring or pipe"},
+		// The producers would cap the payload and run another workload.
+		{"payload-words", `{"scheme": "gdb-kernel", "payload_words": 100}`, "payload_words"},
 		{"unknown-field", `{"scheme": "driver-kernel", "simtime": "1ms"}`, "unknown field"},
 		{"trailing-data", `{"scheme": "gdb-wrapper"}{"scheme": "bogus"}`, "trailing data"},
 		{"multi-cpu-wrapper", `{"scheme": "gdb-wrapper", "cpus": 2}`, "single CPU"},

@@ -102,8 +102,10 @@ func (t Time) String() string {
 }
 
 // ParseTime parses strings such as "10ns", "1.5us" or "100" (bare
-// picoseconds). It is the inverse of Time.String for exact values.
-// Negative values and values beyond MaxTime are errors, never wrapped.
+// picoseconds). It is the inverse of Time.String. Fractions are exact:
+// "1.001ns" is 1001ps, and a non-zero digit finer than 1ps ("2.5ps",
+// "0.0001ns") is an error. Negative values and values beyond MaxTime
+// are errors, never wrapped.
 func ParseTime(s string) (Time, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -133,28 +135,40 @@ func ParseTime(s string) (Time, error) {
 	default:
 		return 0, fmt.Errorf("sim: unknown time unit %q", suffix)
 	}
-	if dot := strings.IndexByte(num, '.'); dot >= 0 {
-		f, err := strconv.ParseFloat(num, 64)
-		if err != nil {
+	if strings.HasPrefix(num, "-") {
+		return 0, fmt.Errorf("sim: negative time %q", s)
+	}
+	// The integer and fraction digits are parsed exactly: a fraction
+	// digit is worth mult/10, mult/100, ... picoseconds, and a non-zero
+	// digit worth less than 1ps is an error, not a silent truncation.
+	whole, frac, _ := strings.Cut(num, ".")
+	if whole == "" && frac == "" {
+		return 0, fmt.Errorf("sim: bad time %q", s)
+	}
+	var v uint64
+	if whole != "" {
+		var err error
+		if v, err = strconv.ParseUint(whole, 10, 64); err != nil {
 			return 0, fmt.Errorf("sim: bad time %q: %v", s, err)
 		}
-		if f < 0 {
-			return 0, fmt.Errorf("sim: negative time %q", s)
-		}
-		// float64(MaxTime) rounds up to 2^64, so any product at or
-		// above it is out of range.
-		ps := f * float64(mult)
-		if ps >= float64(MaxTime) {
-			return 0, fmt.Errorf("sim: time %q out of range", s)
-		}
-		return Time(ps), nil
 	}
-	v, err := strconv.ParseUint(num, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("sim: bad time %q: %v", s, err)
+	fracPS, place := uint64(0), uint64(mult)
+	for _, d := range []byte(frac) {
+		if d < '0' || d > '9' {
+			return 0, fmt.Errorf("sim: bad time %q", s)
+		}
+		if place == 1 {
+			if d != '0' {
+				return 0, fmt.Errorf("sim: time %q is finer than 1ps", s)
+			}
+			continue
+		}
+		place /= 10
+		fracPS += uint64(d-'0') * place
 	}
 	hi, ps := bits.Mul64(v, uint64(mult))
-	if hi != 0 {
+	ps, carry := bits.Add64(ps, fracPS, 0)
+	if hi != 0 || carry != 0 {
 		return 0, fmt.Errorf("sim: time %q out of range", s)
 	}
 	return Time(ps), nil

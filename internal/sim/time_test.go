@@ -43,6 +43,14 @@ func TestParseTime(t *testing.T) {
 		{"0.5ns", 500 * PS},
 		{"18446744073709551615", MaxTime},
 		{"18446744s", 18446744 * SEC},
+		// Fractions are exact, not a truncated float64 product.
+		{"1.001ns", 1001 * PS},
+		{"1.003ns", 1003 * PS},
+		{".5ns", 500 * PS},
+		{"0.001ns", PS},
+		{"2.000ps", 2 * PS}, // zeros finer than 1ps are exact
+		{"1.000000000001s", SEC + PS},
+		{"18446744.073709551615s", MaxTime},
 	}
 	for _, c := range cases {
 		got, err := ParseTime(c.in)
@@ -66,6 +74,11 @@ func TestParseTimeErrors(t *testing.T) {
 		"18446745s", "18446744073709551616", "18446744073709551616.0",
 		"18446744073709552.0us",
 		"99999999999999999999.0s",
+		"18446744.073709551616s",
+		// A non-zero digit finer than 1ps.
+		"2.5ps", "0.0001ns", "0.0004ns", "1.0000000000001s",
+		// Not a decimal number.
+		".ns", "1.2.3ns", "1.-2ns",
 	} {
 		if _, err := ParseTime(s); err == nil {
 			t.Errorf("ParseTime(%q) succeeded, want error", s)

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"io"
 	"sync"
 )
@@ -150,76 +149,4 @@ func (ringTransport) Pair() (host, guest Endpoint, err error) {
 	host = &ringEndpoint{rd: toHost, wr: toGuest}
 	guest = &ringEndpoint{rd: toGuest, wr: toHost}
 	return host, guest, nil
-}
-
-// ringListeners is the process-global address registry behind the ring
-// backend's dial/listen half: Listen allocates a "ring:N" address,
-// Dial builds a fresh pair and hands the host end to the listener.
-var ringListeners struct {
-	mu   sync.Mutex
-	next int
-	open map[string]*ringListener
-}
-
-type ringListener struct {
-	addr string
-	ch   chan Endpoint
-	done chan struct{}
-	once sync.Once
-}
-
-func (ringTransport) Listen() (Listener, error) {
-	ringListeners.mu.Lock()
-	defer ringListeners.mu.Unlock()
-	if ringListeners.open == nil {
-		ringListeners.open = make(map[string]*ringListener)
-	}
-	ringListeners.next++
-	l := &ringListener{
-		addr: fmt.Sprintf("ring:%d", ringListeners.next),
-		ch:   make(chan Endpoint),
-		done: make(chan struct{}),
-	}
-	ringListeners.open[l.addr] = l
-	return l, nil
-}
-
-func (t ringTransport) Dial(addr string) (Endpoint, error) {
-	ringListeners.mu.Lock()
-	l := ringListeners.open[addr]
-	ringListeners.mu.Unlock()
-	if l == nil {
-		return nil, fmt.Errorf("transport: no ring listener at %q", addr)
-	}
-	host, guest, err := t.Pair()
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case l.ch <- host:
-		return guest, nil
-	case <-l.done:
-		return nil, fmt.Errorf("transport: ring listener %s closed", addr)
-	}
-}
-
-func (l *ringListener) Accept() (Endpoint, error) {
-	select {
-	case ep := <-l.ch:
-		return ep, nil
-	case <-l.done:
-		return nil, fmt.Errorf("transport: ring listener %s closed", l.addr)
-	}
-}
-
-func (l *ringListener) Addr() string { return l.addr }
-
-func (l *ringListener) Close() error {
-	l.once.Do(func() {
-		ringListeners.mu.Lock()
-		delete(ringListeners.open, l.addr)
-		ringListeners.mu.Unlock()
-		close(l.done)
-	})
-	return nil
 }

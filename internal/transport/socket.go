@@ -3,8 +3,6 @@ package transport
 import (
 	"errors"
 	"net"
-	"os"
-	"path/filepath"
 )
 
 // tcpTransport is the loopback-TCP backend.
@@ -12,76 +10,20 @@ type tcpTransport struct{}
 
 func (tcpTransport) Name() string { return "tcp" }
 
-func (tcpTransport) Listen() (Listener, error) {
+// Pair builds a connected pair with a throwaway listener: listen, dial,
+// accept, close the listener. The accept goroutine owns one connection
+// end until it is reaped, so every exit path collects it — on a dial
+// failure the listener is closed first (unblocking a pending Accept)
+// and any connection it nevertheless accepted is closed rather than
+// leaked. Dial, accept and listener close errors are joined and
+// returned.
+func (tcpTransport) Pair() (host, guest Endpoint, err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	return netListener{ln}, nil
-}
-
-func (tcpTransport) Dial(addr string) (Endpoint, error) { return net.Dial("tcp", addr) }
-
-func (t tcpTransport) Pair() (host, guest Endpoint, err error) { return socketPair(t) }
-
-// unixTransport is the Unix-domain-socket backend. Every listener owns
-// a private temporary directory for its socket file, removed on Close.
-type unixTransport struct{}
-
-func (unixTransport) Name() string { return "unix" }
-
-func (unixTransport) Listen() (Listener, error) {
-	dir, err := os.MkdirTemp("", "cosim-uds-")
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("unix", filepath.Join(dir, "cosim.sock"))
-	if err != nil {
-		_ = os.RemoveAll(dir)
-		return nil, err
-	}
-	return &unixListener{ln: ln, dir: dir}, nil
-}
-
-func (unixTransport) Dial(addr string) (Endpoint, error) { return net.Dial("unix", addr) }
-
-func (t unixTransport) Pair() (host, guest Endpoint, err error) { return socketPair(t) }
-
-// netListener adapts a net.Listener to the transport.Listener shape.
-type netListener struct{ ln net.Listener }
-
-func (l netListener) Accept() (Endpoint, error) { return l.ln.Accept() }
-func (l netListener) Addr() string              { return l.ln.Addr().String() }
-func (l netListener) Close() error              { return l.ln.Close() }
-
-// unixListener additionally removes the socket's directory on Close.
-// A removal failure is reported, not discarded: a lingering socket file
-// would poison a later listener at the same path.
-type unixListener struct {
-	ln  net.Listener
-	dir string
-}
-
-func (l *unixListener) Accept() (Endpoint, error) { return l.ln.Accept() }
-func (l *unixListener) Addr() string              { return l.ln.Addr().String() }
-func (l *unixListener) Close() error {
-	return errors.Join(l.ln.Close(), os.RemoveAll(l.dir))
-}
-
-// socketPair builds a connected pair with a throwaway listener: listen,
-// dial, accept, close the listener. The accept goroutine owns one
-// connection end until it is reaped, so every exit path collects it —
-// on a dial failure the listener is closed first (unblocking a pending
-// Accept) and any connection it nevertheless accepted is closed rather
-// than leaked. Listener close errors are propagated: for the Unix
-// backend a failed socket-file removal is a real resource leak.
-func socketPair(t Transport) (host, guest Endpoint, err error) {
-	ln, err := t.Listen()
 	if err != nil {
 		return nil, nil, err
 	}
 	type res struct {
-		c   Endpoint
+		c   net.Conn
 		err error
 	}
 	ch := make(chan res, 1)
@@ -89,7 +31,7 @@ func socketPair(t Transport) (host, guest Endpoint, err error) {
 		c, err := ln.Accept()
 		ch <- res{c, err}
 	}()
-	guest, dialErr := t.Dial(ln.Addr())
+	guest, dialErr := net.Dial("tcp", ln.Addr().String())
 	if dialErr != nil {
 		closeErr := ln.Close()
 		if r := <-ch; r.c != nil {
@@ -111,8 +53,7 @@ func socketPair(t Transport) (host, guest Endpoint, err error) {
 	return r.c, guest, nil
 }
 
-// pipeTransport is the net.Pipe backend: endpoints only exist in
-// pre-wired pairs, so the dial/listen half is not available.
+// pipeTransport is the net.Pipe backend.
 type pipeTransport struct{}
 
 func (pipeTransport) Name() string { return "pipe" }
@@ -121,9 +62,3 @@ func (pipeTransport) Pair() (host, guest Endpoint, err error) {
 	h, g := net.Pipe()
 	return h, g, nil
 }
-
-// errPipeNoAddress reports the pipe backend's missing address space.
-var errPipeNoAddress = errors.New("transport: pipe endpoints have no address space; use Pair, or the ring transport for in-process dial/listen")
-
-func (pipeTransport) Listen() (Listener, error)     { return nil, errPipeNoAddress }
-func (pipeTransport) Dial(string) (Endpoint, error) { return nil, errPipeNoAddress }

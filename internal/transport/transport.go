@@ -2,10 +2,9 @@
 // simulator processes of the paper's co-simulation schemes: the
 // SystemC-side kernel and the software simulator (GDB stub or RTOS
 // guest). The paper fixes this link as host-OS sockets; here it is a
-// first-class abstraction with three socket-free and socket-backed
-// backends, so the same scheme code runs over loopback TCP, Unix domain
-// sockets, or an in-process ring buffer that skips the kernel socket
-// layer entirely for same-process co-simulation.
+// first-class abstraction, so the same scheme code runs over loopback
+// TCP, over an in-process ring buffer that skips the kernel socket layer
+// entirely, or over a synchronous net.Pipe.
 //
 // Teardown ownership rules (the contract every backend honours):
 //
@@ -34,36 +33,15 @@ import (
 // flow into io.ReadWriter parameters without conversion.
 type Endpoint = io.ReadWriteCloser
 
-// Listener accepts kernel-side endpoints — the listen half of the
-// split dial/listen attachment used when the two simulators do not
-// share a constructor (a co-simulation server, an external guest).
-type Listener interface {
-	// Accept blocks until a peer dials and returns the accepted
-	// endpoint. After Close it returns an error.
-	Accept() (Endpoint, error)
-	// Addr is the dialable address of this listener, in the backend's
-	// own notation ("127.0.0.1:43713", "/tmp/x/t.sock", "ring:7").
-	Addr() string
-	// Close releases the listener. Errors are meaningful (a Unix socket
-	// file that cannot be removed, for example) and must be propagated,
-	// not discarded.
-	Close() error
-}
-
-// Transport selects how the two simulators are connected and
-// constructs the connection — either as a pre-wired pair (both ends in
-// one process, the harness's shape) or through dial/listen.
+// Transport selects how the two simulators are connected. The link is
+// opened once at start-up, with both ends in one process, so a backend
+// is a name and a factory for connected pairs.
 type Transport interface {
-	// Name is the backend's flag-surface name ("tcp", "unix", "ring",
-	// "pipe").
+	// Name is the backend's flag-surface name ("tcp", "ring", "pipe").
 	Name() string
 	// Pair returns a connected endpoint pair: host is the kernel side,
 	// guest the simulator side.
 	Pair() (host, guest Endpoint, err error)
-	// Listen opens a listener at a backend-chosen address.
-	Listen() (Listener, error)
-	// Dial connects to a listener's Addr.
-	Dial(addr string) (Endpoint, error)
 }
 
 // Flusher is optionally implemented by endpoints that buffer writes.
@@ -100,15 +78,11 @@ func RecordBatch(w io.Writer, msgs int) {
 	}
 }
 
-// The built-in backends. All are stateless handles; the ring backend's
-// listener registry is process-global state behind the handle.
+// The built-in backends. All are stateless handles.
 var (
 	// TCP connects over loopback TCP — the paper's configuration, with
 	// genuine syscall and protocol-stack costs.
 	TCP Transport = tcpTransport{}
-	// Unix connects over a Unix domain socket: host-OS IPC without the
-	// TCP/IP stack.
-	Unix Transport = unixTransport{}
 	// Ring connects through in-process ring buffers: no sockets, no
 	// syscalls — the same-process fast path.
 	Ring Transport = ringTransport{}
@@ -119,19 +93,17 @@ var (
 )
 
 // All lists the built-in backends in sweep order.
-func All() []Transport { return []Transport{TCP, Unix, Ring, Pipe} }
+func All() []Transport { return []Transport{TCP, Ring, Pipe} }
 
 // Parse resolves a backend by (case-insensitive) flag name.
 func Parse(name string) (Transport, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "tcp":
 		return TCP, nil
-	case "unix":
-		return Unix, nil
 	case "ring":
 		return Ring, nil
 	case "pipe":
 		return Pipe, nil
 	}
-	return nil, fmt.Errorf("transport: unknown transport %q (want tcp, unix, ring or pipe)", name)
+	return nil, fmt.Errorf("transport: unknown transport %q (want tcp, ring or pipe)", name)
 }

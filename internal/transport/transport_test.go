@@ -311,68 +311,12 @@ func TestRingPairAllocatesLittle(t *testing.T) {
 	}
 }
 
-func TestListenDial(t *testing.T) {
-	for _, tr := range []Transport{TCP, Unix, Ring} {
-		t.Run(tr.Name(), func(t *testing.T) {
-			ln, err := tr.Listen()
-			if err != nil {
-				t.Fatal(err)
-			}
-			type res struct {
-				ep  Endpoint
-				err error
-			}
-			ch := make(chan res, 1)
-			go func() {
-				ep, err := ln.Accept()
-				ch <- res{ep, err}
-			}()
-			guest, err := tr.Dial(ln.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := <-ch
-			if r.err != nil {
-				t.Fatal(r.err)
-			}
-			if err := ln.Close(); err != nil {
-				t.Fatalf("listener close: %v", err)
-			}
-			go func() { _, _ = r.ep.Write([]byte("hi")) }()
-			buf := make([]byte, 2)
-			readFull(t, guest, buf)
-			if string(buf) != "hi" {
-				t.Fatalf("read %q", buf)
-			}
-			_ = r.ep.Close()
-			_ = guest.Close()
-
-			// A closed listener rejects both halves.
-			if _, err := tr.Dial(ln.Addr()); err == nil {
-				t.Fatal("dial after listener close succeeded")
-			}
-			if _, err := ln.Accept(); err == nil {
-				t.Fatal("accept after close succeeded")
-			}
-		})
-	}
-}
-
-func TestPipeHasNoAddressSpace(t *testing.T) {
-	if _, err := Pipe.Listen(); err == nil {
-		t.Fatal("pipe Listen succeeded")
-	}
-	if _, err := Pipe.Dial("x"); err == nil {
-		t.Fatal("pipe Dial succeeded")
-	}
-}
-
 func TestParse(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Transport
 	}{
-		{"tcp", TCP}, {"UNIX", Unix}, {" ring ", Ring}, {"pipe", Pipe},
+		{"tcp", TCP}, {" ring ", Ring}, {"pipe", Pipe},
 	} {
 		tr, err := Parse(tc.in)
 		if err != nil {
