@@ -8,7 +8,7 @@ package cosim
 //
 //	BenchmarkTable1/*              — Table 1 (wall clock per scheme per simulated time)
 //	BenchmarkFigure7/*             — Figure 7 (% forwarded vs inter-packet delay)
-//	BenchmarkAblationPolling       — A1: lock-step qRun round trip vs in-kernel poll
+//	BenchmarkAblationPolling       — A1: lock-step qRun round trip vs the in-kernel hook before the bound
 //	BenchmarkAblationTransport     — A2: RSP-framed transfer vs raw driver message
 //	BenchmarkAblationInterruptGDB  — A3: single-stepping cost (why GDB-Kernel can't do interrupts)
 
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"testing"
-	"time"
 
 	"cosim/internal/asm"
 	"cosim/internal/core"
@@ -118,12 +117,13 @@ spin:
 
 // BenchmarkAblationPolling isolates ablation A1: the per-clock-cycle
 // synchronization cost. The wrapper pays one qRun RSP round trip
-// through the host OS per cycle; the kernel-embedded scheme pays an
-// in-process channel check.
+// through the host OS per cycle; the kernel-embedded scheme's hook, on
+// a cycle before the skew bound, only compares two times. Its ns/op is
+// one whole poll-grid cycle of a kernel with nothing else attached.
 func BenchmarkAblationPolling(b *testing.B) {
 	b.Run("wrapper-qRun-roundtrip", func(b *testing.B) {
 		target, _ := spinTarget(b)
-		cl := gdbClient(b, target, false)
+		cl := gdbClient(b, target)
 		defer func() { _ = cl.Kill() }()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -132,22 +132,30 @@ func BenchmarkAblationPolling(b *testing.B) {
 			}
 		}
 	})
-	b.Run("kernel-channel-poll", func(b *testing.B) {
-		target, _ := spinTarget(b)
-		cl := gdbClient(b, target, true)
-		defer func() { _ = cl.Kill() }()
-		if err := cl.Continue(); err != nil {
+	b.Run("kernel-hook-before-bound", func(b *testing.B) {
+		target, im := spinTarget(b)
+		k := sim.NewKernel("ablation")
+		defer k.Shutdown()
+		const step = 50 * sim.NS
+		if err := k.SetPollGrid(step); err != nil {
+			b.Fatal(err)
+		}
+		// The guest spins without a breakpoint and the bound is never
+		// reached, so no cycle waits for a stop.
+		g, err := core.NewGDBKernel(k, target.HostConn, im, core.GDBKernelOptions{
+			CommonOptions: core.CommonOptions{CPUPeriod: sim.NS, SkewBound: sim.MaxTime},
+		})
+		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := cl.PollStop(); err != nil {
-				b.Fatal(err)
-			}
+		if err := k.Run(sim.Time(b.N) * step); err != nil {
+			b.Fatal(err)
 		}
 		b.StopTimer()
-		_ = cl.Interrupt()
-		_, _, _ = cl.WaitStopTimeout(time.Second)
+		if g.Stats().Polls < uint64(b.N) {
+			b.Fatalf("%d polls in %d cycles", g.Stats().Polls, b.N)
+		}
 	})
 }
 
@@ -208,9 +216,9 @@ spin:
 }
 
 // gdbClient attaches an RSP client to a target for the ablations.
-func gdbClient(b *testing.B, t *core.GDBTarget, buffered bool) *gdb.Client {
+func gdbClient(b *testing.B, t *core.GDBTarget) *gdb.Client {
 	b.Helper()
-	cl, err := gdb.NewClient(t.HostConn, gdb.ClientOptions{UseReaderGoroutine: buffered})
+	cl, err := gdb.NewClient(t.HostConn)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -223,7 +231,7 @@ func gdbClient(b *testing.B, t *core.GDBTarget, buffered bool) *gdb.Client {
 func BenchmarkAblationTransport(b *testing.B) {
 	b.Run("gdb-m-packet", func(b *testing.B) {
 		target, _ := spinTarget(b)
-		cl := gdbClient(b, target, false)
+		cl := gdbClient(b, target)
 		defer func() { _ = cl.Kill() }()
 		b.SetBytes(4)
 		b.ResetTimer()
@@ -286,7 +294,7 @@ func BenchmarkRunAllTable1(b *testing.B) {
 func BenchmarkAblationInterruptGDB(b *testing.B) {
 	b.Run("free-run-chunk", func(b *testing.B) {
 		target, _ := spinTarget(b)
-		cl := gdbClient(b, target, false)
+		cl := gdbClient(b, target)
 		defer func() { _ = cl.Kill() }()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -298,7 +306,7 @@ func BenchmarkAblationInterruptGDB(b *testing.B) {
 	})
 	b.Run("single-step-per-instr", func(b *testing.B) {
 		target, _ := spinTarget(b)
-		cl := gdbClient(b, target, false)
+		cl := gdbClient(b, target)
 		defer func() { _ = cl.Kill() }()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

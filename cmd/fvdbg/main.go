@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cl, err := gdb.NewClient(conn, gdb.ClientOptions{})
+	cl, err := gdb.NewClient(conn)
 	if err != nil {
 		fatal(err)
 	}

@@ -121,8 +121,8 @@ func main() {
 // run pushes six values through the two-CPU pipeline and checks every
 // result against the Go reference models.
 func run(w io.Writer) error {
-	// The GDB-Kernel hooks poll both stubs on a 5ns grid, the edge
-	// times of a 10ns clock.
+	// The GDB-Kernel hooks run on a 5ns grid, the edge times of a 10ns
+	// clock, and service each stop at its skew bound.
 	k := sim.NewKernel("mpsoc")
 	defer k.Shutdown()
 	if err := k.SetPollGrid(5 * sim.NS); err != nil {

@@ -75,8 +75,9 @@ func run(w io.Writer) error {
 
 	// 3. Create the hardware simulation kernel and attach the
 	// GDB-Kernel co-simulation scheme. Nothing here is clocked: the
-	// scheme's begin-of-cycle hook polls the stub on a 5ns grid, the
-	// edge times a 10ns clock would have.
+	// scheme's begin-of-cycle hook runs on a 5ns grid, the edge times a
+	// 10ns clock would have, and services each breakpoint stop 1us
+	// (the skew bound) after the resume that preceded it.
 	k := sim.NewKernel("quickstart")
 	defer k.Shutdown()
 	if err := k.SetPollGrid(5 * sim.NS); err != nil {

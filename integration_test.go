@@ -213,7 +213,7 @@ func stringsContains(haystack, needle string) bool {
 
 func newClient(t *testing.T, target *core.GDBTarget) *gdb.Client {
 	t.Helper()
-	cl, err := gdb.NewClient(target.HostConn, gdb.ClientOptions{})
+	cl, err := gdb.NewClient(target.HostConn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -254,8 +255,9 @@ func TestGDBKernelTimeCoupling(t *testing.T) {
 }
 
 // TestGDBKernelCountsSkewWaitTimeout: a guest that never reaches its
-// breakpoints makes the conservative wait give up after its wall
-// timeout, and the give-up is counted rather than silent.
+// breakpoints fails the run once the wait at the skew bound times out:
+// the error is ErrStopTimeout, names the scheme and the guest's ports,
+// and the timeout is counted.
 func TestGDBKernelCountsSkewWaitTimeout(t *testing.T) {
 	cpu, im := buildBareMetal(t, `
 _start:
@@ -288,6 +290,15 @@ resp: .word 0
 	}
 	k.Shutdown()
 	_ = target.Wait()
+	err = g.Err()
+	if !errors.Is(err, ErrStopTimeout) {
+		t.Fatalf("scheme error = %v, want ErrStopTimeout", err)
+	}
+	for _, want := range []string{"gdb-kernel: ", "req", "resp"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("scheme error %q does not name %q", err, want)
+		}
+	}
 	if n := reg.Counter("cosim.skew_wait_timeouts").Load(); n != 1 {
 		t.Fatalf("cosim.skew_wait_timeouts = %d, want 1", n)
 	}

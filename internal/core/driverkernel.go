@@ -93,7 +93,7 @@ type driverCPU struct {
 	syncCycles uint32
 	syncTime   sim.Time
 
-	// Conservative synchronization, as in gdbEngine: when skewBound is
+	// Conservative synchronization, as in GDBKernel: when skewBound is
 	// non-zero, the kernel waits (wall-clock) for this guest's next
 	// message rather than racing simulated time past an outstanding
 	// request (a READ reply or a notified interrupt).

@@ -81,16 +81,6 @@ type gdbEngine struct {
 	// data for; nil when the ISS is runnable.
 	waiting *binding
 
-	// Conservative synchronization: when skewBound is non-zero and a
-	// request has been handed to the ISS (an iss_out transfer), the
-	// scheme stops advancing simulated time more than skewBound past
-	// the request until the ISS responds. This keeps cycle-coupled
-	// response latencies meaningful even though the free-running ISS is
-	// paced by the wall clock.
-	skewBound   sim.Time
-	outstanding bool
-	outSince    sim.Time
-
 	exited bool
 	stats  Stats
 	obs    engineObs
@@ -98,15 +88,6 @@ type gdbEngine struct {
 	// journal, when set, records every transfer.
 	journal    *Journal
 	schemeName string
-
-	// debug, when set, receives a trace of engine activity.
-	debug func(format string, args ...any)
-}
-
-func (e *gdbEngine) debugf(format string, args ...any) {
-	if e.debug != nil {
-		e.debug(format, args...)
-	}
 }
 
 // errf builds a scheme error prefixed with the scheme's canonical name
@@ -179,7 +160,6 @@ func (e *gdbEngine) handleStop(ev *gdb.StopEvent) (bool, error) {
 		e.obs.breakHits.Inc()
 		b = e.byAddr[ev.PC]
 	}
-	e.debugf("stop pc=%#x cycles=%d sync=(%d,%v) now=%v", ev.PC, ev.Cycles, e.syncCycles, e.syncTime, e.k.Now())
 	if b == nil {
 		return false, e.errf("ISS stopped at unbound address %#x", ev.PC)
 	}
@@ -202,7 +182,6 @@ func (e *gdbEngine) handleStop(ev *gdb.StopEvent) (bool, error) {
 		e.syncCycles = ev.Cycles
 		e.stats.Transfers++
 		e.obs.toSC.Inc()
-		e.outstanding = false
 		e.journal.Record(JournalEntry{
 			Time: t, Scheme: e.schemeName, Dir: "iss->sc",
 			Port: b.spec.Port, Bytes: len(data), Cycles: ev.Cycles,
@@ -238,19 +217,11 @@ func (e *gdbEngine) pokeOut(b *binding) error {
 	b.outPort.Consumed()
 	e.stats.Transfers++
 	e.obs.toISS.Inc()
-	e.outstanding = true
-	e.outSince = e.k.Now()
 	e.journal.Record(JournalEntry{
 		Time: e.k.Now(), Scheme: e.schemeName, Dir: "sc->iss",
 		Port: b.spec.Port, Bytes: len(data),
 	})
 	return nil
-}
-
-// mustBlock reports whether the conservative skew bound requires the
-// scheme to wait (in wall time) for the ISS before advancing further.
-func (e *gdbEngine) mustBlock() bool {
-	return e.skewBound != 0 && e.outstanding && e.k.Now().AtOrAfter(e.outSince.Add(e.skewBound))
 }
 
 // retryWaiting re-checks a pending iss_out wait; returns true when the

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"time"
+	"sort"
+	"strings"
 
 	"cosim/internal/asm"
 	"cosim/internal/gdb"
@@ -12,16 +14,21 @@ import (
 
 // GDBKernel is the paper's first proposed scheme (§3): the co-simulation
 // wrapper is embedded into the simulation kernel. The ISS free-runs
-// under a gdb 'continue'; at the beginning of every simulation cycle a
-// kernel hook checks — without any host-OS involvement — whether the
-// stub reported a breakpoint stop, and if so transfers data between the
-// guest variable and the matching iss_in/iss_out port, then resumes the
-// ISS (Figure 3).
+// under a gdb 'continue'. A kernel hook at the beginning of each
+// simulation cycle services its breakpoint stop exactly when simulated
+// time reaches the skew bound past the resume — transferring data
+// between the guest variable and the matching iss_in/iss_out port, then
+// resuming the ISS (Figure 3) — so outcomes depend on spec and seed only.
 type GDBKernel struct {
 	gdbEngine
-	running bool
-	err     error
+	skewBound sim.Time
+	outSince  sim.Time // time of the last resume
+	err       error
 }
+
+// ErrStopTimeout reports a GDB-Kernel guest that did not stop within
+// stopTimeout of wall time once simulated time reached its skew bound.
+var ErrStopTimeout = errors.New("no stop within the wall timeout at the skew bound")
 
 // GDBKernelOptions configures the scheme.
 type GDBKernelOptions struct {
@@ -34,17 +41,15 @@ type GDBKernelOptions struct {
 
 // NewGDBKernel attaches the scheme to the kernel. conn is the RSP
 // connection to the ISS stub; im is the guest image (for symbols and
-// the line table). The client uses a reader goroutine so the per-cycle
-// poll is an in-process check.
+// the line table).
 func NewGDBKernel(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBKernelOptions) (*GDBKernel, error) {
-	g := &GDBKernel{}
+	g := &GDBKernel{skewBound: opts.SkewBound}
 	g.k = k
 	var err error
-	if g.cl, err = gdb.NewClient(conn, gdb.ClientOptions{UseReaderGoroutine: true}); err != nil {
+	if g.cl, err = gdb.NewClient(conn); err != nil {
 		return nil, fmt.Errorf("gdb-kernel: attach: %w", err)
 	}
 	g.period = opts.CPUPeriod
-	g.skewBound = opts.SkewBound
 	g.journal = opts.Journal
 	g.schemeName = "gdb-kernel"
 	g.obs.init(opts.Obs)
@@ -58,11 +63,6 @@ func NewGDBKernel(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBKern
 	if err := g.cl.Continue(); err != nil {
 		return nil, err
 	}
-	g.running = true
-	// The ISS is in flight from every resume until its next stop; the
-	// skew bound applies to that whole window.
-	g.outstanding = true
-	g.outSince = 0
 	k.AddCycleHook(g.hook)
 	k.AddFinalizer(func() { shutdownClient(g.cl, conn) })
 	return g, nil
@@ -104,38 +104,24 @@ func (g *GDBKernel) hook(k *sim.Kernel) {
 		return
 	}
 
-	if !g.running {
+	// Before the skew bound the hook only compares times; at the bound
+	// it holds simulated time until the ISS stops.
+	if !g.cl.Running() || k.Now().Before(g.outSince.Add(g.skewBound)) {
 		return
 	}
-	var (
-		ev      *gdb.StopEvent
-		stopped bool
-		err     error
-	)
-	if g.mustBlock() {
-		// Conservative sync: hold simulated time until the ISS responds
-		// (bounded wall wait; on timeout give up on this request so the
-		// simulation doesn't stall).
-		g.obs.skewWaits.Inc()
-		sp := g.obs.skewWaitNS.Start()
-		ev, stopped, err = g.cl.WaitStopTimeout(time.Second)
-		sp.End()
-		if err == nil && !stopped {
-			g.outstanding = false
-			g.obs.skewTimeouts.Inc()
-		}
-	} else {
-		ev, stopped, err = g.cl.PollStop()
-	}
+	g.obs.skewWaits.Inc()
+	sp := g.obs.skewWaitNS.Start()
+	ev, stopped, err := g.cl.WaitStopTimeout(stopTimeout)
+	sp.End()
 	if err != nil {
 		g.fail(err)
 		return
 	}
 	if !stopped {
+		g.obs.skewTimeouts.Inc()
+		g.err = g.errf("guest of ports %s: %w after %v", g.ports(), ErrStopTimeout, stopTimeout)
 		return
 	}
-	g.running = false
-	g.outstanding = false
 	if ev.Exited {
 		g.exited = true
 		return
@@ -151,6 +137,19 @@ func (g *GDBKernel) hook(k *sim.Kernel) {
 	// Otherwise the ISS stays stopped; retryWaiting will resume it.
 }
 
+// ports lists the guest's bound port names, for errors.
+func (g *GDBKernel) ports() string {
+	var names []string
+	for _, b := range g.byAddr {
+		names = append(names, b.spec.Port)
+	}
+	for _, b := range g.byWatch {
+		names = append(names, b.spec.Port)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}
+
 // Detach implements Scheme: it quiesces the free-running ISS.
 func (g *GDBKernel) Detach() { g.Quiesce() }
 
@@ -159,15 +158,13 @@ func (g *GDBKernel) Detach() { g.Quiesce() }
 // goroutine. It is a no-op when the guest is already stopped, exited,
 // or the scheme has failed.
 func (g *GDBKernel) Quiesce() {
-	if !g.running || g.exited || g.err != nil {
+	if !g.cl.Running() || g.exited || g.err != nil {
 		return
 	}
-	g.running = false
-	g.outstanding = false
 	if err := g.cl.Interrupt(); err != nil {
 		return
 	}
-	_, _, _ = g.cl.WaitStopTimeout(time.Second)
+	_, _, _ = g.cl.WaitStopTimeout(stopTimeout)
 }
 
 func (g *GDBKernel) resume() {
@@ -175,8 +172,6 @@ func (g *GDBKernel) resume() {
 		g.fail(err)
 		return
 	}
-	g.running = true
-	g.outstanding = true
 	g.outSince = g.k.Now()
 }
 

@@ -33,6 +33,10 @@ var (
 	TransportRing = transport.Ring
 )
 
+// stopTimeout bounds each wall-clock wait for a GDB stop: at the
+// GDB-Kernel skew bound, and after a break-in at shutdown.
+const stopTimeout = time.Second
+
 // shutdownClient stops a possibly-running target and tears the
 // connection down: break-in (0x03) if a continue is outstanding, then
 // kill. Without the break-in, a stub running a non-terminating guest
@@ -43,11 +47,7 @@ var (
 func shutdownClient(cl *gdb.Client, conn io.ReadWriter) {
 	if cl.Running() {
 		_ = cl.Interrupt()
-		if cl.Buffered() {
-			_, _, _ = cl.WaitStopTimeout(time.Second)
-		} else {
-			_, _ = cl.WaitStop()
-		}
+		_, _, _ = cl.WaitStopTimeout(stopTimeout)
 	}
 	_ = cl.Kill()
 	if c, ok := conn.(io.Closer); ok {

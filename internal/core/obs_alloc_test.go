@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
+	"cosim/internal/gdb"
 	"cosim/internal/obs"
+	"cosim/internal/sim"
 )
 
 // hotPathMessage mimics one Driver-Kernel message service: the
@@ -84,6 +87,62 @@ func BenchmarkMessageHotPathObsEnabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := hotPathMessage(&o, m); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDisabledObsStopServiceAllocs pins what servicing one breakpoint
+// stop allocates with tracing and metrics off, counted over the kernel
+// side and the stub goroutine alike. Replies are read in place and the
+// stop arrives already parsed, so an sc->iss poke allocates nothing and
+// an iss->sc transfer allocates only what outlives the stop: the data
+// read from the guest and the call that delivers it at its cycle time.
+func TestDisabledObsStopServiceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocation; counts unstable")
+	}
+	cpu, im := buildBareMetal(t, doublerSrc)
+	target, err := StartGDBTarget(cpu, TransportPipe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sim.NewKernel("top")
+	e := &gdbEngine{k: k, period: sim.NS, schemeName: "gdb-kernel"}
+	e.obs.init(nil)
+	if e.cl, err = gdb.NewClient(target.HostConn); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		shutdownClient(e.cl, target.HostConn)
+		_ = target.Wait()
+	}()
+	if e.byAddr, e.byWatch, err = resolveBindings(k, im, doublerBindings); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := k.IssOutPort("req")
+	word := []byte{1, 2, 3, 4}
+	for _, c := range []struct {
+		dir   string
+		label string
+		max   float64
+	}{
+		{"sc->iss", "bp_req", 0},
+		{"iss->sc", "bp_resp", 2},
+	} {
+		ev := gdb.StopEvent{Signal: 5, Expedited: true, PC: im.MustSymbol(c.label)}
+		var err error
+		allocs := testing.AllocsPerRun(200, func() {
+			req.Write(word) // fresh data for the poke
+			ev.Cycles++
+			if resume, e2 := e.handleStop(&ev); e2 != nil || !resume {
+				err = fmt.Errorf("handleStop = %v, %v", resume, e2)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs > c.max {
+			t.Errorf("%s stop: %.1f allocs, want <= %.0f", c.dir, allocs, c.max)
 		}
 	}
 }

@@ -13,10 +13,12 @@ type CommonOptions struct {
 	// (untimed software, immediate delivery). The lock-step GDB-Wrapper
 	// ignores it: its timing is implicit in the per-cycle quantum.
 	CPUPeriod sim.Time
-	// SkewBound, when non-zero, limits how far simulated time may run
-	// past an outstanding request before the kernel waits (wall-clock)
-	// for the guest's response. Zero = free-running. Ignored by the
-	// lock-step GDB-Wrapper.
+	// SkewBound limits how far simulated time may run past an
+	// outstanding request before the kernel waits (wall-clock) for the
+	// guest's response. GDB-Kernel services each stop exactly there,
+	// and 0 makes it wait at the first poll after a resume; for
+	// Driver-Kernel 0 means free-running. Ignored by the lock-step
+	// GDB-Wrapper.
 	SkewBound sim.Time
 	// Journal, when non-nil, records every transfer.
 	Journal *Journal

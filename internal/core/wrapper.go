@@ -53,7 +53,7 @@ func NewGDBWrapper(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBWra
 	}
 	w.k = k
 	var err error
-	if w.cl, err = gdb.NewClient(conn, gdb.ClientOptions{}); err != nil {
+	if w.cl, err = gdb.NewClient(conn); err != nil {
 		return nil, fmt.Errorf("gdb-wrapper: attach: %w", err)
 	}
 	w.period = 0 // lock-step: timing is implicit in the per-cycle quantum

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -55,107 +54,50 @@ type Regs struct {
 // plays. It is used by the co-simulation wrapper (GDB-Wrapper scheme)
 // and by the modified SystemC kernel (GDB-Kernel scheme).
 //
-// Two read strategies are offered, mirroring the architectural
-// difference the paper measures:
+// Every synchronous transaction writes its command and reads the reply
+// inline, on the caller's goroutine. The one asynchronous reply, the
+// stop that ends a continue, is read by a goroutine that Continue
+// starts for it and that ends when the stop arrives or the connection
+// fails; WaitStop and WaitStopTimeout collect it. Nothing reads the
+// connection while the target is stopped.
 //
-//   - Direct mode: replies are read inline from the connection;
-//     PollStop issues a zero-deadline read — one host-OS syscall per
-//     poll, like the wrapper's per-cycle IPC check.
-//   - Buffered mode (UseReaderGoroutine): a background goroutine drains
-//     the connection into an in-process queue; PollStop is a lock-free
-//     channel check with no OS involvement — the kernel-embedded check.
+// A *StopEvent a method returns is owned by the client and valid until
+// the next call that returns one.
 type Client struct {
 	t       *transport
 	conn    io.ReadWriter
 	running bool
 	cmd     []byte      // command build scratch
 	timer   *time.Timer // reused by WaitStopTimeout
-
-	buffered bool
-	packets  chan []byte
-	readErr  error
-	errMu    sync.Mutex
+	stops   chan stopResult
+	ev      StopEvent // the last stop returned
 }
 
-// ClientOptions configures a Client.
-type ClientOptions struct {
-	// UseReaderGoroutine enables buffered mode (see Client docs).
-	UseReaderGoroutine bool
+// stopResult is the outcome of the read that ends a continue.
+type stopResult struct {
+	ev  StopEvent
+	err error
 }
 
 // NewClient attaches a client to an RSP connection. It first offers
 // QStartNoAckMode, synchronously and in ack mode; a peer that answers
 // OK stops acking from then on, one that answers empty keeps ack mode.
 // An I/O failure during that handshake is returned.
-func NewClient(conn io.ReadWriter, opts ClientOptions) (*Client, error) {
-	c := &Client{t: newTransport(conn), conn: conn, cmd: make([]byte, 0, 64), buffered: opts.UseReaderGoroutine}
-	err := c.t.sendPacket([]byte("QStartNoAckMode"))
-	var r []byte
-	if err == nil {
-		c.t.stats.RoundTrips++
-		r, err = c.recvDirect()
-	}
+func NewClient(conn io.ReadWriter) (*Client, error) {
+	c := &Client{t: newTransport(conn), conn: conn, cmd: make([]byte, 0, 64), stops: make(chan stopResult, 1)}
+	r, err := c.transact([]byte("QStartNoAckMode"))
 	if err != nil {
 		return nil, fmt.Errorf("gdb: QStartNoAckMode handshake: %w", err)
 	}
-	c.t.noAck = string(r) == "OK" // the OK itself was acked by recvDirect
-	if c.buffered {
-		c.packets = make(chan []byte, 64)
-		go c.readLoop()
-	}
+	c.t.noAck = string(r) == "OK" // the OK itself was acked by recv
 	return c, nil
 }
 
 // Stats returns protocol traffic counters.
 func (c *Client) Stats() Stats { return c.t.stats }
 
-func (c *Client) readLoop() {
-	for {
-		pkt, err := c.t.readPacket()
-		if err != nil {
-			c.errMu.Lock()
-			c.readErr = err
-			c.errMu.Unlock()
-			close(c.packets)
-			return
-		}
-		c.packets <- pkt
-	}
-}
-
-func (c *Client) readError() error {
-	c.errMu.Lock()
-	defer c.errMu.Unlock()
-	if c.readErr == nil {
-		return errors.New("gdb: connection closed")
-	}
-	return c.readErr
-}
-
-// send transmits a command packet using the mode-appropriate ack
-// strategy.
-func (c *Client) send(payload []byte) error {
-	if c.buffered {
-		// Acks are consumed by the reader goroutine.
-		return c.t.sendReplyNoAckWait(payload)
-	}
-	return c.t.sendPacket(payload)
-}
-
-// recv reads one reply packet.
+// recv reads one reply inline from the connection.
 func (c *Client) recv() ([]byte, error) {
-	if c.buffered {
-		pkt, ok := <-c.packets
-		if !ok {
-			return nil, c.readError()
-		}
-		return pkt, nil
-	}
-	return c.recvDirect()
-}
-
-// recvDirect reads one reply inline from the connection.
-func (c *Client) recvDirect() ([]byte, error) {
 	for {
 		pkt, err := c.t.readPacket()
 		if err == ErrInterrupt {
@@ -165,17 +107,25 @@ func (c *Client) recvDirect() ([]byte, error) {
 	}
 }
 
-// transact sends a command and returns its reply. It must not be called
-// while the target is running.
+// transact sends a command and returns its reply, which is valid until
+// the next read. It must not be called while the target is running.
 func (c *Client) transact(payload []byte) ([]byte, error) {
 	if c.running {
 		return nil, errors.New("gdb: transaction attempted while target is running")
 	}
-	if err := c.send(payload); err != nil {
+	if err := c.t.sendPacket(payload); err != nil {
 		return nil, err
 	}
 	c.t.stats.RoundTrips++
 	return c.recv()
+}
+
+// stop parses a stop reply into the client's event.
+func (c *Client) stop(r []byte) (*StopEvent, error) {
+	if err := parseStop(r, &c.ev); err != nil {
+		return nil, err
+	}
+	return &c.ev, nil
 }
 
 // checkOK validates an "OK" reply.
@@ -198,7 +148,7 @@ func (c *Client) HaltReason() (*StopEvent, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseStop(r)
+	return c.stop(r)
 }
 
 // ReadRegisters fetches the whole register file in one 'g' transaction.
@@ -261,7 +211,7 @@ func (c *Client) WriteRegister(n int, v uint32) error {
 // ReadPC fetches the program counter.
 func (c *Client) ReadPC() (uint32, error) { return c.ReadRegister(RegPC) }
 
-// ReadMemory fetches length bytes from the target.
+// ReadMemory fetches length bytes from the target into a fresh slice.
 func (c *Client) ReadMemory(addr uint32, length int) ([]byte, error) {
 	r, err := c.transact(c.addrLen("m", addr, length))
 	if err != nil {
@@ -270,7 +220,7 @@ func (c *Client) ReadMemory(addr uint32, length int) ([]byte, error) {
 	if bytes.HasPrefix(r, []byte("E")) {
 		return nil, fmt.Errorf("gdb: memory read failed: %s", r)
 	}
-	return appendUnhex(r[:0], r)
+	return appendUnhex(make([]byte, 0, len(r)/2), r)
 }
 
 // addrLen builds "<prefix><addr>,<length>" in hex.
@@ -280,7 +230,8 @@ func (c *Client) addrLen(prefix string, addr uint32, length int) []byte {
 
 // WriteMemory stores bytes on the target.
 func (c *Client) WriteMemory(addr uint32, data []byte) error {
-	r, err := c.transact(appendHex(append(c.addrLen("M", addr, len(data)), ':'), data))
+	c.cmd = appendHex(append(c.addrLen("M", addr, len(data)), ':'), data)
+	r, err := c.transact(c.cmd)
 	if err != nil {
 		return err
 	}
@@ -323,67 +274,41 @@ func (c *Client) ClearWatchpoint(addr uint32) error {
 
 // Step executes one instruction and returns the stop event.
 func (c *Client) Step() (*StopEvent, error) {
-	if err := c.send([]byte("s")); err != nil {
-		return nil, err
-	}
-	c.t.stats.RoundTrips++
-	r, err := c.recv()
+	r, err := c.transact([]byte("s"))
 	if err != nil {
 		return nil, err
 	}
-	return parseStop(r)
+	return c.stop(r)
 }
 
-// Continue resumes the target. The stop reply arrives asynchronously;
-// collect it with PollStop or WaitStop.
+// Continue resumes the target and starts the goroutine that reads its
+// stop reply; collect the stop with WaitStop or WaitStopTimeout.
 func (c *Client) Continue() error {
 	if c.running {
 		return errors.New("gdb: already running")
 	}
-	if err := c.send([]byte("c")); err != nil {
+	if err := c.t.sendPacket([]byte("c")); err != nil {
 		return err
 	}
 	c.running = true
+	go c.readStop()
 	return nil
+}
+
+// readStop reads the stop reply that ends a continue into the one-slot
+// stops channel. It ends when the reply arrives or the read fails.
+func (c *Client) readStop() {
+	var res stopResult
+	r, err := c.recv()
+	if err == nil {
+		err = parseStop(r, &res.ev)
+	}
+	res.err = err
+	c.stops <- res
 }
 
 // Running reports whether a continue is outstanding.
 func (c *Client) Running() bool { return c.running }
-
-// PollStop checks non-blockingly whether the running target has
-// stopped: an in-process channel check with no OS involvement — the
-// kernel-embedded poll of the GDB-Kernel scheme. It requires buffered
-// mode; the lock-step GDB-Wrapper scheme uses RunQuantum transactions
-// instead and never needs to poll.
-func (c *Client) PollStop() (*StopEvent, bool, error) {
-	if !c.running {
-		return nil, false, errors.New("gdb: PollStop while not running")
-	}
-	if !c.buffered {
-		return nil, false, errors.New("gdb: PollStop requires UseReaderGoroutine")
-	}
-	select {
-	case pkt, ok := <-c.packets:
-		return c.stopped(pkt, ok)
-	default:
-		return nil, false, nil
-	}
-}
-
-// stopped turns a packet received from the reader goroutine while the
-// target runs into PollStop/WaitStopTimeout results; ok=false means
-// the reader has failed.
-func (c *Client) stopped(pkt []byte, ok bool) (*StopEvent, bool, error) {
-	if !ok {
-		return nil, false, c.readError()
-	}
-	ev, err := parseStop(pkt)
-	if err != nil {
-		return nil, false, err
-	}
-	c.running = false
-	return ev, true, nil
-}
 
 // RunQuantum runs the target for at most budget instructions using the
 // qRun extension — one full RSP round trip through the host OS per
@@ -402,22 +327,16 @@ func (c *Client) RunQuantum(budget uint64) (*StopEvent, uint64, error) {
 		}
 		return nil, executed, nil
 	}
-	ev, err := parseStop(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ev, 0, nil
+	ev, err := c.stop(r)
+	return ev, 0, err
 }
 
 // WaitStopTimeout blocks until the running target stops or the wall
-// timeout elapses (buffered mode only). It returns ok=false on timeout
-// with the target still running. One timer is reused across calls.
+// timeout elapses. It returns ok=false on timeout with the target still
+// running. One timer is reused across calls.
 func (c *Client) WaitStopTimeout(d time.Duration) (*StopEvent, bool, error) {
 	if !c.running {
 		return nil, false, errors.New("gdb: WaitStopTimeout while not running")
-	}
-	if !c.buffered {
-		return nil, false, errors.New("gdb: WaitStopTimeout requires UseReaderGoroutine")
 	}
 	if c.timer == nil {
 		c.timer = time.NewTimer(d)
@@ -425,16 +344,17 @@ func (c *Client) WaitStopTimeout(d time.Duration) (*StopEvent, bool, error) {
 		c.timer.Reset(d)
 	}
 	select {
-	case pkt, ok := <-c.packets:
+	case res := <-c.stops:
 		if !c.timer.Stop() {
-			// It fired as the packet arrived: drop the tick so the next
+			// It fired as the stop arrived: drop the tick so the next
 			// Reset starts clean.
 			select {
 			case <-c.timer.C:
 			default:
 			}
 		}
-		return c.stopped(pkt, ok)
+		ev, err := c.stopped(res)
+		return ev, err == nil, err
 	case <-c.timer.C:
 		return nil, false, nil
 	}
@@ -445,24 +365,31 @@ func (c *Client) WaitStop() (*StopEvent, error) {
 	if !c.running {
 		return nil, errors.New("gdb: WaitStop while not running")
 	}
-	pkt, err := c.recv()
-	if err != nil {
-		return nil, err
-	}
+	return c.stopped(<-c.stops)
+}
+
+// stopped takes the result of the read that ended a continue.
+func (c *Client) stopped(res stopResult) (*StopEvent, error) {
 	c.running = false
-	return parseStop(pkt)
+	if res.err != nil {
+		return nil, res.err
+	}
+	c.ev = res.ev
+	return &c.ev, nil
 }
 
 // Interrupt sends the break-in byte to stop a running target; collect
-// the resulting stop with WaitStop.
+// the resulting stop with WaitStop or WaitStopTimeout.
 func (c *Client) Interrupt() error {
 	_, err := c.conn.Write([]byte{InterruptByte})
 	return err
 }
 
-// Kill terminates the stub (no reply is defined for 'k').
+// Kill terminates the stub. No reply is defined for 'k', and no ack is
+// awaited: a stop read may still hold the connection after a timed-out
+// wait.
 func (c *Client) Kill() error {
-	return c.send([]byte("k"))
+	return c.t.sendReplyNoAckWait([]byte("k"))
 }
 
 // Detach cleanly detaches from the stub.
@@ -471,26 +398,26 @@ func (c *Client) Detach() error {
 	return err
 }
 
-// parseStop decodes S/T/W stop replies. In a T reply it decodes the
-// watch address and the expedited PC and cycle counter; a malformed one
-// is an error, never a zero. Other fields are skipped.
-func parseStop(pkt []byte) (*StopEvent, error) {
+// parseStop decodes an S/T/W stop reply into ev. In a T reply it
+// decodes the watch address and the expedited PC and cycle counter; a
+// malformed one is an error, never a zero. Other fields are skipped.
+func parseStop(pkt []byte, ev *StopEvent) error {
+	*ev = StopEvent{}
 	if len(pkt) < 3 {
-		return nil, fmt.Errorf("gdb: short stop reply %q", pkt)
+		return fmt.Errorf("gdb: short stop reply %q", pkt)
 	}
-	ev := &StopEvent{}
 	sig, err := parseHexByte(pkt[1], pkt[2])
 	if err != nil {
-		return nil, fmt.Errorf("gdb: bad signal in stop reply %q", pkt)
+		return fmt.Errorf("gdb: bad signal in stop reply %q", pkt)
 	}
 	switch pkt[0] {
 	case 'S':
 		ev.Signal = sig
-		return ev, nil
+		return nil
 	case 'W':
 		ev.Exited = true
 		ev.ExitCode = sig
-		return ev, nil
+		return nil
 	case 'T':
 		ev.Signal = sig
 		var lo, hi uint32
@@ -502,7 +429,7 @@ func parseStop(pkt []byte) (*StopEvent, error) {
 			if string(key) == "watch" {
 				addr, ok := parseHex(val)
 				if !ok || addr > math.MaxUint32 {
-					return nil, fmt.Errorf("gdb: bad watch address in stop reply %q", pkt)
+					return fmt.Errorf("gdb: bad watch address in stop reply %q", pkt)
 				}
 				ev.IsWatch = true
 				ev.WatchAddr = uint32(addr)
@@ -514,7 +441,7 @@ func parseStop(pkt []byte) (*StopEvent, error) {
 			}
 			v, err := parseU32LE(val)
 			if err != nil {
-				return nil, fmt.Errorf("gdb: bad register %s in stop reply %q", key, pkt)
+				return fmt.Errorf("gdb: bad register %s in stop reply %q", key, pkt)
 			}
 			switch n {
 			case RegPC:
@@ -527,10 +454,7 @@ func parseStop(pkt []byte) (*StopEvent, error) {
 		}
 		ev.Cycles = uint64(hi)<<32 | uint64(lo)
 		ev.Expedited = seen == 7
-		return ev, nil
+		return nil
 	}
-	return nil, fmt.Errorf("gdb: unrecognized stop reply %q", pkt)
+	return fmt.Errorf("gdb: unrecognized stop reply %q", pkt)
 }
-
-// Buffered reports whether the client uses a reader goroutine.
-func (c *Client) Buffered() bool { return c.buffered }

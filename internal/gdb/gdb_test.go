@@ -125,7 +125,7 @@ func testCPU(t *testing.T, src string) (*iss.CPU, *asm.Image) {
 
 // newTarget assembles a program and serves it over an in-memory pipe,
 // returning a connected client.
-func newTarget(t *testing.T, src string, buffered bool) (*Client, *iss.CPU, *asm.Image) {
+func newTarget(t *testing.T, src string) (*Client, *iss.CPU, *asm.Image) {
 	t.Helper()
 	cpu, im := testCPU(t, src)
 	host, target := net.Pipe()
@@ -134,7 +134,7 @@ func newTarget(t *testing.T, src string, buffered bool) (*Client, *iss.CPU, *asm
 		_ = stub.Serve()
 		target.Close()
 	}()
-	cl, err := NewClient(host, ClientOptions{UseReaderGoroutine: buffered})
+	cl, err := NewClient(host)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ var: .word 0xCAFEBABE
 `
 
 func TestHandshakeAndHaltReason(t *testing.T) {
-	cl, _, _ := newTarget(t, testProg, false)
+	cl, _, _ := newTarget(t, testProg)
 	feat, err := cl.QuerySupported()
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestHandshakeAndHaltReason(t *testing.T) {
 }
 
 func TestReadWriteRegisters(t *testing.T) {
-	cl, cpu, _ := newTarget(t, testProg, false)
+	cl, cpu, _ := newTarget(t, testProg)
 	cpu.Regs[10] = 0x12345678
 	regs, err := cl.ReadRegisters()
 	if err != nil {
@@ -198,7 +198,7 @@ func TestReadWriteRegisters(t *testing.T) {
 }
 
 func TestReadWriteMemory(t *testing.T) {
-	cl, _, im := newTarget(t, testProg, false)
+	cl, _, im := newTarget(t, testProg)
 	addr := im.MustSymbol("var")
 	data, err := cl.ReadMemory(addr, 4)
 	if err != nil {
@@ -217,7 +217,7 @@ func TestReadWriteMemory(t *testing.T) {
 }
 
 func TestSoftwareBreakpointRoundTrip(t *testing.T) {
-	cl, cpu, im := newTarget(t, testProg, false)
+	cl, cpu, im := newTarget(t, testProg)
 	bp := im.MustSymbol("after")
 	if err := cl.SetBreakpoint(bp); err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestSoftwareBreakpointRoundTrip(t *testing.T) {
 }
 
 func TestClearBreakpoint(t *testing.T) {
-	cl, cpu, im := newTarget(t, testProg, false)
+	cl, cpu, im := newTarget(t, testProg)
 	bp := im.MustSymbol("after")
 	orig, _ := cpu.Bus().Read(bp, 4)
 	if err := cl.SetBreakpoint(bp); err != nil {
@@ -292,7 +292,7 @@ func TestClearBreakpoint(t *testing.T) {
 }
 
 func TestHardwareBreakpoint(t *testing.T) {
-	cl, _, im := newTarget(t, testProg, false)
+	cl, _, im := newTarget(t, testProg)
 	bp := im.MustSymbol("work")
 	if err := cl.SetHWBreakpoint(bp); err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestHardwareBreakpoint(t *testing.T) {
 }
 
 func TestStep(t *testing.T) {
-	cl, cpu, _ := newTarget(t, testProg, false)
+	cl, cpu, _ := newTarget(t, testProg)
 	ev, err := cl.Step()
 	if err != nil || ev.Signal != 5 {
 		t.Fatalf("step = %+v, %v", ev, err)
@@ -320,7 +320,7 @@ func TestStep(t *testing.T) {
 }
 
 func TestStepOffPlantedBreakpoint(t *testing.T) {
-	cl, cpu, im := newTarget(t, testProg, false)
+	cl, cpu, im := newTarget(t, testProg)
 	bp := im.MustSymbol("work")
 	_ = cl.SetBreakpoint(bp)
 	_ = cl.Continue()
@@ -345,7 +345,7 @@ _start:
     halt
 .data
 target: .word 0
-`, false)
+`)
 	wa := im.MustSymbol("target")
 	if err := cl.SetWatchpoint(wa, 4); err != nil {
 		t.Fatal(err)
@@ -368,7 +368,7 @@ func TestInterruptBreakIn(t *testing.T) {
 _start:
 spin:
     j spin
-`, false)
+`)
 	if err := cl.Continue(); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ spin:
 }
 
 func TestRunQuantumLockStep(t *testing.T) {
-	cl, cpu, im := newTarget(t, testProg, false)
+	cl, cpu, im := newTarget(t, testProg)
 	bp := im.MustSymbol("after")
 	_ = cl.SetBreakpoint(bp)
 	// Drive the target one instruction per quantum, as the GDB-Wrapper
@@ -439,7 +439,7 @@ func TestRunQuantumReportsExecuted(t *testing.T) {
 _start:
 spin:
     j spin
-`, false)
+`)
 	ev, n, err := cl.RunQuantum(25)
 	if err != nil {
 		t.Fatal(err)
@@ -452,8 +452,11 @@ spin:
 	}
 }
 
-func TestBufferedModeFullSession(t *testing.T) {
-	cl, cpu, im := newTarget(t, testProg, true)
+// TestContinueStopSession runs a debug session across the stop read:
+// the stop that ends a continue is collected from the goroutine that
+// read it, and the transactions after it read their replies inline.
+func TestContinueStopSession(t *testing.T) {
+	cl, cpu, im := newTarget(t, testProg)
 	bp := im.MustSymbol("after")
 	if err := cl.SetBreakpoint(bp); err != nil {
 		t.Fatal(err)
@@ -461,21 +464,15 @@ func TestBufferedModeFullSession(t *testing.T) {
 	if err := cl.Continue(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		ev, stopped, err := cl.PollStop()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stopped {
-			if ev.Signal != 5 {
-				t.Fatalf("signal = %d", ev.Signal)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("never stopped")
-		}
+	if _, err := cl.ReadPC(); err == nil {
+		t.Fatal("transaction accepted while the target runs")
+	}
+	ev, ok, err := cl.WaitStopTimeout(2 * time.Second)
+	if err != nil || !ok {
+		t.Fatalf("stop = %v, %v", ok, err)
+	}
+	if ev.Signal != 5 || ev.PC != bp {
+		t.Fatalf("stop = %+v, want SIGTRAP at %#x", ev, bp)
 	}
 	v, err := cl.ReadMemory(im.MustSymbol("var"), 4)
 	if err != nil {
@@ -485,7 +482,7 @@ func TestBufferedModeFullSession(t *testing.T) {
 		t.Fatalf("var = % x", v)
 	}
 	_ = cl.Continue()
-	ev, err := cl.WaitStop()
+	ev, err = cl.WaitStop()
 	if err != nil || !ev.Exited {
 		t.Fatalf("final = %+v, %v", ev, err)
 	}
@@ -522,7 +519,7 @@ func TestOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewClient(conn, ClientOptions{})
+	cl, err := NewClient(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,12 +560,12 @@ func TestParseStop(t *testing.T) {
 			StopEvent{Signal: 5, PC: 4, Cycles: 1}},
 	}
 	for _, c := range cases {
-		got, err := parseStop([]byte(c.in))
-		if err != nil {
+		var got StopEvent
+		if err := parseStop([]byte(c.in), &got); err != nil {
 			t.Errorf("parseStop(%q): %v", c.in, err)
 			continue
 		}
-		if *got != c.want {
+		if got != c.want {
 			t.Errorf("parseStop(%q) = %+v, want %+v", c.in, got, c.want)
 		}
 	}
@@ -580,7 +577,7 @@ func TestParseStop(t *testing.T) {
 		"T05swbreak:;20;26:00000000;27:00000000;",
 		"T05watch:10;20:04000000;26:00000000;27:000000000;",
 	} {
-		if _, err := parseStop([]byte(bad)); err == nil {
+		if err := parseStop([]byte(bad), new(StopEvent)); err == nil {
 			t.Errorf("parseStop(%q) succeeded", bad)
 		}
 	}
@@ -596,17 +593,15 @@ func FuzzParseStop(f *testing.F) {
 	f.Add([]byte("T05;;:;20:;watch;27"), true, uint32(0), uint32(0), uint64(0))
 	f.Add([]byte("S1f"), false, uint32(0), ^uint32(0), ^uint64(0))
 	f.Fuzz(func(t *testing.T, reply []byte, watch bool, addr, pc uint32, cycles uint64) {
-		if ev, err := parseStop(reply); (ev == nil) == (err == nil) {
-			t.Fatalf("parseStop(%q) = %v, %v", reply, ev, err)
-		}
+		_ = parseStop(reply, new(StopEvent))
 		want := StopEvent{Signal: 5, IsWatch: watch, Expedited: true, PC: pc, Cycles: cycles}
 		if watch {
 			want.WatchAddr = addr
 		}
 		built := appendStopT(nil, watch, addr, pc, cycles)
 		for _, r := range [][]byte{built, []byte(want.String())} {
-			ev, err := parseStop(r)
-			if err != nil || *ev != want {
+			var ev StopEvent
+			if err := parseStop(r, &ev); err != nil || ev != want {
 				t.Fatalf("parseStop(%q) = %v, %v; want %v", r, ev, err, want)
 			}
 		}
@@ -614,7 +609,7 @@ func FuzzParseStop(f *testing.F) {
 }
 
 func TestUnknownPacketGetsEmptyReply(t *testing.T) {
-	cl, _, _ := newTarget(t, testProg, false)
+	cl, _, _ := newTarget(t, testProg)
 	r, err := cl.transact([]byte("vMustReplyEmpty"))
 	if err != nil {
 		t.Fatal(err)
@@ -625,7 +620,7 @@ func TestUnknownPacketGetsEmptyReply(t *testing.T) {
 }
 
 func TestDetach(t *testing.T) {
-	cl, _, _ := newTarget(t, testProg, false)
+	cl, _, _ := newTarget(t, testProg)
 	if err := cl.Detach(); err != nil {
 		t.Fatal(err)
 	}

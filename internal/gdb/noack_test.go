@@ -66,7 +66,7 @@ func TestNoAckHandshake(t *testing.T) {
 	for _, network := range []string{"pipe", "tcp"} {
 		t.Run(network, func(t *testing.T) {
 			stub, host, served := servePair(t, network, testProg)
-			cl, err := NewClient(host, ClientOptions{})
+			cl, err := NewClient(host)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestNoAckFallbackKeepsAckMode(t *testing.T) {
 			expect('+')
 		}
 	}()
-	cl, err := NewClient(host, ClientOptions{})
+	cl, err := NewClient(host)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestNoAckChecksumFailsLoudly(t *testing.T) {
 			}
 			_, _ = peer.Write([]byte("$00#00"))
 		}()
-		cl, err := NewClient(host, ClientOptions{})
+		cl, err := NewClient(host)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestNoAckChecksumFailsLoudly(t *testing.T) {
 // exactly one stop per continue, and a stray break-in does not stop
 // the next continue.
 func TestBreakInRacingStopReply(t *testing.T) {
-	cl, _, im := newTarget(t, warmLoopProg, true)
+	cl, _, im := newTarget(t, warmLoopProg)
 	bp := im.MustSymbol("target")
 	if err := cl.SetBreakpoint(bp); err != nil {
 		t.Fatal(err)
@@ -310,12 +310,13 @@ func TestServeCleanEOF(t *testing.T) {
 
 // TestRoundTripAllocs pins the allocation cost of the hot RSP
 // transactions, counted over both the client and the stub goroutine.
-// Each packet read allocates its retainable payload; a stop also
-// returns a fresh *StopEvent and ReadRegisters a fresh *Regs. Command
-// and reply coding, the expedited stop reply included, allocate nothing.
+// Packets are read in place and a stop is parsed into the client's own
+// event, so command and reply coding, the expedited stop reply
+// included, allocate nothing; ReadRegisters returns a fresh *Regs and
+// ReadMemory a fresh slice.
 func TestRoundTripAllocs(t *testing.T) {
-	cl, _, _ := newTarget(t, warmLoopProg, false)
-	bpcl, _, im := newTarget(t, warmLoopProg, false)
+	cl, _, _ := newTarget(t, warmLoopProg)
+	bpcl, _, im := newTarget(t, warmLoopProg)
 	if err := bpcl.SetBreakpoint(im.MustSymbol("target")); err != nil {
 		t.Fatal(err)
 	}
@@ -324,15 +325,17 @@ func TestRoundTripAllocs(t *testing.T) {
 		max  float64
 		op   func() error
 	}{
-		{"RunQuantum", 2, func() error { _, _, err := cl.RunQuantum(8); return err }},
-		{"RunQuantum/breakpoint-stop", 3, func() error {
+		{"RunQuantum", 0, func() error { _, _, err := cl.RunQuantum(8); return err }},
+		{"RunQuantum/breakpoint-stop", 0, func() error {
 			ev, _, err := bpcl.RunQuantum(8)
 			if err == nil && (ev == nil || !ev.Expedited) {
 				err = fmt.Errorf("quantum ended in %v, want an expedited breakpoint stop", ev)
 			}
 			return err
 		}},
-		{"ReadRegisters", 3, func() error { _, err := cl.ReadRegisters(); return err }},
+		{"ReadRegisters", 1, func() error { _, err := cl.ReadRegisters(); return err }},
+		{"ReadMemory", 1, func() error { _, err := cl.ReadMemory(0, 4); return err }},
+		{"WriteMemory", 0, func() error { return cl.WriteMemory(0x8000, []byte{1, 2, 3, 4}) }},
 	} {
 		var err error
 		allocs := testing.AllocsPerRun(200, func() {

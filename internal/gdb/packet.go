@@ -87,13 +87,13 @@ type transport struct {
 	br *bufio.Reader
 
 	// noAck is set once QStartNoAckMode is negotiated: by the client
-	// before it starts a reader goroutine, by the stub in its serve
-	// loop, the only stub goroutine that reads it.
+	// before its first continue starts a stop read, by the stub in its
+	// serve loop, the only stub goroutine that reads it.
 	noAck bool
 
 	writeMu   sync.Mutex
 	wrScratch []byte // frame build buffer, reused under writeMu
-	rdBody    []byte // packet body scratch, reused by the (single) reader
+	rdBody    []byte // packet body scratch, reused by the one reader at a time
 	stats     Stats
 }
 
@@ -182,10 +182,11 @@ func (t *transport) writeAck(c byte) error {
 
 // readPacket reads one packet payload, acknowledging it in ack mode.
 // Stray acks are skipped. The interrupt byte surfaces as ErrInterrupt.
-// The returned payload is freshly allocated (callers may retain it);
-// the raw body is accumulated in a reused scratch buffer, so readPacket
-// must not be called from two goroutines at once (the stub's serve loop
-// and the client's single reader both satisfy this).
+// The payload is decoded in place in the transport's scratch buffer
+// and is valid only until the next read: a caller that keeps any of it
+// copies it. readPacket must not be called from two goroutines at once
+// (the stub's serve loop and the client's one reader at a time both
+// satisfy this).
 func (t *transport) readPacket() ([]byte, error) {
 	for {
 		c, err := t.br.ReadByte()
@@ -202,21 +203,10 @@ func (t *transport) readPacket() ([]byte, error) {
 			continue
 		}
 
-		body := t.rdBody[:0]
-		for {
-			c, err := t.br.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			if c == '#' {
-				break
-			}
-			body = append(body, c)
-			if len(body) > MaxPacketSize*2 {
-				return nil, errors.New("gdb: oversized packet")
-			}
+		body, err := t.readBody()
+		if err != nil {
+			return nil, err
 		}
-		t.rdBody = body[:0] // keep the grown array for the next packet
 		hi, err := t.br.ReadByte()
 		if err != nil {
 			return nil, err
@@ -249,7 +239,35 @@ func (t *transport) readPacket() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return append([]byte(nil), unescape(expanded)...), nil
+		return unescape(expanded), nil
+	}
+}
+
+// readBody reads a packet body up to its '#' into the scratch buffer,
+// scanning whatever the reader has buffered at a time. A body longer
+// than 2*MaxPacketSize is an error as soon as the limit is passed.
+func (t *transport) readBody() ([]byte, error) {
+	body := t.rdBody[:0]
+	for {
+		buf, err := t.br.Peek(max(t.br.Buffered(), 1))
+		if err != nil {
+			return nil, err
+		}
+		i := bytes.IndexByte(buf, '#')
+		n := i
+		if i < 0 {
+			n = len(buf)
+		}
+		body = append(body, buf[:n]...)
+		t.rdBody = body[:0] // keep the grown array for the next packet
+		if len(body) > MaxPacketSize*2 {
+			return nil, errors.New("gdb: oversized packet")
+		}
+		if i >= 0 {
+			_, _ = t.br.Discard(i + 1)
+			return body, nil
+		}
+		_, _ = t.br.Discard(n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -131,7 +132,9 @@ func (s *Stub) Serve() error {
 		if len(pkt) > 0 && pkt[0] == 'c' {
 			s.breakIn.Store(false)
 			running = true
-			start <- pkt[1:]
+			// The runner outlives the read buffer: hand it a copy (nil,
+			// with no allocation, for a bare "c").
+			start <- append([]byte(nil), pkt[1:]...)
 			continue
 		}
 		reply, done := s.dispatch(pkt)
@@ -351,7 +354,7 @@ func (s *Stub) readMem(arg []byte) []byte {
 	if !ok || length > MaxPacketSize/2 {
 		return replyE01
 	}
-	buf := append(s.mem[:0], make([]byte, length)...)
+	buf := slices.Grow(s.mem[:0], length)[:length] // ReadBytes fills it
 	s.mem = buf
 	if err := iss.ReadBytes(s.cpu.Bus(), addr, buf); err != nil {
 		return replyE02

@@ -60,7 +60,7 @@ func runToEBreak(t *testing.T, cl *Client, want uint32) {
 // write lands in code the CPU has already executed and predecoded, so
 // the stub must invalidate the decode cache for the EBREAK to fire.
 func TestSoftwareBreakpointViaMPacket(t *testing.T) {
-	cl, cpu, im := newTarget(t, warmLoopProg, true)
+	cl, cpu, im := newTarget(t, warmLoopProg)
 	if !cpu.DecodeCacheEnabled() {
 		t.Fatal("decode cache unexpectedly disabled")
 	}
@@ -84,7 +84,7 @@ func TestSoftwareBreakpointViaMPacket(t *testing.T) {
 // TestSoftwareBreakpointViaXPacket is the binary-write twin: the same
 // EBREAK patch delivered through an X packet must also invalidate.
 func TestSoftwareBreakpointViaXPacket(t *testing.T) {
-	cl, _, im := newTarget(t, warmLoopProg, true)
+	cl, _, im := newTarget(t, warmLoopProg)
 	for i := 0; i < 3; i++ {
 		if _, err := cl.Step(); err != nil {
 			t.Fatal(err)

@@ -18,7 +18,7 @@ func netPipe() (net.Conn, net.Conn) { return net.Pipe() }
 func BreakWordForTest() uint32 { return isa.BreakpointWord }
 
 func TestWriteAllRegisters(t *testing.T) {
-	cl, cpu, _ := newTarget(t, testProg, false)
+	cl, cpu, _ := newTarget(t, testProg)
 	// Compose a G packet: read, tweak, write back.
 	regs, err := cl.ReadRegisters()
 	if err != nil {
@@ -49,7 +49,7 @@ func TestWriteAllRegisters(t *testing.T) {
 }
 
 func TestMemoryWriteOverPlantedBreakpoint(t *testing.T) {
-	cl, cpu, im := newTarget(t, testProg, false)
+	cl, cpu, im := newTarget(t, testProg)
 	bp := im.MustSymbol("after")
 	orig, _ := cpu.Bus().Read(bp, 4)
 	if err := cl.SetBreakpoint(bp); err != nil {
@@ -89,7 +89,7 @@ func decodeWord(w uint32) (string, error) {
 }
 
 func TestHaltReasonAfterStop(t *testing.T) {
-	cl, _, im := newTarget(t, testProg, false)
+	cl, _, im := newTarget(t, testProg)
 	_ = cl.SetBreakpoint(im.MustSymbol("work"))
 	_ = cl.Continue()
 	if _, err := cl.WaitStop(); err != nil {
@@ -102,7 +102,7 @@ func TestHaltReasonAfterStop(t *testing.T) {
 }
 
 func TestRegisterWriteChangesPC(t *testing.T) {
-	cl, cpu, im := newTarget(t, testProg, false)
+	cl, cpu, im := newTarget(t, testProg)
 	target := im.MustSymbol("after")
 	if err := cl.WriteRegister(RegPC, target); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestRegisterWriteChangesPC(t *testing.T) {
 }
 
 func TestBadPacketsGetErrors(t *testing.T) {
-	cl, _, _ := newTarget(t, testProg, false)
+	cl, _, _ := newTarget(t, testProg)
 	for _, pkt := range []string{"p999", "mzzzz,4", "M100", "Zx", "qRun,0", "P5"} {
 		r, err := cl.transact([]byte(pkt))
 		if err != nil {
@@ -139,7 +139,7 @@ func TestBadPacketsGetErrors(t *testing.T) {
 }
 
 func TestStatsCount(t *testing.T) {
-	cl, _, _ := newTarget(t, testProg, false)
+	cl, _, _ := newTarget(t, testProg)
 	before := cl.Stats()
 	if _, err := cl.ReadRegisters(); err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func pipePair() (a, b interface {
 }
 
 func TestTargetDescriptionXML(t *testing.T) {
-	cl, _, _ := newTarget(t, testProg, false)
+	cl, _, _ := newTarget(t, testProg)
 	feat, err := cl.QuerySupported()
 	if err != nil || !bytes.Contains([]byte(feat), []byte("qXfer:features:read+")) {
 		t.Fatalf("features = %q, %v", feat, err)
@@ -279,7 +279,7 @@ func TestStopReplyExpeditesPCAndCycles(t *testing.T) {
 		{"qRun-breakpoint", false, quantum},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cl, _, im := newTarget(t, expediteProg, false)
+			cl, _, im := newTarget(t, expediteProg)
 			var err error
 			if c.watch {
 				err = cl.SetWatchpoint(im.MustSymbol("target"), 4)
@@ -347,7 +347,7 @@ func TestMemoryWriteTouchesOnlyOverlappedBreakpoints(t *testing.T) {
 		_ = NewStub(cpu, target).Serve()
 		target.Close()
 	}()
-	cl, err := NewClient(host, ClientOptions{})
+	cl, err := NewClient(host)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,3 +78,31 @@ func TestGDBWrapperJournalPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestGDBKernelJournalPinned pins the whole transfer history of the
+// seed-1 GDB-Kernel 2-CPU run of TestGDBOutcomesPinned, byte for byte.
+// The kernel services every stop exactly at its skew bound, so the
+// journal depends on spec and seed only and must be the same over
+// every transport.
+func TestGDBKernelJournalPinned(t *testing.T) {
+	const want = "2f4efb2bfd774854710fb1a32be68d680dfaf21f1263ee06c4cb02b782d3c055"
+	for _, tr := range []core.Transport{core.TransportTCP, core.TransportRing, core.TransportPipe} {
+		t.Run(tr.Name(), func(t *testing.T) {
+			jl := core.NewJournal(0)
+			if _, err := Run(Params{
+				Scheme: GDBKernel, CPUs: 2, Transport: tr,
+				SimTime: 4 * sim.MS, Delay: 5 * sim.US, Seed: 1, Journal: jl,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var csv bytes.Buffer
+			if err := jl.WriteCSV(&csv); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(csv.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Fatalf("journal (%d entries) SHA-256 %s, want %s", jl.Len(), got, want)
+			}
+		})
+	}
+}

@@ -15,9 +15,9 @@ type updatable interface {
 
 // CycleHook is invoked by the scheduler at simulation-cycle boundaries.
 // This is the kernel extension point of the paper: the GDB-Kernel scheme
-// polls the ISS pipe from a begin-of-cycle hook, and the Driver-Kernel
-// scheme drains its data socket there and emits interrupt messages from
-// an end-of-cycle hook.
+// services ISS breakpoint stops from a begin-of-cycle hook, and the
+// Driver-Kernel scheme drains its data socket there and emits interrupt
+// messages from an end-of-cycle hook.
 type CycleHook func(k *Kernel)
 
 // Kernel is the simulation kernel: it owns processes, events, channels
