@@ -9,6 +9,7 @@ package cosim
 //	BenchmarkTable1/*              — Table 1 (wall clock per scheme per simulated time)
 //	BenchmarkFigure7/*             — Figure 7 (% forwarded vs inter-packet delay)
 //	BenchmarkAblationPolling       — A1: lock-step qRun round trip vs the in-kernel hook before the bound
+//	BenchmarkStopService           — the unit cost of one GDB-Kernel stop service, per transport
 //	BenchmarkAblationTransport     — A2: RSP-framed transfer vs raw driver message
 //	BenchmarkAblationInterruptGDB  — A3: single-stepping cost (why GDB-Kernel can't do interrupts)
 
@@ -90,15 +91,20 @@ func BenchmarkFigure7(b *testing.B) {
 }
 
 // spinTarget boots a bare-metal guest spinning in a loop, served by a
-// GDB stub, for the ablation microbenchmarks.
+// GDB stub over tcp, for the ablation microbenchmarks.
 func spinTarget(b *testing.B) (*core.GDBTarget, *asm.Image) {
-	b.Helper()
-	im, err := asm.Assemble(asm.Options{}, asm.Source{Name: "spin.s", Text: `
+	return bareTarget(b, core.TransportTCP, `
 _start:
 spin:
     addi s0, s0, 1
     j    spin
-`})
+`)
+}
+
+// bareTarget boots a bare-metal guest served by a GDB stub over tr.
+func bareTarget(b *testing.B, tr core.Transport, src string) (*core.GDBTarget, *asm.Image) {
+	b.Helper()
+	im, err := asm.Assemble(asm.Options{DataBase: 0x10000}, asm.Source{Name: "guest.s", Text: src})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,7 +114,7 @@ spin:
 	}
 	cpu := iss.New(iss.NewSystemBus(ram))
 	cpu.Reset(im.Entry)
-	target, err := core.StartGDBTarget(cpu, core.TransportTCP)
+	target, err := core.StartGDBTarget(cpu, tr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -157,6 +163,67 @@ func BenchmarkAblationPolling(b *testing.B) {
 			b.Fatalf("%d polls in %d cycles", g.Stats().Polls, b.N)
 		}
 	})
+}
+
+// BenchmarkStopService is the unit cost of one GDB-Kernel stop service
+// on each transport: the variable transfer and the resume in one write,
+// the transfer's reply, the guest's run to its next breakpoint and the
+// stop read. The guest doubles a request word between two breakpoints,
+// so the stops alternate between a 4-byte poke (M) and a 4-byte read
+// (m), as in a GDB-Kernel run.
+func BenchmarkStopService(b *testing.B) {
+	for _, tr := range []core.Transport{core.TransportRing, core.TransportPipe, core.TransportTCP} {
+		b.Run(tr.Name(), func(b *testing.B) {
+			target, im := bareTarget(b, tr, `
+_start:
+    la   s0, req
+    la   s1, resp
+loop:
+bp_req:
+    lw   a0, 0(s0)
+    add  a1, a0, a0
+    sw   a1, 0(s1)
+bp_resp:
+    nop
+    j    loop
+.data
+.align 4
+req:  .word 0
+resp: .word 0
+`)
+			cl := gdbClient(b, target)
+			bpReq, bpResp := im.MustSymbol("bp_req"), im.MustSymbol("bp_resp")
+			req, resp := im.MustSymbol("req"), im.MustSymbol("resp")
+			for _, bp := range []uint32{bpReq, bpResp} {
+				if err := cl.SetBreakpoint(bp); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := cl.Continue(); err != nil {
+				b.Fatal(err)
+			}
+			ev, err := cl.WaitStop()
+			word := []byte{1, 0, 0, 0}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N && err == nil; i++ {
+				if ev.PC == bpReq {
+					err = cl.WriteMemoryContinue(req, word)
+				} else {
+					_, err = cl.ReadMemoryContinue(resp, 4)
+				}
+				if err == nil {
+					ev, err = cl.WaitStop()
+				}
+			}
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = cl.Kill()
+			_ = target.Wait()
+		})
+	}
 }
 
 // BenchmarkAblationDecodeCache isolates the predecoded-instruction

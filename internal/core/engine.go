@@ -81,6 +81,12 @@ type gdbEngine struct {
 	// data for; nil when the ISS is runnable.
 	waiting *binding
 
+	// continues is set by GDB-Kernel, whose ISS free-runs between stops:
+	// each variable transfer also resumes it, in one write where the
+	// client can (gdb.Client.ReadMemoryContinue/WriteMemoryContinue).
+	// The wrapper steps the ISS with qRun and transfers alone.
+	continues bool
+
 	exited bool
 	stats  Stats
 	obs    engineObs
@@ -141,8 +147,9 @@ func (e *gdbEngine) targetTime(cycles uint64) sim.Time {
 // handleStop services a breakpoint or watchpoint stop. The stop reply
 // expedites the PC and cycle counter, so the stop itself costs no
 // transaction; the binding's variable transfer is the only one. It
-// returns true if the ISS may resume immediately, false if it must stay
-// stopped waiting for SystemC-side data.
+// returns true if the ISS may resume immediately (on GDB-Kernel the
+// transfer has resumed it), false if it must stay stopped waiting for
+// SystemC-side data.
 func (e *gdbEngine) handleStop(ev *gdb.StopEvent) (bool, error) {
 	e.stats.Stops++
 	e.obs.stops.Inc()
@@ -167,9 +174,15 @@ func (e *gdbEngine) handleStop(ev *gdb.StopEvent) (bool, error) {
 	if b.inPort != nil {
 		// ISS -> SystemC: the guest has stored the variable; read it and
 		// deliver to the iss_in port at the cycle-implied time.
-		data, err := e.cl.ReadMemory(b.varAddr, b.spec.Size)
+		var data []byte
+		var err error
+		if e.continues {
+			data, err = e.cl.ReadMemoryContinue(b.varAddr, b.spec.Size)
+		} else {
+			data, err = e.cl.ReadMemory(b.varAddr, b.spec.Size)
+		}
 		if err != nil {
-			return false, err
+			return false, e.errf("port %s: %w", b.spec.Port, err)
 		}
 		t := e.targetTime(ev.Cycles)
 		port := b.inPort
@@ -204,14 +217,21 @@ func (e *gdbEngine) handleStop(ev *gdb.StopEvent) (bool, error) {
 	return false, nil
 }
 
-// pokeOut writes the iss_out port's value into the guest variable.
+// pokeOut writes the iss_out port's value into the guest variable, and
+// on GDB-Kernel resumes the ISS.
 func (e *gdbEngine) pokeOut(b *binding) error {
 	data := b.outPort.Bytes()
 	if len(data) > b.spec.Size {
 		data = data[:b.spec.Size]
 	}
-	if err := e.cl.WriteMemory(b.varAddr, data); err != nil {
-		return err
+	var err error
+	if e.continues {
+		err = e.cl.WriteMemoryContinue(b.varAddr, data)
+	} else {
+		err = e.cl.WriteMemory(b.varAddr, data)
+	}
+	if err != nil {
+		return e.errf("port %s: %w", b.spec.Port, err)
 	}
 	b.consumed = b.outPort.Writes()
 	b.outPort.Consumed()

@@ -18,7 +18,8 @@ import (
 // simulation cycle services its breakpoint stop exactly when simulated
 // time reaches the skew bound past the resume — transferring data
 // between the guest variable and the matching iss_in/iss_out port, then
-// resuming the ISS (Figure 3) — so outcomes depend on spec and seed only.
+// resuming the ISS (Figure 3), the transfer and the resume in one write
+// — so outcomes depend on spec and seed only.
 type GDBKernel struct {
 	gdbEngine
 	skewBound sim.Time
@@ -52,6 +53,7 @@ func NewGDBKernel(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBKern
 	g.period = opts.CPUPeriod
 	g.journal = opts.Journal
 	g.schemeName = "gdb-kernel"
+	g.continues = true
 	g.obs.init(opts.Obs)
 	g.byAddr, g.byWatch, err = resolveBindings(k, im, opts.Bindings)
 	if err != nil {
@@ -99,7 +101,7 @@ func (g *GDBKernel) hook(k *sim.Kernel) {
 			return
 		}
 		if ok {
-			g.resume()
+			g.resumed()
 		}
 		return
 	}
@@ -132,7 +134,7 @@ func (g *GDBKernel) hook(k *sim.Kernel) {
 		return
 	}
 	if resume {
-		g.resume()
+		g.resumed()
 	}
 	// Otherwise the ISS stays stopped; retryWaiting will resume it.
 }
@@ -167,13 +169,9 @@ func (g *GDBKernel) Quiesce() {
 	_, _, _ = g.cl.WaitStopTimeout(stopTimeout)
 }
 
-func (g *GDBKernel) resume() {
-	if err := g.cl.Continue(); err != nil {
-		g.fail(err)
-		return
-	}
-	g.outSince = g.k.Now()
-}
+// resumed starts the skew bound of a resume: the transfer that
+// serviced the stop has also continued the ISS.
+func (g *GDBKernel) resumed() { g.outSince = g.k.Now() }
 
 func (g *GDBKernel) fail(err error) {
 	if g.err == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"cosim/internal/gdb"
@@ -97,6 +98,8 @@ func BenchmarkMessageHotPathObsEnabled(b *testing.B) {
 // stop arrives already parsed, so an sc->iss poke allocates nothing and
 // an iss->sc transfer allocates only what outlives the stop: the data
 // read from the guest and the call that delivers it at its cycle time.
+// The wrapper's transfers are measured alone; GDB-Kernel's, which also
+// resume the guest, through the resume and the run to the next stop.
 func TestDisabledObsStopServiceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocation; counts unstable")
@@ -143,6 +146,49 @@ func TestDisabledObsStopServiceAllocs(t *testing.T) {
 		}
 		if allocs > c.max {
 			t.Errorf("%s stop: %.1f allocs, want <= %.0f", c.dir, allocs, c.max)
+		}
+	}
+
+	// GDB-Kernel: the guest stops at bp_req and bp_resp in turn. Each
+	// window spans one service, the transfer and resume in one write,
+	// and the wait for the next stop.
+	e.continues = true
+	if err := e.installBreakpoints(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.cl.Continue(); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bpReq := im.MustSymbol("bp_req")
+	var mallocs, stops [2]uint64 // by direction: sc->iss, iss->sc
+	var ms runtime.MemStats
+	ev, err := e.cl.WaitStop()
+	for i := 0; i < 420; i++ {
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := 1
+		if ev.PC == bpReq {
+			dir = 0
+			req.Write(word)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if resume, e2 := e.handleStop(ev); e2 != nil || !resume {
+			t.Fatalf("handleStop = %v, %v", resume, e2)
+		}
+		ev, err = e.cl.WaitStop()
+		runtime.ReadMemStats(&ms)
+		if i >= 20 { // past warm-up, as testing.AllocsPerRun skips one run
+			mallocs[dir] += ms.Mallocs - before
+			stops[dir]++
+		}
+	}
+	for dir, name := range [2]string{"sc->iss", "iss->sc"} {
+		// Whole allocations per stop, rounded down as AllocsPerRun does.
+		if got, bound := mallocs[dir]/stops[dir], [2]uint64{0, 2}[dir]; got > bound {
+			t.Errorf("gdb-kernel %s stop: %d allocs, want <= %d", name, got, bound)
 		}
 	}
 }

@@ -49,9 +49,12 @@ const NoInt = 0xffffffff
 // race between the interrupt socket and the data socket: a wakeup can
 // never be lost between "check availability" and "wait for interrupt".
 type CosimDev struct {
-	mu      sync.Mutex
-	tx      []byte
+	mu sync.Mutex
+	tx []byte
+	// rx[rxHead:] are the received bytes not yet read. Once they drain,
+	// rx restarts at its storage base, so the buffer is reused.
 	rx      []byte
+	rxHead  int
 	ints    []uint32
 	rxIntEn bool
 	level   bool // the PIC line level last driven
@@ -65,6 +68,10 @@ type CosimDev struct {
 	// flushed guest frame whose port has a valid window is served
 	// locally; everything else goes to the data socket unchanged.
 	windows map[string]*Window
+	// reply builds the DATA reply a window READ synthesises. Only the
+	// guest's CPU goroutine flushes, so only it touches reply, and
+	// InjectRx copies it out.
+	reply []byte
 
 	txMessages uint64
 	rxBytes    uint64
@@ -98,7 +105,7 @@ func (d *CosimDev) Size() uint32 { return CosimDevSize }
 // changes; callers hold d.mu. The PIC holds a level until it is
 // changed, so an unchanged level needs no PIC traffic.
 func (d *CosimDev) refresh() {
-	level := len(d.ints) > 0 || (d.rxIntEn && len(d.rx) > 0)
+	level := len(d.ints) > 0 || (d.rxIntEn && d.rxLen() > 0)
 	if level == d.level {
 		return
 	}
@@ -108,6 +115,20 @@ func (d *CosimDev) refresh() {
 	} else {
 		d.pic.Deassert(d.line)
 	}
+}
+
+// rxLen is the number of received bytes not yet read; callers hold d.mu.
+func (d *CosimDev) rxLen() int { return len(d.rx) - d.rxHead }
+
+// popRx removes and returns the oldest received byte; callers hold d.mu
+// and have checked that one is pending.
+func (d *CosimDev) popRx() byte {
+	v := d.rx[d.rxHead]
+	d.rxHead++
+	if d.rxHead == len(d.rx) {
+		d.rx, d.rxHead = d.rx[:0], 0
+	}
+	return v
 }
 
 // ConnectData attaches the data socket. Writes flushed by the guest go
@@ -263,23 +284,24 @@ func parseGuestFrame(out []byte) (typ, cycles uint32, port, data []byte, ok bool
 func (d *CosimDev) serveFromWindow(win *Window, typ, cycles uint32, payload []byte) bool {
 	switch typ {
 	case cosimMsgRead:
-		var reply []byte
-		if !win.TryRead(cycles, func(data []byte) {
-			le := binary.LittleEndian
-			reply = make([]byte, 0, 12+len(data))
-			reply = le.AppendUint32(reply, uint32(8+len(data)))
-			reply = le.AppendUint32(reply, cosimMsgData)
-			reply = le.AppendUint32(reply, uint32(len(data)))
-			reply = append(reply, data...)
-		}) {
+		if !win.TryRead(cycles, d.buildReply) {
 			return false
 		}
-		d.InjectRx(reply)
+		d.InjectRx(d.reply)
 		return true
 	case cosimMsgWrite:
 		return win.TryWrite(cycles, payload)
 	}
 	return false
+}
+
+// buildReply builds the DATA reply carrying data in d.reply.
+func (d *CosimDev) buildReply(data []byte) {
+	le := binary.LittleEndian
+	d.reply = le.AppendUint32(d.reply[:0], uint32(8+len(data)))
+	d.reply = le.AppendUint32(d.reply, cosimMsgData)
+	d.reply = le.AppendUint32(d.reply, uint32(len(data)))
+	d.reply = append(d.reply, data...)
 }
 
 // Read implements iss.Device.
@@ -288,23 +310,21 @@ func (d *CosimDev) Read(off uint32, size int) (uint32, error) {
 	defer d.mu.Unlock()
 	switch off {
 	case CosimRxByte:
-		if len(d.rx) == 0 {
+		if d.rxLen() == 0 {
 			return 0, nil
 		}
-		v := uint32(d.rx[0])
-		d.rx = d.rx[1:]
+		v := uint32(d.popRx())
 		d.refresh()
 		return v, nil
 	case CosimRxWord:
 		var v uint32
-		for i := 0; i < 4 && len(d.rx) > 0; i++ {
-			v |= uint32(d.rx[0]) << (8 * i)
-			d.rx = d.rx[1:]
+		for i := 0; i < 4 && d.rxLen() > 0; i++ {
+			v |= uint32(d.popRx()) << (8 * i)
 		}
 		d.refresh()
 		return v, nil
 	case CosimRxAvail:
-		return uint32(len(d.rx)), nil
+		return uint32(d.rxLen()), nil
 	case CosimIntNum:
 		if len(d.ints) == 0 {
 			return NoInt, nil

@@ -193,6 +193,36 @@ func TestCosimDevWindowServesReadAndWrite(t *testing.T) {
 	}
 }
 
+// TestCosimDevWindowReadHitAllocs: a window READ hit builds its DATA
+// reply in the device's scratch, and a drained receive buffer restarts
+// at its base, so a hit followed by the guest reading the reply out
+// allocates nothing.
+func TestCosimDevWindowReadHitAllocs(t *testing.T) {
+	d := NewCosimDev(NewPIC(newFakeSink(), 0), CosimLine)
+	var socket bytes.Buffer
+	d.ConnectData(eofReader{}, &socket)
+	win := NewWindow("pkt", nil)
+	d.GrantDMIWindow("pkt", win)
+	frame := guestFrame(cosimMsgRead, 7, "pkt", nil)
+	data := make([]byte, 64)
+	var seq uint64
+	hit := func() {
+		seq++
+		win.Update(data, seq) // a fresh generation, so the read hits
+		flushFrame(t, d, frame)
+		for avail, _ := d.Read(CosimRxAvail, 4); avail > 0; avail, _ = d.Read(CosimRxAvail, 4) {
+			_, _ = d.Read(CosimRxWord, 4)
+		}
+	}
+	hit()
+	if allocs := testing.AllocsPerRun(200, hit); allocs != 0 {
+		t.Fatalf("%v allocations per window READ hit and drain", allocs)
+	}
+	if hits, _, _ := win.Counters(); socket.Len() != 0 || hits != 202 {
+		t.Fatalf("%d bytes to the socket and %d hits, want 0 and 202", socket.Len(), hits)
+	}
+}
+
 func TestCosimDevGrantReplacementAndReconnectRevoke(t *testing.T) {
 	d := NewCosimDev(NewPIC(newFakeSink(), 0), CosimLine)
 	var socket bytes.Buffer

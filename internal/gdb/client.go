@@ -56,10 +56,11 @@ type Regs struct {
 //
 // Every synchronous transaction writes its command and reads the reply
 // inline, on the caller's goroutine. The one asynchronous reply, the
-// stop that ends a continue, is read by a goroutine that Continue
-// starts for it and that ends when the stop arrives or the connection
-// fails; WaitStop and WaitStopTimeout collect it. Nothing reads the
-// connection while the target is stopped.
+// stop that ends a continue, is read by a goroutine that Continue (or
+// ReadMemoryContinue or WriteMemoryContinue) starts for it and that
+// ends when the stop arrives or the connection fails; WaitStop and
+// WaitStopTimeout collect it. Nothing reads the connection while the
+// target is stopped.
 //
 // A *StopEvent a method returns is owned by the client and valid until
 // the next call that returns one.
@@ -71,6 +72,9 @@ type Client struct {
 	timer   *time.Timer // reused by WaitStopTimeout
 	stops   chan stopResult
 	ev      StopEvent // the last stop returned
+	// readStops is readStop bound once: a go statement on c.readStop
+	// would allocate the bound call on every continue.
+	readStops func()
 }
 
 // stopResult is the outcome of the read that ends a continue.
@@ -85,6 +89,7 @@ type stopResult struct {
 // An I/O failure during that handshake is returned.
 func NewClient(conn io.ReadWriter) (*Client, error) {
 	c := &Client{t: newTransport(conn), conn: conn, cmd: make([]byte, 0, 64), stops: make(chan stopResult, 1)}
+	c.readStops = c.readStop
 	r, err := c.transact([]byte("QStartNoAckMode"))
 	if err != nil {
 		return nil, fmt.Errorf("gdb: QStartNoAckMode handshake: %w", err)
@@ -217,10 +222,30 @@ func (c *Client) ReadMemory(addr uint32, length int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return memoryReply(r)
+}
+
+// memoryReply decodes an 'm' reply into a fresh slice.
+func memoryReply(r []byte) ([]byte, error) {
 	if bytes.HasPrefix(r, []byte("E")) {
 		return nil, fmt.Errorf("gdb: memory read failed: %s", r)
 	}
 	return appendUnhex(make([]byte, 0, len(r)/2), r)
+}
+
+// ReadMemoryContinue is ReadMemory followed by Continue, with both
+// commands sent in one write where the link allows (see
+// transferContinue). Collect the stop with WaitStop or WaitStopTimeout.
+func (c *Client) ReadMemoryContinue(addr uint32, length int) ([]byte, error) {
+	sent, r, err := c.transferContinue(c.addrLen("m", addr, length))
+	var data []byte
+	if err == nil {
+		data, err = memoryReply(r)
+	}
+	if err = c.continueAfter(sent, err); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // addrLen builds "<prefix><addr>,<length>" in hex.
@@ -230,12 +255,70 @@ func (c *Client) addrLen(prefix string, addr uint32, length int) []byte {
 
 // WriteMemory stores bytes on the target.
 func (c *Client) WriteMemory(addr uint32, data []byte) error {
-	c.cmd = appendHex(append(c.addrLen("M", addr, len(data)), ':'), data)
-	r, err := c.transact(c.cmd)
+	r, err := c.transact(c.memoryWrite(addr, data))
 	if err != nil {
 		return err
 	}
 	return checkOK(r, "write memory")
+}
+
+// memoryWrite builds "M<addr>,<length>:<hex data>".
+func (c *Client) memoryWrite(addr uint32, data []byte) []byte {
+	c.cmd = appendHex(append(c.addrLen("M", addr, len(data)), ':'), data)
+	return c.cmd
+}
+
+// WriteMemoryContinue is WriteMemory followed by Continue, with both
+// commands sent in one write where the link allows (see
+// transferContinue). Collect the stop with WaitStop or WaitStopTimeout.
+func (c *Client) WriteMemoryContinue(addr uint32, data []byte) error {
+	sent, r, err := c.transferContinue(c.memoryWrite(addr, data))
+	if err == nil {
+		err = checkOK(r, "write memory")
+	}
+	return c.continueAfter(sent, err)
+}
+
+// transferContinue starts a memory transfer that the resume follows.
+// In no-ack mode, when both frames fit the stub's read buffer, it
+// writes the transfer and "c" at once and reads the transfer's reply:
+// the stub answers it and runs with no second wake-up. sent then
+// reports that the resume is on the wire. Otherwise (ack mode, or a
+// transfer too large) it runs the transfer alone and the resume is left
+// to continueAfter. Either way the reply is valid only until the stop
+// read starts, so the caller consumes it before continueAfter.
+func (c *Client) transferContinue(payload []byte) (sent bool, reply []byte, err error) {
+	if c.running {
+		return false, nil, errors.New("gdb: transaction attempted while target is running")
+	}
+	sent, err = c.t.sendWithContinue(payload)
+	if !sent {
+		reply, err = c.transact(payload)
+		return false, reply, err
+	}
+	if err != nil {
+		return false, nil, err
+	}
+	c.t.stats.RoundTrips++
+	reply, err = c.recv()
+	return true, reply, err
+}
+
+// continueAfter completes a transfer started by transferContinue, whose
+// outcome is err. A resume already sent runs the target whatever the
+// transfer's outcome, so the stop read starts and a later WaitStop,
+// Interrupt or Kill finds the client running; the sequential path
+// resumes only after a good transfer, as Continue after the transfer
+// would.
+func (c *Client) continueAfter(sent bool, err error) error {
+	switch {
+	case sent:
+		c.startStopRead()
+		return err
+	case err != nil:
+		return err
+	}
+	return c.Continue()
 }
 
 // point sends a Z/z breakpoint or watchpoint command and checks its OK.
@@ -290,9 +373,15 @@ func (c *Client) Continue() error {
 	if err := c.t.sendPacket([]byte("c")); err != nil {
 		return err
 	}
-	c.running = true
-	go c.readStop()
+	c.startStopRead()
 	return nil
+}
+
+// startStopRead marks the target running and starts the one goroutine
+// that reads the stop reply ending the continue.
+func (c *Client) startStopRead() {
+	c.running = true
+	go c.readStops()
 }
 
 // readStop reads the stop reply that ends a continue into the one-slot

@@ -162,6 +162,35 @@ func (t *transport) sendPacket(payload []byte) error {
 	return err
 }
 
+// continueFrame is the framed bare resume, "c".
+const continueFrame = "$c#63"
+
+// sendWithContinue frames payload and the resume "c" into one write,
+// so the peer reads both from one buffer fill. It applies only in
+// no-ack mode, where neither packet waits for an ack, and only when
+// both frames fit the MaxPacketSize read buffer of the stub: on a
+// synchronous link a write the reader takes in two parts would block
+// the writer on the resume while the stub blocks writing the first
+// packet's reply. It reports false, with nothing written, otherwise.
+func (t *transport) sendWithContinue(payload []byte) (bool, error) {
+	if !t.noAck {
+		return false, nil
+	}
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
+	frames := append(appendFrame(t.wrScratch[:0], payload), continueFrame...)
+	t.wrScratch = frames[:0]
+	if len(frames) > MaxPacketSize {
+		return false, nil
+	}
+	if _, err := t.rw.Write(frames); err != nil {
+		return true, err
+	}
+	t.stats.PacketsSent += 2
+	t.stats.BytesSent += uint64(len(frames))
+	return true, nil
+}
+
 // sendReplyNoAckWait writes a packet without waiting for the ack byte;
 // in ack mode the ack is consumed lazily by the next read. Used by the
 // stub for replies so it cannot deadlock against a peer that polls.
