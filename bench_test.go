@@ -123,9 +123,12 @@ func bareTarget(b *testing.B, tr core.Transport, src string) (*core.GDBTarget, *
 
 // BenchmarkAblationPolling isolates ablation A1: the per-clock-cycle
 // synchronization cost. The wrapper pays one qRun RSP round trip
-// through the host OS per cycle; the kernel-embedded scheme's hook, on
-// a cycle before the skew bound, only compares two times. Its ns/op is
-// one whole poll-grid cycle of a kernel with nothing else attached.
+// through the host OS per cycle. The kernel-embedded scheme pays
+// nothing per cycle: it has no poll grid, and its kernel-side cost per
+// stop, apart from the RSP exchange (BenchmarkStopService), is one
+// CallAt that schedules the service and the simulation cycle that runs
+// it. That sub-benchmark's ns/op is one such service, doing nothing, in
+// a kernel with nothing else attached.
 func BenchmarkAblationPolling(b *testing.B) {
 	b.Run("wrapper-qRun-roundtrip", func(b *testing.B) {
 		target, _ := spinTarget(b)
@@ -138,37 +141,36 @@ func BenchmarkAblationPolling(b *testing.B) {
 			}
 		}
 	})
-	b.Run("kernel-hook-before-bound", func(b *testing.B) {
-		target, im := spinTarget(b)
+	b.Run("kernel-callat-service", func(b *testing.B) {
 		k := sim.NewKernel("ablation")
 		defer k.Shutdown()
 		const step = 50 * sim.NS
-		if err := k.SetPollGrid(step); err != nil {
-			b.Fatal(err)
+		served := 0
+		var serve func()
+		serve = func() {
+			if served++; served < b.N {
+				k.CallAt(k.Now()+step, serve)
+			}
 		}
-		// The guest spins without a breakpoint and the bound is never
-		// reached, so no cycle waits for a stop.
-		g, err := core.NewGDBKernel(k, target.HostConn, im, core.GDBKernelOptions{
-			CommonOptions: core.CommonOptions{CPUPeriod: sim.NS, SkewBound: sim.MaxTime},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		k.CallAt(step, serve)
+		b.ReportAllocs()
 		b.ResetTimer()
-		if err := k.Run(sim.Time(b.N) * step); err != nil {
+		// Once the last service has run nothing is left: the kernel
+		// reports the idle end as ErrDeadlock.
+		if err := k.Run(sim.Time(b.N) * step); err != nil && err != sim.ErrDeadlock {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if g.Stats().Polls < uint64(b.N) {
-			b.Fatalf("%d polls in %d cycles", g.Stats().Polls, b.N)
+		if served != b.N {
+			b.Fatalf("%d services in %d scheduled", served, b.N)
 		}
 	})
 }
 
 // BenchmarkStopService is the unit cost of one GDB-Kernel stop service
 // on each transport: the variable transfer and the resume in one write,
-// the transfer's reply, the guest's run to its next breakpoint and the
-// stop read. The guest doubles a request word between two breakpoints,
+// the guest's run to its next breakpoint, and the stub's one write
+// holding the transfer's reply and the stop, read inline. The guest doubles a request word between two breakpoints,
 // so the stops alternate between a 4-byte poke (M) and a 4-byte read
 // (m), as in a GDB-Kernel run.
 func BenchmarkStopService(b *testing.B) {
@@ -199,21 +201,15 @@ resp: .word 0
 					b.Fatal(err)
 				}
 			}
-			if err := cl.Continue(); err != nil {
-				b.Fatal(err)
-			}
-			ev, err := cl.WaitStop()
+			ev, err := cl.Continue()
 			word := []byte{1, 0, 0, 0}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N && err == nil; i++ {
 				if ev.PC == bpReq {
-					err = cl.WriteMemoryContinue(req, word)
+					ev, err = cl.WriteMemoryContinue(req, word)
 				} else {
-					_, err = cl.ReadMemoryContinue(resp, 4)
-				}
-				if err == nil {
-					ev, err = cl.WaitStop()
+					_, ev, err = cl.ReadMemoryContinue(resp, 4)
 				}
 			}
 			b.StopTimer()

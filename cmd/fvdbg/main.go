@@ -6,8 +6,8 @@
 //
 //	fvdbg -connect host:port
 //
-// Commands: regs, r <n>, m <addr> <len>, b <addr>, d <addr>, s, c, i
-// (interrupt), q.
+// Commands: regs, r <n>, m <addr> <len>, b <addr>, d <addr>, s, c, q.
+// A 'c' runs until the target stops; Ctrl-C breaks in on it.
 package main
 
 import (
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 
@@ -106,29 +107,37 @@ func main() {
 			}
 			printStop(cl, ev)
 		case "c":
-			if err := cl.Continue(); err != nil {
-				fmt.Println("error:", err)
-				break
-			}
-			ev, err := cl.WaitStop()
-			if err != nil {
-				fmt.Println("error:", err)
-				break
-			}
-			printStop(cl, ev)
-		case "i":
-			_ = cl.Interrupt()
-			ev, err := cl.WaitStop()
+			ev, err := continueUntilStop(cl)
 			if err != nil {
 				fmt.Println("error:", err)
 				break
 			}
 			printStop(cl, ev)
 		default:
-			fmt.Println("commands: regs, r <n>, m <addr> <len>, b <addr>, d <addr>, s, c, i, q")
+			fmt.Println("commands: regs, r <n>, m <addr> <len>, b <addr>, d <addr>, s, c (Ctrl-C breaks in), q")
 		}
 		fmt.Print("(fvdbg) ")
 	}
+}
+
+// continueUntilStop resumes the target and waits, with no time limit,
+// for its stop; a Ctrl-C meanwhile breaks in.
+func continueUntilStop(cl *gdb.Client) (*gdb.StopEvent, error) {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	done := make(chan struct{})
+	defer func() {
+		signal.Stop(sig)
+		close(done)
+	}()
+	go func() {
+		select {
+		case <-sig:
+			_ = cl.Interrupt()
+		case <-done:
+		}
+	}()
+	return cl.Continue()
 }
 
 func printStop(cl *gdb.Client, ev *gdb.StopEvent) {

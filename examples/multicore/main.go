@@ -103,7 +103,7 @@ func attachCPU(k *sim.Kernel, name, src, inVar, outVar string) (*core.GDBKernel,
 		return nil, nil, err
 	}
 	g, err := core.NewGDBKernel(k, target.HostConn, im, core.GDBKernelOptions{
-		CommonOptions: core.CommonOptions{CPUPeriod: sim.NS, SkewBound: 10 * sim.US},
+		CommonOptions: core.CommonOptions{CPUPeriod: sim.NS},
 		Bindings: []core.VarBinding{
 			{Port: name + ".in", Var: inVar, Size: 4, Dir: core.ToISS, Label: "bp_in"},
 			{Port: name + ".out", Var: outVar, Size: 4, Dir: core.ToSystemC, Label: "bp_out"},
@@ -121,13 +121,10 @@ func main() {
 // run pushes six values through the two-CPU pipeline and checks every
 // result against the Go reference models.
 func run(w io.Writer) error {
-	// The GDB-Kernel hooks run on a 5ns grid, the edge times of a 10ns
-	// clock, and service each stop at its skew bound.
+	// Nothing is clocked or polled: each GDB-Kernel services its CPU's
+	// stops at the simulated time of their cycle counts.
 	k := sim.NewKernel("mpsoc")
 	defer k.Shutdown()
-	if err := k.SetPollGrid(5 * sim.NS); err != nil {
-		return err
-	}
 	g0, cpu0, err := attachCPU(k, "cpu0", stage0Src, "in0", "out0")
 	if err != nil {
 		return err

@@ -74,17 +74,14 @@ func run(w io.Writer) error {
 	}
 
 	// 3. Create the hardware simulation kernel and attach the
-	// GDB-Kernel co-simulation scheme. Nothing here is clocked: the
-	// scheme's begin-of-cycle hook runs on a 5ns grid, the edge times a
-	// 10ns clock would have, and services each breakpoint stop 1us
-	// (the skew bound) after the resume that preceded it.
+	// GDB-Kernel co-simulation scheme. Nothing here is clocked or
+	// polled: the scheme reads each breakpoint stop as it resumes the
+	// ISS and services it at the simulated time of the stop's cycle
+	// count (1ns per guest cycle).
 	k := sim.NewKernel("quickstart")
 	defer k.Shutdown()
-	if err := k.SetPollGrid(5 * sim.NS); err != nil {
-		return err
-	}
 	scheme, err := core.NewGDBKernel(k, target.HostConn, im, core.GDBKernelOptions{
-		CommonOptions: core.CommonOptions{CPUPeriod: sim.NS, SkewBound: sim.US},
+		CommonOptions: core.CommonOptions{CPUPeriod: sim.NS},
 		Bindings: []core.VarBinding{
 			{Port: "req", Var: "req", Size: 4, Dir: core.ToISS, Label: "bp_req"},
 			{Port: "resp", Var: "resp", Size: 4, Dir: core.ToSystemC, Label: "bp_resp"},

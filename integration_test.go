@@ -160,10 +160,7 @@ mid:
 		t.Fatal(err)
 	}
 	cl2 := newClient(t, t2)
-	if err := cl2.Continue(); err != nil {
-		t.Fatal(err)
-	}
-	ev, err := cl2.WaitStop()
+	ev, err := cl2.Continue()
 	if err != nil || !ev.Exited {
 		t.Fatalf("final stop = %+v, %v", ev, err)
 	}

@@ -200,9 +200,9 @@ func TestGDBKernelTimeCoupling(t *testing.T) {
 	sim.NewClock(k, "clk", 10*sim.NS)
 	period := 2 * sim.NS
 	g, err := NewGDBKernel(k, target.HostConn, im, GDBKernelOptions{
-		// Conservative sync keeps simulated time from racing ahead of
-		// the wall-clock-paced ISS, so latency reflects guest cycles.
-		CommonOptions: CommonOptions{CPUPeriod: period, SkewBound: 100 * sim.NS},
+		// Each stop is serviced at its cycle stamp, so latency reflects
+		// guest cycles.
+		CommonOptions: CommonOptions{CPUPeriod: period},
 		Bindings:      doublerBindings,
 	})
 	if err != nil {
@@ -223,7 +223,7 @@ func TestGDBKernelTimeCoupling(t *testing.T) {
 			pause.NotifyAfter(100 * sim.NS)
 		case 2:
 			// Second exchange: the guest is parked at bp_req, so
-			// latency is governed by the skew bound and guest cycles.
+			// latency is governed by guest cycles alone.
 			reqTime = k.Now()
 			req.WriteUint32(21)
 		case 3:
@@ -246,18 +246,17 @@ func TestGDBKernelTimeCoupling(t *testing.T) {
 	if lat == 0 {
 		t.Fatal("zero latency: cycle coupling not applied")
 	}
-	// The response can arrive no later than the skew bound plus one
-	// clock period of hook granularity.
-	if lat > 120*sim.NS {
-		t.Fatalf("latency %v exceeds the skew bound", lat)
+	// A handful of guest cycles, not a poll or skew granularity.
+	if lat > 20*period {
+		t.Fatalf("latency %v is more than 20 guest cycles", lat)
 	}
 	_ = target.Wait()
 }
 
 // TestGDBKernelCountsSkewWaitTimeout: a guest that never reaches its
-// breakpoints fails the run once the wait at the skew bound times out:
-// the error is ErrStopTimeout, names the scheme and the guest's ports,
-// and the timeout is counted.
+// breakpoints fails the run once the wait for its first stop times
+// out: the error is ErrStopTimeout, names the scheme once and the
+// guest's ports, and the timeout is counted.
 func TestGDBKernelCountsSkewWaitTimeout(t *testing.T) {
 	cpu, im := buildBareMetal(t, `
 _start:
@@ -279,7 +278,7 @@ resp: .word 0
 	k := sim.NewKernel("top")
 	sim.NewClock(k, "clk", 10*sim.NS)
 	g, err := NewGDBKernel(k, target.HostConn, im, GDBKernelOptions{
-		CommonOptions: CommonOptions{CPUPeriod: 2 * sim.NS, SkewBound: 10 * sim.NS, Obs: reg},
+		CommonOptions: CommonOptions{CPUPeriod: 2 * sim.NS, Obs: reg},
 		Bindings:      doublerBindings,
 	})
 	if err != nil {
@@ -294,10 +293,8 @@ resp: .word 0
 	if !errors.Is(err, ErrStopTimeout) {
 		t.Fatalf("scheme error = %v, want ErrStopTimeout", err)
 	}
-	for _, want := range []string{"gdb-kernel: ", "req", "resp"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("scheme error %q does not name %q", err, want)
-		}
+	if want := "gdb-kernel: guest of ports req, resp: " + ErrStopTimeout.Error() + " (1s)"; err.Error() != want {
+		t.Errorf("scheme error %q, want %q", err, want)
 	}
 	if n := reg.Counter("cosim.skew_wait_timeouts").Load(); n != 1 {
 		t.Fatalf("cosim.skew_wait_timeouts = %d, want 1", n)
@@ -320,9 +317,8 @@ func TestStopWithoutExpeditedRegistersFails(t *testing.T) {
 			clk := sim.NewClock(k, "clk", 10*sim.NS)
 			var sch interface{ Err() error }
 			if scheme == "gdb-kernel" {
-				// The skew bound makes the hook wait for the stop.
 				sch, err = NewGDBKernel(k, target.HostConn, im, GDBKernelOptions{
-					CommonOptions: CommonOptions{CPUPeriod: sim.NS, SkewBound: 10 * sim.NS},
+					CommonOptions: CommonOptions{CPUPeriod: sim.NS},
 					Bindings:      doublerBindings,
 				})
 			} else {
@@ -338,9 +334,9 @@ func TestStopWithoutExpeditedRegistersFails(t *testing.T) {
 			}
 			k.Shutdown()
 			_ = target.Wait()
-			err = sch.Err()
-			if err == nil || !strings.Contains(err.Error(), scheme+": stop reply S1f") {
-				t.Fatalf("scheme error = %v, want %q to name the S1f reply", err, scheme)
+			want := scheme + ": stop reply S1f carries no expedited PC and cycle counter"
+			if err := sch.Err(); err == nil || err.Error() != want {
+				t.Fatalf("scheme error = %v, want %q", err, want)
 			}
 		})
 	}

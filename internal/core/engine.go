@@ -13,7 +13,7 @@ import (
 type Stats struct {
 	Transfers    uint64 // variable/message data transfers
 	Stops        uint64 // breakpoint stops handled (GDB schemes)
-	Polls        uint64 // per-cycle checks performed
+	Polls        uint64 // per-cycle checks; GDB-Kernel: stop services
 	Messages     uint64 // protocol messages handled (Driver-Kernel)
 	IntsNotified uint64 // interrupts sent to the driver
 	DMIHits      uint64 // guest accesses served by direct memory windows
@@ -24,15 +24,17 @@ type Stats struct {
 // attach time so every update is a nil check plus an atomic add. All
 // fields are nil (no-ops) when no registry is configured.
 type engineObs struct {
-	polls      *obs.Counter
-	stops      *obs.Counter
-	breakHits  *obs.Counter
-	watchHits  *obs.Counter
-	toSC       *obs.Counter // iss->sc variable transfers
-	toISS      *obs.Counter // sc->iss variable pokes
+	polls     *obs.Counter
+	stops     *obs.Counter
+	breakHits *obs.Counter
+	watchHits *obs.Counter
+	toSC      *obs.Counter // iss->sc variable transfers
+	toISS     *obs.Counter // sc->iss variable pokes
+	// skewWaits and skewWaitNS count and time GDB-Kernel's waits for
+	// the stop that ends each resume (named when they were skew waits).
 	skewWaits  *obs.Counter
 	skewWaitNS *obs.Histogram
-	// skewTimeouts counts skew waits abandoned after the wall timeout.
+	// skewTimeouts counts stop waits abandoned after the wall timeout.
 	skewTimeouts *obs.Counter
 }
 
@@ -46,6 +48,12 @@ func (o *engineObs) init(r *obs.Registry) {
 	o.skewWaits = r.Counter("cosim.skew_waits")
 	o.skewWaitNS = r.Histogram("cosim.skew_wait_ns")
 	o.skewTimeouts = r.Counter("cosim.skew_wait_timeouts")
+}
+
+// waitStop counts a wait for a stop and starts timing it.
+func (o *engineObs) waitStop() obs.Span {
+	o.skewWaits.Inc()
+	return o.skewWaitNS.Start()
 }
 
 // publishRSP copies the RSP transport totals of cl into the registry.
@@ -83,8 +91,9 @@ type gdbEngine struct {
 
 	// continues is set by GDB-Kernel, whose ISS free-runs between stops:
 	// each variable transfer also resumes it, in one write where the
-	// client can (gdb.Client.ReadMemoryContinue/WriteMemoryContinue).
-	// The wrapper steps the ISS with qRun and transfers alone.
+	// client can (gdb.Client.ReadMemoryContinue/WriteMemoryContinue),
+	// and returns the stop that ends the resume. The wrapper steps the
+	// ISS with qRun and transfers alone.
 	continues bool
 
 	exited bool
@@ -144,94 +153,88 @@ func (e *gdbEngine) targetTime(cycles uint64) sim.Time {
 	return e.syncTime.AddCycles(cycles-e.syncCycles, e.period)
 }
 
-// handleStop services a breakpoint or watchpoint stop. The stop reply
-// expedites the PC and cycle counter, so the stop itself costs no
-// transaction; the binding's variable transfer is the only one. It
-// returns true if the ISS may resume immediately (on GDB-Kernel the
-// transfer has resumed it), false if it must stay stopped waiting for
-// SystemC-side data.
-func (e *gdbEngine) handleStop(ev *gdb.StopEvent) (bool, error) {
+// handleStop services a breakpoint or watchpoint stop at the current
+// simulated time. The stop reply expedites the PC and cycle counter, so
+// the stop itself costs no transaction; the binding's variable transfer
+// is the only one. On GDB-Kernel the transfer resumes the ISS, and
+// handleStop returns the stop that ends the resume; it returns no stop
+// when the ISS must stay stopped waiting for SystemC-side data, and
+// always none on the wrapper.
+func (e *gdbEngine) handleStop(ev *gdb.StopEvent) (*gdb.StopEvent, error) {
 	e.stats.Stops++
 	e.obs.stops.Inc()
 	if !ev.Expedited {
-		return false, e.errf("stop reply %v carries no expedited PC and cycle counter", ev)
+		return nil, e.errf("stop reply %v carries no expedited PC and cycle counter", ev)
 	}
 	var b *binding
 	if ev.IsWatch {
 		e.obs.watchHits.Inc()
 		b = e.byWatch[ev.WatchAddr]
 		if b == nil {
-			return false, e.errf("watchpoint hit at unbound address %#x", ev.WatchAddr)
+			return nil, e.errf("watchpoint hit at unbound address %#x", ev.WatchAddr)
 		}
 	} else {
 		e.obs.breakHits.Inc()
 		b = e.byAddr[ev.PC]
 	}
 	if b == nil {
-		return false, e.errf("ISS stopped at unbound address %#x", ev.PC)
+		return nil, e.errf("ISS stopped at unbound address %#x", ev.PC)
 	}
+	e.syncCycles = ev.Cycles
+	e.syncTime = e.k.Now()
 
 	if b.inPort != nil {
 		// ISS -> SystemC: the guest has stored the variable; read it and
-		// deliver to the iss_in port at the cycle-implied time.
+		// deliver it to the iss_in port now, at the stop's time.
 		var data []byte
+		var next *gdb.StopEvent
 		var err error
 		if e.continues {
-			data, err = e.cl.ReadMemoryContinue(b.varAddr, b.spec.Size)
+			sp := e.obs.waitStop()
+			data, next, err = e.cl.ReadMemoryContinue(b.varAddr, b.spec.Size)
+			sp.End()
 		} else {
 			data, err = e.cl.ReadMemory(b.varAddr, b.spec.Size)
 		}
 		if err != nil {
-			return false, e.errf("port %s: %w", b.spec.Port, err)
+			return nil, e.errf("port %s: %w", b.spec.Port, err)
 		}
-		t := e.targetTime(ev.Cycles)
-		port := b.inPort
-		e.k.CallAt(t, func() { port.Deliver(data) })
-		if t.After(e.k.Now()) {
-			e.syncTime = t
-		} else {
-			e.syncTime = e.k.Now()
-		}
-		e.syncCycles = ev.Cycles
+		b.inPort.Deliver(data)
 		e.stats.Transfers++
 		e.obs.toSC.Inc()
 		e.journal.Record(JournalEntry{
-			Time: t, Scheme: e.schemeName, Dir: "iss->sc",
+			Time: e.k.Now(), Scheme: e.schemeName, Dir: "iss->sc",
 			Port: b.spec.Port, Bytes: len(data), Cycles: ev.Cycles,
 		})
-		return true, nil
+		return next, nil
 	}
 
 	// SystemC -> ISS: the guest is stopped at the read; poke the
 	// variable if the port holds fresh data, else wait.
 	if b.outPort.Writes() > b.consumed {
-		if err := e.pokeOut(b); err != nil {
-			return false, err
-		}
-		e.syncCycles = ev.Cycles
-		e.syncTime = e.k.Now()
-		return true, nil
+		return e.pokeOut(b)
 	}
 	e.waiting = b
-	e.syncCycles = ev.Cycles
-	return false, nil
+	return nil, nil
 }
 
-// pokeOut writes the iss_out port's value into the guest variable, and
-// on GDB-Kernel resumes the ISS.
-func (e *gdbEngine) pokeOut(b *binding) error {
+// pokeOut writes the iss_out port's value into the guest variable. On
+// GDB-Kernel the same write resumes the ISS, and pokeOut returns the
+// stop that ends the resume.
+func (e *gdbEngine) pokeOut(b *binding) (next *gdb.StopEvent, err error) {
 	data := b.outPort.Bytes()
 	if len(data) > b.spec.Size {
 		data = data[:b.spec.Size]
 	}
-	var err error
 	if e.continues {
-		err = e.cl.WriteMemoryContinue(b.varAddr, data)
+		sp := e.obs.waitStop()
+		next, err = e.cl.WriteMemoryContinue(b.varAddr, data)
+		sp.End()
 	} else {
 		err = e.cl.WriteMemory(b.varAddr, data)
 	}
 	if err != nil {
-		return e.errf("port %s: %w", b.spec.Port, err)
+		return nil, e.errf("port %s: %w", b.spec.Port, err)
 	}
 	b.consumed = b.outPort.Writes()
 	b.outPort.Consumed()
@@ -241,21 +244,19 @@ func (e *gdbEngine) pokeOut(b *binding) error {
 		Time: e.k.Now(), Scheme: e.schemeName, Dir: "sc->iss",
 		Port: b.spec.Port, Bytes: len(data),
 	})
-	return nil
+	return next, nil
 }
 
-// retryWaiting re-checks a pending iss_out wait; returns true when the
-// transfer happened and the ISS may resume.
-func (e *gdbEngine) retryWaiting() (bool, error) {
+// retryWaiting re-checks a pending iss_out wait and pokes the variable
+// once the port holds fresh data. Like pokeOut, on GDB-Kernel it
+// returns the stop that ends the resume.
+func (e *gdbEngine) retryWaiting() (*gdb.StopEvent, error) {
 	b := e.waiting
 	if b == nil || b.outPort.Writes() <= b.consumed {
-		return false, nil
-	}
-	if err := e.pokeOut(b); err != nil {
-		return false, err
+		return nil, nil
 	}
 	e.waiting = nil
 	// The ISS idled (in simulated time) while stopped: re-anchor.
 	e.syncTime = e.k.Now()
-	return true, nil
+	return e.pokeOut(b)
 }

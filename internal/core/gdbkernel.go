@@ -14,27 +14,31 @@ import (
 
 // GDBKernel is the paper's first proposed scheme (§3): the co-simulation
 // wrapper is embedded into the simulation kernel. The ISS free-runs
-// under a gdb 'continue'. A kernel hook at the beginning of each
-// simulation cycle services its breakpoint stop exactly when simulated
-// time reaches the skew bound past the resume — transferring data
-// between the guest variable and the matching iss_in/iss_out port, then
-// resuming the ISS (Figure 3), the transfer and the resume in one write
-// — so outcomes depend on spec and seed only.
+// under a gdb 'continue'. A bare-metal guest touches the hardware model
+// only at a breakpoint stop, so once the ISS resumes nothing the kernel
+// does can change what it runs before its next stop: the kernel reads
+// that stop as soon as it resumes the ISS, and services it at the
+// simulated time of the stop's cycle stamp — transferring data between
+// the guest variable and the matching iss_in/iss_out port, then
+// resuming the ISS (Figure 3), the transfer and the resume in one
+// write. The ISS stays stopped until then, so outcomes depend on spec
+// and seed only.
 type GDBKernel struct {
 	gdbEngine
-	skewBound sim.Time
-	outSince  sim.Time // time of the last resume
-	err       error
+	stop    gdb.StopEvent // the stop the next service handles
+	service func()        // serve, bound once: scheduling it allocates nothing
+	err     error
 }
 
 // ErrStopTimeout reports a GDB-Kernel guest that did not stop within
-// stopTimeout of wall time once simulated time reached its skew bound.
-var ErrStopTimeout = errors.New("no stop within the wall timeout at the skew bound")
+// stopTimeout of wall time after a resume.
+var ErrStopTimeout = errors.New("no stop within the wall timeout of a resume")
 
 // GDBKernelOptions configures the scheme.
 type GDBKernelOptions struct {
-	// CommonOptions carries the timing, skew, journal and observability
-	// configuration shared by all schemes.
+	// CommonOptions carries the timing, journal and observability
+	// configuration shared by all schemes. GDB-Kernel ignores
+	// SkewBound: each stop is serviced at its own cycle stamp.
 	CommonOptions
 	// Bindings maps guest variables to ISS ports (§3.2).
 	Bindings []VarBinding
@@ -42,14 +46,15 @@ type GDBKernelOptions struct {
 
 // NewGDBKernel attaches the scheme to the kernel. conn is the RSP
 // connection to the ISS stub; im is the guest image (for symbols and
-// the line table).
+// the line table). It resumes the ISS and reads its first stop.
 func NewGDBKernel(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBKernelOptions) (*GDBKernel, error) {
-	g := &GDBKernel{skewBound: opts.SkewBound}
+	g := &GDBKernel{}
 	g.k = k
 	var err error
 	if g.cl, err = gdb.NewClient(conn); err != nil {
 		return nil, fmt.Errorf("gdb-kernel: attach: %w", err)
 	}
+	g.cl.SetStopTimeout(stopTimeout)
 	g.period = opts.CPUPeriod
 	g.journal = opts.Journal
 	g.schemeName = "gdb-kernel"
@@ -62,11 +67,26 @@ func NewGDBKernel(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBKern
 	if err := g.installBreakpoints(); err != nil {
 		return nil, err
 	}
-	if err := g.cl.Continue(); err != nil {
-		return nil, err
+	g.service = g.serve
+	for _, addr := range sortedAddrs(g.byAddr) {
+		if b := g.byAddr[addr]; b.outPort != nil {
+			// A stop parked for this port's data resumes as the port is
+			// written, at that time point.
+			b.outPort.SetOnWrite(func([]byte, uint64) {
+				if g.waiting == b {
+					g.collect(g.retryWaiting())
+				}
+			})
+		}
 	}
-	k.AddCycleHook(g.hook)
 	k.AddFinalizer(func() { shutdownClient(g.cl, conn) })
+	sp := g.obs.waitStop()
+	ev, err := g.cl.Continue()
+	sp.End()
+	if err != nil {
+		err = g.errf("resume: %w", err)
+	}
+	g.collect(ev, err)
 	return g, nil
 }
 
@@ -82,61 +102,33 @@ func (g *GDBKernel) Err() error { return g.err }
 // Exited reports whether the guest program has terminated.
 func (g *GDBKernel) Exited() bool { return g.exited }
 
-// hook is the begin-of-cycle scheduler modification (Figure 3): "check,
-// through the invocation of special methods of the wrapper class, if
-// the GDB is stopped at a breakpoint".
-func (g *GDBKernel) hook(k *sim.Kernel) {
-	if g.err != nil || g.exited {
-		return
+// collect takes the outcome of a service or of the attach: the stop
+// that ended its resume, whose service it schedules at the simulated
+// time the stop's cycle stamp implies (never in the past), or the
+// scheme's error. A service that parked the ISS has no stop.
+func (g *GDBKernel) collect(ev *gdb.StopEvent, err error) {
+	switch {
+	case errors.Is(err, gdb.ErrTimeout):
+		g.obs.skewTimeouts.Inc()
+		g.err = g.errf("guest of ports %s: %w (%v)", g.ports(), ErrStopTimeout, stopTimeout)
+	case err != nil:
+		g.err = err
+	case ev == nil:
+		// Parked for iss_out data: the port's write resumes it.
+	case ev.Exited:
+		g.exited = true
+	default:
+		g.stop = *ev
+		g.k.CallAt(max(g.k.Now(), g.targetTime(ev.Cycles)), g.service)
 	}
+}
+
+// serve services the collected stop (Figure 3's check that "the GDB is
+// stopped at a breakpoint"), at the stop's own simulated time.
+func (g *GDBKernel) serve() {
 	g.stats.Polls++
 	g.obs.polls.Inc()
-
-	// A stopped ISS waiting for iss_out data resumes as soon as the
-	// SystemC side produces it.
-	if g.waiting != nil {
-		ok, err := g.retryWaiting()
-		if err != nil {
-			g.fail(err)
-			return
-		}
-		if ok {
-			g.resumed()
-		}
-		return
-	}
-
-	// Before the skew bound the hook only compares times; at the bound
-	// it holds simulated time until the ISS stops.
-	if !g.cl.Running() || k.Now().Before(g.outSince.Add(g.skewBound)) {
-		return
-	}
-	g.obs.skewWaits.Inc()
-	sp := g.obs.skewWaitNS.Start()
-	ev, stopped, err := g.cl.WaitStopTimeout(stopTimeout)
-	sp.End()
-	if err != nil {
-		g.fail(err)
-		return
-	}
-	if !stopped {
-		g.obs.skewTimeouts.Inc()
-		g.err = g.errf("guest of ports %s: %w after %v", g.ports(), ErrStopTimeout, stopTimeout)
-		return
-	}
-	if ev.Exited {
-		g.exited = true
-		return
-	}
-	resume, err := g.handleStop(ev)
-	if err != nil {
-		g.fail(err)
-		return
-	}
-	if resume {
-		g.resumed()
-	}
-	// Otherwise the ISS stays stopped; retryWaiting will resume it.
+	g.collect(g.handleStop(&g.stop))
 }
 
 // ports lists the guest's bound port names, for errors.
@@ -152,29 +144,6 @@ func (g *GDBKernel) ports() string {
 	return strings.Join(names, ", ")
 }
 
-// Detach implements Scheme: it quiesces the free-running ISS.
-func (g *GDBKernel) Detach() { g.Quiesce() }
-
-// Quiesce halts a free-running ISS after the simulation has finished,
-// so its instruction/cycle counters can be read without racing the stub
-// goroutine. It is a no-op when the guest is already stopped, exited,
-// or the scheme has failed.
-func (g *GDBKernel) Quiesce() {
-	if !g.cl.Running() || g.exited || g.err != nil {
-		return
-	}
-	if err := g.cl.Interrupt(); err != nil {
-		return
-	}
-	_, _, _ = g.cl.WaitStopTimeout(stopTimeout)
-}
-
-// resumed starts the skew bound of a resume: the transfer that
-// serviced the stop has also continued the ISS.
-func (g *GDBKernel) resumed() { g.outSince = g.k.Now() }
-
-func (g *GDBKernel) fail(err error) {
-	if g.err == nil {
-		g.err = fmt.Errorf("gdb-kernel: %w", err)
-	}
-}
+// Detach implements Scheme. The ISS is always stopped between kernel
+// activities, so there is nothing to quiesce.
+func (g *GDBKernel) Detach() {}

@@ -33,22 +33,16 @@ var (
 	TransportRing = transport.Ring
 )
 
-// stopTimeout bounds each wall-clock wait for a GDB stop: at the
-// GDB-Kernel skew bound, and after a break-in at shutdown.
+// stopTimeout bounds each wall-clock wait of GDB-Kernel for the stop
+// that ends a resume (gdb.Client.SetStopTimeout).
 const stopTimeout = time.Second
 
-// shutdownClient stops a possibly-running target and tears the
-// connection down: break-in (0x03) if a continue is outstanding, then
-// kill. Without the break-in, a stub running a non-terminating guest
-// would spin forever — it only watches for the interrupt byte while
-// executing, like a real gdbserver. The close goes through io.Closer,
-// never a net.Conn assertion, so every transport backend's reader
-// goroutines terminate.
+// shutdownClient tears the connection down: kill, then close. The
+// target is already stopped: every resume returns only with its stop,
+// and a stop that timed out has closed the link. The close goes through
+// io.Closer, never a net.Conn assertion, so every transport backend's
+// reader goroutines terminate.
 func shutdownClient(cl *gdb.Client, conn io.ReadWriter) {
-	if cl.Running() {
-		_ = cl.Interrupt()
-		_, _, _ = cl.WaitStopTimeout(stopTimeout)
-	}
 	_ = cl.Kill()
 	if c, ok := conn.(io.Closer); ok {
 		_ = c.Close()

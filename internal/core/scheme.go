@@ -14,11 +14,10 @@ type CommonOptions struct {
 	// ignores it: its timing is implicit in the per-cycle quantum.
 	CPUPeriod sim.Time
 	// SkewBound limits how far simulated time may run past an
-	// outstanding request before the kernel waits (wall-clock) for the
-	// guest's response. GDB-Kernel services each stop exactly there,
-	// and 0 makes it wait at the first poll after a resume; for
-	// Driver-Kernel 0 means free-running. Ignored by the lock-step
-	// GDB-Wrapper.
+	// outstanding Driver-Kernel request before the kernel waits
+	// (wall-clock) for the guest's response; 0 means free-running.
+	// Ignored by the GDB schemes: GDB-Kernel services each stop at its
+	// own cycle stamp, and the wrapper runs in lock-step.
 	SkewBound sim.Time
 	// Journal, when non-nil, records every transfer.
 	Journal *Journal

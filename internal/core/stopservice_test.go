@@ -22,8 +22,7 @@ const resumeFrame = "$c#63"
 
 // attachRoundTrips are the transactions NewGDBKernel runs on a doubler
 // guest: QStartNoAckMode and two Z0. Its first continue then adds a
-// packet. The client's counters are read only while it is stopped, as
-// a running client's stop read updates them.
+// packet.
 const attachRoundTrips = 3
 
 // recordingConn records every host-side Write of an RSP connection.
@@ -47,16 +46,14 @@ func (r *recordingConn) written() []string {
 	return append([]string(nil), r.writes...)
 }
 
-// attachGDBKernel attaches GDB-Kernel over conn to a fresh kernel that
-// polls every 5 ns, with a 50 ns skew bound.
+// attachGDBKernel attaches GDB-Kernel over conn to a fresh kernel with
+// neither a clock nor a poll grid: the scheme schedules its own stop
+// services.
 func attachGDBKernel(t *testing.T, conn io.ReadWriter, im *asm.Image, bindings []VarBinding) (*sim.Kernel, *GDBKernel) {
 	t.Helper()
 	k := sim.NewKernel("top")
-	if err := k.SetPollGrid(5 * sim.NS); err != nil {
-		t.Fatal(err)
-	}
 	g, err := NewGDBKernel(k, conn, im, GDBKernelOptions{
-		CommonOptions: CommonOptions{CPUPeriod: sim.NS, SkewBound: 50 * sim.NS},
+		CommonOptions: CommonOptions{CPUPeriod: sim.NS},
 		Bindings:      bindings,
 	})
 	if err != nil {
@@ -83,31 +80,47 @@ func runWithin(t *testing.T, d time.Duration, fn func()) {
 
 // TestGDBKernelStopServiceWire: GDB-Kernel services every stop with
 // one host write holding the variable transfer and the resume, one
-// round trip and two packets, on every transport.
+// round trip and two packets, on every transport; the stub answers it
+// with one write holding the transfer's reply and the next stop.
 func TestGDBKernelStopServiceWire(t *testing.T) {
 	for _, tr := range []Transport{TransportPipe, TransportRing, TransportTCP} {
 		t.Run(tr.Name(), func(t *testing.T) {
 			cpu, im := buildBareMetal(t, doublerSrc)
-			target, err := StartGDBTarget(cpu, tr)
+			host, guest, err := tr.Pair()
 			if err != nil {
 				t.Fatal(err)
 			}
-			conn := &recordingConn{ReadWriteCloser: target.HostConn}
+			stubConn := &recordingConn{ReadWriteCloser: guest}
+			served := make(chan error, 1)
+			go func() {
+				served <- gdb.NewStub(cpu, stubConn).Serve()
+				guest.Close()
+			}()
+			conn := &recordingConn{ReadWriteCloser: host}
 			k, g := attachGDBKernel(t, conn, im, doublerBindings)
-			attach := len(conn.written())
+			attach, stubAttach := len(conn.written()), len(stubConn.written())
 			results := driveDoubler(t, k, 5)
 			runWithin(t, 10*time.Second, func() {
 				if err := k.Run(sim.MaxTime); err != nil {
 					t.Errorf("run: %v", err)
 				}
 			})
-			writes := conn.written()[attach:]
-			g.Detach() // collect the last stop: the stop read ends
+			writes, replies := conn.written()[attach:], stubConn.written()[stubAttach:]
 			after := g.Client().Stats()
 			k.Shutdown()
-			_ = target.Wait()
+			if err := <-served; err != nil {
+				t.Fatalf("stub: %v", err)
+			}
 			if g.Err() != nil || len(*results) != 5 {
 				t.Fatalf("results %v, scheme error %v", *results, g.Err())
+			}
+			if len(replies) != len(writes) {
+				t.Fatalf("%d stop services answered in %d stub writes, want one each", len(writes), len(replies))
+			}
+			for _, r := range replies {
+				if strings.Count(r, "$") != 2 || !strings.Contains(r, "$T05") || strings.HasPrefix(r, "$T05") {
+					t.Fatalf("stub write %q is not one transfer reply and the next stop", r)
+				}
 			}
 
 			st := g.Stats()
@@ -238,10 +251,10 @@ func TestGDBKernelPipeTransferLimit(t *testing.T) {
 	}
 }
 
-// scriptedStub plays a stub that refuses the first memory transfer: it
+// scriptedStub plays a stub that refuses every memory transfer: it
 // negotiates no-ack mode, acknowledges breakpoints, reports a stop at
-// stopPC for the first continue, answers the transfer with E01, and
-// answers the break-in with S02.
+// stopPC for every continue, 100 cycles after the last, answers each
+// transfer with E01, and answers a break-in with S02.
 func scriptedStub(peer net.Conn, stopPC uint32) {
 	br := bufio.NewReader(peer)
 	send := func(payload string) {
@@ -279,9 +292,8 @@ func scriptedStub(peer net.Conn, stopPC uint32) {
 		case strings.HasPrefix(cmd, "Z"):
 			send("OK")
 		case cmd == "c":
-			if continues++; continues == 1 {
-				send(fmt.Sprintf("T0520:%s;26:%s;27:%s;", le(stopPC), le(100), le(0)))
-			}
+			continues++
+			send(fmt.Sprintf("T0520:%s;26:%s;27:%s;", le(stopPC), le(uint32(100*continues)), le(0)))
 		case strings.HasPrefix(cmd, "m") || strings.HasPrefix(cmd, "M"):
 			send("E01")
 		case cmd == "k":
@@ -300,12 +312,16 @@ func rspSum(payload string) byte {
 }
 
 // TestGDBKernelFailedTransfer: a stub that refuses a transfer sent with
-// its resume fails the run with an error naming the scheme and the
-// port, and teardown still breaks in on the running target, ends within
-// the stop timeout and leaves no goroutine behind.
+// its resume fails the run with an error naming the scheme once and the
+// port; the client still reads the stop that ends the resume, so it is
+// never left running, and teardown ends within the stop timeout and
+// leaves no goroutine behind.
 func TestGDBKernelFailedTransfer(t *testing.T) {
 	_, im := buildBareMetal(t, doublerSrc)
-	for _, c := range []struct{ port, label string }{{"req", "bp_req"}, {"resp", "bp_resp"}} {
+	for _, c := range []struct{ port, label, want string }{
+		{"req", "bp_req", `gdb-kernel: port req: gdb: write memory failed: "E01"`},
+		{"resp", "bp_resp", "gdb-kernel: port resp: gdb: memory read failed: E01"},
+	} {
 		t.Run(c.port, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			host, peer := net.Pipe()
@@ -318,17 +334,17 @@ func TestGDBKernelFailedTransfer(t *testing.T) {
 			k, g := attachGDBKernel(t, host, im, doublerBindings)
 			req, _ := k.IssOutPort("req")
 			req.WriteUint32(1) // the poke at bp_req has its data at once
-			if err := k.Run(sim.US); err != nil {
+			// The failed scheme schedules nothing more: the run ends idle.
+			if err := k.Run(sim.US); err != nil && err != sim.ErrDeadlock {
 				t.Fatal(err)
 			}
-			err := g.Err()
-			for _, want := range []string{"gdb-kernel: ", "port " + c.port + ": ", "E01"} {
-				if err == nil || !strings.Contains(err.Error(), want) {
-					t.Fatalf("scheme error %v does not name %q", err, want)
-				}
+			if err := g.Err(); err == nil || err.Error() != c.want {
+				t.Fatalf("scheme error %v, want %q", err, c.want)
 			}
-			if !g.Client().Running() {
-				t.Fatal("client not running after a transfer sent with its resume")
+			// The no-ack OK, two Z0 OKs, the first stop, the E01 and the
+			// stop that ends the resume sent with the refused transfer.
+			if got := g.Client().Stats().PacketsRecv; got != 6 {
+				t.Fatalf("client read %d packets, want 6: the stop after the refused transfer went unread", got)
 			}
 			start := time.Now()
 			g.Detach()

@@ -111,7 +111,7 @@ func (w *GDBWrapper) sync() {
 
 	ev, _, err := w.cl.RunQuantum(w.quantum)
 	if err != nil {
-		w.fail(err)
+		w.fail(w.errf("run quantum: %w", err))
 		return
 	}
 	if ev == nil {
@@ -128,8 +128,9 @@ func (w *GDBWrapper) sync() {
 	// next cycle's quantum (handleStop left waiting state if needed).
 }
 
+// fail records the first error; engine errors already name the scheme.
 func (w *GDBWrapper) fail(err error) {
 	if w.err == nil {
-		w.err = fmt.Errorf("gdb-wrapper: %w", err)
+		w.err = err
 	}
 }

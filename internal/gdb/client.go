@@ -7,8 +7,13 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"sync/atomic"
 	"time"
 )
+
+// ErrTimeout reports a stop that did not arrive within the client's
+// stop timeout (SetStopTimeout). The client has closed the link.
+var ErrTimeout = errors.New("gdb: no stop within the stop timeout")
 
 // StopEvent is a parsed RSP stop reply.
 type StopEvent struct {
@@ -54,33 +59,29 @@ type Regs struct {
 // plays. It is used by the co-simulation wrapper (GDB-Wrapper scheme)
 // and by the modified SystemC kernel (GDB-Kernel scheme).
 //
-// Every synchronous transaction writes its command and reads the reply
-// inline, on the caller's goroutine. The one asynchronous reply, the
-// stop that ends a continue, is read by a goroutine that Continue (or
-// ReadMemoryContinue or WriteMemoryContinue) starts for it and that
-// ends when the stop arrives or the connection fails; WaitStop and
-// WaitStopTimeout collect it. Nothing reads the connection while the
-// target is stopped.
+// Every call writes its command and reads the reply inline, on the
+// caller's goroutine, and a resume also reads the stop that ends it
+// there: Continue, ReadMemoryContinue and WriteMemoryContinue return
+// with the target stopped, so only the caller ever touches the client
+// and its counters. Interrupt is the one call that is safe from another
+// goroutine: it breaks in on a resume that the caller is blocked in.
 //
 // A *StopEvent a method returns is owned by the client and valid until
 // the next call that returns one.
 type Client struct {
-	t       *transport
-	conn    io.ReadWriter
-	running bool
-	cmd     []byte      // command build scratch
-	timer   *time.Timer // reused by WaitStopTimeout
-	stops   chan stopResult
-	ev      StopEvent // the last stop returned
-	// readStops is readStop bound once: a go statement on c.readStop
-	// would allocate the bound call on every continue.
-	readStops func()
-}
+	t    *transport
+	conn io.ReadWriter
+	cmd  []byte    // command build scratch
+	data []byte    // ReadMemoryContinue's result
+	ev   StopEvent // the last stop returned
 
-// stopResult is the outcome of the read that ends a continue.
-type stopResult struct {
-	ev  StopEvent
-	err error
+	// stopTimeout bounds each wait for a stop; zero waits forever. A
+	// watchdog enforces it with no clock read per wait (see watch).
+	stopTimeout time.Duration
+	waits       atomic.Uint64 // odd while a bounded wait is in progress
+	armed       uint64        // waits during the current wait, 0 if none
+	ticking     atomic.Bool   // a watchdog tick is scheduled
+	seen        uint64        // waits at the last tick, the watchdog's own
 }
 
 // NewClient attaches a client to an RSP connection. It first offers
@@ -88,8 +89,7 @@ type stopResult struct {
 // OK stops acking from then on, one that answers empty keeps ack mode.
 // An I/O failure during that handshake is returned.
 func NewClient(conn io.ReadWriter) (*Client, error) {
-	c := &Client{t: newTransport(conn), conn: conn, cmd: make([]byte, 0, 64), stops: make(chan stopResult, 1)}
-	c.readStops = c.readStop
+	c := &Client{t: newTransport(conn), conn: conn, cmd: make([]byte, 0, 64)}
 	r, err := c.transact([]byte("QStartNoAckMode"))
 	if err != nil {
 		return nil, fmt.Errorf("gdb: QStartNoAckMode handshake: %w", err)
@@ -98,8 +98,71 @@ func NewClient(conn io.ReadWriter) (*Client, error) {
 	return c, nil
 }
 
-// Stats returns protocol traffic counters.
+// Stats returns protocol traffic counters. Like every call but
+// Interrupt, it belongs to the caller's goroutine.
 func (c *Client) Stats() Stats { return c.t.stats }
+
+// SetStopTimeout bounds each wait for the stop that ends a resume; zero
+// (the default) waits forever. A wait that lasts the bound (at most
+// twice it) fails with ErrTimeout, and the client closes the link, so a
+// target that never stops cannot hold its caller. Set it once, before
+// the first resume.
+func (c *Client) SetStopTimeout(d time.Duration) { c.stopTimeout = d }
+
+// arm starts a bounded wait for a stop. It reads no clock: it numbers
+// the wait, and schedules a watchdog tick if none is.
+func (c *Client) arm() {
+	if c.stopTimeout <= 0 {
+		return
+	}
+	c.armed = c.waits.Add(1)
+	if !c.ticking.Swap(true) {
+		time.AfterFunc(c.stopTimeout, c.watch)
+	}
+}
+
+// watch is the watchdog's tick, one every stopTimeout while the client
+// waits. A wait in progress at two ticks in a row has lasted at least
+// the timeout: the watchdog ends it by closing the link (when it is an
+// io.Closer), which fails the blocked read. A tick that finds no wait
+// since the last one schedules no further tick, so an idle or
+// abandoned client holds no timer.
+func (c *Client) watch() {
+	w := c.waits.Load()
+	last := c.seen
+	c.seen = w
+	switch {
+	case w%2 == 1 && w == last:
+		if c.waits.CompareAndSwap(w, w+1) {
+			if cl, ok := c.conn.(io.Closer); ok {
+				_ = cl.Close()
+			}
+			return
+		}
+	case w == last:
+		c.ticking.Store(false)
+		// An arm between the load and the store found it still ticking.
+		if c.waits.Load() == w || !c.ticking.CompareAndSwap(false, true) {
+			return
+		}
+	}
+	time.AfterFunc(c.stopTimeout, c.watch)
+}
+
+// disarm ends the bounded wait armed for a read that returned err. A
+// wait the watchdog ended has lost its link whatever the read returned,
+// so it is reported as ErrTimeout.
+func (c *Client) disarm(err error) error {
+	w := c.armed
+	if w == 0 {
+		return err
+	}
+	c.armed = 0
+	if c.waits.CompareAndSwap(w, w+1) {
+		return err
+	}
+	return ErrTimeout
+}
 
 // recv reads one reply inline from the connection.
 func (c *Client) recv() ([]byte, error) {
@@ -113,11 +176,8 @@ func (c *Client) recv() ([]byte, error) {
 }
 
 // transact sends a command and returns its reply, which is valid until
-// the next read. It must not be called while the target is running.
+// the next read.
 func (c *Client) transact(payload []byte) ([]byte, error) {
-	if c.running {
-		return nil, errors.New("gdb: transaction attempted while target is running")
-	}
 	if err := c.t.sendPacket(payload); err != nil {
 		return nil, err
 	}
@@ -222,30 +282,27 @@ func (c *Client) ReadMemory(addr uint32, length int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return memoryReply(r)
+	return memoryReply(make([]byte, 0, len(r)/2), r)
 }
 
-// memoryReply decodes an 'm' reply into a fresh slice.
-func memoryReply(r []byte) ([]byte, error) {
+// memoryReply appends the bytes an 'm' reply carries to dst.
+func memoryReply(dst, r []byte) ([]byte, error) {
 	if bytes.HasPrefix(r, []byte("E")) {
 		return nil, fmt.Errorf("gdb: memory read failed: %s", r)
 	}
-	return appendUnhex(make([]byte, 0, len(r)/2), r)
+	return appendUnhex(dst, r)
 }
 
 // ReadMemoryContinue is ReadMemory followed by Continue, with both
 // commands sent in one write where the link allows (see
-// transferContinue). Collect the stop with WaitStop or WaitStopTimeout.
-func (c *Client) ReadMemoryContinue(addr uint32, length int) ([]byte, error) {
-	sent, r, err := c.transferContinue(c.addrLen("m", addr, length))
-	var data []byte
-	if err == nil {
-		data, err = memoryReply(r)
+// transferContinue). It returns the bytes read, valid until the next
+// call, and the stop that ended the resume.
+func (c *Client) ReadMemoryContinue(addr uint32, length int) ([]byte, *StopEvent, error) {
+	ev, err := c.transferContinue(c.addrLen("m", addr, length))
+	if err != nil {
+		return nil, nil, err
 	}
-	if err = c.continueAfter(sent, err); err != nil {
-		return nil, err
-	}
-	return data, nil
+	return c.data, ev, nil
 }
 
 // addrLen builds "<prefix><addr>,<length>" in hex.
@@ -270,55 +327,61 @@ func (c *Client) memoryWrite(addr uint32, data []byte) []byte {
 
 // WriteMemoryContinue is WriteMemory followed by Continue, with both
 // commands sent in one write where the link allows (see
-// transferContinue). Collect the stop with WaitStop or WaitStopTimeout.
-func (c *Client) WriteMemoryContinue(addr uint32, data []byte) error {
-	sent, r, err := c.transferContinue(c.memoryWrite(addr, data))
-	if err == nil {
-		err = checkOK(r, "write memory")
-	}
-	return c.continueAfter(sent, err)
+// transferContinue). It returns the stop that ended the resume.
+func (c *Client) WriteMemoryContinue(addr uint32, data []byte) (*StopEvent, error) {
+	return c.transferContinue(c.memoryWrite(addr, data))
 }
 
-// transferContinue starts a memory transfer that the resume follows.
-// In no-ack mode, when both frames fit the stub's read buffer, it
-// writes the transfer and "c" at once and reads the transfer's reply:
-// the stub answers it and runs with no second wake-up. sent then
-// reports that the resume is on the wire. Otherwise (ack mode, or a
-// transfer too large) it runs the transfer alone and the resume is left
-// to continueAfter. Either way the reply is valid only until the stop
-// read starts, so the caller consumes it before continueAfter.
-func (c *Client) transferContinue(payload []byte) (sent bool, reply []byte, err error) {
-	if c.running {
-		return false, nil, errors.New("gdb: transaction attempted while target is running")
-	}
-	sent, err = c.t.sendWithContinue(payload)
+// transferContinue runs a memory transfer (an 'm' or 'M' command) and
+// the resume that follows it, and returns the stop that ends the
+// resume. In no-ack mode, when both frames fit the stub's read buffer,
+// it writes the transfer and "c" at once: the stub answers the transfer
+// together with the stop, in one write. The resume then runs the
+// target whatever the transfer's outcome, so a refused transfer still
+// waits for the stop before its error returns, and the client is never
+// left running. Otherwise (ack mode, or a transfer too large) it runs
+// the transfer alone and resumes only after it succeeded.
+func (c *Client) transferContinue(payload []byte) (*StopEvent, error) {
+	sent, err := c.t.sendWithContinue(payload)
 	if !sent {
-		reply, err = c.transact(payload)
-		return false, reply, err
+		r, err := c.transact(payload)
+		if err == nil {
+			err = c.transferReply(payload[0], r)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return c.Continue()
 	}
 	if err != nil {
-		return false, nil, err
+		return nil, err
 	}
 	c.t.stats.RoundTrips++
-	reply, err = c.recv()
-	return true, reply, err
+	c.arm()
+	r, err := c.recv()
+	if err != nil {
+		return nil, c.disarm(err)
+	}
+	// Consume the reply before the stop read reuses the read buffer.
+	terr := c.transferReply(payload[0], r)
+	ev, err := c.waitStop()
+	if terr != nil {
+		return nil, errors.Join(terr, err)
+	}
+	return ev, err
 }
 
-// continueAfter completes a transfer started by transferContinue, whose
-// outcome is err. A resume already sent runs the target whatever the
-// transfer's outcome, so the stop read starts and a later WaitStop,
-// Interrupt or Kill finds the client running; the sequential path
-// resumes only after a good transfer, as Continue after the transfer
-// would.
-func (c *Client) continueAfter(sent bool, err error) error {
-	switch {
-	case sent:
-		c.startStopRead()
-		return err
-	case err != nil:
-		return err
+// transferReply checks the reply to an 'm' or 'M' command; an 'm'
+// reply's bytes are decoded into c.data.
+func (c *Client) transferReply(cmd byte, r []byte) error {
+	if cmd == 'M' {
+		return checkOK(r, "write memory")
 	}
-	return c.Continue()
+	data, err := memoryReply(c.data[:0], r)
+	if err == nil {
+		c.data = data
+	}
+	return err
 }
 
 // point sends a Z/z breakpoint or watchpoint command and checks its OK.
@@ -364,40 +427,26 @@ func (c *Client) Step() (*StopEvent, error) {
 	return c.stop(r)
 }
 
-// Continue resumes the target and starts the goroutine that reads its
-// stop reply; collect the stop with WaitStop or WaitStopTimeout.
-func (c *Client) Continue() error {
-	if c.running {
-		return errors.New("gdb: already running")
-	}
+// Continue resumes the target and returns the stop that ends the
+// resume: a breakpoint, a watchpoint, the guest's exit, or a break-in
+// (Interrupt) from another goroutine.
+func (c *Client) Continue() (*StopEvent, error) {
 	if err := c.t.sendPacket([]byte("c")); err != nil {
-		return err
+		return nil, err
 	}
-	c.startStopRead()
-	return nil
+	c.arm()
+	return c.waitStop()
 }
 
-// startStopRead marks the target running and starts the one goroutine
-// that reads the stop reply ending the continue.
-func (c *Client) startStopRead() {
-	c.running = true
-	go c.readStops()
-}
-
-// readStop reads the stop reply that ends a continue into the one-slot
-// stops channel. It ends when the reply arrives or the read fails.
-func (c *Client) readStop() {
-	var res stopResult
+// waitStop reads the stop that ends a resume, within the bound arm
+// started.
+func (c *Client) waitStop() (*StopEvent, error) {
 	r, err := c.recv()
-	if err == nil {
-		err = parseStop(r, &res.ev)
+	if err = c.disarm(err); err != nil {
+		return nil, err
 	}
-	res.err = err
-	c.stops <- res
+	return c.stop(r)
 }
-
-// Running reports whether a continue is outstanding.
-func (c *Client) Running() bool { return c.running }
 
 // RunQuantum runs the target for at most budget instructions using the
 // qRun extension — one full RSP round trip through the host OS per
@@ -420,65 +469,18 @@ func (c *Client) RunQuantum(budget uint64) (*StopEvent, uint64, error) {
 	return ev, 0, err
 }
 
-// WaitStopTimeout blocks until the running target stops or the wall
-// timeout elapses. It returns ok=false on timeout with the target still
-// running. One timer is reused across calls.
-func (c *Client) WaitStopTimeout(d time.Duration) (*StopEvent, bool, error) {
-	if !c.running {
-		return nil, false, errors.New("gdb: WaitStopTimeout while not running")
-	}
-	if c.timer == nil {
-		c.timer = time.NewTimer(d)
-	} else {
-		c.timer.Reset(d)
-	}
-	select {
-	case res := <-c.stops:
-		if !c.timer.Stop() {
-			// It fired as the stop arrived: drop the tick so the next
-			// Reset starts clean.
-			select {
-			case <-c.timer.C:
-			default:
-			}
-		}
-		ev, err := c.stopped(res)
-		return ev, err == nil, err
-	case <-c.timer.C:
-		return nil, false, nil
-	}
-}
-
-// WaitStop blocks until the running target stops.
-func (c *Client) WaitStop() (*StopEvent, error) {
-	if !c.running {
-		return nil, errors.New("gdb: WaitStop while not running")
-	}
-	return c.stopped(<-c.stops)
-}
-
-// stopped takes the result of the read that ended a continue.
-func (c *Client) stopped(res stopResult) (*StopEvent, error) {
-	c.running = false
-	if res.err != nil {
-		return nil, res.err
-	}
-	c.ev = res.ev
-	return &c.ev, nil
-}
-
-// Interrupt sends the break-in byte to stop a running target; collect
-// the resulting stop with WaitStop or WaitStopTimeout.
+// Interrupt sends the break-in byte to stop a running target. It is
+// the one call that is safe from another goroutine: the resume blocked
+// on the caller's goroutine returns the break-in stop.
 func (c *Client) Interrupt() error {
 	_, err := c.conn.Write([]byte{InterruptByte})
 	return err
 }
 
 // Kill terminates the stub. No reply is defined for 'k', and no ack is
-// awaited: a stop read may still hold the connection after a timed-out
-// wait.
+// awaited.
 func (c *Client) Kill() error {
-	return c.t.sendReplyNoAckWait([]byte("k"))
+	return c.t.sendReplyNoAckWait([]byte("k"), false)
 }
 
 // Detach cleanly detaches from the stub.

@@ -2,6 +2,7 @@ package gdb
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"testing"
 	"testing/quick"
@@ -236,10 +237,7 @@ func TestSoftwareBreakpointRoundTrip(t *testing.T) {
 		t.Fatal("planted breakpoint visible in memory read")
 	}
 
-	if err := cl.Continue(); err != nil {
-		t.Fatal(err)
-	}
-	ev, err := cl.WaitStop()
+	ev, err := cl.Continue()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,10 +253,7 @@ func TestSoftwareBreakpointRoundTrip(t *testing.T) {
 	}
 
 	// Resume to completion: stub must step over the planted breakpoint.
-	if err := cl.Continue(); err != nil {
-		t.Fatal(err)
-	}
-	ev, err = cl.WaitStop()
+	ev, err = cl.Continue()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +279,7 @@ func TestClearBreakpoint(t *testing.T) {
 	if restored != orig {
 		t.Fatalf("memory not restored: %#x vs %#x", restored, orig)
 	}
-	_ = cl.Continue()
-	ev, _ := cl.WaitStop()
+	ev, _ := cl.Continue()
 	if !ev.Exited {
 		t.Fatalf("stop = %+v", ev)
 	}
@@ -297,8 +291,7 @@ func TestHardwareBreakpoint(t *testing.T) {
 	if err := cl.SetHWBreakpoint(bp); err != nil {
 		t.Fatal(err)
 	}
-	_ = cl.Continue()
-	ev, err := cl.WaitStop()
+	ev, err := cl.Continue()
 	if err != nil || ev.Signal != 5 {
 		t.Fatalf("stop = %+v, %v", ev, err)
 	}
@@ -323,8 +316,7 @@ func TestStepOffPlantedBreakpoint(t *testing.T) {
 	cl, cpu, im := newTarget(t, testProg)
 	bp := im.MustSymbol("work")
 	_ = cl.SetBreakpoint(bp)
-	_ = cl.Continue()
-	if _, err := cl.WaitStop(); err != nil {
+	if _, err := cl.Continue(); err != nil {
 		t.Fatal(err)
 	}
 	ev, err := cl.Step()
@@ -350,8 +342,7 @@ target: .word 0
 	if err := cl.SetWatchpoint(wa, 4); err != nil {
 		t.Fatal(err)
 	}
-	_ = cl.Continue()
-	ev, err := cl.WaitStop()
+	ev, err := cl.Continue()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,20 +360,30 @@ _start:
 spin:
     j spin
 `)
-	if err := cl.Continue(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	if err := cl.Interrupt(); err != nil {
-		t.Fatal(err)
-	}
-	ev, err := cl.WaitStop()
+	sent := breakIn(t, cl, 5*time.Millisecond)
+	ev, err := cl.Continue()
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-sent
 	if ev.Signal != 2 {
 		t.Fatalf("signal = %d, want SIGINT", ev.Signal)
 	}
+}
+
+// breakIn sends the break-in from a second goroutine after d, while
+// the caller blocks in a resume, and yields the time it was sent.
+func breakIn(t *testing.T, cl *Client, d time.Duration) <-chan time.Time {
+	sent := make(chan time.Time, 1)
+	go func() {
+		time.Sleep(d)
+		at := time.Now()
+		if err := cl.Interrupt(); err != nil {
+			t.Error(err)
+		}
+		sent <- at
+	}()
+	return sent
 }
 
 func TestRunQuantumLockStep(t *testing.T) {
@@ -453,23 +454,19 @@ spin:
 }
 
 // TestContinueStopSession runs a debug session across the stop read:
-// the stop that ends a continue is collected from the goroutine that
-// read it, and the transactions after it read their replies inline.
+// the stop that ends a continue is returned by the continue itself,
+// within the stop timeout, and the transactions after it read their
+// replies inline.
 func TestContinueStopSession(t *testing.T) {
 	cl, cpu, im := newTarget(t, testProg)
+	cl.SetStopTimeout(2 * time.Second)
 	bp := im.MustSymbol("after")
 	if err := cl.SetBreakpoint(bp); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Continue(); err != nil {
+	ev, err := cl.Continue()
+	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := cl.ReadPC(); err == nil {
-		t.Fatal("transaction accepted while the target runs")
-	}
-	ev, ok, err := cl.WaitStopTimeout(2 * time.Second)
-	if err != nil || !ok {
-		t.Fatalf("stop = %v, %v", ok, err)
 	}
 	if ev.Signal != 5 || ev.PC != bp {
 		t.Fatalf("stop = %+v, want SIGTRAP at %#x", ev, bp)
@@ -481,8 +478,7 @@ func TestContinueStopSession(t *testing.T) {
 	if v[0] != 0xbe {
 		t.Fatalf("var = % x", v)
 	}
-	_ = cl.Continue()
-	ev, err = cl.WaitStop()
+	ev, err = cl.Continue()
 	if err != nil || !ev.Exited {
 		t.Fatalf("final = %+v, %v", ev, err)
 	}
@@ -529,8 +525,7 @@ func TestOverTCP(t *testing.T) {
 	if err := cl.SetBreakpoint(bp); err != nil {
 		t.Fatal(err)
 	}
-	_ = cl.Continue()
-	ev, err := cl.WaitStop()
+	ev, err := cl.Continue()
 	if err != nil || ev.Signal != 5 || !ev.Expedited || ev.Cycles == 0 {
 		t.Fatalf("tcp stop = %+v, %v", ev, err)
 	}
@@ -674,5 +669,33 @@ func TestRLEThroughTransport(t *testing.T) {
 	}
 	if string(pkt) != "g0000" {
 		t.Fatalf("pkt = %q", pkt)
+	}
+}
+
+// TestStopTimeout: a target that does not stop within the stop timeout
+// fails the resume with ErrTimeout, not with the closed link the
+// watchdog leaves, after at least the timeout and at most twice it.
+// Resumes that stop in time succeed, also after the watchdog has gone
+// idle between them.
+func TestStopTimeout(t *testing.T) {
+	const d = 50 * time.Millisecond
+	cl, _, im := newTarget(t, warmLoopProg)
+	cl.SetStopTimeout(d)
+	if err := cl.SetBreakpoint(im.MustSymbol("target")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := cl.Continue(); err != nil {
+			t.Fatalf("resume %d: %v", i, err)
+		}
+		time.Sleep(3 * d) // the watchdog ticks and goes idle
+	}
+
+	spin, _, _ := newTarget(t, "_start:\nspin:\n    j spin\n")
+	spin.SetStopTimeout(d)
+	start := time.Now()
+	_, err := spin.Continue()
+	if took := time.Since(start); !errors.Is(err, ErrTimeout) || took < d || took > 4*d {
+		t.Fatalf("spinning target: %v after %v, want ErrTimeout after %v to %v", err, took, d, 2*d)
 	}
 }

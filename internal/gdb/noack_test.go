@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -203,26 +205,23 @@ func TestNoAckChecksumFailsLoudly(t *testing.T) {
 	})
 }
 
-// TestBreakInRacingStopReply is the Quiesce path: a break-in sent while
-// the continue is already reporting a breakpoint stop. The client sees
-// exactly one stop per continue, and a stray break-in does not stop
-// the next continue.
+// TestBreakInRacingStopReply: a break-in sent from a second goroutine
+// while the continue is already reporting a breakpoint stop. The client
+// sees exactly one stop per continue, and a stray break-in does not
+// stop the next continue.
 func TestBreakInRacingStopReply(t *testing.T) {
 	cl, _, im := newTarget(t, warmLoopProg)
+	cl.SetStopTimeout(5 * time.Second)
 	bp := im.MustSymbol("target")
 	if err := cl.SetBreakpoint(bp); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := cl.Continue(); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Interrupt(); err != nil {
-			t.Fatal(err)
-		}
-		ev, ok, err := cl.WaitStopTimeout(5 * time.Second)
-		if err != nil || !ok {
-			t.Fatalf("iteration %d: stop = %v, %v", i, ok, err)
+		sent := breakIn(t, cl, 0)
+		ev, err := cl.Continue()
+		<-sent
+		if err != nil {
+			t.Fatalf("iteration %d: stop: %v", i, err)
 		}
 		if ev.Signal != 5 && ev.Signal != 2 {
 			t.Fatalf("iteration %d: signal = %d", i, ev.Signal)
@@ -238,18 +237,13 @@ func TestBreakInRacingStopReply(t *testing.T) {
 	if err := cl.ClearBreakpoint(bp); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Continue(); err != nil {
-		t.Fatal(err)
+	sent := breakIn(t, cl, 50*time.Millisecond)
+	ev, err := cl.Continue()
+	if stopped := time.Now(); stopped.Before(<-sent) {
+		t.Fatalf("continue after the race stopped before the break-in: %+v", ev)
 	}
-	if ev, ok, err := cl.WaitStopTimeout(50 * time.Millisecond); err != nil || ok {
-		t.Fatalf("continue after the race stopped early: %+v, %v", ev, err)
-	}
-	if err := cl.Interrupt(); err != nil {
-		t.Fatal(err)
-	}
-	ev, ok, err := cl.WaitStopTimeout(5 * time.Second)
-	if err != nil || !ok || ev.Signal != 2 {
-		t.Fatalf("break-in stop = %+v, %v, %v; want SIGINT", ev, ok, err)
+	if err != nil || ev.Signal != 2 {
+		t.Fatalf("break-in stop = %+v, %v; want SIGINT", ev, err)
 	}
 }
 
@@ -311,9 +305,9 @@ func TestServeCleanEOF(t *testing.T) {
 // TestRoundTripAllocs pins the allocation cost of the hot RSP
 // transactions, counted over both the client and the stub goroutine.
 // Packets are read in place and a stop is parsed into the client's own
-// event, so command and reply coding, the expedited stop reply
-// included, allocate nothing; ReadRegisters returns a fresh *Regs and
-// ReadMemory a fresh slice.
+// event, so command and reply coding, the expedited stop reply and a
+// combined transfer and resume included, allocate nothing;
+// ReadRegisters returns a fresh *Regs and ReadMemory a fresh slice.
 func TestRoundTripAllocs(t *testing.T) {
 	cl, _, _ := newTarget(t, warmLoopProg)
 	bpcl, _, im := newTarget(t, warmLoopProg)
@@ -336,6 +330,8 @@ func TestRoundTripAllocs(t *testing.T) {
 		{"ReadRegisters", 1, func() error { _, err := cl.ReadRegisters(); return err }},
 		{"ReadMemory", 1, func() error { _, err := cl.ReadMemory(0, 4); return err }},
 		{"WriteMemory", 0, func() error { return cl.WriteMemory(0x8000, []byte{1, 2, 3, 4}) }},
+		{"ReadMemoryContinue/breakpoint-stop", 0, func() error { _, _, err := bpcl.ReadMemoryContinue(0x8000, 4); return err }},
+		{"WriteMemoryContinue/breakpoint-stop", 0, func() error { _, err := bpcl.WriteMemoryContinue(0x8000, []byte{1, 2, 3, 4}); return err }},
 	} {
 		var err error
 		allocs := testing.AllocsPerRun(200, func() {
@@ -349,5 +345,134 @@ func TestRoundTripAllocs(t *testing.T) {
 		if allocs > c.max {
 			t.Errorf("%s: %.1f allocs per call, want <= %.0f", c.name, allocs, c.max)
 		}
+	}
+}
+
+// recordedWrites records every Write on a connection, one string each.
+type recordedWrites struct {
+	net.Conn
+	mu     sync.Mutex
+	writes []string
+}
+
+func (r *recordedWrites) Write(p []byte) (int, error) {
+	r.mu.Lock()
+	r.writes = append(r.writes, string(p))
+	r.mu.Unlock()
+	return r.Conn.Write(p)
+}
+
+// since returns the writes recorded after the first n.
+func (r *recordedWrites) since(n int) []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.writes[n:]...)
+}
+
+// TestStubCoalescesPipelinedReplies: in no-ack mode the stub holds a
+// reply while the peer's next packet is already buffered whole, so a
+// memory transfer pipelined with a continue is answered in one write
+// holding the transfer's reply and the stop. A lone command, or one
+// followed by only part of a packet, is answered at once.
+func TestStubCoalescesPipelinedReplies(t *testing.T) {
+	cpu, im := testCPU(t, warmLoopProg)
+	peer, target := net.Pipe()
+	defer peer.Close()
+	rec := &recordedWrites{Conn: target}
+	go func() {
+		_ = NewStub(cpu, rec).Serve()
+		target.Close()
+	}()
+	if err := peer.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(peer)
+	send := func(frames string) {
+		t.Helper()
+		if _, err := peer.Write([]byte(frames)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := func(payload string) string { return string(appendFrame(nil, []byte(payload))) }
+	expect := func(want ...string) {
+		t.Helper()
+		for _, w := range want {
+			r, err := readFrame(br)
+			if err != nil || !bytes.HasPrefix(r, []byte(w)) {
+				t.Fatalf("reply %q, %v; want one starting %q", r, err, w)
+			}
+		}
+	}
+	send(frame("QStartNoAckMode"))
+	expect("OK")
+	send("+" + frame(fmt.Sprintf("Z0,%x,4", im.MustSymbol("target"))))
+	expect("OK")
+
+	t.Run("pipelined", func(t *testing.T) {
+		n := len(rec.since(0))
+		send(frame("m8000,4") + continueFrame)
+		expect("00000000", "T05")
+		if w := rec.since(n); len(w) != 1 || !strings.HasPrefix(w[0], frame("00000000")+"$T05") {
+			t.Fatalf("stub wrote %q, want one write holding the reply and the stop", w)
+		}
+	})
+	t.Run("lone", func(t *testing.T) {
+		n := len(rec.since(0))
+		send(frame("m8000,4"))
+		expect("00000000")
+		if w := rec.since(n); len(w) != 1 || w[0] != frame("00000000") {
+			t.Fatalf("stub wrote %q, want the reply alone", w)
+		}
+	})
+	t.Run("partial", func(t *testing.T) {
+		n := len(rec.since(0))
+		rest := frame("g")
+		send(frame("m8000,4") + rest[:2])
+		expect("00000000") // answered without the rest of the next packet
+		send(rest[2:])
+		expect("")
+		if w := rec.since(n); len(w) != 2 || w[0] != frame("00000000") {
+			t.Fatalf("stub wrote %q, want the reply alone, then the next", w)
+		}
+	})
+}
+
+// TestStatsAfterEveryCall: the client reads every reply, stops
+// included, on the caller's goroutine, so its counters are the
+// caller's alone: Stats after a transaction, a continue, a combined
+// transfer and resume, and a continue that a second goroutine broke in
+// on all count what arrived, with no race (run under -race).
+func TestStatsAfterEveryCall(t *testing.T) {
+	cl, _, im := newTarget(t, warmLoopProg)
+	cl.SetStopTimeout(5 * time.Second)
+	bp := im.MustSymbol("target")
+	var last Stats
+	check := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		st := cl.Stats()
+		if st.PacketsRecv <= last.PacketsRecv || st.PacketsSent <= last.PacketsSent {
+			t.Fatalf("%s: stats %+v after %+v count nothing new", what, st, last)
+		}
+		last = st
+	}
+	_, err := cl.ReadPC()
+	check("transaction", err)
+	check("set breakpoint", cl.SetBreakpoint(bp))
+	_, err = cl.Continue()
+	check("continue", err)
+	_, _, err = cl.ReadMemoryContinue(0x8000, 4)
+	check("read memory and continue", err)
+	_, err = cl.WriteMemoryContinue(0x8000, []byte{1, 2, 3, 4})
+	check("write memory and continue", err)
+	check("clear breakpoint", cl.ClearBreakpoint(bp))
+	sent := breakIn(t, cl, 10*time.Millisecond)
+	ev, err := cl.Continue()
+	<-sent
+	check("continue broken into", err)
+	if ev.Signal != 2 {
+		t.Fatalf("break-in stop = %+v, want SIGINT", ev)
 	}
 }

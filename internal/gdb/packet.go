@@ -87,12 +87,14 @@ type transport struct {
 	br *bufio.Reader
 
 	// noAck is set once QStartNoAckMode is negotiated: by the client
-	// before its first continue starts a stop read, by the stub in its
-	// serve loop, the only stub goroutine that reads it.
+	// while it attaches, by the stub in its serve loop, the only stub
+	// goroutine that reads it.
 	noAck bool
 
-	writeMu   sync.Mutex
-	wrScratch []byte // frame build buffer, reused under writeMu
+	writeMu sync.Mutex
+	// wrScratch is the frame build buffer, reused under writeMu. Between
+	// writes it holds the stub's held replies (sendReplyNoAckWait).
+	wrScratch []byte
 	rdBody    []byte // packet body scratch, reused by the one reader at a time
 	stats     Stats
 }
@@ -130,6 +132,18 @@ func (t *transport) writeFrame(payload []byte) error {
 	t.stats.PacketsSent++
 	t.stats.BytesSent += uint64(len(frame))
 	return nil
+}
+
+// packetBuffered reports whether a whole packet, "$...#xx", starts the
+// bytes already buffered from the peer, so reading it cannot block. A
+// partial packet, an ack or a break-in byte first does not count.
+func (t *transport) packetBuffered() bool {
+	buf, _ := t.br.Peek(t.br.Buffered())
+	if len(buf) < 4 || buf[0] != '$' {
+		return false
+	}
+	i := bytes.IndexByte(buf, '#')
+	return i > 0 && i+2 < len(buf)
 }
 
 // sendPacket writes one framed packet and, in ack mode, waits for the
@@ -194,10 +208,21 @@ func (t *transport) sendWithContinue(payload []byte) (bool, error) {
 // sendReplyNoAckWait writes a packet without waiting for the ack byte;
 // in ack mode the ack is consumed lazily by the next read. Used by the
 // stub for replies so it cannot deadlock against a peer that polls.
-func (t *transport) sendReplyNoAckWait(payload []byte) error {
+// With hold set it frames the packet but holds it, and the next call
+// writes it ahead of its own, in one write.
+func (t *transport) sendReplyNoAckWait(payload []byte, hold bool) error {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	return t.writeFrame(payload)
+	frames := appendFrame(t.wrScratch, payload)
+	t.stats.PacketsSent++
+	t.stats.BytesSent += uint64(len(frames) - len(t.wrScratch))
+	if hold {
+		t.wrScratch = frames
+		return nil
+	}
+	t.wrScratch = frames[:0]
+	_, err := t.rw.Write(frames)
+	return err
 }
 
 // writeAck writes one ack or NAK byte.
@@ -214,8 +239,7 @@ func (t *transport) writeAck(c byte) error {
 // The payload is decoded in place in the transport's scratch buffer
 // and is valid only until the next read: a caller that keeps any of it
 // copies it. readPacket must not be called from two goroutines at once
-// (the stub's serve loop and the client's one reader at a time both
-// satisfy this).
+// (the stub's serve loop and the client's caller both satisfy this).
 func (t *transport) readPacket() ([]byte, error) {
 	for {
 		c, err := t.br.ReadByte()

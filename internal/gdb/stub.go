@@ -93,13 +93,16 @@ func (s *Stub) Stats() Stats { return s.t.stats }
 // continue runs on the stub's one runner goroutine, so the loop keeps
 // reading and sees a break-in; the next command waits for the
 // continue's stop reply. Every other command runs in the loop itself.
+// In no-ack mode a reply waits while the peer's next packet is already
+// buffered whole and goes out with the next reply, in one write: a
+// transfer pipelined with a continue is answered together with the stop.
 func (s *Stub) Serve() error {
 	start := make(chan []byte)
 	stopped := make(chan error, 1)
 	go func() {
 		defer close(stopped)
 		for arg := range start {
-			stopped <- s.t.sendReplyNoAckWait(s.resume(false, arg))
+			stopped <- s.t.sendReplyNoAckWait(s.resume(false, arg), false)
 		}
 	}()
 	running := false
@@ -139,7 +142,8 @@ func (s *Stub) Serve() error {
 		}
 		reply, done := s.dispatch(pkt)
 		if reply != nil {
-			if err := s.t.sendReplyNoAckWait(reply); err != nil {
+			hold := s.t.noAck && !done && s.t.packetBuffered()
+			if err := s.t.sendReplyNoAckWait(reply, hold); err != nil {
 				return err
 			}
 		}

@@ -1,6 +1,7 @@
 package gdb
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -33,15 +34,13 @@ func breakpointWordBytes() []byte {
 // instruction, so a timeout here means the cache was not invalidated.
 func runToEBreak(t *testing.T, cl *Client, want uint32) {
 	t.Helper()
-	if err := cl.Continue(); err != nil {
-		t.Fatal(err)
+	cl.SetStopTimeout(5 * time.Second)
+	ev, err := cl.Continue()
+	if errors.Is(err, ErrTimeout) {
+		t.Fatal("no stop: EBREAK written through the stub never fired")
 	}
-	ev, ok, err := cl.WaitStopTimeout(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("no stop: EBREAK written through the stub never fired")
 	}
 	if ev.Signal != 5 {
 		t.Fatalf("signal = %d, want 5 (SIGTRAP)", ev.Signal)

@@ -70,8 +70,7 @@ func TestMemoryWriteOverPlantedBreakpoint(t *testing.T) {
 		t.Fatalf("memory at bp = %#x", raw)
 	}
 	// ...and the breakpoint still fires.
-	_ = cl.Continue()
-	ev, err := cl.WaitStop()
+	ev, err := cl.Continue()
 	if err != nil || ev.Signal != 5 {
 		t.Fatalf("stop = %+v, %v", ev, err)
 	}
@@ -91,8 +90,7 @@ func decodeWord(w uint32) (string, error) {
 func TestHaltReasonAfterStop(t *testing.T) {
 	cl, _, im := newTarget(t, testProg)
 	_ = cl.SetBreakpoint(im.MustSymbol("work"))
-	_ = cl.Continue()
-	if _, err := cl.WaitStop(); err != nil {
+	if _, err := cl.Continue(); err != nil {
 		t.Fatal(err)
 	}
 	ev, err := cl.HaltReason()
@@ -111,8 +109,7 @@ func TestRegisterWriteChangesPC(t *testing.T) {
 		t.Fatalf("pc = %#x", cpu.PC)
 	}
 	// Continue from the redirected PC: program runs addi+halt only.
-	_ = cl.Continue()
-	ev, _ := cl.WaitStop()
+	ev, _ := cl.Continue()
 	if !ev.Exited {
 		t.Fatalf("stop = %+v", ev)
 	}
@@ -255,12 +252,7 @@ target: .word 0
 // watchpoint stop replies, whether they end a continue or a qRun
 // quantum, carry the PC and cycle counter a following 'g' reads.
 func TestStopReplyExpeditesPCAndCycles(t *testing.T) {
-	cont := func(cl *Client) (*StopEvent, error) {
-		if err := cl.Continue(); err != nil {
-			return nil, err
-		}
-		return cl.WaitStop()
-	}
+	cont := func(cl *Client) (*StopEvent, error) { return cl.Continue() }
 	quantum := func(cl *Client) (*StopEvent, error) {
 		for {
 			ev, _, err := cl.RunQuantum(2)

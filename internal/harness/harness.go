@@ -102,17 +102,20 @@ type Params struct {
 	// SimTime is the simulated duration to execute.
 	SimTime sim.Time
 	// ClockPeriod is the system clock period (default 100ns; an even
-	// number of picoseconds, at least 2ps). Only the GDB-Wrapper gets a clock process: its sc_method is
-	// sensitive to the positive edge. The kernel schemes need no clocked
-	// module, so their cycle hooks poll on a grid of the clock's edge
-	// times (every ClockPeriod/2) instead.
+	// number of picoseconds, at least 2ps). Only the GDB-Wrapper gets a
+	// clock process: its sc_method is sensitive to the positive edge.
+	// Driver-Kernel needs no clocked module, so its cycle hooks poll on
+	// a grid of the clock's edge times (every ClockPeriod/2) instead.
+	// GDB-Kernel neither polls nor uses the clock: it schedules each
+	// stop's service at the stop's own time.
 	ClockPeriod sim.Time
 	// CPUPeriod is the guest cycle length for time coupling. Zero
 	// means the default, 10ns; cycle coupling cannot be switched off.
 	CPUPeriod sim.Time
 	// SkewBound bounds how far simulated time may race past an
-	// in-flight ISS interaction (see core). Zero means the default,
-	// 1us; a run is never free-running.
+	// in-flight Driver-Kernel interaction (see core). Zero means the
+	// default, 1us; a run is never free-running. The GDB schemes ignore
+	// it.
 	SkewBound sim.Time
 	// Quantum is inert: temporal decoupling was removed, and the
 	// Driver-Kernel scheme synchronises with its guests every cycle.
@@ -286,15 +289,22 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	// run's registry records per-backend pair and byte counters.
 	tr := transport.Observed(p.Transport, reg)
 	k := sim.NewKernel("soc")
-	// Only the wrapper's sc_method listens to a clock. The kernel schemes
-	// poll at the same edge times without one: a clock nothing listens to
-	// would cost a process activation, a signal update and two delta
-	// notifications per edge.
+	// Only the wrapper's sc_method listens to a clock. Driver-Kernel
+	// polls at the same edge times without one: a clock nothing listens
+	// to would cost a process activation, a signal update and two delta
+	// notifications per edge. GDB-Kernel schedules its own stop services
+	// and needs neither; a no-op call at SimTime keeps a run whose
+	// traffic and guests fall idle going to its end.
 	var clk *sim.Clock
-	if p.Scheme == GDBWrapper {
+	switch p.Scheme {
+	case GDBWrapper:
 		clk = sim.NewClock(k, "clk", p.ClockPeriod)
-	} else if err := k.SetPollGrid(p.ClockPeriod / 2); err != nil {
-		return nil, err
+	case GDBKernel:
+		k.CallAt(p.SimTime, func() {})
+	default:
+		if err := k.SetPollGrid(p.ClockPeriod / 2); err != nil {
+			return nil, err
+		}
 	}
 	if done := ctx.Done(); done != nil {
 		// Cooperative cancellation: one non-blocking poll per simulation

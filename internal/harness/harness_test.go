@@ -386,4 +386,9 @@ func TestMulticastTraffic(t *testing.T) {
 	if res.Received != res.Copies {
 		t.Fatalf("received %d != copies %d", res.Received, res.Copies)
 	}
+	// The traffic ends long before SimTime, and GDB-Kernel has no poll
+	// grid: the run must still reach its end.
+	if res.Simulated != 10*sim.MS {
+		t.Fatalf("run ended at %v, want 10ms", res.Simulated)
+	}
 }

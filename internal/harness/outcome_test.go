@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"cosim/internal/core"
@@ -19,10 +20,11 @@ type gdbOutcome struct {
 }
 
 // TestGDBOutcomesPinned pins the seed-1 outcome of a GDB-Kernel 2-CPU
-// ring run and a GDB-Wrapper tcp run. The expected values were taken
+// ring run and a GDB-Wrapper tcp run. The wrapper's values were taken
 // from the last build whose kernel schemes ran a 100ns clock, so they
 // also show that polling on the clock's edge grid instead of running
-// the clock moved no simulated outcome.
+// the clock moved no simulated outcome. GDB-Kernel's are those of its
+// event-driven service, each stop served at its own cycle stamp.
 func TestGDBOutcomesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -32,7 +34,7 @@ func TestGDBOutcomesPinned(t *testing.T) {
 		{"gdb-kernel-2cpu-ring", Params{
 			Scheme: GDBKernel, CPUs: 2, Transport: core.TransportRing,
 			SimTime: 4 * sim.MS, Delay: 5 * sim.US, Seed: 1,
-		}, gdbOutcome{3196, 3196, 6392, 6394, 338789}},
+		}, gdbOutcome{3196, 3196, 6394, 6394, 338997}},
 		{"gdb-wrapper-tcp", Params{
 			Scheme: GDBWrapper, Transport: core.TransportTCP,
 			SimTime: 2 * sim.MS, Delay: 20 * sim.US, Seed: 1,
@@ -81,28 +83,65 @@ func TestGDBWrapperJournalPinned(t *testing.T) {
 
 // TestGDBKernelJournalPinned pins the whole transfer history of the
 // seed-1 GDB-Kernel 2-CPU run of TestGDBOutcomesPinned, byte for byte.
-// The kernel services every stop exactly at its skew bound, so the
-// journal depends on spec and seed only and must be the same over
-// every transport.
+// The kernel services every stop at the simulated time of its cycle
+// stamp, so the journal depends on spec and seed only and must be the
+// same over every transport.
 func TestGDBKernelJournalPinned(t *testing.T) {
-	const want = "2f4efb2bfd774854710fb1a32be68d680dfaf21f1263ee06c4cb02b782d3c055"
+	const want = "28e1d7efb868dea18a41c0342fa302b9a2aed82ac4268c51f81039d49f473a18"
 	for _, tr := range []core.Transport{core.TransportTCP, core.TransportRing, core.TransportPipe} {
 		t.Run(tr.Name(), func(t *testing.T) {
-			jl := core.NewJournal(0)
-			if _, err := Run(Params{
+			_, sum := journalRun(t, Params{
 				Scheme: GDBKernel, CPUs: 2, Transport: tr,
-				SimTime: 4 * sim.MS, Delay: 5 * sim.US, Seed: 1, Journal: jl,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			var csv bytes.Buffer
-			if err := jl.WriteCSV(&csv); err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(csv.Bytes())
-			if got := hex.EncodeToString(sum[:]); got != want {
-				t.Fatalf("journal (%d entries) SHA-256 %s, want %s", jl.Len(), got, want)
+				SimTime: 4 * sim.MS, Delay: 5 * sim.US, Seed: 1,
+			})
+			if sum != want {
+				t.Fatalf("journal SHA-256 %s, want %s", sum, want)
 			}
 		})
+	}
+}
+
+// journalRun runs p with a journal and returns the run's outcome and
+// the SHA-256 of its journal.
+func journalRun(t *testing.T, p Params) (gdbOutcome, string) {
+	t.Helper()
+	p.Journal = core.NewJournal(0)
+	res, err := Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Simulated != p.SimTime {
+		t.Fatalf("run ended at %v, want %v", res.Simulated, p.SimTime)
+	}
+	var csv bytes.Buffer
+	if err := p.Journal.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(csv.Bytes())
+	return gdbOutcome{res.Forwarded, res.Received, res.CoStats.Transfers, res.CoStats.Stops, res.GuestInstructions},
+		hex.EncodeToString(sum[:])
+}
+
+// TestGDBKernelIgnoresSkewBound: GDB-Kernel serves each stop at its own
+// cycle stamp, so the skew bound, a Driver-Kernel knob, moves nothing.
+// The 5us point of Figure 7's GDB-Kernel curve (1 CPU, seed 1) has one
+// outcome and one journal at every bound over every transport.
+func TestGDBKernelIgnoresSkewBound(t *testing.T) {
+	var first gdbOutcome
+	var firstSum, firstName string
+	for _, bound := range []sim.Time{0, 250 * sim.NS, sim.US, 4 * sim.US} {
+		for _, tr := range []core.Transport{core.TransportTCP, core.TransportRing, core.TransportPipe} {
+			name := fmt.Sprintf("skew %v over %s", bound, tr.Name())
+			got, sum := journalRun(t, Params{
+				Scheme: GDBKernel, Transport: tr, SkewBound: bound,
+				SimTime: 2 * sim.MS, Delay: 5 * sim.US, Seed: 1,
+			})
+			switch {
+			case firstName == "":
+				first, firstSum, firstName = got, sum, name
+			case got != first || sum != firstSum:
+				t.Fatalf("%s: outcome %+v, journal %s; %s: %+v, %s", name, got, sum, firstName, first, firstSum)
+			}
+		}
 	}
 }

@@ -114,10 +114,12 @@ func (p *IssOut) Write(data []byte) {
 	}
 }
 
-// SetOnWrite installs a mirror hook invoked after every Write with the
-// stored payload and the new write count. Co-simulation bridges use it
-// to keep a granted direct-memory window coherent with the port. Like
-// Write itself it runs in kernel context; pass nil to remove the hook.
+// SetOnWrite installs a hook invoked after every Write with the stored
+// payload and the new write count. Co-simulation bridges use it to keep
+// a granted direct-memory window coherent with the port (Driver-Kernel)
+// or to resume an ISS stopped waiting for the port's data (GDB-Kernel).
+// Like Write itself it runs in kernel context; pass nil to remove the
+// hook.
 func (p *IssOut) SetOnWrite(fn func(data []byte, writes uint64)) {
 	p.onWrite = fn
 }

@@ -14,10 +14,10 @@ type updatable interface {
 }
 
 // CycleHook is invoked by the scheduler at simulation-cycle boundaries.
-// This is the kernel extension point of the paper: the GDB-Kernel scheme
-// services ISS breakpoint stops from a begin-of-cycle hook, and the
-// Driver-Kernel scheme drains its data socket there and emits interrupt
-// messages from an end-of-cycle hook.
+// This is the kernel extension point of the paper: the Driver-Kernel
+// scheme drains its data socket from a begin-of-cycle hook and emits
+// interrupt messages from an end-of-cycle hook. (GDB-Kernel schedules
+// each breakpoint stop's service with CallAt instead.)
 type CycleHook func(k *Kernel)
 
 // Kernel is the simulation kernel: it owns processes, events, channels
