@@ -124,12 +124,14 @@ func run(w io.Writer) error {
 	if err := k.SetPollGrid(50 * sim.NS); err != nil {
 		return err
 	}
-	dk, err := core.NewDriverKernel(k, target.DataHost, target.IRQHost, core.DriverKernelOptions{
-		CommonOptions: core.CommonOptions{CPUPeriod: 10 * sim.NS, SkewBound: 10 * sim.US},
+	dk, err := core.NewDriverKernel(k, []core.DriverChannel{{
+		Data: target.DataHost, IRQ: target.IRQHost,
 		Ports: []core.VarBinding{
 			{Port: "sample", Dir: core.ToISS},
 			{Port: "max", Dir: core.ToSystemC},
 		},
+	}}, core.DriverKernelOptions{
+		CommonOptions: core.CommonOptions{CPUPeriod: 10 * sim.NS, SkewBound: 10 * sim.US},
 	})
 	if err != nil {
 		return err
@@ -147,7 +149,7 @@ func run(w io.Writer) error {
 	tick := k.NewEvent("sensor.tick")
 	k.MethodNoInit("sensor", func() {
 		samplePort.WriteUint32(samples[next])
-		dk.RaiseInterrupt(5)
+		dk.RaiseInterruptCPU(0, 5)
 	}, tick)
 	k.MethodNoInit("monitor", func() {
 		fmt.Fprintf(w, "t=%-8v sample[%d]=%-4d guest reports max=%d\n",

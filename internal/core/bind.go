@@ -76,13 +76,7 @@ func resolveBindings(k *sim.Kernel, im *asm.Image, specs []VarBinding) (map[uint
 			if _, dup := watch[varAddr]; dup {
 				return nil, nil, fmt.Errorf("core: two watch bindings share variable %#x", varAddr)
 			}
-			b := &binding{spec: s, varAddr: varAddr}
-			if p, ok := k.IssInPort(s.Port); ok {
-				b.inPort = p
-			} else {
-				b.inPort = k.NewIssIn(s.Port)
-			}
-			watch[varAddr] = b
+			watch[varAddr] = &binding{spec: s, varAddr: varAddr, inPort: issIn(k, s.Port)}
 			continue
 		}
 		var bpAddr uint32
@@ -114,19 +108,27 @@ func resolveBindings(k *sim.Kernel, im *asm.Image, specs []VarBinding) (map[uint
 		}
 		b := &binding{spec: s, varAddr: varAddr, bpAddr: bpAddr}
 		if s.Dir == ToSystemC {
-			if p, ok := k.IssInPort(s.Port); ok {
-				b.inPort = p
-			} else {
-				b.inPort = k.NewIssIn(s.Port)
-			}
+			b.inPort = issIn(k, s.Port)
 		} else {
-			if p, ok := k.IssOutPort(s.Port); ok {
-				b.outPort = p
-			} else {
-				b.outPort = k.NewIssOut(s.Port)
-			}
+			b.outPort = issOut(k, s.Port)
 		}
 		out[bpAddr] = b
 	}
 	return out, watch, nil
+}
+
+// issIn returns the kernel's iss_in port of that name, created if absent.
+func issIn(k *sim.Kernel, name string) *sim.IssIn {
+	if p, ok := k.IssInPort(name); ok {
+		return p
+	}
+	return k.NewIssIn(name)
+}
+
+// issOut returns the kernel's iss_out port of that name, created if absent.
+func issOut(k *sim.Kernel, name string) *sim.IssOut {
+	if p, ok := k.IssOutPort(name); ok {
+		return p
+	}
+	return k.NewIssOut(name)
 }

@@ -1,0 +1,118 @@
+package core
+
+import (
+	"testing"
+
+	"cosim/internal/sim"
+)
+
+// clockCase is one guestClock row: an anchor, a run against it, the
+// time the run returns and the anchor it leaves.
+type clockCase struct {
+	name   string
+	period sim.Time
+	cycles uint64   // anchor before run
+	at     sim.Time // ...
+	run    func(t *testing.T, g *guestClock) sim.Time
+	want   sim.Time
+	// the anchor after run
+	wantCycles uint64
+	wantAt     sim.Time
+}
+
+const clockPeriod = 10 * sim.NS
+
+// runClockCases runs each case against a fresh guestClock on a kernel
+// that stands at 1 µs.
+func runClockCases(t *testing.T, cases []clockCase) {
+	t.Helper()
+	k := sim.NewKernel("t")
+	defer k.Shutdown()
+	advanceKernel(t, k, sim.US)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := &guestClock{k: k, period: tc.period, cycles: tc.cycles, at: tc.at}
+			if got := tc.run(t, g); got != tc.want {
+				t.Errorf("time = %v, want %v", got, tc.want)
+			}
+			if g.cycles != tc.wantCycles || g.at != tc.wantAt {
+				t.Errorf("anchor = (%#x, %v), want (%#x, %v)", g.cycles, g.at, tc.wantCycles, tc.wantAt)
+			}
+		})
+	}
+}
+
+// TestTargetTimeWraparound pins Driver-Kernel's stamp-to-time rule:
+// 32-bit wire stamps widened across a wrap and without one, and the
+// untimed period that maps every stamp to now.
+func TestTargetTimeWraparound(t *testing.T) {
+	const period = clockPeriod
+	runClockCases(t, []clockCase{{
+		// Anchored just below the 32-bit ceiling; the guest then runs
+		// 0x20 cycles, wrapping the wire counter past zero.
+		name: "32-bit stamp across a wrap", period: period, cycles: 0xfffffff0, at: 500 * sim.NS,
+		run:  func(_ *testing.T, g *guestClock) sim.Time { return g.timeOf(g.widen(0x10)) },
+		want: 500*sim.NS + 0x20*period, wantCycles: 0xfffffff0, wantAt: 500 * sim.NS,
+	}, {
+		name: "32-bit stamp", period: period, cycles: 100, at: 500 * sim.NS,
+		run:  func(_ *testing.T, g *guestClock) sim.Time { return g.timeOf(g.widen(164)) },
+		want: 500*sim.NS + 64*period, wantCycles: 100, wantAt: 500 * sim.NS,
+	}, {
+		name: "untimed stamp maps to now", cycles: 0, at: 0,
+		run:  func(_ *testing.T, g *guestClock) sim.Time { return g.timeOf(g.widen(12345)) },
+		want: sim.US, wantCycles: 0, wantAt: 0,
+	}})
+}
+
+// TestAdvanceSyncMonotonic pins the anchor Driver-Kernel takes at each
+// stamp: a stamp in the simulated past anchors at now, and the anchor
+// never moves backward through a 32-bit wrap.
+func TestAdvanceSyncMonotonic(t *testing.T) {
+	const period = clockPeriod
+	runClockCases(t, []clockCase{{
+		// The stamp's own time (500 ns) is returned; the anchor is
+		// clamped to now.
+		name: "past stamp anchors at now", period: period, cycles: 0, at: 400 * sim.NS,
+		run:  func(_ *testing.T, g *guestClock) sim.Time { return g.take(g.widen(10)) },
+		want: 500 * sim.NS, wantCycles: 10, wantAt: sim.US,
+	}, {
+		// Driver-Kernel's call pattern take(widen(stamp)) through a
+		// 32-bit wrap: the anchor's time never moves backward and its
+		// low 32 bits are the last stamp.
+		name: "anchor monotonic through a wrap", period: period, cycles: 0, at: 0,
+		run: func(t *testing.T, g *guestClock) sim.Time {
+			prev := g.at
+			for _, stamp := range []uint32{100, 5_000, 0xffffffff, 3, 50, 1 << 20} {
+				g.take(g.widen(stamp))
+				if g.at < prev {
+					t.Fatalf("anchor moved backward: %v -> %v at stamp %#x", prev, g.at, stamp)
+				}
+				if uint32(g.cycles) != stamp {
+					t.Fatalf("anchor cycles = %#x, want low bits %#x", g.cycles, stamp)
+				}
+				prev = g.at
+			}
+			return g.timeOf(g.cycles)
+		},
+		// The first stamp lands at now; the rest count on from it.
+		want: sim.US + (1<<32+1<<20-100)*period, wantCycles: 1<<32 + 1<<20, wantAt: sim.US + (1<<32+1<<20-100)*period,
+	}})
+}
+
+// TestGuestClock pins the rest of the rule both kernel schemes share:
+// GDB-Kernel's 64-bit stamps and the re-anchor when the guest idles.
+func TestGuestClock(t *testing.T) {
+	const period = clockPeriod
+	runClockCases(t, []clockCase{{
+		name: "64-bit GDB stamp", period: period, cycles: 1<<33 + 5, at: 2 * sim.US,
+		run:  func(_ *testing.T, g *guestClock) sim.Time { return g.take(1<<33 + 305) },
+		want: 5 * sim.US, wantCycles: 1<<33 + 305, wantAt: 5 * sim.US,
+	}, {
+		name: "idle re-anchors at now", period: period, cycles: 7, at: 200 * sim.NS,
+		run: func(_ *testing.T, g *guestClock) sim.Time {
+			g.idle()
+			return g.timeOf(17)
+		},
+		want: sim.US + 10*period, wantCycles: 7, wantAt: sim.US,
+	}})
+}

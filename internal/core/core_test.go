@@ -451,13 +451,13 @@ func TestDriverKernelEndToEnd(t *testing.T) {
 
 		k := sim.NewKernel("top")
 		sim.NewClock(k, "clk", 10*sim.NS)
-		d, err := NewDriverKernel(k, target.DataHost, target.IRQHost, DriverKernelOptions{
-			CommonOptions: CommonOptions{CPUPeriod: sim.NS},
+		d, err := NewDriverKernel(k, []DriverChannel{{
+			Data: target.DataHost, IRQ: target.IRQHost,
 			Ports: []VarBinding{
 				{Port: "req", Dir: ToISS},
 				{Port: "resp", Dir: ToSystemC},
 			},
-		})
+		}}, DriverKernelOptions{CommonOptions: CommonOptions{CPUPeriod: sim.NS}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +475,7 @@ func TestDriverKernelEndToEnd(t *testing.T) {
 			}
 			sent++
 			req.WriteUint32(uint32(sent))
-			d.RaiseInterrupt(7) // "new request" doorbell
+			d.RaiseInterruptCPU(0, 7) // "new request" doorbell
 		}, resp.Event())
 		if err := k.Run(sim.MaxTime); err != nil {
 			t.Fatalf("run: %v (scheme err %v)", err, d.Err())

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,15 +34,8 @@ import (
 type DriverKernel struct {
 	k *sim.Kernel
 
-	period      sim.Time
 	skewBound   sim.Time
 	waitTimeout time.Duration // how long a conservative wait may block
-
-	// dmi grants each CPU's bridge device direct windows into the
-	// side-effect-free backing memory of its bound ports. It is an
-	// attach-time choice (DriverKernelOptions) — the hot paths branch on
-	// a plain bool, never on configuration lookups.
-	dmi bool
 
 	mu     sync.Mutex
 	inbox  []Message     // CPU-tagged, drained by the begin-of-cycle hook; guarded by mu
@@ -66,14 +58,13 @@ type DriverKernel struct {
 
 	journal *Journal
 
-	err    error
-	stats  Stats
-	obs    driverObs
-	obsReg *obs.Registry // registry the obs handles were resolved against
+	err   error
+	stats Stats
+	obs   driverObs
 }
 
 // driverCPU is the per-processor half of the scheme: one channel pair,
-// one port namespace, one timeline anchor, one interrupt queue.
+// one port namespace, one timeline, one interrupt queue.
 type driverCPU struct {
 	d     *DriverKernel
 	id    int
@@ -89,16 +80,12 @@ type driverCPU struct {
 	inPorts     map[string]*sim.IssIn
 	outBindings map[string]*binding
 
-	// Guest-cycle -> simulated-time anchor (32-bit wrap-aware).
-	syncCycles uint32
-	syncTime   sim.Time
-
-	// Conservative synchronization, as in GDBKernel: when skewBound is
-	// non-zero, the kernel waits (wall-clock) for this guest's next
-	// message rather than racing simulated time past an outstanding
-	// request (a READ reply or a notified interrupt).
-	outstanding bool
-	outSince    sim.Time
+	// clock maps the guest's cycle stamps to simulated time. It also
+	// marks a request to the guest (a READ reply or a notified
+	// interrupt) outstanding: when skewBound is non-zero, the kernel
+	// waits (wall-clock) for this guest's next message rather than
+	// racing simulated time past it.
+	clock guestClock
 
 	pendingReads []*binding
 	intQueue     []uint32
@@ -107,29 +94,9 @@ type driverCPU struct {
 	rdErr  error // reader goroutine's terminal error; guarded by d.mu, flagged by d.rdErrs
 	hadMsg bool  // batch scratch: a message from this CPU was drained
 
-	// DMI state: the windows granted over this CPU's bound ports, the
-	// guest-activity flag its window hits raise (the lock-step wait
-	// treats window activity exactly like an arriving message), and a
-	// kernel-context scratch for draining staged writes.
-	grants    []*dmiGrant
-	dmiActive atomic.Bool
-	stagedBuf []dev.StagedWrite
+	dmi *dmiWindows // nil when DMI is off
 
 	obs driverCPUObs
-}
-
-// dmiGrant couples one granted window to the kernel-side state it
-// shadows: a read grant mirrors an iss_out binding (b != nil), a write
-// grant stages stores for an iss_in port (in != nil). The last* fields
-// remember the window counters already flushed into the obs registry,
-// so reconciliation adds deltas instead of re-counting.
-type dmiGrant struct {
-	w    *dev.Window
-	b    *binding   // read grant: the iss_out binding served by the window
-	in   *sim.IssIn // write grant: the iss_in port staged stores deliver to
-	port string     // guest-visible port name (journal/labels)
-
-	lastHits, lastMisses, lastRevs uint64
 }
 
 // driverObs holds the aggregate Driver-Kernel hot-path metrics,
@@ -146,10 +113,7 @@ type driverObs struct {
 	skewWaitNS   *obs.Histogram
 	skewTimeouts *obs.Counter // skew waits abandoned after waitTimeout
 	pendingReads *obs.Gauge
-
-	dmiHits        *obs.Counter
-	dmiMisses      *obs.Counter
-	dmiRevocations *obs.Counter
+	dmi          dmiCounters
 }
 
 func (o *driverObs) init(r *obs.Registry) {
@@ -163,9 +127,7 @@ func (o *driverObs) init(r *obs.Registry) {
 	o.skewWaitNS = r.Histogram("driver.skew_wait_ns")
 	o.skewTimeouts = r.Counter("driver.skew_wait_timeouts")
 	o.pendingReads = r.Gauge("driver.pending_reads")
-	o.dmiHits = r.Counter("driver.dmi_hits")
-	o.dmiMisses = r.Counter("driver.dmi_misses")
-	o.dmiRevocations = r.Counter("driver.dmi_revocations")
+	o.dmi = dmiCounters{r.Counter("driver.dmi_hits"), r.Counter("driver.dmi_misses"), r.Counter("driver.dmi_revocations")}
 }
 
 // driverCPUObs is the per-CPU counter set ("driver.cpu0.messages", ...)
@@ -176,16 +138,8 @@ type driverCPUObs struct {
 	interrupts   *obs.Counter
 	skewWaits    *obs.Counter
 	skewTimeouts *obs.Counter
-
-	dmiHits        *obs.Counter
-	dmiMisses      *obs.Counter
-	dmiRevocations *obs.Counter
-
-	// pendingReads and its name are resolved once here so Publish never
-	// rebuilds "driver.cpuN.*" strings. The name is kept for Publish
-	// calls against a foreign registry.
-	pendingReads     *obs.Gauge
-	pendingReadsName string
+	pendingReads *obs.Gauge
+	dmi          dmiCounters
 }
 
 func (o *driverCPUObs) init(r *obs.Registry, id int) {
@@ -193,11 +147,12 @@ func (o *driverCPUObs) init(r *obs.Registry, id int) {
 	o.interrupts = r.Counter(fmt.Sprintf("driver.cpu%d.interrupts", id))
 	o.skewWaits = r.Counter(fmt.Sprintf("driver.cpu%d.skew_waits", id))
 	o.skewTimeouts = r.Counter(fmt.Sprintf("driver.cpu%d.skew_wait_timeouts", id))
-	o.dmiHits = r.Counter(fmt.Sprintf("driver.cpu%d.dmi_hits", id))
-	o.dmiMisses = r.Counter(fmt.Sprintf("driver.cpu%d.dmi_misses", id))
-	o.dmiRevocations = r.Counter(fmt.Sprintf("driver.cpu%d.dmi_revocations", id))
-	o.pendingReadsName = fmt.Sprintf("driver.cpu%d.pending_reads", id)
-	o.pendingReads = r.Gauge(o.pendingReadsName)
+	o.pendingReads = r.Gauge(fmt.Sprintf("driver.cpu%d.pending_reads", id))
+	o.dmi = dmiCounters{
+		r.Counter(fmt.Sprintf("driver.cpu%d.dmi_hits", id)),
+		r.Counter(fmt.Sprintf("driver.cpu%d.dmi_misses", id)),
+		r.Counter(fmt.Sprintf("driver.cpu%d.dmi_revocations", id)),
+	}
 }
 
 // DriverChannel is one CPU's co-simulation transport: the kernel-side
@@ -225,43 +180,26 @@ type DriverKernelOptions struct {
 	// CommonOptions carries the timing, skew, journal and observability
 	// configuration shared by all schemes.
 	CommonOptions
-	// Ports declares the iss_in (ToSystemC) and iss_out (ToISS) ports
-	// the driver may address. Var/breakpoint fields are unused here —
-	// the driver names ports explicitly in its messages. Only consulted
-	// by the single-CPU NewDriverKernel constructor; multi-CPU callers
-	// declare ports per channel.
-	Ports []VarBinding
 
 	// DMI grants direct memory windows over each channel's bound ports
 	// (requires the channel to carry a granter). Off by default.
 	DMI bool
 }
 
-// NewDriverKernel attaches the scheme with a single CPU. data and irq
-// are the kernel-side ends of the two sockets.
-func NewDriverKernel(k *sim.Kernel, data io.ReadWriter, irq io.Writer, opts DriverKernelOptions) (*DriverKernel, error) {
-	chans := []DriverChannel{{Data: data, IRQ: irq, Ports: opts.Ports}}
-	opts.Ports = nil
-	return NewDriverKernelMulti(k, chans, opts)
-}
-
-// NewDriverKernelMulti attaches the scheme with one channel pair per
-// CPU — the multi-processor SoC configuration of the paper's title.
-// Channel i serves CPU i; interrupt routing and message drains address
-// CPUs by that index.
-func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKernelOptions) (*DriverKernel, error) {
+// NewDriverKernel attaches the scheme with one channel pair per CPU —
+// the multi-processor SoC configuration of the paper's title. Channel i
+// serves CPU i; interrupt routing and message drains address CPUs by
+// that index.
+func NewDriverKernel(k *sim.Kernel, channels []DriverChannel, opts DriverKernelOptions) (*DriverKernel, error) {
 	if len(channels) == 0 {
 		return nil, errors.New("driver-kernel: at least one CPU channel is required")
 	}
 	d := &DriverKernel{
 		k:           k,
-		period:      opts.CPUPeriod,
 		skewBound:   opts.SkewBound,
 		waitTimeout: time.Second,
 		journal:     opts.Journal,
 		notify:      make(chan struct{}, 1),
-		obsReg:      opts.Obs,
-		dmi:         opts.DMI,
 	}
 	d.obs.init(opts.Obs)
 	for i, ch := range channels {
@@ -274,30 +212,22 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 			prefix:      ch.Prefix,
 			inPorts:     make(map[string]*sim.IssIn),
 			outBindings: make(map[string]*binding),
+			clock:       guestClock{k: k, period: opts.CPUPeriod},
 		}
 		c.obs.init(opts.Obs, i)
 		for _, s := range ch.Ports {
 			name := s.Port // guest-visible name
 			full := ch.Prefix + name
 			if s.Dir == ToSystemC {
-				p, ok := k.IssInPort(full)
-				if !ok {
-					p = k.NewIssIn(full)
-				}
-				c.inPorts[name] = p
+				c.inPorts[name] = issIn(k, full)
 			} else {
-				p, ok := k.IssOutPort(full)
-				if !ok {
-					p = k.NewIssOut(full)
-				}
 				spec := s
 				spec.Port = full // journal entries carry the kernel name
-				b := &binding{spec: spec, outPort: p}
-				c.outBindings[name] = b
+				c.outBindings[name] = &binding{spec: spec, outPort: issOut(k, full)}
 			}
 		}
 		if opts.DMI && ch.DMI != nil {
-			c.grantWindows(ch.DMI)
+			c.dmi = grantWindows(c, ch.DMI)
 		}
 		d.cpus = append(d.cpus, c)
 
@@ -315,10 +245,7 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 					d.mu.Unlock()
 					// Wake a conservative wait so it can surface the
 					// error instead of sleeping out its timeout.
-					select {
-					case d.notify <- struct{}{}:
-					default:
-					}
+					d.wake()
 					return
 				}
 				m.CPU = c.id
@@ -326,10 +253,7 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 				d.inbox = append(d.inbox, m)
 				d.queued.Store(true)
 				d.mu.Unlock()
-				select {
-				case d.notify <- struct{}{}:
-				default:
-				}
+				d.wake()
 			}
 		}(c, ch.Data)
 
@@ -359,60 +283,31 @@ func (d *DriverKernel) Err() error { return d.err }
 // Name returns the scheme's canonical name.
 func (d *DriverKernel) Name() string { return "driver-kernel" }
 
-// CPUCount returns the number of guest CPUs the scheme drives.
-func (d *DriverKernel) CPUCount() int { return len(d.cpus) }
-
 // Detach implements Scheme. The guest runners are owned by the caller
 // (they predate the scheme attachment), so there is nothing to quiesce
-// — but every granted DMI window is revoked here (the kernel-side
-// explicit revocation rule): late guest accesses fall back to the
-// message path, the port mirror hooks are removed, and the final
-// window counter deltas (including the revocations themselves) are
-// flushed into the obs registry before the caller snapshots it.
+// — but every granted DMI window is revoked here (see
+// dmiWindows.revoke) before the caller snapshots the counters.
 func (d *DriverKernel) Detach() {
 	for _, c := range d.cpus {
-		for _, g := range c.grants {
-			g.w.Revoke()
-			if g.b != nil {
-				g.b.outPort.SetOnWrite(nil)
-			}
-			d.flushGrantCounters(c, g)
-		}
+		c.dmi.revoke()
 	}
 }
 
 // Publish implements Scheme: the Driver-Kernel protocol has no
 // transport-level totals beyond its live counters, so only the pending
-// read backlogs are published (aggregate plus per CPU). The gauge
-// handles are resolved at attach time, so publishing into the attach
-// registry allocates nothing; a foreign registry falls back to a lookup
-// by the precomputed per-CPU name.
-func (d *DriverKernel) Publish(r *obs.Registry) {
+// read backlogs are published (aggregate plus per CPU), with the
+// unflushed DMI counter growth. The gauge handles are resolved at
+// attach time, so publishing allocates nothing.
+func (d *DriverKernel) Publish() {
 	total := 0
 	for _, c := range d.cpus {
-		// Unflushed DMI window deltas land in the attach registry's
-		// handles, so an end-of-run snapshot never misses the tail.
-		for _, g := range c.grants {
-			d.flushGrantCounters(c, g)
-		}
+		c.dmi.flush()
 		n := len(c.pendingReads)
 		total += n
-		g := c.obs.pendingReads
-		if r != d.obsReg {
-			g = r.Gauge(c.obs.pendingReadsName)
-		}
-		g.Set(uint64(n))
+		c.obs.pendingReads.Set(uint64(n))
 	}
-	if r == d.obsReg {
-		d.obs.pendingReads.Set(uint64(total))
-	} else {
-		r.Gauge("driver.pending_reads").Set(uint64(total))
-	}
+	d.obs.pendingReads.Set(uint64(total))
 }
-
-// RaiseInterrupt queues an interrupt for CPU 0's guest driver — the
-// single-processor entry point; see RaiseInterruptCPU.
-func (d *DriverKernel) RaiseInterrupt(id uint32) { d.RaiseInterruptCPU(0, id) }
 
 // RaiseInterruptCPU queues an interrupt for the given CPU's guest
 // driver; it is sent on that CPU's interrupt socket at the end of the
@@ -437,146 +332,12 @@ func (c *driverCPU) errf(format string, args ...any) error {
 	return fmt.Errorf("%s: "+format, append([]any{any(c.label)}, args...)...)
 }
 
-// grantWindows hands the guest-side bridge one direct window per bound
-// port: iss_out bindings get read windows kept coherent by the port's
-// write hook, iss_in ports get write windows whose staged stores the
-// drain hook reconciles. Every bound port is a protocol data port —
-// side-effect-free backing memory — so all of them are DMI-eligible;
-// side-effectful device registers never reach this path because they
-// are not ports.
-// Grant order is sorted by port name: grants append to c.grants and
-// register windows with the guest bridge, so map-iteration order would
-// leak into reconcile order and the journal.
-func (c *driverCPU) grantWindows(granter dev.DMIGranter) {
-	outNames := make([]string, 0, len(c.outBindings))
-	for name := range c.outBindings {
-		outNames = append(outNames, name)
-	}
-	sort.Strings(outNames)
-	for _, name := range outNames {
-		b := c.outBindings[name]
-		w := dev.NewWindow(name, c.notifyActivity)
-		w.Update(b.outPort.Bytes(), b.outPort.Writes())
-		b.outPort.SetOnWrite(w.Update)
-		granter.GrantDMIWindow(name, w)
-		c.grants = append(c.grants, &dmiGrant{w: w, b: b, port: name})
-	}
-	inNames := make([]string, 0, len(c.inPorts))
-	for name := range c.inPorts {
-		inNames = append(inNames, name)
-	}
-	sort.Strings(inNames)
-	for _, name := range inNames {
-		w := dev.NewWindow(name, c.notifyActivity)
-		granter.GrantDMIWindow(name, w)
-		c.grants = append(c.grants, &dmiGrant{w: w, in: c.inPorts[name], port: name})
-	}
-}
-
-// notifyActivity is the window activity callback, invoked from the
-// guest thread after every window hit. It marks the CPU for
-// reconciliation and wakes a conservative wait, exactly as an arriving
-// protocol message would — window hits skip the codec and transport,
-// not the lock-step coupling.
-func (c *driverCPU) notifyActivity() {
-	c.dmiActive.Store(true)
+// wake signals d.notify without blocking: a token already pending
+// wakes the wait as well.
+func (d *DriverKernel) wake() {
 	select {
-	case c.d.notify <- struct{}{}:
+	case d.notify <- struct{}{}:
 	default:
-	}
-}
-
-// reconcileWindows folds guest window activity back into the lock-step
-// state at the begin-of-cycle hook: a consumed read generation advances
-// the CPU's timeline anchor and marks the guest busy (it is computing
-// on the data, like after a DATA reply); staged writes are delivered to
-// their iss_in ports at their cycle-stamped target times and settle the
-// guest's outstanding work (like a WRITE message). Window counter
-// deltas are flushed into the obs registry on the way.
-func (d *DriverKernel) reconcileWindows(k *sim.Kernel) {
-	if !d.dmi {
-		return
-	}
-	for _, c := range d.cpus {
-		// Load first: the common idle case then skips the atomic swap.
-		if !c.dmiActive.Load() || !c.dmiActive.Swap(false) {
-			continue
-		}
-		for _, g := range c.grants {
-			if g.b != nil {
-				if seq, cycles, ok := g.w.TakeReadAck(); ok {
-					t := c.targetTime(cycles)
-					c.advanceSync(cycles, t)
-					if seq > g.b.consumed {
-						g.b.consumed = seq
-						g.b.outPort.Consumed()
-					}
-					d.stats.Transfers++
-					c.outstanding = true
-					c.outSince = k.Now()
-					d.journal.Record(JournalEntry{
-						Time: k.Now(), Scheme: "driver-kernel", Dir: "sc->iss",
-						Port: c.prefix + g.port, Bytes: len(g.b.outPort.Bytes()), Cycles: uint64(cycles),
-					})
-				}
-			}
-			if g.in != nil {
-				c.stagedBuf = g.w.TakeStaged(c.stagedBuf[:0])
-				for _, sw := range c.stagedBuf {
-					t := c.targetTime(sw.Cycles)
-					port, data := g.in, sw.Data
-					k.CallAt(t, func() { port.Deliver(data) })
-					c.advanceSync(sw.Cycles, t)
-					d.stats.Transfers++
-					c.outstanding = false
-					d.journal.Record(JournalEntry{
-						Time: t, Scheme: "driver-kernel", Dir: "iss->sc",
-						Port: c.prefix + g.port, Bytes: len(sw.Data), Cycles: uint64(sw.Cycles),
-					})
-				}
-			}
-			d.flushGrantCounters(c, g)
-		}
-	}
-}
-
-// flushGrantCounters adds the window's counter growth since the last
-// flush into the aggregate and per-CPU obs counters.
-func (d *DriverKernel) flushGrantCounters(c *driverCPU, g *dmiGrant) {
-	hits, misses, revs := g.w.Counters()
-	if n := hits - g.lastHits; n > 0 {
-		d.obs.dmiHits.Add(n)
-		c.obs.dmiHits.Add(n)
-		d.stats.DMIHits += n
-	}
-	if n := misses - g.lastMisses; n > 0 {
-		d.obs.dmiMisses.Add(n)
-		c.obs.dmiMisses.Add(n)
-		d.stats.DMIMisses += n
-	}
-	if n := revs - g.lastRevs; n > 0 {
-		d.obs.dmiRevocations.Add(n)
-		c.obs.dmiRevocations.Add(n)
-	}
-	g.lastHits, g.lastMisses, g.lastRevs = hits, misses, revs
-}
-
-// targetTime maps a guest cycle stamp to simulated time (32-bit
-// wrap-aware).
-func (c *driverCPU) targetTime(cycles uint32) sim.Time {
-	if c.d.period == 0 {
-		return c.d.k.Now()
-	}
-	delta := cycles - c.syncCycles // wraps correctly in uint32
-	return c.syncTime.AddCycles(uint64(delta), c.d.period)
-}
-
-func (c *driverCPU) advanceSync(cycles uint32, t sim.Time) {
-	c.syncCycles = cycles
-	if t.After(c.d.k.Now()) {
-		c.syncTime = t
-	} else {
-		c.syncTime = c.d.k.Now()
 	}
 }
 
@@ -584,7 +345,7 @@ func (c *driverCPU) advanceSync(cycles uint32, t sim.Time) {
 // CPU: a message from it is queued, unreconciled window activity is
 // pending, or its reader hit a terminal error.
 func (d *DriverKernel) inboxReadyFor(c *driverCPU) bool {
-	if c.dmiActive.Load() {
+	if c.dmi.ready() {
 		return true
 	}
 	d.mu.Lock()
@@ -610,7 +371,7 @@ func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
 		return
 	}
 	for _, c := range d.cpus {
-		if !c.outstanding || k.Now().Before(c.outSince.Add(d.skewBound)) {
+		if !c.clock.overdue(d.skewBound) {
 			continue
 		}
 		// A token may be sitting in d.notify from messages that were
@@ -657,7 +418,7 @@ func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
 				}
 			case <-d.timer.C:
 				// Give up on this request; don't stall the simulation.
-				c.outstanding = false
+				c.clock.settle()
 				d.obs.skewTimeouts.Inc()
 				c.obs.skewTimeouts.Inc()
 				break wait
@@ -699,7 +460,9 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 	// Fold in window activity that arrived since the last cycle, before
 	// serving pending READs: a staged write may be what a pending READ's
 	// model is waiting on.
-	d.reconcileWindows(k)
+	for _, c := range d.cpus {
+		c.dmi.reconcile()
+	}
 
 	// Serve pending READs whose port has been written since.
 	for _, c := range d.cpus {
@@ -733,7 +496,9 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 
 	// A conservative wait may have ended on window activity rather than
 	// a message; reconcile again so that activity lands this cycle.
-	d.reconcileWindows(k)
+	for _, c := range d.cpus {
+		c.dmi.reconcile()
+	}
 
 	// Surface read errors once a CPU's stream is dry. A clean EOF is a
 	// normal guest shutdown; an unexpected EOF mid-message (or any
@@ -773,19 +538,7 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 				releaseFrom(msgs, i)
 				return
 			}
-			t := c.targetTime(m.Cycles)
-			msg := m
-			k.CallAt(t, func() {
-				port.Deliver(msg.Data)
-				msg.Release() // Deliver copied; recycle the codec buffer
-			})
-			c.advanceSync(m.Cycles, t)
-			d.stats.Transfers++
-			c.outstanding = false
-			d.journal.Record(JournalEntry{
-				Time: t, Scheme: "driver-kernel", Dir: "iss->sc",
-				Port: c.prefix + m.Port, Bytes: len(m.Data), Cycles: uint64(m.Cycles),
-			})
+			c.store(port, m)
 		case MsgRead:
 			d.obs.reads.Inc()
 			b, ok := c.outBindings[m.Port]
@@ -794,8 +547,8 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 				releaseFrom(msgs, i)
 				return
 			}
-			c.outstanding = false // the guest is alive and asking
-			c.advanceSync(m.Cycles, c.targetTime(m.Cycles))
+			c.clock.settle() // the guest is alive and asking
+			c.clock.take(c.clock.widen(m.Cycles))
 			if b.outPort.Writes() > b.consumed {
 				d.reply(c, b)
 			} else {
@@ -816,6 +569,42 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 	}
 }
 
+// store delivers a guest store to its iss_in port at the simulated
+// time of its cycle stamp, and settles the guest's outstanding request.
+// m is a WRITE message, or a store a DMI window staged (a WRITE that
+// skipped the codec); its pooled payload is recycled once delivered.
+func (c *driverCPU) store(port *sim.IssIn, m Message) {
+	t := c.clock.take(c.clock.widen(m.Cycles))
+	data, pooled := m.Data, m.pooled
+	c.d.k.CallAt(t, func() {
+		port.Deliver(data)
+		releaseDataBuf(pooled) // Deliver copied; recycle the codec buffer
+	})
+	c.clock.settle()
+	c.d.stats.Transfers++
+	c.d.journal.Record(JournalEntry{
+		Time: t, Scheme: "driver-kernel", Dir: "iss->sc",
+		Port: c.prefix + m.Port, Bytes: len(m.Data), Cycles: uint64(m.Cycles),
+	})
+}
+
+// consume records that the guest took generation seq of b's iss_out
+// port, from a DATA reply or through a DMI read window (stamped with
+// the guest's cycles): the guest now computes on the data, so a request
+// is outstanding.
+func (c *driverCPU) consume(b *binding, seq uint64, cycles uint32) {
+	if seq > b.consumed {
+		b.consumed = seq
+		b.outPort.Consumed()
+	}
+	c.d.stats.Transfers++
+	c.clock.request()
+	c.d.journal.Record(JournalEntry{
+		Time: c.d.k.Now(), Scheme: "driver-kernel", Dir: "sc->iss",
+		Port: b.spec.Port, Bytes: len(b.outPort.Bytes()), Cycles: uint64(cycles),
+	})
+}
+
 // reply sends the current iss_out port value as a DATA message followed
 // by a DATA_READY interrupt so a WFI-parked guest wakes up.
 func (d *DriverKernel) reply(c *driverCPU, b *binding) {
@@ -823,28 +612,11 @@ func (d *DriverKernel) reply(c *driverCPU, b *binding) {
 		d.err = c.errf("data socket (port %q): %w", b.spec.Port, err)
 		return
 	}
-	b.consumed = b.outPort.Writes()
-	b.outPort.Consumed()
-	if d.dmi {
-		// The message path consumed this generation; keep the read
-		// window from re-serving it as fresh.
-		for _, g := range c.grants {
-			if g.b == b {
-				g.w.SyncConsumed(b.consumed)
-				break
-			}
-		}
-	}
-	d.stats.Transfers++
+	c.consume(b, b.outPort.Writes(), 0)
+	c.dmi.consumed(b)
 	d.obs.replies.Inc()
-	c.outstanding = true
-	c.outSince = d.k.Now()
-	d.journal.Record(JournalEntry{
-		Time: d.k.Now(), Scheme: "driver-kernel", Dir: "sc->iss",
-		Port: b.spec.Port, Bytes: len(b.outPort.Bytes()),
-	})
 	// The guest idled while waiting; re-anchor its timeline.
-	c.syncTime = d.k.Now()
+	c.clock.idle()
 	if err := c.sendInterrupt(IntDataReady); err != nil {
 		d.err = err
 	}
@@ -884,7 +656,6 @@ func (d *DriverKernel) flushInterrupts(k *sim.Kernel) {
 		c.intQueue = c.intQueue[:0]
 		// An interrupt usually solicits guest work; treat it as a
 		// request for skew-bound purposes.
-		c.outstanding = true
-		c.outSince = k.Now()
+		c.clock.request()
 	}
 }

@@ -27,75 +27,13 @@ func advanceKernel(t *testing.T, k *sim.Kernel, until sim.Time) {
 	}
 }
 
-func TestTargetTimeWraparound(t *testing.T) {
-	k := sim.NewKernel("t")
-	defer k.Shutdown()
-	d := &DriverKernel{k: k, period: 10 * sim.NS}
-	c := &driverCPU{d: d}
-
-	// Anchor just below the 32-bit ceiling; the guest then runs 0x20
-	// cycles, wrapping the counter past zero.
-	c.syncCycles = 0xfffffff0
-	c.syncTime = 500 * sim.NS
-	got := c.targetTime(0x10)
-	want := c.syncTime + 0x20*10*sim.NS
-	if got != want {
-		t.Fatalf("wrapped targetTime = %v, want %v", got, want)
-	}
-
-	// Without wrap the same arithmetic must still hold.
-	c.syncCycles = 100
-	got = c.targetTime(164)
-	want = c.syncTime + 64*10*sim.NS
-	if got != want {
-		t.Fatalf("targetTime = %v, want %v", got, want)
-	}
-
-	// period 0 disables timing: stamps map to "now".
-	d.period = 0
-	if got := c.targetTime(12345); got != k.Now() {
-		t.Fatalf("untimed targetTime = %v, want %v", got, k.Now())
-	}
-}
-
-func TestAdvanceSyncMonotonic(t *testing.T) {
-	k := sim.NewKernel("t")
-	defer k.Shutdown()
-	advanceKernel(t, k, sim.US)
-
-	d := &DriverKernel{k: k, period: 10 * sim.NS}
-	c := &driverCPU{d: d}
-
-	// A stamp in the simulated past re-anchors to "now", never earlier.
-	c.advanceSync(10, 500*sim.NS)
-	if c.syncTime != sim.US {
-		t.Fatalf("past stamp anchored at %v, want now (%v)", c.syncTime, sim.US)
-	}
-
-	// The production call pattern is advanceSync(c, targetTime(c)):
-	// drive it through a cycle sequence that includes a 32-bit wrap and
-	// assert the anchor never moves backward.
-	prev := c.syncTime
-	for _, cycles := range []uint32{100, 5_000, 0xffffffff, 3, 50, 1 << 20} {
-		tt := c.targetTime(cycles)
-		c.advanceSync(cycles, tt)
-		if c.syncTime < prev {
-			t.Fatalf("syncTime moved backward: %v -> %v at cycles=%#x", prev, c.syncTime, cycles)
-		}
-		if c.syncCycles != cycles {
-			t.Fatalf("syncCycles = %#x, want %#x", c.syncCycles, cycles)
-		}
-		prev = c.syncTime
-	}
-}
-
-// newTestDriverKernel wires a single-CPU DriverKernel over an
-// in-process pipe and returns the guest-side data end.
-func newTestDriverKernel(t *testing.T, opts DriverKernelOptions) (*sim.Kernel, *DriverKernel, net.Conn) {
+// newTestDriverKernel wires a single-CPU DriverKernel with the given
+// ports over an in-process pipe and returns the guest-side data end.
+func newTestDriverKernel(t *testing.T, opts DriverKernelOptions, ports ...VarBinding) (*sim.Kernel, *DriverKernel, net.Conn) {
 	t.Helper()
 	k := sim.NewKernel("t")
 	dataHost, dataGuest := net.Pipe()
-	d, err := NewDriverKernel(k, dataHost, io.Discard, opts)
+	d, err := NewDriverKernel(k, []DriverChannel{{Data: dataHost, IRQ: io.Discard, Ports: ports}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +54,10 @@ func TestSkewWaitIgnoresStaleNotify(t *testing.T) {
 		CommonOptions: CommonOptions{CPUPeriod: 10 * sim.NS, SkewBound: sim.NS, Obs: reg},
 	})
 	d.waitTimeout = 100 * time.Millisecond
-	advanceKernel(t, k, sim.US) // push Now() past outSince+skewBound
+	advanceKernel(t, k, sim.US) // push Now() past the request time + skewBound
 
 	c := d.cpus[0]
-	c.outstanding = true
-	c.outSince = 0
+	c.clock.outstanding, c.clock.since = true, 0
 	d.notify <- struct{}{} // stale: nothing new behind it
 
 	start := time.Now()
@@ -129,7 +66,7 @@ func TestSkewWaitIgnoresStaleNotify(t *testing.T) {
 	if elapsed < d.waitTimeout/2 {
 		t.Fatalf("skew wait returned after %v — the stale token voided the bound", elapsed)
 	}
-	if c.outstanding {
+	if c.clock.outstanding {
 		t.Error("timed-out wait should give up on the outstanding request")
 	}
 	// The give-up is reported, in the aggregate and per CPU.
@@ -157,8 +94,7 @@ func TestSkewWaitTimerIsReusable(t *testing.T) {
 	c := d.cpus[0]
 	var timer *time.Timer
 	for i := 1; i <= 3; i++ {
-		c.outstanding = true
-		c.outSince = 0
+		c.clock.outstanding, c.clock.since = true, 0
 		start := time.Now()
 		d.drain(k)
 		if elapsed := time.Since(start); elapsed < d.waitTimeout/2 {
@@ -181,14 +117,12 @@ func TestSkewWaitWakesOnFreshMessage(t *testing.T) {
 	reg := obs.NewRegistry()
 	k, d, guest := newTestDriverKernel(t, DriverKernelOptions{
 		CommonOptions: CommonOptions{CPUPeriod: 10 * sim.NS, SkewBound: sim.NS, Obs: reg},
-		Ports:         []VarBinding{{Port: "in", Dir: ToSystemC, Size: 4}},
-	})
+	}, VarBinding{Port: "in", Dir: ToSystemC, Size: 4})
 	d.waitTimeout = 2 * time.Second
 	advanceKernel(t, k, sim.US)
 
 	c := d.cpus[0]
-	c.outstanding = true
-	c.outSince = 0
+	c.clock.outstanding, c.clock.since = true, 0
 	d.notify <- struct{}{} // stale token again
 
 	go func() {
@@ -271,9 +205,7 @@ func TestMidMessageEOFIsError(t *testing.T) {
 // the drain processes the message first and surfaces the error on a
 // later cycle, once the CPU's stream is dry.
 func TestReadErrorBehindMessageSurfacesLater(t *testing.T) {
-	k, d, guest := newTestDriverKernel(t, DriverKernelOptions{
-		Ports: []VarBinding{{Port: "in", Dir: ToSystemC, Size: 4}},
-	})
+	k, d, guest := newTestDriverKernel(t, DriverKernelOptions{}, VarBinding{Port: "in", Dir: ToSystemC, Size: 4})
 	go func() {
 		_ = WriteMessage(guest, Message{Type: MsgWrite, Cycles: 7, Port: "in", Data: []byte{1, 2, 3, 4}})
 		_, _ = guest.Write([]byte{12, 0, 0, 0, 1, 0, 0, 0}) // then a truncated frame
@@ -337,7 +269,7 @@ func newMultiDriverKernel(t *testing.T, n int, opts DriverKernelOptions) (*sim.K
 		})
 		guests = append(guests, g)
 	}
-	d, err := NewDriverKernelMulti(k, chans, opts)
+	d, err := NewDriverKernel(k, chans, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +494,7 @@ func TestShutdownClosesNonConnChannels(t *testing.T) {
 	k := sim.NewKernel("t")
 	data, _, _ := newClosableChannel()
 	irq, _, _ := newClosableChannel()
-	d, err := NewDriverKernel(k, data, irq, DriverKernelOptions{})
+	d, err := NewDriverKernel(k, []DriverChannel{{Data: data, IRQ: irq}}, DriverKernelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +517,7 @@ func TestShutdownClosesNonConnChannels(t *testing.T) {
 func TestChannelCountValidation(t *testing.T) {
 	k := sim.NewKernel("t")
 	defer k.Shutdown()
-	_, err := NewDriverKernelMulti(k, nil, DriverKernelOptions{})
+	_, err := NewDriverKernel(k, nil, DriverKernelOptions{})
 	if err == nil {
 		t.Fatal("zero channels accepted")
 	}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"io"
+	"slices"
 
+	"cosim/internal/asm"
 	"cosim/internal/gdb"
 	"cosim/internal/obs"
 	"cosim/internal/sim"
@@ -36,9 +39,13 @@ type engineObs struct {
 	skewWaitNS *obs.Histogram
 	// skewTimeouts counts stop waits abandoned after the wall timeout.
 	skewTimeouts *obs.Counter
+	// reg is the registry the handles were resolved against; Publish
+	// adds the RSP totals to it.
+	reg *obs.Registry
 }
 
 func (o *engineObs) init(r *obs.Registry) {
+	o.reg = r
 	o.polls = r.Counter("cosim.polls")
 	o.stops = r.Counter("cosim.stops")
 	o.breakHits = r.Counter("cosim.breakpoint_hits")
@@ -56,19 +63,6 @@ func (o *engineObs) waitStop() obs.Span {
 	return o.skewWaitNS.Start()
 }
 
-// publishRSP copies the RSP transport totals of cl into the registry.
-// Counters accumulate, so multi-CPU configurations sum across engines.
-func publishRSP(r *obs.Registry, cl *gdb.Client) {
-	st := cl.Stats()
-	r.Counter("rsp.round_trips").Add(st.RoundTrips)
-	r.Counter("rsp.packets_sent").Add(st.PacketsSent)
-	r.Counter("rsp.packets_recv").Add(st.PacketsRecv)
-	r.Counter("rsp.bytes_sent").Add(st.BytesSent)
-	r.Counter("rsp.bytes_recv").Add(st.BytesRecv)
-	r.Counter("rsp.retransmits").Add(st.Retransmits)
-	r.Counter("rsp.acks_sent").Add(st.AcksSent)
-}
-
 // gdbEngine is the breakpoint/variable-transfer machinery shared by the
 // GDB-Wrapper and GDB-Kernel schemes.
 type gdbEngine struct {
@@ -77,13 +71,10 @@ type gdbEngine struct {
 	byAddr  map[uint32]*binding
 	byWatch map[uint32]*binding // watch-mode bindings, keyed by variable address
 
-	// period is the guest CPU cycle length in simulated time; zero means
-	// untimed delivery (used by the lock-step wrapper, whose timing is
-	// implicit in the per-cycle quantum).
-	period sim.Time
-
-	syncCycles uint64
-	syncTime   sim.Time
+	// clock maps the guest's cycle stamps to simulated time. The
+	// lock-step wrapper's is untimed (period 0): its timing is implicit
+	// in the per-cycle quantum.
+	clock guestClock
 
 	// waiting is the binding whose iss_out port the stopped ISS needs
 	// data for; nil when the ISS is runnable.
@@ -97,6 +88,7 @@ type gdbEngine struct {
 	continues bool
 
 	exited bool
+	err    error
 	stats  Stats
 	obs    engineObs
 
@@ -112,23 +104,65 @@ func (e *gdbEngine) errf(format string, args ...any) error {
 	return fmt.Errorf("%s: "+format, append([]any{any(e.schemeName)}, args...)...)
 }
 
+// attach connects the engine to the ISS stub over conn, resolves the
+// bindings against the guest image and plants their breakpoints.
+func (e *gdbEngine) attach(name string, k *sim.Kernel, conn io.ReadWriter, im *asm.Image, period sim.Time, opts CommonOptions, bindings []VarBinding) (err error) {
+	e.schemeName, e.k, e.journal = name, k, opts.Journal
+	e.clock = guestClock{k: k, period: period}
+	e.obs.init(opts.Obs)
+	if e.cl, err = gdb.NewClient(conn); err != nil {
+		return e.errf("attach: %w", err)
+	}
+	if e.byAddr, e.byWatch, err = resolveBindings(k, im, bindings); err != nil {
+		return err
+	}
+	return e.installBreakpoints()
+}
+
 // Name returns the scheme's canonical name.
 func (e *gdbEngine) Name() string { return e.schemeName }
 
-// Publish copies the engine's RSP transport totals into the registry.
-func (e *gdbEngine) Publish(r *obs.Registry) { publishRSP(r, e.cl) }
+// Detach implements Scheme. The ISS only runs while the engine drives
+// it (a transfer's resume on GDB-Kernel, a quantum on the wrapper), so
+// there is nothing to quiesce.
+func (e *gdbEngine) Detach() {}
+
+// Client exposes the underlying RSP client (for tests and tools).
+func (e *gdbEngine) Client() *gdb.Client { return e.cl }
+
+// Stats returns co-simulation activity counters.
+func (e *gdbEngine) Stats() Stats { return e.stats }
+
+// Err returns the first co-simulation error, if any.
+func (e *gdbEngine) Err() error { return e.err }
+
+// Exited reports whether the guest program has terminated.
+func (e *gdbEngine) Exited() bool { return e.exited }
+
+// Publish adds the RSP transport totals to the engine's registry.
+// Counters accumulate, so multi-CPU configurations sum across engines.
+func (e *gdbEngine) Publish() {
+	r, st := e.obs.reg, e.cl.Stats()
+	r.Counter("rsp.round_trips").Add(st.RoundTrips)
+	r.Counter("rsp.packets_sent").Add(st.PacketsSent)
+	r.Counter("rsp.packets_recv").Add(st.PacketsRecv)
+	r.Counter("rsp.bytes_sent").Add(st.BytesSent)
+	r.Counter("rsp.bytes_recv").Add(st.BytesRecv)
+	r.Counter("rsp.retransmits").Add(st.Retransmits)
+	r.Counter("rsp.acks_sent").Add(st.AcksSent)
+}
 
 // installBreakpoints plants a software breakpoint at each line binding
 // and a write watchpoint at each watch-mode binding. Addresses are
 // sorted so the RSP command sequence (and any stub-side log of it) is
 // identical run to run.
 func (e *gdbEngine) installBreakpoints() error {
-	for _, addr := range sortedAddrs(e.byAddr) {
+	for _, addr := range sortedKeys(e.byAddr) {
 		if err := e.cl.SetBreakpoint(addr); err != nil {
 			return err
 		}
 	}
-	for _, addr := range sortedAddrs(e.byWatch) {
+	for _, addr := range sortedKeys(e.byWatch) {
 		if err := e.cl.SetWatchpoint(addr, e.byWatch[addr].spec.Size); err != nil {
 			return err
 		}
@@ -136,21 +170,15 @@ func (e *gdbEngine) installBreakpoints() error {
 	return nil
 }
 
-func sortedAddrs(m map[uint32]*binding) []uint32 {
-	addrs := make([]uint32, 0, len(m))
-	for addr := range m {
-		addrs = append(addrs, addr)
+// sortedKeys returns m's keys in order, so that nothing the schemes
+// derive from a map depends on its iteration order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
-}
-
-// targetTime maps a guest cycle count to simulated time.
-func (e *gdbEngine) targetTime(cycles uint64) sim.Time {
-	if e.period == 0 {
-		return e.k.Now()
-	}
-	return e.syncTime.AddCycles(cycles-e.syncCycles, e.period)
+	slices.Sort(keys)
+	return keys
 }
 
 // handleStop services a breakpoint or watchpoint stop at the current
@@ -180,8 +208,7 @@ func (e *gdbEngine) handleStop(ev *gdb.StopEvent) (*gdb.StopEvent, error) {
 	if b == nil {
 		return nil, e.errf("ISS stopped at unbound address %#x", ev.PC)
 	}
-	e.syncCycles = ev.Cycles
-	e.syncTime = e.k.Now()
+	e.clock.take(ev.Cycles)
 
 	if b.inPort != nil {
 		// ISS -> SystemC: the guest has stored the variable; read it and
@@ -256,7 +283,6 @@ func (e *gdbEngine) retryWaiting() (*gdb.StopEvent, error) {
 		return nil, nil
 	}
 	e.waiting = nil
-	// The ISS idled (in simulated time) while stopped: re-anchor.
-	e.syncTime = e.k.Now()
+	e.clock.idle()
 	return e.pokeOut(b)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -27,7 +26,6 @@ type GDBKernel struct {
 	gdbEngine
 	stop    gdb.StopEvent // the stop the next service handles
 	service func()        // serve, bound once: scheduling it allocates nothing
-	err     error
 }
 
 // ErrStopTimeout reports a GDB-Kernel guest that did not stop within
@@ -49,26 +47,13 @@ type GDBKernelOptions struct {
 // the line table). It resumes the ISS and reads its first stop.
 func NewGDBKernel(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBKernelOptions) (*GDBKernel, error) {
 	g := &GDBKernel{}
-	g.k = k
-	var err error
-	if g.cl, err = gdb.NewClient(conn); err != nil {
-		return nil, fmt.Errorf("gdb-kernel: attach: %w", err)
+	if err := g.attach("gdb-kernel", k, conn, im, opts.CPUPeriod, opts.CommonOptions, opts.Bindings); err != nil {
+		return nil, err
 	}
 	g.cl.SetStopTimeout(stopTimeout)
-	g.period = opts.CPUPeriod
-	g.journal = opts.Journal
-	g.schemeName = "gdb-kernel"
 	g.continues = true
-	g.obs.init(opts.Obs)
-	g.byAddr, g.byWatch, err = resolveBindings(k, im, opts.Bindings)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.installBreakpoints(); err != nil {
-		return nil, err
-	}
 	g.service = g.serve
-	for _, addr := range sortedAddrs(g.byAddr) {
+	for _, addr := range sortedKeys(g.byAddr) {
 		if b := g.byAddr[addr]; b.outPort != nil {
 			// A stop parked for this port's data resumes as the port is
 			// written, at that time point.
@@ -90,18 +75,6 @@ func NewGDBKernel(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBKern
 	return g, nil
 }
 
-// Client exposes the underlying RSP client (for tests and tools).
-func (g *GDBKernel) Client() *gdb.Client { return g.cl }
-
-// Stats returns co-simulation activity counters.
-func (g *GDBKernel) Stats() Stats { return g.stats }
-
-// Err returns the first co-simulation error, if any.
-func (g *GDBKernel) Err() error { return g.err }
-
-// Exited reports whether the guest program has terminated.
-func (g *GDBKernel) Exited() bool { return g.exited }
-
 // collect takes the outcome of a service or of the attach: the stop
 // that ended its resume, whose service it schedules at the simulated
 // time the stop's cycle stamp implies (never in the past), or the
@@ -119,7 +92,7 @@ func (g *GDBKernel) collect(ev *gdb.StopEvent, err error) {
 		g.exited = true
 	default:
 		g.stop = *ev
-		g.k.CallAt(max(g.k.Now(), g.targetTime(ev.Cycles)), g.service)
+		g.k.CallAt(max(g.k.Now(), g.clock.timeOf(ev.Cycles)), g.service)
 	}
 }
 
@@ -143,7 +116,3 @@ func (g *GDBKernel) ports() string {
 	sort.Strings(names)
 	return strings.Join(names, ", ")
 }
-
-// Detach implements Scheme. The ISS is always stopped between kernel
-// activities, so there is nothing to quiesce.
-func (g *GDBKernel) Detach() {}

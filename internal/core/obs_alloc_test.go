@@ -112,7 +112,7 @@ func TestDisabledObsStopServiceAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel("top")
-	e := &gdbEngine{k: k, period: sim.NS, schemeName: "gdb-kernel"}
+	e := &gdbEngine{k: k, clock: guestClock{k: k, period: sim.NS}, schemeName: "gdb-kernel"}
 	e.obs.init(nil)
 	if e.cl, err = gdb.NewClient(target.HostConn); err != nil {
 		t.Fatal(err)

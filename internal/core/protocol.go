@@ -104,6 +104,11 @@ func (m *Message) Release() {
 	bp := m.pooled
 	m.pooled = nil
 	m.Data = nil
+	releaseDataBuf(bp)
+}
+
+// releaseDataBuf returns a pooled payload buffer; nil is a no-op.
+func releaseDataBuf(bp *[]byte) {
 	if bp == nil {
 		return
 	}

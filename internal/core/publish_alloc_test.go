@@ -10,7 +10,7 @@ import (
 // publishFixture builds a DriverKernel with n CPUs and pre-resolved
 // metric handles, without sockets or a kernel — Publish touches neither.
 func publishFixture(n int, reg *obs.Registry) *DriverKernel {
-	d := &DriverKernel{obsReg: reg}
+	d := &DriverKernel{}
 	d.obs.init(reg)
 	for i := 0; i < n; i++ {
 		c := &driverCPU{d: d, id: i, label: fmt.Sprintf("driver-kernel cpu%d", i)}
@@ -32,7 +32,7 @@ func TestPublishAllocFree(t *testing.T) {
 	reg := obs.NewRegistry()
 	d := publishFixture(4, reg)
 
-	allocs := testing.AllocsPerRun(200, func() { d.Publish(reg) })
+	allocs := testing.AllocsPerRun(200, func() { d.Publish() })
 	if allocs > 0 {
 		t.Errorf("Publish into the attach registry allocates %.1f/op, want 0", allocs)
 	}
@@ -49,26 +49,11 @@ func TestPublishAllocFree(t *testing.T) {
 	}
 }
 
-// TestPublishForeignRegistry covers the fallback: a registry other than
-// the attach-time one still receives the same gauge set, looked up by
-// the precomputed names.
-func TestPublishForeignRegistry(t *testing.T) {
-	d := publishFixture(2, obs.NewRegistry())
-	foreign := obs.NewRegistry()
-	d.Publish(foreign)
-	snap := foreign.Snapshot().Flatten()
-	for _, name := range []string{"driver.cpu0.pending_reads", "driver.cpu1.pending_reads", "driver.pending_reads"} {
-		if _, ok := snap[name]; !ok {
-			t.Errorf("foreign registry missing %s after Publish", name)
-		}
-	}
-}
-
 func BenchmarkDriverKernelPublish(b *testing.B) {
 	reg := obs.NewRegistry()
 	d := publishFixture(8, reg)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.Publish(reg)
+		d.Publish()
 	}
 }

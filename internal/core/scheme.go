@@ -37,14 +37,14 @@ type Scheme interface {
 	Err() error
 	// Stats returns the scheme's activity counters.
 	Stats() Stats
-	// Detach quiesces the guest so its counters can be read without
-	// racing its goroutines: it halts a free-running ISS (GDB-Kernel)
-	// and is a no-op for schemes whose guest only runs while the
-	// scheme drives it. The transport itself is torn down by the
-	// kernel's finalizers, not by Detach.
+	// Detach ends the scheme's hold on the guest before the caller reads
+	// its counters. The GDB schemes' ISS only runs while the scheme
+	// drives it, so for them it is a no-op; Driver-Kernel revokes its
+	// DMI windows. The transport itself is torn down by the kernel's
+	// finalizers, not by Detach.
 	Detach()
-	// Publish copies the scheme's end-of-run transport totals into the
-	// registry (rsp.* for the GDB schemes); live counters are emitted
-	// during the run into CommonOptions.Obs. Safe on a nil registry.
-	Publish(r *obs.Registry)
+	// Publish copies the scheme's end-of-run totals (rsp.* for the GDB
+	// schemes) into CommonOptions.Obs, the registry that also receives
+	// its live counters during the run. Safe without a registry.
+	Publish()
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"cosim/internal/asm"
-	"cosim/internal/gdb"
 	"cosim/internal/sim"
 )
 
@@ -19,7 +18,6 @@ import (
 type GDBWrapper struct {
 	gdbEngine
 	quantum uint64
-	err     error
 }
 
 // GDBWrapperOptions configures the baseline wrapper.
@@ -51,20 +49,8 @@ func NewGDBWrapper(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBWra
 	if w.quantum == 0 {
 		w.quantum = 8
 	}
-	w.k = k
-	var err error
-	if w.cl, err = gdb.NewClient(conn); err != nil {
-		return nil, fmt.Errorf("gdb-wrapper: attach: %w", err)
-	}
-	w.period = 0 // lock-step: timing is implicit in the per-cycle quantum
-	w.journal = opts.Journal
-	w.schemeName = "gdb-wrapper"
-	w.obs.init(opts.Obs)
-	w.byAddr, w.byWatch, err = resolveBindings(k, im, opts.Bindings)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.installBreakpoints(); err != nil {
+	// Untimed (period 0): lock-step timing is implicit in the quantum.
+	if err := w.attach("gdb-wrapper", k, conn, im, 0, opts.CommonOptions, opts.Bindings); err != nil {
 		return nil, err
 	}
 	// The explicitly instantiated wrapper process of [14]: an sc_method
@@ -73,22 +59,6 @@ func NewGDBWrapper(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBWra
 	k.AddFinalizer(func() { shutdownClient(w.cl, conn) })
 	return w, nil
 }
-
-// Client exposes the underlying RSP client.
-func (w *GDBWrapper) Client() *gdb.Client { return w.cl }
-
-// Stats returns co-simulation activity counters.
-func (w *GDBWrapper) Stats() Stats { return w.stats }
-
-// Detach implements Scheme. The lock-step guest only executes inside
-// RunQuantum transactions, so there is nothing to quiesce.
-func (w *GDBWrapper) Detach() {}
-
-// Err returns the first co-simulation error, if any.
-func (w *GDBWrapper) Err() error { return w.err }
-
-// Exited reports whether the guest program has terminated.
-func (w *GDBWrapper) Exited() bool { return w.exited }
 
 // sync runs once per clock cycle: one qRun transaction (the per-cycle
 // IPC synchronization), plus breakpoint servicing when the quantum ends

@@ -441,7 +441,7 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 			})
 			cpus = append(cpus, plat.CPU)
 		}
-		d, err := core.NewDriverKernelMulti(k, channels, core.DriverKernelOptions{
+		d, err := core.NewDriverKernel(k, channels, core.DriverKernelOptions{
 			CommonOptions: common,
 			DMI:           p.DMI,
 		})
@@ -512,8 +512,8 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 			return nil, schemeErr
 		}
 	}
-	// The guests run in their own goroutines (the stub's free-run, the
-	// RTOS runner); halt them before touching their counters.
+	// Detach the schemes (Driver-Kernel revokes its DMI windows), then
+	// halt the RTOS runners' goroutines before touching their counters.
 	for _, sch := range schemes {
 		sch.Detach()
 	}
@@ -541,7 +541,7 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 		res.CoStats.IntsNotified += st.IntsNotified
 		res.CoStats.DMIHits += st.DMIHits
 		res.CoStats.DMIMisses += st.DMIMisses
-		sch.Publish(reg)
+		sch.Publish()
 	}
 	for _, cpu := range cpus {
 		res.GuestInstructions += cpu.Instructions()
