@@ -117,13 +117,14 @@ func run(w io.Writer) error {
 	runner.Start()
 	defer runner.Stop()
 
-	// The scheme drains the driver's messages at every simulation cycle;
-	// a 50ns poll grid gives it the cycles a 100ns clock would have.
+	// The scheme drains the driver's messages at every simulation cycle:
+	// the sensor's ticks and each request's skew deadline. The monitor
+	// stops the run at the last answer; a no-op call at end bounds it
+	// if the guest stops answering.
+	const end = 10 * sim.MS
 	k := sim.NewKernel("sensor-soc")
 	defer k.Shutdown()
-	if err := k.SetPollGrid(50 * sim.NS); err != nil {
-		return err
-	}
+	k.CallAt(end, func() {})
 	dk, err := core.NewDriverKernel(k, []core.DriverChannel{{
 		Data: target.DataHost, IRQ: target.IRQHost,
 		Ports: []core.VarBinding{
@@ -162,7 +163,7 @@ func run(w io.Writer) error {
 	}, maxPort.Event())
 	tick.NotifyAfter(100 * sim.US)
 
-	if err := k.Run(sim.MaxTime); err != nil {
+	if err := k.Run(end); err != nil {
 		return err
 	}
 	k.Shutdown()

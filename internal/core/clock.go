@@ -46,9 +46,22 @@ func (g *guestClock) idle() { g.at = g.k.Now() }
 
 // request marks a request to the guest (a DATA reply, an interrupt)
 // outstanding as of now; settle clears it: the guest answered, or the
-// kernel gave up waiting.
-func (g *guestClock) request() { g.outstanding, g.since = true, g.k.Now() }
-func (g *guestClock) settle()  { g.outstanding = false }
+// kernel gave up waiting. A non-zero bound makes the request's skew
+// deadline, now+bound, a simulation cycle, so the begin-of-cycle drain
+// runs there and finds the request overdue even when the model has no
+// timed work then.
+func (g *guestClock) request(bound sim.Time) {
+	g.outstanding, g.since = true, g.k.Now()
+	if bound != 0 {
+		g.k.CallAt(g.since.Add(bound), skewDeadline)
+	}
+}
+func (g *guestClock) settle() { g.outstanding = false }
+
+// skewDeadline is the no-op a skew deadline is scheduled with: the
+// visit is all it needs, and a shared function value keeps request from
+// allocating.
+func skewDeadline() {}
 
 // overdue reports whether the kernel must wait for the guest before it
 // passes now: a request has been outstanding for bound or longer.

@@ -75,8 +75,8 @@ type driverCPU struct {
 
 	// Port routing: the guest names ports without knowing which CPU it
 	// is ("pkt", "csum"); the channel prefix maps those names onto this
-	// CPU's kernel ports ("cpu1.pkt"). Keys are guest-visible names.
-	prefix      string
+	// CPU's kernel ports ("cpu1.pkt"). Keys are guest-visible names;
+	// the ports carry the kernel names.
 	inPorts     map[string]*sim.IssIn
 	outBindings map[string]*binding
 
@@ -209,7 +209,6 @@ func NewDriverKernel(k *sim.Kernel, channels []DriverChannel, opts DriverKernelO
 			label:       fmt.Sprintf("driver-kernel cpu%d", i),
 			dataW:       ch.Data,
 			irqW:        ch.IRQ,
-			prefix:      ch.Prefix,
 			inPorts:     make(map[string]*sim.IssIn),
 			outBindings: make(map[string]*binding),
 			clock:       guestClock{k: k, period: opts.CPUPeriod},
@@ -584,7 +583,7 @@ func (c *driverCPU) store(port *sim.IssIn, m Message) {
 	c.d.stats.Transfers++
 	c.d.journal.Record(JournalEntry{
 		Time: t, Scheme: "driver-kernel", Dir: "iss->sc",
-		Port: c.prefix + m.Port, Bytes: len(m.Data), Cycles: uint64(m.Cycles),
+		Port: port.Name(), Bytes: len(m.Data), Cycles: uint64(m.Cycles),
 	})
 }
 
@@ -598,7 +597,7 @@ func (c *driverCPU) consume(b *binding, seq uint64, cycles uint32) {
 		b.outPort.Consumed()
 	}
 	c.d.stats.Transfers++
-	c.clock.request()
+	c.clock.request(c.d.skewBound)
 	c.d.journal.Record(JournalEntry{
 		Time: c.d.k.Now(), Scheme: "driver-kernel", Dir: "sc->iss",
 		Port: b.spec.Port, Bytes: len(b.outPort.Bytes()), Cycles: uint64(cycles),
@@ -656,6 +655,6 @@ func (d *DriverKernel) flushInterrupts(k *sim.Kernel) {
 		c.intQueue = c.intQueue[:0]
 		// An interrupt usually solicits guest work; treat it as a
 		// request for skew-bound purposes.
-		c.clock.request()
+		c.clock.request(d.skewBound)
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -144,6 +146,73 @@ func TestSkewWaitWakesOnFreshMessage(t *testing.T) {
 	}
 	if n := reg.Counter("driver.skew_wait_timeouts").Load(); n != 0 {
 		t.Errorf("driver.skew_wait_timeouts = %d after a wait that woke on data", n)
+	}
+}
+
+// TestDriverKernelWaitsAtSkewDeadline: with no other timed work before
+// the run's end, a DATA reply's skew deadline is itself a time point.
+// The kernel stops there, waits (in wall time) for the late guest, and
+// delivers the guest's WRITE at the WRITE's own stamp, not at the next
+// event the model happens to have.
+func TestDriverKernelWaitsAtSkewDeadline(t *testing.T) {
+	const (
+		period = 10 * sim.NS
+		bound  = sim.US
+		end    = 100 * sim.US
+		stamp  = 150 // guest cycles: 1.5us, past the deadline
+	)
+	reg := obs.NewRegistry()
+	k, d, guest := newTestDriverKernel(t, DriverKernelOptions{
+		CommonOptions: CommonOptions{CPUPeriod: period, SkewBound: bound, Obs: reg},
+	}, VarBinding{Port: "out", Dir: ToISS, Size: 4}, VarBinding{Port: "in", Dir: ToSystemC, Size: 4})
+	out, _ := k.IssOutPort("out")
+	in, _ := k.IssInPort("in")
+	out.WriteUint32(0x55)
+
+	var visits, delivered []sim.Time
+	k.AddCycleHook(func(k *sim.Kernel) { visits = append(visits, k.Now()) })
+	k.MethodNoInit("model", func() { delivered = append(delivered, k.Now()) }, in.Event())
+
+	// The scripted guest READs at cycle 0, takes the DATA reply, and
+	// answers late in wall time, once the kernel waits for it, with a
+	// WRITE stamped past the deadline.
+	guestErr := make(chan error, 1)
+	go func() {
+		if err := WriteMessage(guest, Message{Type: MsgRead, Port: "out"}); err != nil {
+			guestErr <- err
+			return
+		}
+		if m, err := ReadMessage(bufio.NewReader(guest)); err != nil || m.Type != MsgData {
+			guestErr <- fmt.Errorf("DATA reply = %+v, %v", m, err)
+			return
+		}
+		giveUp := time.Now().Add(2 * time.Second)
+		for reg.Counter("driver.skew_waits").Load() == 0 && time.Now().Before(giveUp) {
+			time.Sleep(time.Millisecond)
+		}
+		guestErr <- WriteMessage(guest, Message{Type: MsgWrite, Cycles: stamp, Port: "in", Data: []byte{1, 0, 0, 0}})
+	}()
+	waitInbox(t, d, 1) // the READ is drained at time 0
+
+	advanceKernel(t, k, end)
+	if err := <-guestErr; err != nil {
+		t.Fatalf("guest: %v", err)
+	}
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	want := []sim.Time{0, bound, stamp * period, end}
+	if !slices.Equal(visits, want) {
+		t.Errorf("kernel visited %v, want %v", visits, want)
+	}
+	if !slices.Equal(delivered, []sim.Time{stamp * period}) {
+		t.Errorf("WRITE delivered at %v, want at its stamp %v", delivered, stamp*period)
+	}
+	if n := reg.Counter("driver.skew_waits").Load(); n != 1 {
+		t.Errorf("driver.skew_waits = %d, want 1", n)
+	}
+	if n := reg.Counter("driver.skew_wait_timeouts").Load(); n != 0 {
+		t.Errorf("driver.skew_wait_timeouts = %d, want 0", n)
 	}
 }
 
@@ -326,6 +395,29 @@ func TestMultiChannelPortRouting(t *testing.T) {
 	}
 	if got := in0.Deliveries(); got != 0 {
 		t.Fatalf("cpu0.in deliveries = %d, want 0 — cross-CPU WRITE leak", got)
+	}
+}
+
+// TestPrefixedStoreAllocs: with no journal attached, a store on a
+// multi-CPU (prefixed) port allocates no more than one on an unprefixed
+// port; the journal's port name is the port's own, not built per store.
+func TestPrefixedStoreAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	allocs := func(k *sim.Kernel, d *DriverKernel, name string) float64 {
+		port, _ := k.IssInPort(name)
+		m := Message{Type: MsgWrite, Port: "in", Data: []byte{1, 2, 3, 4}}
+		return testing.AllocsPerRun(200, func() {
+			m.Cycles++
+			d.cpus[0].store(port, m)
+		})
+	}
+	k, d, _ := newTestDriverKernel(t, DriverKernelOptions{}, VarBinding{Port: "in", Dir: ToSystemC, Size: 4})
+	plain := allocs(k, d, "in")
+	k, d, _ = newMultiDriverKernel(t, 1, DriverKernelOptions{})
+	if prefixed := allocs(k, d, "cpu0.in"); prefixed > plain {
+		t.Errorf("prefixed store allocates %.1f times, unprefixed %.1f", prefixed, plain)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 type Stats struct {
 	Transfers    uint64 // variable/message data transfers
 	Stops        uint64 // breakpoint stops handled (GDB schemes)
-	Polls        uint64 // per-cycle checks; GDB-Kernel: stop services
+	Polls        uint64 // wrapper: clock cycles; Driver-Kernel: drains, one per time point visited; GDB-Kernel: stop services
 	Messages     uint64 // protocol messages handled (Driver-Kernel)
 	IntsNotified uint64 // interrupts sent to the driver
 	DMIHits      uint64 // guest accesses served by direct memory windows

@@ -28,8 +28,8 @@ type GDBWrapperOptions struct {
 	CommonOptions
 	// Clock drives the wrapper's sc_method (one RSP round trip per
 	// positive edge). Required: the wrapper is the one scheme with a
-	// clocked module. The kernel-embedded schemes need no clock; give
-	// their kernel a poll grid (sim.Kernel.SetPollGrid) instead.
+	// clocked module. The kernel-embedded schemes need no clock: they
+	// run at the time points the model and their own CallAts visit.
 	Clock *sim.Clock
 	// InstrPerCycle is the ISS instruction quantum per clock cycle
 	// (the lock-step ratio between guest speed and the clock). Default 8.

@@ -104,10 +104,9 @@ type Params struct {
 	// ClockPeriod is the system clock period (default 100ns; an even
 	// number of picoseconds, at least 2ps). Only the GDB-Wrapper gets a
 	// clock process: its sc_method is sensitive to the positive edge.
-	// Driver-Kernel needs no clocked module, so its cycle hooks poll on
-	// a grid of the clock's edge times (every ClockPeriod/2) instead.
-	// GDB-Kernel neither polls nor uses the clock: it schedules each
-	// stop's service at the stop's own time.
+	// The kernel schemes need no clocked module: GDB-Kernel schedules
+	// each stop's service at the stop's own time, and Driver-Kernel's
+	// cycle hooks run at the model's events and its skew deadlines.
 	ClockPeriod sim.Time
 	// CPUPeriod is the guest cycle length for time coupling. Zero
 	// means the default, 10ns; cycle coupling cannot be switched off.
@@ -289,22 +288,17 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	// run's registry records per-backend pair and byte counters.
 	tr := transport.Observed(p.Transport, reg)
 	k := sim.NewKernel("soc")
-	// Only the wrapper's sc_method listens to a clock. Driver-Kernel
-	// polls at the same edge times without one: a clock nothing listens
-	// to would cost a process activation, a signal update and two delta
-	// notifications per edge. GDB-Kernel schedules its own stop services
-	// and needs neither; a no-op call at SimTime keeps a run whose
-	// traffic and guests fall idle going to its end.
+	// Only the wrapper's sc_method listens to a clock. The kernel
+	// schemes visit only the time points where something happens:
+	// GDB-Kernel schedules its own stop services, and Driver-Kernel
+	// drains at the model's events and at each outstanding request's
+	// skew deadline. A no-op call at SimTime keeps a run whose traffic
+	// and guests fall idle going to its end.
 	var clk *sim.Clock
-	switch p.Scheme {
-	case GDBWrapper:
+	if p.Scheme == GDBWrapper {
 		clk = sim.NewClock(k, "clk", p.ClockPeriod)
-	case GDBKernel:
+	} else {
 		k.CallAt(p.SimTime, func() {})
-	default:
-		if err := k.SetPollGrid(p.ClockPeriod / 2); err != nil {
-			return nil, err
-		}
 	}
 	if done := ctx.Done(); done != nil {
 		// Cooperative cancellation: one non-blocking poll per simulation

@@ -338,6 +338,36 @@ func TestDriverKernelMultiCPU(t *testing.T) {
 	}
 }
 
+// TestDriverKernelVisitsEventPointsOnly: Driver-Kernel has neither a
+// clock nor a poll grid. It visits the model's event points and its
+// requests' skew deadlines, at most a quarter of the edges of the 100ns
+// clock, and drains once per visit.
+func TestDriverKernelVisitsEventPointsOnly(t *testing.T) {
+	const edges = uint64(2 * sim.MS / (100 * sim.NS))
+	for _, cpus := range []int{1, 2} {
+		res, err := Run(Params{
+			Scheme:    DriverKernel,
+			Transport: core.TransportRing,
+			SimTime:   sim.MS,
+			CPUs:      cpus,
+			Seed:      1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Forwarded == 0 || res.Simulated != sim.MS {
+			t.Fatalf("%d CPUs: forwarded %d, ended at %v; want traffic and 1ms", cpus, res.Forwarded, res.Simulated)
+		}
+		cycles := counter(t, res.Counters, "sim.cycles")
+		if cycles*4 > edges {
+			t.Errorf("%d CPUs: sim.cycles = %d, above a quarter of the clock's %d edges", cpus, cycles, edges)
+		}
+		if polls := counter(t, res.Counters, "driver.polls"); polls != cycles {
+			t.Errorf("%d CPUs: driver.polls = %d, want one drain per visited time point, %d", cpus, polls, cycles)
+		}
+	}
+}
+
 func TestDriverKernelMultiCPUDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated multi-CPU runs are slow")

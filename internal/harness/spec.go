@@ -131,7 +131,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	// Zero means the default; any other period is split into two edges
-	// (the wrapper's clock, the kernel schemes' poll grid) of at least 1ps.
+	// of the wrapper's clock, each at least 1ps long.
 	if cp, _ := timeField("clock_period", s.ClockPeriod); cp != 0 {
 		if why := badClockPeriod(cp); why != "" {
 			return fmt.Errorf("spec: clock_period %v %s", cp, why)

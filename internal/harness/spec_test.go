@@ -120,8 +120,7 @@ func TestSpecValidate(t *testing.T) {
 		{"bad-retired-duration", Spec{Scheme: "driver-kernel", Quantum: "soon"}, "bad quantum"},
 		{"bad-rate", Spec{Scheme: "driver-kernel", ErrorRate: 1.5}, "outside [0,1]"},
 		{"negative-cpus", Spec{Scheme: "driver-kernel", CPUs: -1}, "negative"},
-		// A 1ps clock has no half period: NewClock panics on it and the
-		// kernel schemes' poll grid would be zero.
+		// A 1ps clock has no half period: NewClock panics on it.
 		{"clock-period-1ps", Spec{Scheme: "gdb-kernel", ClockPeriod: "1ps"}, "clock_period 1ps is below 2ps"},
 		{"clock-period-sub-ps", Spec{Scheme: "gdb-wrapper", ClockPeriod: "0.001ns"}, "clock_period"},
 		// An odd period's half periods would truncate to a faster clock.
@@ -161,7 +160,7 @@ func TestSpecValidate(t *testing.T) {
 
 // TestRunRejectsClockPeriodBelow2ps: Params callers bypass Validate, so
 // RunContext itself refuses a period with no half, for every scheme,
-// instead of panicking in NewClock or polling on a zero grid.
+// instead of panicking in NewClock.
 func TestRunRejectsClockPeriodBelow2ps(t *testing.T) {
 	for _, scheme := range []Scheme{GDBWrapper, GDBKernel, DriverKernel} {
 		res, err := Run(Params{Scheme: scheme, Transport: core.TransportRing, ClockPeriod: 1, SimTime: 10 * sim.US})
@@ -173,7 +172,7 @@ func TestRunRejectsClockPeriodBelow2ps(t *testing.T) {
 
 // TestRunRejectsOddClockPeriod: an odd period has no whole-picosecond
 // half, so RunContext refuses it for every scheme rather than run a
-// clock or poll grid faster than the one asked for.
+// clock faster than the one asked for.
 func TestRunRejectsOddClockPeriod(t *testing.T) {
 	for _, scheme := range []Scheme{GDBWrapper, GDBKernel, DriverKernel} {
 		res, err := Run(Params{Scheme: scheme, Transport: core.TransportRing, ClockPeriod: 1001, SimTime: 10 * sim.US})

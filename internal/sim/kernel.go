@@ -45,12 +45,6 @@ type Kernel struct {
 	spareDeltas  []*Event
 	timed        timedQueue
 
-	// The poll grid (see SetPollGrid): its spacing, and its next point
-	// after now, which is zero when there is no grid or no point is left
-	// before MaxTime.
-	gridStep Time
-	gridNext Time
-
 	cycleHooks    []CycleHook
 	endCycleHooks []CycleHook
 
@@ -109,33 +103,6 @@ func (k *Kernel) AddCycleHook(h CycleHook) { k.cycleHooks = append(k.cycleHooks,
 // where the Driver-Kernel scheme notifies interrupts to the driver.
 func (k *Kernel) AddEndCycleHook(h CycleHook) { k.endCycleHooks = append(k.endCycleHooks, h) }
 
-// SetPollGrid makes every multiple of step a simulation cycle, even when
-// no timed event is due then, so the cycle hooks get a time point to
-// poll at without a clock process running. The grid points are exactly
-// the edge times of a Clock with period 2*step, and a kernel with a grid
-// always reaches Run's time limit instead of returning ErrDeadlock. This
-// is how the kernel-embedded schemes check for ISS activity at the
-// beginning of each simulation cycle with no clocked module attached.
-// A zero step is rejected.
-func (k *Kernel) SetPollGrid(step Time) error {
-	if step == 0 {
-		return errors.New("sim: poll grid step must be positive")
-	}
-	k.gridStep = step
-	k.gridNext = k.nextGridPoint(k.now)
-	return nil
-}
-
-// nextGridPoint returns the first grid point strictly after t, or zero
-// when it would pass MaxTime.
-func (k *Kernel) nextGridPoint(t Time) Time {
-	n := t - t%k.gridStep
-	if n > MaxTime-k.gridStep {
-		return 0
-	}
-	return n + k.gridStep
-}
-
 // AddFinalizer registers a function run by Shutdown (in reverse
 // registration order), used to close co-simulation transports.
 func (k *Kernel) AddFinalizer(f func()) { k.finalizers = append(k.finalizers, f) }
@@ -161,7 +128,8 @@ func (k *Kernel) Stop() { k.stopReq = true }
 // ErrDeadlock is returned by Run when, before the time limit, there are
 // no runnable processes and no pending notifications. Cycle hooks do not
 // prevent it: they run only at cycle boundaries, so with no timed event
-// and no poll grid (SetPollGrid) the simulation cannot reach another one.
+// the simulation cannot reach another one. A model whose hooks must run
+// at a later time point schedules one (CallAt).
 var ErrDeadlock = errors.New("sim: no pending activity (deadlock)")
 
 // Run advances the simulation until the given absolute time, until
@@ -239,23 +207,18 @@ func (k *Kernel) Run(until Time) error {
 			continue
 		}
 
-		// Advance time to the next timed event or grid point, whichever
-		// comes first. Hooks run only at cycle boundaries, so with neither
-		// left no further cycle can start: deadlock.
-		next := k.gridNext
-		if e := k.timed.peek(); e != nil && (next == 0 || e.due < next) {
-			next = e.due
-		} else if next == 0 {
+		// Advance time to the next timed event. Hooks run only at cycle
+		// boundaries, so with none left no further cycle can start:
+		// deadlock.
+		e := k.timed.peek()
+		if e == nil {
 			return ErrDeadlock
 		}
-		if next > until {
+		if e.due > until {
 			k.now = until
 			return nil
 		}
-		k.now = next
-		if next == k.gridNext {
-			k.gridNext = k.nextGridPoint(next)
-		}
+		k.now = e.due
 		for k.timed.Len() > 0 && k.timed.peek().due == k.now {
 			k.timed.pop().fire()
 		}

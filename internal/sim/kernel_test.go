@@ -144,7 +144,8 @@ func TestNotifyAtNowIsDelta(t *testing.T) {
 }
 
 // TestNotifyAtZeroWithoutGrid: NotifyAt(0) before the first Run fires
-// in the initialization time point of a kernel with no poll grid.
+// in the initialization time point, and with nothing left to visit the
+// kernel then deadlocks.
 func TestNotifyAtZeroWithoutGrid(t *testing.T) {
 	k := NewKernel("t")
 	e := k.NewEvent("e")
@@ -341,16 +342,15 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 		clk := NewClock(k, "clk", 10*NS)
 		checkSteadyStateAllocs(t, k, clk.Pos(), 100*clk.Period(), 100)
 	})
-	t.Run("grid", func(t *testing.T) {
-		// The writer wakes between grid points, as a model's own timed
-		// activity does; the other grid cycles run the hooks alone.
+	t.Run("deadline", func(t *testing.T) {
+		// No clock: each cycle's begin hook schedules the next time point
+		// with CallAt, as a Driver-Kernel request schedules its skew
+		// deadline, and the call wakes the writer.
 		k := NewKernel("t")
 		defer k.Shutdown()
-		if err := k.SetPollGrid(5 * NS); err != nil {
-			t.Fatal(err)
-		}
 		tick := k.NewEvent("tick")
-		k.Method("pacer", func() { tick.NotifyAfter(33 * NS) }, tick)
+		wake := func() { tick.Notify() }
+		k.AddCycleHook(func(k *Kernel) { k.CallAt(k.Now()+5*NS, wake) })
 		checkSteadyStateAllocs(t, k, tick, 200*5*NS, 200)
 	})
 }
