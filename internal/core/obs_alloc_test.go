@@ -190,3 +190,41 @@ func TestDisabledObsStopServiceAllocs(t *testing.T) {
 		}
 	}
 }
+
+// GDB-Kernel times one stop wait in stopWaitSample, the first of each
+// run of that many, and scales it: cosim.skew_waits stays exact, and
+// cosim.skew_wait_ns counts stopWaitSample per sample, so its sum
+// still estimates the total wait.
+func TestStopWaitSampling(t *testing.T) {
+	reg := obs.NewRegistry()
+	var o engineObs
+	o.init(reg)
+	const waits = 2*stopWaitSample + 1 // samples the 1st, 17th and 33rd
+	timed := 0
+	for i := 0; i < waits; i++ {
+		sp := o.waitStop()
+		if sp != (obs.Span{}) {
+			timed++
+		}
+		sp.End()
+	}
+	c := reg.Snapshot().Flatten()
+	if c["cosim.skew_waits"] != waits {
+		t.Errorf("cosim.skew_waits = %d, want %d", c["cosim.skew_waits"], waits)
+	}
+	if timed != 3 {
+		t.Errorf("%d of %d waits timed, want 3", timed, waits)
+	}
+	if got := c["cosim.skew_wait_ns.count"]; got != 3*stopWaitSample {
+		t.Errorf("cosim.skew_wait_ns.count = %d, want %d", got, 3*stopWaitSample)
+	}
+	if sum := c["cosim.skew_wait_ns.sum"]; sum%stopWaitSample != 0 {
+		t.Errorf("cosim.skew_wait_ns.sum = %d, want a multiple of %d", sum, stopWaitSample)
+	}
+
+	var off engineObs
+	off.init(nil) // no registry: nothing is timed, nothing counted
+	if sp := off.waitStop(); sp != (obs.Span{}) {
+		t.Error("a disabled registry timed a wait")
+	}
+}

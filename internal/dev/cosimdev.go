@@ -73,6 +73,12 @@ type CosimDev struct {
 	// InjectRx copies it out.
 	reply []byte
 
+	// deliver runs on a pump after it has queued a frame (DATA bytes or
+	// an interrupt id); NewPlatform sets it to Platform.runInline, so
+	// the pump runs a guest parked in WFI itself. Direct injections
+	// (InjectRx, InjectIRQ) leave the guest to its runner's wake.
+	deliver func()
+
 	txMessages uint64
 	rxBytes    uint64
 }
@@ -150,6 +156,7 @@ func (d *CosimDev) ConnectData(r io.Reader, w io.Writer) {
 			n, err := r.Read(buf)
 			if n > 0 {
 				d.InjectRx(buf[:n])
+				d.delivered()
 			}
 			if err != nil {
 				return
@@ -201,7 +208,8 @@ func (d *CosimDev) RevokeDMIWindows() {
 }
 
 // ConnectIRQ attaches the interrupt socket: every 4-byte little-endian
-// interrupt id read from r is queued and asserted on the PIC line.
+// interrupt id read from r is queued and asserted on the PIC line. The
+// pump runs until r is exhausted.
 func (d *CosimDev) ConnectIRQ(r io.Reader) {
 	go func() {
 		var b [4]byte
@@ -210,12 +218,17 @@ func (d *CosimDev) ConnectIRQ(r io.Reader) {
 				return
 			}
 			id := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-			d.mu.Lock()
-			d.ints = append(d.ints, id)
-			d.refresh()
-			d.mu.Unlock()
+			d.InjectIRQ(id)
+			d.delivered()
 		}
 	}()
+}
+
+// delivered runs the deliver hook, if any, on the calling pump.
+func (d *CosimDev) delivered() {
+	if d.deliver != nil {
+		d.deliver()
+	}
 }
 
 // InjectRx appends bytes to the receive buffer directly (in-process

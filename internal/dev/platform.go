@@ -2,6 +2,8 @@ package dev
 
 import (
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"cosim/internal/iss"
 )
@@ -22,6 +24,17 @@ const DefaultRAMSize = 4 << 20
 // ticks; it bounds timer-interrupt jitter.
 const TickQuantum = 64
 
+// InlineBudget is how many instructions a CosimDev pump runs a parked
+// guest for after it delivers a frame (see Platform.RunGuest). The
+// router guest takes under 256 instructions from a doorbell to its
+// cosim_read request, and from a DATA reply through the checksum and
+// its cosim_write back to WFI 512–768 at the default 4-word payload
+// and under 3 072 at the 60-word maximum, so every frame of a packet
+// is served in one inline run. A guest still busy after 4 096
+// instructions (50–60 µs at 12–15 ns per instruction) goes back to its
+// runner, and the pump to its socket.
+const InlineBudget = 4096
+
 // Platform bundles a CPU with the standard peripheral set at the
 // standard addresses — the "synthetic target" the RTOS runs on.
 type Platform struct {
@@ -37,6 +50,15 @@ type Platform struct {
 	Console *Console
 	Cosim   *CosimDev
 	Mailbox *Mailbox // optional, mapped by AttachMailbox
+
+	// runMu is held by whichever goroutine executes the guest: its
+	// runner for each budget (RunGuest), or a CosimDev pump for an
+	// inline run (runInline).
+	runMu sync.Mutex
+	// parked is set while the runner waits for a wake with the guest
+	// in WFI; only then may a pump run the guest. Guarded by runMu.
+	parked bool
+	last   atomic.Int32 // iss.Stop of the latest run, by the runner or a pump
 }
 
 // NewPlatform builds a platform with the given RAM size (0 = default)
@@ -55,6 +77,7 @@ func NewPlatform(ramSize uint32, consoleMirror io.Writer) *Platform {
 	p.PIC = NewPIC(cpu, 0)
 	p.Timer = NewTimer(p.PIC, TimerLine)
 	p.Cosim = NewCosimDev(p.PIC, CosimLine)
+	p.Cosim.deliver = p.runInline
 	mustMap(bus, PICBase, p.PIC)
 	mustMap(bus, TimerBase, p.Timer)
 	mustMap(bus, ConsoleBase, p.Console)
@@ -122,6 +145,57 @@ func (p *Platform) Run(budget uint64) (iss.Stop, uint64) {
 		return stop, total
 	}
 	return StopKeepGoing, total
+}
+
+// RunGuest runs the guest for up to budget instructions under the run
+// lock on behalf of its runner, the one goroutine that owns it, and
+// returns the stop. A StopIdle parks the guest: until the next RunGuest
+// or Unpark, a CosimDev pump that delivers a frame runs the guest
+// itself (runInline), so the frame does not wait for the runner's
+// wake.
+func (p *Platform) RunGuest(budget uint64) iss.Stop {
+	p.runMu.Lock()
+	defer p.runMu.Unlock()
+	return p.runLocked(budget)
+}
+
+// Unpark ends inline runs: once it returns, no pump is running the
+// guest and none will until the next RunGuest parks it. A runner calls
+// it as it exits, so its owner may read the CPU afterwards.
+func (p *Platform) Unpark() {
+	p.runMu.Lock()
+	p.parked = false
+	p.runMu.Unlock()
+}
+
+// LastStop returns the stop of the latest RunGuest or inline run.
+func (p *Platform) LastStop() iss.Stop { return iss.Stop(p.last.Load()) }
+
+// runInline runs a parked guest on the calling CosimDev pump for up to
+// InlineBudget instructions, right after the pump delivered a frame.
+// If the runner holds the run lock, the guest is not parked and the
+// runner sees the frame itself. A guest that ends the run back in WFI
+// stays parked. One still busy, or stopped for good, is the runner's
+// again: the interrupt that woke the guest also woke the runner, which
+// takes the run lock once the pump lets go and runs on from there (a
+// halt stays a halt, so its next run returns it again).
+func (p *Platform) runInline() {
+	if !p.runMu.TryLock() {
+		return
+	}
+	if p.parked {
+		p.runLocked(InlineBudget)
+	}
+	p.runMu.Unlock()
+}
+
+// runLocked runs the guest for up to budget instructions; callers hold
+// runMu.
+func (p *Platform) runLocked(budget uint64) iss.Stop {
+	stop, _ := p.Run(budget)
+	p.parked = stop == iss.StopIdle
+	p.last.Store(int32(stop))
+	return stop
 }
 
 // StopKeepGoing aliases iss.StopBudget for readability at this layer.

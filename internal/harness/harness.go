@@ -101,12 +101,13 @@ type Params struct {
 
 	// SimTime is the simulated duration to execute.
 	SimTime sim.Time
-	// ClockPeriod is the system clock period (default 100ns; an even
-	// number of picoseconds, at least 2ps). Only the GDB-Wrapper gets a
+	// ClockPeriod is the GDB-Wrapper's clock period (default 100ns; an
+	// even number of picoseconds, at least 2ps). Only the wrapper gets a
 	// clock process: its sc_method is sensitive to the positive edge.
-	// The kernel schemes need no clocked module: GDB-Kernel schedules
-	// each stop's service at the stop's own time, and Driver-Kernel's
-	// cycle hooks run at the model's events and its skew deadlines.
+	// The kernel schemes build no clock and ignore the period, so it is
+	// not validated for them: GDB-Kernel schedules each stop's service
+	// at the stop's own time, and Driver-Kernel's cycle hooks run at the
+	// model's events and its skew deadlines.
 	ClockPeriod sim.Time
 	// CPUPeriod is the guest cycle length for time coupling. Zero
 	// means the default, 10ns; cycle coupling cannot be switched off.
@@ -274,8 +275,10 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 		return nil, err
 	}
 	p = p.withDefaults()
-	if why := badClockPeriod(p.ClockPeriod); why != "" {
-		return nil, fmt.Errorf("harness: clock period %v %s: its edges must be half a period apart", p.ClockPeriod, why)
+	if p.Scheme == GDBWrapper {
+		if why := badClockPeriod(p.ClockPeriod); why != "" {
+			return nil, fmt.Errorf("harness: clock period %v %s: its edges must be half a period apart", p.ClockPeriod, why)
+		}
 	}
 	if p.PayloadWords > router.MaxPayloadWords {
 		return nil, fmt.Errorf("harness: payload words %d above the maximum of %d", p.PayloadWords, router.MaxPayloadWords)
@@ -420,7 +423,9 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 			runner := rtos.NewRunner(plat)
 			runner.Start()
 			// Teardown runs in reverse, so the host ends close first and
-			// release a runner blocked writing into a full channel.
+			// release the goroutine running the guest (the runner, or a
+			// pump running it inline) if it is blocked writing into a
+			// full channel; Stop then waits for it.
 			cleanup = append(cleanup, runner.Stop, func() {
 				target.DataHost.Close()
 				target.IRQHost.Close()

@@ -103,8 +103,9 @@ func rateField(name string, v float64) error {
 }
 
 // Validate checks the spec without materialising it: the scheme and
-// transport names resolve, every duration parses, a clock period is
-// zero or an even number of picoseconds of at least 2ps, rates are in [0,1],
+// transport names resolve, every duration parses, a GDB-Wrapper's
+// clock period is zero or an even number of picoseconds of at least
+// 2ps, rates are in [0,1],
 // counts are non-negative, payload_words is at most
 // router.MaxPayloadWords, and a multi-CPU request names a scheme that
 // can drive it (ErrSingleCPUScheme otherwise, testable with errors.Is).
@@ -131,8 +132,9 @@ func (s Spec) Validate() error {
 		}
 	}
 	// Zero means the default; any other period is split into two edges
-	// of the wrapper's clock, each at least 1ps long.
-	if cp, _ := timeField("clock_period", s.ClockPeriod); cp != 0 {
+	// of the wrapper's clock, each at least 1ps long. The kernel schemes
+	// build no clock and ignore the period.
+	if cp, _ := timeField("clock_period", s.ClockPeriod); cp != 0 && scheme == GDBWrapper {
 		if why := badClockPeriod(cp); why != "" {
 			return fmt.Errorf("spec: clock_period %v %s", cp, why)
 		}

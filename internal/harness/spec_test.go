@@ -121,13 +121,13 @@ func TestSpecValidate(t *testing.T) {
 		{"bad-rate", Spec{Scheme: "driver-kernel", ErrorRate: 1.5}, "outside [0,1]"},
 		{"negative-cpus", Spec{Scheme: "driver-kernel", CPUs: -1}, "negative"},
 		// A 1ps clock has no half period: NewClock panics on it.
-		{"clock-period-1ps", Spec{Scheme: "gdb-kernel", ClockPeriod: "1ps"}, "clock_period 1ps is below 2ps"},
+		{"clock-period-1ps", Spec{Scheme: "gdb-wrapper", ClockPeriod: "1ps"}, "clock_period 1ps is below 2ps"},
 		{"clock-period-sub-ps", Spec{Scheme: "gdb-wrapper", ClockPeriod: "0.001ns"}, "clock_period"},
 		// An odd period's half periods would truncate to a faster clock.
 		{"clock-period-odd", Spec{Scheme: "gdb-wrapper", ClockPeriod: "3ps"}, "clock_period 3ps is an odd number of picoseconds"},
-		{"clock-period-odd-1001ps", Spec{Scheme: "gdb-kernel", ClockPeriod: "1001ps"}, "clock_period"},
+		{"clock-period-odd-1001ps", Spec{Scheme: "gdb-wrapper", ClockPeriod: "1001ps"}, "clock_period"},
 		// 1.001ns parses exactly, as an odd 1001ps.
-		{"clock-period-odd-1.001ns", Spec{Scheme: "gdb-kernel", ClockPeriod: "1.001ns"}, "clock_period 1001ps is an odd number of picoseconds"},
+		{"clock-period-odd-1.001ns", Spec{Scheme: "gdb-wrapper", ClockPeriod: "1.001ns"}, "clock_period 1001ps is an odd number of picoseconds"},
 		// A digit finer than 1ps is an error, not a zero that would
 		// silently select the default.
 		{"clock-period-sub-ps-digit", Spec{Scheme: "gdb-kernel", ClockPeriod: "0.0001ns"}, "bad clock_period"},
@@ -149,8 +149,16 @@ func TestSpecValidate(t *testing.T) {
 		t.Errorf("minimal spec rejected: %v", err)
 	}
 	for _, cp := range []string{"0", "2ps", "100ns"} {
-		if err := (Spec{Scheme: "gdb-kernel", ClockPeriod: cp}).Validate(); err != nil {
+		if err := (Spec{Scheme: "gdb-wrapper", ClockPeriod: cp}).Validate(); err != nil {
 			t.Errorf("clock_period %q rejected: %v", cp, err)
+		}
+	}
+	// The kernel schemes build no clock, so any parseable period passes.
+	for _, scheme := range []string{"gdb-kernel", "driver-kernel"} {
+		for _, cp := range []string{"1ps", "3ps", "1.001ns"} {
+			if err := (Spec{Scheme: scheme, ClockPeriod: cp}).Validate(); err != nil {
+				t.Errorf("%s: clock_period %q rejected: %v", scheme, cp, err)
+			}
 		}
 	}
 	if err := (Spec{Scheme: "gdb-kernel", PayloadWords: router.MaxPayloadWords}).Validate(); err != nil {
@@ -159,25 +167,36 @@ func TestSpecValidate(t *testing.T) {
 }
 
 // TestRunRejectsClockPeriodBelow2ps: Params callers bypass Validate, so
-// RunContext itself refuses a period with no half, for every scheme,
-// instead of panicking in NewClock.
+// RunContext itself refuses a period with no half for the GDB-Wrapper
+// instead of panicking in NewClock. The kernel schemes build no clock
+// and run.
 func TestRunRejectsClockPeriodBelow2ps(t *testing.T) {
-	for _, scheme := range []Scheme{GDBWrapper, GDBKernel, DriverKernel} {
-		res, err := Run(Params{Scheme: scheme, Transport: core.TransportRing, ClockPeriod: 1, SimTime: 10 * sim.US})
-		if err == nil || !strings.Contains(err.Error(), "clock period") {
-			t.Errorf("%v: Run with a 1ps clock = (%v, %v), want a clock period error", scheme, res, err)
-		}
-	}
+	checkClockPeriodOnlyForWrapper(t, 1, "clock period")
 }
 
 // TestRunRejectsOddClockPeriod: an odd period has no whole-picosecond
-// half, so RunContext refuses it for every scheme rather than run a
-// clock faster than the one asked for.
+// half, so RunContext refuses it for the GDB-Wrapper rather than run a
+// clock faster than the one asked for. The kernel schemes build no
+// clock and run.
 func TestRunRejectsOddClockPeriod(t *testing.T) {
+	checkClockPeriodOnlyForWrapper(t, 1001, "clock period 1001ps is an odd number")
+}
+
+// checkClockPeriodOnlyForWrapper runs every scheme with a clock period
+// that has no whole-picosecond half: the wrapper must fail naming it,
+// the kernel schemes must run cleanly.
+func checkClockPeriodOnlyForWrapper(t *testing.T, period sim.Time, want string) {
+	t.Helper()
 	for _, scheme := range []Scheme{GDBWrapper, GDBKernel, DriverKernel} {
-		res, err := Run(Params{Scheme: scheme, Transport: core.TransportRing, ClockPeriod: 1001, SimTime: 10 * sim.US})
-		if err == nil || !strings.Contains(err.Error(), "clock period 1001ps is an odd number") {
-			t.Errorf("%v: Run with a 1001ps clock = (%v, %v), want an odd clock period error", scheme, res, err)
+		res, err := Run(Params{Scheme: scheme, Transport: core.TransportRing, ClockPeriod: period, SimTime: 10 * sim.US})
+		if scheme == GDBWrapper {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%v: Run with a %v clock = (%v, %v), want an error naming %q", scheme, period, res, err, want)
+			}
+			continue
+		}
+		if err != nil || res.Simulated != 10*sim.US {
+			t.Errorf("%v ignores the clock period, but Run with a %v clock = (%v, %v)", scheme, period, res, err)
 		}
 	}
 }

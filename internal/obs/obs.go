@@ -100,6 +100,17 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bits.Len64(v)].Add(1)
 }
 
+// ObserveN records v as n observations: it stands for n values of
+// which one was measured (see Sample). No-op on a nil histogram.
+func (h *Histogram) ObserveN(v, n uint64) {
+	if h == nil {
+		return
+	}
+	h.count.Add(n)
+	h.sum.Add(v * n)
+	h.buckets[bits.Len64(v)].Add(n)
+}
+
 // Count returns the number of observations (0 for nil).
 func (h *Histogram) Count() uint64 {
 	if h == nil {
@@ -124,13 +135,26 @@ func (h *Histogram) Start() Span {
 	if h == nil {
 		return Span{}
 	}
-	return Span{h: h, t0: time.Now()}
+	return Span{h: h, t0: time.Now(), n: 1}
+}
+
+// Sample is Start for a span that stands for n spans of which only
+// this one is timed: End observes its duration n times (ObserveN). A
+// caller that times a deterministic 1-in-n sample of its spans keeps
+// the histogram's count, sum and bucket shares estimates of the
+// totals, at one clock-read pair per n spans.
+func (h *Histogram) Sample(n uint64) Span {
+	if h == nil {
+		return Span{}
+	}
+	return Span{h: h, t0: time.Now(), n: n}
 }
 
 // Span is an in-flight duration measurement; see Histogram.Start.
 type Span struct {
 	h  *Histogram
 	t0 time.Time
+	n  uint64 // observations the span stands for
 }
 
 // End records the span's elapsed nanoseconds.
@@ -138,7 +162,7 @@ func (s Span) End() {
 	if s.h == nil {
 		return
 	}
-	s.h.Observe(uint64(time.Since(s.t0)))
+	s.h.ObserveN(uint64(time.Since(s.t0)), s.n)
 }
 
 // Bucket is one non-empty histogram bucket in a snapshot. Le is the

@@ -122,6 +122,29 @@ func TestSpanObservesElapsed(t *testing.T) {
 	}
 }
 
+// A sampled span stands for n spans: count, sum and its bucket grow by
+// n, and a nil histogram's sample is inert.
+func TestSampleObservesN(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("sample_ns")
+	sp := h.Sample(16)
+	time.Sleep(time.Millisecond)
+	sp.End()
+	if h.Count() != 16 {
+		t.Fatalf("count = %d, want 16", h.Count())
+	}
+	if h.Sum() < 16*uint64(time.Millisecond) || h.Sum()%16 != 0 {
+		t.Fatalf("sum = %dns, want a multiple of 16 of at least 16ms", h.Sum())
+	}
+	snap := r.Snapshot().Histograms["sample_ns"]
+	if len(snap.Buckets) != 1 || snap.Buckets[0].Count != 16 {
+		t.Fatalf("buckets = %+v, want one bucket holding 16", snap.Buckets)
+	}
+	var nilH *Histogram
+	nilH.Sample(16).End()
+	nilH.ObserveN(5, 16)
+}
+
 func TestSnapshotFlattenAndJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("driver.messages").Add(10)

@@ -14,7 +14,6 @@ package rtos
 import (
 	_ "embed"
 	"sync"
-	"sync/atomic"
 
 	"cosim/internal/asm"
 	"cosim/internal/dev"
@@ -72,7 +71,11 @@ func Build(app ...asm.Source) (*asm.Image, error) {
 // until the guest halts or Stop is called. When the CPU parks in WFI
 // with nothing pending, the runner blocks until an interrupt is raised
 // (every interrupt source goes through CPU.RaiseIRQ, and the platform
-// fast-forwards its own timer in WFI) or until Stop.
+// fast-forwards its own timer in WFI) or until Stop. While it is
+// parked, a CosimDev pump that delivers a frame runs the guest itself
+// for up to dev.InlineBudget instructions (Platform.RunGuest), and
+// hands it back to the runner if it is still busy after them or has
+// stopped for good.
 type Runner struct {
 	P *dev.Platform
 	// ID is the guest's CPU index in a multi-processor SoC, inherited
@@ -83,7 +86,6 @@ type Runner struct {
 	quit     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
-	last     atomic.Int32 // iss.Stop of the latest run
 }
 
 // runnerQuantum is the instruction budget per inner run call.
@@ -98,6 +100,7 @@ func NewRunner(p *dev.Platform) *Runner {
 func (r *Runner) Start() {
 	go func() {
 		defer close(r.done)
+		defer r.P.Unpark() // waits out an inline run in flight
 		wake := r.P.CPU.WakeChan()
 		for {
 			select {
@@ -105,14 +108,12 @@ func (r *Runner) Start() {
 				return
 			default:
 			}
-			stop, _ := r.P.Run(runnerQuantum)
-			r.last.Store(int32(stop))
-			switch stop {
+			switch r.P.RunGuest(runnerQuantum) {
 			case iss.StopBudget:
 				// keep going
 			case iss.StopIdle:
-				// Parked in WFI: a raise after Run returned is not lost,
-				// since the wake channel buffers one signal.
+				// Parked in WFI: a raise after the run returned is not
+				// lost, since the wake channel buffers one signal.
 				select {
 				case <-wake:
 				case <-r.quit:
@@ -125,18 +126,23 @@ func (r *Runner) Start() {
 	}()
 }
 
-// Stop requests termination and waits for the loop to exit. It may be
-// called more than once.
+// Stop requests termination and waits for the loop to exit and for
+// any inline run of the guest to end; afterwards no goroutine runs the
+// guest. It may be called more than once. Close the platform's
+// co-simulation channels first when a guest may be blocked writing to
+// one that nothing reads.
 func (r *Runner) Stop() {
 	r.stopOnce.Do(func() { close(r.quit) })
 	<-r.done
 }
 
-// Wait blocks until the guest halts on its own.
+// Wait blocks until the guest halts on its own, whether the runner or
+// an inline run reached the halt.
 func (r *Runner) Wait() iss.Stop {
 	<-r.done
 	return r.LastStop()
 }
 
-// LastStop returns the most recent stop reason.
-func (r *Runner) LastStop() iss.Stop { return iss.Stop(r.last.Load()) }
+// LastStop returns the most recent stop reason, of the runner's own
+// runs and of inline runs alike.
+func (r *Runner) LastStop() iss.Stop { return r.P.LastStop() }

@@ -270,8 +270,8 @@ func TestQuotaRejections(t *testing.T) {
 		{"trailing-data", `{"scheme": "gdb-wrapper"}{"scheme": "bogus"}`, "trailing data"},
 		{"multi-cpu-wrapper", `{"scheme": "gdb-wrapper", "cpus": 2}`, "single CPU"},
 		// A 1ps clock passed admission and panicked the worker, which has
-		// no recover: one POST took the daemon down.
-		{"clock-period", `{"scheme": "gdb-kernel", "clock_period": "1ps"}`, "clock_period"},
+		// no recover: one POST took the daemon down. Only the wrapper
+		// builds a clock; the kernel schemes ignore the period.
 		{"clock-period-wrapper", `{"scheme": "gdb-wrapper", "clock_period": "1ps"}`, "clock_period"},
 		{"clock-period-odd", `{"scheme": "gdb-wrapper", "clock_period": "1001ps"}`, "clock_period"},
 	} {
