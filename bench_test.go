@@ -170,9 +170,10 @@ func BenchmarkAblationPolling(b *testing.B) {
 // BenchmarkStopService is the unit cost of one GDB-Kernel stop service
 // on each transport: the variable transfer and the resume in one write,
 // the guest's run to its next breakpoint, and the stub's one write
-// holding the transfer's reply and the stop, read inline. The guest doubles a request word between two breakpoints,
-// so the stops alternate between a 4-byte poke (M) and a 4-byte read
-// (m), as in a GDB-Kernel run.
+// holding the transfer's reply and the stop, read inline. The guest
+// doubles a request word between two breakpoints, so the stops
+// alternate between a 4-byte poke (M) and a 4-byte read (m), as in a
+// GDB-Kernel run.
 func BenchmarkStopService(b *testing.B) {
 	for _, tr := range []core.Transport{core.TransportRing, core.TransportPipe, core.TransportTCP} {
 		b.Run(tr.Name(), func(b *testing.B) {

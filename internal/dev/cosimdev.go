@@ -80,7 +80,6 @@ type CosimDev struct {
 	deliver func()
 
 	txMessages uint64
-	rxBytes    uint64
 }
 
 // NewCosimDev creates the bridge device asserting the given PIC line.
@@ -236,7 +235,6 @@ func (d *CosimDev) delivered() {
 func (d *CosimDev) InjectRx(b []byte) {
 	d.mu.Lock()
 	d.rx = append(d.rx, b...)
-	d.rxBytes += uint64(len(b))
 	d.refresh()
 	d.mu.Unlock()
 }
@@ -250,7 +248,11 @@ func (d *CosimDev) InjectIRQ(id uint32) {
 }
 
 // TxMessages returns how many messages the guest has flushed.
-func (d *CosimDev) TxMessages() uint64 { return d.txMessages }
+func (d *CosimDev) TxMessages() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.txMessages
+}
 
 // parseGuestFrame decodes a driver-composed READ/WRITE frame so the
 // flush path can match it against a granted window. Anything that is

@@ -49,7 +49,8 @@ type Stub struct {
 	t   *transport
 
 	// breakIn is set by the serve loop when a 0x03 byte arrives and
-	// polled by a running continue; each continue starts with it clear.
+	// polled by the runner between chunks; each continue starts with it
+	// clear.
 	breakIn atomic.Bool
 
 	// reply and mem are scratch buffers for building replies. Only one
@@ -69,7 +70,7 @@ type Stub struct {
 
 const (
 	// chunkBudget is the number of instructions a continue runs between
-	// break-in checks.
+	// break-in checks; the first chunk runs on the serve loop.
 	chunkBudget = 50_000
 	// idleSleep is how long the stub sleeps when the CPU is in WFI with
 	// no pending interrupt.
@@ -90,28 +91,24 @@ func NewStub(cpu *iss.CPU, conn io.ReadWriter) *Stub {
 func (s *Stub) Stats() Stats { return s.t.stats }
 
 // Serve processes packets until kill, detach, or connection close. A
-// continue runs on the stub's one runner goroutine, so the loop keeps
-// reading and sees a break-in; the next command waits for the
-// continue's stop reply. Every other command runs in the loop itself.
+// continue runs its first chunk (chunkBudget instructions) in the loop
+// itself and, if it stops there, is answered at once. A continue that
+// uses up that chunk, or idles in WFI, is handed to a runner goroutine
+// that ends with the continue's stop reply, and the loop goes back to
+// reading, so it sees a break-in; the next command waits for the stop
+// reply. Every other command runs in the loop itself.
 // In no-ack mode a reply waits while the peer's next packet is already
 // buffered whole and goes out with the next reply, in one write: a
 // transfer pipelined with a continue is answered together with the stop.
 func (s *Stub) Serve() error {
-	start := make(chan []byte)
 	stopped := make(chan error, 1)
-	go func() {
-		defer close(stopped)
-		for arg := range start {
-			stopped <- s.t.sendReplyNoAckWait(s.resume(false, arg), false)
-		}
-	}()
 	running := false
 	defer func() {
-		// Break in on a running continue, then wait for the runner to
-		// deliver its stop reply and exit.
-		s.breakIn.Store(true)
-		close(start)
-		for range stopped {
+		if running {
+			// Break in on the running continue, then wait for its
+			// runner to deliver the stop reply and exit.
+			s.breakIn.Store(true)
+			<-stopped
 		}
 	}()
 	for {
@@ -134,10 +131,14 @@ func (s *Stub) Serve() error {
 		}
 		if len(pkt) > 0 && pkt[0] == 'c' {
 			s.breakIn.Store(false)
+			if reply := s.resume(false, pkt[1:]); reply != nil {
+				if err := s.t.sendReplyNoAckWait(reply, false); err != nil {
+					return err
+				}
+				continue
+			}
 			running = true
-			// The runner outlives the read buffer: hand it a copy (nil,
-			// with no allocation, for a bare "c").
-			start <- append([]byte(nil), pkt[1:]...)
+			go func() { stopped <- s.t.sendReplyNoAckWait(s.keepRunning(), false) }()
 			continue
 		}
 		reply, done := s.dispatch(pkt)
@@ -604,7 +605,8 @@ func (s *Stub) runQuantum(arg []byte) []byte {
 }
 
 // resume implements 'c' (continue) and 's' (step). An optional resume
-// address may be given in arg.
+// address may be given in arg. A continue runs one chunk and returns
+// nil if that chunk ended without a stop; keepRunning takes it on.
 func (s *Stub) resume(step bool, arg []byte) []byte {
 	if addr, ok := parseHex(arg); ok {
 		s.cpu.PC = uint32(addr)
@@ -634,20 +636,31 @@ func (s *Stub) resume(step bool, arg []byte) []byte {
 		s.lastSignal = 5
 		return []byte("S05")
 	}
+	return s.runChunk()
+}
 
+// runChunk runs one chunk of a continue and returns its stop reply, or
+// nil if the budget ran out or the CPU idles in WFI with nothing
+// pending.
+func (s *Stub) runChunk() []byte {
+	stop, _ := s.cpu.Run(chunkBudget)
+	return s.stopReply(stop)
+}
+
+// keepRunning runs a continue whose first chunk ended without a stop
+// until it stops or a break-in ends it. A break-in is checked between
+// chunks, and a CPU idle in WFI is given idleSleep before the next.
+func (s *Stub) keepRunning() []byte {
 	for {
-		stop, _ := s.cpu.Run(chunkBudget)
-		if r := s.stopReply(stop); r != nil {
-			return r
-		}
-		// Budget exhausted, or WFI with nothing pending: check for a
-		// break-in, then keep running (after an idle wait for WFI).
 		if s.breakIn.Load() {
 			s.lastSignal = 2
 			return []byte("S02")
 		}
-		if stop == iss.StopIdle {
+		if s.cpu.Sleeping() {
 			time.Sleep(idleSleep)
+		}
+		if r := s.runChunk(); r != nil {
+			return r
 		}
 	}
 }
