@@ -73,8 +73,8 @@ base)
     "a GDB-Kernel run spent round trips beyond its transfers and set-up (rsp.round_trips)"
   # The kernel schemes have neither a clock nor a poll grid: they visit
   # only the time points where something happens (GDB-Kernel: a stop's
-  # service or the traffic; Driver-Kernel: the traffic and each
-  # request's skew deadline). A clock or a grid would visit every edge
+  # service or the traffic; Driver-Kernel: the traffic and the times
+  # its guests send). A clock or a grid would visit every edge
   # of the 100 ns clock benchtab runs (2 * simulated time / period);
   # allow a quarter.
   for scheme in GDB-Kernel Driver-Kernel; do

@@ -113,26 +113,22 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	runner := rtos.NewRunner(plat)
-	runner.Start()
-	defer runner.Stop()
-
-	// The scheme drains the driver's messages at every simulation cycle:
-	// the sensor's ticks and each request's skew deadline. The monitor
-	// stops the run at the last answer; a no-op call at end bounds it
-	// if the guest stops answering.
+	// The kernel runs the guest up to each of its events: the sensor's
+	// ticks and the times the guest sends. The monitor stops the run at
+	// the last answer; a no-op call at end bounds it if the guest stops
+	// answering.
 	const end = 10 * sim.MS
 	k := sim.NewKernel("sensor-soc")
 	defer k.Shutdown()
 	k.CallAt(end, func() {})
 	dk, err := core.NewDriverKernel(k, []core.DriverChannel{{
-		Data: target.DataHost, IRQ: target.IRQHost,
+		Data: target.DataHost, IRQ: target.IRQHost, Guest: plat,
 		Ports: []core.VarBinding{
 			{Port: "sample", Dir: core.ToISS},
 			{Port: "max", Dir: core.ToSystemC},
 		},
 	}}, core.DriverKernelOptions{
-		CommonOptions: core.CommonOptions{CPUPeriod: 10 * sim.NS, SkewBound: 10 * sim.US},
+		CommonOptions: core.CommonOptions{CPUPeriod: 10 * sim.NS},
 	})
 	if err != nil {
 		return err

@@ -40,14 +40,12 @@ var Analyzer = &analysis.Analyzer{
 // reconcile. Extending the per-CPU namespace means extending this set
 // (and the README table) in the same change.
 var PerCPUMetrics = map[string]bool{
-	"messages":           true,
-	"interrupts":         true,
-	"skew_waits":         true,
-	"skew_wait_timeouts": true,
-	"pending_reads":      true,
-	"dmi_hits":           true,
-	"dmi_misses":         true,
-	"dmi_revocations":    true,
+	"messages":        true,
+	"interrupts":      true,
+	"pending_reads":   true,
+	"dmi_hits":        true,
+	"dmi_misses":      true,
+	"dmi_revocations": true,
 }
 
 // TransportMetrics is the documented transport.<backend>.* metric set

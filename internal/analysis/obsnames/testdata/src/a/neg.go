@@ -18,7 +18,7 @@ func newHandles(r *obs.Registry, id int) *handles {
 	return &handles{
 		msgs:    r.Counter(fmt.Sprintf("driver.cpu%d.messages", id)),
 		pending: r.Gauge(fmt.Sprintf("driver.cpu%d.pending_reads", id)),
-		name:    fmt.Sprintf("driver.cpu%d.skew_wait_timeouts", id),
+		name:    fmt.Sprintf("driver.cpu%d.dmi_hits", id),
 	}
 }
 
@@ -41,7 +41,7 @@ func (h *handles) hot(r *obs.Registry, n uint64) {
 func (h *handles) constants(r *obs.Registry) {
 	r.Counter("driver.messages").Inc()
 	r.Gauge("driver.pending_reads").Set(1)
-	r.Histogram("driver.skew_wait_ns").Observe(2)
+	r.Histogram("driver.delivery_wait_ns").Observe(2)
 	r.Counter("driver.cpu3.messages").Inc()
 }
 

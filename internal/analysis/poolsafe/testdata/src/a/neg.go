@@ -29,14 +29,14 @@ func deferred(r *bufio.Reader) error {
 	return nil
 }
 
-// inboxAppend is the reader-goroutine shape: appending hands ownership
-// to whoever drains the inbox.
+// inboxAppend is the frame-intake shape: appending hands ownership to
+// whoever handles the queued frames.
 func inboxAppend(r *bufio.Reader, inbox *[]core.Message) error {
 	m, err := core.ReadMessage(r)
 	if err != nil {
 		return err
 	}
-	m.CPU = 3
+	m.Cycles = 3
 	*inbox = append(*inbox, m)
 	return nil
 }

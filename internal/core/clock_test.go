@@ -42,53 +42,75 @@ func runClockCases(t *testing.T, cases []clockCase) {
 	}
 }
 
-// TestTargetTimeWraparound pins Driver-Kernel's stamp-to-time rule:
-// 32-bit wire stamps widened across a wrap and without one, and the
-// untimed period that maps every stamp to now.
+// TestTargetTimeWraparound pins the stamp-to-time rule: a cycle count
+// that passes the 32-bit ceiling counts on without a wrap, one that
+// stays below it, and the untimed period that maps every stamp to now.
 func TestTargetTimeWraparound(t *testing.T) {
 	const period = clockPeriod
 	runClockCases(t, []clockCase{{
 		// Anchored just below the 32-bit ceiling; the guest then runs
-		// 0x20 cycles, wrapping the wire counter past zero.
+		// 0x20 cycles, past where a 32-bit counter would wrap to zero.
 		name: "32-bit stamp across a wrap", period: period, cycles: 0xfffffff0, at: 500 * sim.NS,
-		run:  func(_ *testing.T, g *guestClock) sim.Time { return g.timeOf(g.widen(0x10)) },
+		run:  func(_ *testing.T, g *guestClock) sim.Time { return g.timeOf(1<<32 + 0x10) },
 		want: 500*sim.NS + 0x20*period, wantCycles: 0xfffffff0, wantAt: 500 * sim.NS,
 	}, {
 		name: "32-bit stamp", period: period, cycles: 100, at: 500 * sim.NS,
-		run:  func(_ *testing.T, g *guestClock) sim.Time { return g.timeOf(g.widen(164)) },
+		run:  func(_ *testing.T, g *guestClock) sim.Time { return g.timeOf(164) },
 		want: 500*sim.NS + 64*period, wantCycles: 100, wantAt: 500 * sim.NS,
 	}, {
 		name: "untimed stamp maps to now", cycles: 0, at: 0,
-		run:  func(_ *testing.T, g *guestClock) sim.Time { return g.timeOf(g.widen(12345)) },
+		run:  func(_ *testing.T, g *guestClock) sim.Time { return g.timeOf(12345) },
 		want: sim.US, wantCycles: 0, wantAt: 0,
 	}})
 }
 
-// TestAdvanceSyncMonotonic pins the anchor Driver-Kernel takes at each
-// stamp: a stamp in the simulated past anchors at now, and the anchor
-// never moves backward through a 32-bit wrap.
+// TestCyclesAt pins the inverse of timeOf that Driver-Kernel grants
+// with: the first cycle count at or after a time, so a guest granted to
+// a horizon reaches it.
+func TestCyclesAt(t *testing.T) {
+	g := &guestClock{period: clockPeriod, cycles: 100, at: 500 * sim.NS}
+	for _, tc := range []struct {
+		t    sim.Time
+		want uint64
+	}{
+		{0, 100}, {500 * sim.NS, 100}, {510 * sim.NS, 101},
+		{511 * sim.NS, 102}, {sim.US, 150}, {sim.MaxTime, 100 + uint64((sim.MaxTime-500*sim.NS)/clockPeriod) + 1},
+	} {
+		if got := g.cyclesAt(tc.t); got != tc.want {
+			t.Errorf("cyclesAt(%v) = %d, want %d", tc.t, got, tc.want)
+		}
+		if tc.t >= g.at && tc.t < sim.MaxTime-clockPeriod {
+			if back := g.timeOf(g.cyclesAt(tc.t)); back < tc.t || back >= tc.t+clockPeriod {
+				t.Errorf("timeOf(cyclesAt(%v)) = %v, want within one period at or after it", tc.t, back)
+			}
+		}
+	}
+}
+
+// TestAdvanceSyncMonotonic pins the anchor GDB-Kernel takes at each
+// stop: a stamp in the simulated past anchors at now, and the anchor
+// never moves backward as 64-bit stamps pass 2^32.
 func TestAdvanceSyncMonotonic(t *testing.T) {
 	const period = clockPeriod
 	runClockCases(t, []clockCase{{
 		// The stamp's own time (500 ns) is returned; the anchor is
 		// clamped to now.
 		name: "past stamp anchors at now", period: period, cycles: 0, at: 400 * sim.NS,
-		run:  func(_ *testing.T, g *guestClock) sim.Time { return g.take(g.widen(10)) },
+		run:  func(_ *testing.T, g *guestClock) sim.Time { return g.take(10) },
 		want: 500 * sim.NS, wantCycles: 10, wantAt: sim.US,
 	}, {
-		// Driver-Kernel's call pattern take(widen(stamp)) through a
-		// 32-bit wrap: the anchor's time never moves backward and its
-		// low 32 bits are the last stamp.
+		// Stamps across the 32-bit boundary: the anchor's time never
+		// moves backward and its cycles are the last stamp.
 		name: "anchor monotonic through a wrap", period: period, cycles: 0, at: 0,
 		run: func(t *testing.T, g *guestClock) sim.Time {
 			prev := g.at
-			for _, stamp := range []uint32{100, 5_000, 0xffffffff, 3, 50, 1 << 20} {
-				g.take(g.widen(stamp))
+			for _, stamp := range []uint64{100, 5_000, 0xffffffff, 1<<32 + 3, 1<<32 + 50, 1<<32 + 1<<20} {
+				g.take(stamp)
 				if g.at < prev {
 					t.Fatalf("anchor moved backward: %v -> %v at stamp %#x", prev, g.at, stamp)
 				}
-				if uint32(g.cycles) != stamp {
-					t.Fatalf("anchor cycles = %#x, want low bits %#x", g.cycles, stamp)
+				if g.cycles != stamp {
+					t.Fatalf("anchor cycles = %#x, want %#x", g.cycles, stamp)
 				}
 				prev = g.at
 			}

@@ -446,13 +446,10 @@ func TestDriverKernelEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner := rtos.NewRunner(p)
-		runner.Start()
-
 		k := sim.NewKernel("top")
 		sim.NewClock(k, "clk", 10*sim.NS)
 		d, err := NewDriverKernel(k, []DriverChannel{{
-			Data: target.DataHost, IRQ: target.IRQHost,
+			Data: target.DataHost, IRQ: target.IRQHost, Guest: p,
 			Ports: []VarBinding{
 				{Port: "req", Dir: ToISS},
 				{Port: "resp", Dir: ToSystemC},
@@ -481,7 +478,6 @@ func TestDriverKernelEndToEnd(t *testing.T) {
 			t.Fatalf("run: %v (scheme err %v)", err, d.Err())
 		}
 		k.Shutdown()
-		runner.Stop()
 		if d.Err() != nil {
 			t.Fatal(d.Err())
 		}

@@ -12,9 +12,10 @@ import (
 // dynamic memory integration; the paper's §4 scheme has none. The
 // kernel grants a CPU's guest-side bridge a direct window per bound
 // port, so guest accesses to side-effect-free port memory skip the
-// codec and the transport. They do not skip the lock-step coupling: the
-// drain folds window activity back in through the same per-CPU code as
-// the messages it replaces (driverCPU.store, driverCPU.consume).
+// codec and the transport. They do not skip the coupling in simulated
+// time: a window access stops the guest as a sent frame does, and the
+// kernel handles the access at the guest's time through the same
+// per-CPU code as the messages it replaces (driverCPU.handleFrame).
 
 // dmiWindows is one CPU's DMI seam: the windows granted over its bound
 // ports. A nil *dmiWindows (DMI off) is valid: every method is a no-op.
@@ -22,9 +23,8 @@ type dmiWindows struct {
 	c      *driverCPU
 	grants []*dmiGrant
 
-	// active is raised by window hits on the guest goroutine and cleared
-	// by the drain: the lock-step wait treats window activity exactly
-	// like an arriving message.
+	// active is raised by window hits and cleared by fold, so a stop
+	// without window activity skips the grants.
 	active atomic.Bool
 
 	staged []dev.StagedWrite // kernel-context scratch for staged stores
@@ -53,8 +53,8 @@ type dmiCounters struct {
 
 // grantWindows hands the guest-side bridge one direct window per bound
 // port: iss_out bindings get read windows kept coherent by the port's
-// write hook, iss_in ports get write windows whose staged stores the
-// drain reconciles. Every bound port is a protocol data port —
+// write hook, iss_in ports get write windows whose staged stores fold
+// collects. Every bound port is a protocol data port —
 // side-effect-free backing memory — so all of them are DMI-eligible;
 // side-effectful device registers never reach this path because they
 // are not ports.
@@ -79,46 +79,28 @@ func grantWindows(c *driverCPU, granter dev.DMIGranter) *dmiWindows {
 	return w
 }
 
-// notify is the window activity callback, invoked from the guest
-// goroutine after every window hit. It marks the CPU for reconciliation
-// and wakes a conservative wait, exactly as an arriving message would.
-func (w *dmiWindows) notify() {
-	w.active.Store(true)
-	w.c.d.wake()
-}
+// notify is the window activity callback, invoked after every window
+// hit: it marks the CPU's windows for the next fold.
+func (w *dmiWindows) notify() { w.active.Store(true) }
 
-// ready reports unreconciled window activity: the conservative wait
-// ends on it as on a message.
-func (w *dmiWindows) ready() bool { return w != nil && w.active.Load() }
-
-// reconcile folds the guest's window activity since the last call into
-// the lock-step state, at the begin-of-cycle hook. An idle CPU costs
-// one load (reconcile inlines).
-func (w *dmiWindows) reconcile() {
-	if w != nil && w.active.Load() {
-		w.fold()
-	}
-}
-
-// fold takes each window's activity: a consumed read generation
-// anchors the CPU's timeline at its stamp and counts as a DATA reply;
-// each staged store is delivered as a WRITE message would be. Counter
-// growth is flushed on the way.
+// fold queues the guest's window activity since the last call as
+// frames: a consumed read generation (with the guest's stamp) and each
+// staged store, as the WRITE message it replaces. Counter growth is
+// flushed on the way. An idle CPU costs one load.
 func (w *dmiWindows) fold() {
-	if !w.active.Swap(false) {
+	if w == nil || !w.active.Swap(false) {
 		return
 	}
 	c := w.c
 	for _, g := range w.grants {
 		if g.b != nil {
 			if seq, stamp, ok := g.w.TakeReadAck(); ok {
-				c.clock.take(c.clock.widen(stamp))
-				c.consume(g.b, seq, stamp)
+				c.frames = append(c.frames, frame{Message: Message{Cycles: stamp}, ack: g, seq: seq})
 			}
 		} else {
 			w.staged = g.w.TakeStaged(w.staged[:0])
 			for _, sw := range w.staged {
-				c.store(g.in, Message{Type: MsgWrite, Cycles: sw.Cycles, Port: g.w.Port(), Data: sw.Data})
+				c.frames = append(c.frames, frame{Message: Message{Type: MsgWrite, Cycles: sw.Cycles, Port: g.w.Port(), Data: sw.Data}})
 			}
 		}
 		w.flushGrant(g)

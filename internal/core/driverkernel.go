@@ -6,54 +6,40 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cosim/internal/dev"
+	"cosim/internal/iss"
 	"cosim/internal/obs"
 	"cosim/internal/sim"
+	"cosim/internal/transport"
 )
 
 // DriverKernel is the paper's second proposed scheme (§4): the guest OS
 // device driver masters the co-simulation, exchanging binary READ/WRITE
 // messages with the SystemC kernel over the data socket (port 4444 in
 // the paper) while the kernel notifies interrupts over the interrupt
-// socket (port 4445). The scheduler modifications of Figure 5 map to a
-// begin-of-cycle hook (drain the data sockets) and an end-of-cycle hook
-// (send queued interrupt notifications).
+// socket (port 4445). The scheduler modifications of Figure 5 map to
+// an end-of-cycle hook (serve pending READs, send queued interrupt
+// notifications) and a horizon hook that runs each guest.
+//
+// Guests are paced in simulated time by a conservative grant. Before
+// time advances, the kernel runs each guest, on the kernel's own
+// goroutine, up to the horizon (the kernel's next timed event): nothing
+// in the model can reach the guest before then. A guest stops early when it sends a
+// frame or uses a DMI window; the kernel handles what it sent at the
+// simulated time of the guest's cycle count at the send, which is never
+// behind now, and runs the guest on once that time point is done. A
+// guest idling in WFI spends its cycles up to the horizon. So outcomes
+// depend on spec and seed only, not on the host, the transport or the
+// Go scheduler (see DESIGN.md §5.2).
 //
 // The scheme scales to a multi-processor SoC: each guest CPU owns one
 // data/interrupt channel pair (the paper's 4444/4445 sockets,
-// parameterized per CPU), messages are tagged with the CPU id at
-// channel ingress, and the drain/flush hooks route READ/WRITE/INTERRUPT
-// traffic to the per-CPU state. The N guests stay in deterministic
-// lock-step because the conservative skew wait is applied per CPU: the
-// kernel never advances more than SkewBound past the minimum
-// outstanding target time across all CPUs (see DESIGN.md §5.6).
+// parameterized per CPU), its frames are read from its own channel,
+// and every CPU is granted the same horizon (DESIGN.md §5.6).
 type DriverKernel struct {
-	k *sim.Kernel
-
-	skewBound   sim.Time
-	waitTimeout time.Duration // how long a conservative wait may block
-
-	mu     sync.Mutex
-	inbox  []Message     // CPU-tagged, drained by the begin-of-cycle hook; guarded by mu
-	spare  []Message     // the drained inbox buffer, reused by the next swap (kernel context)
-	notify chan struct{} // signalled by a reader when messages arrive
-
-	// queued and rdErrs let an idle drain skip d.mu. Readers set them
-	// while holding d.mu, right after appending to the inbox or
-	// recording a reader error, so anything lockstepWait saw under the
-	// lock is also visible to the drain of the same cycle. queued is
-	// cleared by the drain that takes the inbox; rdErrs is sticky.
-	queued atomic.Bool
-	rdErrs atomic.Bool
-
-	// timer bounds each conservative wait; one timer is reused across
-	// waits (kernel context only).
-	timer *time.Timer
-
+	k    *sim.Kernel
 	cpus []*driverCPU
 
 	journal *Journal
@@ -63,6 +49,34 @@ type DriverKernel struct {
 	obs   driverObs
 }
 
+// ErrDeliveryTimeout reports bytes that did not get through a
+// Driver-Kernel channel within deliveryTimeout of wall time: the frames
+// a guest sent that the kernel could not read, or the replies and
+// interrupts the kernel sent that the guest's device could not take.
+var ErrDeliveryTimeout = errors.New("bytes not through within the wall timeout")
+
+// deliveryTimeout bounds each read of a channel's bytes (at most twice
+// it: see transport.Watchdog). The bytes were written before the read
+// starts, so on a working channel the bound never shows in an outcome.
+const deliveryTimeout = time.Second
+
+// Guest is the software simulator behind one Driver-Kernel channel.
+// The kernel runs it on its own goroutine; *dev.Platform implements it.
+type Guest interface {
+	// RunTo runs the guest until its cycle count reaches limit
+	// (iss.StopBudget), or until it has flushed a frame or used a DMI
+	// window (iss.StopYield), halted or failed. Idle cycles count.
+	RunTo(limit uint64) iss.Stop
+	// Cycles returns the guest's cycle count.
+	Cycles() uint64
+	// Sent returns how many bytes the guest has written to its data
+	// socket.
+	Sent() uint64
+	// Receive takes data bytes off the guest's data socket and irq
+	// bytes off its interrupt socket, on the caller's goroutine.
+	Receive(data, irq uint64) error
+}
+
 // driverCPU is the per-processor half of the scheme: one channel pair,
 // one port namespace, one timeline, one interrupt queue.
 type driverCPU struct {
@@ -70,8 +84,20 @@ type driverCPU struct {
 	id    int
 	label string // "driver-kernel cpu0", the error/metric prefix
 
-	dataW io.Writer
-	irqW  io.Writer
+	guest Guest
+	done  bool // the guest halted: it is not run again
+
+	// The kernel writes DATA replies to data and interrupt ids to irqW,
+	// and reads the guest's frames from data through br, all inline:
+	// each side reads what the other wrote, after it was written.
+	data io.Writer
+	irqW io.Writer
+	br   *bufio.Reader
+	// toData and toIRQ count the bytes written to the guest since it
+	// last took them; got counts the bytes of its frames read so far.
+	toData, toIRQ, got uint64
+	// dog ends a read that lasts deliveryTimeout by closing the channel.
+	dog *transport.Watchdog
 
 	// Port routing: the guest names ports without knowing which CPU it
 	// is ("pkt", "csum"); the channel prefix maps those names onto this
@@ -80,23 +106,31 @@ type driverCPU struct {
 	inPorts     map[string]*sim.IssIn
 	outBindings map[string]*binding
 
-	// clock maps the guest's cycle stamps to simulated time. It also
-	// marks a request to the guest (a READ reply or a notified
-	// interrupt) outstanding: when skewBound is non-zero, the kernel
-	// waits (wall-clock) for this guest's next message rather than
-	// racing simulated time past it.
+	// clock maps the guest's cycle count to simulated time, anchored
+	// where the scheme attached.
 	clock guestClock
+
+	// frames holds what the guest sent at its latest stop, handled in
+	// order by handle at the time it sent them.
+	frames []frame
+	handle func() // handleFrames, bound once: scheduling it allocates nothing
 
 	pendingReads []*binding
 	intQueue     []uint32
 	irqBuf       [4]byte // scratch for interrupt notifications (kernel context only)
 
-	rdErr  error // reader goroutine's terminal error; guarded by d.mu, flagged by d.rdErrs
-	hadMsg bool  // batch scratch: a message from this CPU was drained
-
 	dmi *dmiWindows // nil when DMI is off
 
 	obs driverCPUObs
+}
+
+// frame is one thing a guest sent: a frame from its data socket, a
+// store a DMI write window staged (as a WRITE), or a generation it took
+// through a DMI read window (ack set).
+type frame struct {
+	Message
+	ack *dmiGrant
+	seq uint64
 }
 
 // driverObs holds the aggregate Driver-Kernel hot-path metrics,
@@ -109,9 +143,8 @@ type driverObs struct {
 	reads        *obs.Counter
 	replies      *obs.Counter
 	interrupts   *obs.Counter
-	skewWaits    *obs.Counter
-	skewWaitNS   *obs.Histogram
-	skewTimeouts *obs.Counter // skew waits abandoned after waitTimeout
+	waitNS       *obs.Histogram // reads of a channel's bytes, a sample of them timed
+	inlineReads  sampledWait
 	pendingReads *obs.Gauge
 	dmi          dmiCounters
 }
@@ -123,21 +156,17 @@ func (o *driverObs) init(r *obs.Registry) {
 	o.reads = r.Counter("driver.msgs_read")
 	o.replies = r.Counter("driver.data_replies")
 	o.interrupts = r.Counter("driver.interrupts")
-	o.skewWaits = r.Counter("driver.skew_waits")
-	o.skewWaitNS = r.Histogram("driver.skew_wait_ns")
-	o.skewTimeouts = r.Counter("driver.skew_wait_timeouts")
+	o.waitNS = r.Histogram("driver.delivery_wait_ns")
 	o.pendingReads = r.Gauge("driver.pending_reads")
 	o.dmi = dmiCounters{r.Counter("driver.dmi_hits"), r.Counter("driver.dmi_misses"), r.Counter("driver.dmi_revocations")}
 }
 
 // driverCPUObs is the per-CPU counter set ("driver.cpu0.messages", ...)
 // published next to the aggregates so multi-CPU runs show per-processor
-// traffic, skew-wait stalls and interrupt fan-out in `benchtab -json`.
+// traffic and interrupt fan-out in `benchtab -json`.
 type driverCPUObs struct {
 	messages     *obs.Counter
 	interrupts   *obs.Counter
-	skewWaits    *obs.Counter
-	skewTimeouts *obs.Counter
 	pendingReads *obs.Gauge
 	dmi          dmiCounters
 }
@@ -145,8 +174,6 @@ type driverCPUObs struct {
 func (o *driverCPUObs) init(r *obs.Registry, id int) {
 	o.messages = r.Counter(fmt.Sprintf("driver.cpu%d.messages", id))
 	o.interrupts = r.Counter(fmt.Sprintf("driver.cpu%d.interrupts", id))
-	o.skewWaits = r.Counter(fmt.Sprintf("driver.cpu%d.skew_waits", id))
-	o.skewTimeouts = r.Counter(fmt.Sprintf("driver.cpu%d.skew_wait_timeouts", id))
 	o.pendingReads = r.Gauge(fmt.Sprintf("driver.cpu%d.pending_reads", id))
 	o.dmi = dmiCounters{
 		r.Counter(fmt.Sprintf("driver.cpu%d.dmi_hits", id)),
@@ -156,16 +183,24 @@ func (o *driverCPUObs) init(r *obs.Registry, id int) {
 }
 
 // DriverChannel is one CPU's co-simulation transport: the kernel-side
-// ends of its data and interrupt sockets, plus the iss ports its driver
-// may address. Ports are declared with guest-visible names; Prefix maps
-// them onto the kernel's port registry (a multi-CPU run prefixes each
-// CPU's ports "cpu0.", "cpu1.", ... so N identical guest images can
-// attach to one kernel without colliding).
+// ends of its data and interrupt sockets, the guest behind them, plus
+// the iss ports its driver may address. Ports are declared with
+// guest-visible names; Prefix maps them onto the kernel's port registry
+// (a multi-CPU run prefixes each CPU's ports "cpu0.", "cpu1.", ... so N
+// identical guest images can attach to one kernel without colliding).
 type DriverChannel struct {
 	Data   io.ReadWriter
 	IRQ    io.Writer
 	Prefix string
 	Ports  []VarBinding
+
+	// Guest is the software simulator at the other end of Data and IRQ,
+	// which the kernel runs. Required. The kernel writes to the guest
+	// and then has it read, and the guest writes frames that the kernel
+	// then reads, all on the kernel's goroutine, so writes on Data and
+	// IRQ and on the guest's data end must not wait for their reader
+	// (transport.WriteAhead).
+	Guest Guest
 
 	// DMI, when non-nil and DriverKernelOptions.DMI is set, is the grant
 	// surface of this CPU's guest-side bridge device (its Platform or
@@ -177,8 +212,9 @@ type DriverChannel struct {
 
 // DriverKernelOptions configures the scheme.
 type DriverKernelOptions struct {
-	// CommonOptions carries the timing, skew, journal and observability
-	// configuration shared by all schemes.
+	// CommonOptions carries the timing, journal and observability
+	// configuration shared by all schemes. CPUPeriod is required: it
+	// paces the guests.
 	CommonOptions
 
 	// DMI grants direct memory windows over each channel's bound ports
@@ -188,31 +224,36 @@ type DriverKernelOptions struct {
 
 // NewDriverKernel attaches the scheme with one channel pair per CPU —
 // the multi-processor SoC configuration of the paper's title. Channel i
-// serves CPU i; interrupt routing and message drains address CPUs by
+// serves CPU i; interrupt routing and message handling address CPUs by
 // that index.
 func NewDriverKernel(k *sim.Kernel, channels []DriverChannel, opts DriverKernelOptions) (*DriverKernel, error) {
 	if len(channels) == 0 {
 		return nil, errors.New("driver-kernel: at least one CPU channel is required")
 	}
-	d := &DriverKernel{
-		k:           k,
-		skewBound:   opts.SkewBound,
-		waitTimeout: time.Second,
-		journal:     opts.Journal,
-		notify:      make(chan struct{}, 1),
+	if opts.CPUPeriod == 0 {
+		return nil, errors.New("driver-kernel: a CPU period is required to pace the guests")
 	}
+	for i, ch := range channels {
+		if ch.Guest == nil {
+			return nil, fmt.Errorf("driver-kernel: channel %d has no guest", i)
+		}
+	}
+	d := &DriverKernel{k: k, journal: opts.Journal}
 	d.obs.init(opts.Obs)
 	for i, ch := range channels {
 		c := &driverCPU{
 			d:           d,
 			id:          i,
 			label:       fmt.Sprintf("driver-kernel cpu%d", i),
-			dataW:       ch.Data,
+			guest:       ch.Guest,
+			data:        ch.Data,
 			irqW:        ch.IRQ,
+			br:          bufio.NewReader(ch.Data),
 			inPorts:     make(map[string]*sim.IssIn),
 			outBindings: make(map[string]*binding),
-			clock:       guestClock{k: k, period: opts.CPUPeriod},
+			clock:       guestClock{k: k, period: opts.CPUPeriod, cycles: ch.Guest.Cycles(), at: k.Now()},
 		}
+		c.handle = c.handleFrames
 		c.obs.init(opts.Obs, i)
 		for _, s := range ch.Ports {
 			name := s.Port // guest-visible name
@@ -230,46 +271,28 @@ func NewDriverKernel(k *sim.Kernel, channels []DriverChannel, opts DriverKernelO
 		}
 		d.cpus = append(d.cpus, c)
 
-		// Reader goroutine: decode frames from this CPU's data socket
-		// into the shared inbox, tagged with the CPU id so the drain
-		// hook routes them to the right per-CPU state.
-		go func(c *driverCPU, r io.Reader) {
-			br := bufio.NewReader(r)
-			for {
-				m, err := ReadMessage(br)
-				if err != nil {
-					d.mu.Lock()
-					c.rdErr = err
-					d.rdErrs.Store(true)
-					d.mu.Unlock()
-					// Wake a conservative wait so it can surface the
-					// error instead of sleeping out its timeout.
-					d.wake()
-					return
-				}
-				m.CPU = c.id
-				d.mu.Lock()
-				d.inbox = append(d.inbox, m)
-				d.queued.Store(true)
-				d.mu.Unlock()
-				d.wake()
-			}
-		}(c, ch.Data)
-
 		// Teardown ownership: the kernel's finalizers close both channel
 		// ends via io.Closer — never via a net.Conn assertion, which
 		// would silently skip non-socket channels (the ring transport, a
-		// custom io.ReadWriter) and leak their reader goroutines forever.
-		if cl, ok := ch.Data.(io.Closer); ok {
-			k.AddFinalizer(func() { _ = cl.Close() })
+		// custom io.ReadWriter). Closing them is also how the watchdog
+		// ends a read that lasts too long: a close fails the reads
+		// pending on either end.
+		var closers []io.Closer
+		for _, ep := range []any{ch.Data, ch.IRQ} {
+			if cl, ok := ep.(io.Closer); ok {
+				closers = append(closers, cl)
+				k.AddFinalizer(func() { _ = cl.Close() })
+			}
 		}
-		if cl, ok := ch.IRQ.(io.Closer); ok {
-			k.AddFinalizer(func() { _ = cl.Close() })
-		}
+		c.dog = transport.NewWatchdog(deliveryTimeout, func() {
+			for _, cl := range closers {
+				_ = cl.Close()
+			}
+		})
 	}
 
-	k.AddCycleHook(d.drain)
-	k.AddEndCycleHook(d.flushInterrupts)
+	k.AddEndCycleHook(d.notify)
+	k.AddHorizonHook(d.grant)
 	return d, nil
 }
 
@@ -282,13 +305,18 @@ func (d *DriverKernel) Err() error { return d.err }
 // Name returns the scheme's canonical name.
 func (d *DriverKernel) Name() string { return "driver-kernel" }
 
-// Detach implements Scheme. The guest runners are owned by the caller
-// (they predate the scheme attachment), so there is nothing to quiesce
-// — but every granted DMI window is revoked here (see
-// dmiWindows.revoke) before the caller snapshots the counters.
+// Detach implements Scheme. The guests run only inside the kernel's
+// horizon hook, so none is running once the kernel returns; Detach
+// revokes every granted DMI window (see dmiWindows.revoke) before the
+// caller snapshots the counters, and hands back the payload buffers of
+// frames the run ended before handling.
 func (d *DriverKernel) Detach() {
 	for _, c := range d.cpus {
 		c.dmi.revoke()
+		for i := range c.frames {
+			c.frames[i].Release()
+		}
+		c.frames = c.frames[:0]
 	}
 }
 
@@ -331,273 +359,175 @@ func (c *driverCPU) errf(format string, args ...any) error {
 	return fmt.Errorf("%s: "+format, append([]any{any(c.label)}, args...)...)
 }
 
-// wake signals d.notify without blocking: a token already pending
-// wakes the wait as well.
-func (d *DriverKernel) wake() {
-	select {
-	case d.notify <- struct{}{}:
-	default:
+// fail records the scheme's first error and stops the kernel.
+func (d *DriverKernel) fail(err error) {
+	if d.err == nil {
+		d.err = err
 	}
+	d.k.Stop()
 }
 
-// inboxReadyFor reports whether the drain would make progress for this
-// CPU: a message from it is queued, unreconciled window activity is
-// pending, or its reader hit a terminal error.
-func (d *DriverKernel) inboxReadyFor(c *driverCPU) bool {
-	if c.dmi.ready() {
-		return true
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if c.rdErr != nil {
-		return true
-	}
-	for _, m := range d.inbox {
-		if m.CPU == c.id {
-			return true
-		}
-	}
-	return false
-}
-
-// lockstepWait enforces the multi-CPU advance rule: the kernel may only
-// run up to the minimum target time across CPUs, i.e. no CPU's
-// outstanding request is left more than skewBound behind the kernel
-// clock. Each lagging CPU stalls the cycle (wall-clock) until its next
-// message arrives or the wait times out.
-func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
-	if d.skewBound == 0 {
-		return
-	}
-	for _, c := range d.cpus {
-		if !c.clock.overdue(d.skewBound) {
-			continue
-		}
-		// A token may be sitting in d.notify from messages that were
-		// already drained in a prior cycle; waiting on it would return
-		// immediately without new data and silently void the skew bound.
-		// Discard it, then re-check the inbox: if the token was in fact
-		// fresh, its message is already in the inbox and no wait happens.
-		select {
-		case <-d.notify:
-		default:
-		}
-		if d.inboxReadyFor(c) {
-			continue
-		}
-		d.obs.skewWaits.Inc()
-		c.obs.skewWaits.Inc()
-		sp := d.obs.skewWaitNS.Start()
-		// The stall-escape timeout is deliberately wall-clock: it only
-		// fires when a guest stops responding, i.e. when determinism is
-		// already lost, and it must not depend on simulated time that
-		// is no longer advancing.
-		if d.timer == nil {
-			//cosimvet:ignore detsafe stall-escape timeout is intentionally host wall-clock
-			d.timer = time.NewTimer(d.waitTimeout)
-		} else {
-			d.timer.Reset(d.waitTimeout)
-		}
-	wait:
-		for {
-			select {
-			case <-d.notify:
-				// The token may belong to another CPU's message; only
-				// this CPU's traffic (or reader error) ends its wait.
-				if d.inboxReadyFor(c) {
-					if !d.timer.Stop() {
-						// It fired as the wait ended: drop the tick so
-						// the next Reset starts clean.
-						select {
-						case <-d.timer.C:
-						default:
-						}
-					}
-					break wait
-				}
-			case <-d.timer.C:
-				// Give up on this request; don't stall the simulation.
-				c.clock.settle()
-				d.obs.skewTimeouts.Inc()
-				c.obs.skewTimeouts.Inc()
-				break wait
-			}
-		}
-		sp.End()
-	}
-}
-
-// releaseFrom hands the pooled payload buffers of msgs[i:] back to the
-// codec pool. Error exits from the drain loop call it so a poisoned
-// batch does not leak the buffers of the messages it never processed.
-// Releasing by index keeps the pooled pointer and the visible slice
-// element in sync (releasing a copy would leave msgs[i].Data dangling).
-func releaseFrom(msgs []Message, i int) {
-	for ; i < len(msgs); i++ {
-		msgs[i].Release()
-	}
-}
-
-// drain is the begin-of-cycle hook: handle every message that arrived
-// since the last cycle (Figure 5: "checks the content of the message to
-// be possibly exchanged with the driver"), routed to the per-CPU state
-// by the CPU tag stamped at channel ingress.
-func (d *DriverKernel) drain(k *sim.Kernel) {
+// grant is the horizon hook (Figure 5's "checks the content of the
+// message to be possibly exchanged with the driver", turned around):
+// nothing in the model happens before horizon, so each guest runs up
+// to it. Every CPU gets the same horizon, so the order the CPUs run in
+// does not change what any of them sees.
+func (d *DriverKernel) grant(k *sim.Kernel, horizon sim.Time) {
 	if d.err != nil {
-		// The scheme is already poisoned but the readers may still be
-		// decoding; keep the inbox from pinning pooled buffers forever.
-		d.mu.Lock()
-		stale := d.inbox
-		d.inbox = nil
-		d.mu.Unlock()
-		releaseFrom(stale, 0)
 		return
 	}
 	d.stats.Polls++
 	d.obs.polls.Inc()
-
-	// Fold in window activity that arrived since the last cycle, before
-	// serving pending READs: a staged write may be what a pending READ's
-	// model is waiting on.
 	for _, c := range d.cpus {
-		c.dmi.reconcile()
-	}
-
-	// Serve pending READs whose port has been written since.
-	for _, c := range d.cpus {
-		if len(c.pendingReads) == 0 {
-			continue
-		}
-		rest := c.pendingReads[:0]
-		for _, b := range c.pendingReads {
-			if b.outPort.Writes() > b.consumed {
-				d.reply(c, b)
-			} else {
-				rest = append(rest, b)
-			}
-		}
-		c.pendingReads = rest
-	}
-
-	// Conservative sync: wait for lagging guests instead of letting
-	// simulated time race past an outstanding request.
-	d.lockstepWait(k)
-
-	// Take the inbox, swapping in the buffer drained last time. An idle
-	// cycle (nothing queued) takes no lock.
-	var msgs []Message
-	if d.queued.Swap(false) {
-		d.mu.Lock()
-		msgs = d.inbox
-		d.inbox, d.spare = d.spare[:0], nil
-		d.mu.Unlock()
-	}
-
-	// A conservative wait may have ended on window activity rather than
-	// a message; reconcile again so that activity lands this cycle.
-	for _, c := range d.cpus {
-		c.dmi.reconcile()
-	}
-
-	// Surface read errors once a CPU's stream is dry. A clean EOF is a
-	// normal guest shutdown; an unexpected EOF mid-message (or any
-	// wrapped error) is a real connection failure.
-	if d.rdErrs.Load() {
-		for _, c := range d.cpus {
-			c.hadMsg = false
-		}
-		for _, m := range msgs {
-			d.cpus[m.CPU].hadMsg = true
-		}
-		for _, c := range d.cpus {
-			d.mu.Lock()
-			err := c.rdErr
-			d.mu.Unlock()
-			if err == nil || c.hadMsg || d.err != nil {
-				continue
-			}
-			if !errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				d.err = c.errf("data socket: %w", err)
-			}
-		}
-	}
-
-	for i := range msgs {
-		m := msgs[i]
-		c := d.cpus[m.CPU]
-		d.stats.Messages++
-		d.obs.messages.Inc()
-		c.obs.messages.Inc()
-		switch m.Type {
-		case MsgWrite:
-			d.obs.writes.Inc()
-			port, ok := c.inPorts[m.Port]
-			if !ok {
-				d.err = c.errf("WRITE to unknown port %q", m.Port)
-				releaseFrom(msgs, i)
-				return
-			}
-			c.store(port, m)
-		case MsgRead:
-			d.obs.reads.Inc()
-			b, ok := c.outBindings[m.Port]
-			if !ok {
-				d.err = c.errf("READ of unknown port %q", m.Port)
-				releaseFrom(msgs, i)
-				return
-			}
-			c.clock.settle() // the guest is alive and asking
-			c.clock.take(c.clock.widen(m.Cycles))
-			if b.outPort.Writes() > b.consumed {
-				d.reply(c, b)
-			} else {
-				c.pendingReads = append(c.pendingReads, b)
-			}
-			// A READ carries no payload, but a malformed frame might;
-			// releasing here keeps the lifecycle uniform per message.
-			msgs[i].Release()
-		default:
-			d.err = c.errf("unexpected message type %d from driver", m.Type)
-			releaseFrom(msgs, i)
+		if err := c.run(horizon); err != nil {
+			d.fail(err)
 			return
 		}
 	}
-	if msgs != nil {
-		clear(msgs)
-		d.spare = msgs[:0]
+}
+
+// run runs the guest up to horizon, once its device has taken every
+// byte the kernel wrote to it, and collects what it sent if it stopped
+// for that. A guest whose latest frames are not handled yet is ahead
+// of horizon and does not run.
+func (c *driverCPU) run(horizon sim.Time) error {
+	limit := c.clock.cyclesAt(horizon)
+	if c.done || c.guest.Cycles() >= limit {
+		return nil
+	}
+	if c.toData > 0 || c.toIRQ > 0 {
+		if err := c.bounded("guest device", func() error { return c.guest.Receive(c.toData, c.toIRQ) }); err != nil {
+			return err
+		}
+		c.toData, c.toIRQ = 0, 0
+	}
+	switch stop := c.guest.RunTo(limit); stop {
+	case iss.StopBudget:
+		return nil
+	case iss.StopYield:
+		return c.collect()
+	case iss.StopHalt:
+		c.done = true
+		return nil
+	default:
+		return c.errf("guest stopped: %v", stop)
 	}
 }
 
-// store delivers a guest store to its iss_in port at the simulated
-// time of its cycle stamp, and settles the guest's outstanding request.
-// m is a WRITE message, or a store a DMI window staged (a WRITE that
-// skipped the codec); its pooled payload is recycled once delivered.
+// bounded runs read, a read of bytes the other side has written, under
+// the CPU's watchdog, and names what was read in its error: a read
+// the watchdog ended fails with ErrDeliveryTimeout.
+func (c *driverCPU) bounded(what string, read func() error) error {
+	o := &c.d.obs
+	sp := o.inlineReads.start(o.waitNS)
+	c.dog.Arm()
+	err := read()
+	expired := c.dog.Disarm()
+	sp.End()
+	switch {
+	case expired:
+		return c.errf("%s: %w (%v; %v)", what, ErrDeliveryTimeout, deliveryTimeout, err)
+	case err != nil:
+		return c.errf("%s: %w", what, err)
+	}
+	return nil
+}
+
+// collect reads what the guest sent at the stop it just made, every
+// frame it flushed and its DMI window activity, and schedules its
+// handling at the simulated time of the guest's cycle count.
+func (c *driverCPU) collect() error {
+	c.dmi.fold()
+	for sent := c.guest.Sent(); c.got < sent; {
+		var m Message
+		if err := c.bounded("data socket", func() (err error) {
+			m, err = ReadMessage(c.br)
+			return err
+		}); err != nil {
+			return err
+		}
+		c.got += uint64(m.wireLen())
+		c.d.stats.Messages++
+		c.d.obs.messages.Inc()
+		c.obs.messages.Inc()
+		c.frames = append(c.frames, frame{Message: m})
+	}
+	if len(c.frames) > 0 {
+		c.d.k.CallAt(c.clock.timeOf(c.guest.Cycles()), c.handle)
+	}
+	return nil
+}
+
+// handleFrames handles the guest's frames at the time it sent them.
+func (c *driverCPU) handleFrames() {
+	d := c.d
+	for i := range c.frames {
+		f := &c.frames[i]
+		if d.err == nil {
+			if err := c.handleFrame(f); err != nil {
+				d.fail(err)
+			}
+		}
+		f.Release()
+	}
+	clear(c.frames)
+	c.frames = c.frames[:0]
+}
+
+// handleFrame handles one frame: a WRITE delivers to its iss_in port, a
+// READ is answered at once if its iss_out port holds fresh data and is
+// otherwise served once the port is written, and a DMI read records the
+// generation the guest took.
+func (c *driverCPU) handleFrame(f *frame) error {
+	if f.ack != nil {
+		c.consume(f.ack.b, f.seq, f.Cycles)
+		return nil
+	}
+	switch f.Type {
+	case MsgWrite:
+		c.d.obs.writes.Inc()
+		port, ok := c.inPorts[f.Port]
+		if !ok {
+			return c.errf("WRITE to unknown port %q", f.Port)
+		}
+		c.store(port, f.Message)
+	case MsgRead:
+		c.d.obs.reads.Inc()
+		b, ok := c.outBindings[f.Port]
+		if !ok {
+			return c.errf("READ of unknown port %q", f.Port)
+		}
+		if b.outPort.Writes() > b.consumed {
+			return c.reply(b)
+		}
+		c.pendingReads = append(c.pendingReads, b)
+	default:
+		return c.errf("unexpected message type %d from driver", f.Type)
+	}
+	return nil
+}
+
+// store delivers a guest store to its iss_in port now. m is a WRITE
+// message, or a store a DMI window staged (a WRITE that skipped the
+// codec); the port copies its payload.
 func (c *driverCPU) store(port *sim.IssIn, m Message) {
-	t := c.clock.take(c.clock.widen(m.Cycles))
-	data, pooled := m.Data, m.pooled
-	c.d.k.CallAt(t, func() {
-		port.Deliver(data)
-		releaseDataBuf(pooled) // Deliver copied; recycle the codec buffer
-	})
-	c.clock.settle()
+	port.Deliver(m.Data)
 	c.d.stats.Transfers++
 	c.d.journal.Record(JournalEntry{
-		Time: t, Scheme: "driver-kernel", Dir: "iss->sc",
+		Time: c.d.k.Now(), Scheme: "driver-kernel", Dir: "iss->sc",
 		Port: port.Name(), Bytes: len(m.Data), Cycles: uint64(m.Cycles),
 	})
 }
 
 // consume records that the guest took generation seq of b's iss_out
 // port, from a DATA reply or through a DMI read window (stamped with
-// the guest's cycles): the guest now computes on the data, so a request
-// is outstanding.
+// the guest's cycles).
 func (c *driverCPU) consume(b *binding, seq uint64, cycles uint32) {
 	if seq > b.consumed {
 		b.consumed = seq
 		b.outPort.Consumed()
 	}
 	c.d.stats.Transfers++
-	c.clock.request(c.d.skewBound)
 	c.d.journal.Record(JournalEntry{
 		Time: c.d.k.Now(), Scheme: "driver-kernel", Dir: "sc->iss",
 		Port: b.spec.Port, Bytes: len(b.outPort.Bytes()), Cycles: uint64(cycles),
@@ -606,55 +536,66 @@ func (c *driverCPU) consume(b *binding, seq uint64, cycles uint32) {
 
 // reply sends the current iss_out port value as a DATA message followed
 // by a DATA_READY interrupt so a WFI-parked guest wakes up.
-func (d *DriverKernel) reply(c *driverCPU, b *binding) {
-	if err := WriteMessage(c.dataW, Message{Type: MsgData, Data: b.outPort.Bytes()}); err != nil {
-		d.err = c.errf("data socket (port %q): %w", b.spec.Port, err)
-		return
+func (c *driverCPU) reply(b *binding) error {
+	m := Message{Type: MsgData, Data: b.outPort.Bytes()}
+	if err := WriteMessage(c.data, m); err != nil {
+		return c.errf("data socket (port %q): %w", b.spec.Port, err)
 	}
+	c.toData += uint64(m.wireLen())
 	c.consume(b, b.outPort.Writes(), 0)
 	c.dmi.consumed(b)
-	d.obs.replies.Inc()
-	// The guest idled while waiting; re-anchor its timeline.
-	c.clock.idle()
-	if err := c.sendInterrupt(IntDataReady); err != nil {
-		d.err = err
-	}
+	c.d.obs.replies.Inc()
+	return c.sendInterrupt(IntDataReady)
 }
 
 // sendInterrupt writes one 4-byte notification through this CPU's
-// reusable scratch buffer. Only called from kernel context (cycle
-// hooks), so the scratch needs no locking.
+// reusable scratch buffer. Only called from kernel context, so the
+// scratch needs no locking.
 func (c *driverCPU) sendInterrupt(id uint32) error {
 	binary.LittleEndian.PutUint32(c.irqBuf[:], id)
 	if _, err := c.irqW.Write(c.irqBuf[:]); err != nil {
 		return c.errf("interrupt socket (int %d): %w", id, err)
 	}
+	c.toIRQ += uint64(len(c.irqBuf))
 	return nil
 }
 
-// flushInterrupts is the end-of-cycle hook of Figure 5, fanned out per
-// CPU: each queued interrupt goes to its own CPU's interrupt socket,
-// never to a neighbour's.
-func (d *DriverKernel) flushInterrupts(k *sim.Kernel) {
+// notify is the end-of-cycle hook of Figure 5, fanned out per CPU: it
+// answers each pending READ whose port was written during this time
+// point, then sends each queued interrupt to its own CPU's interrupt
+// socket, never to a neighbour's.
+func (d *DriverKernel) notify(k *sim.Kernel) {
 	if d.err != nil {
 		return
 	}
 	for _, c := range d.cpus {
-		if len(c.intQueue) == 0 {
-			continue
+		if err := c.notify(); err != nil {
+			d.fail(err)
+			return
 		}
-		for _, id := range c.intQueue {
-			if err := c.sendInterrupt(id); err != nil {
-				d.err = err
-				return
-			}
-			d.stats.IntsNotified++
-			d.obs.interrupts.Inc()
-			c.obs.interrupts.Inc()
-		}
-		c.intQueue = c.intQueue[:0]
-		// An interrupt usually solicits guest work; treat it as a
-		// request for skew-bound purposes.
-		c.clock.request(d.skewBound)
 	}
+}
+
+func (c *driverCPU) notify() error {
+	if len(c.pendingReads) > 0 {
+		rest := c.pendingReads[:0]
+		for _, b := range c.pendingReads {
+			if b.outPort.Writes() <= b.consumed {
+				rest = append(rest, b)
+			} else if err := c.reply(b); err != nil {
+				return err
+			}
+		}
+		c.pendingReads = rest
+	}
+	for _, id := range c.intQueue {
+		if err := c.sendInterrupt(id); err != nil {
+			return err
+		}
+		c.d.stats.IntsNotified++
+		c.d.obs.interrupts.Inc()
+		c.obs.interrupts.Inc()
+	}
+	c.intQueue = c.intQueue[:0]
+	return nil
 }

@@ -16,7 +16,7 @@ import (
 type Stats struct {
 	Transfers    uint64 // variable/message data transfers
 	Stops        uint64 // breakpoint stops handled (GDB schemes)
-	Polls        uint64 // wrapper: clock cycles; Driver-Kernel: drains, one per time point visited; GDB-Kernel: stop services
+	Polls        uint64 // wrapper: clock cycles; Driver-Kernel: grants, one per time point visited; GDB-Kernel: stop services
 	Messages     uint64 // protocol messages handled (Driver-Kernel)
 	IntsNotified uint64 // interrupts sent to the driver
 	DMIHits      uint64 // guest accesses served by direct memory windows
@@ -35,11 +35,11 @@ type engineObs struct {
 	toISS     *obs.Counter // sc->iss variable pokes
 	// skewWaits and skewWaitNS count and time GDB-Kernel's waits for
 	// the stop that ends each resume (named when they were skew waits).
-	// skewWaits counts every wait; skewWaitNS times one in
-	// stopWaitSample of them (waitStop), and waits counts them for it.
+	// skewWaits counts every wait; skewWaitNS times a sample of them
+	// (waitStop).
 	skewWaits  *obs.Counter
 	skewWaitNS *obs.Histogram
-	waits      uint64
+	waits      sampledWait
 	// skewTimeouts counts stop waits abandoned after the wall timeout.
 	skewTimeouts *obs.Counter
 	// reg is the registry the handles were resolved against; Publish
@@ -61,25 +61,34 @@ func (o *engineObs) init(r *obs.Registry) {
 }
 
 // stopWaitSample is the rate at which GDB-Kernel times its waits for
-// a stop: one in 16. Timing a wait reads the wall clock twice, at ≈ 110
-// to 270 ns a read on the 2-CPU test hosts, against a whole stop
-// service of 3–5 µs in process. Each sample is scaled by the rate, so
+// a stop, and Driver-Kernel its reads of a channel's bytes: one in 16.
+// Timing a wait reads the wall clock twice, at ≈ 110 to 270 ns a read
+// on the 2-CPU test hosts, against a whole stop service of 3–5 µs in
+// process. Each sample is scaled by the rate, so
 // cosim.skew_wait_ns's sum still estimates the total wait, but a
 // coarse one: the waits have a long tail that a sample can miss, and
 // on 4 ms 2-CPU ring runs (6 396 waits) the estimate came to 65–99 %
 // of the exact total.
 const stopWaitSample = 16
 
-// waitStop counts a wait for a stop and, for the first of every
-// stopWaitSample waits, starts timing it as a sample standing for all
-// of them.
-func (o *engineObs) waitStop() obs.Span {
-	o.skewWaits.Inc()
-	o.waits++
-	if o.waits%stopWaitSample != 1 {
+// sampledWait times one in stopWaitSample of a series of waits, as a
+// sample standing for all of them: the first, the 17th, ...
+type sampledWait struct{ n uint64 }
+
+// start counts a wait and, if it is sampled, starts timing it into h.
+func (s *sampledWait) start(h *obs.Histogram) obs.Span {
+	s.n++
+	if s.n%stopWaitSample != 1 {
 		return obs.Span{}
 	}
-	return o.skewWaitNS.Sample(stopWaitSample)
+	return h.Sample(stopWaitSample)
+}
+
+// waitStop counts a wait for a stop and starts timing it if it is
+// sampled.
+func (o *engineObs) waitStop() obs.Span {
+	o.skewWaits.Inc()
+	return o.waits.start(o.skewWaitNS)
 }
 
 // gdbEngine is the breakpoint/variable-transfer machinery shared by the

@@ -35,8 +35,8 @@ var ErrStopTimeout = errors.New("no stop within the wall timeout of a resume")
 // GDBKernelOptions configures the scheme.
 type GDBKernelOptions struct {
 	// CommonOptions carries the timing, journal and observability
-	// configuration shared by all schemes. GDB-Kernel ignores
-	// SkewBound: each stop is serviced at its own cycle stamp.
+	// configuration shared by all schemes. Each stop is serviced at
+	// its own cycle stamp.
 	CommonOptions
 	// Bindings maps guest variables to ISS ports (§3.2).
 	Bindings []VarBinding

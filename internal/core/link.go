@@ -91,7 +91,9 @@ type DriverTarget struct {
 
 // ConnectDriverTarget wires a platform's CosimDev to a fresh channel
 // pair per §4.1: the data channel ("port 4444") and the interrupt
-// channel ("port 4445").
+// channel ("port 4445"). Each end that is written to is made to write
+// ahead of its reader (transport.WriteAhead), since the kernel's
+// goroutine does both.
 func ConnectDriverTarget(p *dev.Platform, tr Transport) (*DriverTarget, error) {
 	dataHost, dataGuest, err := tr.Pair()
 	if err != nil {
@@ -103,7 +105,11 @@ func ConnectDriverTarget(p *dev.Platform, tr Transport) (*DriverTarget, error) {
 		dataGuest.Close()
 		return nil, err
 	}
-	p.Cosim.ConnectData(dataGuest, dataGuest)
+	p.Cosim.ConnectData(dataGuest, transport.WriteAhead(tr, dataGuest))
 	p.Cosim.ConnectIRQ(irqGuest)
-	return &DriverTarget{Platform: p, DataHost: dataHost, IRQHost: irqHost}, nil
+	return &DriverTarget{
+		Platform: p,
+		DataHost: transport.WriteAhead(tr, dataHost),
+		IRQHost:  transport.WriteAhead(tr, irqHost),
+	}, nil
 }

@@ -18,7 +18,7 @@ func hotPathMessage(o *driverObs, m Message) error {
 	o.polls.Inc()
 	o.messages.Inc()
 	o.writes.Inc()
-	sp := o.skewWaitNS.Start()
+	sp := o.waitNS.Start()
 	err := WriteMessage(io.Discard, m)
 	sp.End()
 	return err

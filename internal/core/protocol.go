@@ -53,18 +53,14 @@ func DataBufsInUse() int64 { return dataBufsInUse.Load() }
 
 // Message is one Driver-Kernel protocol message. Port names select the
 // SystemC iss_in/iss_out port (the SC_Port field of Figure 4); Cycles is
-// the guest cycle counter at send time, used for time coupling.
+// the guest cycle counter when the driver composed the message, which
+// the journal records (the kernel times a message by the guest's cycle
+// count at the flush that sent it).
 type Message struct {
 	Type   uint32
 	Cycles uint32 // WRITE/READ only
 	Port   string // WRITE/READ only
 	Data   []byte // WRITE/DATA only
-
-	// CPU identifies the guest processor the message belongs to. It is
-	// not part of the wire format: channel identity is the routing key,
-	// so the per-CPU reader stamps it at ingress and the Driver-Kernel
-	// drain/flush hooks use it to address the per-CPU scheme state.
-	CPU int
 
 	// pooled is the dataBufPool token backing Data when the message was
 	// decoded by ReadMessage; Release hands it back. Keeping the pointer
@@ -97,7 +93,7 @@ func getDataBuf(n int) ([]byte, *[]byte) {
 
 // Release returns a decoded message's payload buffer to the codec pool
 // and clears Data. Call it only once the payload is no longer referenced
-// anywhere (sim.IssIn.Deliver copies, so the Driver-Kernel drain path
+// anywhere (sim.IssIn.Deliver copies, so the Driver-Kernel WRITE path
 // releases right after delivery). On messages whose Data was set by the
 // caller rather than by ReadMessage, Release just clears the field.
 func (m *Message) Release() {
@@ -115,6 +111,13 @@ func releaseDataBuf(bp *[]byte) {
 	*bp = (*bp)[:0]
 	dataBufPool.Put(bp)
 	dataBufsInUse.Add(-1)
+}
+
+// wireLen is the size of the message's frame on the wire, size word
+// included. Only valid for a message that encodes.
+func (m Message) wireLen() int {
+	n, _ := m.bodyLen()
+	return 4 + n
 }
 
 // Port-name interning: co-simulation traffic repeats a handful of port

@@ -13,12 +13,6 @@ type CommonOptions struct {
 	// (untimed software, immediate delivery). The lock-step GDB-Wrapper
 	// ignores it: its timing is implicit in the per-cycle quantum.
 	CPUPeriod sim.Time
-	// SkewBound limits how far simulated time may run past an
-	// outstanding Driver-Kernel request before the kernel waits
-	// (wall-clock) for the guest's response; 0 means free-running.
-	// Ignored by the GDB schemes: GDB-Kernel services each stop at its
-	// own cycle stamp, and the wrapper runs in lock-step.
-	SkewBound sim.Time
 	// Journal, when non-nil, records every transfer.
 	Journal *Journal
 	// Obs, when non-nil, receives live co-simulation counters (see the

@@ -23,7 +23,7 @@ type GDBWrapper struct {
 // GDBWrapperOptions configures the baseline wrapper.
 type GDBWrapperOptions struct {
 	// CommonOptions carries the journal and observability configuration.
-	// The wrapper ignores CPUPeriod and SkewBound: lock-step timing is
+	// The wrapper ignores CPUPeriod: lock-step timing is
 	// implicit in the per-cycle quantum.
 	CommonOptions
 	// Clock drives the wrapper's sc_method (one RSP round trip per

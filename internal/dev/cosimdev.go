@@ -73,13 +73,18 @@ type CosimDev struct {
 	// InjectRx copies it out.
 	reply []byte
 
-	// deliver runs on a pump after it has queued a frame (DATA bytes or
-	// an interrupt id); NewPlatform sets it to Platform.runInline, so
-	// the pump runs a guest parked in WFI itself. Direct injections
-	// (InjectRx, InjectIRQ) leave the guest to its runner's wake.
-	deliver func()
+	// yield, when set, runs after every flush: NewPlatform sets it to
+	// the CPU's Yield, so the CPU hands control back to whoever runs it
+	// right after the guest sent a frame or used a window.
+	yield func()
 
+	sent       uint64 // bytes flushed to the data socket
 	txMessages uint64
+
+	// dataR and irqR are the guest ends of the data and interrupt
+	// sockets; Receive reads them through in, a reused scratch buffer.
+	dataR, irqR io.Reader
+	in          []byte
 }
 
 // NewCosimDev creates the bridge device asserting the given PIC line.
@@ -137,31 +142,18 @@ func (d *CosimDev) popRx() byte {
 }
 
 // ConnectData attaches the data socket. Writes flushed by the guest go
-// to w; bytes arriving on r become readable through CosimRxByte. The
-// read pump runs until r is exhausted. Reattaching the data socket is a
+// to w; Receive reads the bytes the kernel sent from r, which then
+// become readable through CosimRxByte. Reattaching the data socket is a
 // device reconfiguration: every granted DMI window is revoked, so a
 // stale grant can never serve reads that belong on the new connection.
 func (d *CosimDev) ConnectData(r io.Reader, w io.Writer) {
 	d.mu.Lock()
-	d.data = w
+	d.dataR, d.data = r, w
 	revoked := takeWindows(&d.windows)
 	d.mu.Unlock()
 	for _, win := range revoked {
 		win.Revoke()
 	}
-	go func() {
-		buf := make([]byte, 4096)
-		for {
-			n, err := r.Read(buf)
-			if n > 0 {
-				d.InjectRx(buf[:n])
-				d.delivered()
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
 }
 
 // takeWindows empties a window map and returns its windows; callers
@@ -206,28 +198,48 @@ func (d *CosimDev) RevokeDMIWindows() {
 	}
 }
 
-// ConnectIRQ attaches the interrupt socket: every 4-byte little-endian
-// interrupt id read from r is queued and asserted on the PIC line. The
-// pump runs until r is exhausted.
+// ConnectIRQ attaches the interrupt socket: Receive reads 4-byte
+// little-endian interrupt ids from r, each queued and asserted on the
+// PIC line.
 func (d *CosimDev) ConnectIRQ(r io.Reader) {
-	go func() {
-		var b [4]byte
-		for {
-			if _, err := io.ReadFull(r, b[:]); err != nil {
-				return
-			}
-			id := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-			d.InjectIRQ(id)
-			d.delivered()
-		}
-	}()
+	d.mu.Lock()
+	d.irqR = r
+	d.mu.Unlock()
 }
 
-// delivered runs the deliver hook, if any, on the calling pump.
-func (d *CosimDev) delivered() {
-	if d.deliver != nil {
-		d.deliver()
+// Receive takes data bytes off the data socket and irq bytes (irq/4
+// interrupt ids) off the interrupt socket, on the caller's goroutine,
+// and queues them as the guest will see them. The kernel calls it with
+// exactly what it sent, before it runs the guest.
+func (d *CosimDev) Receive(data, irq uint64) error {
+	d.mu.Lock()
+	dataR, irqR := d.dataR, d.irqR
+	d.mu.Unlock()
+	if data > 0 {
+		if uint64(cap(d.in)) < data {
+			d.in = make([]byte, data)
+		}
+		b := d.in[:data]
+		if _, err := io.ReadFull(dataR, b); err != nil {
+			return fmt.Errorf("%s: data socket: %w", d.name, err)
+		}
+		d.InjectRx(b)
 	}
+	var b [4]byte
+	for ; irq >= 4; irq -= 4 {
+		if _, err := io.ReadFull(irqR, b[:]); err != nil {
+			return fmt.Errorf("%s: interrupt socket: %w", d.name, err)
+		}
+		d.InjectIRQ(binary.LittleEndian.Uint32(b[:]))
+	}
+	return nil
+}
+
+// Sent returns how many bytes the guest has flushed to the data socket.
+func (d *CosimDev) Sent() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.sent
 }
 
 // InjectRx appends bytes to the receive buffer directly (in-process
@@ -319,6 +331,13 @@ func (d *CosimDev) buildReply(data []byte) {
 	d.reply = append(d.reply, data...)
 }
 
+// yielded runs the yield hook, if any.
+func (d *CosimDev) yielded() {
+	if d.yield != nil {
+		d.yield()
+	}
+}
+
 // Read implements iss.Device.
 func (d *CosimDev) Read(off uint32, size int) (uint32, error) {
 	d.mu.Lock()
@@ -389,13 +408,20 @@ func (d *CosimDev) Write(off uint32, size int, v uint32) error {
 		}
 		d.mu.Unlock()
 		if win != nil && d.serveFromWindow(win, typ, cycles, payload) {
+			d.yielded()
 			return nil
 		}
 		if w == nil {
 			return fmt.Errorf("%s: flush with no data connection", name)
 		}
-		_, err := w.Write(out)
-		return err
+		if _, err := w.Write(out); err != nil {
+			return err
+		}
+		d.mu.Lock()
+		d.sent += uint64(len(out))
+		d.mu.Unlock()
+		d.yielded()
+		return nil
 	case CosimIntAck:
 		if len(d.ints) > 0 {
 			d.ints = d.ints[1:]

@@ -163,11 +163,15 @@ func TestCosimDevTxRx(t *testing.T) {
 		t.Fatalf("tx messages = %d", d.TxMessages())
 	}
 
-	// Host sends a response; guest pops bytes.
-	if _, err := host.Write([]byte{1, 2, 3, 4, 5}); err != nil {
+	// Host sends a response; the device takes it, and the guest pops
+	// bytes.
+	go func() { _, _ = host.Write([]byte{1, 2, 3, 4, 5}) }()
+	if err := d.Receive(5, 0); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { v, _ := d.Read(CosimRxAvail, 4); return v == 5 })
+	if v, _ := d.Read(CosimRxAvail, 4); v != 5 {
+		t.Fatalf("avail = %d, want 5", v)
+	}
 	if v, _ := d.Read(CosimRxByte, 4); v != 1 {
 		t.Fatalf("rx byte = %d", v)
 	}
@@ -188,12 +192,19 @@ func TestCosimDevInterruptSocket(t *testing.T) {
 	d.ConnectIRQ(guest)
 
 	go func() { _, _ = host.Write([]byte{7, 0, 0, 0, 9, 0, 0, 0}) }()
-	waitFor(t, func() bool { v, _ := d.Read(CosimIntNum, 4); return v == 7 })
+	if err := d.Receive(0, 8); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := d.Read(CosimIntNum, 4); v != 7 {
+		t.Fatalf("int num = %d, want 7", v)
+	}
 	if !sink.raised[0] {
 		t.Fatal("PIC line not asserted")
 	}
 	_ = d.Write(CosimIntAck, 4, 0)
-	waitFor(t, func() bool { v, _ := d.Read(CosimIntNum, 4); return v == 9 })
+	if v, _ := d.Read(CosimIntNum, 4); v != 9 {
+		t.Fatalf("int num = %d, want 9", v)
+	}
 	_ = d.Write(CosimIntAck, 4, 0)
 	if v, _ := d.Read(CosimIntNum, 4); v != NoInt {
 		t.Fatalf("int num = %#x, want NoInt", v)

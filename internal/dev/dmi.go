@@ -7,7 +7,7 @@ import "sync"
 // kernel grants the guest's driver a revocable window into the
 // side-effect-free backing memory of a bound port, so a guest load or
 // store in the granted range becomes a local memory operation — no
-// codec, no transport write, no skew message. Side-effectful registers
+// codec, no transport write. Side-effectful registers
 // (PIC, Timer, console control) are never windowed; accesses to them,
 // and any access a window cannot serve, fall back transparently to the
 // READ/WRITE message protocol.

@@ -2,8 +2,7 @@ package dev
 
 import (
 	"io"
-	"sync"
-	"sync/atomic"
+	"math"
 
 	"cosim/internal/iss"
 )
@@ -24,17 +23,6 @@ const DefaultRAMSize = 4 << 20
 // ticks; it bounds timer-interrupt jitter.
 const TickQuantum = 64
 
-// InlineBudget is how many instructions a CosimDev pump runs a parked
-// guest for after it delivers a frame (see Platform.RunGuest). The
-// router guest takes under 256 instructions from a doorbell to its
-// cosim_read request, and from a DATA reply through the checksum and
-// its cosim_write back to WFI 512–768 at the default 4-word payload
-// and under 3 072 at the 60-word maximum, so every frame of a packet
-// is served in one inline run. A guest still busy after 4 096
-// instructions (50–60 µs at 12–15 ns per instruction) goes back to its
-// runner, and the pump to its socket.
-const InlineBudget = 4096
-
 // Platform bundles a CPU with the standard peripheral set at the
 // standard addresses — the "synthetic target" the RTOS runs on.
 type Platform struct {
@@ -50,15 +38,6 @@ type Platform struct {
 	Console *Console
 	Cosim   *CosimDev
 	Mailbox *Mailbox // optional, mapped by AttachMailbox
-
-	// runMu is held by whichever goroutine executes the guest: its
-	// runner for each budget (RunGuest), or a CosimDev pump for an
-	// inline run (runInline).
-	runMu sync.Mutex
-	// parked is set while the runner waits for a wake with the guest
-	// in WFI; only then may a pump run the guest. Guarded by runMu.
-	parked bool
-	last   atomic.Int32 // iss.Stop of the latest run, by the runner or a pump
 }
 
 // NewPlatform builds a platform with the given RAM size (0 = default)
@@ -77,7 +56,7 @@ func NewPlatform(ramSize uint32, consoleMirror io.Writer) *Platform {
 	p.PIC = NewPIC(cpu, 0)
 	p.Timer = NewTimer(p.PIC, TimerLine)
 	p.Cosim = NewCosimDev(p.PIC, CosimLine)
-	p.Cosim.deliver = p.runInline
+	p.Cosim.yield = cpu.Yield
 	mustMap(bus, PICBase, p.PIC)
 	mustMap(bus, TimerBase, p.Timer)
 	mustMap(bus, ConsoleBase, p.Console)
@@ -119,84 +98,61 @@ func (p *Platform) RevokeDMIWindows() {
 
 // Run executes up to budget instructions, ticking cycle-driven devices
 // every TickQuantum instructions so timer interrupts track simulated
-// time. It returns the CPU's stop reason and instructions executed.
+// time. It returns the CPU's stop reason and instructions executed. A
+// WFI with the timer armed sleeps to the timer's match; one with
+// nothing to wake it returns StopIdle.
 func (p *Platform) Run(budget uint64) (iss.Stop, uint64) {
+	return p.run(budget, math.MaxUint64)
+}
+
+// RunTo runs the guest until its cycle count reaches limit, and returns
+// StopKeepGoing when it does. A WFI with nothing pending sleeps to the
+// limit, or to the timer's match if that comes first, so idle time
+// costs guest cycles as busy time does. It returns early on a flush of
+// the co-simulation device (iss.StopYield), a halt or a fault.
+func (p *Platform) RunTo(limit uint64) iss.Stop {
+	stop, _ := p.run(math.MaxUint64, limit)
+	return stop
+}
+
+// run executes up to budget instructions or up to limit cycles.
+func (p *Platform) run(budget, limit uint64) (iss.Stop, uint64) {
 	var total uint64
-	for total < budget {
-		chunk := uint64(TickQuantum)
-		if rest := budget - total; rest < chunk {
-			chunk = rest
-		}
+	for total < budget && p.CPU.Cycles() < limit {
 		before := p.CPU.Cycles()
-		stop, n := p.CPU.Run(chunk)
+		stop, n := p.CPU.RunLimit(min(TickQuantum, budget-total), limit)
 		total += n
 		p.Timer.Advance(p.CPU.Cycles() - before)
-		if stop == StopKeepGoing {
+		switch stop {
+		case StopKeepGoing:
 			continue
-		}
-		if stop == iss.StopIdle {
-			// WFI: simulated time would pass while the core sleeps; let
-			// the timer keep running so its interrupt can wake the CPU.
-			if p.Timer.ctrl&TimerCtrlEnable != 0 && !p.Timer.irqOn && p.Timer.compare > p.Timer.count {
-				p.Timer.Advance(p.Timer.compare - p.Timer.count)
-				continue
+		case iss.StopIdle:
+			// WFI: simulated time passes while the core sleeps, up to
+			// the limit or to the timer interrupt that wakes it.
+			sleep := limit - p.CPU.Cycles()
+			if t := p.Timer; t.ctrl&TimerCtrlEnable != 0 && !t.irqOn && t.compare > t.count {
+				sleep = min(sleep, t.compare-t.count)
+			} else if limit == math.MaxUint64 {
+				return stop, total
 			}
+			p.CPU.Sleep(sleep)
+			p.Timer.Advance(sleep)
+			continue
 		}
 		return stop, total
 	}
 	return StopKeepGoing, total
 }
 
-// RunGuest runs the guest for up to budget instructions under the run
-// lock on behalf of its runner, the one goroutine that owns it, and
-// returns the stop. A StopIdle parks the guest: until the next RunGuest
-// or Unpark, a CosimDev pump that delivers a frame runs the guest
-// itself (runInline), so the frame does not wait for the runner's
-// wake.
-func (p *Platform) RunGuest(budget uint64) iss.Stop {
-	p.runMu.Lock()
-	defer p.runMu.Unlock()
-	return p.runLocked(budget)
-}
+// Cycles returns the guest's cycle count.
+func (p *Platform) Cycles() uint64 { return p.CPU.Cycles() }
 
-// Unpark ends inline runs: once it returns, no pump is running the
-// guest and none will until the next RunGuest parks it. A runner calls
-// it as it exits, so its owner may read the CPU afterwards.
-func (p *Platform) Unpark() {
-	p.runMu.Lock()
-	p.parked = false
-	p.runMu.Unlock()
-}
+// Sent returns how many bytes the guest has flushed to its data socket.
+func (p *Platform) Sent() uint64 { return p.Cosim.Sent() }
 
-// LastStop returns the stop of the latest RunGuest or inline run.
-func (p *Platform) LastStop() iss.Stop { return iss.Stop(p.last.Load()) }
-
-// runInline runs a parked guest on the calling CosimDev pump for up to
-// InlineBudget instructions, right after the pump delivered a frame.
-// If the runner holds the run lock, the guest is not parked and the
-// runner sees the frame itself. A guest that ends the run back in WFI
-// stays parked. One still busy, or stopped for good, is the runner's
-// again: the interrupt that woke the guest also woke the runner, which
-// takes the run lock once the pump lets go and runs on from there (a
-// halt stays a halt, so its next run returns it again).
-func (p *Platform) runInline() {
-	if !p.runMu.TryLock() {
-		return
-	}
-	if p.parked {
-		p.runLocked(InlineBudget)
-	}
-	p.runMu.Unlock()
-}
-
-// runLocked runs the guest for up to budget instructions; callers hold
-// runMu.
-func (p *Platform) runLocked(budget uint64) iss.Stop {
-	stop, _ := p.Run(budget)
-	p.parked = stop == iss.StopIdle
-	p.last.Store(int32(stop))
-	return stop
-}
+// Receive takes the bytes the kernel sent off the guest's sockets (see
+// CosimDev.Receive).
+func (p *Platform) Receive(data, irq uint64) error { return p.Cosim.Receive(data, irq) }
 
 // StopKeepGoing aliases iss.StopBudget for readability at this layer.
 const StopKeepGoing = iss.StopBudget

@@ -7,8 +7,9 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"sync/atomic"
 	"time"
+
+	link "cosim/internal/transport"
 )
 
 // ErrTimeout reports a stop that did not arrive within the client's
@@ -75,13 +76,9 @@ type Client struct {
 	data []byte    // ReadMemoryContinue's result
 	ev   StopEvent // the last stop returned
 
-	// stopTimeout bounds each wait for a stop; zero waits forever. A
-	// watchdog enforces it with no clock read per wait (see watch).
-	stopTimeout time.Duration
-	waits       atomic.Uint64 // odd while a bounded wait is in progress
-	armed       uint64        // waits during the current wait, 0 if none
-	ticking     atomic.Bool   // a watchdog tick is scheduled
-	seen        uint64        // waits at the last tick, the watchdog's own
+	// dog bounds each wait for a stop (SetStopTimeout); nil waits
+	// forever.
+	dog *link.Watchdog
 }
 
 // NewClient attaches a client to an RSP connection. It first offers
@@ -107,61 +104,29 @@ func (c *Client) Stats() Stats { return c.t.stats }
 // twice it) fails with ErrTimeout, and the client closes the link, so a
 // target that never stops cannot hold its caller. Set it once, before
 // the first resume.
-func (c *Client) SetStopTimeout(d time.Duration) { c.stopTimeout = d }
-
-// arm starts a bounded wait for a stop. It reads no clock: it numbers
-// the wait, and schedules a watchdog tick if none is.
-func (c *Client) arm() {
-	if c.stopTimeout <= 0 {
-		return
-	}
-	c.armed = c.waits.Add(1)
-	if !c.ticking.Swap(true) {
-		time.AfterFunc(c.stopTimeout, c.watch)
-	}
+func (c *Client) SetStopTimeout(d time.Duration) {
+	c.dog = link.NewWatchdog(d, func() {
+		if cl, ok := c.conn.(io.Closer); ok {
+			_ = cl.Close()
+		}
+	})
 }
 
-// watch is the watchdog's tick, one every stopTimeout while the client
-// waits. A wait in progress at two ticks in a row has lasted at least
-// the timeout: the watchdog ends it by closing the link (when it is an
-// io.Closer), which fails the blocked read. A tick that finds no wait
-// since the last one schedules no further tick, so an idle or
-// abandoned client holds no timer.
-func (c *Client) watch() {
-	w := c.waits.Load()
-	last := c.seen
-	c.seen = w
-	switch {
-	case w%2 == 1 && w == last:
-		if c.waits.CompareAndSwap(w, w+1) {
-			if cl, ok := c.conn.(io.Closer); ok {
-				_ = cl.Close()
-			}
-			return
-		}
-	case w == last:
-		c.ticking.Store(false)
-		// An arm between the load and the store found it still ticking.
-		if c.waits.Load() == w || !c.ticking.CompareAndSwap(false, true) {
-			return
-		}
+// arm starts a bounded wait for a stop.
+func (c *Client) arm() {
+	if c.dog != nil {
+		c.dog.Arm()
 	}
-	time.AfterFunc(c.stopTimeout, c.watch)
 }
 
 // disarm ends the bounded wait armed for a read that returned err. A
-// wait the watchdog ended has lost its link whatever the read returned,
-// so it is reported as ErrTimeout.
+// wait the watchdog ended (by closing the link) has lost its link
+// whatever the read returned, so it is reported as ErrTimeout.
 func (c *Client) disarm(err error) error {
-	w := c.armed
-	if w == 0 {
-		return err
+	if c.dog != nil && c.dog.Disarm() {
+		return ErrTimeout
 	}
-	c.armed = 0
-	if c.waits.CompareAndSwap(w, w+1) {
-		return err
-	}
-	return ErrTimeout
+	return err
 }
 
 // recv reads one reply inline from the connection.

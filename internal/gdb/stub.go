@@ -575,21 +575,9 @@ func (s *Stub) runQuantum(arg []byte) []byte {
 	if !ok || budget == 0 {
 		return replyE01
 	}
-	var executed uint64
-
-	// Step over a planted breakpoint only when resuming from its
-	// reported stop.
-	if orig, ok := s.planted[s.cpu.PC]; ok && s.resumingFromBP() {
-		bpAddr := s.cpu.PC
-		_ = s.pokeWord(bpAddr, orig)
-		s.cpu.StepOverBreakpoint()
-		before := s.cpu.Instructions()
-		st := s.cpu.Step()
-		executed += s.cpu.Instructions() - before
-		_ = s.pokeWord(bpAddr, isa.BreakpointWord)
-		if r := s.stopReply(st); r != nil && st != iss.StopBreak && st != iss.StopEBreak {
-			return r
-		}
+	executed, _, r := s.stepOffBreakpoint()
+	if r != nil {
+		return r
 	}
 	if executed < budget {
 		stop, n := s.cpu.Run(budget - executed)
@@ -604,6 +592,29 @@ func (s *Stub) runQuantum(arg []byte) []byte {
 	return s.reply
 }
 
+// stepOffBreakpoint steps off a planted breakpoint at the PC, but only
+// when resuming from its reported stop: it restores the original word,
+// executes that one instruction and replants. It returns the
+// instructions it ran, whether it stepped, and the stop reply if the
+// step itself stopped the CPU for another reason.
+func (s *Stub) stepOffBreakpoint() (executed uint64, stepped bool, reply []byte) {
+	orig, ok := s.planted[s.cpu.PC]
+	if !ok || !s.resumingFromBP() {
+		return 0, false, nil
+	}
+	bpAddr := s.cpu.PC
+	_ = s.pokeWord(bpAddr, orig)
+	s.cpu.StepOverBreakpoint()
+	before := s.cpu.Instructions()
+	st := s.cpu.Step()
+	executed = s.cpu.Instructions() - before
+	_ = s.pokeWord(bpAddr, isa.BreakpointWord)
+	if r := s.stopReply(st); r != nil && st != iss.StopBreak && st != iss.StopEBreak {
+		reply = r
+	}
+	return executed, true, reply
+}
+
 // resume implements 'c' (continue) and 's' (step). An optional resume
 // address may be given in arg. A continue runs one chunk and returns
 // nil if that chunk ended without a stop; keepRunning takes it on.
@@ -612,31 +623,21 @@ func (s *Stub) resume(step bool, arg []byte) []byte {
 		s.cpu.PC = uint32(addr)
 	}
 
-	// Stepping off a planted breakpoint: restore, execute one
-	// instruction, replant.
-	if orig, ok := s.planted[s.cpu.PC]; ok && s.resumingFromBP() {
-		bpAddr := s.cpu.PC
-		_ = s.pokeWord(bpAddr, orig)
-		s.cpu.StepOverBreakpoint()
-		st := s.cpu.Step()
-		_ = s.pokeWord(bpAddr, isa.BreakpointWord)
-		if r := s.stopReply(st); r != nil && st != iss.StopBreak && st != iss.StopEBreak {
-			return r
-		}
-		if step {
-			s.lastSignal = 5
-			return []byte("S05")
-		}
-	} else if step {
-		s.cpu.StepOverBreakpoint()
-		st := s.cpu.Step()
-		if r := s.stopReply(st); r != nil {
-			return r
-		}
-		s.lastSignal = 5
-		return []byte("S05")
+	_, stepped, r := s.stepOffBreakpoint()
+	if r != nil {
+		return r
 	}
-	return s.runChunk()
+	if !step {
+		return s.runChunk()
+	}
+	if !stepped {
+		s.cpu.StepOverBreakpoint()
+		if r := s.stopReply(s.cpu.Step()); r != nil {
+			return r
+		}
+	}
+	s.lastSignal = 5
+	return []byte("S05")
 }
 
 // runChunk runs one chunk of a continue and returns its stop reply, or

@@ -81,11 +81,9 @@ func TestDMIAblationDeterministic(t *testing.T) {
 }
 
 // TestDriverKernelRerunBitIdentical reruns the lock-step baseline cell
-// and requires the functional signature and every simulated-time-driven
-// message counter to repeat exactly: per-cycle synchronization must be
-// deterministic run to run, not merely functionally equivalent.
-// (Wall-clock-paced counters such as ISS instruction totals legitimately
-// vary under the free-running guest.)
+// and requires the functional signature, every message counter and the
+// guests' instruction and cycle totals to repeat exactly: the kernel
+// runs the guests in simulated time, so a rerun repeats the run.
 func TestDriverKernelRerunBitIdentical(t *testing.T) {
 	first, err := Run(dmiParams(false))
 	if err != nil {
@@ -100,11 +98,15 @@ func TestDriverKernelRerunBitIdentical(t *testing.T) {
 	}
 	for _, k := range []string{
 		"driver.messages", "driver.cpu0.messages", "driver.cpu1.messages",
-		"driver.interrupts",
+		"driver.interrupts", "iss.instructions", "iss.cycles",
 	} {
 		if v, w := first.Counters[k], second.Counters[k]; v != w {
 			t.Errorf("counter %s: %d then %d", k, v, w)
 		}
+	}
+	if first.GuestInstructions != second.GuestInstructions || first.GuestCycles != second.GuestCycles {
+		t.Errorf("guests ran %d instructions in %d cycles, then %d in %d",
+			first.GuestInstructions, first.GuestCycles, second.GuestInstructions, second.GuestCycles)
 	}
 }
 

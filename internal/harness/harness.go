@@ -18,7 +18,6 @@ import (
 	"cosim/internal/iss"
 	"cosim/internal/obs"
 	"cosim/internal/router"
-	"cosim/internal/rtos"
 	"cosim/internal/sim"
 	"cosim/internal/transport"
 )
@@ -106,17 +105,12 @@ type Params struct {
 	// clock process: its sc_method is sensitive to the positive edge.
 	// The kernel schemes build no clock and ignore the period, so it is
 	// not validated for them: GDB-Kernel schedules each stop's service
-	// at the stop's own time, and Driver-Kernel's cycle hooks run at the
-	// model's events and its skew deadlines.
+	// at the stop's own time, and Driver-Kernel's hooks run at the
+	// model's events and at the times its guests send.
 	ClockPeriod sim.Time
 	// CPUPeriod is the guest cycle length for time coupling. Zero
 	// means the default, 10ns; cycle coupling cannot be switched off.
 	CPUPeriod sim.Time
-	// SkewBound bounds how far simulated time may race past an
-	// in-flight Driver-Kernel interaction (see core). Zero means the
-	// default, 1us; a run is never free-running. The GDB schemes ignore
-	// it.
-	SkewBound sim.Time
 	// Quantum is inert: temporal decoupling was removed, and the
 	// Driver-Kernel scheme synchronises with its guests every cycle.
 	// The field stays only so existing callers still compile; setting
@@ -180,9 +174,6 @@ func (p Params) withDefaults() Params {
 	if p.CPUPeriod == 0 {
 		p.CPUPeriod = 10 * sim.NS
 	}
-	if p.SkewBound == 0 {
-		p.SkewBound = sim.US
-	}
 	if p.InstrPerCycle == 0 {
 		p.InstrPerCycle = 8
 	}
@@ -230,6 +221,8 @@ type Result struct {
 	CoStats           core.Stats
 	GuestInstructions uint64
 	GuestCycles       uint64
+	// CPUCycles is each guest CPU's cycle count, in CPU order.
+	CPUCycles []uint64
 
 	// Obs is the run's observability registry; Counters is its
 	// flattened snapshot (counters and gauges verbatim, histograms as
@@ -294,9 +287,9 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	// Only the wrapper's sc_method listens to a clock. The kernel
 	// schemes visit only the time points where something happens:
 	// GDB-Kernel schedules its own stop services, and Driver-Kernel
-	// drains at the model's events and at each outstanding request's
-	// skew deadline. A no-op call at SimTime keeps a run whose traffic
-	// and guests fall idle going to its end.
+	// visits the model's events and the times its guests send. A no-op
+	// call at SimTime keeps a run whose traffic and guests fall idle
+	// going to its end.
 	var clk *sim.Clock
 	if p.Scheme == GDBWrapper {
 		clk = sim.NewClock(k, "clk", p.ClockPeriod)
@@ -320,14 +313,13 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 		schemes []core.Scheme
 		cpus    []*iss.CPU
 		engines []router.Engine
-		cleanup []func() // teardown of every endpoint and runner, registered as each is made
-		quiesce []func() // halts guest goroutines before counters are read
+		cleanup []func() // teardown of every endpoint, registered as each is made
 	)
 	defer func() {
 		// The kernel goes first: its finalizers shut down the attached
 		// schemes and close their channels. The cleanup list then closes
 		// the host ends no scheme took over (a set-up that failed part
-		// way) and stops the RTOS runners. Every close is idempotent.
+		// way). Every close is idempotent.
 		k.Shutdown()
 		for i := len(cleanup) - 1; i >= 0; i-- {
 			cleanup[i]()
@@ -348,7 +340,6 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 
 	common := core.CommonOptions{
 		CPUPeriod: p.CPUPeriod,
-		SkewBound: p.SkewBound,
 		Journal:   p.Journal,
 		Obs:       reg,
 	}
@@ -420,22 +411,16 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			runner := rtos.NewRunner(plat)
-			runner.Start()
-			// Teardown runs in reverse, so the host ends close first and
-			// release the goroutine running the guest (the runner, or a
-			// pump running it inline) if it is blocked writing into a
-			// full channel; Stop then waits for it.
-			cleanup = append(cleanup, runner.Stop, func() {
+			cleanup = append(cleanup, func() {
 				target.DataHost.Close()
 				target.IRQHost.Close()
 			})
-			quiesce = append(quiesce, runner.Stop) // Stop is idempotent
 			channels = append(channels, core.DriverChannel{
 				Data:   target.DataHost,
 				IRQ:    target.IRQHost,
 				Prefix: portPrefix(n),
 				Ports:  router.DriverPorts(),
+				Guest:  plat,
 				DMI:    plat,
 			})
 			cpus = append(cpus, plat.CPU)
@@ -511,13 +496,10 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 			return nil, schemeErr
 		}
 	}
-	// Detach the schemes (Driver-Kernel revokes its DMI windows), then
-	// halt the RTOS runners' goroutines before touching their counters.
+	// Detach the schemes (Driver-Kernel revokes its DMI windows) before
+	// reading their counters.
 	for _, sch := range schemes {
 		sch.Detach()
-	}
-	for _, fn := range quiesce {
-		fn()
 	}
 
 	res := &Result{
@@ -545,6 +527,7 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	for _, cpu := range cpus {
 		res.GuestInstructions += cpu.Instructions()
 		res.GuestCycles += cpu.Cycles()
+		res.CPUCycles = append(res.CPUCycles, cpu.Cycles())
 		cpu.PublishObs(reg)
 	}
 	k.PublishObs(reg)

@@ -339,9 +339,9 @@ func TestDriverKernelMultiCPU(t *testing.T) {
 }
 
 // TestDriverKernelVisitsEventPointsOnly: Driver-Kernel has neither a
-// clock nor a poll grid. It visits the model's event points and its
-// requests' skew deadlines, at most a quarter of the edges of the 100ns
-// clock, and drains once per visit.
+// clock nor a poll grid. It visits the model's event points and the
+// times its guests send, at most a quarter of the edges of the 100ns
+// clock, and grants the guests once per visit.
 func TestDriverKernelVisitsEventPointsOnly(t *testing.T) {
 	const edges = uint64(2 * sim.MS / (100 * sim.NS))
 	for _, cpus := range []int{1, 2} {
@@ -363,7 +363,7 @@ func TestDriverKernelVisitsEventPointsOnly(t *testing.T) {
 			t.Errorf("%d CPUs: sim.cycles = %d, above a quarter of the clock's %d edges", cpus, cycles, edges)
 		}
 		if polls := counter(t, res.Counters, "driver.polls"); polls != cycles {
-			t.Errorf("%d CPUs: driver.polls = %d, want one drain per visited time point, %d", cpus, polls, cycles)
+			t.Errorf("%d CPUs: driver.polls = %d, want one grant per visited time point, %d", cpus, polls, cycles)
 		}
 	}
 }

@@ -74,9 +74,9 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 		}
 	}
 
-	// The multi-processor Driver-Kernel attachment owns 2N channel ends
-	// plus N RTOS runners; tear it down over the ring backend, whose
-	// endpoints only io.Closer reaches.
+	// The multi-processor Driver-Kernel attachment owns 2N channel ends;
+	// tear it down over the ring backend, whose endpoints only io.Closer
+	// reaches.
 	t.Run("Driver-Kernel/ring/cpus=2", func(t *testing.T) {
 		baseline := settledGoroutines()
 		if _, err := Run(Params{Scheme: DriverKernel, Transport: core.TransportRing, SimTime: 200 * sim.US, CPUs: 2}); err != nil {
@@ -106,8 +106,8 @@ func (f *failingTransport) Pair() (host, guest transport.Endpoint, err error) {
 
 // TestRunSetupFailureLeaksNothing fails the N-th channel pair of a
 // 2-CPU set-up. Run must return the fault, and every goroutine of the
-// CPUs wired before it (stub serve loops, scheme runners and client
-// readers, CosimDev pumps, RTOS runners) must be gone afterwards.
+// CPUs wired before it (stub serve loops, runners and client readers)
+// must be gone afterwards.
 func TestRunSetupFailureLeaksNothing(t *testing.T) {
 	for _, tc := range []struct {
 		scheme Scheme
@@ -117,7 +117,7 @@ func TestRunSetupFailureLeaksNothing(t *testing.T) {
 		{GDBKernel, 2}, // CPU 1's RSP pair: CPU 0 attached and free-running
 		{DriverKernel, 1},
 		{DriverKernel, 2}, // CPU 0's interrupt pair
-		{DriverKernel, 3}, // CPU 1's data pair: CPU 0's pumps and runner live
+		{DriverKernel, 3}, // CPU 1's data pair: CPU 0 wired
 		{DriverKernel, 4}, // CPU 1's interrupt pair
 	} {
 		t.Run(fmt.Sprintf("%v/pair=%d", tc.scheme, tc.failAt), func(t *testing.T) {

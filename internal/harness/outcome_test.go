@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"testing"
 
 	"cosim/internal/core"
@@ -113,35 +112,17 @@ func journalRun(t *testing.T, p Params) (gdbOutcome, string) {
 	if res.Simulated != p.SimTime {
 		t.Fatalf("run ended at %v, want %v", res.Simulated, p.SimTime)
 	}
+	return gdbOutcome{res.Forwarded, res.Received, res.CoStats.Transfers, res.CoStats.Stops, res.GuestInstructions},
+		journalSum(t, p.Journal)
+}
+
+// journalSum returns the SHA-256 of a journal's CSV form.
+func journalSum(t *testing.T, jl *core.Journal) string {
+	t.Helper()
 	var csv bytes.Buffer
-	if err := p.Journal.WriteCSV(&csv); err != nil {
+	if err := jl.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(csv.Bytes())
-	return gdbOutcome{res.Forwarded, res.Received, res.CoStats.Transfers, res.CoStats.Stops, res.GuestInstructions},
-		hex.EncodeToString(sum[:])
-}
-
-// TestGDBKernelIgnoresSkewBound: GDB-Kernel serves each stop at its own
-// cycle stamp, so the skew bound, a Driver-Kernel knob, moves nothing.
-// The 5us point of Figure 7's GDB-Kernel curve (1 CPU, seed 1) has one
-// outcome and one journal at every bound over every transport.
-func TestGDBKernelIgnoresSkewBound(t *testing.T) {
-	var first gdbOutcome
-	var firstSum, firstName string
-	for _, bound := range []sim.Time{0, 250 * sim.NS, sim.US, 4 * sim.US} {
-		for _, tr := range []core.Transport{core.TransportTCP, core.TransportRing, core.TransportPipe} {
-			name := fmt.Sprintf("skew %v over %s", bound, tr.Name())
-			got, sum := journalRun(t, Params{
-				Scheme: GDBKernel, Transport: tr, SkewBound: bound,
-				SimTime: 2 * sim.MS, Delay: 5 * sim.US, Seed: 1,
-			})
-			switch {
-			case firstName == "":
-				first, firstSum, firstName = got, sum, name
-			case got != first || sum != firstSum:
-				t.Fatalf("%s: outcome %+v, journal %s; %s: %+v, %s", name, got, sum, firstName, first, firstSum)
-			}
-		}
-	}
+	return hex.EncodeToString(sum[:])
 }

@@ -35,7 +35,6 @@ type Spec struct {
 	SimTime       string `json:"sim_time,omitempty"`
 	ClockPeriod   string `json:"clock_period,omitempty"`
 	CPUPeriod     string `json:"cpu_period,omitempty"`
-	SkewBound     string `json:"skew_bound,omitempty"`
 	InstrPerCycle uint64 `json:"instr_per_cycle,omitempty"`
 	CPUs          int    `json:"cpus,omitempty"`
 
@@ -124,8 +123,8 @@ func (s Spec) Validate() error {
 	}
 	for _, f := range []struct{ name, v string }{
 		{"sim_time", s.SimTime}, {"clock_period", s.ClockPeriod},
-		{"cpu_period", s.CPUPeriod}, {"skew_bound", s.SkewBound},
-		{"delay", s.Delay}, {"quantum", s.Quantum},
+		{"cpu_period", s.CPUPeriod}, {"delay", s.Delay},
+		{"quantum", s.Quantum},
 	} {
 		if _, err := timeField(f.name, f.v); err != nil {
 			return err
@@ -197,9 +196,6 @@ func (s Spec) Params() (Params, error) {
 	if p.CPUPeriod, err = timeField("cpu_period", s.CPUPeriod); err != nil {
 		return Params{}, err
 	}
-	if p.SkewBound, err = timeField("skew_bound", s.SkewBound); err != nil {
-		return Params{}, err
-	}
 	if p.Delay, err = timeField("delay", s.Delay); err != nil {
 		return Params{}, err
 	}
@@ -221,7 +217,6 @@ func SpecFromParams(p Params) Spec {
 		SimTime:          timeStr(p.SimTime),
 		ClockPeriod:      timeStr(p.ClockPeriod),
 		CPUPeriod:        timeStr(p.CPUPeriod),
-		SkewBound:        timeStr(p.SkewBound),
 		InstrPerCycle:    p.InstrPerCycle,
 		CPUs:             p.CPUs,
 		Delay:            timeStr(p.Delay),

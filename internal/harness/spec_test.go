@@ -20,7 +20,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		SimTime:          "10ms",
 		ClockPeriod:      "100ns",
 		CPUPeriod:        "10ns",
-		SkewBound:        "1us",
 		InstrPerCycle:    8,
 		CPUs:             2,
 		Delay:            "20us",
@@ -63,7 +62,7 @@ func TestSpecParamsMaterialisation(t *testing.T) {
 	}
 	// Zero fields stay zero so Run's defaults apply on the executing
 	// side.
-	if p.ClockPeriod != 0 || p.CPUPeriod != 0 || p.SkewBound != 0 {
+	if p.ClockPeriod != 0 || p.CPUPeriod != 0 {
 		t.Fatalf("unset durations materialised non-zero: %+v", p)
 	}
 	// The defaults view is what admission control quotas against.
@@ -222,7 +221,7 @@ func TestSpecZeroDurationCanonicalises(t *testing.T) {
 		spec := Spec{
 			Scheme:  "driver-kernel",
 			SimTime: zero, ClockPeriod: zero, CPUPeriod: zero,
-			SkewBound: zero, Delay: zero, Quantum: zero,
+			Delay: zero, Quantum: zero,
 		}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("zero spelling %q rejected: %v", zero, err)
@@ -231,13 +230,11 @@ func TestSpecZeroDurationCanonicalises(t *testing.T) {
 		if err != nil {
 			t.Fatalf("zero spelling %q: %v", zero, err)
 		}
-		if p.SimTime != 0 || p.ClockPeriod != 0 || p.CPUPeriod != 0 ||
-			p.SkewBound != 0 || p.Delay != 0 {
+		if p.SimTime != 0 || p.ClockPeriod != 0 || p.CPUPeriod != 0 || p.Delay != 0 {
 			t.Fatalf("zero spelling %q materialised non-zero: %+v", zero, p)
 		}
 		canon := SpecFromParams(p)
-		if canon.SimTime != "" || canon.ClockPeriod != "" || canon.CPUPeriod != "" ||
-			canon.SkewBound != "" || canon.Delay != "" {
+		if canon.SimTime != "" || canon.ClockPeriod != "" || canon.CPUPeriod != "" || canon.Delay != "" {
 			t.Fatalf("zero spelling %q did not canonicalise to omitted: %+v", zero, canon)
 		}
 		p2, err := canon.Params()
@@ -251,11 +248,17 @@ func TestSpecZeroDurationCanonicalises(t *testing.T) {
 }
 
 // TestDecodeSpecRejectsUnknownFields: a typo in a session request must
-// fail loudly, not silently run the defaults.
+// fail loudly, not silently run the defaults. So must skew_bound: the
+// Driver-Kernel no longer has a skew bound to set.
 func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
-	_, err := DecodeSpec([]byte(`{"scheme": "driver-kernel", "simtime": "1ms"}`))
-	if err == nil || !strings.Contains(err.Error(), "unknown field") {
-		t.Fatalf("DecodeSpec = %v, want unknown-field error", err)
+	for _, body := range []string{
+		`{"scheme": "driver-kernel", "simtime": "1ms"}`,
+		`{"scheme": "driver-kernel", "skew_bound": "1us"}`,
+	} {
+		_, err := DecodeSpec([]byte(body))
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Fatalf("DecodeSpec(%s) = %v, want unknown-field error", body, err)
+		}
 	}
 }
 

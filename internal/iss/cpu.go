@@ -33,6 +33,9 @@ const (
 	// StopError: an unrecoverable fault (bus error or illegal
 	// instruction with no trap vector installed).
 	StopError
+	// StopYield: a device the last instruction stored to asked for
+	// control back (Yield); the store has executed.
+	StopYield
 )
 
 // String implements fmt.Stringer.
@@ -54,6 +57,8 @@ func (s Stop) String() string {
 		return "idle"
 	case StopError:
 		return "error"
+	case StopYield:
+		return "yield"
 	}
 	return fmt.Sprintf("stop(%d)", int(s))
 }
@@ -92,6 +97,7 @@ type CPU struct {
 
 	halted   bool
 	sleeping bool // in WFI
+	yield    bool // a device asked Run to return after the current store
 
 	irqPending uint32 // atomic bitmask of raised IRQ lines
 	irqEnabled uint32 // mask of enabled lines (set via PIC or directly)
@@ -200,6 +206,13 @@ func (c *CPU) Cycles() uint64 { return c.cycles }
 // Instructions returns the executed instruction count.
 func (c *CPU) Instructions() uint64 { return c.icount }
 
+// Yield asks Run to return StopYield once the store that is executing
+// completes. Devices call it from their Write, on the CPU's goroutine.
+func (c *CPU) Yield() { c.yield = true }
+
+// Sleep lets n cycles pass while the CPU idles in WFI.
+func (c *CPU) Sleep(n uint64) { c.cycles += n }
+
 // Halted reports whether a HALT instruction has executed.
 func (c *CPU) Halted() bool { return c.halted }
 
@@ -216,7 +229,7 @@ func (c *CPU) Reset(pc uint32) {
 	c.SR = [isa.NumSRegs]uint32{}
 	c.PC = pc
 	c.cycles, c.icount = 0, 0
-	c.halted, c.sleeping, c.stepOverBP = false, false, false
+	c.halted, c.sleeping, c.stepOverBP, c.yield = false, false, false, false
 	atomic.StoreUint32(&c.irqPending, 0)
 	if c.dc != nil {
 		c.dc.flush()

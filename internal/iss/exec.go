@@ -1,6 +1,8 @@
 package iss
 
 import (
+	"math"
+
 	"cosim/internal/isa"
 )
 
@@ -241,6 +243,16 @@ func (c *CPU) exec(i isa.Inst) Stop {
 			// clobbers.
 			c.dcInvalidations += d.invalidate(addr, uint32(size))
 		}
+		if c.yield {
+			c.yield = false
+			if c.profile != nil {
+				c.profile.record(c.PC, cost)
+			}
+			c.PC = next
+			c.cycles += cost
+			c.icount++
+			return StopYield
+		}
 		if len(c.watchpoints) != 0 && c.watchTriggered(addr, size) {
 			if c.profile != nil {
 				c.profile.record(c.PC, cost)
@@ -376,12 +388,16 @@ const checkInterval = 64
 // of the per-instruction path and re-run every checkInterval
 // instructions or whenever the inner loop exits on a stop; breakpoints
 // still hit exactly (they are folded into the cache entries).
-func (c *CPU) Run(budget uint64) (Stop, uint64) {
+func (c *CPU) Run(budget uint64) (Stop, uint64) { return c.RunLimit(budget, math.MaxUint64) }
+
+// RunLimit is Run that also returns StopBudget once the cycle count
+// reaches limit: the instruction that crosses it is the last to run.
+func (c *CPU) RunLimit(budget, limit uint64) (Stop, uint64) {
 	start := c.icount
 	if c.dc == nil {
-		return c.runUncached(budget, start)
+		return c.runUncached(budget, limit, start)
 	}
-	for steps := uint64(0); steps < budget; {
+	for steps := uint64(0); steps < budget && c.cycles < limit; {
 		// Hoisted slow checks: Step's prologue, batched.
 		if c.halted {
 			return StopHalt, c.icount - start
@@ -400,7 +416,7 @@ func (c *CPU) Run(budget uint64) (Stop, uint64) {
 		if batch > checkInterval {
 			batch = checkInterval
 		}
-		stop, n := c.runBatch(batch)
+		stop, n := c.runBatch(batch, limit)
 		steps += n
 		if stop != StopBudget {
 			if stop == StopBreak {
@@ -414,8 +430,9 @@ func (c *CPU) Run(budget uint64) (Stop, uint64) {
 
 // runBatch is the predecoded inner loop: up to n instructions with no
 // interrupt/halt re-checks (the caller has just done them; exec-side
-// stops still exit immediately). Returns the stop and steps consumed.
-func (c *CPU) runBatch(n uint64) (Stop, uint64) {
+// stops still exit immediately), ending early once the cycle count
+// reaches limit. Returns the stop and steps consumed.
+func (c *CPU) runBatch(n, limit uint64) (Stop, uint64) {
 	d := c.dc
 	for i := uint64(0); i < n; i++ {
 		pc := c.PC
@@ -437,6 +454,9 @@ func (c *CPU) runBatch(n uint64) (Stop, uint64) {
 					// rather than at the batch boundary.
 					return StopBudget, i + 1
 				}
+				if c.cycles >= limit {
+					return StopBudget, i + 1
+				}
 				continue
 			}
 		}
@@ -453,10 +473,10 @@ func (c *CPU) runBatch(n uint64) (Stop, uint64) {
 
 // runUncached is the legacy engine's run loop: a full Step — with
 // per-instruction interrupt and breakpoint checks — every iteration.
-func (c *CPU) runUncached(budget, start uint64) (Stop, uint64) {
+func (c *CPU) runUncached(budget, limit, start uint64) (Stop, uint64) {
 	// Each Step is at most one instruction; trap entries consume a step
 	// without retiring an instruction, which bounds the loop regardless.
-	for steps := uint64(0); steps < budget; steps++ {
+	for steps := uint64(0); steps < budget && c.cycles < limit; steps++ {
 		s := c.Step()
 		switch s {
 		case StopBudget:

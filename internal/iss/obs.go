@@ -6,7 +6,7 @@ import "cosim/internal/obs"
 // registry: iss.instructions, iss.cycles and the iss.decode_cache_*
 // fast-fetch-path totals. Counters (not gauges) so
 // multi-processor configurations sum naturally — call once per CPU
-// after the guest has been quiesced. Safe on a nil registry.
+// once nothing runs the guest. Safe on a nil registry.
 func (c *CPU) PublishObs(r *obs.Registry) {
 	r.Counter("iss.instructions").Add(c.Instructions())
 	r.Counter("iss.cycles").Add(c.Cycles())

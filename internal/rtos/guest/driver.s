@@ -13,8 +13,8 @@
 ;   DATA  (SystemC -> driver): [size][type=3][datalen][data...]
 ; 'size' counts the bytes that follow the size word. Port names select
 ; the SystemC iss_in (WRITE) or iss_out (READ) port, as in Figure 4.
-; 'cycles' is the guest cycle counter at send time; the SystemC kernel
-; uses it to place deliveries on the simulated timeline.
+; 'cycles' is the guest cycle counter as the message is composed; the
+; kernel journals it and delivers at the guest's time of the flush.
 ;
 ; Public API (regular calls, FV32 ABI):
 ;   cosim_write(a0=name, a1=namelen, a2=data, a3=datalen)

@@ -2,7 +2,6 @@ package rtos
 
 import (
 	"testing"
-	"time"
 
 	"cosim/internal/asm"
 	"cosim/internal/dev"
@@ -104,23 +103,20 @@ edone:
 	pa.CPU.Reset(imA.Entry)
 	pb.CPU.Reset(imB.Entry)
 
-	ra, rb := NewRunner(pa), NewRunner(pb)
-	ra.Start()
-	rb.Start()
-	defer rb.Stop()
-
-	done := make(chan iss.Stop, 1)
-	go func() { done <- ra.Wait() }()
-	select {
-	case stop := <-done:
-		if stop != iss.StopHalt {
-			t.Fatalf("sender stopped with %v (pc=%#x)", stop, pa.CPU.PC)
+	// The two CPUs run in alternating slices of 1 000 cycles, so each
+	// sees the other's mailbox writes at most a slice late.
+	stop := dev.StopKeepGoing
+	for slice := uint64(1); stop == dev.StopKeepGoing || stop == iss.StopYield; slice++ {
+		if slice > 10_000 {
+			sumAddr, _ := imA.Symbol("sum")
+			v, _ := pa.RAM.Read(sumAddr, 4)
+			t.Fatalf("sender never finished (pc=%#x sleeping=%v sum=%d)", pa.CPU.PC, pa.CPU.Sleeping(), v)
 		}
-	case <-time.After(10 * time.Second):
-		ra.Stop()
-		sumAddr, _ := imA.Symbol("sum")
-		v, _ := pa.RAM.Read(sumAddr, 4)
-		t.Fatalf("sender never finished (pc=%#x sleeping=%v sum=%d)", pa.CPU.PC, pa.CPU.Sleeping(), v)
+		stop = pa.RunTo(slice * 1000)
+		pb.RunTo(slice * 1000)
+	}
+	if stop != iss.StopHalt {
+		t.Fatalf("sender stopped with %v (pc=%#x)", stop, pa.CPU.PC)
 	}
 
 	sum, err := pa.RAM.Read(imA.MustSymbol("sum"), 4)

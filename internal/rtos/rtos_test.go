@@ -3,7 +3,6 @@ package rtos
 import (
 	"encoding/binary"
 	"net"
-	"runtime"
 	"testing"
 	"time"
 
@@ -37,6 +36,21 @@ func pokeWord(t *testing.T, p *dev.Platform, im *asm.Image, sym string, v uint32
 	if err := p.RAM.Write(addr, 4, v); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// runToHalt runs the guest in slices of simulated time until it stops
+// for good, for at most 10 million cycles.
+func runToHalt(t *testing.T, p *dev.Platform) iss.Stop {
+	t.Helper()
+	for p.Cycles() < 10_000_000 {
+		switch stop := p.RunTo(p.Cycles() + 10_000); stop {
+		case dev.StopKeepGoing, iss.StopYield:
+		default:
+			return stop
+		}
+	}
+	t.Fatalf("guest still running after 10M cycles (pc=%#x)", p.CPU.PC)
+	return 0
 }
 
 // peekWord reads a word from guest RAM at a symbol.
@@ -287,8 +301,23 @@ readlen: .word 0
 		hostDone <- err
 	}()
 
-	r := NewRunner(p)
-	r.Start()
+	// The guest flushes its WRITE, then its READ, yielding after each;
+	// then its device takes the reply and the interrupt.
+	for yields := 0; yields < 2; {
+		switch stop := p.RunTo(p.Cycles() + 10_000); stop {
+		case iss.StopYield:
+			yields++
+		case dev.StopKeepGoing:
+		default:
+			t.Fatalf("guest stop = %v before its READ (pc=%#x)", stop, p.CPU.PC)
+		}
+	}
+	if err := p.Receive(12+5, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := runToHalt(t, p); got != iss.StopHalt {
+		t.Fatalf("guest stop = %v (pc=%#x)", got, p.CPU.PC)
+	}
 	select {
 	case err := <-hostDone:
 		if err != nil {
@@ -296,9 +325,6 @@ readlen: .word 0
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("host protocol exchange timed out")
-	}
-	if got := r.Wait(); got != iss.StopHalt {
-		t.Fatalf("guest stop = %v (pc=%#x)", got, p.CPU.PC)
 	}
 	if got := peekWord(t, p, im, "readlen"); got != 5 {
 		t.Fatalf("readlen = %d, want 5", got)
@@ -334,20 +360,10 @@ my_isr:
 .data
 got: .word 0
 `)
-	r := NewRunner(p)
-	r.Start()
-	time.Sleep(2 * time.Millisecond) // let the guest install the ISR
+	p.RunTo(10_000) // installs the ISR, then spins
 	p.Cosim.InjectIRQ(5)
-	done := make(chan iss.Stop, 1)
-	go func() { done <- r.Wait() }()
-	select {
-	case stop := <-done:
-		if stop != iss.StopHalt {
-			t.Fatalf("stop = %v", stop)
-		}
-	case <-time.After(5 * time.Second):
-		r.Stop()
-		t.Fatalf("guest never halted (pc=%#x, got=%d)", p.CPU.PC, peekWord(t, p, im, "got"))
+	if stop := runToHalt(t, p); stop != iss.StopHalt {
+		t.Fatalf("guest never halted: stop %v (pc=%#x, got=%d)", stop, p.CPU.PC, peekWord(t, p, im, "got"))
 	}
 	if got := peekWord(t, p, im, "got"); got != 5 {
 		t.Fatalf("isr saw id %d, want 5", got)
@@ -358,102 +374,6 @@ func TestKernelLinesNonzero(t *testing.T) {
 	k, d := KernelLines()
 	if k < 100 || d < 50 {
 		t.Fatalf("kernel=%d driver=%d lines: embed broken?", k, d)
-	}
-}
-
-func TestRunnerStop(t *testing.T) {
-	p, _ := buildPlatform(t, `
-main:
-spin:
-    j spin
-`)
-	r := NewRunner(p)
-	r.Start()
-	time.Sleep(time.Millisecond)
-	r.Stop()
-	if p.CPU.Instructions() == 0 {
-		t.Fatal("runner never executed anything")
-	}
-}
-
-// parkedGuest registers an ISR, then sleeps in WFI until it has run.
-const parkedGuest = `
-main:
-    la   a0, my_isr
-    call cosim_register_isr
-park:
-    wfi
-    la   t0, got
-    lw   t1, 0(t0)
-    beqz t1, park
-    halt
-
-my_isr:
-    la   t0, got
-    sw   a0, 0(t0)
-    ret
-
-.data
-got: .word 0
-`
-
-// waitParked waits until the runner's latest run ended in WFI.
-func waitParked(t *testing.T, r *Runner) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for r.LastStop() != iss.StopIdle {
-		if time.Now().After(deadline) {
-			t.Fatal("runner never parked in WFI")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-func TestRunnerStopWhileParked(t *testing.T) {
-	p, _ := buildPlatform(t, parkedGuest)
-	before := runtime.NumGoroutine()
-	r := NewRunner(p)
-	r.Start()
-	waitParked(t, r)
-	stopped := make(chan struct{})
-	go func() {
-		r.Stop()
-		r.Stop() // idempotent
-		close(stopped)
-	}()
-	select {
-	case <-stopped:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Stop on a parked runner did not return")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Stop, %d before Start", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestRunnerWakesOnIRQAfterPark(t *testing.T) {
-	p, im := buildPlatform(t, parkedGuest)
-	r := NewRunner(p)
-	r.Start()
-	defer r.Stop()
-	waitParked(t, r)
-	p.Cosim.InjectIRQ(5)
-	done := make(chan iss.Stop, 1)
-	go func() { done <- r.Wait() }()
-	select {
-	case stop := <-done:
-		if stop != iss.StopHalt {
-			t.Fatalf("stop = %v", stop)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("an IRQ raised while parked did not wake the runner")
-	}
-	if got := peekWord(t, p, im, "got"); got != 5 {
-		t.Fatalf("isr saw id %d, want 5", got)
 	}
 }
 

@@ -114,8 +114,9 @@ func idOf(t *testing.T, body map[string]any) string {
 const shortSpec = `{"scheme": "driver-kernel", "transport": "ring", "sim_time": "200us"}`
 
 // longSpec simulates long enough that the test can observe and cancel
-// it mid-run.
-const longSpec = `{"scheme": "driver-kernel", "transport": "ring", "sim_time": "500ms"}`
+// it mid-run, and that it outlasts a 1 s session deadline: two guests
+// for the quota's whole second of simulated time.
+const longSpec = `{"scheme": "driver-kernel", "transport": "ring", "cpus": 2, "sim_time": "1s"}`
 
 func TestSessionLifecycle(t *testing.T) {
 	_, c := newService(t, server.Config{Workers: 2})

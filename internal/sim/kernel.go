@@ -15,10 +15,18 @@ type updatable interface {
 
 // CycleHook is invoked by the scheduler at simulation-cycle boundaries.
 // This is the kernel extension point of the paper: the Driver-Kernel
-// scheme drains its data socket from a begin-of-cycle hook and emits
-// interrupt messages from an end-of-cycle hook. (GDB-Kernel schedules
-// each breakpoint stop's service with CallAt instead.)
+// scheme emits interrupt messages from an end-of-cycle hook. (GDB-Kernel
+// schedules each breakpoint stop's service with CallAt instead.)
 type CycleHook func(k *Kernel)
+
+// HorizonHook is invoked once a time point is done, before time
+// advances, with the horizon: the time of the next timed event, or the
+// run's limit if that comes first. Nothing in the model can happen
+// before the horizon, so a hook may run work that only the model could
+// interrupt (the Driver-Kernel runs its guests) up to it. Whatever the
+// hook schedules with CallAt at or before the horizon becomes the next
+// time point.
+type HorizonHook func(k *Kernel, horizon Time)
 
 // Kernel is the simulation kernel: it owns processes, events, channels
 // and the scheduler. A Kernel is not safe for concurrent use; external
@@ -47,6 +55,7 @@ type Kernel struct {
 
 	cycleHooks    []CycleHook
 	endCycleHooks []CycleHook
+	horizonHooks  []HorizonHook
 
 	tracers []*Tracer
 
@@ -102,6 +111,10 @@ func (k *Kernel) AddCycleHook(h CycleHook) { k.cycleHooks = append(k.cycleHooks,
 // cycle, after event scheduling and before time advances — the point
 // where the Driver-Kernel scheme notifies interrupts to the driver.
 func (k *Kernel) AddEndCycleHook(h CycleHook) { k.endCycleHooks = append(k.endCycleHooks, h) }
+
+// AddHorizonHook registers a hook called after the end-of-cycle hooks
+// of every time point, just before time advances (see HorizonHook).
+func (k *Kernel) AddHorizonHook(h HorizonHook) { k.horizonHooks = append(k.horizonHooks, h) }
 
 // AddFinalizer registers a function run by Shutdown (in reverse
 // registration order), used to close co-simulation transports.
@@ -205,6 +218,21 @@ func (k *Kernel) Run(until Time) error {
 		// current time; loop back into the delta loop without advancing.
 		if k.pending() {
 			continue
+		}
+		if len(k.horizonHooks) > 0 {
+			horizon := until
+			if e := k.timed.peek(); e != nil && e.due < horizon {
+				horizon = e.due
+			}
+			for _, h := range k.horizonHooks {
+				h(k, horizon)
+			}
+			if k.stopReq {
+				return nil
+			}
+			if k.pending() {
+				continue
+			}
 		}
 
 		// Advance time to the next timed event. Hooks run only at cycle
