@@ -5,9 +5,9 @@
 // directives suppress individual findings.
 //
 // The x/tools module is deliberately not a dependency — the repo builds
-// with a bare module cache — so the seven cosimvet analyzers (poolsafe,
-// timesafe, obsnames, schemeerr, lockedfield, transportclose, ctxfirst)
-// and the cmd/cosimvet multichecker are written against this package instead. The API
+// with a bare module cache — so the cosimvet analyzers (detsafe,
+// schemeerr, timesafe) and the cmd/cosimvet multichecker are written
+// against this package instead. The API
 // mirrors go/analysis closely enough that porting to the real framework
 // is a mechanical change if the dependency ever becomes available.
 package analysis
@@ -176,24 +176,4 @@ func EnclosingFuncs(files []*ast.File) []*ast.FuncDecl {
 		}
 	}
 	return out
-}
-
-// ReceiverTypeName returns the name of fd's receiver base type, or "".
-func ReceiverTypeName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	switch t := t.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.IndexExpr: // generic receiver
-		if id, ok := t.X.(*ast.Ident); ok {
-			return id.Name
-		}
-	}
-	return ""
 }

@@ -11,7 +11,7 @@ import (
 
 // TestRepositoryIsCosimvetClean runs the full cosimvet suite over every
 // package of the module and fails on any finding, so a regression
-// against the pooling/time/obs/error/locking invariants fails
+// against the determinism, scheme-error or sim.Time invariants fails
 // `go test ./...` without anyone remembering to run the tool.
 func TestRepositoryIsCosimvetClean(t *testing.T) {
 	if testing.Short() {

@@ -5,29 +5,17 @@ package suite
 
 import (
 	"cosim/internal/analysis"
-	"cosim/internal/analysis/ctxfirst"
 	"cosim/internal/analysis/detsafe"
-	"cosim/internal/analysis/lockedfield"
-	"cosim/internal/analysis/lockorder"
-	"cosim/internal/analysis/obsnames"
-	"cosim/internal/analysis/poolsafe"
 	"cosim/internal/analysis/schemeerr"
 	"cosim/internal/analysis/timesafe"
-	"cosim/internal/analysis/transportclose"
 )
 
 // Analyzers returns the full cosimvet rule set in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		ctxfirst.Analyzer,
 		detsafe.Analyzer,
-		lockedfield.Analyzer,
-		lockorder.Analyzer,
-		obsnames.Analyzer,
-		poolsafe.Analyzer,
 		schemeerr.Analyzer,
 		timesafe.Analyzer,
-		transportclose.Analyzer,
 	}
 }
 

@@ -51,13 +51,17 @@ type DriverKernel struct {
 
 // ErrDeliveryTimeout reports bytes that did not get through a
 // Driver-Kernel channel within deliveryTimeout of wall time: the frames
-// a guest sent that the kernel could not read, or the replies and
-// interrupts the kernel sent that the guest's device could not take.
+// a guest sent that the kernel could not read, the replies and
+// interrupts the kernel could not write, or those the guest's device
+// could not take. The guest's own frame writes, inside Guest.RunTo, are
+// not bounded.
 var ErrDeliveryTimeout = errors.New("bytes not through within the wall timeout")
 
-// deliveryTimeout bounds each read of a channel's bytes (at most twice
-// it: see transport.Watchdog). The bytes were written before the read
-// starts, so on a working channel the bound never shows in an outcome.
+// deliveryTimeout bounds each read of a channel's bytes and each of the
+// kernel's writes (at most twice it: see transport.Watchdog). A read's
+// bytes were written before it starts, and a write must not wait for
+// its reader, so on a working channel the bound never shows in an
+// outcome.
 const deliveryTimeout = time.Second
 
 // Guest is the software simulator behind one Driver-Kernel channel.
@@ -96,7 +100,8 @@ type driverCPU struct {
 	// toData and toIRQ count the bytes written to the guest since it
 	// last took them; got counts the bytes of its frames read so far.
 	toData, toIRQ, got uint64
-	// dog ends a read that lasts deliveryTimeout by closing the channel.
+	// dog ends a read or write that lasts deliveryTimeout by closing
+	// the channel.
 	dog *transport.Watchdog
 
 	// Port routing: the guest names ports without knowing which CPU it
@@ -275,8 +280,8 @@ func NewDriverKernel(k *sim.Kernel, channels []DriverChannel, opts DriverKernelO
 		// ends via io.Closer — never via a net.Conn assertion, which
 		// would silently skip non-socket channels (the ring transport, a
 		// custom io.ReadWriter). Closing them is also how the watchdog
-		// ends a read that lasts too long: a close fails the reads
-		// pending on either end.
+		// ends a read or write that lasts too long: a close fails the
+		// reads and writes pending on either end.
 		var closers []io.Closer
 		for _, ep := range []any{ch.Data, ch.IRQ} {
 			if cl, ok := ep.(io.Closer); ok {
@@ -415,22 +420,28 @@ func (c *driverCPU) run(horizon sim.Time) error {
 }
 
 // bounded runs read, a read of bytes the other side has written, under
-// the CPU's watchdog, and names what was read in its error: a read
-// the watchdog ended fails with ErrDeliveryTimeout.
+// the CPU's watchdog (see watched), times it into
+// driver.delivery_wait_ns, and names what was read in its error.
 func (c *driverCPU) bounded(what string, read func() error) error {
 	o := &c.d.obs
 	sp := o.inlineReads.start(o.waitNS)
-	c.dog.Arm()
-	err := read()
-	expired := c.dog.Disarm()
+	err := watched(c.dog, read)
 	sp.End()
-	switch {
-	case expired:
-		return c.errf("%s: %w (%v; %v)", what, ErrDeliveryTimeout, deliveryTimeout, err)
-	case err != nil:
+	if err != nil {
 		return c.errf("%s: %w", what, err)
 	}
 	return nil
+}
+
+// watched runs op, a read or a write of a channel, under dog: an op
+// the watchdog ended fails with ErrDeliveryTimeout.
+func watched(dog *transport.Watchdog, op func() error) error {
+	dog.Arm()
+	err := op()
+	if dog.Disarm() {
+		return fmt.Errorf("%w (%v; %v)", ErrDeliveryTimeout, deliveryTimeout, err)
+	}
+	return err
 }
 
 // collect reads what the guest sent at the stop it just made, every
@@ -538,7 +549,7 @@ func (c *driverCPU) consume(b *binding, seq uint64, cycles uint32) {
 // by a DATA_READY interrupt so a WFI-parked guest wakes up.
 func (c *driverCPU) reply(b *binding) error {
 	m := Message{Type: MsgData, Data: b.outPort.Bytes()}
-	if err := WriteMessage(c.data, m); err != nil {
+	if err := watched(c.dog, func() error { return WriteMessage(c.data, m) }); err != nil {
 		return c.errf("data socket (port %q): %w", b.spec.Port, err)
 	}
 	c.toData += uint64(m.wireLen())
@@ -553,7 +564,10 @@ func (c *driverCPU) reply(b *binding) error {
 // scratch needs no locking.
 func (c *driverCPU) sendInterrupt(id uint32) error {
 	binary.LittleEndian.PutUint32(c.irqBuf[:], id)
-	if _, err := c.irqW.Write(c.irqBuf[:]); err != nil {
+	if err := watched(c.dog, func() error {
+		_, err := c.irqW.Write(c.irqBuf[:])
+		return err
+	}); err != nil {
 		return c.errf("interrupt socket (int %d): %w", id, err)
 	}
 	c.toIRQ += uint64(len(c.irqBuf))

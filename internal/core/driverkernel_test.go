@@ -455,59 +455,72 @@ type swallow struct{ transport.Endpoint }
 
 func (swallow) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestStalledChannelFailsNamed: a guest device that never gets the
-// bytes the kernel sent it stalls the grant; after deliveryTimeout (at
-// most twice it) the run fails with ErrDeliveryTimeout naming the CPU
-// and the socket, and tearing the run down leaves no goroutine behind.
+// TestStalledChannelFailsNamed: a channel that stalls the grant fails
+// the run after deliveryTimeout (at most twice it) with
+// ErrDeliveryTimeout naming the CPU and the socket, and tearing the run
+// down leaves no goroutine behind. The interrupt stalls in the guest
+// device's read when the channel swallows it, and in the kernel's own
+// write on a bare net.Pipe, whose writes wait for a reader.
 func TestStalledChannelFailsNamed(t *testing.T) {
-	before := runtime.NumGoroutine()
-	k := sim.NewKernel("t")
-	dataHost, dataGuest, err := TransportRing.Pair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	irqHost, irqGuest, err := TransportRing.Pair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := dev.NewPlatform(0, nil)
-	p.Cosim.ConnectData(dataGuest, dataGuest)
-	p.Cosim.ConnectIRQ(irqGuest)
-	d, err := NewDriverKernel(k, []DriverChannel{{Data: dataHost, IRQ: swallow{irqHost}, Guest: p}},
-		DriverKernelOptions{CommonOptions: CommonOptions{CPUPeriod: 10 * sim.NS}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.CallAt(sim.US, func() { d.RaiseInterruptCPU(0, 7) })
-	k.CallAt(2*sim.US, func() {})
-	start := time.Now()
-	if err := k.Run(2 * sim.US); err != nil {
-		t.Fatal(err)
-	}
-	if wall := time.Since(start); wall < deliveryTimeout || wall > 2*deliveryTimeout+time.Second {
-		t.Errorf("the stalled run took %v, want %v to %v", wall, deliveryTimeout, 2*deliveryTimeout)
-	}
-	err = d.Err()
-	if !errors.Is(err, ErrDeliveryTimeout) {
-		t.Fatalf("scheme error = %v, want ErrDeliveryTimeout", err)
-	}
-	for _, want := range []string{"cpu0", "interrupt socket"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
-		}
-	}
-	if k.Now() != sim.US {
-		t.Errorf("the run went on to %v after the failure at 1us", k.Now())
-	}
-	k.Shutdown()
-	dataGuest.Close()
-	irqGuest.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after teardown, %d before", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
+	for _, tc := range []struct {
+		name string
+		pair func() (host, guest transport.Endpoint, err error)
+		irq  func(transport.Endpoint) io.Writer
+	}{
+		{"guest-read", TransportRing.Pair, func(ep transport.Endpoint) io.Writer { return swallow{ep} }},
+		{"kernel-write", TransportPipe.Pair, func(ep transport.Endpoint) io.Writer { return ep }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := sim.NewKernel("t")
+			dataHost, dataGuest, err := tc.pair()
+			if err != nil {
+				t.Fatal(err)
+			}
+			irqHost, irqGuest, err := tc.pair()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := dev.NewPlatform(0, nil)
+			p.Cosim.ConnectData(dataGuest, dataGuest)
+			p.Cosim.ConnectIRQ(irqGuest)
+			d, err := NewDriverKernel(k, []DriverChannel{{Data: dataHost, IRQ: tc.irq(irqHost), Guest: p}},
+				DriverKernelOptions{CommonOptions: CommonOptions{CPUPeriod: 10 * sim.NS}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.CallAt(sim.US, func() { d.RaiseInterruptCPU(0, 7) })
+			k.CallAt(2*sim.US, func() {})
+			start := time.Now()
+			if err := k.Run(2 * sim.US); err != nil {
+				t.Fatal(err)
+			}
+			if wall := time.Since(start); wall < deliveryTimeout || wall > 2*deliveryTimeout+time.Second/2 {
+				t.Errorf("the stalled run took %v, want %v to %v", wall, deliveryTimeout, 2*deliveryTimeout)
+			}
+			err = d.Err()
+			if !errors.Is(err, ErrDeliveryTimeout) {
+				t.Fatalf("scheme error = %v, want ErrDeliveryTimeout", err)
+			}
+			for _, want := range []string{"cpu0", "interrupt socket"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+			if k.Now() != sim.US {
+				t.Errorf("the run went on to %v after the failure at 1us", k.Now())
+			}
+			k.Shutdown()
+			dataGuest.Close()
+			irqGuest.Close()
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after teardown, %d before", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -40,8 +40,8 @@ const stopTimeout = time.Second
 // shutdownClient tears the connection down: kill, then close. The
 // target is already stopped: every resume returns only with its stop,
 // and a stop that timed out has closed the link. The close goes through
-// io.Closer, never a net.Conn assertion, so every transport backend's
-// reader goroutines terminate.
+// io.Closer, never a net.Conn assertion, so it reaches every transport
+// backend's endpoints (a ring endpoint is no net.Conn).
 func shutdownClient(cl *gdb.Client, conn io.ReadWriter) {
 	_ = cl.Kill()
 	if c, ok := conn.(io.Closer); ok {

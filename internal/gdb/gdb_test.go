@@ -10,6 +10,7 @@ import (
 
 	"cosim/internal/asm"
 	"cosim/internal/iss"
+	link "cosim/internal/transport"
 )
 
 // escape returns the escaped wire form of a payload: its frame without
@@ -128,8 +129,17 @@ func testCPU(t *testing.T, src string) (*iss.CPU, *asm.Image) {
 // returning a connected client.
 func newTarget(t *testing.T, src string) (*Client, *iss.CPU, *asm.Image) {
 	t.Helper()
+	return newTargetOver(t, link.Pipe, src)
+}
+
+// newTargetOver is newTarget over a pair of tr.
+func newTargetOver(t *testing.T, tr link.Transport, src string) (*Client, *iss.CPU, *asm.Image) {
+	t.Helper()
 	cpu, im := testCPU(t, src)
-	host, target := net.Pipe()
+	host, target, err := tr.Pair()
+	if err != nil {
+		t.Fatal(err)
+	}
 	stub := NewStub(cpu, target)
 	go func() {
 		_ = stub.Serve()
@@ -674,9 +684,10 @@ func TestRLEThroughTransport(t *testing.T) {
 
 // TestStopTimeout: a target that does not stop within the stop timeout
 // fails the resume with ErrTimeout, not with the closed link the
-// watchdog leaves, after at least the timeout and at most twice it.
-// Resumes that stop in time succeed, also after the watchdog has gone
-// idle between them.
+// watchdog leaves, after at least the timeout and at most twice it, on
+// every transport (the watchdog ends the wait by closing the link
+// through io.Closer; a ring endpoint is no net.Conn). Resumes that stop
+// in time succeed, also after the watchdog has gone idle between them.
 func TestStopTimeout(t *testing.T) {
 	const d = 50 * time.Millisecond
 	cl, _, im := newTarget(t, warmLoopProg)
@@ -691,11 +702,22 @@ func TestStopTimeout(t *testing.T) {
 		time.Sleep(3 * d) // the watchdog ticks and goes idle
 	}
 
-	spin, _, _ := newTarget(t, "_start:\nspin:\n    j spin\n")
-	spin.SetStopTimeout(d)
-	start := time.Now()
-	_, err := spin.Continue()
-	if took := time.Since(start); !errors.Is(err, ErrTimeout) || took < d || took > 4*d {
-		t.Fatalf("spinning target: %v after %v, want ErrTimeout after %v to %v", err, took, d, 2*d)
+	for _, tr := range link.All() {
+		spin, _, _ := newTargetOver(t, tr, "_start:\nspin:\n    j spin\n")
+		spin.SetStopTimeout(d)
+		start := time.Now()
+		done := make(chan error, 1)
+		go func() {
+			_, err := spin.Continue()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if took := time.Since(start); !errors.Is(err, ErrTimeout) || took < d || took > 4*d {
+				t.Fatalf("spinning target over %s: %v after %v, want ErrTimeout after %v to %v", tr.Name(), err, took, d, 2*d)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("spinning target over %s: resume still waiting after 1s, want ErrTimeout after %v to %v", tr.Name(), d, 2*d)
+		}
 	}
 }

@@ -330,11 +330,25 @@ func TestDriverKernelMultiCPU(t *testing.T) {
 				name, res.Counters)
 		}
 	}
-	// The aggregate must cover the per-CPU counters.
-	perCPU := res.Counters["driver.cpu0.messages"] + res.Counters["driver.cpu1.messages"]
-	if res.Counters["driver.messages"] != perCPU {
-		t.Errorf("aggregate driver.messages = %d, per-CPU sum = %d",
-			res.Counters["driver.messages"], perCPU)
+	// Each CPU reports the per-CPU metric set README documents, and
+	// each per-CPU metric's aggregate equals its sum over the CPUs.
+	sums := map[string]uint64{}
+	for name, v := range res.Counters {
+		var cpu int
+		var metric string
+		if _, err := fmt.Sscanf(name, "driver.cpu%d.%s", &cpu, &metric); err == nil {
+			sums[metric] += v
+		}
+	}
+	for _, metric := range []string{"messages", "interrupts", "pending_reads", "dmi_hits", "dmi_misses", "dmi_revocations"} {
+		if _, ok := sums[metric]; !ok {
+			t.Errorf("no driver.cpuN.%s metric", metric)
+		}
+	}
+	for metric, sum := range sums {
+		if agg, ok := res.Counters["driver."+metric]; !ok || agg != sum {
+			t.Errorf("aggregate driver.%s = %d (reported: %v), per-CPU sum = %d", metric, agg, ok, sum)
+		}
 	}
 }
 

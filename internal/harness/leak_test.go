@@ -49,14 +49,24 @@ func waitGoroutineBaseline(t *testing.T, baseline int) {
 	}
 }
 
-// TestRunLeaksNoGoroutines is the teardown regression test for the
-// transport layer: every scheme attached over every backend must leave
-// no goroutine behind once Run returns. The kernel's finalizers close
-// each channel end through io.Closer — were they to assert net.Conn
-// instead, the ring backend's endpoints (not net.Conns) would stay
-// open, their reader goroutines would stay parked, and this test would
-// fail on the ring cases with their stacks in the failure output.
+// TestRunLeaksNoGoroutines runs every scheme over every backend (and a
+// 2-CPU Driver-Kernel over ring) and checks that each run leaves
+// nothing behind: the goroutine count returns to its baseline once Run
+// returns, and every pooled payload buffer that a Driver-Kernel decode
+// took out is back (core.DataBufsInUse). A leak fails with the leaked
+// goroutines' stacks, or with the count of buffers still out.
 func TestRunLeaksNoGoroutines(t *testing.T) {
+	check := func(t *testing.T, p Params) {
+		baseline := settledGoroutines()
+		bufs := core.DataBufsInUse()
+		if _, err := Run(p); err != nil {
+			t.Fatal(err)
+		}
+		if n := core.DataBufsInUse(); n != bufs {
+			t.Errorf("%d pooled payload buffers out after Run, want %d", n, bufs)
+		}
+		waitGoroutineBaseline(t, baseline)
+	}
 	transports := append([]transport.Transport{nil}, transport.All()...)
 	for _, s := range Schemes {
 		for _, tr := range transports {
@@ -65,24 +75,12 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 				label = tr.Name()
 			}
 			t.Run(fmt.Sprintf("%v/%s", s, label), func(t *testing.T) {
-				baseline := settledGoroutines()
-				if _, err := Run(Params{Scheme: s, Transport: tr, SimTime: 200 * sim.US}); err != nil {
-					t.Fatal(err)
-				}
-				waitGoroutineBaseline(t, baseline)
+				check(t, Params{Scheme: s, Transport: tr, SimTime: 200 * sim.US})
 			})
 		}
 	}
-
-	// The multi-processor Driver-Kernel attachment owns 2N channel ends;
-	// tear it down over the ring backend, whose endpoints only io.Closer
-	// reaches.
 	t.Run("Driver-Kernel/ring/cpus=2", func(t *testing.T) {
-		baseline := settledGoroutines()
-		if _, err := Run(Params{Scheme: DriverKernel, Transport: core.TransportRing, SimTime: 200 * sim.US, CPUs: 2}); err != nil {
-			t.Fatal(err)
-		}
-		waitGoroutineBaseline(t, baseline)
+		check(t, Params{Scheme: DriverKernel, Transport: core.TransportRing, SimTime: 200 * sim.US, CPUs: 2})
 	})
 }
 

@@ -17,9 +17,9 @@
 //   - Close is idempotent.
 //
 // Consumers therefore register teardown via the io.Closer interface —
-// never via a net.Conn type assertion, which would silently skip
-// non-socket backends and leak their reader goroutines (the cosimvet
-// transportclose rule enforces this outside this package).
+// never via a net.Conn type assertion, which skips the ring backend's
+// endpoints, so a read blocked on one never ends. The ring cases of the
+// teardown and stop-timeout tests hang on such an assertion.
 package transport
 
 import (
