@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"cosim/internal/dev"
 	"cosim/internal/obs"
 	"cosim/internal/sim"
@@ -22,10 +20,6 @@ import (
 type dmiWindows struct {
 	c      *driverCPU
 	grants []*dmiGrant
-
-	// active is raised by window hits and cleared by fold, so a stop
-	// without window activity skips the grants.
-	active atomic.Bool
 
 	staged []dev.StagedWrite // kernel-context scratch for staged stores
 }
@@ -65,30 +59,26 @@ func grantWindows(c *driverCPU, granter dev.DMIGranter) *dmiWindows {
 	w := &dmiWindows{c: c}
 	for _, name := range sortedKeys(c.outBindings) {
 		b := c.outBindings[name]
-		win := dev.NewWindow(name, w.notify)
+		win := dev.NewWindow(name)
 		win.Update(b.outPort.Bytes(), b.outPort.Writes())
 		b.outPort.SetOnWrite(win.Update)
 		granter.GrantDMIWindow(name, win)
 		w.grants = append(w.grants, &dmiGrant{w: win, b: b})
 	}
 	for _, name := range sortedKeys(c.inPorts) {
-		win := dev.NewWindow(name, w.notify)
+		win := dev.NewWindow(name)
 		granter.GrantDMIWindow(name, win)
 		w.grants = append(w.grants, &dmiGrant{w: win, in: c.inPorts[name]})
 	}
 	return w
 }
 
-// notify is the window activity callback, invoked after every window
-// hit: it marks the CPU's windows for the next fold.
-func (w *dmiWindows) notify() { w.active.Store(true) }
-
 // fold queues the guest's window activity since the last call as
 // frames: a consumed read generation (with the guest's stamp) and each
 // staged store, as the WRITE message it replaces. Counter growth is
-// flushed on the way. An idle CPU costs one load.
+// flushed on the way. It walks the CPU's two or three grants.
 func (w *dmiWindows) fold() {
-	if w == nil || !w.active.Swap(false) {
+	if w == nil {
 		return
 	}
 	c := w.c

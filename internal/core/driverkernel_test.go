@@ -510,7 +510,7 @@ func TestStalledChannelFailsNamed(t *testing.T) {
 			if k.Now() != sim.US {
 				t.Errorf("the run went on to %v after the failure at 1us", k.Now())
 			}
-			k.Shutdown()
+			runWithin(t, "k.Shutdown", teardownBound, k.Shutdown)
 			dataGuest.Close()
 			irqGuest.Close()
 			deadline := time.Now().Add(2 * time.Second)

@@ -62,9 +62,14 @@ func attachGDBKernel(t *testing.T, conn io.ReadWriter, im *asm.Image, bindings [
 	return k, g
 }
 
-// runWithin fails the test if fn does not return within d, so a hang
-// on a synchronous transport fails instead of stalling the suite.
-func runWithin(t *testing.T, d time.Duration, fn func()) {
+// teardownBound bounds a test's teardown steps: a teardown that hangs
+// fails naming its step instead of running into go test's timeout.
+const teardownBound = 5 * time.Second
+
+// runWithin fails the test, naming what, if fn does not return within
+// d, so a hang on a synchronous transport fails instead of stalling the
+// suite.
+func runWithin(t *testing.T, what string, d time.Duration, fn func()) {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
@@ -74,7 +79,7 @@ func runWithin(t *testing.T, d time.Duration, fn func()) {
 	select {
 	case <-done:
 	case <-time.After(d):
-		t.Fatalf("did not finish within %v", d)
+		t.Fatalf("%s did not finish within %v", what, d)
 	}
 }
 
@@ -100,7 +105,7 @@ func TestGDBKernelStopServiceWire(t *testing.T) {
 			k, g := attachGDBKernel(t, conn, im, doublerBindings)
 			attach, stubAttach := len(conn.written()), len(stubConn.written())
 			results := driveDoubler(t, k, 5)
-			runWithin(t, 10*time.Second, func() {
+			runWithin(t, "run", 10*time.Second, func() {
 				if err := k.Run(sim.MaxTime); err != nil {
 					t.Errorf("run: %v", err)
 				}
@@ -218,7 +223,7 @@ func TestGDBKernelPipeTransferLimit(t *testing.T) {
 				data[0] = byte(len(got) + 1)
 				big.Write(data)
 			}, resp.Event())
-			runWithin(t, 10*time.Second, func() {
+			runWithin(t, "run", 10*time.Second, func() {
 				if err := k.Run(sim.MaxTime); err != nil {
 					t.Errorf("run: %v", err)
 				}
@@ -402,15 +407,15 @@ func TestGDBKernelAckModeFallback(t *testing.T) {
 	rec := &recordingConn{ReadWriteCloser: target.HostConn}
 	k, g := attachGDBKernel(t, &refuseNoAck{ReadWriteCloser: rec}, im, doublerBindings)
 	results := driveDoubler(t, k, 3)
-	runWithin(t, 10*time.Second, func() {
+	runWithin(t, "run", 10*time.Second, func() {
 		if err := k.Run(sim.MaxTime); err != nil {
 			t.Errorf("run: %v", err)
 		}
 	})
 	g.Detach()
 	after := g.Client().Stats()
-	k.Shutdown()
-	_ = target.Wait()
+	runWithin(t, "k.Shutdown", teardownBound, k.Shutdown)
+	runWithin(t, "target.Wait", teardownBound, func() { _ = target.Wait() })
 	if g.Err() != nil || fmt.Sprint(*results) != "[2 4 6]" {
 		t.Fatalf("results %v, scheme error %v", *results, g.Err())
 	}

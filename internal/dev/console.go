@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Console register offsets.
@@ -18,7 +17,6 @@ const (
 // a buffer (readable by tests and the host) and optionally mirrored to
 // an io.Writer.
 type Console struct {
-	mu     sync.Mutex
 	buf    bytes.Buffer
 	mirror io.Writer
 }
@@ -48,12 +46,10 @@ func (c *Console) Read(off uint32, size int) (uint32, error) {
 func (c *Console) Write(off uint32, size int, v uint32) error {
 	switch off {
 	case ConsoleTx:
-		c.mu.Lock()
 		c.buf.WriteByte(byte(v))
 		if c.mirror != nil {
 			_, _ = c.mirror.Write([]byte{byte(v)})
 		}
-		c.mu.Unlock()
 		return nil
 	default:
 		return fmt.Errorf("console: write to unknown register %#x", off)
@@ -61,15 +57,7 @@ func (c *Console) Write(off uint32, size int, v uint32) error {
 }
 
 // Output returns everything written so far.
-func (c *Console) Output() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.buf.String()
-}
+func (c *Console) Output() string { return c.buf.String() }
 
 // Clear discards captured output.
-func (c *Console) Clear() {
-	c.mu.Lock()
-	c.buf.Reset()
-	c.mu.Unlock()
-}
+func (c *Console) Clear() { c.buf.Reset() }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Driver-Kernel wire values the device must recognise to intercept
@@ -49,7 +48,6 @@ const NoInt = 0xffffffff
 // race between the interrupt socket and the data socket: a wakeup can
 // never be lost between "check availability" and "wait for interrupt".
 type CosimDev struct {
-	mu sync.Mutex
 	tx []byte
 	// rx[rxHead:] are the received bytes not yet read. Once they drain,
 	// rx restarts at its storage base, so the buffer is reused.
@@ -68,9 +66,8 @@ type CosimDev struct {
 	// flushed guest frame whose port has a valid window is served
 	// locally; everything else goes to the data socket unchanged.
 	windows map[string]*Window
-	// reply builds the DATA reply a window READ synthesises. Only the
-	// guest's CPU goroutine flushes, so only it touches reply, and
-	// InjectRx copies it out.
+	// reply builds the DATA reply a window READ synthesises; InjectRx
+	// copies it out.
 	reply []byte
 
 	// yield, when set, runs after every flush: NewPlatform sets it to
@@ -78,8 +75,7 @@ type CosimDev struct {
 	// right after the guest sent a frame or used a window.
 	yield func()
 
-	sent       uint64 // bytes flushed to the data socket
-	txMessages uint64
+	sent uint64 // bytes flushed to the data socket
 
 	// dataR and irqR are the guest ends of the data and interrupt
 	// sockets; Receive reads them through in, a reused scratch buffer.
@@ -96,8 +92,6 @@ func NewCosimDev(pic *PIC, line int) *CosimDev {
 // SoC so its errors name the guest they came from; instance 0 keeps the
 // plain single-CPU name.
 func (d *CosimDev) SetInstance(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if n == 0 {
 		d.name = "cosim"
 	} else {
@@ -112,8 +106,8 @@ func (d *CosimDev) Name() string { return d.name }
 func (d *CosimDev) Size() uint32 { return CosimDevSize }
 
 // refresh drives the PIC line from the device state when its level
-// changes; callers hold d.mu. The PIC holds a level until it is
-// changed, so an unchanged level needs no PIC traffic.
+// changes. The PIC holds a level until it is changed, so an unchanged
+// level needs no PIC traffic.
 func (d *CosimDev) refresh() {
 	level := len(d.ints) > 0 || (d.rxIntEn && d.rxLen() > 0)
 	if level == d.level {
@@ -127,11 +121,11 @@ func (d *CosimDev) refresh() {
 	}
 }
 
-// rxLen is the number of received bytes not yet read; callers hold d.mu.
+// rxLen is the number of received bytes not yet read.
 func (d *CosimDev) rxLen() int { return len(d.rx) - d.rxHead }
 
-// popRx removes and returns the oldest received byte; callers hold d.mu
-// and have checked that one is pending.
+// popRx removes and returns the oldest received byte; callers have
+// checked that one is pending.
 func (d *CosimDev) popRx() byte {
 	v := d.rx[d.rxHead]
 	d.rxHead++
@@ -147,87 +141,54 @@ func (d *CosimDev) popRx() byte {
 // device reconfiguration: every granted DMI window is revoked, so a
 // stale grant can never serve reads that belong on the new connection.
 func (d *CosimDev) ConnectData(r io.Reader, w io.Writer) {
-	d.mu.Lock()
 	d.dataR, d.data = r, w
-	revoked := takeWindows(&d.windows)
-	d.mu.Unlock()
-	for _, win := range revoked {
-		win.Revoke()
-	}
-}
-
-// takeWindows empties a window map and returns its windows; callers
-// hold the device lock and revoke after releasing it (window locks are
-// never taken under d.mu — the guest hit path orders the other way).
-func takeWindows(m *map[string]*Window) []*Window {
-	if len(*m) == 0 {
-		*m = nil
-		return nil
-	}
-	ws := make([]*Window, 0, len(*m))
-	for _, w := range *m {
-		ws = append(ws, w)
-	}
-	*m = nil
-	return ws
+	d.RevokeDMIWindows()
 }
 
 // GrantDMIWindow implements DMIGranter: guest frames naming port are
 // served from w when possible. Granting over an existing window
 // revokes the old grant.
 func (d *CosimDev) GrantDMIWindow(port string, w *Window) {
-	d.mu.Lock()
 	if d.windows == nil {
 		d.windows = make(map[string]*Window)
 	}
-	old := d.windows[port]
-	d.windows[port] = w
-	d.mu.Unlock()
-	if old != nil {
+	if old := d.windows[port]; old != nil {
 		old.Revoke()
 	}
+	d.windows[port] = w
 }
 
 // RevokeDMIWindows implements DMIGranter.
 func (d *CosimDev) RevokeDMIWindows() {
-	d.mu.Lock()
-	revoked := takeWindows(&d.windows)
-	d.mu.Unlock()
-	for _, w := range revoked {
+	for _, w := range d.windows {
 		w.Revoke()
 	}
+	d.windows = nil
 }
 
 // ConnectIRQ attaches the interrupt socket: Receive reads 4-byte
 // little-endian interrupt ids from r, each queued and asserted on the
 // PIC line.
-func (d *CosimDev) ConnectIRQ(r io.Reader) {
-	d.mu.Lock()
-	d.irqR = r
-	d.mu.Unlock()
-}
+func (d *CosimDev) ConnectIRQ(r io.Reader) { d.irqR = r }
 
 // Receive takes data bytes off the data socket and irq bytes (irq/4
 // interrupt ids) off the interrupt socket, on the caller's goroutine,
 // and queues them as the guest will see them. The kernel calls it with
 // exactly what it sent, before it runs the guest.
 func (d *CosimDev) Receive(data, irq uint64) error {
-	d.mu.Lock()
-	dataR, irqR := d.dataR, d.irqR
-	d.mu.Unlock()
 	if data > 0 {
 		if uint64(cap(d.in)) < data {
 			d.in = make([]byte, data)
 		}
 		b := d.in[:data]
-		if _, err := io.ReadFull(dataR, b); err != nil {
+		if _, err := io.ReadFull(d.dataR, b); err != nil {
 			return fmt.Errorf("%s: data socket: %w", d.name, err)
 		}
 		d.InjectRx(b)
 	}
 	var b [4]byte
 	for ; irq >= 4; irq -= 4 {
-		if _, err := io.ReadFull(irqR, b[:]); err != nil {
+		if _, err := io.ReadFull(d.irqR, b[:]); err != nil {
 			return fmt.Errorf("%s: interrupt socket: %w", d.name, err)
 		}
 		d.InjectIRQ(binary.LittleEndian.Uint32(b[:]))
@@ -236,34 +197,19 @@ func (d *CosimDev) Receive(data, irq uint64) error {
 }
 
 // Sent returns how many bytes the guest has flushed to the data socket.
-func (d *CosimDev) Sent() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sent
-}
+func (d *CosimDev) Sent() uint64 { return d.sent }
 
 // InjectRx appends bytes to the receive buffer directly (in-process
 // transports and tests).
 func (d *CosimDev) InjectRx(b []byte) {
-	d.mu.Lock()
 	d.rx = append(d.rx, b...)
 	d.refresh()
-	d.mu.Unlock()
 }
 
 // InjectIRQ queues a co-simulation interrupt directly.
 func (d *CosimDev) InjectIRQ(id uint32) {
-	d.mu.Lock()
 	d.ints = append(d.ints, id)
 	d.refresh()
-	d.mu.Unlock()
-}
-
-// TxMessages returns how many messages the guest has flushed.
-func (d *CosimDev) TxMessages() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.txMessages
 }
 
 // parseGuestFrame decodes a driver-composed READ/WRITE frame so the
@@ -340,8 +286,6 @@ func (d *CosimDev) yielded() {
 
 // Read implements iss.Device.
 func (d *CosimDev) Read(off uint32, size int) (uint32, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	switch off {
 	case CosimRxByte:
 		if d.rxLen() == 0 {
@@ -376,66 +320,49 @@ func (d *CosimDev) Read(off uint32, size int) (uint32, error) {
 
 // Write implements iss.Device.
 func (d *CosimDev) Write(off uint32, size int, v uint32) error {
-	d.mu.Lock()
-	name := d.name // the flush and default paths error after unlocking
 	switch off {
 	case CosimTxByte:
 		d.tx = append(d.tx, byte(v))
-		d.mu.Unlock()
-		return nil
 	case CosimTxWord:
 		d.tx = append(d.tx, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		d.mu.Unlock()
-		return nil
 	case CosimTxFlush:
-		// The buffer is reused by the next message: the window path
-		// copies what it stages, and transports do not retain a
-		// written slice. Only the guest's CPU appends to it, and it is
-		// blocked in this call until the flush returns.
-		out := d.tx
-		d.tx = d.tx[:0]
-		w := d.data
-		d.txMessages++
-		var win *Window
-		var typ, cycles uint32
-		var payload []byte
-		if len(d.windows) > 0 {
-			if t, cyc, port, data, ok := parseGuestFrame(out); ok {
-				if wnd := d.windows[string(port)]; wnd != nil {
-					win, typ, cycles, payload = wnd, t, cyc, data
-				}
-			}
-		}
-		d.mu.Unlock()
-		if win != nil && d.serveFromWindow(win, typ, cycles, payload) {
-			d.yielded()
-			return nil
-		}
-		if w == nil {
-			return fmt.Errorf("%s: flush with no data connection", name)
-		}
-		if _, err := w.Write(out); err != nil {
-			return err
-		}
-		d.mu.Lock()
-		d.sent += uint64(len(out))
-		d.mu.Unlock()
-		d.yielded()
-		return nil
+		return d.flush()
 	case CosimIntAck:
 		if len(d.ints) > 0 {
 			d.ints = d.ints[1:]
 		}
 		d.refresh()
-		d.mu.Unlock()
-		return nil
 	case CosimRxIEn:
 		d.rxIntEn = v&1 != 0
 		d.refresh()
-		d.mu.Unlock()
-		return nil
 	default:
-		d.mu.Unlock()
-		return fmt.Errorf("%s: write to unknown register %#x", name, off)
+		return fmt.Errorf("%s: write to unknown register %#x", d.name, off)
 	}
+	return nil
+}
+
+// flush sends the buffered frame: from a granted window when it is a
+// READ or WRITE the window can serve, else to the data socket. The
+// buffer is reused by the next frame: the window path copies what it
+// stages, and transports do not retain a written slice.
+func (d *CosimDev) flush() error {
+	out := d.tx
+	d.tx = d.tx[:0]
+	if len(d.windows) > 0 {
+		if typ, cycles, port, data, ok := parseGuestFrame(out); ok {
+			if win := d.windows[string(port)]; win != nil && d.serveFromWindow(win, typ, cycles, data) {
+				d.yielded()
+				return nil
+			}
+		}
+	}
+	if d.data == nil {
+		return fmt.Errorf("%s: flush with no data connection", d.name)
+	}
+	if _, err := d.data.Write(out); err != nil {
+		return err
+	}
+	d.sent += uint64(len(out))
+	d.yielded()
+	return nil
 }

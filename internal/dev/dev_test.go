@@ -159,8 +159,8 @@ func TestCosimDevTxRx(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("host received % x, want % x", got, want)
 	}
-	if d.TxMessages() != 1 {
-		t.Fatalf("tx messages = %d", d.TxMessages())
+	if d.Sent() != 5 {
+		t.Fatalf("sent = %d bytes, want 5", d.Sent())
 	}
 
 	// Host sends a response; the device takes it, and the guest pops

@@ -1,7 +1,5 @@
 package dev
 
-import "sync"
-
 // DMI-style direct memory windows (cf. Villa et al., "Fast Dynamic
 // Memory Integration in Co-Simulation Frameworks for MPSoC"): the
 // kernel grants the guest's driver a revocable window into the
@@ -14,10 +12,12 @@ import "sync"
 //
 // A Window is the unit of grant. The kernel side mirrors port state
 // into it (Update) and reconciles guest activity out of it (TakeStaged,
-// TakeReadAck) at its cycle-boundary hooks, so granted-window accesses
-// still couple to lock-step time; the guest side serves accesses from
-// it (TryRead, TryWrite). Revoke invalidates the window permanently —
-// the kernel re-grants a fresh window after reconfiguration.
+// TakeReadAck) between guest runs, so granted-window accesses still
+// couple to simulated time; the guest side serves accesses from it
+// (TryRead, TryWrite). Revoke invalidates the window permanently —
+// the kernel re-grants a fresh window after reconfiguration. Both
+// sides run on the goroutine that owns the platform the window is
+// granted to (see the package doc), so a window takes no lock.
 
 // Staged-write bounds: a window stops accepting guest stores once this
 // many writes or bytes are pending reconciliation, forcing the
@@ -35,17 +35,10 @@ type StagedWrite struct {
 }
 
 // Window is one revocable direct-memory grant over a single bound port.
-// The zero value is unusable; construct with NewWindow. All methods are
-// safe for concurrent use by the guest and kernel threads.
+// The zero value is unusable; construct with NewWindow.
 type Window struct {
-	mu    sync.Mutex
 	port  string
 	valid bool
-
-	// onActivity, set at construction by the kernel, is invoked (outside
-	// the window lock) after every guest-side hit so the kernel's
-	// lock-step wait can wake and reconcile. It must be non-blocking.
-	onActivity func()
 
 	// Read side: the kernel mirrors the backing port's bytes and write
 	// generation here; the guest consumes generations. seq > readSeq
@@ -63,9 +56,9 @@ type Window struct {
 	hits, misses, revocations uint64
 }
 
-// NewWindow creates a valid window over port. onActivity may be nil.
-func NewWindow(port string, onActivity func()) *Window {
-	return &Window{port: port, valid: true, onActivity: onActivity}
+// NewWindow creates a valid window over port.
+func NewWindow(port string) *Window {
+	return &Window{port: port, valid: true}
 }
 
 // Port returns the bound port name the window was granted over.
@@ -75,14 +68,11 @@ func (w *Window) Port() string { return w.port }
 // counter cycles. It succeeds only when the window is valid and holds a
 // generation the guest has not consumed yet — a stale re-read falls
 // back to the message path, which always returns the current value.
-// On success sink is called with the mirrored bytes while the window
-// lock is held; sink must only copy (no locks, no blocking). Returns
-// whether the read was served.
+// On success sink is called with the mirrored bytes, which it must
+// copy. Returns whether the read was served.
 func (w *Window) TryRead(cycles uint32, sink func(data []byte)) bool {
-	w.mu.Lock()
 	if !w.valid || w.seq <= w.readSeq {
 		w.misses++
-		w.mu.Unlock()
 		return false
 	}
 	sink(w.data)
@@ -90,11 +80,6 @@ func (w *Window) TryRead(cycles uint32, sink func(data []byte)) bool {
 	w.readCycles = cycles
 	w.readAck = true
 	w.hits++
-	fn := w.onActivity
-	w.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
 	return true
 }
 
@@ -102,10 +87,8 @@ func (w *Window) TryRead(cycles uint32, sink func(data []byte)) bool {
 // the caller falls back to the message path — when the window is
 // revoked or the staged-write bounds are reached. The data bytes are copied.
 func (w *Window) TryWrite(cycles uint32, data []byte) bool {
-	w.mu.Lock()
 	if !w.valid || len(w.staged) >= maxStagedWrites || w.stagedBytes+len(data) > maxStagedBytes {
 		w.misses++
-		w.mu.Unlock()
 		return false
 	}
 	buf := make([]byte, len(data))
@@ -113,24 +96,13 @@ func (w *Window) TryWrite(cycles uint32, data []byte) bool {
 	w.staged = append(w.staged, StagedWrite{Cycles: cycles, Data: buf})
 	w.stagedBytes += len(data)
 	w.hits++
-	fn := w.onActivity
-	w.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
 	return true
 }
 
 // Update mirrors the backing port's current bytes and write generation
-// into the window (kernel side). It is a no-op on a revoked window and
-// on a stale generation: devices snapshot the image under their own
-// mutex but apply it here after releasing it (window locks are never
-// taken under a device mutex), so two racing updates may arrive out of
-// order and the older one must not regress the mirror.
+// into the window (kernel side). It is a no-op on a revoked window.
 func (w *Window) Update(data []byte, seq uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.valid || seq < w.seq {
+	if !w.valid {
 		return
 	}
 	w.data = append(w.data[:0], data...)
@@ -141,8 +113,6 @@ func (w *Window) Update(data []byte, seq uint64) {
 // generation seq to the guest (a fallback READ was answered by the
 // kernel), so the window will not re-serve it as fresh.
 func (w *Window) SyncConsumed(seq uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if seq > w.readSeq {
 		w.readSeq = seq
 	}
@@ -151,8 +121,6 @@ func (w *Window) SyncConsumed(seq uint64) {
 // TakeStaged moves all staged guest writes out of the window, appending
 // them to dst (kernel side, called at reconcile points).
 func (w *Window) TakeStaged(dst []StagedWrite) []StagedWrite {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	dst = append(dst, w.staged...)
 	w.staged = w.staged[:0]
 	w.stagedBytes = 0
@@ -161,10 +129,8 @@ func (w *Window) TakeStaged(dst []StagedWrite) []StagedWrite {
 
 // TakeReadAck reports and clears the pending read acknowledgement: the
 // generation the guest last consumed through the window and the guest
-// cycle counter at that access, for lock-step reconciliation.
+// cycle counter at that access, for reconciliation in simulated time.
 func (w *Window) TakeReadAck() (seq uint64, cycles uint32, ok bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if !w.readAck {
 		return 0, 0, false
 	}
@@ -174,18 +140,12 @@ func (w *Window) TakeReadAck() (seq uint64, cycles uint32, ok bool) {
 
 // HasPending reports whether guest activity (a consumed read
 // generation or staged writes) awaits kernel reconciliation.
-func (w *Window) HasPending() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.readAck || len(w.staged) > 0
-}
+func (w *Window) HasPending() bool { return w.readAck || len(w.staged) > 0 }
 
 // Revoke invalidates the window permanently. Guest accesses after
 // revocation miss and fall back to the message path; staged writes
 // survive for one final reconciliation. Revoking twice counts once.
 func (w *Window) Revoke() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.valid {
 		w.valid = false
 		w.revocations++
@@ -193,16 +153,10 @@ func (w *Window) Revoke() {
 }
 
 // Valid reports whether the window is still granted.
-func (w *Window) Valid() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.valid
-}
+func (w *Window) Valid() bool { return w.valid }
 
 // Counters returns the window's cumulative hit/miss/revocation counts.
 func (w *Window) Counters() (hits, misses, revocations uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.hits, w.misses, w.revocations
 }
 

@@ -1,7 +1,6 @@
 package dev
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -15,29 +14,20 @@ const (
 )
 
 // mailboxSide is the per-endpoint state of a mailbox pair: the receive
-// queue, its PIC line, and the optional DMI window mirroring the
-// queue's payload. Both sides share one mutex.
+// queue and its PIC line. Both sides share one mutex.
 type mailboxSide struct {
 	queue []uint32
 	pic   *PIC
 	line  int
-
-	// win, when granted, mirrors this side's receive-queue payload so
-	// the kernel (or a windowed observer) can read delivered words
-	// without MMIO. delivered is the mirror's write generation.
-	win       *Window
-	delivered uint64
 }
 
 // Mailbox is one endpoint of a bidirectional inter-processor mailbox —
 // the kind of hardware block a multi-processor SoC uses for doorbells.
 // Words written to MBSend appear in the peer's receive queue and assert
-// the peer's PIC line.
-//
-// The receive queue's payload is side-effect-free backing memory, so it
-// is DMI-eligible: GrantDMIWindow mirrors the queue into a Window on
-// every delivery. Register accesses (MBSend's interrupt side effect,
-// MBRecv's pop) always take the normal MMIO path.
+// the peer's PIC line. It is the one device two platforms share, so
+// its queues are guarded by a mutex the pair holds in common. A send
+// still asserts the peer's PIC, which belongs to the peer platform's
+// owner: the two platforms of a pair run one at a time.
 type Mailbox struct {
 	mu   *sync.Mutex
 	self *mailboxSide
@@ -60,51 +50,6 @@ func (m *Mailbox) Name() string { return "mailbox" }
 
 // Size implements iss.Device.
 func (m *Mailbox) Size() uint32 { return MBSize }
-
-// mirrorLocked snapshots a side's window image from its queue; callers
-// hold m.mu and apply the snapshot with win.Update after releasing it —
-// window locks are never taken under a device mutex, and Update's
-// generation guard discards whichever of two racing snapshots is older.
-// The payload image is the queued words in delivery order, little-
-// endian, stamped with the cumulative delivery count as generation.
-func (s *mailboxSide) mirrorLocked() (win *Window, buf []byte, gen uint64) {
-	if s.win == nil {
-		return nil, nil, 0
-	}
-	buf = make([]byte, 0, 4*len(s.queue))
-	for _, v := range s.queue {
-		buf = binary.LittleEndian.AppendUint32(buf, v)
-	}
-	return s.win, buf, s.delivered
-}
-
-// GrantDMIWindow mirrors this endpoint's receive-queue payload into w,
-// starting with the words already queued. Granting again replaces (and
-// revokes) the previous window.
-func (m *Mailbox) GrantDMIWindow(w *Window) {
-	m.mu.Lock()
-	old := m.self.win
-	m.self.win = w
-	win, buf, gen := m.self.mirrorLocked()
-	m.mu.Unlock()
-	if win != nil {
-		win.Update(buf, gen)
-	}
-	if old != nil {
-		old.Revoke()
-	}
-}
-
-// RevokeDMIWindow revokes and detaches this endpoint's window.
-func (m *Mailbox) RevokeDMIWindow() {
-	m.mu.Lock()
-	old := m.self.win
-	m.self.win = nil
-	m.mu.Unlock()
-	if old != nil {
-		old.Revoke()
-	}
-}
 
 // Read implements iss.Device.
 func (m *Mailbox) Read(off uint32, size int) (uint32, error) {
@@ -134,14 +79,8 @@ func (m *Mailbox) Write(off uint32, size int, v uint32) error {
 	case MBSend:
 		m.mu.Lock()
 		m.peer.queue = append(m.peer.queue, v)
-		m.peer.delivered++
-		win, buf, gen := m.peer.mirrorLocked()
-		pic, line := m.peer.pic, m.peer.line
 		m.mu.Unlock()
-		if win != nil {
-			win.Update(buf, gen)
-		}
-		pic.Assert(line)
+		m.peer.pic.Assert(m.peer.line)
 		return nil
 	default:
 		return fmt.Errorf("mailbox: write to unknown register %#x", off)

@@ -3,12 +3,18 @@
 // console, a mailbox for inter-processor communication, and CosimDev —
 // the ISS-side bridge device through which the Driver-Kernel
 // co-simulation scheme exchanges messages with the SystemC kernel.
+//
+// Ownership: a Platform, its devices and the DMI windows granted to it
+// belong to the one goroutine that runs the platform at a time, and
+// nothing in this package locks against another. Under Driver-Kernel
+// that is the simulation kernel's goroutine, which runs each guest in
+// its horizon hook and grants, mirrors and folds the windows between
+// runs. Under a GDB stub it is the stub's serve loop or its runner,
+// which hand the CPU over through a channel. The Mailbox is the one
+// device two platforms share, and it keeps its own mutex.
 package dev
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Interrupt line assignments on the platform PIC.
 const (
@@ -38,11 +44,8 @@ const (
 // (Assert holds the line until Deassert); software can additionally
 // latch lines through PICRaise. PICAck clears only the latch — a level
 // input stays pending until its device deasserts, so interrupts cannot
-// be lost by an early acknowledge. Assert may be called from any
-// goroutine — this is how the SystemC side injects interrupts in the
-// Driver-Kernel scheme.
+// be lost by an early acknowledge.
 type PIC struct {
-	mu      sync.Mutex
 	levels  uint32 // device-driven level inputs
 	latch   uint32 // software-raised latched bits
 	enable  uint32
@@ -62,30 +65,22 @@ func (p *PIC) Name() string { return "pic" }
 // Size implements iss.Device.
 func (p *PIC) Size() uint32 { return PICSize }
 
-// Assert raises input line n (level). Safe from any goroutine.
+// Assert raises input line n (level).
 func (p *PIC) Assert(n int) {
-	p.mu.Lock()
 	p.levels |= 1 << uint(n)
 	p.refresh()
-	p.mu.Unlock()
 }
 
 // Deassert lowers input line n.
 func (p *PIC) Deassert(n int) {
-	p.mu.Lock()
 	p.levels &^= 1 << uint(n)
 	p.refresh()
-	p.mu.Unlock()
 }
 
 // Pending returns the current pending mask (levels plus latch).
-func (p *PIC) Pending() uint32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.levels | p.latch
-}
+func (p *PIC) Pending() uint32 { return p.levels | p.latch }
 
-// refresh drives the CPU pin; callers hold the mutex.
+// refresh drives the CPU pin.
 func (p *PIC) refresh() {
 	if (p.levels|p.latch)&p.enable != 0 {
 		p.sink.RaiseIRQ(p.cpuLine)
@@ -96,8 +91,6 @@ func (p *PIC) refresh() {
 
 // Read implements iss.Device.
 func (p *PIC) Read(off uint32, size int) (uint32, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	switch off {
 	case PICPending:
 		return p.levels | p.latch, nil
@@ -110,8 +103,6 @@ func (p *PIC) Read(off uint32, size int) (uint32, error) {
 
 // Write implements iss.Device.
 func (p *PIC) Write(off uint32, size int, v uint32) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	switch off {
 	case PICEnable:
 		p.enable = v

@@ -2,7 +2,6 @@ package iss
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"cosim/internal/isa"
 )
@@ -99,9 +98,8 @@ type CPU struct {
 	sleeping bool // in WFI
 	yield    bool // a device asked Run to return after the current store
 
-	irqPending uint32 // atomic bitmask of raised IRQ lines
+	irqPending uint32 // bitmask of raised IRQ lines
 	irqEnabled uint32 // mask of enabled lines (set via PIC or directly)
-	wakeCh     chan struct{}
 
 	breakpoints map[uint32]struct{}
 	watchpoints map[uint32]uint32 // addr -> length
@@ -131,7 +129,6 @@ func New(bus Bus) *CPU {
 		irqEnabled:  0xff,
 		breakpoints: make(map[uint32]struct{}),
 		watchpoints: make(map[uint32]uint32),
-		wakeCh:      make(chan struct{}, 1),
 	}
 	c.sbus, _ = bus.(*SystemBus)
 	c.enableDecodeCache()
@@ -230,7 +227,7 @@ func (c *CPU) Reset(pc uint32) {
 	c.PC = pc
 	c.cycles, c.icount = 0, 0
 	c.halted, c.sleeping, c.stepOverBP, c.yield = false, false, false, false
-	atomic.StoreUint32(&c.irqPending, 0)
+	c.irqPending = 0
 	if c.dc != nil {
 		c.dc.flush()
 	}
@@ -297,46 +294,25 @@ func (c *CPU) watchTriggered(addr uint32, size int) bool {
 
 // --- interrupts -----------------------------------------------------------
 
-// RaiseIRQ asserts external interrupt line n. Safe to call from any
-// goroutine (this is how the SystemC side injects interrupts).
+// RaiseIRQ asserts external interrupt line n. Like every other CPU
+// method it runs on the goroutine that runs the CPU: devices raise
+// lines from their register writes, and a Driver-Kernel guest's device
+// from Receive, between runs.
 func (c *CPU) RaiseIRQ(n int) {
-	if n < 0 || n >= isa.NumIRQ {
-		return
-	}
-	for {
-		old := atomic.LoadUint32(&c.irqPending)
-		if atomic.CompareAndSwapUint32(&c.irqPending, old, old|1<<uint(n)) {
-			// Wake a host loop parked on WakeChan (WFI idling).
-			select {
-			case c.wakeCh <- struct{}{}:
-			default:
-			}
-			return
-		}
+	if n >= 0 && n < isa.NumIRQ {
+		c.irqPending |= 1 << uint(n)
 	}
 }
 
-// WakeChan is signalled whenever an interrupt line is raised; host run
-// loops use it to sleep efficiently while the CPU idles in WFI.
-func (c *CPU) WakeChan() <-chan struct{} { return c.wakeCh }
-
 // ClearIRQ deasserts line n (level-triggered model: devices clear on ack).
 func (c *CPU) ClearIRQ(n int) {
-	if n < 0 || n >= isa.NumIRQ {
-		return
-	}
-	for {
-		old := atomic.LoadUint32(&c.irqPending)
-		if atomic.CompareAndSwapUint32(&c.irqPending, old, old&^(1<<uint(n))) {
-			return
-		}
+	if n >= 0 && n < isa.NumIRQ {
+		c.irqPending &^= 1 << uint(n)
 	}
 }
 
 // PendingIRQ returns the pending mask (enabled lines only).
-func (c *CPU) PendingIRQ() uint32 {
-	return atomic.LoadUint32(&c.irqPending) & c.irqEnabled
-}
+func (c *CPU) PendingIRQ() uint32 { return c.irqPending & c.irqEnabled }
 
 // SetIRQMask sets the enabled interrupt line mask.
 func (c *CPU) SetIRQMask(mask uint32) { c.irqEnabled = mask }

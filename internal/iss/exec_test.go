@@ -203,21 +203,6 @@ isr:
 	}
 }
 
-func TestWakeChanSignalled(t *testing.T) {
-	c, _ := buildCPU(t, "_start:\n    nop\n    halt\n")
-	select {
-	case <-c.WakeChan():
-		t.Fatal("wake before any IRQ")
-	default:
-	}
-	c.RaiseIRQ(0)
-	select {
-	case <-c.WakeChan():
-	default:
-		t.Fatal("RaiseIRQ did not signal the wake channel")
-	}
-}
-
 // TestDeterministicExecution runs random straight-line ALU programs
 // twice and checks identical final state — guarding against hidden
 // host-dependent behaviour in the interpreter.

@@ -371,3 +371,25 @@ func TestObservedCounters(t *testing.T) {
 		t.Fatal("nil transport did not pass through")
 	}
 }
+
+// TestIdleWatchdogExpiresAfterOneTimeout: the first wait on an idle
+// watchdog is ended one timeout after it began, not two.
+func TestIdleWatchdogExpiresAfterOneTimeout(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	expired := make(chan time.Duration, 1)
+	start := time.Now()
+	w := NewWatchdog(timeout, func() { expired <- time.Since(start) })
+	w.Arm()
+	var took time.Duration
+	select {
+	case took = <-expired:
+	case <-time.After(10 * timeout):
+		t.Fatal("idle watchdog never expired")
+	}
+	if !w.Disarm() {
+		t.Fatal("Disarm did not report the expiry")
+	}
+	if took < timeout || took >= timeout*3/2 {
+		t.Fatalf("idle watchdog expired after %v, want within [%v, %v)", took, timeout, timeout*3/2)
+	}
+}

@@ -6,12 +6,14 @@ import (
 )
 
 // A Watchdog bounds blocking reads on a channel without reading the
-// clock per read. Arm numbers a wait and, if none is scheduled, a tick
-// timeout later; a wait still in progress at two ticks in a row has
+// clock per read. Arm numbers a wait and, if no tick is scheduled,
+// records the wait as seen and schedules a tick a timeout later; a
+// wait still in progress at the tick that follows its being seen has
 // lasted at least the timeout, and the watchdog ends it by calling
 // expire, which must make the blocked read fail (closing the channel
 // does). A tick that finds no wait since the last one schedules no
-// further tick, so an idle watchdog holds no timer. A zero timeout
+// further tick, so an idle watchdog holds no timer, and the first wait
+// after idling is ended one timeout after it began. A zero timeout
 // disables it. Arm and Disarm belong to the one goroutine that reads.
 type Watchdog struct {
 	timeout time.Duration
@@ -36,6 +38,9 @@ func (w *Watchdog) Arm() {
 	}
 	w.armed = w.waits.Add(1)
 	if !w.ticking.Swap(true) {
+		// No tick runs: the last one stored ticking=false after its
+		// last write to seen.
+		w.seen = w.armed
 		time.AfterFunc(w.timeout, w.tick)
 	}
 }
