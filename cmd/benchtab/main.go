@@ -5,9 +5,11 @@
 // Usage:
 //
 //	benchtab -exp table1|figure7|loc|all [-full] [-times 1ms,5ms]
-//	         [-scheme NAME] [-cpus N] [-transport tcp|ring|pipe]
-//	         [-dmi] [-ablate dmi]
-//	         [-parallel N] [-json] [-server URL]
+//	         [-scheme NAME] [-transport tcp|ring|pipe] [-ablate dmi]
+//	         [-parallel N] [-json] [-server URL] [run flags]
+//
+// The run flags (-delay, -seed, -cpus, -dmi, ...) are cosim's: both
+// commands bind them through harness.Spec.RegisterFlags.
 //
 // -full uses the paper-scale simulated durations (slow); the default
 // uses scaled-down durations with identical workload structure, and
@@ -92,13 +94,13 @@ func main() {
 	sel := harness.Scheme(-1) // sentinel: no filter
 	flag.Var(&sel, "scheme", "restrict the sweep to one scheme (default: all)")
 	trFlag := flag.String("transport", "tcp", `IPC transport: tcp, ring or pipe; a comma list or "all" sweeps several`)
-	delay := flag.String("delay", "20us", "inter-packet delay for Table 1")
-	seed := flag.Int64("seed", 1, "traffic seed")
-	cpus := flag.Int("cpus", 1, "checksum CPUs servicing the router (gdb-kernel and driver-kernel)")
+	// The run flags fill a wire-form Spec, as cosim's do. benchtab sweeps
+	// schemes itself: every scenario overwrites the placeholder scheme.
+	spec := harness.Spec{Scheme: "gdb-kernel"}
+	spec.RegisterFlags(flag.CommandLine)
+	flag.Lookup("delay").Usage = "inter-packet delay per source for Table 1 (Figure 7 sweeps its own)"
 	parallel := flag.Int("parallel", 1, "experiment sweep workers (1 = sequential)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable metrics report")
-	noDC := flag.Bool("nodecodecache", false, "disable the ISS predecoded-instruction cache (ablation baseline)")
-	dmi := flag.Bool("dmi", false, "grant driver-kernel guests direct memory windows (memory fast path)")
 	ablate := flag.String("ablate", "", `cross-sweep driver-kernel axes: "dmi"`)
 	serverURL := flag.String("server", "", "drive a running cosimd at this base URL instead of simulating in-process")
 	flag.Parse()
@@ -107,12 +109,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The scalar flags funnel through the wire-form Spec — the same
-	// validated request shape a cosimd session POST carries. benchtab
-	// sweeps schemes itself, so the base spec carries a placeholder
-	// scheme that every scenario overwrites.
-	baseSpec := harness.Spec{Scheme: "gdb-kernel", Delay: *delay, Seed: *seed, CPUs: *cpus, NoDecodeCache: *noDC, DMI: *dmi}
-	base, err := baseSpec.Params()
+	base, err := spec.Params()
 	if err != nil {
 		fatal(err)
 	}
@@ -120,10 +117,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *cpus > 1 {
-		if sel >= 0 && !sel.SupportsMultiCPU() {
-			fatal(fmt.Errorf("scheme %v drives a single CPU; -cpus %d needs gdb-kernel or driver-kernel", sel, *cpus))
-		}
+	if base.CPUs > 1 && sel >= 0 && !sel.SupportsMultiCPU() {
+		fatal(fmt.Errorf("scheme %v drives a single CPU; -cpus %d needs gdb-kernel or driver-kernel", sel, base.CPUs))
 	}
 
 	simTimes := []sim.Time{2 * sim.MS, 10 * sim.MS, 50 * sim.MS}

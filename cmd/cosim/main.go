@@ -21,39 +21,19 @@ import (
 )
 
 func main() {
-	scheme := flag.String("scheme", "gdb-kernel", "co-simulation scheme: gdb-wrapper, gdb-kernel, driver-kernel")
-	simTime := flag.String("time", "10ms", "simulated duration")
-	delay := flag.String("delay", "20us", "inter-packet delay per source")
-	payload := flag.Int("payload", 4, "payload words per packet")
-	errRate := flag.Float64("errors", 0.0, "corrupted-packet injection rate [0,1]")
-	mcast := flag.Float64("multicast", 0.0, "broadcast packet rate [0,1]")
-	fifo := flag.Int("fifo", 8, "router FIFO depth")
-	transport := flag.String("transport", "tcp", "IPC transport: tcp, ring or pipe")
-	seed := flag.Int64("seed", 1, "traffic seed")
-	cpus := flag.Int("cpus", 1, "checksum CPUs servicing the router (gdb-kernel and driver-kernel)")
-	dmi := flag.Bool("dmi", false, "grant driver-kernel guests direct memory windows (memory fast path)")
+	// The flags fill a wire-form Spec — the same request shape a cosimd
+	// session POST carries — and Params are materialised from it.
+	var spec harness.Spec
+	spec.RegisterFlags(flag.CommandLine)
+	flag.StringVar(&spec.Scheme, "scheme", "gdb-kernel", "co-simulation scheme: gdb-wrapper, gdb-kernel, driver-kernel")
+	flag.StringVar(&spec.SimTime, "time", "10ms", "simulated duration")
+	flag.StringVar(&spec.Transport, "transport", "tcp", "IPC transport: tcp, ring or pipe")
 	vcd := flag.String("vcd", "", "write a VCD trace of queue occupancy to this file")
 	journal := flag.String("journal", "", "write a CSV journal of every co-simulation transfer to this file")
 	metricsOut := flag.String("metrics", "", "write the run's obs metrics snapshot (JSON) to this file")
 	expvarAddr := flag.String("expvar", "", "serve live metrics over HTTP on this address (GET /debug/vars)")
 	flag.Parse()
 
-	// The flag surface assembles a wire-form Spec — the same validated
-	// request shape a cosimd session POST carries — and materialises
-	// Params from it.
-	spec := harness.Spec{
-		Scheme:        *scheme,
-		Transport:     *transport,
-		SimTime:       *simTime,
-		Delay:         *delay,
-		PayloadWords:  *payload,
-		ErrorRate:     *errRate,
-		MulticastRate: *mcast,
-		FifoDepth:     *fifo,
-		Seed:          *seed,
-		CPUs:          *cpus,
-		DMI:           *dmi,
-	}
 	p, err := spec.Params()
 	if err != nil {
 		fatal(err)

@@ -97,7 +97,7 @@ func TestGuestTimeCausality(t *testing.T) {
 					if len(res.CPUCycles) != cpus {
 						t.Fatalf("%d per-CPU cycle counts, want %d", len(res.CPUCycles), cpus)
 					}
-					if err := causality(res.Simulated, res.Params.CPUPeriod, res.CPUCycles); err != nil {
+					if err := causality(res.Simulated, CPUPeriod, res.CPUCycles); err != nil {
 						t.Fatal(err)
 					}
 				})

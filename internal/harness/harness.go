@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -100,17 +101,6 @@ type Params struct {
 
 	// SimTime is the simulated duration to execute.
 	SimTime sim.Time
-	// ClockPeriod is the GDB-Wrapper's clock period (default 100ns; an
-	// even number of picoseconds, at least 2ps). Only the wrapper gets a
-	// clock process: its sc_method is sensitive to the positive edge.
-	// The kernel schemes build no clock and ignore the period, so it is
-	// not validated for them: GDB-Kernel schedules each stop's service
-	// at the stop's own time, and Driver-Kernel's hooks run at the
-	// model's events and at the times its guests send.
-	ClockPeriod sim.Time
-	// CPUPeriod is the guest cycle length for time coupling. Zero
-	// means the default, 10ns; cycle coupling cannot be switched off.
-	CPUPeriod sim.Time
 	// Quantum is inert: temporal decoupling was removed, and the
 	// Driver-Kernel scheme synchronises with its guests every cycle.
 	// The field stays only so existing callers still compile; setting
@@ -157,22 +147,20 @@ type Params struct {
 	Obs *obs.Registry
 }
 
+// WrapperClock is the period of the GDB-Wrapper's clock, whose positive
+// edge its sc_method is sensitive to. The kernel schemes build no clock.
+const WrapperClock = 100 * sim.NS
+
+// CPUPeriod is the guest cycle length in every scheme's time coupling.
+const CPUPeriod = 10 * sim.NS
+
 // WithDefaults returns p with every zero field replaced by the run
 // default — the view Run executes and admission control must quota
-// against (an empty SimTime is a 1ms run, not a zero-length one).
-func (p Params) WithDefaults() Params { return p.withDefaults() }
-
-// withDefaults fills zero fields. It is the one place a nil transport
-// becomes the pipe backend.
-func (p Params) withDefaults() Params {
+// against (an empty SimTime is a 1ms run, not a zero-length one). It is
+// the one place a nil transport becomes the pipe backend.
+func (p Params) WithDefaults() Params {
 	if p.Transport == nil {
 		p.Transport = transport.Pipe
-	}
-	if p.ClockPeriod == 0 {
-		p.ClockPeriod = 100 * sim.NS
-	}
-	if p.CPUPeriod == 0 {
-		p.CPUPeriod = 10 * sim.NS
 	}
 	if p.InstrPerCycle == 0 {
 		p.InstrPerCycle = 8
@@ -193,6 +181,31 @@ func (p Params) withDefaults() Params {
 		p.CPUs = 1
 	}
 	return p
+}
+
+// check is every rule a run's settings must meet, for Params and Spec
+// callers alike. Its messages name the Spec keys. A multi-CPU request
+// against a single-CPU scheme fails with ErrSingleCPUScheme.
+func (p Params) check() error {
+	switch {
+	case !slices.Contains(Schemes, p.Scheme):
+		return fmt.Errorf("unknown scheme %v", p.Scheme)
+	case p.CPUs < 0:
+		return fmt.Errorf("cpus %d is negative", p.CPUs)
+	case p.PayloadWords < 0:
+		return fmt.Errorf("payload_words %d is negative", p.PayloadWords)
+	case p.FifoDepth < 0:
+		return fmt.Errorf("fifo_depth %d is negative", p.FifoDepth)
+	case p.PayloadWords > router.MaxPayloadWords:
+		return fmt.Errorf("payload_words %d above the maximum of %d", p.PayloadWords, router.MaxPayloadWords)
+	case !(p.ErrorRate >= 0 && p.ErrorRate <= 1):
+		return fmt.Errorf("error_rate %v outside [0,1]", p.ErrorRate)
+	case !(p.MulticastRate >= 0 && p.MulticastRate <= 1):
+		return fmt.Errorf("multicast_rate %v outside [0,1]", p.MulticastRate)
+	case p.CPUs > 1 && !p.Scheme.SupportsMultiCPU():
+		return fmt.Errorf("%v %w: cpus %d needs gdb-kernel or driver-kernel", p.Scheme, ErrSingleCPUScheme, p.CPUs)
+	}
+	return nil
 }
 
 // Result is the outcome of one run.
@@ -267,14 +280,9 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p = p.withDefaults()
-	if p.Scheme == GDBWrapper {
-		if why := badClockPeriod(p.ClockPeriod); why != "" {
-			return nil, fmt.Errorf("harness: clock period %v %s: its edges must be half a period apart", p.ClockPeriod, why)
-		}
-	}
-	if p.PayloadWords > router.MaxPayloadWords {
-		return nil, fmt.Errorf("harness: payload words %d above the maximum of %d", p.PayloadWords, router.MaxPayloadWords)
+	p = p.WithDefaults()
+	if err := p.check(); err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
 	}
 	reg := p.Obs
 	if reg == nil {
@@ -292,7 +300,7 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	// going to its end.
 	var clk *sim.Clock
 	if p.Scheme == GDBWrapper {
-		clk = sim.NewClock(k, "clk", p.ClockPeriod)
+		clk = sim.NewClock(k, "clk", WrapperClock)
 	} else {
 		k.CallAt(p.SimTime, func() {})
 	}
@@ -326,9 +334,6 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 		}
 	}()
 
-	if p.CPUs > 1 && !p.Scheme.SupportsMultiCPU() {
-		return nil, fmt.Errorf("harness: %v %w: the lock-step wrapper owns exactly one RSP connection; use gdb-kernel or driver-kernel for CPUs > 1", p.Scheme, ErrSingleCPUScheme)
-	}
 	// A multi-CPU run prefixes each CPU's iss ports so N identical
 	// guests attach to one kernel without colliding.
 	portPrefix := func(n int) string {
@@ -339,7 +344,7 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	}
 
 	common := core.CommonOptions{
-		CPUPeriod: p.CPUPeriod,
+		CPUPeriod: CPUPeriod,
 		Journal:   p.Journal,
 		Obs:       reg,
 	}
@@ -444,8 +449,6 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 			})
 		}
 
-	default:
-		return nil, fmt.Errorf("harness: unknown scheme %v", p.Scheme)
 	}
 
 	// Hardware side: the router, producers and consumers of Figure 6.

@@ -37,12 +37,12 @@ type Metrics struct {
 }
 
 // Metrics flattens the run into its measurement record. The transport
-// is named through withDefaults: Run's Params are already defaulted,
+// is named through WithDefaults: Run's Params are already defaulted,
 // but a Result built elsewhere may carry a nil transport.
 func (r *Result) Metrics() Metrics {
 	m := Metrics{
 		Scheme:       r.Params.Scheme.String(),
-		Transport:    r.Params.withDefaults().Transport.Name(),
+		Transport:    r.Params.WithDefaults().Transport.Name(),
 		CPUs:         r.Params.CPUs,
 		SimTime:      r.Params.SimTime.String(),
 		Delay:        r.Params.Delay.String(),

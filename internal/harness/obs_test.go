@@ -164,7 +164,7 @@ func TestTraceErrPropagated(t *testing.T) {
 }
 
 // TestNilTransportReportsPipe: a run with no transport uses the pipe
-// default that Params.withDefaults fills in, and its metrics name it
+// default that Params.WithDefaults fills in, and its metrics name it
 // and carry its per-backend counters.
 func TestNilTransportReportsPipe(t *testing.T) {
 	res, err := Run(Params{Scheme: GDBKernel, SimTime: 200 * sim.US, Seed: 3})

@@ -3,10 +3,10 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 
-	"cosim/internal/router"
 	"cosim/internal/sim"
 	"cosim/internal/transport"
 )
@@ -15,13 +15,14 @@ import (
 // configuration that can travel over an API boundary. Params holds live
 // process resources — an io.Writer trace sink, a *core.Journal, an
 // *obs.Registry, a core.Transport interface value — none of which
-// survive a JSON round trip, so cosimd sessions, benchtab's load-driver
-// mode and the CLI flag surfaces all speak Spec and materialise Params
-// on the executing side.
+// survive a JSON round trip, so cosimd sessions and benchtab's
+// load-driver mode speak Spec, cosim and benchtab bind their flags to
+// one (RegisterFlags), and each materialises Params on the executing
+// side.
 //
 // Durations are sim.ParseTime strings ("10ms", "1.5us"); the transport
 // is named, resolved through transport.Parse on decode. Zero-valued
-// fields mean "use the run defaults" — Params.withDefaults applies them
+// fields mean "use the run defaults" — Params.WithDefaults applies them
 // on the executing side, so a Spec decoded from `{"scheme":"driver-kernel"}`
 // is a complete, runnable request.
 type Spec struct {
@@ -33,8 +34,6 @@ type Spec struct {
 	Transport string `json:"transport,omitempty"`
 
 	SimTime       string `json:"sim_time,omitempty"`
-	ClockPeriod   string `json:"clock_period,omitempty"`
-	CPUPeriod     string `json:"cpu_period,omitempty"`
 	InstrPerCycle uint64 `json:"instr_per_cycle,omitempty"`
 	CPUs          int    `json:"cpus,omitempty"`
 
@@ -58,7 +57,7 @@ type Spec struct {
 	Coalesce bool `json:"coalesce,omitempty"`
 
 	// Quantum is inert: temporal decoupling was removed. The field
-	// stays so specs written with "quantum" still decode; Validate
+	// stays so specs written with "quantum" still decode; Params
 	// still requires a well-formed duration, but the value is ignored
 	// and does not reach Params.
 	Quantum string `json:"quantum,omitempty"`
@@ -66,7 +65,7 @@ type Spec struct {
 
 // timeField parses one optional duration field. Empty decodes to zero,
 // meaning "use the run default"; so does any explicit zero spelling
-// ("0", "0ns", ...), which Params.withDefaults cannot tell apart from
+// ("0", "0ns", ...), which Params.WithDefaults cannot tell apart from
 // an omitted field. SpecFromParams re-encodes both as the omitted form,
 // so one round trip canonicalises every zero spelling to empty and a
 // second trip is the identity.
@@ -81,91 +80,19 @@ func timeField(name, v string) (sim.Time, error) {
 	return t, nil
 }
 
-// rateField checks one injection-rate field.
-// badClockPeriod says why a clock period cannot be split into two equal
-// half periods of whole picoseconds, or returns "" when it can.
-func badClockPeriod(p sim.Time) string {
-	switch {
-	case p < 2:
-		return "is below 2ps"
-	case p%2 != 0:
-		return "is an odd number of picoseconds"
-	}
-	return ""
-}
-
-func rateField(name string, v float64) error {
-	if v < 0 || v > 1 {
-		return fmt.Errorf("spec: %s %v outside [0,1]", name, v)
-	}
-	return nil
-}
-
-// Validate checks the spec without materialising it: the scheme and
-// transport names resolve, every duration parses, a GDB-Wrapper's
-// clock period is zero or an even number of picoseconds of at least
-// 2ps, rates are in [0,1],
-// counts are non-negative, payload_words is at most
-// router.MaxPayloadWords, and a multi-CPU request names a scheme that
-// can drive it (ErrSingleCPUScheme otherwise, testable with errors.Is).
-func (s Spec) Validate() error {
+// Params materialises the spec into runnable Params: names are resolved
+// (scheme via ParseScheme, transport via transport.Parse), durations are
+// parsed (the retired quantum too), and the result must pass the check
+// Run applies. Zero fields stay zero so Run applies the usual defaults.
+// Trace, Journal and Obs are left nil for the caller to attach.
+func (s Spec) Params() (Params, error) {
 	if s.Scheme == "" {
-		return fmt.Errorf("spec: missing scheme")
+		return Params{}, fmt.Errorf("spec: missing scheme")
 	}
 	scheme, err := ParseScheme(s.Scheme)
 	if err != nil {
-		return fmt.Errorf("spec: %w", err)
+		return Params{}, fmt.Errorf("spec: %w", err)
 	}
-	if s.Transport != "" {
-		if _, err := transport.Parse(s.Transport); err != nil {
-			return fmt.Errorf("spec: %w", err)
-		}
-	}
-	for _, f := range []struct{ name, v string }{
-		{"sim_time", s.SimTime}, {"clock_period", s.ClockPeriod},
-		{"cpu_period", s.CPUPeriod}, {"delay", s.Delay},
-		{"quantum", s.Quantum},
-	} {
-		if _, err := timeField(f.name, f.v); err != nil {
-			return err
-		}
-	}
-	// Zero means the default; any other period is split into two edges
-	// of the wrapper's clock, each at least 1ps long. The kernel schemes
-	// build no clock and ignore the period.
-	if cp, _ := timeField("clock_period", s.ClockPeriod); cp != 0 && scheme == GDBWrapper {
-		if why := badClockPeriod(cp); why != "" {
-			return fmt.Errorf("spec: clock_period %v %s", cp, why)
-		}
-	}
-	if err := rateField("error_rate", s.ErrorRate); err != nil {
-		return err
-	}
-	if err := rateField("multicast_rate", s.MulticastRate); err != nil {
-		return err
-	}
-	if s.CPUs < 0 || s.PayloadWords < 0 || s.FifoDepth < 0 {
-		return fmt.Errorf("spec: negative cpus/payload_words/fifo_depth")
-	}
-	if s.PayloadWords > router.MaxPayloadWords {
-		return fmt.Errorf("spec: payload_words %d above the maximum of %d", s.PayloadWords, router.MaxPayloadWords)
-	}
-	if s.CPUs > 1 && !scheme.SupportsMultiCPU() {
-		return fmt.Errorf("spec: %v %w", scheme, ErrSingleCPUScheme)
-	}
-	return nil
-}
-
-// Params materialises the spec into runnable Params: names are resolved
-// (scheme via ParseScheme, transport via transport.Parse), duration
-// strings are parsed, and zero fields stay zero so Run applies the
-// usual defaults. The non-serializable Params fields (Trace, Journal,
-// Obs) are left nil for the caller to attach.
-func (s Spec) Params() (Params, error) {
-	if err := s.Validate(); err != nil {
-		return Params{}, err
-	}
-	scheme, _ := ParseScheme(s.Scheme)
 	p := Params{
 		Scheme:           scheme,
 		InstrPerCycle:    s.InstrPerCycle,
@@ -186,20 +113,37 @@ func (s Spec) Params() (Params, error) {
 		}
 		p.Transport = tr
 	}
-	var err error
 	if p.SimTime, err = timeField("sim_time", s.SimTime); err != nil {
-		return Params{}, err
-	}
-	if p.ClockPeriod, err = timeField("clock_period", s.ClockPeriod); err != nil {
-		return Params{}, err
-	}
-	if p.CPUPeriod, err = timeField("cpu_period", s.CPUPeriod); err != nil {
 		return Params{}, err
 	}
 	if p.Delay, err = timeField("delay", s.Delay); err != nil {
 		return Params{}, err
 	}
+	if _, err = timeField("quantum", s.Quantum); err != nil {
+		return Params{}, err
+	}
+	if err := p.check(); err != nil {
+		return Params{}, fmt.Errorf("spec: %w", err)
+	}
 	return p, nil
+}
+
+// RegisterFlags binds one flag per Spec key to s, with the defaults
+// cosim and benchtab have always had. The sweep axes (scheme,
+// transport, sim_time) are left to each command, and the retired
+// coalesce and quantum get no flag.
+func (s *Spec) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar(&s.Delay, "delay", "20us", "inter-packet delay per source")
+	fs.IntVar(&s.PayloadWords, "payload", 4, "payload words per packet")
+	fs.Float64Var(&s.ErrorRate, "errors", 0, "corrupted-packet injection rate [0,1]")
+	fs.Float64Var(&s.MulticastRate, "multicast", 0, "broadcast packet rate [0,1]")
+	fs.IntVar(&s.FifoDepth, "fifo", 8, "router FIFO depth")
+	fs.Uint64Var(&s.PacketsPerSource, "packets", 0, "packets each source sends (0 = unlimited)")
+	fs.Int64Var(&s.Seed, "seed", 1, "traffic seed")
+	fs.IntVar(&s.CPUs, "cpus", 1, "checksum CPUs servicing the router (gdb-kernel and driver-kernel)")
+	fs.Uint64Var(&s.InstrPerCycle, "instrpercycle", 0, "gdb-wrapper instructions per clock cycle (0 = 8)")
+	fs.BoolVar(&s.NoDecodeCache, "nodecodecache", false, "disable the ISS predecoded-instruction cache (ablation baseline)")
+	fs.BoolVar(&s.DMI, "dmi", false, "grant driver-kernel guests direct memory windows (memory fast path)")
 }
 
 // SpecFromParams projects Params onto its wire form, dropping the
@@ -215,8 +159,6 @@ func SpecFromParams(p Params) Spec {
 	s := Spec{
 		Scheme:           p.Scheme.CoreName(),
 		SimTime:          timeStr(p.SimTime),
-		ClockPeriod:      timeStr(p.ClockPeriod),
-		CPUPeriod:        timeStr(p.CPUPeriod),
 		InstrPerCycle:    p.InstrPerCycle,
 		CPUs:             p.CPUs,
 		Delay:            timeStr(p.Delay),
@@ -238,7 +180,7 @@ func SpecFromParams(p Params) Spec {
 // DecodeSpec decodes one JSON spec, rejecting unknown fields so a typo
 // in a session request fails loudly instead of silently running the
 // defaults, and rejecting anything but whitespace after the spec's
-// closing brace, then validates it.
+// closing brace, then checks that it materialises (Spec.Params).
 func DecodeSpec(data []byte) (Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -249,7 +191,7 @@ func DecodeSpec(data []byte) (Spec, error) {
 	if dec.Decode(&struct{}{}) != io.EOF {
 		return Spec{}, fmt.Errorf("spec: trailing data after the JSON object")
 	}
-	if err := s.Validate(); err != nil {
+	if _, err := s.Params(); err != nil {
 		return Spec{}, err
 	}
 	return s, nil

@@ -3,6 +3,8 @@ package harness
 import (
 	"encoding/json"
 	"errors"
+	"flag"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,8 +20,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		Scheme:           "driver-kernel",
 		Transport:        "ring",
 		SimTime:          "10ms",
-		ClockPeriod:      "100ns",
-		CPUPeriod:        "10ns",
 		InstrPerCycle:    8,
 		CPUs:             2,
 		Delay:            "20us",
@@ -62,11 +62,11 @@ func TestSpecParamsMaterialisation(t *testing.T) {
 	}
 	// Zero fields stay zero so Run's defaults apply on the executing
 	// side.
-	if p.ClockPeriod != 0 || p.CPUPeriod != 0 {
-		t.Fatalf("unset durations materialised non-zero: %+v", p)
+	if p.PayloadWords != 0 || p.FifoDepth != 0 {
+		t.Fatalf("unset fields materialised non-zero: %+v", p)
 	}
 	// The defaults view is what admission control quotas against.
-	if d := p.WithDefaults(); d.ClockPeriod != 100*sim.NS || d.CPUs != 2 {
+	if d := p.WithDefaults(); d.PayloadWords != 4 || d.CPUs != 2 {
 		t.Fatalf("defaults view %+v", d)
 	}
 	// The defaults view is also the one place a nil transport becomes
@@ -81,8 +81,7 @@ func TestSpecParamsMaterialisation(t *testing.T) {
 func TestSpecParamsRoundTrip(t *testing.T) {
 	orig := Params{
 		Scheme: GDBKernel, Transport: core.TransportTCP,
-		SimTime: 2 * sim.MS, CPUPeriod: 10 * sim.NS,
-		CPUs: 3, Delay: 5 * sim.US, PayloadWords: 6,
+		SimTime: 2 * sim.MS, CPUs: 3, Delay: 5 * sim.US, PayloadWords: 6,
 		ErrorRate: 0.1, FifoDepth: 4, PacketsPerSource: 9, Seed: 11,
 		DMI: true,
 	}
@@ -100,6 +99,9 @@ func TestSpecParamsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecValidate: Spec.Params rejects a spec whose names or
+// durations do not resolve, and every other rule is Params.check's, so
+// it fails the same way through Spec.Params and through Run.
 func TestSpecValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -116,97 +118,177 @@ func TestSpecValidate(t *testing.T) {
 		// server's simulated-time quota.
 		{"wrapped-duration", Spec{Scheme: "gdb-wrapper", SimTime: "18446745s"}, "bad sim_time"},
 		{"negative-duration", Spec{Scheme: "gdb-wrapper", SimTime: "-1.0ms"}, "bad sim_time"},
+		{"bad-delay", Spec{Scheme: "gdb-kernel", Delay: "soon"}, "bad delay"},
 		{"bad-retired-duration", Spec{Scheme: "driver-kernel", Quantum: "soon"}, "bad quantum"},
-		{"bad-rate", Spec{Scheme: "driver-kernel", ErrorRate: 1.5}, "outside [0,1]"},
-		{"negative-cpus", Spec{Scheme: "driver-kernel", CPUs: -1}, "negative"},
-		// A 1ps clock has no half period: NewClock panics on it.
-		{"clock-period-1ps", Spec{Scheme: "gdb-wrapper", ClockPeriod: "1ps"}, "clock_period 1ps is below 2ps"},
-		{"clock-period-sub-ps", Spec{Scheme: "gdb-wrapper", ClockPeriod: "0.001ns"}, "clock_period"},
-		// An odd period's half periods would truncate to a faster clock.
-		{"clock-period-odd", Spec{Scheme: "gdb-wrapper", ClockPeriod: "3ps"}, "clock_period 3ps is an odd number of picoseconds"},
-		{"clock-period-odd-1001ps", Spec{Scheme: "gdb-wrapper", ClockPeriod: "1001ps"}, "clock_period"},
-		// 1.001ns parses exactly, as an odd 1001ps.
-		{"clock-period-odd-1.001ns", Spec{Scheme: "gdb-wrapper", ClockPeriod: "1.001ns"}, "clock_period 1001ps is an odd number of picoseconds"},
 		// A digit finer than 1ps is an error, not a zero that would
 		// silently select the default.
-		{"clock-period-sub-ps-digit", Spec{Scheme: "gdb-kernel", ClockPeriod: "0.0001ns"}, "bad clock_period"},
 		{"sim-time-sub-ps-digit", Spec{Scheme: "gdb-kernel", SimTime: "0.0004ns"}, "bad sim_time"},
-		// The producer would cap the payload at router.MaxPayloadWords
-		// and run a workload nobody asked for.
-		{"payload-words-above-max", Spec{Scheme: "gdb-kernel", PayloadWords: 100}, "payload_words 100"},
 	} {
-		err := tc.spec.Validate()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Validate() = %v, want mention of %q", tc.name, err, tc.want)
+		if _, err := tc.spec.Params(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Params() = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
 
-	if err := (Spec{Scheme: "gdb-wrapper", CPUs: 2}).Validate(); !errors.Is(err, ErrSingleCPUScheme) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Params)
+		want string
+	}{
+		// Unchecked, a negative CPU count panics every scheme's set-up.
+		{"negative-cpus", func(p *Params) { p.CPUs = -1 }, "cpus -1 is negative"},
+		{"negative-payload", func(p *Params) { p.PayloadWords = -1 }, "payload_words -1 is negative"},
+		{"negative-fifo", func(p *Params) { p.FifoDepth = -1 }, "fifo_depth -1 is negative"},
+		// The producer would cap the payload at router.MaxPayloadWords
+		// and run a workload nobody asked for.
+		{"payload-words-above-max", func(p *Params) { p.PayloadWords = 100 }, "payload_words 100 above the maximum of 60"},
+		// Unchecked, a rate above 1 corrupts every packet.
+		{"error-rate-above-1", func(p *Params) { p.ErrorRate = 1.5 }, "error_rate 1.5 outside [0,1]"},
+		{"error-rate-nan", func(p *Params) { p.ErrorRate = math.NaN() }, "error_rate NaN outside [0,1]"},
+		{"multicast-rate-negative", func(p *Params) { p.MulticastRate = -0.5 }, "multicast_rate -0.5 outside [0,1]"},
+	} {
+		for _, scheme := range Schemes {
+			p := Params{Scheme: scheme, Transport: core.TransportRing, SimTime: 10 * sim.US}
+			tc.set(&p)
+			checkBothDoors(t, tc.name, p, tc.want)
+		}
+	}
+	p := Params{Scheme: GDBWrapper, Transport: core.TransportRing, CPUs: 2, SimTime: 10 * sim.US}
+	checkBothDoors(t, "multi-cpu-wrapper", p, "GDB-Wrapper scheme drives a single CPU: cpus 2 needs gdb-kernel or driver-kernel")
+	if _, err := SpecFromParams(p).Params(); !errors.Is(err, ErrSingleCPUScheme) {
 		t.Errorf("multi-CPU wrapper: %v, want ErrSingleCPUScheme", err)
 	}
-	if err := (Spec{Scheme: "driver-kernel"}).Validate(); err != nil {
+	if _, err := Run(Params{Scheme: Scheme(7)}); err == nil || err.Error() != "harness: unknown scheme Scheme(7)" {
+		t.Errorf("Run with an unknown scheme = %v", err)
+	}
+
+	// NaN parses as a float flag, and only the range check stops it.
+	spec := Spec{Scheme: "gdb-kernel"}
+	fs := flag.NewFlagSet("cosim", flag.ContinueOnError)
+	spec.RegisterFlags(fs)
+	if err := fs.Parse([]string{"-errors", "NaN"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.Params(); err == nil || !strings.Contains(err.Error(), "error_rate NaN") {
+		t.Errorf("-errors NaN: Params() = %v, want an error_rate error", err)
+	}
+
+	if _, err := (Spec{Scheme: "driver-kernel"}).Params(); err != nil {
 		t.Errorf("minimal spec rejected: %v", err)
 	}
-	for _, cp := range []string{"0", "2ps", "100ns"} {
-		if err := (Spec{Scheme: "gdb-wrapper", ClockPeriod: cp}).Validate(); err != nil {
-			t.Errorf("clock_period %q rejected: %v", cp, err)
-		}
-	}
-	// The kernel schemes build no clock, so any parseable period passes.
-	for _, scheme := range []string{"gdb-kernel", "driver-kernel"} {
-		for _, cp := range []string{"1ps", "3ps", "1.001ns"} {
-			if err := (Spec{Scheme: scheme, ClockPeriod: cp}).Validate(); err != nil {
-				t.Errorf("%s: clock_period %q rejected: %v", scheme, cp, err)
-			}
-		}
-	}
-	if err := (Spec{Scheme: "gdb-kernel", PayloadWords: router.MaxPayloadWords}).Validate(); err != nil {
+	if _, err := (Spec{Scheme: "gdb-kernel", PayloadWords: router.MaxPayloadWords}).Params(); err != nil {
 		t.Errorf("payload_words %d rejected: %v", router.MaxPayloadWords, err)
 	}
 }
 
-// TestRunRejectsClockPeriodBelow2ps: Params callers bypass Validate, so
-// RunContext itself refuses a period with no half for the GDB-Wrapper
-// instead of panicking in NewClock. The kernel schemes build no clock
-// and run.
-func TestRunRejectsClockPeriodBelow2ps(t *testing.T) {
-	checkClockPeriodOnlyForWrapper(t, 1, "clock period")
-}
-
-// TestRunRejectsOddClockPeriod: an odd period has no whole-picosecond
-// half, so RunContext refuses it for the GDB-Wrapper rather than run a
-// clock faster than the one asked for. The kernel schemes build no
-// clock and run.
-func TestRunRejectsOddClockPeriod(t *testing.T) {
-	checkClockPeriodOnlyForWrapper(t, 1001, "clock period 1001ps is an odd number")
-}
-
-// checkClockPeriodOnlyForWrapper runs every scheme with a clock period
-// that has no whole-picosecond half: the wrapper must fail naming it,
-// the kernel schemes must run cleanly.
-func checkClockPeriodOnlyForWrapper(t *testing.T, period sim.Time, want string) {
+// checkBothDoors requires p to fail with want after the "spec: " prefix
+// through Spec.Params and after the "harness: " prefix through Run.
+func checkBothDoors(t *testing.T, name string, p Params, want string) {
 	t.Helper()
-	for _, scheme := range []Scheme{GDBWrapper, GDBKernel, DriverKernel} {
-		res, err := Run(Params{Scheme: scheme, Transport: core.TransportRing, ClockPeriod: period, SimTime: 10 * sim.US})
-		if scheme == GDBWrapper {
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("%v: Run with a %v clock = (%v, %v), want an error naming %q", scheme, period, res, err, want)
-			}
-			continue
+	if _, err := SpecFromParams(p).Params(); err == nil || err.Error() != "spec: "+want {
+		t.Errorf("%s: %v Spec.Params() = %v, want %q", name, p.Scheme, err, "spec: "+want)
+	}
+	if res, err := Run(p); err == nil || err.Error() != "harness: "+want {
+		t.Errorf("%s: %v Run = (%v, %v), want %q", name, p.Scheme, res, err, "harness: "+want)
+	}
+}
+
+// TestSpecFlags: RegisterFlags gives each Spec key exactly one flag,
+// unless the key is a per-command sweep axis or retired, with the
+// defaults cosim and benchtab have always had.
+func TestSpecFlags(t *testing.T) {
+	axes := map[string]bool{"scheme": true, "transport": true, "sim_time": true}
+	retired := map[string]bool{"coalesce": true, "quantum": true}
+
+	// Map each flag to the one key it sets by setting it alone.
+	var zero Spec
+	flagKey := map[string]string{}
+	probe := flag.NewFlagSet("probe", flag.ContinueOnError)
+	zero.RegisterFlags(probe)
+	probe.VisitAll(func(f *flag.Flag) {
+		var s Spec
+		fs := flag.NewFlagSet(f.Name, flag.ContinueOnError)
+		s.RegisterFlags(fs)
+		before := s
+		if fs.Set(f.Name, "true") != nil && fs.Set(f.Name, "3") != nil {
+			t.Fatalf("-%s takes neither true nor 3", f.Name)
 		}
-		if err != nil || res.Simulated != 10*sim.US {
-			t.Errorf("%v ignores the clock period, but Run with a %v clock = (%v, %v)", scheme, period, res, err)
+		var changed []string
+		vb, va := reflect.ValueOf(before), reflect.ValueOf(s)
+		for i := 0; i < vb.NumField(); i++ {
+			if vb.Field(i).Interface() != va.Field(i).Interface() {
+				changed = append(changed, specKey(reflect.TypeOf(s).Field(i)))
+			}
+		}
+		if len(changed) != 1 {
+			t.Fatalf("-%s sets keys %v, want exactly one", f.Name, changed)
+		}
+		flagKey[f.Name] = changed[0]
+	})
+	keyFlags := map[string][]string{}
+	for name, key := range flagKey {
+		keyFlags[key] = append(keyFlags[key], name)
+	}
+	st := reflect.TypeOf(Spec{})
+	for i := 0; i < st.NumField(); i++ {
+		key := specKey(st.Field(i))
+		n := len(keyFlags[key])
+		if axes[key] {
+			n++
+		}
+		if retired[key] {
+			n++
+		}
+		if n != 1 {
+			t.Errorf("key %s: flags %v, axis %v, retired %v; want exactly one of the three", key, keyFlags[key], axes[key], retired[key])
+		}
+	}
+
+	// The registered defaults are the CLIs' defaults.
+	if want := (Spec{Delay: "20us", Seed: 1, CPUs: 1, PayloadWords: 4, FifoDepth: 8}); zero != want {
+		t.Errorf("registered defaults %+v, want %+v", zero, want)
+	}
+
+	// A full command line reaches every Params field it names.
+	spec := Spec{Scheme: "driver-kernel"}
+	fs := flag.NewFlagSet("cosim", flag.ContinueOnError)
+	spec.RegisterFlags(fs)
+	if err := fs.Parse([]string{
+		"-delay", "5us", "-payload", "6", "-errors", "0.25", "-multicast", "0.5",
+		"-fifo", "4", "-packets", "9", "-seed", "11", "-cpus", "2",
+		"-instrpercycle", "3", "-nodecodecache", "-dmi",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := spec.Params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Params{
+		Scheme: DriverKernel, Delay: 5 * sim.US, PayloadWords: 6, ErrorRate: 0.25,
+		MulticastRate: 0.5, FifoDepth: 4, PacketsPerSource: 9, Seed: 11, CPUs: 2,
+		InstrPerCycle: 3, NoDecodeCache: true, DMI: true,
+	}
+	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < gv.NumField(); i++ {
+		if g, w := gv.Field(i).Interface(), wv.Field(i).Interface(); !reflect.DeepEqual(g, w) {
+			t.Errorf("Params.%s = %v, want %v", gv.Type().Field(i).Name, g, w)
 		}
 	}
 }
 
-// TestRunRejectsOversizedPayload: Params callers bypass Validate, so
-// RunContext itself refuses a payload the producers would silently cap.
+// specKey is a Spec field's JSON key.
+func specKey(f reflect.StructField) string {
+	key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+	return key
+}
+
+// TestRunRejectsOversizedPayload: Run applies the same check as
+// Spec.Params, so it refuses a payload the producers would silently cap.
 func TestRunRejectsOversizedPayload(t *testing.T) {
 	for _, scheme := range []Scheme{GDBWrapper, GDBKernel, DriverKernel} {
 		res, err := Run(Params{Scheme: scheme, Transport: core.TransportRing, PayloadWords: router.MaxPayloadWords + 1, SimTime: 10 * sim.US})
-		if err == nil || !strings.Contains(err.Error(), "payload words 61") {
-			t.Errorf("%v: Run with 61 payload words = (%v, %v), want a payload words error", scheme, res, err)
+		if err == nil || !strings.Contains(err.Error(), "payload_words 61") {
+			t.Errorf("%v: Run with 61 payload words = (%v, %v), want a payload_words error", scheme, res, err)
 		}
 	}
 }
@@ -220,21 +302,17 @@ func TestSpecZeroDurationCanonicalises(t *testing.T) {
 	for _, zero := range []string{"0", "0ps", "0ns", "0us", "0ms", "0s"} {
 		spec := Spec{
 			Scheme:  "driver-kernel",
-			SimTime: zero, ClockPeriod: zero, CPUPeriod: zero,
-			Delay: zero, Quantum: zero,
-		}
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("zero spelling %q rejected: %v", zero, err)
+			SimTime: zero, Delay: zero, Quantum: zero,
 		}
 		p, err := spec.Params()
 		if err != nil {
-			t.Fatalf("zero spelling %q: %v", zero, err)
+			t.Fatalf("zero spelling %q rejected: %v", zero, err)
 		}
-		if p.SimTime != 0 || p.ClockPeriod != 0 || p.CPUPeriod != 0 || p.Delay != 0 {
+		if p.SimTime != 0 || p.Delay != 0 {
 			t.Fatalf("zero spelling %q materialised non-zero: %+v", zero, p)
 		}
 		canon := SpecFromParams(p)
-		if canon.SimTime != "" || canon.ClockPeriod != "" || canon.CPUPeriod != "" || canon.Delay != "" {
+		if canon.SimTime != "" || canon.Delay != "" {
 			t.Fatalf("zero spelling %q did not canonicalise to omitted: %+v", zero, canon)
 		}
 		p2, err := canon.Params()
@@ -249,11 +327,14 @@ func TestSpecZeroDurationCanonicalises(t *testing.T) {
 
 // TestDecodeSpecRejectsUnknownFields: a typo in a session request must
 // fail loudly, not silently run the defaults. So must skew_bound: the
-// Driver-Kernel no longer has a skew bound to set.
+// Driver-Kernel no longer has a skew bound to set; nor clock_period and
+// cpu_period: the periods are fixed (WrapperClock, CPUPeriod).
 func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
 	for _, body := range []string{
 		`{"scheme": "driver-kernel", "simtime": "1ms"}`,
 		`{"scheme": "driver-kernel", "skew_bound": "1us"}`,
+		`{"scheme": "gdb-wrapper", "clock_period": "100ns"}`,
+		`{"scheme": "gdb-kernel", "cpu_period": "10ns"}`,
 	} {
 		_, err := DecodeSpec([]byte(body))
 		if err == nil || !strings.Contains(err.Error(), "unknown field") {

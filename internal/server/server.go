@@ -168,14 +168,7 @@ func (s *Server) runSession(sess *Session) {
 	}
 	defer cancel()
 
-	p, err := sess.Spec.Params()
-	if err != nil {
-		// Validated at admission; only a spec raced past Validate can
-		// land here.
-		sess.finish(nil, err)
-		s.failed.Add(1)
-		return
-	}
+	p := sess.params
 	p.Obs = sess.reg
 	res, err := harness.RunContext(ctx, p)
 	sess.finish(res, err)
@@ -268,7 +261,7 @@ func (s *Server) submit(spec harness.Spec) (*Session, error) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("s-%06d", s.nextID)
-	sess := newSession(id, spec, s.baseCtx)
+	sess := newSession(id, spec, p, s.baseCtx)
 	select {
 	case s.queue <- sess:
 	default:

@@ -270,9 +270,9 @@ func TestQuotaRejections(t *testing.T) {
 		{"unknown-field", `{"scheme": "driver-kernel", "simtime": "1ms"}`, "unknown field"},
 		{"trailing-data", `{"scheme": "gdb-wrapper"}{"scheme": "bogus"}`, "trailing data"},
 		{"multi-cpu-wrapper", `{"scheme": "gdb-wrapper", "cpus": 2}`, "single CPU"},
-		// A 1ps clock passed admission and panicked the worker, which has
-		// no recover: one POST took the daemon down. Only the wrapper
-		// builds a clock; the kernel schemes ignore the period.
+		// The wrapper's clock is fixed, so clock_period is an unknown key,
+		// as skew_bound is. (A 1ps clock once passed admission and
+		// panicked the worker, which has no recover.)
 		{"clock-period-wrapper", `{"scheme": "gdb-wrapper", "clock_period": "1ps"}`, "clock_period"},
 		{"clock-period-odd", `{"scheme": "gdb-wrapper", "clock_period": "1001ps"}`, "clock_period"},
 	} {

@@ -43,6 +43,10 @@ type Session struct {
 	ID   string
 	Spec harness.Spec
 
+	// params is Spec materialised once, at admission; the worker runs
+	// them.
+	params harness.Params
+
 	// reg is the run's live observability registry, created at
 	// admission so metrics streaming sees counters move mid-run.
 	reg *obs.Registry
@@ -65,11 +69,12 @@ type Session struct {
 }
 
 // newSession builds an admitted session in StateQueued.
-func newSession(id string, spec harness.Spec, parent context.Context) *Session {
+func newSession(id string, spec harness.Spec, p harness.Params, parent context.Context) *Session {
 	ctx, cancel := context.WithCancel(parent)
 	return &Session{
 		ID:      id,
 		Spec:    spec,
+		params:  p,
 		reg:     obs.NewRegistry(),
 		ctx:     ctx,
 		cancel:  cancel,
