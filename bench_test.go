@@ -223,59 +223,57 @@ resp: .word 0
 	}
 }
 
-// BenchmarkAblationDecodeCache isolates the predecoded-instruction
-// cache (DESIGN.md §5.5). The engine-* sub-benchmarks run the raw ISS
-// hot loop for exactly b.N instructions, so ns/op is ns/instruction:
-// cached replaces the per-step bus fetch + map-based decode with one
-// array load. The scheme sub-benchmarks measure the end-to-end effect
-// on a Table 1 run via harness.Params.NoDecodeCache (benchtab's
-// -nodecodecache flag).
-func BenchmarkAblationDecodeCache(b *testing.B) {
-	engine := func(b *testing.B, cached bool) {
-		im, err := asm.Assemble(asm.Options{}, asm.Source{Name: "spin.s", Text: `
+// BenchmarkISS measures the ISS execution loop (DESIGN.md §5.5) on
+// its own. Each sub-benchmark runs exactly b.N instructions of a guest
+// loop from a warm decode cache, so ns/op is ns per instruction: alu
+// spins on register arithmetic and a jump, loadstore stores and loads
+// every width to RAM.
+func BenchmarkISS(b *testing.B) {
+	for _, bench := range []struct{ name, src string }{
+		{"alu", `
 _start:
 spin:
     addi s0, s0, 1
     add  s1, s1, s0
     addi t0, s1, 7
     j    spin
-`})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ram := iss.NewRAM(1 << 20)
-		if err := im.LoadInto(ram); err != nil {
-			b.Fatal(err)
-		}
-		cpu := iss.New(iss.NewSystemBus(ram))
-		cpu.SetDecodeCacheEnabled(cached)
-		cpu.Reset(im.Entry)
-		b.ResetTimer()
-		stop, n := cpu.Run(uint64(b.N))
-		if stop != iss.StopBudget || n != uint64(b.N) {
-			b.Fatalf("stop = %v after %d/%d instructions", stop, n, b.N)
-		}
-	}
-	b.Run("engine-cached", func(b *testing.B) { engine(b, true) })
-	b.Run("engine-uncached", func(b *testing.B) { engine(b, false) })
-	for _, scheme := range harness.Schemes {
-		for _, cached := range []bool{true, false} {
-			b.Run(fmt.Sprintf("%s/cache=%v", scheme, cached), func(b *testing.B) {
-				p := benchParams()
-				p.Scheme = scheme
-				p.SimTime = 2 * sim.MS
-				p.NoDecodeCache = !cached
-				for i := 0; i < b.N; i++ {
-					res, err := harness.Run(p)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Forwarded == 0 {
-						b.Fatal("no traffic forwarded")
-					}
-				}
-			})
-		}
+`},
+		{"loadstore", `
+_start:
+    la   gp, buf
+    li   a0, 0x12345678
+loop:
+    sw   a0, 0(gp)
+    lw   a1, 0(gp)
+    sh   a1, 4(gp)
+    lh   a2, 4(gp)
+    sb   a2, 8(gp)
+    lbu  a5, 8(gp)
+    addi a0, a0, 1
+    j    loop
+.data
+buf: .space 16
+`},
+	} {
+		b.Run(bench.name, func(b *testing.B) {
+			im, err := asm.Assemble(asm.Options{DataBase: 0x10000}, asm.Source{Name: bench.name + ".s", Text: bench.src})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ram := iss.NewRAM(1 << 20)
+			if err := im.LoadInto(ram); err != nil {
+				b.Fatal(err)
+			}
+			cpu := iss.New(iss.NewSystemBus(ram))
+			cpu.Reset(im.Entry)
+			cpu.Run(1000) // fill the decode cache and touch the data page
+			b.ReportAllocs()
+			b.ResetTimer()
+			stop, n := cpu.Run(uint64(b.N))
+			if stop != iss.StopBudget || n != uint64(b.N) {
+				b.Fatalf("stop = %v after %d/%d instructions", stop, n, b.N)
+			}
+		})
 	}
 }
 

@@ -87,33 +87,54 @@ type figure7JSON struct {
 	DriverLatPS  uint64  `json:"driver_kernel_latency_ps"`
 }
 
+// options is benchtab's command line.
+type options struct {
+	exp, times, scheme, transport, ablate, server string
+	full, jsonOut                                 bool
+	parallel                                      int
+	// The run flags fill a wire-form Spec, as cosim's do. benchtab
+	// sweeps schemes itself: every scenario overwrites the placeholder
+	// scheme.
+	spec harness.Spec
+}
+
+// register binds the command line to fs.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.exp, "exp", "all", "experiment: table1, figure7, loc, all")
+	fs.BoolVar(&o.full, "full", false, "paper-scale simulated durations (slow)")
+	fs.StringVar(&o.times, "times", "", "comma-separated simulated durations for Table 1 (overrides -full)")
+	fs.StringVar(&o.scheme, "scheme", "", "restrict the sweep to one scheme (default: all)")
+	fs.StringVar(&o.transport, "transport", "tcp", `IPC transport: tcp, ring or pipe; a comma list or "all" sweeps several`)
+	o.spec = harness.Spec{Scheme: "gdb-kernel"}
+	o.spec.RegisterFlags(fs)
+	fs.Lookup("delay").Usage = "inter-packet delay per source for Table 1 (Figure 7 sweeps its own)"
+	fs.IntVar(&o.parallel, "parallel", 1, "experiment sweep workers (1 = sequential)")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit a machine-readable metrics report")
+	fs.StringVar(&o.ablate, "ablate", "", `cross-sweep driver-kernel axes: "dmi"`)
+	fs.StringVar(&o.server, "server", "", "drive a running cosimd at this base URL instead of simulating in-process")
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, figure7, loc, all")
-	full := flag.Bool("full", false, "paper-scale simulated durations (slow)")
-	times := flag.String("times", "", "comma-separated simulated durations for Table 1 (overrides -full)")
-	sel := harness.Scheme(-1) // sentinel: no filter
-	flag.Var(&sel, "scheme", "restrict the sweep to one scheme (default: all)")
-	trFlag := flag.String("transport", "tcp", `IPC transport: tcp, ring or pipe; a comma list or "all" sweeps several`)
-	// The run flags fill a wire-form Spec, as cosim's do. benchtab sweeps
-	// schemes itself: every scenario overwrites the placeholder scheme.
-	spec := harness.Spec{Scheme: "gdb-kernel"}
-	spec.RegisterFlags(flag.CommandLine)
-	flag.Lookup("delay").Usage = "inter-packet delay per source for Table 1 (Figure 7 sweeps its own)"
-	parallel := flag.Int("parallel", 1, "experiment sweep workers (1 = sequential)")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable metrics report")
-	ablate := flag.String("ablate", "", `cross-sweep driver-kernel axes: "dmi"`)
-	serverURL := flag.String("server", "", "drive a running cosimd at this base URL instead of simulating in-process")
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
 
-	trs, err := parseTransports(*trFlag)
+	sel := harness.Scheme(-1) // sentinel: no filter
+	if o.scheme != "" {
+		var err error
+		if sel, err = harness.ParseScheme(o.scheme); err != nil {
+			fatal(err)
+		}
+	}
+	trs, err := parseTransports(o.transport)
 	if err != nil {
 		fatal(err)
 	}
-	base, err := spec.Params()
+	base, err := o.spec.Params()
 	if err != nil {
 		fatal(err)
 	}
-	ablateDMI, err := parseAblate(*ablate)
+	ablateDMI, err := parseAblate(o.ablate)
 	if err != nil {
 		fatal(err)
 	}
@@ -122,13 +143,13 @@ func main() {
 	}
 
 	simTimes := []sim.Time{2 * sim.MS, 10 * sim.MS, 50 * sim.MS}
-	if *full {
+	if o.full {
 		// The paper's Table 1 columns: 1000, 10000, 100000 ms simulated.
 		simTimes = []sim.Time{1000 * sim.MS, 10000 * sim.MS, 100000 * sim.MS}
 	}
-	if *times != "" {
+	if o.times != "" {
 		simTimes = nil
-		for _, s := range strings.Split(*times, ",") {
+		for _, s := range strings.Split(o.times, ",") {
 			st, err := sim.ParseTime(strings.TrimSpace(s))
 			if err != nil {
 				fatal(err)
@@ -142,18 +163,18 @@ func main() {
 		names[i] = tr.Name()
 	}
 	rep := &report{
-		Experiment:  *exp,
+		Experiment:  o.exp,
 		Transport:   strings.Join(names, ","),
-		Parallel:    *parallel,
+		Parallel:    o.parallel,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 	}
 
-	if *serverURL != "" {
-		rep.Server = *serverURL
-		if err := runServerLoad(rep, *serverURL, *exp, simTimes, base, sel, trs, *parallel, *jsonOut); err != nil {
+	if o.server != "" {
+		rep.Server = o.server
+		if err := runServerLoad(rep, o.server, o.exp, simTimes, base, sel, trs, o.parallel, o.jsonOut); err != nil {
 			// Emit the partial report before dying so a failed load run
 			// still leaves its evidence.
-			if *jsonOut {
+			if o.jsonOut {
 				enc := json.NewEncoder(os.Stdout)
 				enc.SetIndent("", "  ")
 				_ = enc.Encode(rep)
@@ -161,25 +182,25 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		switch *exp {
+		switch o.exp {
 		case "table1":
-			runTable1(rep, simTimes, base, sel, trs, ablateDMI, *parallel, *jsonOut)
+			runTable1(rep, simTimes, base, sel, trs, ablateDMI, o.parallel, o.jsonOut)
 		case "figure7":
-			runFigure7(rep, base, sel, trs, ablateDMI, *parallel, *jsonOut)
+			runFigure7(rep, base, sel, trs, ablateDMI, o.parallel, o.jsonOut)
 		case "loc":
-			runLoC(rep, *jsonOut)
+			runLoC(rep, o.jsonOut)
 		case "all":
-			runTable1(rep, simTimes, base, sel, trs, ablateDMI, *parallel, *jsonOut)
-			sep(*jsonOut)
-			runFigure7(rep, base, sel, trs, ablateDMI, *parallel, *jsonOut)
-			sep(*jsonOut)
-			runLoC(rep, *jsonOut)
+			runTable1(rep, simTimes, base, sel, trs, ablateDMI, o.parallel, o.jsonOut)
+			sep(o.jsonOut)
+			runFigure7(rep, base, sel, trs, ablateDMI, o.parallel, o.jsonOut)
+			sep(o.jsonOut)
+			runLoC(rep, o.jsonOut)
 		default:
-			fatal(fmt.Errorf("unknown experiment %q", *exp))
+			fatal(fmt.Errorf("unknown experiment %q", o.exp))
 		}
 	}
 
-	if *jsonOut {
+	if o.jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {

@@ -60,9 +60,6 @@ func runToEBreak(t *testing.T, cl *Client, want uint32) {
 // the stub must invalidate the decode cache for the EBREAK to fire.
 func TestSoftwareBreakpointViaMPacket(t *testing.T) {
 	cl, cpu, im := newTarget(t, warmLoopProg)
-	if !cpu.DecodeCacheEnabled() {
-		t.Fatal("decode cache unexpectedly disabled")
-	}
 	// Execute one full loop iteration so every instruction, including
 	// the one at target, is already decoded.
 	for i := 0; i < 3; i++ {

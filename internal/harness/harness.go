@@ -124,11 +124,6 @@ type Params struct {
 	PacketsPerSource uint64 // 0 = unlimited
 	Seed             int64
 
-	// NoDecodeCache disables the ISS predecoded-instruction cache on
-	// every CPU in the run — the ablation baseline behind benchtab's
-	// -nodecodecache flag.
-	NoDecodeCache bool
-
 	// DMI grants each Driver-Kernel guest direct memory windows over its
 	// bound ports, serving side-effect-free port accesses without a
 	// protocol message (benchtab's -dmi flag). Ignored by GDB schemes.
@@ -361,9 +356,6 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 				return nil, err
 			}
 			cpu := iss.New(iss.NewSystemBus(ram))
-			if p.NoDecodeCache {
-				cpu.SetDecodeCacheEnabled(false)
-			}
 			cpu.Reset(im.Entry)
 			target, err := core.StartGDBTarget(cpu, tr)
 			if err != nil {
@@ -405,9 +397,6 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 		for n := 0; n < p.CPUs; n++ {
 			plat := dev.NewPlatform(0, nil)
 			plat.SetInstance(n)
-			if p.NoDecodeCache {
-				plat.CPU.SetDecodeCacheEnabled(false)
-			}
 			if err := im.LoadInto(plat.RAM); err != nil {
 				return nil, err
 			}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"cosim/internal/core"
@@ -120,6 +121,54 @@ func TestObsCountersConsistentAcrossSchemes(t *testing.T) {
 				if got := counter(t, c, "driver.interrupts"); got != res.CoStats.IntsNotified {
 					t.Errorf("driver.interrupts = %d, CoStats.IntsNotified = %d", got, res.CoStats.IntsNotified)
 				}
+			}
+		})
+	}
+}
+
+// TestDecodeCacheAccounting checks the ISS's decode-cache counters
+// against its retired instructions. Every instruction the Driver-Kernel
+// guests execute is a hit or a miss and retires, so the two sum to
+// iss.instructions exactly, with DMI or without. On the GDB schemes a
+// planted EBREAK is fetched but does not retire, so the sum may exceed
+// the instructions by at most one per stop (plus one per CPU for a stop
+// pending when the run ends).
+func TestDecodeCacheAccounting(t *testing.T) {
+	for _, p := range []Params{
+		{Scheme: DriverKernel, CPUs: 1},
+		{Scheme: DriverKernel, CPUs: 2},
+		{Scheme: DriverKernel, CPUs: 1, DMI: true},
+		{Scheme: DriverKernel, CPUs: 2, DMI: true},
+		{Scheme: GDBWrapper, CPUs: 1},
+		{Scheme: GDBKernel, CPUs: 1},
+		{Scheme: GDBKernel, CPUs: 2},
+	} {
+		p.Transport, p.SimTime, p.Seed = core.TransportRing, 500*sim.US, 5
+		t.Run(fmt.Sprintf("%v/cpus=%d/dmi=%v", p.Scheme, p.CPUs, p.DMI), func(t *testing.T) {
+			t.Parallel()
+			res, err := Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := res.Counters
+			instr := counter(t, c, "iss.instructions")
+			fetched := counter(t, c, "iss.decode_cache_hits") + counter(t, c, "iss.decode_cache_misses")
+			if instr == 0 {
+				t.Fatal("no instructions retired")
+			}
+			if p.Scheme == DriverKernel {
+				if fetched != instr {
+					t.Errorf("hits+misses = %d, iss.instructions = %d; want equal", fetched, instr)
+				}
+				return
+			}
+			stops := res.CoStats.Stops
+			if fetched < instr || fetched-instr > stops+uint64(p.CPUs) {
+				t.Errorf("hits+misses = %d, iss.instructions = %d: excess outside [0, stops+cpus = %d]",
+					fetched, instr, stops+uint64(p.CPUs))
+			}
+			if stops == 0 {
+				t.Error("no stops served")
 			}
 		})
 	}

@@ -46,8 +46,6 @@ type Spec struct {
 	PacketsPerSource uint64  `json:"packets_per_source,omitempty"`
 	Seed             int64   `json:"seed,omitempty"`
 
-	NoDecodeCache bool `json:"no_decode_cache,omitempty"`
-
 	// DMI grants Driver-Kernel guests direct memory windows over their
 	// bound ports (see README "Memory fast path").
 	DMI bool `json:"dmi,omitempty"`
@@ -103,7 +101,6 @@ func (s Spec) Params() (Params, error) {
 		FifoDepth:        s.FifoDepth,
 		PacketsPerSource: s.PacketsPerSource,
 		Seed:             s.Seed,
-		NoDecodeCache:    s.NoDecodeCache,
 		DMI:              s.DMI,
 	}
 	if s.Transport != "" {
@@ -142,7 +139,6 @@ func (s *Spec) RegisterFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&s.Seed, "seed", 1, "traffic seed")
 	fs.IntVar(&s.CPUs, "cpus", 1, "checksum CPUs servicing the router (gdb-kernel and driver-kernel)")
 	fs.Uint64Var(&s.InstrPerCycle, "instrpercycle", 0, "gdb-wrapper instructions per clock cycle (0 = 8)")
-	fs.BoolVar(&s.NoDecodeCache, "nodecodecache", false, "disable the ISS predecoded-instruction cache (ablation baseline)")
 	fs.BoolVar(&s.DMI, "dmi", false, "grant driver-kernel guests direct memory windows (memory fast path)")
 }
 
@@ -168,7 +164,6 @@ func SpecFromParams(p Params) Spec {
 		FifoDepth:        p.FifoDepth,
 		PacketsPerSource: p.PacketsPerSource,
 		Seed:             p.Seed,
-		NoDecodeCache:    p.NoDecodeCache,
 		DMI:              p.DMI,
 	}
 	if p.Transport != nil {
@@ -180,19 +175,21 @@ func SpecFromParams(p Params) Spec {
 // DecodeSpec decodes one JSON spec, rejecting unknown fields so a typo
 // in a session request fails loudly instead of silently running the
 // defaults, and rejecting anything but whitespace after the spec's
-// closing brace, then checks that it materialises (Spec.Params).
-func DecodeSpec(data []byte) (Spec, error) {
+// closing brace, then materialises it: the Params it returns are
+// Spec.Params of the spec it returns.
+func DecodeSpec(data []byte) (Spec, Params, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("spec: %w", err)
+		return Spec{}, Params{}, fmt.Errorf("spec: %w", err)
 	}
 	if dec.Decode(&struct{}{}) != io.EOF {
-		return Spec{}, fmt.Errorf("spec: trailing data after the JSON object")
+		return Spec{}, Params{}, fmt.Errorf("spec: trailing data after the JSON object")
 	}
-	if _, err := s.Params(); err != nil {
-		return Spec{}, err
+	p, err := s.Params()
+	if err != nil {
+		return Spec{}, Params{}, err
 	}
-	return s, nil
+	return s, p, nil
 }

@@ -29,20 +29,20 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		FifoDepth:        8,
 		PacketsPerSource: 100,
 		Seed:             42,
-		NoDecodeCache:    true,
 		Quantum:          "100ns",
 	}
 	data, err := json.Marshal(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeSpec(data)
+	back, p, err := DecodeSpec(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(orig, back) {
 		t.Fatalf("round trip mutated the spec:\n  orig %+v\n  back %+v", orig, back)
 	}
+	requireParamsOf(t, back, p)
 }
 
 func TestSpecParamsMaterialisation(t *testing.T) {
@@ -255,7 +255,7 @@ func TestSpecFlags(t *testing.T) {
 	if err := fs.Parse([]string{
 		"-delay", "5us", "-payload", "6", "-errors", "0.25", "-multicast", "0.5",
 		"-fifo", "4", "-packets", "9", "-seed", "11", "-cpus", "2",
-		"-instrpercycle", "3", "-nodecodecache", "-dmi",
+		"-instrpercycle", "3", "-dmi",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestSpecFlags(t *testing.T) {
 	want := Params{
 		Scheme: DriverKernel, Delay: 5 * sim.US, PayloadWords: 6, ErrorRate: 0.25,
 		MulticastRate: 0.5, FifoDepth: 4, PacketsPerSource: 9, Seed: 11, CPUs: 2,
-		InstrPerCycle: 3, NoDecodeCache: true, DMI: true,
+		InstrPerCycle: 3, DMI: true,
 	}
 	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
 	for i := 0; i < gv.NumField(); i++ {
@@ -328,15 +328,17 @@ func TestSpecZeroDurationCanonicalises(t *testing.T) {
 // TestDecodeSpecRejectsUnknownFields: a typo in a session request must
 // fail loudly, not silently run the defaults. So must skew_bound: the
 // Driver-Kernel no longer has a skew bound to set; nor clock_period and
-// cpu_period: the periods are fixed (WrapperClock, CPUPeriod).
+// cpu_period: the periods are fixed (WrapperClock, CPUPeriod); nor
+// no_decode_cache: the ISS has one engine, with no cache to disable.
 func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
 	for _, body := range []string{
 		`{"scheme": "driver-kernel", "simtime": "1ms"}`,
 		`{"scheme": "driver-kernel", "skew_bound": "1us"}`,
 		`{"scheme": "gdb-wrapper", "clock_period": "100ns"}`,
 		`{"scheme": "gdb-kernel", "cpu_period": "10ns"}`,
+		`{"scheme": "driver-kernel", "no_decode_cache": true}`,
 	} {
-		_, err := DecodeSpec([]byte(body))
+		_, _, err := DecodeSpec([]byte(body))
 		if err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Fatalf("DecodeSpec(%s) = %v, want unknown-field error", body, err)
 		}
@@ -349,14 +351,11 @@ func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
 func TestDecodeSpecIgnoresRetiredField(t *testing.T) {
 	params := func(body string) Params {
 		t.Helper()
-		s, err := DecodeSpec([]byte(body))
+		s, p, err := DecodeSpec([]byte(body))
 		if err != nil {
 			t.Fatalf("DecodeSpec(%s): %v", body, err)
 		}
-		p, err := s.Params()
-		if err != nil {
-			t.Fatalf("Params(%s): %v", body, err)
-		}
+		requireParamsOf(t, s, p)
 		return p
 	}
 	without := params(`{"scheme": "driver-kernel", "dmi": true}`)
@@ -381,18 +380,32 @@ var trailingDataSpecs = []string{
 // second value or garbage after the first must not be ignored.
 func TestDecodeSpecRejectsTrailingData(t *testing.T) {
 	for _, in := range trailingDataSpecs {
-		if _, err := DecodeSpec([]byte(in)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		if _, _, err := DecodeSpec([]byte(in)); err == nil || !strings.Contains(err.Error(), "trailing data") {
 			t.Errorf("DecodeSpec(%s) = %v, want trailing-data error", in, err)
 		}
 	}
-	if _, err := DecodeSpec([]byte("{\"scheme\":\"gdb-wrapper\"}\n\t ")); err != nil {
+	if _, _, err := DecodeSpec([]byte("{\"scheme\":\"gdb-wrapper\"}\n\t ")); err != nil {
 		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }
 
+// requireParamsOf fails unless p is what s materialises to: the Params
+// DecodeSpec returns are the ones Spec.Params builds.
+func requireParamsOf(t *testing.T, s Spec, p Params) {
+	t.Helper()
+	want, err := s.Params()
+	if err != nil {
+		t.Fatalf("decoded spec %+v does not materialise: %v", s, err)
+	}
+	if !reflect.DeepEqual(p, want) {
+		t.Fatalf("DecodeSpec returned params %+v, spec.Params() = %+v", p, want)
+	}
+}
+
 // FuzzDecodeSpec feeds arbitrary bytes to DecodeSpec, the decoder of
-// the cosimd session-request body. It must never panic, and a spec it
-// accepts must survive json.Marshal and a second DecodeSpec unchanged.
+// the cosimd session-request body. It must never panic, a spec it
+// accepts must survive json.Marshal and a second DecodeSpec unchanged,
+// and the Params it returns must be the spec's own Spec.Params.
 func FuzzDecodeSpec(f *testing.F) {
 	for _, seed := range append([]string{
 		`{"scheme": "driver-kernel", "simtime": "1ms"}`,
@@ -407,18 +420,20 @@ func FuzzDecodeSpec(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSpec(data)
+		s, p, err := DecodeSpec(data)
 		if err != nil {
 			return
 		}
+		requireParamsOf(t, s, p)
 		enc, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("accepted spec %+v does not marshal: %v", s, err)
 		}
-		back, err := DecodeSpec(enc)
+		back, p, err := DecodeSpec(enc)
 		if err != nil {
 			t.Fatalf("re-encoded spec %s rejected: %v", enc, err)
 		}
+		requireParamsOf(t, back, p)
 		if back != s {
 			t.Fatalf("round trip mutated the spec:\n  first  %+v\n  second %+v", s, back)
 		}

@@ -111,17 +111,19 @@ type CPU struct {
 
 	lastWatchAddr uint32
 
-	// Decode-once execution engine (see decode_cache.go): nil runs the
-	// legacy bus.Read + isa.Decode per-step engine.
-	dc              *decodeCache
+	// Decode-once execution (decode_cache.go). An instruction the
+	// slow path decoded runs from scratch.
+	dc              decodeCache
+	scratch         dcEntry
 	dcHits          uint64
 	dcMisses        uint64
 	dcInvalidations uint64
 }
 
 // New creates a CPU attached to the bus, with all interrupt lines
-// enabled, the default CPI model, and (when the bus exposes a RAM) the
-// predecoded fast fetch path active.
+// enabled and the default CPI model. When the bus exposes a RAM, the
+// decode cache covers it; on any other Bus the cache could not see
+// memory change, so it covers nothing and every fetch reads the bus.
 func New(bus Bus) *CPU {
 	c := &CPU{
 		bus:         bus,
@@ -130,48 +132,15 @@ func New(bus Bus) *CPU {
 		breakpoints: make(map[uint32]struct{}),
 		watchpoints: make(map[uint32]uint32),
 	}
-	c.sbus, _ = bus.(*SystemBus)
-	c.enableDecodeCache()
+	switch b := bus.(type) {
+	case *SystemBus:
+		c.sbus = b
+		c.dc = newDecodeCache(b.ram.Size())
+	case *RAM:
+		c.dc = newDecodeCache(b.Size())
+	}
 	return c
 }
-
-// enableDecodeCache sizes the predecode cache from the bus's backing
-// RAM. Buses that don't expose a RAM (custom Bus implementations) run
-// uncached: the cache could not see their memory mutations to
-// invalidate against.
-func (c *CPU) enableDecodeCache() {
-	var limit uint32
-	switch b := c.bus.(type) {
-	case *SystemBus:
-		limit = b.ram.Size()
-	case *RAM:
-		limit = b.Size()
-	default:
-		c.dc = nil
-		return
-	}
-	c.dc = newDecodeCache(limit)
-	for addr := range c.breakpoints {
-		c.dcSetBP(addr)
-	}
-}
-
-// SetDecodeCacheEnabled switches the predecoded fast fetch path on or
-// off (on by default when the bus exposes a RAM). Disabling it restores
-// the per-instruction bus.Read + isa.Decode engine — the ablation
-// baseline exposed by benchtab's -nodecodecache flag.
-func (c *CPU) SetDecodeCacheEnabled(enabled bool) {
-	if !enabled {
-		c.dc = nil
-		return
-	}
-	if c.dc == nil {
-		c.enableDecodeCache()
-	}
-}
-
-// DecodeCacheEnabled reports whether the fast fetch path is active.
-func (c *CPU) DecodeCacheEnabled() bool { return c.dc != nil }
 
 // DecodeCacheStats returns the fast-path hit, decode-miss and
 // invalidated-entry totals.
@@ -185,9 +154,6 @@ func (c *CPU) DecodeCacheStats() (hits, misses, invalidations uint64) {
 // models — must call this to keep the cache coherent. CPU stores
 // invalidate automatically.
 func (c *CPU) InvalidateDecode(addr, n uint32) {
-	if c.dc == nil {
-		return
-	}
 	c.dcInvalidations += c.dc.invalidate(addr, n)
 }
 
@@ -228,36 +194,27 @@ func (c *CPU) Reset(pc uint32) {
 	c.cycles, c.icount = 0, 0
 	c.halted, c.sleeping, c.stepOverBP, c.yield = false, false, false, false
 	c.irqPending = 0
-	if c.dc != nil {
-		c.dc.flush()
-	}
+	c.dc.flush()
 }
 
 // --- breakpoints / watchpoints -------------------------------------------
 
 // AddBreakpoint arms a hardware breakpoint at addr. Effective
-// immediately, including between Run calls on the cached engine: the
-// breakpoint is patched into the decode cache's entry flags.
+// immediately, including between Run calls: a breakpoint the decode
+// cache covers is patched into its entry's flags, so the loop tests a
+// flag instead of a map.
 func (c *CPU) AddBreakpoint(addr uint32) {
 	c.breakpoints[addr] = struct{}{}
-	c.dcSetBP(addr)
+	if c.dc.covers(addr) {
+		c.dc.entry(addr).flags |= dcBP
+	}
 }
 
 // RemoveBreakpoint disarms the breakpoint at addr.
 func (c *CPU) RemoveBreakpoint(addr uint32) {
 	delete(c.breakpoints, addr)
-	if c.dc != nil && addr < c.dc.limit && addr%isa.Word == 0 {
-		if e := c.dc.peek(addr); e != nil {
-			e.flags &^= dcBP
-		}
-	}
-}
-
-// dcSetBP folds breakpoint presence into the cached entry so the fast
-// loop tests a flag instead of a map.
-func (c *CPU) dcSetBP(addr uint32) {
-	if c.dc != nil && addr < c.dc.limit && addr%isa.Word == 0 {
-		c.dc.entry(addr).flags |= dcBP
+	if e := c.dc.peek(addr); e != nil {
+		e.flags &^= dcBP
 	}
 }
 
@@ -320,30 +277,24 @@ func (c *CPU) SetIRQMask(mask uint32) { c.irqEnabled = mask }
 // interruptsOn reports whether the global interrupt-enable bit is set.
 func (c *CPU) interruptsOn() bool { return c.SR[isa.SRStatus]&isa.StatusIE != 0 }
 
-// takeIRQ vectors the CPU into the trap handler for IRQ line n.
-func (c *CPU) takeIRQ(n int) {
-	c.trap(uint32(isa.CauseIRQBase + n))
-}
-
-// trap enters the trap vector with the given cause. EPC holds the PC of
-// the next instruction to resume.
+// trap enters the trap vector with the given cause at the current PC,
+// which EPC keeps for ERET to resume at.
 func (c *CPU) trap(cause uint32) {
-	st := c.SR[isa.SRStatus]
-	pie := (st & isa.StatusIE) << 1 // IE -> PIE position
-	c.SR[isa.SRStatus] = (st &^ (isa.StatusIE | isa.StatusPIE)) | pie
-	c.SR[isa.SREPC] = c.PC
-	c.SR[isa.SRCause] = cause
-	c.PC = c.SR[isa.SRIVec]
-	c.sleeping = false
+	c.PC = c.enterTrap(cause, c.PC)
 	c.cycles += c.cpi.Trap
 }
 
-// eret returns from a trap: restore IE from PIE, jump to EPC.
-func (c *CPU) eret() {
+// enterTrap saves IE into PIE, disables interrupts, records the cause
+// and epc, wakes the CPU, and returns the trap vector. The caller
+// jumps there and charges cpi.Trap.
+func (c *CPU) enterTrap(cause, epc uint32) uint32 {
 	st := c.SR[isa.SRStatus]
-	ie := (st & isa.StatusPIE) >> 1
-	c.SR[isa.SRStatus] = (st &^ isa.StatusIE) | ie
-	c.PC = c.SR[isa.SREPC]
+	pie := (st & isa.StatusIE) << 1 // IE -> PIE position
+	c.SR[isa.SRStatus] = (st &^ (isa.StatusIE | isa.StatusPIE)) | pie
+	c.SR[isa.SREPC] = epc
+	c.SR[isa.SRCause] = cause
+	c.sleeping = false
+	return c.SR[isa.SRIVec]
 }
 
 // checkIRQ takes the highest-priority pending enabled interrupt if the
@@ -358,7 +309,7 @@ func (c *CPU) checkIRQ() bool {
 	}
 	for n := 0; n < isa.NumIRQ; n++ {
 		if pend&(1<<uint(n)) != 0 {
-			c.takeIRQ(n)
+			c.trap(uint32(isa.CauseIRQBase + n))
 			return true
 		}
 	}

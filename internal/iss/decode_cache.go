@@ -10,15 +10,17 @@ const (
 	dcPageWords = 1 << (dcPageShift - 2)
 
 	// maxDecodeCover bounds the address range the cache covers when the
-	// backing RAM is unbounded or larger: fetches above the bound simply
-	// take the uncached path.
+	// backing RAM is unbounded or larger: fetches above the bound take
+	// the miss path every time.
 	maxDecodeCover = 16 << 20
 )
 
-// dcEntry flag bits.
+// dcEntry flag bits. dcDecoded and dcEnds are set when the entry is
+// filled, dcBP while a hardware breakpoint is armed at the entry's PC.
 const (
 	dcDecoded uint8 = 1 << iota // inst holds a valid decoded instruction
 	dcBP                        // a hardware breakpoint is armed at this PC
+	dcEnds                      // the batch ends after this instruction
 )
 
 // dcEntry is one predecoded instruction slot.
@@ -27,38 +29,63 @@ type dcEntry struct {
 	flags uint8
 }
 
+// dcPage is one lazily allocated page of entries.
+type dcPage [dcPageWords]dcEntry
+
+// noPage is a page with no entry filled.
+var noPage dcPage
+
 // decodeCache memoizes isa.Decode results for the RAM code region so
 // the hot loop replaces a bus.Read + isa.Decode per instruction with
 // one bounds check and an array load. Breakpoint presence is folded
 // into the entry flags, eliminating the per-step map lookup. See
-// DESIGN.md §5.5 for the invalidation protocol.
+// DESIGN.md §5.5 for the invalidation protocol. The zero cache covers
+// nothing: every fetch takes the miss path.
 type decodeCache struct {
 	limit uint32 // exclusive PC bound covered by the cache
-	pages [][]dcEntry
+	pages []*dcPage
 }
 
-func newDecodeCache(limit uint32) *decodeCache {
+// newDecodeCache covers a RAM of limit bytes (0 = unbounded).
+func newDecodeCache(limit uint32) decodeCache {
 	if limit == 0 || limit > maxDecodeCover {
 		limit = maxDecodeCover
 	}
 	n := (uint64(limit) + (1 << dcPageShift) - 1) >> dcPageShift
-	return &decodeCache{limit: limit, pages: make([][]dcEntry, n)}
+	return decodeCache{limit: limit, pages: make([]*dcPage, n)}
+}
+
+// covers reports whether pc has a slot in the cache.
+func (d *decodeCache) covers(pc uint32) bool { return pc < d.limit && pc%isa.Word == 0 }
+
+// pageOf returns the page holding pc, or the empty noPage if pc is not
+// covered or its page was never touched.
+func (d *decodeCache) pageOf(pc uint32) *dcPage {
+	if pc < d.limit {
+		if p := d.pages[pc>>dcPageShift]; p != nil {
+			return p
+		}
+	}
+	return &noPage
 }
 
 // entry returns the slot for pc, allocating its page on first touch.
-// The caller guarantees pc < limit and word alignment.
+// The caller guarantees covers(pc).
 func (d *decodeCache) entry(pc uint32) *dcEntry {
 	p := d.pages[pc>>dcPageShift]
 	if p == nil {
-		p = make([]dcEntry, dcPageWords)
+		p = new(dcPage)
 		d.pages[pc>>dcPageShift] = p
 	}
 	return &p[(pc>>2)&(dcPageWords-1)]
 }
 
-// peek returns the slot for pc without allocating; nil if the page has
-// never been touched.
+// peek returns the slot for pc without allocating; nil if pc is not
+// covered or its page has never been touched.
 func (d *decodeCache) peek(pc uint32) *dcEntry {
+	if !d.covers(pc) {
+		return nil
+	}
 	p := d.pages[pc>>dcPageShift]
 	if p == nil {
 		return nil
@@ -90,8 +117,10 @@ func (d *decodeCache) invalidate(addr, n uint32) uint64 {
 // flush drops every decoded entry (breakpoint flags survive).
 func (d *decodeCache) flush() {
 	for _, p := range d.pages {
-		for j := range p {
-			p[j].flags &^= dcDecoded
+		if p != nil {
+			for j := range p {
+				p[j].flags &^= dcDecoded
+			}
 		}
 	}
 }

@@ -3,14 +3,35 @@ package iss
 import (
 	"testing"
 
+	"cosim/internal/asm"
 	"cosim/internal/isa"
 )
 
-// bothEngines runs fn under the cached and the uncached execution
-// engines, pinning every behavioral contract on both paths.
-func bothEngines(t *testing.T, fn func(t *testing.T, cached bool)) {
-	t.Run("cached", func(t *testing.T) { fn(t, true) })
-	t.Run("uncached", func(t *testing.T) { fn(t, false) })
+// bothFetchPaths assembles src and runs fn on the two fetch paths of
+// the one engine: "cached" on the SystemBus, whose RAM the decode cache
+// covers, and "uncached" on a plainBus, where every fetch takes the
+// miss path. Each behavioral contract must hold on both.
+func bothFetchPaths(t *testing.T, src string, fn func(t *testing.T, c *CPU, im *asm.Image, cached bool)) {
+	t.Run("cached", func(t *testing.T) {
+		c, im := buildCPU(t, src)
+		fn(t, c, im, true)
+	})
+	t.Run("uncached", func(t *testing.T) {
+		_, im := buildCPU(t, src)
+		fn(t, plainBusCPU(t, im), im, false)
+	})
+}
+
+// plainBusCPU loads im into a fresh RAM behind a plainBus.
+func plainBusCPU(t *testing.T, im *asm.Image) *CPU {
+	t.Helper()
+	ram := NewRAM(1 << 20)
+	if err := im.LoadInto(ram); err != nil {
+		t.Fatal(err)
+	}
+	c := New(plainBus{ram})
+	c.Reset(im.Entry)
+	return c
 }
 
 // selfModifyProg executes patchme once, overwrites it with the
@@ -37,9 +58,7 @@ newinst:
 `
 
 func TestSelfModifyingCode(t *testing.T) {
-	bothEngines(t, func(t *testing.T, cached bool) {
-		c, _ := buildCPU(t, selfModifyProg)
-		c.SetDecodeCacheEnabled(cached)
+	bothFetchPaths(t, selfModifyProg, func(t *testing.T, c *CPU, _ *asm.Image, cached bool) {
 		runToHalt(t, c, 100)
 		if got := c.Regs[10]; got != 101 {
 			t.Fatalf("a0 = %d, want 101 (patched instruction not executed)", got)
@@ -53,7 +72,7 @@ func TestSelfModifyingCode(t *testing.T) {
 				t.Error("store into executed code caused no invalidation")
 			}
 		} else if hits != 0 {
-			t.Errorf("uncached engine counted %d hits", hits)
+			t.Errorf("miss path counted %d hits", hits)
 		}
 	})
 }
@@ -61,8 +80,7 @@ func TestSelfModifyingCode(t *testing.T) {
 func TestSelfModifyingCodeByteStore(t *testing.T) {
 	// Patch only the low immediate byte of "addi a0, zero, 2" with a
 	// byte store: sub-word writes must invalidate the covering word.
-	bothEngines(t, func(t *testing.T, cached bool) {
-		c, _ := buildCPU(t, `
+	bothFetchPaths(t, `
 _start:
     addi a2, zero, 0
 loop:
@@ -77,8 +95,7 @@ patchme:
     j    loop
 done:
     halt
-`)
-		c.SetDecodeCacheEnabled(cached)
+`, func(t *testing.T, c *CPU, _ *asm.Image, _ bool) {
 		runToHalt(t, c, 100)
 		if got := c.Regs[10]; got != 101 {
 			t.Fatalf("a0 = %d, want 101 (byte patch not executed)", got)
@@ -87,14 +104,12 @@ done:
 }
 
 func TestMidRunAddBreakpoint(t *testing.T) {
-	bothEngines(t, func(t *testing.T, cached bool) {
-		c, im := buildCPU(t, `
+	bothFetchPaths(t, `
 _start:
 loop:
     addi s0, s0, 1
     j    loop
-`)
-		c.SetDecodeCacheEnabled(cached)
+`, func(t *testing.T, c *CPU, im *asm.Image, _ bool) {
 		// Warm the loop so its instructions are decoded before the
 		// breakpoint is armed.
 		if stop, _ := c.Run(100); stop != StopBudget {
@@ -128,8 +143,7 @@ loop:
 }
 
 func TestFetchBusErrorCause(t *testing.T) {
-	bothEngines(t, func(t *testing.T, cached bool) {
-		c, _ := buildCPU(t, `
+	bothFetchPaths(t, `
 _start:
     li   t0, 0x100
     mtsr ivec, t0
@@ -139,8 +153,7 @@ _start:
 handler:
     mfsr a0, cause
     halt
-`)
-		c.SetDecodeCacheEnabled(cached)
+`, func(t *testing.T, c *CPU, _ *asm.Image, _ bool) {
 		runToHalt(t, c, 100)
 		if got := c.Regs[10]; got != isa.CauseBus {
 			t.Fatalf("cause = %d, want bus error (%d)", got, isa.CauseBus)
@@ -200,33 +213,31 @@ loop:
 	}
 }
 
-func TestDecodeCacheToggle(t *testing.T) {
-	c, im := buildCPU(t, `
-_start:
-loop:
-    addi s0, s0, 1
-    j    loop
-`)
-	c.SetDecodeCacheEnabled(false)
-	if c.DecodeCacheEnabled() {
-		t.Fatal("cache still enabled after disable")
+// plainBus is a Bus the CPU cannot see through to a RAM.
+type plainBus struct{ *RAM }
+
+// TestCustomBusTakesMissPath: on a Bus that is not this package's, the
+// decode cache covers nothing, so every fetch takes the miss path:
+// nothing is cached or counted, the program still runs, and a
+// breakpoint still hits through the breakpoint map.
+func TestCustomBusTakesMissPath(t *testing.T) {
+	ref, im := buildCPU(t, selfModifyProg)
+	runToHalt(t, ref, 100)
+
+	c := plainBusCPU(t, im)
+	runToHalt(t, c, 100)
+	if c.Regs != ref.Regs || c.Cycles() != ref.Cycles() || c.Instructions() != ref.Instructions() {
+		t.Fatalf("custom bus: regs %v, %d cycles, %d instructions; RAM bus: %v, %d, %d",
+			c.Regs, c.Cycles(), c.Instructions(), ref.Regs, ref.Cycles(), ref.Instructions())
 	}
-	if stop, _ := c.Run(100); stop != StopBudget {
-		t.Fatalf("stop = %v", stop)
+	if hits, misses, inv := c.DecodeCacheStats(); hits != 0 || misses != 0 || inv != 0 {
+		t.Fatalf("custom bus counted hits=%d misses=%d invalidations=%d", hits, misses, inv)
 	}
-	if hits, misses, _ := c.DecodeCacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("disabled engine counted hits=%d misses=%d", hits, misses)
-	}
-	// Breakpoints added while disabled must be honored after re-enable:
-	// the flag re-seed in enableDecodeCache covers them.
+
 	bp := im.MustSymbol("loop")
+	c.Reset(im.Entry)
 	c.AddBreakpoint(bp)
-	c.SetDecodeCacheEnabled(true)
-	if !c.DecodeCacheEnabled() {
-		t.Fatal("cache not enabled")
-	}
-	stop, _ := c.Run(1000)
-	if stop != StopBreak || c.PC != bp {
+	if stop, _ := c.Run(1000); stop != StopBreak || c.PC != bp {
 		t.Fatalf("stop = %v at %#x, want break at %#x", stop, c.PC, bp)
 	}
 }

@@ -231,18 +231,16 @@ func (s *Server) Session(id string) (*Session, bool) {
 	return sess, ok
 }
 
-// submit admits a spec: quota check, registration, queue send. It
-// returns the session or an admission error.
+// Admission errors of submit.
 var (
 	errDraining  = errors.New("server draining")
 	errSaturated = errors.New("worker pool and queue full")
 )
 
-func (s *Server) submit(spec harness.Spec) (*Session, error) {
-	p, err := spec.Params()
-	if err != nil {
-		return nil, err
-	}
+// submit admits a spec with the Params DecodeSpec materialised from it:
+// quota check, registration, queue send. It returns the session or an
+// admission error.
+func (s *Server) submit(spec harness.Spec, p harness.Params) (*Session, error) {
 	// Quota check against the defaulted params so zero fields count as
 	// what they will actually run as (an empty sim_time is the 1ms
 	// default, not zero).
@@ -344,13 +342,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
-	spec, err := harness.DecodeSpec(body)
+	spec, p, err := harness.DecodeSpec(body)
 	if err != nil {
 		s.badSpecs.Add(1)
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
-	sess, err := s.submit(spec)
+	sess, err := s.submit(spec, p)
 	switch {
 	case errors.Is(err, errDraining):
 		s.refused.Add(1)
