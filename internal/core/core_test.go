@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cosim/internal/asm"
 	"cosim/internal/dev"
@@ -14,6 +16,7 @@ import (
 	"cosim/internal/obs"
 	"cosim/internal/rtos"
 	"cosim/internal/sim"
+	"cosim/internal/transport"
 )
 
 func TestMessageCodecRoundTrip(t *testing.T) {
@@ -255,10 +258,16 @@ func TestGDBKernelTimeCoupling(t *testing.T) {
 
 // TestGDBKernelCountsSkewWaitTimeout: a guest that never reaches its
 // breakpoints fails the run once the wait for its first stop times
-// out: the error is ErrStopTimeout, names the scheme once and the
-// guest's ports, and the timeout is counted.
+// out, on every transport: the error is ErrStopTimeout, names the
+// scheme once and the guest's ports, and the timeout is counted. The
+// run ends within twice the timeout, and teardown leaves no goroutine:
+// over the ring, where the stub runs inside the kernel's read, closing
+// the link ends the continue at its next chunk.
 func TestGDBKernelCountsSkewWaitTimeout(t *testing.T) {
-	cpu, im := buildBareMetal(t, `
+	for _, tr := range transport.All() {
+		t.Run(tr.Name(), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			cpu, im := buildBareMetal(t, `
 _start:
 spin:
     j    spin
@@ -270,34 +279,47 @@ bp_resp:
 req:  .word 0
 resp: .word 0
 `)
-	target, err := StartGDBTarget(cpu, TransportPipe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	k := sim.NewKernel("top")
-	sim.NewClock(k, "clk", 10*sim.NS)
-	g, err := NewGDBKernel(k, target.HostConn, im, GDBKernelOptions{
-		CommonOptions: CommonOptions{CPUPeriod: 2 * sim.NS, Obs: reg},
-		Bindings:      doublerBindings,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Run(100 * sim.NS); err != nil {
-		t.Fatalf("run: %v (scheme err %v)", err, g.Err())
-	}
-	k.Shutdown()
-	_ = target.Wait()
-	err = g.Err()
-	if !errors.Is(err, ErrStopTimeout) {
-		t.Fatalf("scheme error = %v, want ErrStopTimeout", err)
-	}
-	if want := "gdb-kernel: guest of ports req, resp: " + ErrStopTimeout.Error() + " (1s)"; err.Error() != want {
-		t.Errorf("scheme error %q, want %q", err, want)
-	}
-	if n := reg.Counter("cosim.skew_wait_timeouts").Load(); n != 1 {
-		t.Fatalf("cosim.skew_wait_timeouts = %d, want 1", n)
+			start := time.Now()
+			target, err := StartGDBTarget(cpu, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			k := sim.NewKernel("top")
+			sim.NewClock(k, "clk", 10*sim.NS)
+			g, err := NewGDBKernel(k, target.HostConn, im, GDBKernelOptions{
+				CommonOptions: CommonOptions{CPUPeriod: 2 * sim.NS, Obs: reg},
+				Bindings:      doublerBindings,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := k.Run(100 * sim.NS); err != nil {
+				t.Fatalf("run: %v (scheme err %v)", err, g.Err())
+			}
+			if d := time.Since(start); d >= 2*stopTimeout {
+				t.Errorf("the run took %v, want under %v", d, 2*stopTimeout)
+			}
+			k.Shutdown()
+			_ = target.Wait()
+			err = g.Err()
+			if !errors.Is(err, ErrStopTimeout) {
+				t.Fatalf("scheme error = %v, want ErrStopTimeout", err)
+			}
+			if want := "gdb-kernel: guest of ports req, resp: " + ErrStopTimeout.Error() + " (1s)"; err.Error() != want {
+				t.Errorf("scheme error %q, want %q", err, want)
+			}
+			if n := reg.Counter("cosim.skew_wait_timeouts").Load(); n != 1 {
+				t.Fatalf("cosim.skew_wait_timeouts = %d, want 1", n)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after teardown, baseline %d", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 

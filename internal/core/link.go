@@ -57,17 +57,28 @@ type GDBTarget struct {
 	// HostConn is the kernel-side end of the RSP connection.
 	HostConn Endpoint
 
-	served chan error
+	inline *gdb.Inline // the stub's host end on the ring, else nil
+	served chan error  // Serve's result, on every other transport
 }
 
-// StartGDBTarget launches a stub serving cpu in its own goroutine (the
-// ISS "process") and returns the kernel-side connection.
+// StartGDBTarget serves cpu with a stub and returns the kernel-side
+// connection. Over the ring the stub has no goroutine: it runs on the
+// goroutine that reads HostConn (gdb.Inline), since a ring write never
+// waits for its reader. Over tcp and pipe it runs in its own goroutine
+// (gdb.Stub.Serve), the ISS "process", where serving inline measured
+// slower (DESIGN §5.7).
 func StartGDBTarget(cpu *iss.CPU, tr Transport) (*GDBTarget, error) {
 	host, guest, err := tr.Pair()
 	if err != nil {
 		return nil, err
 	}
-	t := &GDBTarget{CPU: cpu, HostConn: host, served: make(chan error, 1)}
+	t := &GDBTarget{CPU: cpu}
+	if tr.Name() == transport.Ring.Name() {
+		t.Stub, t.inline = gdb.NewInline(cpu, host, guest)
+		t.HostConn = t.inline
+		return t, nil
+	}
+	t.HostConn, t.served = host, make(chan error, 1)
 	t.Stub = gdb.NewStub(cpu, guest)
 	go func() {
 		t.served <- t.Stub.Serve()
@@ -77,8 +88,14 @@ func StartGDBTarget(cpu *iss.CPU, tr Transport) (*GDBTarget, error) {
 }
 
 // Wait blocks until the stub exits (after a kill/detach or connection
-// close) and returns its error.
-func (t *GDBTarget) Wait() error { return <-t.served }
+// close) and returns its error. Over the ring, where the stub runs only
+// inside reads, it first answers what the kernel wrote last (a kill).
+func (t *GDBTarget) Wait() error {
+	if t.inline != nil {
+		return t.inline.Wait()
+	}
+	return <-t.served
+}
 
 // DriverTarget is a platform running the RTOS guest, wired to the
 // Driver-Kernel sockets — the software simulator process of §4.

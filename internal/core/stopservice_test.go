@@ -83,37 +83,47 @@ func runWithin(t *testing.T, what string, d time.Duration, fn func()) {
 	}
 }
 
+// recordingTransport wraps a backend so the guest end of its pair
+// records the stub's writes.
+type recordingTransport struct {
+	Transport
+	stub *recordingConn
+}
+
+func (r *recordingTransport) Pair() (host, guest Endpoint, err error) {
+	host, guest, err = r.Transport.Pair()
+	r.stub = &recordingConn{ReadWriteCloser: guest}
+	return host, r.stub, err
+}
+
 // TestGDBKernelStopServiceWire: GDB-Kernel services every stop with
 // one host write holding the variable transfer and the resume, one
 // round trip and two packets, on every transport; the stub answers it
-// with one write holding the transfer's reply and the next stop.
+// with one write holding the transfer's reply and the next stop,
+// whether it runs on its own goroutine (pipe, tcp) or inside the
+// kernel's reads (ring).
 func TestGDBKernelStopServiceWire(t *testing.T) {
 	for _, tr := range []Transport{TransportPipe, TransportRing, TransportTCP} {
 		t.Run(tr.Name(), func(t *testing.T) {
 			cpu, im := buildBareMetal(t, doublerSrc)
-			host, guest, err := tr.Pair()
+			rec := &recordingTransport{Transport: tr}
+			target, err := StartGDBTarget(cpu, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			stubConn := &recordingConn{ReadWriteCloser: guest}
-			served := make(chan error, 1)
-			go func() {
-				served <- gdb.NewStub(cpu, stubConn).Serve()
-				guest.Close()
-			}()
-			conn := &recordingConn{ReadWriteCloser: host}
+			conn := &recordingConn{ReadWriteCloser: target.HostConn}
 			k, g := attachGDBKernel(t, conn, im, doublerBindings)
-			attach, stubAttach := len(conn.written()), len(stubConn.written())
+			attach, stubAttach := len(conn.written()), len(rec.stub.written())
 			results := driveDoubler(t, k, 5)
 			runWithin(t, "run", 10*time.Second, func() {
 				if err := k.Run(sim.MaxTime); err != nil {
 					t.Errorf("run: %v", err)
 				}
 			})
-			writes, replies := conn.written()[attach:], stubConn.written()[stubAttach:]
+			writes, replies := conn.written()[attach:], rec.stub.written()[stubAttach:]
 			after := g.Client().Stats()
 			k.Shutdown()
-			if err := <-served; err != nil {
+			if err := target.Wait(); err != nil {
 				t.Fatalf("stub: %v", err)
 			}
 			if g.Err() != nil || len(*results) != 5 {

@@ -48,10 +48,13 @@ type Stub struct {
 	cpu *iss.CPU
 	t   *transport
 
-	// breakIn is set by the serve loop when a 0x03 byte arrives and
-	// polled by the runner between chunks; each continue starts with it
-	// clear.
+	// breakIn is set when a 0x03 byte arrives and polled between the
+	// chunks of a continue; each continue starts with it clear.
 	breakIn atomic.Bool
+	// hangUp is set when the link goes (Serve's return, Inline.Close)
+	// and never cleared: like a break-in, it ends a continue at its next
+	// chunk, and every later continue after its first.
+	hangUp atomic.Bool
 
 	// reply and mem are scratch buffers for building replies. Only one
 	// of the serve loop and the runner touches them at a time.
@@ -70,7 +73,7 @@ type Stub struct {
 
 const (
 	// chunkBudget is the number of instructions a continue runs between
-	// break-in checks; the first chunk runs on the serve loop.
+	// break-in checks; the first chunk runs where the packet was read.
 	chunkBudget = 50_000
 	// idleSleep is how long the stub sleeps when the CPU is in WFI with
 	// no pending interrupt.
@@ -105,9 +108,9 @@ func (s *Stub) Serve() error {
 	running := false
 	defer func() {
 		if running {
-			// Break in on the running continue, then wait for its
-			// runner to deliver the stop reply and exit.
-			s.breakIn.Store(true)
+			// End the running continue, then wait for its runner to
+			// deliver the stop reply and exit.
+			s.hangUp.Store(true)
 			<-stopped
 		}
 	}()
@@ -129,29 +132,36 @@ func (s *Stub) Serve() error {
 				return err
 			}
 		}
-		if len(pkt) > 0 && pkt[0] == 'c' {
-			s.breakIn.Store(false)
-			if reply := s.resume(false, pkt[1:]); reply != nil {
-				if err := s.t.sendReplyNoAckWait(reply, false); err != nil {
-					return err
-				}
-				continue
-			}
-			running = true
+		var done bool
+		running, done, err = s.handle(pkt)
+		if err != nil || done {
+			return err
+		}
+		if running {
 			go func() { stopped <- s.t.sendReplyNoAckWait(s.keepRunning(), false) }()
-			continue
-		}
-		reply, done := s.dispatch(pkt)
-		if reply != nil {
-			hold := s.t.noAck && !done && s.t.packetBuffered()
-			if err := s.t.sendReplyNoAckWait(reply, hold); err != nil {
-				return err
-			}
-		}
-		if done {
-			return nil
 		}
 	}
+}
+
+// handle answers one command packet: Serve's loop and Inline's step
+// both run it. A continue runs its first chunk here; if that chunk ends
+// without a stop, handle reports it running, with no reply sent, and
+// the caller runs keepRunning and sends its stop reply. done reports a
+// kill or detach.
+func (s *Stub) handle(pkt []byte) (running, done bool, err error) {
+	if len(pkt) > 0 && pkt[0] == 'c' {
+		s.breakIn.Store(false)
+		if reply := s.resume(false, pkt[1:]); reply != nil {
+			return false, false, s.t.sendReplyNoAckWait(reply, false)
+		}
+		return true, false, nil
+	}
+	reply, done := s.dispatch(pkt)
+	if reply != nil {
+		hold := s.t.noAck && !done && s.t.packetBuffered()
+		err = s.t.sendReplyNoAckWait(reply, hold)
+	}
+	return false, done, err
 }
 
 // dispatch handles one command packet.
@@ -649,11 +659,12 @@ func (s *Stub) runChunk() []byte {
 }
 
 // keepRunning runs a continue whose first chunk ended without a stop
-// until it stops or a break-in ends it. A break-in is checked between
-// chunks, and a CPU idle in WFI is given idleSleep before the next.
+// until it stops or a break-in or hang-up ends it. Both are checked
+// between chunks, and a CPU idle in WFI is given idleSleep before the
+// next.
 func (s *Stub) keepRunning() []byte {
 	for {
-		if s.breakIn.Load() {
+		if s.breakIn.Load() || s.hangUp.Load() {
 			s.lastSignal = 2
 			return []byte("S02")
 		}

@@ -84,6 +84,52 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 	})
 }
 
+// goroutineSampler wraps a backend so each host-side Read of a pair it
+// creates notes the live goroutine count: the count while a run waits
+// for, or serves, its guests.
+type goroutineSampler struct {
+	core.Transport
+	max int
+}
+
+func (g *goroutineSampler) Pair() (host, guest transport.Endpoint, err error) {
+	host, guest, err = g.Transport.Pair()
+	return &sampledEndpoint{host, g}, guest, err
+}
+
+type sampledEndpoint struct {
+	transport.Endpoint
+	g *goroutineSampler
+}
+
+func (e *sampledEndpoint) Read(p []byte) (int, error) {
+	e.g.max = max(e.g.max, runtime.NumGoroutine())
+	return e.Endpoint.Read(p)
+}
+
+// TestGDBKernelRingStartsNoGoroutine: over the ring, GDB-Kernel's stubs
+// run on the kernel's goroutine, inside its reads, so a run at 1 and at
+// 2 CPUs starts no goroutine: none is alive beyond the baseline at any
+// read of the run.
+func TestGDBKernelRingStartsNoGoroutine(t *testing.T) {
+	for _, cpus := range []int{1, 2} {
+		t.Run(fmt.Sprintf("cpus=%d", cpus), func(t *testing.T) {
+			baseline := settledGoroutines()
+			tr := &goroutineSampler{Transport: core.TransportRing}
+			res, err := Run(Params{Scheme: GDBKernel, Transport: tr, CPUs: cpus, SimTime: 200 * sim.US, Delay: 5 * sim.US, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CoStats.Stops == 0 || tr.max == 0 {
+				t.Fatalf("%d stops, %d goroutines sampled: the run served no stop", res.CoStats.Stops, tr.max)
+			}
+			if tr.max > baseline {
+				t.Fatalf("%d goroutines alive during the run, baseline %d", tr.max, baseline)
+			}
+		})
+	}
+}
+
 // errPairRefused is the fault failingTransport injects.
 var errPairRefused = errors.New("pair refused")
 

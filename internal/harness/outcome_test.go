@@ -52,6 +52,34 @@ func TestGDBOutcomesPinned(t *testing.T) {
 	}
 }
 
+// TestGDBKernelOutcomeSameOverEveryTransport: the GDB-Kernel 2-CPU run
+// that TestGDBOutcomesPinned pins over the ring, where the stubs run on
+// the kernel's goroutine, has the same outcome over pipe and tcp, where
+// each stub runs on its own.
+func TestGDBKernelOutcomeSameOverEveryTransport(t *testing.T) {
+	p := Params{
+		Scheme: GDBKernel, CPUs: 2, Transport: core.TransportRing,
+		SimTime: 4 * sim.MS, Delay: 5 * sim.US, Seed: 1,
+	}
+	outcome := func(t *testing.T, p Params) gdbOutcome {
+		t.Helper()
+		res, err := Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gdbOutcome{res.Forwarded, res.Received, res.CoStats.Transfers, res.CoStats.Stops, res.GuestInstructions}
+	}
+	want := outcome(t, p)
+	for _, tr := range []core.Transport{core.TransportPipe, core.TransportTCP} {
+		t.Run(tr.Name(), func(t *testing.T) {
+			p.Transport = tr
+			if got := outcome(t, p); got != want {
+				t.Fatalf("outcome %+v, want the ring's %+v", got, want)
+			}
+		})
+	}
+}
+
 // TestGDBWrapperJournalPinned pins the whole transfer history of the
 // seed-1 GDB-Wrapper run of TestGDBOutcomesPinned, byte for byte: every
 // transfer's time, port, size and cycle stamp. The lock-step wrapper

@@ -78,8 +78,10 @@ type CPIModel struct {
 var DefaultCPI = CPIModel{Default: 1, Load: 2, Store: 2, Mul: 3, Div: 16, Branch: 2, Trap: 4}
 
 // SyscallHandler services ECALL instructions in bare-metal (hosted)
-// mode, when no trap vector is installed. It may modify CPU state.
-// Returning false stops the CPU with StopEcall.
+// mode, when no trap vector is installed. It runs with PC at the
+// instruction after the ECALL and may modify CPU state, PC included:
+// execution resumes at the PC it leaves. Returning false stops the CPU
+// with StopEcall, its PC at the ECALL.
 type SyscallHandler func(c *CPU) bool
 
 // CPU is one FV32 processor core.
@@ -286,8 +288,12 @@ func (c *CPU) trap(cause uint32) {
 
 // enterTrap saves IE into PIE, disables interrupts, records the cause
 // and epc, wakes the CPU, and returns the trap vector. The caller
-// jumps there and charges cpi.Trap.
+// jumps there and charges cpi.Trap. A pending step-over belonged to
+// the instruction at epc, which has not run (an interrupt or a fetch
+// fault) or has retired (an ECALL): it is dropped, so a breakpoint on
+// the vector's first instruction stops the CPU.
 func (c *CPU) enterTrap(cause, epc uint32) uint32 {
+	c.stepOverBP = false
 	st := c.SR[isa.SRStatus]
 	pie := (st & isa.StatusIE) << 1 // IE -> PIE position
 	c.SR[isa.SRStatus] = (st &^ (isa.StatusIE | isa.StatusPIE)) | pie

@@ -299,10 +299,13 @@ loop:
 				break
 			}
 			if c.Syscall != nil {
-				c.PC, c.cycles, c.icount = pc, cycles, icount
+				// The handler sees the PC after the ECALL; the ECALL
+				// retires to the PC it leaves.
+				c.PC, c.cycles, c.icount = next, cycles, icount
 				handled := c.Syscall(c)
-				pc, cycles, icount = c.PC, c.cycles, c.icount
+				cycles, icount = c.cycles, c.icount
 				if handled {
+					next = c.PC
 					break
 				}
 			}
@@ -324,9 +327,9 @@ loop:
 				stop = StopIdle
 			}
 		case isa.HALT:
+			cost = 0 // HALT retires without costing a cycle
 			c.halted = true
 			stop, flags = StopHalt, flags|dcEnds
-			cycles -= cost // HALT retires without costing a cycle
 		case isa.MFSR:
 			c.SR[isa.SRCycle], c.SR[isa.SRCycleH] = uint32(cycles), uint32(cycles>>32)
 			c.setReg(in.Rd, c.SR[in.Imm&(isa.NumSRegs-1)])

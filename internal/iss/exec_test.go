@@ -332,6 +332,27 @@ loop:
 	}
 }
 
+// TestProfileCyclesMatchCPU: a profile charges each instruction the
+// cycles the CPU counts for it, HALT's none included, so its cycle
+// total is CPU.Cycles().
+func TestProfileCyclesMatchCPU(t *testing.T) {
+	c, _ := buildCPU(t, `
+_start:
+    addi a0, zero, 1
+    halt
+`)
+	prof := NewProfile()
+	c.AttachProfile(prof)
+	runToHalt(t, c, 10)
+	var total uint64
+	for _, h := range prof.Top(0) {
+		total += h.Cycles
+	}
+	if total != c.Cycles() {
+		t.Fatalf("profile charges %d cycles, CPU counted %d", total, c.Cycles())
+	}
+}
+
 func itostr(v int) string {
 	if v == 0 {
 		return "0"

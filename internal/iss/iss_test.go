@@ -255,6 +255,40 @@ _start:
 	}
 }
 
+// TestHostSyscallSetsPC: a SyscallHandler sees the PC after the ECALL,
+// and the ECALL retires to the PC the handler leaves; a profile charges
+// the ECALL at its own address.
+func TestHostSyscallSetsPC(t *testing.T) {
+	c, im := buildCPU(t, `
+_start:
+call:
+    ecall
+after:
+    addi a1, zero, 1     ; skipped: the handler moves the PC past it
+target:
+    addi a2, zero, 2
+    halt
+`)
+	prof := NewProfile()
+	c.AttachProfile(prof)
+	var seen uint32
+	c.Syscall = func(cpu *CPU) bool {
+		seen = cpu.PC
+		cpu.PC = im.MustSymbol("target")
+		return true
+	}
+	runToHalt(t, c, 100)
+	if want := im.MustSymbol("after"); seen != want {
+		t.Fatalf("handler saw PC %#x, want %#x (after the ecall)", seen, want)
+	}
+	if c.Regs[11] != 0 || c.Regs[12] != 2 {
+		t.Fatalf("a1=%d a2=%d: want the handler's PC to skip the addi at after", c.Regs[11], c.Regs[12])
+	}
+	if n := prof.Count(im.MustSymbol("call")); n != 1 {
+		t.Fatalf("profile charged the ecall %d times at its address, want 1", n)
+	}
+}
+
 func TestEcallWithoutHandlerStops(t *testing.T) {
 	c, _ := buildCPU(t, "_start:\n    ecall\n    halt\n")
 	stop, _ := c.Run(10)
@@ -348,6 +382,44 @@ isr:
 	}
 	if got := c.Regs[10]; got != isa.CauseIRQBase+3 {
 		t.Fatalf("cause = %d, want %d", got, isa.CauseIRQBase+3)
+	}
+}
+
+// TestIRQBeforeStepOverStopsAtHandlerBreakpoint: an interrupt taken
+// while resuming from a breakpoint enters its handler before the
+// breakpointed instruction runs, so the step-over is dropped and a
+// breakpoint on the handler's first instruction stops the CPU there.
+func TestIRQBeforeStepOverStopsAtHandlerBreakpoint(t *testing.T) {
+	c, im := buildCPU(t, `
+.equ VEC, 0x300
+_start:
+    li   t0, VEC
+    mtsr ivec, t0
+    ei
+spot:
+    addi s0, s0, 1
+    j    spot
+.org VEC
+handler:
+    addi s1, s1, 1
+    halt
+`)
+	spot, handler := im.MustSymbol("spot"), im.MustSymbol("handler")
+	c.AddBreakpoint(spot)
+	c.AddBreakpoint(handler)
+	if stop, _ := c.Run(100); stop != StopBreak || c.PC != spot {
+		t.Fatalf("first stop = %v at %#x, want breakpoint at spot %#x", stop, c.PC, spot)
+	}
+	c.RaiseIRQ(0)
+	stop, _ := c.Run(100)
+	if stop != StopBreak || c.PC != handler {
+		t.Fatalf("resume stop = %v at %#x, want breakpoint at handler %#x", stop, c.PC, handler)
+	}
+	if c.Regs[9] != 0 {
+		t.Fatalf("s1 = %d: the handler's first addi ran before its breakpoint stop", c.Regs[9])
+	}
+	if c.Regs[8] != 0 {
+		t.Fatalf("s0 = %d: spot's addi ran before the interrupt", c.Regs[8])
 	}
 }
 
