@@ -1,6 +1,9 @@
 package core
 
-import "cosim/internal/sim"
+import (
+	"cosim/internal/obs"
+	"cosim/internal/sim"
+)
 
 // guestClock is one guest CPU's timeline, the rule both kernel schemes
 // use to map its cycle count to simulated time. It is anchored at a
@@ -11,6 +14,11 @@ type guestClock struct {
 
 	cycles uint64   // the anchor's guest cycle count
 	at     sim.Time // the anchor's simulated time
+
+	// clamped counts stamps that mapped behind now and were served at
+	// now instead (cosim.clamped_stops): a guest ahead of its own
+	// clock. Nil counts nothing.
+	clamped *obs.Counter
 }
 
 // timeOf maps a guest cycle stamp to simulated time.
@@ -36,11 +44,20 @@ func (g *guestClock) cyclesAt(t sim.Time) uint64 {
 	return g.cycles + n
 }
 
+// notBefore returns t, or now if t lies behind it, and counts the clamp.
+func (g *guestClock) notBefore(t sim.Time) sim.Time {
+	if now := g.k.Now(); t.Before(now) {
+		g.clamped.Inc()
+		return now
+	}
+	return t
+}
+
 // take anchors the timeline at a stamp the kernel has taken and returns
 // the stamp's time. A stamp behind now anchors at now, never earlier.
 func (g *guestClock) take(cycles uint64) sim.Time {
 	t := g.timeOf(cycles)
-	g.cycles, g.at = cycles, max(t, g.k.Now())
+	g.cycles, g.at = cycles, g.notBefore(t)
 	return t
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"cosim/internal/obs"
 	"cosim/internal/sim"
 )
 
@@ -137,4 +138,26 @@ func TestGuestClock(t *testing.T) {
 		},
 		want: sim.US + 10*period, wantCycles: 7, wantAt: sim.US,
 	}})
+}
+
+// TestClampedStampsCounted: a stamp whose time lies behind now is
+// served at now, and each such clamp counts in cosim.clamped_stops; a
+// stamp at or after now counts nothing.
+func TestClampedStampsCounted(t *testing.T) {
+	k := sim.NewKernel("t")
+	defer k.Shutdown()
+	advanceKernel(t, k, sim.US)
+	reg := obs.NewRegistry()
+	g := &guestClock{k: k, period: clockPeriod, clamped: reg.Counter("cosim.clamped_stops")}
+	clamps := func() uint64 { return reg.Snapshot().Flatten()["cosim.clamped_stops"] }
+	if at := g.notBefore(g.timeOf(100)); at != sim.US || clamps() != 0 {
+		t.Fatalf("stamp at now: served at %v with %d clamps, want %v and 0", at, clamps(), sim.US)
+	}
+	if at := g.notBefore(g.timeOf(99)); at != sim.US || clamps() != 1 {
+		t.Fatalf("stamp a cycle behind now: served at %v with %d clamps, want %v and 1", at, clamps(), sim.US)
+	}
+	g.take(50) // anchors at now, not at the stamp's 500 ns
+	if g.at != sim.US || clamps() != 2 {
+		t.Fatalf("take of a past stamp anchored at %v with %d clamps, want %v and 2", g.at, clamps(), sim.US)
+	}
 }

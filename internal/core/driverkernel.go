@@ -294,6 +294,7 @@ func NewDriverKernel(k *sim.Kernel, channels []DriverChannel, opts DriverKernelO
 				_ = cl.Close()
 			}
 		})
+		k.AddFinalizer(c.dog.Stop)
 	}
 
 	k.AddEndCycleHook(d.notify)

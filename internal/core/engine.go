@@ -42,6 +42,10 @@ type engineObs struct {
 	waits      sampledWait
 	// skewTimeouts counts stop waits abandoned after the wall timeout.
 	skewTimeouts *obs.Counter
+	// clampedStops counts stop stamps served at now because their own
+	// time lay behind it (guestClock.notBefore); it reads 0 on a sound
+	// run.
+	clampedStops *obs.Counter
 	// reg is the registry the handles were resolved against; Publish
 	// adds the RSP totals to it.
 	reg *obs.Registry
@@ -58,6 +62,7 @@ func (o *engineObs) init(r *obs.Registry) {
 	o.skewWaits = r.Counter("cosim.skew_waits")
 	o.skewWaitNS = r.Histogram("cosim.skew_wait_ns")
 	o.skewTimeouts = r.Counter("cosim.skew_wait_timeouts")
+	o.clampedStops = r.Counter("cosim.clamped_stops")
 }
 
 // stopWaitSample is the rate at which GDB-Kernel times its waits for
@@ -133,11 +138,11 @@ func (e *gdbEngine) errf(format string, args ...any) error {
 }
 
 // attach connects the engine to the ISS stub over conn, resolves the
-// bindings against the guest image and plants their breakpoints.
+// bindings against the guest image and sets their breakpoints.
 func (e *gdbEngine) attach(name string, k *sim.Kernel, conn io.ReadWriter, im *asm.Image, period sim.Time, opts CommonOptions, bindings []VarBinding) (err error) {
 	e.schemeName, e.k, e.journal = name, k, opts.Journal
-	e.clock = guestClock{k: k, period: period}
 	e.obs.init(opts.Obs)
+	e.clock = guestClock{k: k, period: period, clamped: e.obs.clampedStops}
 	if e.cl, err = gdb.NewClient(conn); err != nil {
 		return e.errf("attach: %w", err)
 	}
@@ -180,7 +185,7 @@ func (e *gdbEngine) Publish() {
 	r.Counter("rsp.acks_sent").Add(st.AcksSent)
 }
 
-// installBreakpoints plants a software breakpoint at each line binding
+// installBreakpoints sets a software breakpoint at each line binding
 // and a write watchpoint at each watch-mode binding. Addresses are
 // sorted so the RSP command sequence (and any stub-side log of it) is
 // identical run to run.

@@ -92,7 +92,7 @@ func (g *GDBKernel) collect(ev *gdb.StopEvent, err error) {
 		g.exited = true
 	default:
 		g.stop = *ev
-		g.k.CallAt(max(g.k.Now(), g.clock.timeOf(ev.Cycles)), g.service)
+		g.k.CallAt(g.clock.notBefore(g.clock.timeOf(ev.Cycles)), g.service)
 	}
 }
 

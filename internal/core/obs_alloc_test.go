@@ -96,10 +96,9 @@ func BenchmarkMessageHotPathObsEnabled(b *testing.B) {
 // stop allocates with tracing and metrics off, counted over the kernel
 // side and the stub goroutine alike. Replies are read in place and the
 // stop arrives already parsed, so an sc->iss poke allocates nothing.
-// An iss->sc transfer is delivered at once, at the stop's time: on the
-// wrapper it allocates only the slice ReadMemory returns, and on
-// GDB-Kernel, whose client decodes the data into its own buffer,
-// nothing. The wrapper's transfers are measured alone; GDB-Kernel's,
+// An iss->sc transfer is delivered at once, at the stop's time, from
+// the bytes the client decodes into its own buffer: it allocates
+// nothing on either scheme. The wrapper's transfers are measured alone; GDB-Kernel's,
 // which also resume the guest, through the resume and the run to the
 // next stop.
 func TestDisabledObsStopServiceAllocs(t *testing.T) {
@@ -132,7 +131,7 @@ func TestDisabledObsStopServiceAllocs(t *testing.T) {
 		max   float64
 	}{
 		{"sc->iss", "bp_req", 0},
-		{"iss->sc", "bp_resp", 1},
+		{"iss->sc", "bp_resp", 0},
 	} {
 		ev := gdb.StopEvent{Signal: 5, Expedited: true, PC: im.MustSymbol(c.label)}
 		var err error

@@ -283,16 +283,18 @@ func decodeBody(body []byte) (Message, error) {
 // comes from the codec buffer pool, and callers on steady-state paths
 // should hand it back with Release once delivered.
 func ReadMessage(r *bufio.Reader) (Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	bp := wireBufPool.Get().(*[]byte)
+	defer wireBufPool.Put(bp)
+	// The size header is read into the pooled buffer too: a local array
+	// handed to io.ReadFull would escape, one allocation per message.
+	hdr := (*bp)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Message{}, err
 	}
-	size := binary.LittleEndian.Uint32(hdr[:])
+	size := binary.LittleEndian.Uint32(hdr)
 	if size < 4 || size > MaxMessageSize {
 		return Message{}, fmt.Errorf("core: bad message size %d", size)
 	}
-	bp := wireBufPool.Get().(*[]byte)
-	defer wireBufPool.Put(bp)
 	if cap(*bp) < int(size) {
 		*bp = make([]byte, size)
 	}

@@ -67,8 +67,10 @@ type CosimDev struct {
 	// locally; everything else goes to the data socket unchanged.
 	windows map[string]*Window
 	// reply builds the DATA reply a window READ synthesises; InjectRx
-	// copies it out.
-	reply []byte
+	// copies it out. buildReplyFn is buildReply, bound once: a method
+	// value made per READ would allocate.
+	reply        []byte
+	buildReplyFn func(data []byte)
 
 	// yield, when set, runs after every flush: NewPlatform sets it to
 	// the CPU's Yield, so the CPU hands control back to whoever runs it
@@ -85,7 +87,9 @@ type CosimDev struct {
 
 // NewCosimDev creates the bridge device asserting the given PIC line.
 func NewCosimDev(pic *PIC, line int) *CosimDev {
-	return &CosimDev{pic: pic, line: line, name: "cosim"}
+	d := &CosimDev{pic: pic, line: line, name: "cosim"}
+	d.buildReplyFn = d.buildReply
+	return d
 }
 
 // SetInstance labels the device with its CPU index in a multi-processor
@@ -176,22 +180,21 @@ func (d *CosimDev) ConnectIRQ(r io.Reader) { d.irqR = r }
 // and queues them as the guest will see them. The kernel calls it with
 // exactly what it sent, before it runs the guest.
 func (d *CosimDev) Receive(data, irq uint64) error {
+	if uint64(cap(d.in)) < max(data, 4) {
+		d.in = make([]byte, max(data, 4))
+	}
 	if data > 0 {
-		if uint64(cap(d.in)) < data {
-			d.in = make([]byte, data)
-		}
 		b := d.in[:data]
 		if _, err := io.ReadFull(d.dataR, b); err != nil {
 			return fmt.Errorf("%s: data socket: %w", d.name, err)
 		}
 		d.InjectRx(b)
 	}
-	var b [4]byte
-	for ; irq >= 4; irq -= 4 {
-		if _, err := io.ReadFull(d.irqR, b[:]); err != nil {
+	for b := d.in[:4]; irq >= 4; irq -= 4 {
+		if _, err := io.ReadFull(d.irqR, b); err != nil {
 			return fmt.Errorf("%s: interrupt socket: %w", d.name, err)
 		}
-		d.InjectIRQ(binary.LittleEndian.Uint32(b[:]))
+		d.InjectIRQ(binary.LittleEndian.Uint32(b))
 	}
 	return nil
 }
@@ -257,7 +260,7 @@ func parseGuestFrame(out []byte) (typ, cycles uint32, port, data []byte, ok bool
 func (d *CosimDev) serveFromWindow(win *Window, typ, cycles uint32, payload []byte) bool {
 	switch typ {
 	case cosimMsgRead:
-		if !win.TryRead(cycles, d.buildReply) {
+		if !win.TryRead(cycles, d.buildReplyFn) {
 			return false
 		}
 		d.InjectRx(d.reply)
@@ -329,7 +332,9 @@ func (d *CosimDev) Write(off uint32, size int, v uint32) error {
 		return d.flush()
 	case CosimIntAck:
 		if len(d.ints) > 0 {
-			d.ints = d.ints[1:]
+			// Shift in place: re-slicing past the head would shrink the
+			// capacity until the next InjectIRQ reallocates.
+			d.ints = d.ints[:copy(d.ints, d.ints[1:])]
 		}
 		d.refresh()
 	case CosimRxIEn:

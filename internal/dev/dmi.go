@@ -91,9 +91,16 @@ func (w *Window) TryWrite(cycles uint32, data []byte) bool {
 		w.misses++
 		return false
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	w.staged = append(w.staged, StagedWrite{Cycles: cycles, Data: buf})
+	// Reuse the slot's buffer from an earlier staged write: the kernel
+	// has handled that write's frame before the guest runs again.
+	n := len(w.staged)
+	if n < cap(w.staged) {
+		w.staged = w.staged[:n+1]
+	} else {
+		w.staged = append(w.staged, StagedWrite{})
+	}
+	sw := &w.staged[n]
+	sw.Cycles, sw.Data = cycles, append(sw.Data[:0], data...)
 	w.stagedBytes += len(data)
 	w.hits++
 	return true
@@ -119,7 +126,9 @@ func (w *Window) SyncConsumed(seq uint64) {
 }
 
 // TakeStaged moves all staged guest writes out of the window, appending
-// them to dst (kernel side, called at reconcile points).
+// them to dst (kernel side, called at reconcile points). Their Data is
+// valid until the guest's next store through the window, so the kernel
+// handles them before it runs the guest again.
 func (w *Window) TakeStaged(dst []StagedWrite) []StagedWrite {
 	dst = append(dst, w.staged...)
 	w.staged = w.staged[:0]

@@ -73,7 +73,7 @@ type Client struct {
 	t    *transport
 	conn io.ReadWriter
 	cmd  []byte    // command build scratch
-	data []byte    // ReadMemoryContinue's result
+	data []byte    // ReadMemory's and ReadMemoryContinue's result
 	ev   StopEvent // the last stop returned
 
 	// dog bounds each wait for a stop (SetStopTimeout); nil waits
@@ -241,13 +241,18 @@ func (c *Client) WriteRegister(n int, v uint32) error {
 // ReadPC fetches the program counter.
 func (c *Client) ReadPC() (uint32, error) { return c.ReadRegister(RegPC) }
 
-// ReadMemory fetches length bytes from the target into a fresh slice.
+// ReadMemory fetches length bytes from the target. Like
+// ReadMemoryContinue's, the bytes are decoded into the client's own
+// buffer and are valid until the next read: copy them to keep them.
 func (c *Client) ReadMemory(addr uint32, length int) ([]byte, error) {
 	r, err := c.transact(c.addrLen("m", addr, length))
 	if err != nil {
 		return nil, err
 	}
-	return memoryReply(make([]byte, 0, len(r)/2), r)
+	if err := c.transferReply('m', r); err != nil {
+		return nil, err
+	}
+	return c.data, nil
 }
 
 // memoryReply appends the bytes an 'm' reply carries to dst.
@@ -358,7 +363,7 @@ func (c *Client) point(prefix string, addr uint32, length int, what string) erro
 	return checkOK(r, what)
 }
 
-// SetBreakpoint plants a software breakpoint (Z0).
+// SetBreakpoint sets a software breakpoint (Z0).
 func (c *Client) SetBreakpoint(addr uint32) error {
 	return c.point("Z0,", addr, 4, "set breakpoint")
 }
@@ -443,8 +448,12 @@ func (c *Client) Interrupt() error {
 }
 
 // Kill terminates the stub. No reply is defined for 'k', and no ack is
-// awaited.
+// awaited. No resume follows, so Kill also stops the stop watchdog: a
+// finished session leaves no timer behind.
 func (c *Client) Kill() error {
+	if c.dog != nil {
+		c.dog.Stop()
+	}
 	return c.t.sendReplyNoAckWait([]byte("k"), false)
 }
 

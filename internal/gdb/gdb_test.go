@@ -2,6 +2,7 @@ package gdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
@@ -230,21 +231,17 @@ func TestReadWriteMemory(t *testing.T) {
 func TestSoftwareBreakpointRoundTrip(t *testing.T) {
 	cl, cpu, im := newTarget(t, testProg)
 	bp := im.MustSymbol("after")
+	orig, _ := cpu.Bus().Read(bp, 4)
 	if err := cl.SetBreakpoint(bp); err != nil {
 		t.Fatal(err)
 	}
-	// Planted EBREAK must be hidden from memory reads.
+	// A memory read returns the program's word, not a breakpoint.
 	visible, err := cl.ReadMemory(bp, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := cpu.Bus().Read(bp, 4)
-	var rawBytes [4]byte
-	for i := range rawBytes {
-		rawBytes[i] = byte(raw >> (8 * i))
-	}
-	if bytes.Equal(visible, rawBytes[:]) {
-		t.Fatal("planted breakpoint visible in memory read")
+	if got := binary.LittleEndian.Uint32(visible); got != orig {
+		t.Fatalf("memory read at the breakpoint = %#x, want the original word %#x", got, orig)
 	}
 
 	ev, err := cl.Continue()
@@ -262,7 +259,7 @@ func TestSoftwareBreakpointRoundTrip(t *testing.T) {
 		t.Fatalf("a0 = %d at breakpoint", cpu.Regs[10])
 	}
 
-	// Resume to completion: stub must step over the planted breakpoint.
+	// Resume to completion: the CPU must step over the breakpoint.
 	ev, err = cl.Continue()
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +423,7 @@ func TestRunQuantumLockStep(t *testing.T) {
 	if cpu.Regs[10] != 11 {
 		t.Fatalf("a0 = %d", cpu.Regs[10])
 	}
-	// Resuming over the planted breakpoint with further quanta must
+	// Resuming over the breakpoint with further quanta must
 	// execute the program to completion.
 	for {
 		ev, _, err := cl.RunQuantum(10)

@@ -60,15 +60,7 @@ type Stub struct {
 	// of the serve loop and the runner touches them at a time.
 	reply, mem []byte
 
-	planted map[uint32]uint32 // software breakpoints: addr -> original word
-
 	lastSignal byte
-
-	// Breakpoint-resume tracking: a planted breakpoint is stepped over
-	// only when resuming from a stop that was reported at that address,
-	// never when merely arriving at it.
-	reportedBP   uint32
-	haveReported bool
 }
 
 const (
@@ -85,7 +77,6 @@ func NewStub(cpu *iss.CPU, conn io.ReadWriter) *Stub {
 	return &Stub{
 		cpu:        cpu,
 		t:          newTransport(conn),
-		planted:    make(map[uint32]uint32),
 		lastSignal: 5,
 	}
 }
@@ -362,8 +353,8 @@ func parseAddrLen(arg []byte) (uint32, int, bool) {
 	return uint32(addr), int(length), ok && addr <= 0xffffffff && length <= MaxPacketSize*2
 }
 
-// readMem handles 'm addr,len' with planted-breakpoint overlay so the
-// debugger never sees EBREAK words it planted itself.
+// readMem handles 'm addr,len'. Breakpoints live in the CPU, not in
+// memory, so a read returns the program's own words.
 func (s *Stub) readMem(arg []byte) []byte {
 	addr, length, ok := parseAddrLen(arg)
 	if !ok || length > MaxPacketSize/2 {
@@ -373,15 +364,6 @@ func (s *Stub) readMem(arg []byte) []byte {
 	s.mem = buf
 	if err := iss.ReadBytes(s.cpu.Bus(), addr, buf); err != nil {
 		return replyE02
-	}
-	// Overlay original words for planted breakpoints in range.
-	for ba, orig := range s.planted {
-		for i := 0; i < 4; i++ {
-			a := ba + uint32(i)
-			if a >= addr && a < addr+uint32(length) {
-				buf[a-addr] = byte(orig >> (8 * i))
-			}
-		}
 	}
 	s.reply = appendHex(s.reply[:0], buf)
 	return s.reply
@@ -411,40 +393,16 @@ func (s *Stub) writeMemBin(arg []byte) []byte {
 	return s.writeMem(addr, data)
 }
 
-// writeMem stores bytes, keeping software breakpoints planted: writes
-// covering a planted word update the saved original instead. Only the
-// planted words the range overlaps are lifted and replanted. The
-// written range is invalidated in the ISS's decode cache — a debugger
-// patching live code must not leave stale predecoded entries behind.
+// writeMem stores bytes. The written range is invalidated in the ISS's
+// decode cache — a debugger patching live code must not leave stale
+// predecoded entries behind — which keeps the breakpoints armed there.
 func (s *Stub) writeMem(addr uint32, data []byte) []byte {
-	end := uint64(addr) + uint64(len(data))
-	var hit []uint32
-	for ba, orig := range s.planted {
-		if uint64(ba) < end && uint64(addr) < uint64(ba)+4 {
-			_ = s.pokeWord(ba, orig)
-			hit = append(hit, ba)
-		}
-	}
 	werr := iss.WriteBytes(s.cpu.Bus(), addr, data)
 	s.cpu.InvalidateDecode(addr, uint32(len(data)))
-	for _, ba := range hit {
-		v, _ := s.cpu.Bus().Read(ba, 4)
-		s.planted[ba] = v
-		_ = s.pokeWord(ba, isa.BreakpointWord)
-	}
 	if werr != nil {
 		return replyE02
 	}
 	return replyOK
-}
-
-// pokeWord writes one word of guest memory on the debugger's behalf and
-// drops its predecoded entry — EBREAK planting patches code under the
-// ISS's feet.
-func (s *Stub) pokeWord(addr, v uint32) error {
-	err := s.cpu.Bus().Write(addr, 4, v)
-	s.cpu.InvalidateDecode(addr, 4)
-	return err
 }
 
 // parsePoint parses "type,addr,kind".
@@ -456,8 +414,13 @@ func parsePoint(arg []byte) (ptype byte, addr uint32, kind int, ok bool) {
 	return arg[0], uint32(a), int(k), ok && a <= 0xffffffff && k <= MaxPacketSize
 }
 
-// setPoint handles Z packets: Z0 = software breakpoint (EBREAK plant),
-// Z1 = hardware breakpoint, Z2 = write watchpoint.
+// setPoint handles Z packets: Z0 = software breakpoint, Z1 = hardware
+// breakpoint, Z2 = write watchpoint. Both breakpoint kinds are the
+// CPU's breakpoint flags: the stub writes no EBREAK into memory, so a
+// stop and its resume touch neither memory nor the decode cache. An
+// address holds one breakpoint whichever kind set it, so z0 and z1
+// both clear it. A software breakpoint must name memory the bus can
+// read (E02 otherwise), as when it was planted there.
 func (s *Stub) setPoint(arg []byte) []byte {
 	ptype, addr, kind, ok := parsePoint(arg)
 	if !ok {
@@ -465,17 +428,10 @@ func (s *Stub) setPoint(arg []byte) []byte {
 	}
 	switch ptype {
 	case '0':
-		if _, dup := s.planted[addr]; dup {
-			return replyOK
-		}
-		orig, err := s.cpu.Bus().Read(addr, 4)
-		if err != nil {
+		if _, err := s.cpu.Bus().Read(addr, 4); err != nil {
 			return replyE02
 		}
-		if err := s.pokeWord(addr, isa.BreakpointWord); err != nil {
-			return replyE02
-		}
-		s.planted[addr] = orig
+		s.cpu.AddBreakpoint(addr)
 		return replyOK
 	case '1':
 		s.cpu.AddBreakpoint(addr)
@@ -496,13 +452,7 @@ func (s *Stub) clearPoint(arg []byte) []byte {
 		return replyE01
 	}
 	switch ptype {
-	case '0':
-		if orig, ok := s.planted[addr]; ok {
-			_ = s.pokeWord(addr, orig)
-			delete(s.planted, addr)
-		}
-		return replyOK
-	case '1':
+	case '0', '1':
 		s.cpu.RemoveBreakpoint(addr)
 		return replyOK
 	case '2':
@@ -510,16 +460,6 @@ func (s *Stub) clearPoint(arg []byte) []byte {
 		return replyOK
 	}
 	return []byte{}
-}
-
-// resumingFromBP reports whether the current PC is a breakpoint stop
-// that was already reported to the debugger, consuming the flag.
-func (s *Stub) resumingFromBP() bool {
-	if s.haveReported && s.reportedBP == s.cpu.PC {
-		s.haveReported = false
-		return true
-	}
-	return false
 }
 
 // appendStopT appends the T05 reply of a breakpoint stop, or of a write
@@ -553,12 +493,9 @@ func appendRegField(dst []byte, n int, v uint32) []byte {
 // stopReply converts a CPU stop into an RSP stop-reply packet, or nil
 // if execution should continue (budget exhausted).
 func (s *Stub) stopReply(stop iss.Stop) []byte {
-	s.haveReported = false
 	switch stop {
 	case iss.StopEBreak, iss.StopBreak:
 		s.lastSignal = 5
-		s.reportedBP = s.cpu.PC
-		s.haveReported = true
 		s.reply = appendStopT(s.reply[:0], false, 0, s.cpu.PC, s.cpu.Cycles())
 		return s.reply
 	case iss.StopWatch:
@@ -585,66 +522,31 @@ func (s *Stub) runQuantum(arg []byte) []byte {
 	if !ok || budget == 0 {
 		return replyE01
 	}
-	executed, _, r := s.stepOffBreakpoint()
-	if r != nil {
+	stop, executed := s.cpu.Run(budget)
+	if r := s.stopReply(stop); r != nil {
 		return r
 	}
-	if executed < budget {
-		stop, n := s.cpu.Run(budget - executed)
-		executed += n
-		if r := s.stopReply(stop); r != nil {
-			return r
-		}
-		// StopIdle (WFI) also reports as budget-exhausted: in lock-step
-		// mode the master advances time and retries.
-	}
+	// StopIdle (WFI) also reports as budget-exhausted: in lock-step mode
+	// the master advances time and retries.
 	s.reply = strconv.AppendUint(append(s.reply[:0], 'B'), executed, 16)
 	return s.reply
 }
 
-// stepOffBreakpoint steps off a planted breakpoint at the PC, but only
-// when resuming from its reported stop: it restores the original word,
-// executes that one instruction and replants. It returns the
-// instructions it ran, whether it stepped, and the stop reply if the
-// step itself stopped the CPU for another reason.
-func (s *Stub) stepOffBreakpoint() (executed uint64, stepped bool, reply []byte) {
-	orig, ok := s.planted[s.cpu.PC]
-	if !ok || !s.resumingFromBP() {
-		return 0, false, nil
-	}
-	bpAddr := s.cpu.PC
-	_ = s.pokeWord(bpAddr, orig)
-	s.cpu.StepOverBreakpoint()
-	before := s.cpu.Instructions()
-	st := s.cpu.Step()
-	executed = s.cpu.Instructions() - before
-	_ = s.pokeWord(bpAddr, isa.BreakpointWord)
-	if r := s.stopReply(st); r != nil && st != iss.StopBreak && st != iss.StopEBreak {
-		reply = r
-	}
-	return executed, true, reply
-}
-
 // resume implements 'c' (continue) and 's' (step). An optional resume
 // address may be given in arg. A continue runs one chunk and returns
-// nil if that chunk ended without a stop; keepRunning takes it on.
+// nil if that chunk ended without a stop; keepRunning takes it on. The
+// CPU steps over the breakpoint it last stopped at itself, but not
+// after a resume address moved the PC elsewhere.
 func (s *Stub) resume(step bool, arg []byte) []byte {
 	if addr, ok := parseHex(arg); ok {
 		s.cpu.PC = uint32(addr)
 	}
-
-	_, stepped, r := s.stepOffBreakpoint()
-	if r != nil {
-		return r
-	}
 	if !step {
 		return s.runChunk()
 	}
-	if !stepped {
-		s.cpu.StepOverBreakpoint()
-		if r := s.stopReply(s.cpu.Step()); r != nil {
-			return r
-		}
+	s.cpu.StepOverBreakpoint()
+	if r := s.stopReply(s.cpu.Step()); r != nil {
+		return r
 	}
 	s.lastSignal = 5
 	return []byte("S05")

@@ -8,14 +8,10 @@ import (
 	"testing"
 
 	"cosim/internal/asm"
-	"cosim/internal/isa"
 	"cosim/internal/iss"
 )
 
 func netPipe() (net.Conn, net.Conn) { return net.Pipe() }
-
-// BreakWordForTest exposes the EBREAK encoding for shadow tests.
-func BreakWordForTest() uint32 { return isa.BreakpointWord }
 
 func TestWriteAllRegisters(t *testing.T) {
 	cl, cpu, _ := newTarget(t, testProg)
@@ -55,36 +51,52 @@ func TestMemoryWriteOverPlantedBreakpoint(t *testing.T) {
 	if err := cl.SetBreakpoint(bp); err != nil {
 		t.Fatal(err)
 	}
-	// Writing the same original bytes over the planted word must keep
-	// the breakpoint armed and update the shadow.
+	// Writing the original bytes over the breakpoint must keep it armed.
 	var origBytes [4]byte
-	for i := range origBytes {
-		origBytes[i] = byte(orig >> (8 * i))
-	}
+	binary.LittleEndian.PutUint32(origBytes[:], orig)
 	if err := cl.WriteMemory(bp, origBytes[:]); err != nil {
 		t.Fatal(err)
 	}
-	// Memory still holds EBREAK (breakpoint survives the write)...
-	raw, _ := cpu.Bus().Read(bp, 4)
-	if decoded, err := decodeWord(raw); err != nil || decoded != "ebreak" {
-		t.Fatalf("memory at bp = %#x", raw)
+	// Memory holds what was written, the breakpoint stays armed...
+	if raw, _ := cpu.Bus().Read(bp, 4); raw != orig || !cpu.HasBreakpoint(bp) {
+		t.Fatalf("memory at bp = %#x (want %#x), breakpoint armed %v", raw, orig, cpu.HasBreakpoint(bp))
 	}
-	// ...and the breakpoint still fires.
+	// ...and it still fires.
 	ev, err := cl.Continue()
 	if err != nil || ev.Signal != 5 {
 		t.Fatalf("stop = %+v, %v", ev, err)
 	}
+	if pc, _ := cl.ReadPC(); pc != bp {
+		t.Fatalf("stopped at %#x, want the breakpoint %#x", pc, bp)
+	}
 }
 
-func decodeWord(w uint32) (string, error) {
-	if w == 0 {
-		return "", nil
+// TestBreakpointKindsShareOneFlag: Z0 on memory the bus cannot read
+// fails with E02 and arms nothing; Z0 and Z1 at one address are one
+// breakpoint, so z0 clears one set by Z1.
+func TestBreakpointKindsShareOneFlag(t *testing.T) {
+	cl, cpu, im := newTarget(t, testProg)
+	const unmapped = 0xfffffff0
+	if _, err := cpu.Bus().Read(unmapped, 4); err == nil {
+		t.Fatalf("test address %#x is readable", unmapped)
 	}
-	// tiny helper via isa through the stub's planted word
-	if w == BreakWordForTest() {
-		return "ebreak", nil
+	r, err := cl.transact(fmt.Appendf(nil, "Z0,%x,4", unmapped))
+	if err != nil || string(r) != "E02" {
+		t.Fatalf("Z0 at unreadable %#x = %q, %v; want E02", unmapped, r, err)
 	}
-	return "other", nil
+	if cpu.HasBreakpoint(unmapped) {
+		t.Fatal("a failed Z0 armed a breakpoint")
+	}
+	bp := im.MustSymbol("after")
+	if err := cl.SetHWBreakpoint(bp); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.ClearBreakpoint(bp); err != nil {
+		t.Fatal(err)
+	}
+	if cpu.HasBreakpoint(bp) {
+		t.Fatal("z0 left a Z1 breakpoint at the same address armed")
+	}
 }
 
 func TestHaltReasonAfterStop(t *testing.T) {
@@ -352,30 +364,66 @@ func TestMemoryWriteTouchesOnlyOverlappedBreakpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clear(bus.pokes)
+	// Breakpoints are the CPU's: setting them pokes no memory.
+	if len(bus.pokes) != 0 {
+		t.Fatalf("setting breakpoints poked memory: %v", bus.pokes)
+	}
 
 	// A data write away from both breakpoints pokes neither.
 	if err := cl.WriteMemory(im.MustSymbol("var"), []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
 	if len(bus.pokes) != 0 {
-		t.Fatalf("data write poked planted words: %v", bus.pokes)
+		t.Fatalf("data write poked breakpoint words: %v", bus.pokes)
 	}
-	// A write straddling into `after` lifts and replants it alone, and
-	// the saved word takes the written bytes.
+	// A write straddling into `after` writes its own bytes alone: the
+	// word takes them, reads see them, and both breakpoints stay armed.
 	var w [4]byte
 	binary.LittleEndian.PutUint32(w[:], workWord)
 	if err := cl.WriteMemory(after+2, w[2:]); err != nil {
 		t.Fatal(err)
 	}
-	if bus.pokes[work] != 0 || bus.pokes[after] != 2 {
-		t.Fatalf("pokes = %v, want after twice and work never", bus.pokes)
+	if bus.pokes[work] != 0 || bus.pokes[after] != 0 {
+		t.Fatalf("pokes = %v, want no word poked at either breakpoint", bus.pokes)
 	}
-	if raw, _ := ram.Read(after, 4); raw != isa.BreakpointWord {
-		t.Fatalf("memory at after = %#x, want the planted EBREAK", raw)
+	raw, _ := ram.Read(after, 4)
+	if raw>>16 != workWord>>16 {
+		t.Fatalf("memory at after = %#x, want its high half from %#x", raw, workWord)
+	}
+	if !cpu.HasBreakpoint(work) || !cpu.HasBreakpoint(after) {
+		t.Fatal("a memory write disarmed a breakpoint")
 	}
 	origAfter, _ := cl.ReadMemory(after, 4)
-	if got := binary.LittleEndian.Uint32(origAfter); got>>16 != workWord>>16 {
-		t.Fatalf("saved word at after = %#x, want its high half from %#x", got, workWord)
+	if got := binary.LittleEndian.Uint32(origAfter); got != raw {
+		t.Fatalf("read word at after = %#x, want the memory's %#x", got, raw)
+	}
+}
+
+// TestResumeAtAddressStopsAtBreakpointThere: after a breakpoint stop,
+// "c addr" onto another breakpoint stops there before running it; the
+// CPU's step-over belongs to the stop's own address.
+func TestResumeAtAddressStopsAtBreakpointThere(t *testing.T) {
+	cl, cpu, im := newTarget(t, testProg)
+	work, after := im.MustSymbol("work"), im.MustSymbol("after")
+	for _, bp := range []uint32{work, after} {
+		if err := cl.SetBreakpoint(bp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.Continue(); err != nil {
+		t.Fatal(err)
+	}
+	if cpu.PC != work {
+		t.Fatalf("first stop at %#x, want work %#x", cpu.PC, work)
+	}
+	if err := cl.t.sendPacket(fmt.Appendf(nil, "c%x", after)); err != nil {
+		t.Fatal(err)
+	}
+	ev, err := cl.waitStop()
+	if err != nil || ev.Signal != 5 {
+		t.Fatalf("stop = %+v, %v", ev, err)
+	}
+	if cpu.PC != after || cpu.Regs[10] != 1 {
+		t.Fatalf("stopped at %#x with a0 = %d, want after %#x with a0 = 1 (neither add run)", cpu.PC, cpu.Regs[10], after)
 	}
 }

@@ -226,6 +226,11 @@ type Result struct {
 	Misrouted  uint64
 	MeanLat    sim.Time
 
+	// PacketsLive is the run's pooled packets not yet released, and
+	// PacketsHeld the packets its router still holds, queued or awaiting
+	// a checksum: packets are conserved when the two are equal.
+	PacketsLive, PacketsHeld int
+
 	CoStats           core.Stats
 	GuestInstructions uint64
 	GuestCycles       uint64
@@ -442,12 +447,15 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 
 	// Hardware side: the router, producers and consumers of Figure 6.
 	rt := router.New(k, "router", router.Config{FifoDepth: p.FifoDepth}, engines)
+	// The run's packets: enough for a full router and the one a producer
+	// holds while its input queue refuses it, so the pool never grows.
+	pool := router.NewPool(rt.Capacity()+1, p.PayloadWords)
 
 	ids := &router.IDSource{}
 	producers := make([]*router.Producer, router.NumPorts)
 	consumers := make([]*router.Consumer, router.NumPorts)
 	for i := 0; i < router.NumPorts; i++ {
-		producers[i] = router.NewProducer(k, fmt.Sprintf("prod%d", i), uint8(i), rt.In[i], ids,
+		producers[i] = router.NewProducer(k, fmt.Sprintf("prod%d", i), uint8(i), rt.In[i], ids, pool,
 			router.ProducerConfig{
 				Delay:         p.Delay,
 				PayloadWords:  p.PayloadWords,
@@ -533,6 +541,7 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	rs := rt.Stats()
 	res.Dequeued, res.Forwarded, res.Corrupted, res.OutDrops = rs.Dequeued, rs.Forwarded, rs.Corrupted, rs.OutDrops
 	res.Copies = rs.Copies
+	res.PacketsLive, res.PacketsHeld = pool.Live(), rt.Held()
 	var lat sim.Time
 	for _, cn := range consumers {
 		res.Received += cn.Received

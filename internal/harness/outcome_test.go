@@ -80,6 +80,27 @@ func TestGDBKernelOutcomeSameOverEveryTransport(t *testing.T) {
 	}
 }
 
+// TestGDBRunsClampNoStop: on the runs TestGDBOutcomesPinned pins, no
+// stop's cycle stamp maps behind the simulated time it is served at,
+// so cosim.clamped_stops reads 0. A clamp would serve a stop later than
+// its own time: a guest ahead of its clock.
+func TestGDBRunsClampNoStop(t *testing.T) {
+	for _, p := range []Params{
+		{Scheme: GDBKernel, CPUs: 2, Transport: core.TransportRing, SimTime: 4 * sim.MS, Delay: 5 * sim.US, Seed: 1},
+		{Scheme: GDBWrapper, Transport: core.TransportTCP, SimTime: 2 * sim.MS, Delay: 20 * sim.US, Seed: 1},
+	} {
+		t.Run(p.Scheme.String(), func(t *testing.T) {
+			res, err := Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := counter(t, res.Counters, "cosim.clamped_stops"); n != 0 {
+				t.Errorf("cosim.clamped_stops = %d over %d stops, want 0", n, res.CoStats.Stops)
+			}
+		})
+	}
+}
+
 // TestGDBWrapperJournalPinned pins the whole transfer history of the
 // seed-1 GDB-Wrapper run of TestGDBOutcomesPinned, byte for byte: every
 // transfer's time, port, size and cycle stamp. The lock-step wrapper

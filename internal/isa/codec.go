@@ -178,8 +178,9 @@ func EncodeMust(i Inst) uint32 {
 	return w
 }
 
-// BreakpointWord is the machine encoding of EBREAK, planted by the GDB
-// stub to implement software breakpoints.
+// BreakpointWord is the machine encoding of EBREAK, which a debugger may
+// write into code as a software breakpoint. (The GDB stub serves Z0
+// with the CPU's breakpoints instead and writes none.)
 var BreakpointWord = EncodeMust(Inst{Op: EBREAK})
 
 // NopWord is the canonical no-op encoding (addi zero, zero, 0).

@@ -4,7 +4,8 @@
 // FV32 stands in for the paper's i386 synthetic target: a fixed-width
 // 32-bit load/store architecture with 32 general-purpose registers, a
 // small special-register file for trap and interrupt state, and an
-// EBREAK instruction used by the GDB stub to plant software breakpoints.
+// EBREAK instruction a debugger can write into code as a software
+// breakpoint.
 //
 // Encoding (all instructions are 32 bits):
 //

@@ -105,7 +105,11 @@ type CPU struct {
 
 	breakpoints map[uint32]struct{}
 	watchpoints map[uint32]uint32 // addr -> length
-	stepOverBP  bool              // execute one instruction ignoring the bp at PC
+	// stepOverBP executes one instruction at stepOverPC ignoring its
+	// breakpoint. A PC moved elsewhere before it runs (a debugger's
+	// resume address, a register write) stops at a breakpoint there.
+	stepOverBP bool
+	stepOverPC uint32
 
 	Syscall SyscallHandler
 
@@ -152,7 +156,7 @@ func (c *CPU) DecodeCacheStats() (hits, misses, invalidations uint64) {
 
 // InvalidateDecode drops predecoded entries overlapping [addr, addr+n).
 // Writers that mutate guest memory without going through CPU stores —
-// the GDB stub's M/X writes and EBREAK planting, DMA-style device
+// the GDB stub's M/X writes, DMA-style device
 // models — must call this to keep the cache coherent. CPU stores
 // invalidate automatically.
 func (c *CPU) InvalidateDecode(addr, n uint32) {
@@ -238,7 +242,7 @@ func (c *CPU) WatchHit() uint32 { return c.lastWatchAddr }
 // StepOverBreakpoint arms the CPU to execute the instruction at the
 // current PC even if a hardware breakpoint is set there; used by
 // debuggers when single-stepping off a stop.
-func (c *CPU) StepOverBreakpoint() { c.stepOverBP = true }
+func (c *CPU) StepOverBreakpoint() { c.stepOverBP, c.stepOverPC = true, c.PC }
 
 // watchTriggered checks a store against the watchpoint set.
 func (c *CPU) watchTriggered(addr uint32, size int) bool {

@@ -65,7 +65,7 @@ func (c *CPU) RunLimit(budget, limit uint64) (Stop, uint64) {
 		steps += n
 		if stop != StopBudget {
 			if stop == StopBreak {
-				c.stepOverBP = true
+				c.StepOverBreakpoint()
 			}
 			return stop, c.icount - start
 		}
@@ -312,8 +312,8 @@ loop:
 			stop = StopEcall
 			break loop
 		case isa.EBREAK:
-			// PC stays at the EBREAK address: GDB expects the stop
-			// address to be the planted breakpoint.
+			// PC stays at the EBREAK address: GDB expects a software
+			// breakpoint written into code to stop there.
 			stop = StopEBreak
 			break loop
 		case isa.ERET:
@@ -389,7 +389,7 @@ func (c *CPU) fetch() (*dcEntry, Stop) {
 	} else {
 		_, bp = c.breakpoints[pc]
 	}
-	if bp && !c.stepOverBP {
+	if bp && !(c.stepOverBP && c.stepOverPC == pc) {
 		return nil, StopBreak
 	}
 	if e != nil && e.flags&dcDecoded != 0 {

@@ -423,6 +423,33 @@ handler:
 	}
 }
 
+// TestStepOverBelongsToItsPC: the step-over that a breakpoint stop
+// arms is for the instruction at that stop. A debugger that moves the
+// PC to another breakpoint before resuming stops there at once.
+func TestStepOverBelongsToItsPC(t *testing.T) {
+	c, im := buildCPU(t, `
+_start:
+a:
+    addi s0, s0, 1
+b:
+    addi s1, s1, 1
+    halt
+`)
+	a, b := im.MustSymbol("a"), im.MustSymbol("b")
+	c.AddBreakpoint(a)
+	c.AddBreakpoint(b)
+	if stop, _ := c.Run(100); stop != StopBreak || c.PC != a {
+		t.Fatalf("first stop = %v at %#x, want breakpoint at a %#x", stop, c.PC, a)
+	}
+	c.PC = b
+	if stop, n := c.Run(100); stop != StopBreak || c.PC != b || n != 0 {
+		t.Fatalf("resume at b = %v at %#x after %d instructions, want breakpoint at b %#x after 0", stop, c.PC, n, b)
+	}
+	if stop, _ := c.Run(100); stop != StopHalt || c.Regs[4] != 0 || c.Regs[5] != 1 {
+		t.Fatalf("second resume = %v, s0 = %d, s1 = %d; want halt, 0, 1", stop, c.Regs[4], c.Regs[5])
+	}
+}
+
 func TestInterruptMaskedByIE(t *testing.T) {
 	c, _ := buildCPU(t, `
 _start:

@@ -59,7 +59,8 @@ type Router struct {
 	In  [NumPorts]*sim.Fifo[*Packet]
 	Out [NumPorts]*sim.Fifo[*Packet]
 
-	stats Stats
+	engines []*fwdEngine
+	stats   Stats
 }
 
 // fwdEngine is the per-engine forwarding state machine: the input
@@ -72,6 +73,7 @@ type fwdEngine struct {
 
 	pending  *Packet // offloaded packet awaiting its checksum
 	csumSeen uint64  // csum deliveries already consumed
+	blob     []byte  // the pending packet's blob, reused for every packet
 }
 
 // New builds the router with one forwarding process per engine.
@@ -91,7 +93,8 @@ func New(k *sim.Kernel, name string, cfg Config, engines []Engine) *Router {
 		r.Out[i] = sim.NewFifo[*Packet](k, r.Sub("out")+itoa(i), cfg.FifoDepth)
 	}
 	for j := range engines {
-		f := &fwdEngine{r: r, eng: engines[j]}
+		f := &fwdEngine{r: r, eng: engines[j], blob: make([]byte, 0, MaxBlobBytes)}
+		r.engines = append(r.engines, f)
 		sens := []*sim.Event{f.eng.Csum.Event()}
 		for i := 0; i < NumPorts; i++ {
 			if i%len(engines) == j {
@@ -106,6 +109,10 @@ func New(k *sim.Kernel, name string, cfg Config, engines []Engine) *Router {
 
 // Stats returns the forwarding counters.
 func (r *Router) Stats() Stats { return r.stats }
+
+// Capacity is the most packets the router can hold: full input and
+// output queues, and one packet awaiting its checksum per engine.
+func (r *Router) Capacity() int { return 2*NumPorts*r.cfg.FifoDepth + len(r.engines) }
 
 // Route returns the output port for a destination address (unicast).
 func (r *Router) Route(dst uint8) int {
@@ -149,6 +156,7 @@ func (f *fwdEngine) step() {
 			f.pending = nil
 			if uint16(f.eng.Csum.Uint32()) != pkt.Checksum {
 				f.r.stats.Corrupted++
+				pkt.Release()
 			} else {
 				f.r.deliver(pkt)
 			}
@@ -162,7 +170,8 @@ func (f *fwdEngine) step() {
 		f.pending = pkt
 
 		// Offload checksum verification to the CPU.
-		f.eng.Pkt.Write(pkt.Blob())
+		f.blob = pkt.AppendBlob(f.blob[:0])
+		f.eng.Pkt.Write(f.blob)
 		if f.eng.Doorbell != nil {
 			f.eng.Doorbell()
 		}
@@ -170,21 +179,24 @@ func (f *fwdEngine) step() {
 	}
 }
 
-// deliver performs the table routing of one verified packet.
+// deliver performs the table routing of one verified packet. Each
+// output queue that takes the packet owns a copy of it; a packet no
+// queue takes is released.
 func (r *Router) deliver(pkt *Packet) {
 	if pkt.Dst == BroadcastDst {
-		delivered := false
+		copies := 0
 		for i := range r.Out {
 			if r.Out[i].TryWrite(pkt) {
-				r.stats.Copies++
-				delivered = true
+				copies++
 			} else {
 				r.stats.OutDrops++
 			}
 		}
-		if delivered {
+		if copies > 0 {
 			r.stats.Forwarded++
+			r.stats.Copies += uint64(copies)
 		}
+		pkt.share(copies)
 		return
 	}
 	if r.Out[r.Route(pkt.Dst)].TryWrite(pkt) {
@@ -192,7 +204,45 @@ func (r *Router) deliver(pkt *Packet) {
 		r.stats.Copies++
 	} else {
 		r.stats.OutDrops++
+		pkt.Release()
 	}
+}
+
+// Held returns the packets the router holds: those in its input
+// queues, those awaiting a checksum and those in its output queues, a
+// broadcast counted once however many queues hold a copy. When traffic
+// comes from a Pool, Held equals the pool's Live at the end of a run.
+func (r *Router) Held() int {
+	n := 0
+	for _, f := range r.engines {
+		if f.pending != nil {
+			n++
+		}
+	}
+	for i := range r.In {
+		n += r.In[i].Len()
+	}
+	for i, q := range r.Out {
+		for j := 0; j < q.Len(); j++ {
+			if pkt := q.At(j); pkt.Dst != BroadcastDst || !r.heldBelow(i, pkt) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// heldBelow reports whether an output queue numbered below port holds
+// pkt: a broadcast is counted at the first queue holding a copy.
+func (r *Router) heldBelow(port int, pkt *Packet) bool {
+	for _, q := range r.Out[:port] {
+		for j := 0; j < q.Len(); j++ {
+			if q.At(j) == pkt {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func itoa(i int) string { return string(rune('0' + i)) }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -285,11 +286,81 @@ func TestRouterConservation(t *testing.T) {
 	}
 }
 
+// TestRouterPoolBalance runs pooled traffic, some of it corrupted and
+// some broadcast, through 1 and 2 engines into 1-deep output queues,
+// half of them drained by consumers: every release path runs (a
+// consumer, a checksum drop, a full input or output queue, a
+// broadcast's last copy), and at the end the pool's live packets are
+// exactly those the router holds.
+func TestRouterPoolBalance(t *testing.T) {
+	for _, engines := range []int{1, 2} {
+		t.Run(fmt.Sprintf("engines=%d", engines), func(t *testing.T) {
+			k := sim.NewKernel("t")
+			var engs []Engine
+			for j := 0; j < engines; j++ {
+				pkt, csum := fakeCPU(k, fmt.Sprintf("cpu%d.", j), false)
+				engs = append(engs, Engine{Pkt: pkt, Csum: csum})
+			}
+			r := New(k, "rt", Config{FifoDepth: 1}, engs)
+			pool := NewPool(r.Capacity()+1, 2)
+			var prods []*Producer
+			for i := 0; i < NumPorts; i++ {
+				prods = append(prods, NewProducer(k, "prod"+itoa(i), uint8(i), r.In[i], &IDSource{}, pool, ProducerConfig{
+					Delay: 100 * sim.NS, PayloadWords: 2, ErrorRate: 0.2, MulticastRate: 0.3, Seed: int64(engines),
+				}))
+			}
+			for i := 0; i < NumPorts/2; i++ {
+				NewConsumer(k, "cons"+itoa(i), i, r.Out[i], r.RouteOK)
+			}
+			if err := k.Run(50 * sim.US); err != nil {
+				t.Fatal(err)
+			}
+			k.Shutdown()
+			st := r.Stats()
+			var inDrops uint64
+			for _, p := range prods {
+				inDrops += p.InDrops
+			}
+			if st.Corrupted == 0 || st.OutDrops == 0 || inDrops == 0 || st.Copies == st.Forwarded {
+				t.Errorf("stats %+v, input drops %d: want corruptions, output and input drops and broadcast copies", st, inDrops)
+			}
+			if pool.Live() != r.Held() {
+				t.Errorf("%d pooled packets live, the router holds %d", pool.Live(), r.Held())
+			}
+		})
+	}
+}
+
+// TestPooledPacketsMatchReference: a pooled packet's in-place checksum
+// and blob equal Checksum16 of its Region and its Blob, for random
+// packets, and Seal and Valid agree with them.
+func TestPooledPacketsMatchReference(t *testing.T) {
+	pool := NewPool(1, MaxPayloadWords)
+	var blob []byte
+	f := func(src, dst uint8, id uint32, payload []uint32) bool {
+		payload = payload[:min(len(payload), MaxPayloadWords)]
+		p := pool.Get(len(payload))
+		defer p.Release()
+		p.Src, p.Dst, p.ID = src, dst, id
+		copy(p.Payload, payload)
+		p.Seal()
+		blob = p.AppendBlob(blob[:0])
+		return p.Checksum == Checksum16(p.Region()) && p.Valid() &&
+			bytes.Equal(blob, p.Blob()) && bytes.Equal(blob[4:], p.Region())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	if pool.Live() != 0 {
+		t.Errorf("%d packets live after every one was released", pool.Live())
+	}
+}
+
 func TestProducerConservation(t *testing.T) {
 	k := sim.NewKernel("t")
 	in := sim.NewFifo[*Packet](k, "in", 4)
 	ids := &IDSource{}
-	p := NewProducer(k, "prod", 0, in, ids, ProducerConfig{
+	p := NewProducer(k, "prod", 0, in, ids, NewPool(0, 0), ProducerConfig{
 		Delay: sim.US, Count: 20, Seed: 5,
 	})
 	// No consumer: the queue fills and drops accumulate.
@@ -316,7 +387,7 @@ func TestProducerSealsValidPackets(t *testing.T) {
 	k := sim.NewKernel("t")
 	in := sim.NewFifo[*Packet](k, "in", 64)
 	ids := &IDSource{}
-	NewProducer(k, "prod", 2, in, ids, ProducerConfig{Delay: sim.US, Count: 10, Seed: 1})
+	NewProducer(k, "prod", 2, in, ids, NewPool(0, 0), ProducerConfig{Delay: sim.US, Count: 10, Seed: 1})
 	k.CallAt(50*sim.US, k.Stop)
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)

@@ -39,8 +39,10 @@ type Producer struct {
 
 // NewProducer attaches a producer to the given input queue. src is the
 // source address stamped on packets; ids are drawn from a shared
-// sequence so packet identifiers are unique router-wide.
-func NewProducer(k *sim.Kernel, name string, src uint8, in *sim.Fifo[*Packet], ids *IDSource, cfg ProducerConfig) *Producer {
+// sequence so packet identifiers are unique router-wide. The producer
+// takes its packets from pool, which a run's producers share, so its
+// Live counts the run's packets.
+func NewProducer(k *sim.Kernel, name string, src uint8, in *sim.Fifo[*Packet], ids *IDSource, pool *Pool, cfg ProducerConfig) *Producer {
 	if cfg.Delay == 0 {
 		cfg.Delay = sim.US
 	}
@@ -69,12 +71,10 @@ func NewProducer(k *sim.Kernel, name string, src uint8, in *sim.Fifo[*Packet], i
 		if cfg.MulticastRate > 0 && rng.Float64() < cfg.MulticastRate {
 			dst = BroadcastDst
 		}
-		pkt := &Packet{
-			Src:     src,
-			Dst:     dst,
-			ID:      ids.Next(),
-			Payload: randomWords(rng, cfg.PayloadWords),
-			Born:    k.Now(),
+		pkt := pool.Get(cfg.PayloadWords)
+		pkt.Src, pkt.Dst, pkt.ID, pkt.Born = src, dst, ids.Next(), k.Now()
+		for i := range pkt.Payload {
+			pkt.Payload[i] = rng.Uint32()
 		}
 		pkt.Seal()
 		if cfg.ErrorRate > 0 && rng.Float64() < cfg.ErrorRate {
@@ -86,6 +86,7 @@ func NewProducer(k *sim.Kernel, name string, src uint8, in *sim.Fifo[*Packet], i
 			p.Offered++
 		} else {
 			p.InDrops++
+			pkt.Release()
 		}
 		if cfg.Count != 0 && p.Generated >= cfg.Count {
 			p.done = true
@@ -98,14 +99,6 @@ func NewProducer(k *sim.Kernel, name string, src uint8, in *sim.Fifo[*Packet], i
 
 // Done reports whether a bounded producer has finished.
 func (p *Producer) Done() bool { return p.done }
-
-func randomWords(rng *rand.Rand, n int) []uint32 {
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = rng.Uint32()
-	}
-	return out
-}
 
 // IDSource issues unique packet identifiers.
 type IDSource struct{ next uint32 }
@@ -126,7 +119,8 @@ type Consumer struct {
 
 // NewConsumer attaches a consumer to output port index out. routeOK
 // reports whether a destination may appear on this output (the router's
-// RouteOK, which also accepts broadcast copies).
+// RouteOK, which also accepts broadcast copies). The consumer releases
+// each packet it takes.
 func NewConsumer(k *sim.Kernel, name string, out int, q *sim.Fifo[*Packet], routeOK func(uint8, int) bool) *Consumer {
 	c := &Consumer{Module: k.NewModule(name)}
 	k.Method(c.Sub("sink"), func() {
@@ -139,6 +133,7 @@ func NewConsumer(k *sim.Kernel, name string, out int, q *sim.Fifo[*Packet], rout
 				c.Misrouted++
 			}
 			c.TotalLat = c.TotalLat.Add(k.Now().Sub(pkt.Born))
+			pkt.Release()
 		}
 	}, q.DataWritten())
 	return c

@@ -12,9 +12,9 @@ import (
 // all feed one shared FIFO.
 func newTraffic(k *sim.Kernel) *sim.Fifo[*Packet] {
 	q := sim.NewFifo[*Packet](k, "q", 64)
-	ids := &IDSource{}
+	ids, pool := &IDSource{}, NewPool(0, 0)
 	for i := 0; i < 4; i++ {
-		NewProducer(k, "prod"+itoa(i), uint8(i), q, ids, ProducerConfig{Delay: 3 * sim.US, Seed: 2})
+		NewProducer(k, "prod"+itoa(i), uint8(i), q, ids, pool, ProducerConfig{Delay: 3 * sim.US, Seed: 2})
 	}
 	return q
 }
@@ -52,7 +52,7 @@ func TestBoundedProducerStops(t *testing.T) {
 	k := sim.NewKernel("t")
 	defer k.Shutdown()
 	q := sim.NewFifo[*Packet](k, "q", 8)
-	p := NewProducer(k, "prod", 0, q, &IDSource{}, ProducerConfig{Count: 3, Delay: sim.US})
+	p := NewProducer(k, "prod", 0, q, &IDSource{}, NewPool(0, 0), ProducerConfig{Count: 3, Delay: sim.US})
 	if err := k.Run(10 * sim.US); !errors.Is(err, sim.ErrDeadlock) {
 		t.Fatalf("Run = %v, want ErrDeadlock", err)
 	}

@@ -106,6 +106,15 @@ func (f *Fifo[T]) Peek() (T, bool) {
 	return f.buf[f.head], true
 }
 
+// At returns the item i places behind the oldest (At(0) is Peek's),
+// without removing it; i must lie in [0, Len()).
+func (f *Fifo[T]) At(i int) T {
+	if i < 0 || i >= f.n {
+		panic("sim: fifo index out of range")
+	}
+	return f.buf[(f.head+i)%len(f.buf)]
+}
+
 // grow enlarges the full ring, keeping item order, so a steady
 // write/read pattern reuses one buffer instead of reallocating.
 func (f *Fifo[T]) grow() {

@@ -393,3 +393,21 @@ func TestIdleWatchdogExpiresAfterOneTimeout(t *testing.T) {
 		t.Fatalf("idle watchdog expired after %v, want within [%v, %v)", took, timeout, timeout*3/2)
 	}
 }
+
+// TestStoppedWatchdogEndsNoWait: a wait in progress when the watchdog
+// is stopped is never ended, and its timer fires no more.
+func TestStoppedWatchdogEndsNoWait(t *testing.T) {
+	const timeout = 20 * time.Millisecond
+	expired := make(chan struct{}, 1)
+	w := NewWatchdog(timeout, func() { expired <- struct{}{} })
+	w.Arm()
+	w.Stop()
+	select {
+	case <-expired:
+		t.Fatal("a stopped watchdog ended a wait")
+	case <-time.After(5 * timeout):
+	}
+	if w.Disarm() {
+		t.Fatal("Disarm reported an expiry after Stop")
+	}
+}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -14,7 +15,8 @@ import (
 // does). A tick that finds no wait since the last one schedules no
 // further tick, so an idle watchdog holds no timer, and the first wait
 // after idling is ended one timeout after it began. A zero timeout
-// disables it. Arm and Disarm belong to the one goroutine that reads.
+// disables it. Arm, Disarm and Stop belong to the one goroutine that
+// reads.
 type Watchdog struct {
 	timeout time.Duration
 	expire  func()
@@ -23,12 +25,22 @@ type Watchdog struct {
 	armed   uint64        // waits during the current wait, 0 if none
 	ticking atomic.Bool   // a tick is scheduled
 	seen    uint64        // waits at the last tick, the tick's own
+	// timer runs tick; whoever set ticking resets it, so a tick
+	// allocates no timer.
+	timer   *time.Timer
+	stopped atomic.Bool
 }
 
 // NewWatchdog returns a watchdog that calls expire to end a wait that
 // lasted timeout (at most twice it).
 func NewWatchdog(timeout time.Duration, expire func()) *Watchdog {
-	return &Watchdog{timeout: timeout, expire: expire}
+	w := &Watchdog{timeout: timeout, expire: expire}
+	if timeout > 0 {
+		// Made stopped: Arm starts it.
+		w.timer = time.AfterFunc(math.MaxInt64, w.tick)
+		w.timer.Stop()
+	}
+	return w
 }
 
 // Arm starts a bounded wait.
@@ -41,7 +53,29 @@ func (w *Watchdog) Arm() {
 		// No tick runs: the last one stored ticking=false after its
 		// last write to seen.
 		w.seen = w.armed
-		time.AfterFunc(w.timeout, w.tick)
+		w.schedule()
+	}
+}
+
+// Stop ends the watchdog when its channel is done with: its timer is
+// stopped, so a finished run leaves no tick behind, and no later tick
+// calls expire (one already running may finish). A wait armed after
+// Stop is not bounded.
+func (w *Watchdog) Stop() {
+	if w.timer == nil {
+		return
+	}
+	w.stopped.Store(true)
+	w.timer.Stop()
+}
+
+// schedule arms the next tick. Against a concurrent Stop: if Stop's
+// store came first, the load sees it and stops the timer again; if
+// not, Stop's own timer.Stop follows this reset.
+func (w *Watchdog) schedule() {
+	w.timer.Reset(w.timeout)
+	if w.stopped.Load() {
+		w.timer.Stop()
 	}
 }
 
@@ -57,6 +91,9 @@ func (w *Watchdog) Disarm() (expired bool) {
 }
 
 func (w *Watchdog) tick() {
+	if w.stopped.Load() {
+		return
+	}
 	n := w.waits.Load()
 	last := w.seen
 	w.seen = n
@@ -73,5 +110,5 @@ func (w *Watchdog) tick() {
 			return
 		}
 	}
-	time.AfterFunc(w.timeout, w.tick)
+	w.schedule()
 }
