@@ -352,7 +352,8 @@ func BenchmarkRunAllTable1(b *testing.B) {
 // interrupt in the GDB-Kernel scheme would require to stop GDB
 // execution at any instruction, thus degrading the performance of
 // co-simulation unacceptably". Compare instruction throughput when the
-// ISS free-runs under 'c' against single-stepping via RSP.
+// ISS free-runs in qRun batches of 10 000 instructions against
+// single-stepping via RSP.
 func BenchmarkAblationInterruptGDB(b *testing.B) {
 	b.Run("free-run-chunk", func(b *testing.B) {
 		target, _ := spinTarget(b)

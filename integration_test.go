@@ -120,9 +120,9 @@ msg: .asciz "tick\n"
 	}
 }
 
-// TestSequentialDebugSessions: a CPU can be served by consecutive stub
-// sessions (detach, then reattach a fresh stub), as when a developer
-// reconnects gdb.
+// TestSequentialDebugSessions: a kill ends a stub session and leaves
+// its CPU where it stopped, so a fresh stub on the same CPU resumes it
+// there.
 func TestSequentialDebugSessions(t *testing.T) {
 	im, err := asm.Assemble(asm.Options{}, asm.Source{Name: "p.s", Text: `
 _start:
@@ -139,7 +139,7 @@ mid:
 	cpu := iss.New(iss.NewSystemBus(ram))
 	cpu.Reset(im.Entry)
 
-	// Session 1: step once, detach.
+	// Session 1: step once, kill.
 	t1, err := core.StartGDBTarget(cpu, core.TransportPipe)
 	if err != nil {
 		t.Fatal(err)
@@ -149,10 +149,16 @@ mid:
 	if _, err := cl1.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl1.Detach(); err != nil {
+	if err := cl1.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	_ = t1.Wait()
+	if err := t1.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	t1.HostConn.Close()
+	if cpu.PC != im.MustSymbol("mid") || cpu.Regs[4] != 1 {
+		t.Fatalf("after session 1: pc = %#x, s0 = %d; want mid %#x and 1", cpu.PC, cpu.Regs[4], im.MustSymbol("mid"))
+	}
 
 	// Session 2: fresh stub on the same CPU, run to completion.
 	t2, err := core.StartGDBTarget(cpu, core.TransportPipe)

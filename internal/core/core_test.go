@@ -12,6 +12,7 @@ import (
 
 	"cosim/internal/asm"
 	"cosim/internal/dev"
+	"cosim/internal/gdb"
 	"cosim/internal/iss"
 	"cosim/internal/obs"
 	"cosim/internal/rtos"
@@ -320,6 +321,60 @@ resp: .word 0
 				time.Sleep(5 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestGDBTargetHangsUpOnClose: on every transport closing HostConn
+// hangs the stub up, so a continue whose guest never stops, spinning or
+// idle in WFI with no interrupt, ends once the client's stop watchdog
+// closes the link: the stub ends within twice the stop timeout of the
+// close, and leaves no goroutine behind.
+func TestGDBTargetHangsUpOnClose(t *testing.T) {
+	const d = 100 * time.Millisecond
+	for _, tr := range transport.All() {
+		for _, g := range []struct{ name, src string }{
+			{"spin", "_start:\nspin:\n    j spin\n"},
+			{"wfi", "_start:\nidle:\n    wfi\n    j idle\n"},
+		} {
+			t.Run(tr.Name()+"/"+g.name, func(t *testing.T) {
+				baseline := runtime.NumGoroutine()
+				cpu, _ := buildBareMetal(t, g.src)
+				target, err := StartGDBTarget(cpu, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cl, err := gdb.NewClient(target.HostConn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cl.SetStopTimeout(d)
+				if _, err := cl.Continue(); !errors.Is(err, gdb.ErrTimeout) {
+					t.Fatalf("continue = %v, want %v", err, gdb.ErrTimeout)
+				}
+				closed := time.Now()
+				waited := make(chan struct{})
+				go func() {
+					_ = target.Wait()
+					close(waited)
+				}()
+				select {
+				case <-waited:
+				case <-time.After(2 * d):
+					t.Fatalf("the stub still runs %v after the host end closed", 2*d)
+				}
+				if took := time.Since(closed); took >= 2*d {
+					t.Fatalf("the stub ended %v after the host end closed, want under %v", took, 2*d)
+				}
+				_ = cl.Kill() // stops the stop watchdog
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > baseline {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines after the hang-up, baseline %d", runtime.NumGoroutine(), baseline)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			})
+		}
 	}
 }
 

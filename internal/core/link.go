@@ -66,7 +66,8 @@ type GDBTarget struct {
 // goroutine that reads HostConn (gdb.Inline), since a ring write never
 // waits for its reader. Over tcp and pipe it runs in its own goroutine
 // (gdb.Stub.Serve), the ISS "process", where serving inline measured
-// slower (DESIGN §5.7).
+// slower (DESIGN §5.7). On every transport closing HostConn hangs the
+// stub up, which ends a continue that never stops.
 func StartGDBTarget(cpu *iss.CPU, tr Transport) (*GDBTarget, error) {
 	host, guest, err := tr.Pair()
 	if err != nil {
@@ -78,8 +79,8 @@ func StartGDBTarget(cpu *iss.CPU, tr Transport) (*GDBTarget, error) {
 		t.HostConn = t.inline
 		return t, nil
 	}
-	t.HostConn, t.served = host, make(chan error, 1)
 	t.Stub = gdb.NewStub(cpu, guest)
+	t.HostConn, t.served = t.Stub.HangUpOnClose(host), make(chan error, 1)
 	go func() {
 		t.served <- t.Stub.Serve()
 		guest.Close()
@@ -87,8 +88,8 @@ func StartGDBTarget(cpu *iss.CPU, tr Transport) (*GDBTarget, error) {
 	return t, nil
 }
 
-// Wait blocks until the stub exits (after a kill/detach or connection
-// close) and returns its error. Over the ring, where the stub runs only
+// Wait blocks until the stub exits (after a kill or connection close)
+// and returns its error. Over the ring, where the stub runs only
 // inside reads, it first answers what the kernel wrote last (a kill).
 func (t *GDBTarget) Wait() error {
 	if t.inline != nil {

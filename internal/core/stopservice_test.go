@@ -268,8 +268,8 @@ func TestGDBKernelPipeTransferLimit(t *testing.T) {
 
 // scriptedStub plays a stub that refuses every memory transfer: it
 // negotiates no-ack mode, acknowledges breakpoints, reports a stop at
-// stopPC for every continue, 100 cycles after the last, answers each
-// transfer with E01, and answers a break-in with S02.
+// stopPC for every continue, 100 cycles after the last, and answers
+// each transfer with E01.
 func scriptedStub(peer net.Conn, stopPC uint32) {
 	br := bufio.NewReader(peer)
 	send := func(payload string) {
@@ -284,12 +284,7 @@ func scriptedStub(peer net.Conn, stopPC uint32) {
 		if err != nil {
 			return
 		}
-		switch c {
-		case gdb.InterruptByte:
-			send("S02")
-			continue
-		case '$':
-		default:
+		if c != '$' {
 			continue
 		}
 		body, err := br.ReadString('#')

@@ -9,8 +9,9 @@
 // nothing in this package locks against another. Under Driver-Kernel
 // that is the simulation kernel's goroutine, which runs each guest in
 // its horizon hook and grants, mirrors and folds the windows between
-// runs. Under a GDB stub it is the stub's serve loop or its runner,
-// which hand the CPU over through a channel. The Mailbox is the one
+// runs. Under a GDB stub it is the goroutine that serves the stub:
+// Serve's, or over the ring the kernel's, which runs the stub inside
+// its reads of the link. The Mailbox is the one
 // device two platforms share, and it keeps its own mutex.
 package dev
 

@@ -48,14 +48,6 @@ func (ev StopEvent) String() string {
 	return string(b)
 }
 
-// Regs is the full RSP register file.
-type Regs struct {
-	GPR    [32]uint32
-	PC     uint32
-	SR     [5]uint32 // STATUS, EPC, CAUSE, IVEC, SCRATCH
-	Cycles uint64
-}
-
 // Client is the host side of the RSP connection — the role gdb itself
 // plays. It is used by the co-simulation wrapper (GDB-Wrapper scheme)
 // and by the modified SystemC kernel (GDB-Kernel scheme).
@@ -64,8 +56,7 @@ type Regs struct {
 // caller's goroutine, and a resume also reads the stop that ends it
 // there: Continue, ReadMemoryContinue and WriteMemoryContinue return
 // with the target stopped, so only the caller ever touches the client
-// and its counters. Interrupt is the one call that is safe from another
-// goroutine: it breaks in on a resume that the caller is blocked in.
+// and its counters.
 //
 // A *StopEvent a method returns is owned by the client and valid until
 // the next call that returns one.
@@ -95,8 +86,8 @@ func NewClient(conn io.ReadWriter) (*Client, error) {
 	return c, nil
 }
 
-// Stats returns protocol traffic counters. Like every call but
-// Interrupt, it belongs to the caller's goroutine.
+// Stats returns protocol traffic counters. Like every call, it belongs
+// to the caller's goroutine.
 func (c *Client) Stats() Stats { return c.t.stats }
 
 // SetStopTimeout bounds each wait for the stop that ends a resume; zero
@@ -129,17 +120,6 @@ func (c *Client) disarm(err error) error {
 	return err
 }
 
-// recv reads one reply inline from the connection.
-func (c *Client) recv() ([]byte, error) {
-	for {
-		pkt, err := c.t.readPacket()
-		if err == ErrInterrupt {
-			continue
-		}
-		return pkt, err
-	}
-}
-
 // transact sends a command and returns its reply, which is valid until
 // the next read.
 func (c *Client) transact(payload []byte) ([]byte, error) {
@@ -147,7 +127,7 @@ func (c *Client) transact(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	c.t.stats.RoundTrips++
-	return c.recv()
+	return c.t.readPacket()
 }
 
 // stop parses a stop reply into the client's event.
@@ -166,80 +146,12 @@ func checkOK(reply []byte, what string) error {
 	return fmt.Errorf("gdb: %s failed: %q", what, reply)
 }
 
-// QuerySupported performs the initial feature handshake.
-func (c *Client) QuerySupported() (string, error) {
-	r, err := c.transact([]byte("qSupported:swbreak+"))
-	return string(r), err
-}
-
-// HaltReason sends '?' and parses the current stop state.
-func (c *Client) HaltReason() (*StopEvent, error) {
-	r, err := c.transact([]byte("?"))
-	if err != nil {
-		return nil, err
-	}
-	return c.stop(r)
-}
-
-// ReadRegisters fetches the whole register file in one 'g' transaction.
-func (c *Client) ReadRegisters() (*Regs, error) {
-	r, err := c.transact([]byte("g"))
-	if err != nil {
-		return nil, err
-	}
-	if len(r) < NumRSPRegs*8 {
-		return nil, fmt.Errorf("gdb: short g reply (%d bytes)", len(r))
-	}
-	regs := &Regs{}
-	for i := 0; i < NumRSPRegs; i++ {
-		v, err := parseU32LE(r[i*8 : i*8+8])
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case i < 32:
-			regs.GPR[i] = v
-		case i == RegPC:
-			regs.PC = v
-		case i <= RegScratch:
-			regs.SR[i-RegStatus] = v
-		case i == RegCycle:
-			regs.Cycles |= uint64(v)
-		case i == RegCycleH:
-			regs.Cycles |= uint64(v) << 32
-		}
-	}
-	return regs, nil
-}
-
 // command starts building a command in the client's scratch buffer:
 // the prefix, then n in hex.
 func (c *Client) command(prefix string, n uint64) []byte {
 	c.cmd = strconv.AppendUint(append(c.cmd[:0], prefix...), n, 16)
 	return c.cmd
 }
-
-// ReadRegister fetches one register by RSP number.
-func (c *Client) ReadRegister(n int) (uint32, error) {
-	r, err := c.transact(c.command("p", uint64(n)))
-	if err != nil {
-		return 0, err
-	}
-	return parseU32LE(r)
-}
-
-// WriteRegister sets one register by RSP number.
-func (c *Client) WriteRegister(n int, v uint32) error {
-	cmd := append(c.command("P", uint64(n)), '=')
-	r, err := c.transact(appendHexU32LE(cmd, v))
-	if err != nil {
-		return err
-	}
-	return checkOK(r, "write register")
-}
-
-// ReadPC fetches the program counter.
-func (c *Client) ReadPC() (uint32, error) { return c.ReadRegister(RegPC) }
 
 // ReadMemory fetches length bytes from the target. Like
 // ReadMemoryContinue's, the bytes are decoded into the client's own
@@ -328,7 +240,7 @@ func (c *Client) transferContinue(payload []byte) (*StopEvent, error) {
 	}
 	c.t.stats.RoundTrips++
 	c.arm()
-	r, err := c.recv()
+	r, err := c.t.readPacket()
 	if err != nil {
 		return nil, c.disarm(err)
 	}
@@ -368,24 +280,9 @@ func (c *Client) SetBreakpoint(addr uint32) error {
 	return c.point("Z0,", addr, 4, "set breakpoint")
 }
 
-// ClearBreakpoint removes a software breakpoint (z0).
-func (c *Client) ClearBreakpoint(addr uint32) error {
-	return c.point("z0,", addr, 4, "clear breakpoint")
-}
-
-// SetHWBreakpoint arms a hardware breakpoint (Z1).
-func (c *Client) SetHWBreakpoint(addr uint32) error {
-	return c.point("Z1,", addr, 4, "set hw breakpoint")
-}
-
 // SetWatchpoint arms a write watchpoint (Z2).
 func (c *Client) SetWatchpoint(addr uint32, length int) error {
 	return c.point("Z2,", addr, length, "set watchpoint")
-}
-
-// ClearWatchpoint removes a write watchpoint (z2).
-func (c *Client) ClearWatchpoint(addr uint32) error {
-	return c.point("z2,", addr, 4, "clear watchpoint")
 }
 
 // Step executes one instruction and returns the stop event.
@@ -398,8 +295,7 @@ func (c *Client) Step() (*StopEvent, error) {
 }
 
 // Continue resumes the target and returns the stop that ends the
-// resume: a breakpoint, a watchpoint, the guest's exit, or a break-in
-// (Interrupt) from another goroutine.
+// resume: a breakpoint, a watchpoint or the guest's exit.
 func (c *Client) Continue() (*StopEvent, error) {
 	if err := c.t.sendPacket([]byte("c")); err != nil {
 		return nil, err
@@ -411,7 +307,7 @@ func (c *Client) Continue() (*StopEvent, error) {
 // waitStop reads the stop that ends a resume, within the bound arm
 // started.
 func (c *Client) waitStop() (*StopEvent, error) {
-	r, err := c.recv()
+	r, err := c.t.readPacket()
 	if err = c.disarm(err); err != nil {
 		return nil, err
 	}
@@ -439,14 +335,6 @@ func (c *Client) RunQuantum(budget uint64) (*StopEvent, uint64, error) {
 	return ev, 0, err
 }
 
-// Interrupt sends the break-in byte to stop a running target. It is
-// the one call that is safe from another goroutine: the resume blocked
-// on the caller's goroutine returns the break-in stop.
-func (c *Client) Interrupt() error {
-	_, err := c.conn.Write([]byte{InterruptByte})
-	return err
-}
-
 // Kill terminates the stub. No reply is defined for 'k', and no ack is
 // awaited. No resume follows, so Kill also stops the stop watchdog: a
 // finished session leaves no timer behind.
@@ -455,12 +343,6 @@ func (c *Client) Kill() error {
 		c.dog.Stop()
 	}
 	return c.t.sendReplyNoAckWait([]byte("k"), false)
-}
-
-// Detach cleanly detaches from the stub.
-func (c *Client) Detach() error {
-	_, err := c.transact([]byte("D"))
-	return err
 }
 
 // parseStop decodes an S/T/W stop reply into ev. In a T reply it

@@ -15,17 +15,14 @@ import (
 // capacity exceeds two MaxPacketSize frames (the ring transport's
 // 64 KiB) never makes one wait.
 //
-// Read, Write and Close belong to one goroutine, the client's, with two
-// exceptions: Close may come from any goroutine (a stop watchdog), and
-// it ends a running continue at its next chunk; a break-in byte written
-// alone, as Client.Interrupt writes it, may too, and ends it the same
-// way. As under Serve, a break-in counts only once the continue has
-// begun, here inside the read that follows the "c".
+// Read, Write and Close belong to one goroutine, the client's, except
+// that Close may come from any goroutine (a stop watchdog): it ends a
+// running continue at its next chunk.
 type Inline struct {
 	stub        *Stub
 	host, guest io.ReadWriteCloser
 	unread      int  // bytes written to the stub that it has not read
-	ended       bool // the stub saw a kill, a detach or a failed link
+	ended       bool // the stub saw a kill or a failed link
 	err         error
 }
 
@@ -50,13 +47,8 @@ func (g inlineGuest) Read(p []byte) (int, error) {
 
 func (g inlineGuest) Write(p []byte) (int, error) { return g.in.guest.Write(p) }
 
-// Write writes to the stub. A lone break-in byte is not queued behind
-// the packets: it ends a running continue at once, as under Serve.
+// Write writes to the stub.
 func (in *Inline) Write(p []byte) (int, error) {
-	if len(p) == 1 && p[0] == InterruptByte {
-		in.stub.breakIn.Store(true)
-		return 1, nil
-	}
 	n, err := in.host.Write(p)
 	in.unread += n
 	return n, err
@@ -79,8 +71,8 @@ func (in *Inline) Close() error {
 }
 
 // Wait answers what was written since the last Read (a kill) and
-// returns why the stub ended: nil after a kill, a detach or a closed
-// link, or the error that ended it.
+// returns why the stub ended: nil after a kill or a closed link, or
+// the error that ended it.
 func (in *Inline) Wait() error {
 	in.serve()
 	return in.err
@@ -97,12 +89,9 @@ func (in *Inline) serve() {
 		if err == nil && c == '$' {
 			_ = s.t.br.UnreadByte()
 			var pkt []byte
-			var running, done bool
+			var done bool
 			if pkt, err = s.t.readPacket(); err == nil {
-				running, done, err = s.handle(pkt)
-			}
-			if running {
-				err = s.t.sendReplyNoAckWait(s.keepRunning(), false)
+				done, err = s.handle(pkt)
 			}
 			if done {
 				err = io.EOF

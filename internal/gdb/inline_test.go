@@ -63,23 +63,6 @@ func TestInlineRunsContinuesOnTheCaller(t *testing.T) {
 	}
 }
 
-// TestInlineBreakIn: a break-in from a second goroutine ends a
-// continue that the client's goroutine is running inside its read.
-func TestInlineBreakIn(t *testing.T) {
-	cl, _, _, _ := newInlineTarget(t, `
-_start:
-spin:
-    j spin
-`)
-	cl.SetStopTimeout(5 * time.Second)
-	sent := breakIn(t, cl, 5*time.Millisecond)
-	ev, err := cl.Continue()
-	<-sent
-	if err != nil || ev.Signal != 2 {
-		t.Fatalf("continue = %+v, %v; want SIGINT", ev, err)
-	}
-}
-
 // TestInlineStopTimeout: the stop watchdog closes the inline end under
 // a continue that never stops; the close hangs the stub up, so the
 // continue ends at its next chunk and the client fails with ErrTimeout

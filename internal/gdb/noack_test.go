@@ -76,7 +76,7 @@ func TestNoAckHandshake(t *testing.T) {
 				t.Fatal("client kept ack mode against a stub that supports no-ack")
 			}
 			for i := 0; i < 5; i++ {
-				if _, err := cl.ReadRegisters(); err != nil {
+				if _, err := cl.ReadMemory(0, 4); err != nil {
 					t.Fatal(err)
 				}
 				if _, _, err := cl.RunQuantum(1); err != nil {
@@ -131,7 +131,7 @@ func TestNoAckFallbackKeepsAckMode(t *testing.T) {
 		if !step([]byte("-")) || !step([]byte("+")) {
 			return
 		}
-		if _, err := peer.Write(appendFrame(nil, appendHexU32LE(nil, 0x1234))); err == nil {
+		if _, err := peer.Write(appendFrame(nil, []byte("34120000"))); err == nil {
 			expect('+')
 		}
 	}()
@@ -142,15 +142,15 @@ func TestNoAckFallbackKeepsAckMode(t *testing.T) {
 	if cl.t.noAck {
 		t.Fatal("client switched to no-ack mode on an empty reply")
 	}
-	pc, err := cl.ReadPC()
-	if err != nil || pc != 0x1234 {
-		t.Fatalf("ReadPC = %#x, %v", pc, err)
+	data, err := cl.ReadMemory(0x20, 4)
+	if err != nil || !bytes.Equal(data, []byte{0x34, 0x12, 0, 0}) {
+		t.Fatalf("ReadMemory = % x, %v", data, err)
 	}
 	if st := cl.Stats(); st.Retransmits != 1 || st.AcksSent != 2 {
 		t.Fatalf("stats = %+v, want 1 retransmit and 2 acks", st)
 	}
 	got := <-seen
-	want := []string{"QStartNoAckMode", "p20", "p20"}
+	want := []string{"QStartNoAckMode", "m20,4", "m20,4"}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("peer saw %q, want %q", got, want)
 	}
@@ -180,8 +180,8 @@ func TestNoAckChecksumFailsLoudly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.ReadRegisters(); !errors.Is(err, ErrChecksum) {
-			t.Fatalf("ReadRegisters = %v, want ErrChecksum", err)
+		if _, err := cl.ReadMemory(0, 4); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("ReadMemory = %v, want ErrChecksum", err)
 		}
 	})
 	t.Run("stub", func(t *testing.T) {
@@ -196,55 +196,13 @@ func TestNoAckChecksumFailsLoudly(t *testing.T) {
 		if r, err := readFrame(br); err != nil || string(r) != "OK" {
 			t.Fatalf("handshake reply = %q, %v", r, err)
 		}
-		if _, err := peer.Write([]byte("+$g#00")); err != nil {
+		if _, err := peer.Write([]byte("+$m0,4#00")); err != nil {
 			t.Fatal(err)
 		}
 		if err := <-served; !errors.Is(err, ErrChecksum) {
 			t.Fatalf("Serve = %v, want ErrChecksum", err)
 		}
 	})
-}
-
-// TestBreakInRacingStopReply: a break-in sent from a second goroutine
-// while the continue is already reporting a breakpoint stop. The client
-// sees exactly one stop per continue, and a stray break-in does not
-// stop the next continue.
-func TestBreakInRacingStopReply(t *testing.T) {
-	cl, _, im := newTarget(t, warmLoopProg)
-	cl.SetStopTimeout(5 * time.Second)
-	bp := im.MustSymbol("target")
-	if err := cl.SetBreakpoint(bp); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		sent := breakIn(t, cl, 0)
-		ev, err := cl.Continue()
-		<-sent
-		if err != nil {
-			t.Fatalf("iteration %d: stop: %v", i, err)
-		}
-		if ev.Signal != 5 && ev.Signal != 2 {
-			t.Fatalf("iteration %d: signal = %d", i, ev.Signal)
-		}
-		// A second stop reply for the same continue would be taken as
-		// this transaction's reply and fail to parse as a register.
-		if _, err := cl.ReadPC(); err != nil {
-			t.Fatalf("iteration %d: %v", i, err)
-		}
-	}
-	// Without the breakpoint the loop runs until broken into. A stale
-	// break-in would stop it at the first chunk boundary, microseconds in.
-	if err := cl.ClearBreakpoint(bp); err != nil {
-		t.Fatal(err)
-	}
-	sent := breakIn(t, cl, 50*time.Millisecond)
-	ev, err := cl.Continue()
-	if stopped := time.Now(); stopped.Before(<-sent) {
-		t.Fatalf("continue after the race stopped before the break-in: %+v", ev)
-	}
-	if err != nil || ev.Signal != 2 {
-		t.Fatalf("break-in stop = %+v, %v; want SIGINT", ev, err)
-	}
 }
 
 // scriptedConn serves its data to the stub, then fails with err; the
@@ -272,32 +230,24 @@ func (c *scriptedConn) Write(b []byte) (int, error) { return c.out.Write(b) }
 func TestServePropagatesReadError(t *testing.T) {
 	cpu, _ := testCPU(t, testProg)
 	connErr := errors.New("connection reset by peer")
-	conn := &scriptedConn{data: appendFrame(nil, []byte("?")), err: connErr}
+	conn := &scriptedConn{data: appendFrame(nil, []byte("qRun,1")), err: connErr}
 	if err := NewStub(cpu, conn).Serve(); !errors.Is(err, connErr) {
 		t.Fatalf("Serve = %v, want %v", err, connErr)
 	}
-	if want := appendFrame([]byte("+"), []byte("S05")); !bytes.Equal(conn.out.Bytes(), want) {
+	if want := appendFrame([]byte("+"), []byte("B1")); !bytes.Equal(conn.out.Bytes(), want) {
 		t.Fatalf("stub wrote %q, want %q", conn.out.Bytes(), want)
 	}
 }
 
 // TestServeCleanEOF: a peer that hangs up ends Serve without error,
-// and a continue still running at that point is stopped so the
-// runner goroutine can exit.
+// after the packets that arrived before it were served.
 func TestServeCleanEOF(t *testing.T) {
-	cpu, _ := testCPU(t, "_start:\nspin:\n    j spin\n")
-	conn := &scriptedConn{data: appendFrame(nil, []byte("c")), err: io.EOF}
-	done := make(chan error, 1)
-	go func() { done <- NewStub(cpu, conn).Serve() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Serve = %v, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not stop the running continue at EOF")
+	cpu, _ := testCPU(t, testProg)
+	conn := &scriptedConn{data: appendFrame(nil, []byte("qRun,1")), err: io.EOF}
+	if err := NewStub(cpu, conn).Serve(); err != nil {
+		t.Fatalf("Serve = %v, want nil", err)
 	}
-	if want := appendFrame([]byte("+"), []byte("S02")); !bytes.Equal(conn.out.Bytes(), want) {
+	if want := appendFrame([]byte("+"), []byte("B1")); !bytes.Equal(conn.out.Bytes(), want) {
 		t.Fatalf("stub wrote %q, want %q", conn.out.Bytes(), want)
 	}
 }
@@ -306,8 +256,8 @@ func TestServeCleanEOF(t *testing.T) {
 // transactions, counted over both the client and the stub goroutine.
 // Packets are read in place and a stop is parsed into the client's own
 // event, so command and reply coding, the expedited stop reply and a
-// combined transfer and resume included, allocate nothing;
-// ReadRegisters returns a fresh *Regs and ReadMemory a fresh slice.
+// combined transfer and resume included, allocate nothing; ReadMemory
+// may grow the client's buffer once.
 func TestRoundTripAllocs(t *testing.T) {
 	cl, _, _ := newTarget(t, warmLoopProg)
 	bpcl, _, im := newTarget(t, warmLoopProg)
@@ -327,7 +277,6 @@ func TestRoundTripAllocs(t *testing.T) {
 			}
 			return err
 		}},
-		{"ReadRegisters", 1, func() error { _, err := cl.ReadRegisters(); return err }},
 		{"ReadMemory", 1, func() error { _, err := cl.ReadMemory(0, 4); return err }},
 		{"WriteMemory", 0, func() error { return cl.WriteMemory(0x8000, []byte{1, 2, 3, 4}) }},
 		{"ReadMemoryContinue/breakpoint-stop", 0, func() error { _, _, err := bpcl.ReadMemoryContinue(0x8000, 4); return err }},
@@ -426,11 +375,11 @@ func TestStubCoalescesPipelinedReplies(t *testing.T) {
 	})
 	t.Run("partial", func(t *testing.T) {
 		n := len(rec.since(0))
-		rest := frame("g")
+		rest := frame("m8004,4")
 		send(frame("m8000,4") + rest[:2])
 		expect("00000000") // answered without the rest of the next packet
 		send(rest[2:])
-		expect("")
+		expect("00000000")
 		if w := rec.since(n); len(w) != 2 || w[0] != frame("00000000") {
 			t.Fatalf("stub wrote %q, want the reply alone, then the next", w)
 		}
@@ -439,9 +388,9 @@ func TestStubCoalescesPipelinedReplies(t *testing.T) {
 
 // TestStatsAfterEveryCall: the client reads every reply, stops
 // included, on the caller's goroutine, so its counters are the
-// caller's alone: Stats after a transaction, a continue, a combined
-// transfer and resume, and a continue that a second goroutine broke in
-// on all count what arrived, with no race (run under -race).
+// caller's alone: Stats after a transaction, a continue and a combined
+// transfer and resume all count what arrived, with no race (run under
+// -race).
 func TestStatsAfterEveryCall(t *testing.T) {
 	cl, _, im := newTarget(t, warmLoopProg)
 	cl.SetStopTimeout(5 * time.Second)
@@ -458,7 +407,7 @@ func TestStatsAfterEveryCall(t *testing.T) {
 		}
 		last = st
 	}
-	_, err := cl.ReadPC()
+	_, err := cl.ReadMemory(0x8000, 4)
 	check("transaction", err)
 	check("set breakpoint", cl.SetBreakpoint(bp))
 	_, err = cl.Continue()
@@ -467,12 +416,4 @@ func TestStatsAfterEveryCall(t *testing.T) {
 	check("read memory and continue", err)
 	_, err = cl.WriteMemoryContinue(0x8000, []byte{1, 2, 3, 4})
 	check("write memory and continue", err)
-	check("clear breakpoint", cl.ClearBreakpoint(bp))
-	sent := breakIn(t, cl, 10*time.Millisecond)
-	ev, err := cl.Continue()
-	<-sent
-	check("continue broken into", err)
-	if ev.Signal != 2 {
-		t.Fatalf("break-in stop = %+v, want SIGINT", ev)
-	}
 }

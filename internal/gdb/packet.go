@@ -1,6 +1,10 @@
-// Package gdb implements the GDB Remote Serial Protocol (RSP): the
-// "$data#checksum" packet framing, a target-side stub that debugs an
-// iss.CPU, and a host-side client offering typed debugging operations.
+// Package gdb implements the part of the GDB Remote Serial Protocol
+// (RSP) that the co-simulation schemes use: the "$data#checksum" packet
+// framing, a target-side stub that serves an iss.CPU, and the host-side
+// client the schemes drive it with. The stub answers the packets the
+// schemes send (QStartNoAckMode, Z0 and Z2, m and M, a bare c or s, k,
+// and the qRun extension) and gives every other packet RSP's empty
+// reply.
 //
 // The paper's GDB-Wrapper and GDB-Kernel co-simulation schemes use this
 // interface between the SystemC side and the ISS, exactly as [14]
@@ -18,18 +22,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 )
-
-// InterruptByte is the out-of-band break-in character (Ctrl-C).
-const InterruptByte = 0x03
 
 // MaxPacketSize is the advertised maximum payload size.
 const MaxPacketSize = 4096
-
-// ErrInterrupt is returned by readPacket when the peer sends the
-// break-in byte instead of a packet.
-var ErrInterrupt = errors.New("gdb: interrupt received")
 
 // ErrChecksum reports a packet whose checksum does not match after
 // no-ack mode was negotiated: with no NAK to request a retransmission,
@@ -81,21 +77,20 @@ type Stats struct {
 }
 
 // transport frames packets over an io.ReadWriter with acknowledgement
-// handling. It is used by both the stub and the client.
+// handling. It is used by both the stub and the client, each of which
+// reads and writes it on one goroutine.
 type transport struct {
 	rw io.ReadWriter
 	br *bufio.Reader
 
 	// noAck is set once QStartNoAckMode is negotiated: by the client
-	// while it attaches, by the stub in its serve loop, the only stub
-	// goroutine that reads it.
+	// while it attaches, by the stub when it answers the request.
 	noAck bool
 
-	writeMu sync.Mutex
-	// wrScratch is the frame build buffer, reused under writeMu. Between
-	// writes it holds the stub's held replies (sendReplyNoAckWait).
+	// wrScratch is the frame build buffer. Between writes it holds the
+	// stub's held replies (sendReplyNoAckWait).
 	wrScratch []byte
-	rdBody    []byte // packet body scratch, reused by the one reader at a time
+	rdBody    []byte // packet body scratch
 	stats     Stats
 }
 
@@ -121,8 +116,7 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, '#', hexDigits[sum>>4], hexDigits[sum&0xf])
 }
 
-// writeFrame frames payload into the scratch buffer and writes it; the
-// caller holds writeMu.
+// writeFrame frames payload into the scratch buffer and writes it.
 func (t *transport) writeFrame(payload []byte) error {
 	frame := appendFrame(t.wrScratch[:0], payload)
 	t.wrScratch = frame[:0]
@@ -136,7 +130,7 @@ func (t *transport) writeFrame(payload []byte) error {
 
 // packetBuffered reports whether a whole packet, "$...#xx", starts the
 // bytes already buffered from the peer, so reading it cannot block. A
-// partial packet, an ack or a break-in byte first does not count.
+// partial packet or an ack first does not count.
 func (t *transport) packetBuffered() bool {
 	buf, _ := t.br.Peek(t.br.Buffered())
 	if len(buf) < 4 || buf[0] != '$' {
@@ -149,8 +143,6 @@ func (t *transport) packetBuffered() bool {
 // sendPacket writes one framed packet and, in ack mode, waits for the
 // peer's ack. On '-' (NAK) it retransmits, up to a small retry bound.
 func (t *transport) sendPacket(payload []byte) error {
-	t.writeMu.Lock()
-	defer t.writeMu.Unlock()
 	err := t.writeFrame(payload)
 	for attempt := 0; err == nil && !t.noAck; attempt++ {
 		ack, rerr := t.br.ReadByte()
@@ -167,8 +159,8 @@ func (t *transport) sendPacket(payload []byte) error {
 			t.stats.Retransmits++
 			err = t.writeFrame(payload)
 		default:
-			// Not an ack (e.g. an interrupt raced in); push back and
-			// treat the packet as delivered.
+			// Not an ack (e.g. a reply from a peer that does not ack);
+			// push back and treat the packet as delivered.
 			_ = t.br.UnreadByte()
 			return nil
 		}
@@ -190,8 +182,6 @@ func (t *transport) sendWithContinue(payload []byte) (bool, error) {
 	if !t.noAck {
 		return false, nil
 	}
-	t.writeMu.Lock()
-	defer t.writeMu.Unlock()
 	frames := append(appendFrame(t.wrScratch[:0], payload), continueFrame...)
 	t.wrScratch = frames[:0]
 	if len(frames) > MaxPacketSize {
@@ -211,8 +201,6 @@ func (t *transport) sendWithContinue(payload []byte) (bool, error) {
 // With hold set it frames the packet but holds it, and the next call
 // writes it ahead of its own, in one write.
 func (t *transport) sendReplyNoAckWait(payload []byte, hold bool) error {
-	t.writeMu.Lock()
-	defer t.writeMu.Unlock()
 	frames := appendFrame(t.wrScratch, payload)
 	t.stats.PacketsSent++
 	t.stats.BytesSent += uint64(len(frames) - len(t.wrScratch))
@@ -227,33 +215,23 @@ func (t *transport) sendReplyNoAckWait(payload []byte, hold bool) error {
 
 // writeAck writes one ack or NAK byte.
 func (t *transport) writeAck(c byte) error {
-	t.writeMu.Lock()
-	defer t.writeMu.Unlock()
 	t.stats.AcksSent++
 	_, err := t.rw.Write([]byte{c})
 	return err
 }
 
 // readPacket reads one packet payload, acknowledging it in ack mode.
-// Stray acks are skipped. The interrupt byte surfaces as ErrInterrupt.
-// The payload is decoded in place in the transport's scratch buffer
-// and is valid only until the next read: a caller that keeps any of it
-// copies it. readPacket must not be called from two goroutines at once
-// (the stub's serve loop and the client's caller both satisfy this).
+// Stray acks and other bytes outside a packet are skipped. The payload
+// is decoded in place in the transport's scratch buffer and is valid
+// only until the next read: a caller that keeps any of it copies it.
 func (t *transport) readPacket() ([]byte, error) {
 	for {
 		c, err := t.br.ReadByte()
 		if err != nil {
 			return nil, err
 		}
-		switch c {
-		case '+', '-':
+		if c != '$' {
 			continue // ack for a no-ack-wait send, or line noise
-		case InterruptByte:
-			return nil, ErrInterrupt
-		case '$':
-		default:
-			continue
 		}
 
 		body, err := t.readBody()

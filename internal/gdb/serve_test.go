@@ -7,7 +7,7 @@ import (
 )
 
 // longLoopProg stops at target once per 100 000 loop iterations, so
-// every continue outlasts its first chunk and goes to a runner.
+// every continue outlasts its first chunk.
 const longLoopProg = `
 _start:
     li   t0, 100000
@@ -66,61 +66,24 @@ func continueToTarget(t *testing.T, src string, n int) *Client {
 	return cl
 }
 
-// TestShortContinuesStartNoRunner: continues that each stop within
-// their first chunk are run by Serve itself, so the stub starts no
-// runner goroutine.
-func TestShortContinuesStartNoRunner(t *testing.T) {
-	base := settledGoroutines()
-	continueToTarget(t, warmLoopProg, 20)
-	if n := runtime.NumGoroutine(); n != base+1 {
-		t.Fatalf("%d goroutines after 20 short continues, want %d (baseline and Serve)", n, base+1)
-	}
-}
-
-// TestKillLeavesNoGoroutines: a runner ends with its continue's stop
-// reply, and Kill ends Serve, with or without long continues before it.
+// TestKillLeavesNoGoroutines: Serve runs every continue itself, those
+// that stop within their first chunk and those that outlast it, so the
+// stub's only goroutine is Serve's, and Kill ends it.
 func TestKillLeavesNoGoroutines(t *testing.T) {
 	for _, c := range []struct{ name, src string }{
-		{"no-runner", warmLoopProg},
-		{"runner", longLoopProg},
+		{"short", warmLoopProg},
+		{"long", longLoopProg},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			base := settledGoroutines()
 			cl := continueToTarget(t, c.src, 3)
-			waitGoroutines(t, base+1) // Serve alone
+			if n := runtime.NumGoroutine(); n != base+1 {
+				t.Fatalf("%d goroutines after 3 continues, want %d (baseline and Serve)", n, base+1)
+			}
 			if err := cl.Kill(); err != nil {
 				t.Fatal(err)
 			}
 			waitGoroutines(t, base)
 		})
-	}
-}
-
-// TestBreakInIdleGuest: a continue whose guest idles in WFI with
-// nothing pending never stops by itself; a break-in ends it with SIGINT
-// within one idle wait and chunk, far below the bound checked here.
-func TestBreakInIdleGuest(t *testing.T) {
-	cl, cpu, _ := newTarget(t, `
-_start:
-idle:
-    wfi
-    j idle
-`)
-	cl.SetStopTimeout(5 * time.Second)
-	sent := breakIn(t, cl, 20*time.Millisecond)
-	ev, err := cl.Continue()
-	stopped := time.Now()
-	at := <-sent
-	if err != nil || ev.Signal != 2 {
-		t.Fatalf("idle continue = %+v, %v; want SIGINT", ev, err)
-	}
-	if stopped.Before(at) {
-		t.Fatal("the idle continue stopped before the break-in")
-	}
-	if d := stopped.Sub(at); d > time.Second {
-		t.Fatalf("break-in took %v to end the idle continue", d)
-	}
-	if !cpu.Sleeping() {
-		t.Fatal("guest left WFI with nothing pending")
 	}
 }

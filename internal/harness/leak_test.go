@@ -150,7 +150,7 @@ func (f *failingTransport) Pair() (host, guest transport.Endpoint, err error) {
 
 // TestRunSetupFailureLeaksNothing fails the N-th channel pair of a
 // 2-CPU set-up. Run must return the fault, and every goroutine of the
-// CPUs wired before it (stub serve loops, runners and client readers)
+// CPUs wired before it (stub serve loops and client readers)
 // must be gone afterwards.
 func TestRunSetupFailureLeaksNothing(t *testing.T) {
 	for _, tc := range []struct {

@@ -51,7 +51,7 @@ target:
 `)
 	runToHalt(t, c, 10)
 	if c.Regs[10] != im.MustSymbol("after") {
-		t.Fatalf("ra = %#x, want %#x", c.Regs[10], im.MustSymbol("after"))
+		t.Fatalf("a0 (a copy of ra) = %#x, want %#x", c.Regs[10], im.MustSymbol("after"))
 	}
 }
 

@@ -388,7 +388,9 @@ isr:
 // TestIRQBeforeStepOverStopsAtHandlerBreakpoint: an interrupt taken
 // while resuming from a breakpoint enters its handler before the
 // breakpointed instruction runs, so the step-over is dropped and a
-// breakpoint on the handler's first instruction stops the CPU there.
+// breakpoint on the handler's first instruction stops the CPU there;
+// also when the CPU resumes from that very breakpoint and the
+// interrupt re-enters the handler at it.
 func TestIRQBeforeStepOverStopsAtHandlerBreakpoint(t *testing.T) {
 	c, im := buildCPU(t, `
 .equ VEC, 0x300
@@ -415,12 +417,29 @@ handler:
 	if stop != StopBreak || c.PC != handler {
 		t.Fatalf("resume stop = %v at %#x, want breakpoint at handler %#x", stop, c.PC, handler)
 	}
-	if c.Regs[9] != 0 {
-		t.Fatalf("s1 = %d: the handler's first addi ran before its breakpoint stop", c.Regs[9])
+	if s1 := regNamed(t, c, "s1"); s1 != 0 {
+		t.Fatalf("s1 = %d: the handler's first addi ran before its breakpoint stop", s1)
 	}
-	if c.Regs[8] != 0 {
-		t.Fatalf("s0 = %d: spot's addi ran before the interrupt", c.Regs[8])
+	if s0 := regNamed(t, c, "s0"); s0 != 0 {
+		t.Fatalf("s0 = %d: spot's addi ran before the interrupt", s0)
 	}
+	c.SR[isa.SRStatus] |= isa.StatusIE // the line is still raised
+	if stop, _ := c.Run(100); stop != StopBreak || c.PC != handler {
+		t.Fatalf("re-entry stop = %v at %#x, want breakpoint at handler %#x", stop, c.PC, handler)
+	}
+	if s1 := regNamed(t, c, "s1"); s1 != 0 {
+		t.Fatalf("s1 = %d: the handler's first addi ran before the re-entry's breakpoint stop", s1)
+	}
+}
+
+// regNamed reads the register with the given ABI name.
+func regNamed(t *testing.T, c *CPU, name string) uint32 {
+	t.Helper()
+	r, ok := isa.RegByName(name)
+	if !ok {
+		t.Fatalf("no register %q", name)
+	}
+	return c.Regs[r]
 }
 
 // TestStepOverBelongsToItsPC: the step-over that a breakpoint stop
