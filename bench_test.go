@@ -1,94 +1,26 @@
 package cosim
 
-// Benchmark harness regenerating every table and figure of the paper's
-// evaluation (§5), plus ablations isolating the design choices that
-// produce the performance differences. Benchmarks use scaled-down
-// simulated durations so `go test -bench` stays laptop-friendly;
-// cmd/benchtab -full runs the paper-scale durations.
+// Microbenchmarks for the unit costs behind the paper's evaluation (§5):
+// the ablations that isolate each design choice's cost, one GDB-Kernel
+// stop service, and the ISS loop. cmd/benchtab is the one generator of
+// Table 1 and Figure 7 themselves.
 //
-//	BenchmarkTable1/*              — Table 1 (wall clock per scheme per simulated time)
-//	BenchmarkFigure7/*             — Figure 7 (% forwarded vs inter-packet delay)
-//	BenchmarkAblationPolling       — A1: lock-step qRun round trip vs the in-kernel hook before the bound
+//	BenchmarkAblationPolling       — A1: lock-step qRun round trip vs the in-kernel stop service
 //	BenchmarkStopService           — the unit cost of one GDB-Kernel stop service, per transport
+//	BenchmarkISS                   — ns per instruction of the ISS execution loop (alu, loadstore)
 //	BenchmarkAblationTransport     — A2: RSP-framed transfer vs raw driver message
 //	BenchmarkAblationInterruptGDB  — A3: single-stepping cost (why GDB-Kernel can't do interrupts)
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
 	"cosim/internal/asm"
 	"cosim/internal/core"
 	"cosim/internal/gdb"
-	"cosim/internal/harness"
 	"cosim/internal/iss"
-	"cosim/internal/router"
 	"cosim/internal/sim"
 )
-
-// benchParams are the common Table 1 / Figure 7 conditions.
-func benchParams() harness.Params {
-	return harness.Params{
-		Transport: core.TransportTCP,
-		Delay:     20 * sim.US,
-		Seed:      1,
-	}
-}
-
-// BenchmarkTable1 regenerates Table 1: wall-clock co-simulation time
-// for each scheme at increasing simulated durations (scaled: the paper
-// used 1000/10000/100000 ms on 2004 hardware; we sweep 2/10/50 ms —
-// same workload structure, same scheme ordering).
-func BenchmarkTable1(b *testing.B) {
-	for _, scheme := range harness.Schemes {
-		for _, simTime := range []sim.Time{2 * sim.MS, 10 * sim.MS, 50 * sim.MS} {
-			name := fmt.Sprintf("%s/sim=%s", scheme, simTime)
-			b.Run(name, func(b *testing.B) {
-				p := benchParams()
-				p.Scheme = scheme
-				p.SimTime = simTime
-				for i := 0; i < b.N; i++ {
-					res, err := harness.Run(p)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Forwarded == 0 {
-						b.Fatal("no traffic forwarded")
-					}
-					b.ReportMetric(float64(res.Forwarded)/float64(b.N), "packets")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFigure7 regenerates Figure 7: the forwarded percentage (as
-// a reported metric) for the two proposed schemes across inter-packet
-// delays. The Driver-Kernel OS overhead pushes its curve down at small
-// delays.
-func BenchmarkFigure7(b *testing.B) {
-	for _, scheme := range []harness.Scheme{harness.GDBKernel, harness.DriverKernel} {
-		for _, delay := range []sim.Time{5 * sim.US, 10 * sim.US, 20 * sim.US, 50 * sim.US, 100 * sim.US} {
-			name := fmt.Sprintf("%s/delay=%s", scheme, delay)
-			b.Run(name, func(b *testing.B) {
-				p := benchParams()
-				p.Scheme = scheme
-				p.Delay = delay
-				p.SimTime = 2 * sim.MS
-				var pct float64
-				for i := 0; i < b.N; i++ {
-					res, err := harness.Run(p)
-					if err != nil {
-						b.Fatal(err)
-					}
-					pct = res.ForwardedPct()
-				}
-				b.ReportMetric(pct, "%forwarded")
-			})
-		}
-	}
-}
 
 // spinTarget boots a bare-metal guest spinning in a loop, served by a
 // GDB stub over tcp, for the ablation microbenchmarks.
@@ -329,25 +261,6 @@ func BenchmarkAblationTransport(b *testing.B) {
 	})
 }
 
-// BenchmarkRunAllTable1 measures the experiment harness itself: the
-// same Table 1 sweep executed sequentially and on a worker pool. The
-// per-scheme results are identical (each scenario owns its kernel, ISS
-// and sockets and is deterministically seeded); only wall clock
-// changes, which is the point of `benchtab -parallel`.
-func BenchmarkRunAllTable1(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			scens := harness.Table1Scenarios([]sim.Time{2 * sim.MS}, benchParams())
-			for i := 0; i < b.N; i++ {
-				outs := harness.RunAll(scens, workers)
-				if err := harness.FirstError(outs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationInterruptGDB quantifies §4's argument: "Modeling an
 // interrupt in the GDB-Kernel scheme would require to stop GDB
 // execution at any instruction, thus degrading the performance of
@@ -379,15 +292,4 @@ func BenchmarkAblationInterruptGDB(b *testing.B) {
 		}
 		b.ReportMetric(1, "instr/op")
 	})
-}
-
-// BenchmarkChecksumGo measures the Go reference checksum (the router
-// side of the integrity check).
-func BenchmarkChecksumGo(b *testing.B) {
-	pkt := &router.Packet{Src: 1, Dst: 2, ID: 3, Payload: make([]uint32, 16)}
-	region := pkt.Region()
-	b.SetBytes(int64(len(region)))
-	for i := 0; i < b.N; i++ {
-		_ = router.Checksum16(region)
-	}
 }

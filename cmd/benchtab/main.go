@@ -6,10 +6,14 @@
 //
 //	benchtab -exp table1|figure7|loc|all [-full] [-times 1ms,5ms]
 //	         [-scheme NAME] [-transport tcp|ring|pipe] [-ablate dmi]
-//	         [-parallel N] [-json] [-server URL] [run flags]
+//	         [-parallel N] [-json] [run flags]
 //
 // The run flags (-delay, -seed, -cpus, -dmi, ...) are cosim's: both
 // commands bind them through harness.Spec.RegisterFlags.
+//
+// benchtab is the only generator of these artifacts. Their durations
+// and delays (harness.Table1SimTimes, harness.Figure7Delays) live in
+// harness beside the scenario lists and the folds into rows and points.
 //
 // -full uses the paper-scale simulated durations (slow); the default
 // uses scaled-down durations with identical workload structure, and
@@ -35,12 +39,6 @@
 // sequential sweep — only total wall time drops. -json replaces the
 // human-readable tables with a machine-readable metrics report (one
 // record per run, plus the folded table/figure data).
-// -server URL switches benchtab into a load driver for a running
-// cosimd: the same scenario matrix is POSTed as session specs with
-// -parallel concurrent clients (absorbing 429 backpressure via
-// Retry-After), each session is polled to a terminal state, and the
-// report carries per-session submit/queue/run/total latencies plus a
-// throughput summary.
 package main
 
 import (
@@ -66,12 +64,6 @@ type report struct {
 	Figure7     []figure7JSON      `json:"figure7,omitempty"`
 	Runs        []harness.Metrics  `json:"runs,omitempty"`
 	LoC         *harness.LoCReport `json:"loc,omitempty"`
-
-	// Server-load mode (-server URL): per-session records and the
-	// aggregate throughput/latency summary.
-	Server     string          `json:"server,omitempty"`
-	Sessions   []serverSession `json:"sessions,omitempty"`
-	ServerLoad *serverSummary  `json:"server_load,omitempty"`
 }
 
 type table1JSON struct {
@@ -89,9 +81,9 @@ type figure7JSON struct {
 
 // options is benchtab's command line.
 type options struct {
-	exp, times, scheme, transport, ablate, server string
-	full, jsonOut                                 bool
-	parallel                                      int
+	exp, times, scheme, transport, ablate string
+	full, jsonOut                         bool
+	parallel                              int
 	// The run flags fill a wire-form Spec, as cosim's do. benchtab
 	// sweeps schemes itself: every scenario overwrites the placeholder
 	// scheme.
@@ -111,7 +103,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.parallel, "parallel", 1, "experiment sweep workers (1 = sequential)")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit a machine-readable metrics report")
 	fs.StringVar(&o.ablate, "ablate", "", `cross-sweep driver-kernel axes: "dmi"`)
-	fs.StringVar(&o.server, "server", "", "drive a running cosimd at this base URL instead of simulating in-process")
 }
 
 func main() {
@@ -142,11 +133,7 @@ func main() {
 		fatal(fmt.Errorf("scheme %v drives a single CPU; -cpus %d needs gdb-kernel or driver-kernel", sel, base.CPUs))
 	}
 
-	simTimes := []sim.Time{2 * sim.MS, 10 * sim.MS, 50 * sim.MS}
-	if o.full {
-		// The paper's Table 1 columns: 1000, 10000, 100000 ms simulated.
-		simTimes = []sim.Time{1000 * sim.MS, 10000 * sim.MS, 100000 * sim.MS}
-	}
+	simTimes := harness.Table1SimTimes(o.full)
 	if o.times != "" {
 		simTimes = nil
 		for _, s := range strings.Split(o.times, ",") {
@@ -169,35 +156,21 @@ func main() {
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 	}
 
-	if o.server != "" {
-		rep.Server = o.server
-		if err := runServerLoad(rep, o.server, o.exp, simTimes, base, sel, trs, o.parallel, o.jsonOut); err != nil {
-			// Emit the partial report before dying so a failed load run
-			// still leaves its evidence.
-			if o.jsonOut {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				_ = enc.Encode(rep)
-			}
-			fatal(err)
-		}
-	} else {
-		switch o.exp {
-		case "table1":
-			runTable1(rep, simTimes, base, sel, trs, ablateDMI, o.parallel, o.jsonOut)
-		case "figure7":
-			runFigure7(rep, base, sel, trs, ablateDMI, o.parallel, o.jsonOut)
-		case "loc":
-			runLoC(rep, o.jsonOut)
-		case "all":
-			runTable1(rep, simTimes, base, sel, trs, ablateDMI, o.parallel, o.jsonOut)
-			sep(o.jsonOut)
-			runFigure7(rep, base, sel, trs, ablateDMI, o.parallel, o.jsonOut)
-			sep(o.jsonOut)
-			runLoC(rep, o.jsonOut)
-		default:
-			fatal(fmt.Errorf("unknown experiment %q", o.exp))
-		}
+	switch o.exp {
+	case "table1":
+		runTable1(rep, simTimes, base, sel, trs, ablateDMI, o.parallel, o.jsonOut)
+	case "figure7":
+		runFigure7(rep, base, sel, trs, ablateDMI, o.parallel, o.jsonOut)
+	case "loc":
+		runLoC(rep, o.jsonOut)
+	case "all":
+		runTable1(rep, simTimes, base, sel, trs, ablateDMI, o.parallel, o.jsonOut)
+		sep(o.jsonOut)
+		runFigure7(rep, base, sel, trs, ablateDMI, o.parallel, o.jsonOut)
+		sep(o.jsonOut)
+		runLoC(rep, o.jsonOut)
+	default:
+		fatal(fmt.Errorf("unknown experiment %q", o.exp))
 	}
 
 	if o.jsonOut {
@@ -326,13 +299,11 @@ func runTable1(rep *report, simTimes []sim.Time, base harness.Params, sel harnes
 }
 
 func runFigure7(rep *report, base harness.Params, sel harness.Scheme, trs []transport.Transport, ablateDMI bool, workers int, jsonOut bool) {
-	delays := []sim.Time{5 * sim.US, 10 * sim.US, 20 * sim.US, 30 * sim.US, 50 * sim.US, 100 * sim.US}
-	base.SimTime = 2 * sim.MS
 	multiTr := len(trs) > 1
 	for _, tr := range trs {
 		b := base
 		b.Transport = tr
-		scens := filterScenarios(harness.Figure7Scenarios(delays, b), sel)
+		scens := filterScenarios(harness.Figure7Scenarios(b), sel)
 		if multiTr {
 			scens = tagTransport(scens, tr)
 		}
@@ -350,7 +321,7 @@ func runFigure7(rep *report, base harness.Params, sel harness.Scheme, trs []tran
 			}
 			continue
 		}
-		points, err := harness.Figure7Points(delays, outs)
+		points, err := harness.Figure7Points(outs)
 		if err != nil {
 			fatal(err)
 		}

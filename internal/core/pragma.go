@@ -82,16 +82,3 @@ func ParsePragmas(src asm.Source) ([]VarBinding, error) {
 	}
 	return out, nil
 }
-
-// ParseAllPragmas runs the filter over several sources.
-func ParseAllPragmas(sources ...asm.Source) ([]VarBinding, error) {
-	var out []VarBinding
-	for _, src := range sources {
-		bs, err := ParsePragmas(src)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, bs...)
-	}
-	return out, nil
-}

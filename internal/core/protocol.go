@@ -304,11 +304,3 @@ func ReadMessage(r *bufio.Reader) (Message, error) {
 	}
 	return decodeBody(body)
 }
-
-// EncodeInterrupt renders an interrupt-socket notification (a 4-byte
-// little-endian id, as read by the guest driver).
-func EncodeInterrupt(id uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], id)
-	return b[:]
-}

@@ -6,19 +6,16 @@ import (
 	"testing"
 
 	"cosim/internal/core"
-	"cosim/internal/sim"
 )
 
 func TestFigure7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 7 sweep is slow")
 	}
-	delays := []sim.Time{5 * sim.US, 10 * sim.US, 20 * sim.US, 50 * sim.US, 100 * sim.US}
-	points, err := Figure7(delays, Params{
+	points, err := Figure7Points(RunAll(Figure7Scenarios(Params{
 		Transport: core.TransportTCP,
-		SimTime:   2 * sim.MS,
 		Seed:      7,
-	}, 2)
+	}), 2))
 	if err != nil {
 		t.Fatal(err)
 	}

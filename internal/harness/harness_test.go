@@ -112,12 +112,12 @@ func TestTable1SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 1 sweep is slow")
 	}
-	simTimes := []sim.Time{sim.MS}
-	rows, err := Table1(simTimes, Params{
+	simTimes := Table1SimTimes(false)
+	rows, err := Table1Rows(simTimes, RunAll(Table1Scenarios(simTimes, Params{
 		Transport: core.TransportPipe,
 		Delay:     50 * sim.US,
 		Seed:      1,
-	}, 2)
+	}), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +127,11 @@ func TestTable1SmallRun(t *testing.T) {
 	var sb strings.Builder
 	PrintTable1(&sb, simTimes, rows)
 	out := sb.String()
-	for _, want := range []string{"GDB-Wrapper", "GDB-Kernel", "Driver-Kernel", "speedup", "spd"} {
-		if !strings.Contains(out, "GDB-Wrapper") {
-			t.Fatalf("table output missing %q:\n%s", want, out)
+	// One row per scheme and one speedup row per kernel scheme, each
+	// led by its 14-column label.
+	for _, want := range []string{"GDB-Wrapper", "GDB-Kernel", "Driver-Kernel", "GDB-Kernel spd", "Driver-Kernel spd"} {
+		if !strings.Contains(out, fmt.Sprintf("\n%-14s ", want)) {
+			t.Fatalf("table output missing the %q row:\n%s", want, out)
 		}
 	}
 }

@@ -18,6 +18,16 @@ type Table1Row struct {
 	Wall   []time.Duration // one per simulated duration
 }
 
+// Table1SimTimes are Table 1's simulated durations: the paper's
+// columns, 1000, 10000 and 100000 ms, when full, and otherwise 2, 10
+// and 50 ms, the same workload at a scale that runs in seconds.
+func Table1SimTimes(full bool) []sim.Time {
+	if full {
+		return []sim.Time{1000 * sim.MS, 10000 * sim.MS, 100000 * sim.MS}
+	}
+	return []sim.Time{2 * sim.MS, 10 * sim.MS, 50 * sim.MS}
+}
+
 // Table1Scenarios enumerates the runs behind the paper's Table 1, in
 // scheme-major order (the table's presentation order).
 func Table1Scenarios(simTimes []sim.Time, base Params) []Scenario {
@@ -63,15 +73,6 @@ func Table1Rows(simTimes []sim.Time, outs []RunOutcome) ([]Table1Row, error) {
 	return rows, nil
 }
 
-// Table1 reproduces the paper's Table 1: for each scheme, the wall
-// clock time needed to co-simulate each simulated duration of the
-// router case study. The sweep runs on `workers` parallel workers (1 =
-// sequential); scheme results are identical either way since every run
-// is isolated and seeded.
-func Table1(simTimes []sim.Time, base Params, workers int) ([]Table1Row, error) {
-	return Table1Rows(simTimes, RunAll(Table1Scenarios(simTimes, base), workers))
-}
-
 // PrintTable1 renders Table 1 in the paper's layout.
 func PrintTable1(w io.Writer, simTimes []sim.Time, rows []Table1Row) {
 	fmt.Fprintf(w, "Table 1: Simulation Performance Results (wall-clock per simulated time)\n")
@@ -111,26 +112,26 @@ type Figure7Point struct {
 	DriverLat    sim.Time
 }
 
-// Figure7 reproduces the paper's Figure 7: % of packets forwarded vs
-// inter-packet delay for GDB-Kernel and Driver-Kernel. The OS overhead
-// of the Driver-Kernel guest (measured in actually executed
-// instructions) slows its checksum service, so its curve lies below
-// GDB-Kernel's at small delays.
-func Figure7(delays []sim.Time, base Params, workers int) ([]Figure7Point, error) {
-	return Figure7Points(delays, RunAll(Figure7Scenarios(delays, base), workers))
-}
+// Figure7Delays are Figure 7's inter-packet delays, its x axis.
+var Figure7Delays = []sim.Time{5 * sim.US, 10 * sim.US, 20 * sim.US, 30 * sim.US, 50 * sim.US, 100 * sim.US}
 
 // figure7Schemes are the two curves of Figure 7, in sweep order.
 var figure7Schemes = []Scheme{GDBKernel, DriverKernel}
 
-// Figure7Scenarios enumerates the runs behind Figure 7, delay-major.
-func Figure7Scenarios(delays []sim.Time, base Params) []Scenario {
-	scens := make([]Scenario, 0, len(delays)*len(figure7Schemes))
-	for _, d := range delays {
+// Figure7Scenarios enumerates the runs behind Figure 7, % of packets
+// forwarded against inter-packet delay for GDB-Kernel and
+// Driver-Kernel: one 2 ms run per scheme at each of Figure7Delays,
+// delay-major. The Driver-Kernel guest's OS overhead (executed
+// instructions) slows its checksum service, so its curve lies below
+// GDB-Kernel's at small delays.
+func Figure7Scenarios(base Params) []Scenario {
+	scens := make([]Scenario, 0, len(Figure7Delays)*len(figure7Schemes))
+	for _, d := range Figure7Delays {
 		for _, s := range figure7Schemes {
 			p := base
 			p.Scheme = s
 			p.Delay = d
+			p.SimTime = 2 * sim.MS
 			scens = append(scens, Scenario{
 				Name:   fmt.Sprintf("figure7/%v/delay=%v%s", s, d, cpuTag(p)),
 				Params: p,
@@ -141,13 +142,13 @@ func Figure7Scenarios(delays []sim.Time, base Params) []Scenario {
 }
 
 // Figure7Points folds a completed Figure7Scenarios sweep into points.
-func Figure7Points(delays []sim.Time, outs []RunOutcome) ([]Figure7Point, error) {
+func Figure7Points(outs []RunOutcome) ([]Figure7Point, error) {
 	if err := FirstError(outs); err != nil {
 		return nil, err
 	}
-	points := make([]Figure7Point, 0, len(delays))
+	points := make([]Figure7Point, 0, len(Figure7Delays))
 	i := 0
-	for _, d := range delays {
+	for _, d := range Figure7Delays {
 		pt := Figure7Point{Delay: d}
 		for _, s := range figure7Schemes {
 			res := outs[i].Result

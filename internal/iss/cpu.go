@@ -163,9 +163,6 @@ func (c *CPU) InvalidateDecode(addr, n uint32) {
 	c.dcInvalidations += c.dc.invalidate(addr, n)
 }
 
-// SetCPI replaces the cycle cost model.
-func (c *CPU) SetCPI(m CPIModel) { c.cpi = m }
-
 // Bus returns the CPU's memory bus.
 func (c *CPU) Bus() Bus { return c.bus }
 
@@ -216,14 +213,6 @@ func (c *CPU) AddBreakpoint(addr uint32) {
 	}
 }
 
-// RemoveBreakpoint disarms the breakpoint at addr.
-func (c *CPU) RemoveBreakpoint(addr uint32) {
-	delete(c.breakpoints, addr)
-	if e := c.dc.peek(addr); e != nil {
-		e.flags &^= dcBP
-	}
-}
-
 // HasBreakpoint reports whether a breakpoint is armed at addr.
 func (c *CPU) HasBreakpoint(addr uint32) bool {
 	_, ok := c.breakpoints[addr]
@@ -232,9 +221,6 @@ func (c *CPU) HasBreakpoint(addr uint32) bool {
 
 // AddWatchpoint arms a write watchpoint on [addr, addr+length).
 func (c *CPU) AddWatchpoint(addr, length uint32) { c.watchpoints[addr] = length }
-
-// RemoveWatchpoint disarms the watchpoint at addr.
-func (c *CPU) RemoveWatchpoint(addr uint32) { delete(c.watchpoints, addr) }
 
 // WatchHit returns the address whose watchpoint fired last.
 func (c *CPU) WatchHit() uint32 { return c.lastWatchAddr }

@@ -154,7 +154,7 @@ type fzRun struct {
 // fzExecute loads the prologue and the fuzzed code, then makes the
 // seeded sequence of runs: each with RunLimit when batched, else by
 // Step one at a time under the same budget and cycle limit. Between
-// runs it arms and disarms breakpoints, re-raises IRQ 0, steps past an
+// runs it arms breakpoints, re-raises IRQ 0, steps past an
 // EBREAK and wakes an idle CPU, the same way in both modes.
 func fzExecute(t *testing.T, prologue *asm.Image, code []byte, seed int64, batched bool) fzRun {
 	ram := NewRAM(fzRAM)
@@ -217,8 +217,6 @@ runs:
 		case 0:
 			c.AddBreakpoint(fzCode + uint32(rng.Intn(n+1))*isa.Word)
 		case 1:
-			c.RemoveBreakpoint(fzCode + uint32(rng.Intn(n+1))*isa.Word)
-		case 2:
 			c.RaiseIRQ(0)
 		}
 	}

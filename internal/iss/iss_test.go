@@ -618,15 +618,13 @@ loop:
 	}
 }
 
-func TestRemoveBreakpoint(t *testing.T) {
+func TestHasBreakpoint(t *testing.T) {
 	c, im := buildCPU(t, "_start:\nbp:\n    nop\n    halt\n")
 	addr := im.MustSymbol("bp")
 	c.AddBreakpoint(addr)
 	if !c.HasBreakpoint(addr) {
 		t.Fatal("breakpoint not armed")
 	}
-	c.RemoveBreakpoint(addr)
-	runToHalt(t, c, 10)
 }
 
 func TestEBreakStops(t *testing.T) {
@@ -674,7 +672,6 @@ target: .word 0
 	if v != 7 {
 		t.Fatalf("target = %d", v)
 	}
-	c.RemoveWatchpoint(wa)
 	runToHalt(t, c, 100)
 }
 

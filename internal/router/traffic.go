@@ -138,11 +138,3 @@ func NewConsumer(k *sim.Kernel, name string, out int, q *sim.Fifo[*Packet], rout
 	}, q.DataWritten())
 	return c
 }
-
-// MeanLatency returns the average ingress-to-egress packet latency.
-func (c *Consumer) MeanLatency() sim.Time {
-	if c.Received == 0 {
-		return 0
-	}
-	return c.TotalLat / sim.Time(c.Received)
-}

@@ -1,9 +1,9 @@
 package sim
 
 // Fifo is a bounded FIFO channel equivalent to sc_fifo[T], with the
-// non-blocking sc_fifo interface only: a writer whose TryWrite fails, or
-// a reader whose TryRead finds nothing, returns and runs again on
-// DataRead or DataWritten.
+// non-blocking sc_fifo interface only: a reader whose TryRead finds
+// nothing returns and runs again on DataWritten, and a TryWrite to a
+// full FIFO is refused and counted as a drop.
 //
 // Like sc_fifo, reads and writes performed in the same delta cycle are
 // decoupled: items written become readable immediately (sc_fifo's
@@ -18,7 +18,6 @@ type Fifo[T any] struct {
 	capacity int
 
 	dataWritten *Event
-	dataRead    *Event
 
 	totalWritten uint64
 	totalRead    uint64
@@ -33,7 +32,6 @@ func NewFifo[T any](k *Kernel, name string, capacity int) *Fifo[T] {
 	return &Fifo[T]{
 		name: name, capacity: capacity,
 		dataWritten: k.NewEvent(name + ".data_written"),
-		dataRead:    k.NewEvent(name + ".data_read"),
 	}
 }
 
@@ -51,9 +49,6 @@ func (f *Fifo[T]) Free() int { return f.capacity - f.n }
 
 // DataWritten returns the event notified (delta) after each write.
 func (f *Fifo[T]) DataWritten() *Event { return f.dataWritten }
-
-// DataRead returns the event notified (delta) after each read.
-func (f *Fifo[T]) DataRead() *Event { return f.dataRead }
 
 // TotalWritten returns the number of successful writes.
 func (f *Fifo[T]) TotalWritten() uint64 { return f.totalWritten }
@@ -93,7 +88,6 @@ func (f *Fifo[T]) TryRead() (T, bool) {
 	f.head = (f.head + 1) % len(f.buf)
 	f.n--
 	f.totalRead++
-	f.dataRead.NotifyDelta()
 	return v, true
 }
 

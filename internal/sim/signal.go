@@ -12,7 +12,6 @@ type Signal[T comparable] struct {
 	next    T
 	hasNext bool
 	changed *Event
-	writes  uint64
 }
 
 // NewSignal creates a named signal with the zero value of T.
@@ -39,7 +38,6 @@ func (s *Signal[T]) Read() T { return s.cur }
 // phase. Multiple writes in the same evaluation phase follow
 // last-write-wins semantics.
 func (s *Signal[T]) Write(v T) {
-	s.writes++
 	if !s.hasNext {
 		s.hasNext = true
 		s.k.requestUpdate(s)
@@ -49,9 +47,6 @@ func (s *Signal[T]) Write(v T) {
 
 // Changed returns the value-changed event.
 func (s *Signal[T]) Changed() *Event { return s.changed }
-
-// WriteCount returns the number of Write calls, useful in tests.
-func (s *Signal[T]) WriteCount() uint64 { return s.writes }
 
 // update publishes the pending value (update phase).
 func (s *Signal[T]) update() {
