@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -257,18 +260,30 @@ func TestGDBKernelTimeCoupling(t *testing.T) {
 	_ = target.Wait()
 }
 
-// TestGDBKernelCountsSkewWaitTimeout: a guest that never reaches its
-// breakpoints fails the run once the wait for its first stop times
-// out, on every transport: the error is ErrStopTimeout, names the
-// scheme once and the guest's ports, and the timeout is counted. The
-// run ends within twice the timeout, and teardown leaves no goroutine:
-// over the ring, where the stub runs inside the kernel's read, closing
-// the link ends the continue at its next chunk.
-func TestGDBKernelCountsSkewWaitTimeout(t *testing.T) {
-	for _, tr := range transport.All() {
-		t.Run(tr.Name(), func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
-			cpu, im := buildBareMetal(t, `
+// silentEnd is a stub's end of a link that drops every write of the
+// stub once it has read a continue: a peer that stops answering.
+type silentEnd struct {
+	io.ReadWriteCloser
+	silent *atomic.Bool
+}
+
+func (s silentEnd) Read(p []byte) (int, error) {
+	n, err := s.ReadWriteCloser.Read(p)
+	if bytes.Contains(p[:n], []byte("$c#")) {
+		s.silent.Store(true)
+	}
+	return n, err
+}
+
+func (s silentEnd) Write(p []byte) (int, error) {
+	if s.silent.Load() {
+		return len(p), nil
+	}
+	return s.ReadWriteCloser.Write(p)
+}
+
+// spinSrc is a guest that never reaches the doubler's breakpoints.
+const spinSrc = `
 _start:
 spin:
     j    spin
@@ -279,17 +294,41 @@ bp_resp:
 .data
 req:  .word 0
 resp: .word 0
-`)
-			start := time.Now()
-			target, err := StartGDBTarget(cpu, tr)
+`
+
+// TestGDBKernelCountsSkewWaitTimeout: a stub that stops answering fails
+// the run once the wait for its stop times out, on every transport
+// (served as StartGDBTarget serves it: inline over the ring, on its own
+// goroutine elsewhere): the error is ErrStopTimeout, names the scheme
+// once and the guest's ports, and the timeout is counted. The run ends
+// after the timeout and within twice it, and teardown leaves no
+// goroutine.
+func TestGDBKernelCountsSkewWaitTimeout(t *testing.T) {
+	for _, tr := range transport.All() {
+		t.Run(tr.Name(), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			cpu, im := buildBareMetal(t, spinSrc)
+			host, guest, err := tr.Pair()
 			if err != nil {
 				t.Fatal(err)
 			}
+			end := silentEnd{guest, new(atomic.Bool)}
+			var conn io.ReadWriter = host
+			if tr == TransportRing {
+				_, conn = gdb.NewInline(cpu, host, end)
+			} else {
+				stub := gdb.NewStub(cpu, end)
+				go func() {
+					_ = stub.Serve()
+					guest.Close()
+				}()
+			}
+			start := time.Now()
 			reg := obs.NewRegistry()
 			k := sim.NewKernel("top")
 			sim.NewClock(k, "clk", 10*sim.NS)
-			g, err := NewGDBKernel(k, target.HostConn, im, GDBKernelOptions{
-				CommonOptions: CommonOptions{CPUPeriod: 2 * sim.NS, Obs: reg},
+			g, err := NewGDBKernel(k, conn, im, GDBKernelOptions{
+				CommonOptions: CommonOptions{CPUPeriod: 10 * sim.NS, Obs: reg},
 				Bindings:      doublerBindings,
 			})
 			if err != nil {
@@ -298,11 +337,10 @@ resp: .word 0
 			if err := k.Run(100 * sim.NS); err != nil {
 				t.Fatalf("run: %v (scheme err %v)", err, g.Err())
 			}
-			if d := time.Since(start); d >= 2*stopTimeout {
-				t.Errorf("the run took %v, want under %v", d, 2*stopTimeout)
+			if d := time.Since(start); d < stopTimeout || d >= 2*stopTimeout {
+				t.Errorf("the run took %v, want %v to %v", d, stopTimeout, 2*stopTimeout)
 			}
 			k.Shutdown()
-			_ = target.Wait()
 			err = g.Err()
 			if !errors.Is(err, ErrStopTimeout) {
 				t.Fatalf("scheme error = %v, want ErrStopTimeout", err)
@@ -313,32 +351,91 @@ resp: .word 0
 			if n := reg.Counter("cosim.skew_wait_timeouts").Load(); n != 1 {
 				t.Fatalf("cosim.skew_wait_timeouts = %d, want 1", n)
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > baseline {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d goroutines after teardown, baseline %d", runtime.NumGoroutine(), baseline)
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
+			waitGoroutines(t, baseline)
 		})
 	}
 }
 
-// TestGDBTargetHangsUpOnClose: on every transport closing HostConn
-// hangs the stub up, so a continue whose guest never stops, spinning or
-// idle in WFI with no interrupt, ends once the client's stop watchdog
-// closes the link: the stub ends within twice the stop timeout of the
-// close, and leaves no goroutine behind.
-func TestGDBTargetHangsUpOnClose(t *testing.T) {
-	const d = 100 * time.Millisecond
+// waitGoroutines polls until the goroutine count is at most want.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after teardown, baseline %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// neverStopping are guests that never reach a breakpoint: one computes,
+// one idles in WFI with no interrupt to wake it.
+var neverStopping = []struct{ name, src string }{
+	{"spin", spinSrc},
+	{"wfi", strings.Replace(spinSrc, "spin:\n    j    spin", "idle:\n    wfi\n    j    idle", 1)},
+}
+
+// TestGDBKernelEndsNeverStoppingGuestAtRunEnd: a guest that never stops,
+// spinning or idle in WFI, ends the run at its end on every transport,
+// with no error: its continues end in timer stops, served by resuming
+// at their own time and counted neither as stops nor as polls, and the
+// first one at or after the end is never served. Teardown leaves no
+// goroutine.
+func TestGDBKernelEndsNeverStoppingGuestAtRunEnd(t *testing.T) {
+	const period, end = 10 * sim.NS, 2 * sim.MS
 	for _, tr := range transport.All() {
-		for _, g := range []struct{ name, src string }{
-			{"spin", "_start:\nspin:\n    j spin\n"},
-			{"wfi", "_start:\nidle:\n    wfi\n    j idle\n"},
-		} {
-			t.Run(tr.Name()+"/"+g.name, func(t *testing.T) {
+		for _, gs := range neverStopping {
+			t.Run(tr.Name()+"/"+gs.name, func(t *testing.T) {
 				baseline := runtime.NumGoroutine()
-				cpu, _ := buildBareMetal(t, g.src)
+				cpu, im := buildBareMetal(t, gs.src)
+				target, err := StartGDBTarget(cpu, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reg := obs.NewRegistry()
+				k := sim.NewKernel("top")
+				g, err := NewGDBKernel(k, target.HostConn, im, GDBKernelOptions{
+					CommonOptions: CommonOptions{CPUPeriod: period, Obs: reg},
+					Bindings:      doublerBindings,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := k.Run(end); err != nil || g.Err() != nil {
+					t.Fatalf("run: %v, scheme error %v", err, g.Err())
+				}
+				if at := sim.Time(0).AddCycles(cpu.Cycles(), period); at.Before(end) {
+					t.Fatalf("the guest's last stop at %v lies before the run's end %v", at, end)
+				}
+				st := g.Stats()
+				if st.Stops != 0 || st.Polls != 0 || reg.Counter("cosim.stops").Load() != 0 {
+					t.Fatalf("stats %+v, cosim.stops %d; want no stop counted", st, reg.Counter("cosim.stops").Load())
+				}
+				if n := reg.Counter("cosim.skew_waits").Load(); n < 2 {
+					t.Fatalf("cosim.skew_waits = %d, want a resume per timer stop", n)
+				}
+				k.Shutdown()
+				if err := target.Wait(); err != nil {
+					t.Fatalf("stub: %v", err)
+				}
+				waitGoroutines(t, baseline)
+			})
+		}
+	}
+}
+
+// TestGDBTargetHangsUpOnClose: on every transport closing HostConn, as
+// the stop watchdog does from its own goroutine, ends the stub with no
+// hang-up signal: the chunk it runs finishes, its reply's write or its
+// next read fails, and it ends. A guest that never stops, spinning or
+// idle in WFI, has the client's resumes then fail, the stub end within a
+// second of the close, and no goroutine left.
+func TestGDBTargetHangsUpOnClose(t *testing.T) {
+	for _, tr := range transport.All() {
+		for _, gs := range neverStopping {
+			t.Run(tr.Name()+"/"+gs.name, func(t *testing.T) {
+				baseline := runtime.NumGoroutine()
+				cpu, _ := buildBareMetal(t, gs.src)
 				target, err := StartGDBTarget(cpu, tr)
 				if err != nil {
 					t.Fatal(err)
@@ -347,11 +444,21 @@ func TestGDBTargetHangsUpOnClose(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cl.SetStopTimeout(d)
-				if _, err := cl.Continue(); !errors.Is(err, gdb.ErrTimeout) {
-					t.Fatalf("continue = %v, want %v", err, gdb.ErrTimeout)
+				for i := 0; i < 3; i++ {
+					if ev, err := cl.Continue(); err != nil || !ev.Timer() {
+						t.Fatalf("continue %d = %v, %v; want a timer stop", i, ev, err)
+					}
 				}
-				closed := time.Now()
+				closed := make(chan time.Time, 1)
+				go func() {
+					closed <- time.Now()
+					target.HostConn.Close()
+				}()
+				for {
+					if _, err := cl.Continue(); err != nil {
+						break
+					}
+				}
 				waited := make(chan struct{})
 				go func() {
 					_ = target.Wait()
@@ -359,22 +466,82 @@ func TestGDBTargetHangsUpOnClose(t *testing.T) {
 				}()
 				select {
 				case <-waited:
-				case <-time.After(2 * d):
-					t.Fatalf("the stub still runs %v after the host end closed", 2*d)
+				case <-time.After(time.Second):
+					t.Fatal("the stub still runs 1s after its resumes failed")
 				}
-				if took := time.Since(closed); took >= 2*d {
-					t.Fatalf("the stub ended %v after the host end closed, want under %v", took, 2*d)
+				if took := time.Since(<-closed); took >= time.Second {
+					t.Fatalf("the stub ended %v after the host end closed, want under 1s", took)
 				}
-				_ = cl.Kill() // stops the stop watchdog
-				deadline := time.Now().Add(5 * time.Second)
-				for runtime.NumGoroutine() > baseline {
-					if time.Now().After(deadline) {
-						t.Fatalf("%d goroutines after the hang-up, baseline %d", runtime.NumGoroutine(), baseline)
-					}
-					time.Sleep(5 * time.Millisecond)
-				}
+				_ = cl.Kill()
+				waitGoroutines(t, baseline)
 			})
 		}
+	}
+}
+
+// computeDoublerSrc is doublerSrc with about 240 000 instructions, several
+// stub chunks, between the request and the response.
+var computeDoublerSrc = strings.Replace(doublerSrc, "    add  a1, a0, a0\n", `    li   t0, 120000
+work:
+    addi t0, t0, -1
+    bne  t0, zero, work
+    add  a1, a0, a0
+`, 1)
+
+// TestGDBKernelComputesChunksBetweenStops: a guest that computes for
+// several chunks between two stops gets timer stops on the way, which
+// change nothing the kernel sees: each transfer lands at the simulated
+// time of its own stop's cycle stamp, only the breakpoints count as
+// stops, and the journal is the same over every transport.
+func TestGDBKernelComputesChunksBetweenStops(t *testing.T) {
+	const period = 10 * sim.NS
+	var first []JournalEntry
+	for _, tr := range transport.All() {
+		t.Run(tr.Name(), func(t *testing.T) {
+			cpu, im := buildBareMetal(t, computeDoublerSrc)
+			target, err := StartGDBTarget(cpu, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			jl := NewJournal(0)
+			k := sim.NewKernel("top")
+			g, err := NewGDBKernel(k, target.HostConn, im, GDBKernelOptions{
+				CommonOptions: CommonOptions{CPUPeriod: period, Journal: jl, Obs: reg},
+				Bindings:      doublerBindings,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsP := driveDoubler(t, k, 3)
+			if err := k.Run(sim.MaxTime); err != nil || g.Err() != nil {
+				t.Fatalf("run: %v, scheme error %v", err, g.Err())
+			}
+			k.Shutdown()
+			_ = target.Wait()
+			if r := *resultsP; len(r) != 3 || r[0] != 2 || r[1] != 4 || r[2] != 6 {
+				t.Fatalf("results = %v, want [2 4 6]", r)
+			}
+			if st := g.Stats(); st.Stops != 6 || st.Transfers != 6 {
+				t.Fatalf("stats %+v, want 6 stops and 6 transfers", st)
+			}
+			if waits := reg.Counter("cosim.skew_waits").Load(); waits < 6+3*4 {
+				t.Fatalf("cosim.skew_waits = %d, want the timer stops' resumes too", waits)
+			}
+			entries := jl.Entries()
+			for _, e := range entries {
+				// The guest never waits for a request, so its stops map
+				// to cycles times the period from time 0.
+				if e.Dir == "iss->sc" && e.Time != sim.Time(0).AddCycles(e.Cycles, period) {
+					t.Fatalf("transfer %+v lands off its stop's time %v", e, sim.Time(0).AddCycles(e.Cycles, period))
+				}
+			}
+			if first == nil {
+				first = entries
+			} else if !slices.Equal(entries, first) {
+				t.Fatalf("journal over %s:\n%v\nwant, as over %s:\n%v", tr.Name(), entries, transport.All()[0].Name(), first)
+			}
+		})
 	}
 }
 

@@ -28,8 +28,8 @@ type GDBKernel struct {
 	service func()        // serve, bound once: scheduling it allocates nothing
 }
 
-// ErrStopTimeout reports a GDB-Kernel guest that did not stop within
-// stopTimeout of wall time after a resume.
+// ErrStopTimeout reports a GDB-Kernel guest whose stub did not answer a
+// resume within stopTimeout of wall time: a peer that stopped answering.
 var ErrStopTimeout = errors.New("no stop within the wall timeout of a resume")
 
 // GDBKernelOptions configures the scheme.
@@ -65,6 +65,12 @@ func NewGDBKernel(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBKern
 		}
 	}
 	k.AddFinalizer(func() { shutdownClient(g.cl, conn) })
+	g.resume()
+	return g, nil
+}
+
+// resume continues the ISS and collects the stop that ends its chunk.
+func (g *GDBKernel) resume() {
 	sp := g.obs.waitStop()
 	ev, err := g.cl.Continue()
 	sp.End()
@@ -72,7 +78,6 @@ func NewGDBKernel(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBKern
 		err = g.errf("resume: %w", err)
 	}
 	g.collect(ev, err)
-	return g, nil
 }
 
 // collect takes the outcome of a service or of the attach: the stop
@@ -97,8 +102,14 @@ func (g *GDBKernel) collect(ev *gdb.StopEvent, err error) {
 }
 
 // serve services the collected stop (Figure 3's check that "the GDB is
-// stopped at a breakpoint"), at the stop's own simulated time.
+// stopped at a breakpoint"), at the stop's own simulated time. A timer
+// stop (the stub ran a chunk) is served by resuming alone; one after the
+// run's end is never served, so the kernel's event queue bounds a guest.
 func (g *GDBKernel) serve() {
+	if g.stop.Timer() {
+		g.resume()
+		return
+	}
 	g.stats.Polls++
 	g.obs.polls.Inc()
 	g.collect(g.handleStop(&g.stop))

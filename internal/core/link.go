@@ -34,7 +34,8 @@ var (
 )
 
 // stopTimeout bounds each wall-clock wait of GDB-Kernel for the stop
-// that ends a resume (gdb.Client.SetStopTimeout).
+// that ends a resume (gdb.Client.SetStopTimeout). A resume runs one
+// chunk, so only a peer that stops answering lasts it.
 const stopTimeout = time.Second
 
 // shutdownClient tears the connection down: kill, then close. The
@@ -66,8 +67,7 @@ type GDBTarget struct {
 // goroutine that reads HostConn (gdb.Inline), since a ring write never
 // waits for its reader. Over tcp and pipe it runs in its own goroutine
 // (gdb.Stub.Serve), the ISS "process", where serving inline measured
-// slower (DESIGN §5.7). On every transport closing HostConn hangs the
-// stub up, which ends a continue that never stops.
+// slower (DESIGN §5.7).
 func StartGDBTarget(cpu *iss.CPU, tr Transport) (*GDBTarget, error) {
 	host, guest, err := tr.Pair()
 	if err != nil {
@@ -80,7 +80,7 @@ func StartGDBTarget(cpu *iss.CPU, tr Transport) (*GDBTarget, error) {
 		return t, nil
 	}
 	t.Stub = gdb.NewStub(cpu, guest)
-	t.HostConn, t.served = t.Stub.HangUpOnClose(host), make(chan error, 1)
+	t.HostConn, t.served = host, make(chan error, 1)
 	go func() {
 		t.served <- t.Stub.Serve()
 		guest.Close()

@@ -30,6 +30,10 @@ type StopEvent struct {
 	Cycles    uint64
 }
 
+// Timer reports a timer stop: the continue ran its chunk and the guest
+// still runs.
+func (ev *StopEvent) Timer() bool { return ev.Signal == SigTimer }
+
 // String renders the event as the shortest RSP stop reply carrying it.
 func (ev StopEvent) String() string {
 	switch {
@@ -295,7 +299,8 @@ func (c *Client) Step() (*StopEvent, error) {
 }
 
 // Continue resumes the target and returns the stop that ends the
-// resume: a breakpoint, a watchpoint or the guest's exit.
+// resume: a breakpoint, a watchpoint, the guest's exit, or a timer stop
+// once the stub has run a chunk (StopEvent.Timer).
 func (c *Client) Continue() (*StopEvent, error) {
 	if err := c.t.sendPacket([]byte("c")); err != nil {
 		return nil, err

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -147,12 +149,11 @@ func newTargetOver(t *testing.T, tr link.Transport, src string) (*Client, *iss.C
 		_ = stub.Serve()
 		target.Close()
 	}()
-	end := stub.HangUpOnClose(host)
-	cl, err := NewClient(end)
+	cl, err := NewClient(host)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = cl.Kill(); end.Close() })
+	t.Cleanup(func() { _ = cl.Kill(); host.Close() })
 	return cl, cpu, im
 }
 
@@ -431,6 +432,8 @@ func TestParseStop(t *testing.T) {
 	}{
 		{"S05", StopEvent{Signal: 5}},
 		{"S02", StopEvent{Signal: 2}},
+		{"T1a20:08000000;26:f7240100;27:00000000;",
+			StopEvent{Signal: SigTimer, Expedited: true, PC: 8, Cycles: 0x124f7}},
 		{"W00", StopEvent{Exited: true}},
 		{"W2a", StopEvent{Exited: true, ExitCode: 42}},
 		{"T05watch:10004;", StopEvent{Signal: 5, IsWatch: true, WatchAddr: 0x10004}},
@@ -573,42 +576,151 @@ func TestRLEThroughTransport(t *testing.T) {
 	}
 }
 
-// TestStopTimeout: a target that does not stop within the stop timeout
-// fails the resume with ErrTimeout, not with the closed link the
+// mutedEnd is a stub's end of a link that drops the stub's writes
+// once mute is set: a peer that stops answering.
+type mutedEnd struct {
+	io.ReadWriteCloser
+	mute *atomic.Bool
+}
+
+func (m mutedEnd) Write(p []byte) (int, error) {
+	if m.mute.Load() {
+		return len(p), nil
+	}
+	return m.ReadWriteCloser.Write(p)
+}
+
+// TestStopTimeout: the stop timeout trips only for a peer that stops
+// answering. A spinning target's continues each end in a timer stop, so
+// a series of them that outlasts the timeout never trips it, also after
+// the watchdog has gone idle between them. Once the stub's replies are
+// lost, the resume fails with ErrTimeout, not with the closed link the
 // watchdog leaves, after at least the timeout and at most twice it, on
 // every transport (the watchdog ends the wait by closing the link
-// through io.Closer; a ring endpoint is no net.Conn). Resumes that stop
-// in time succeed, also after the watchdog has gone idle between them.
+// through io.Closer; a ring endpoint is no net.Conn), and Serve ends.
 func TestStopTimeout(t *testing.T) {
 	const d = 50 * time.Millisecond
-	cl, _, im := newTarget(t, warmLoopProg)
-	cl.SetStopTimeout(d)
-	if err := cl.SetBreakpoint(im.MustSymbol("target")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := cl.Continue(); err != nil {
-			t.Fatalf("resume %d: %v", i, err)
-		}
-		time.Sleep(3 * d) // the watchdog ticks and goes idle
-	}
-
 	for _, tr := range link.All() {
-		spin, _, _ := newTargetOver(t, tr, "_start:\nspin:\n    j spin\n")
-		spin.SetStopTimeout(d)
-		start := time.Now()
-		done := make(chan error, 1)
-		go func() {
-			_, err := spin.Continue()
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if took := time.Since(start); !errors.Is(err, ErrTimeout) || took < d || took > 4*d {
-				t.Fatalf("spinning target over %s: %v after %v, want ErrTimeout after %v to %v", tr.Name(), err, took, d, 2*d)
+		t.Run(tr.Name(), func(t *testing.T) {
+			cpu, _ := testCPU(t, "_start:\nspin:\n    j spin\n")
+			host, guest, err := tr.Pair()
+			if err != nil {
+				t.Fatal(err)
 			}
-		case <-time.After(time.Second):
-			t.Fatalf("spinning target over %s: resume still waiting after 1s, want ErrTimeout after %v to %v", tr.Name(), d, 2*d)
-		}
+			var mute atomic.Bool
+			stub := NewStub(cpu, mutedEnd{guest, &mute})
+			served := make(chan error, 1)
+			go func() {
+				served <- stub.Serve()
+				guest.Close()
+			}()
+			cl, err := NewClient(host)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = cl.Kill(); host.Close() })
+			cl.SetStopTimeout(d)
+			for start := time.Now(); time.Since(start) < 3*d; {
+				if ev, err := cl.Continue(); err != nil || !ev.Timer() {
+					t.Fatalf("continue = %v, %v; want a timer stop", ev, err)
+				}
+			}
+			time.Sleep(3 * d) // the watchdog ticks and goes idle
+			if ev, err := cl.Continue(); err != nil || !ev.Timer() {
+				t.Fatalf("continue after an idle watchdog = %v, %v; want a timer stop", ev, err)
+			}
+
+			mute.Store(true)
+			start := time.Now()
+			_, err = cl.Continue()
+			if took := time.Since(start); !errors.Is(err, ErrTimeout) || took < d || took > 4*d {
+				t.Fatalf("silent stub: %v after %v, want ErrTimeout after %v to %v", err, took, d, 2*d)
+			}
+			select {
+			case <-served:
+			case <-time.After(time.Second):
+				t.Fatal("Serve still runs 1s after the watchdog closed the link")
+			}
+		})
+	}
+}
+
+// TestTimerStop: a continue that runs its chunk with the guest still
+// running ends in a timer stop that expedites the PC and the cycle
+// counter: a spinning guest runs chunkBudget instructions, and a guest
+// idle in WFI sleeps chunkBudget cycles per continue.
+func TestTimerStop(t *testing.T) {
+	for _, c := range []struct{ name, src string }{
+		{"spin", "_start:\nspin:\n    j spin\n"},
+		{"wfi", "_start:\n    wfi\nidle:\n    j idle\n"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cl, cpu, _ := newTarget(t, c.src)
+			var last uint64
+			for i := 0; i < 3; i++ {
+				before := cpu.Instructions()
+				ev, err := cl.Continue()
+				if err != nil || !ev.Timer() || !ev.Expedited || ev.PC != cpu.PC || ev.Cycles != cpu.Cycles() || ev.Cycles <= last {
+					t.Fatalf("continue %d = %v, %v; want a timer stop at pc %#x, cycle %d, after cycle %d", i, ev, err, cpu.PC, cpu.Cycles(), last)
+				}
+				last = ev.Cycles
+				if ran := cpu.Instructions() - before; c.name == "spin" && ran != chunkBudget {
+					t.Fatalf("continue %d ran %d instructions, want %d", i, ran, chunkBudget)
+				}
+			}
+			if c.name == "wfi" && (cpu.Instructions() != 1 || last != 1+2*chunkBudget) {
+				t.Fatalf("%d instructions and %d cycles after three continues, want the WFI alone and two chunks of sleep", cpu.Instructions(), last)
+			}
+		})
+	}
+}
+
+// computeProg computes about 20 M instructions between its breakpoints
+// begin and target.
+const computeProg = `
+_start:
+begin:
+    li   t0, 10000000
+count:
+    addi t0, t0, -1
+    bne  t0, zero, count
+target:
+    halt
+`
+
+// TestComputeOutlastsStopTimeout: a guest that computes for several
+// stop timeouts between two breakpoints (20 M instructions against
+// 50 ms) reaches the second with no error over tcp, pipe and the ring,
+// served inline there as the kernel schemes serve it: every continue on
+// the way ends in a timer stop, each well within the timeout.
+func TestComputeOutlastsStopTimeout(t *testing.T) {
+	const d = 50 * time.Millisecond
+	for _, tr := range link.All() {
+		t.Run(tr.Name(), func(t *testing.T) {
+			var cl *Client
+			var im *asm.Image
+			if tr == link.Ring {
+				cl, _, im, _ = newInlineTarget(t, computeProg)
+			} else {
+				cl, _, im = newTargetOver(t, tr, computeProg)
+			}
+			cl.SetStopTimeout(d)
+			begin, target := im.MustSymbol("begin"), im.MustSymbol("target")
+			for _, bp := range []uint32{begin, target} {
+				if err := cl.SetBreakpoint(bp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ev, err := cl.Continue(); err != nil || ev.Signal != 5 || ev.PC != begin {
+				t.Fatalf("first continue = %v, %v; want the stop at begin", ev, err)
+			}
+			ev, timers, err := continueToStop(cl)
+			if err != nil || ev.Signal != 5 || ev.PC != target {
+				t.Fatalf("continue to target = %v, %v; want the stop at target", ev, err)
+			}
+			if timers < 20_000_000/chunkBudget-1 {
+				t.Fatalf("%d timer stops on the way to target, want one per %d instructions", timers, chunkBudget)
+			}
+		})
 	}
 }

@@ -9,15 +9,15 @@ import (
 // Inline is the host end of an RSP link whose stub has no goroutine:
 // the stub runs on the goroutine that reads this end. Before a Read, if
 // bytes were written since the last one, it answers every whole packet
-// they hold, a continue included, which runs to its stop there. The
+// they hold, a continue included, which runs its chunk there. The
 // link's writes must never wait for their reader, since one goroutine
 // writes a command and then serves it: a buffered in-process link whose
 // capacity exceeds two MaxPacketSize frames (the ring transport's
 // 64 KiB) never makes one wait.
 //
 // Read, Write and Close belong to one goroutine, the client's, except
-// that Close may come from any goroutine (a stop watchdog): it ends a
-// running continue at its next chunk.
+// that Close may come from any goroutine (a stop watchdog): a chunk
+// running then finishes, and the write of its reply fails.
 type Inline struct {
 	stub        *Stub
 	host, guest io.ReadWriteCloser
@@ -63,9 +63,8 @@ func (in *Inline) Read(p []byte) (int, error) {
 	return in.host.Read(p)
 }
 
-// Close hangs the stub up and closes both ends.
+// Close closes both ends.
 func (in *Inline) Close() error {
-	in.stub.hangUp.Store(true)
 	_ = in.guest.Close()
 	return in.host.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,10 +31,10 @@ func newInlineTarget(t *testing.T, src string) (*Client, *iss.CPU, *asm.Image, *
 	return cl, cpu, im, in
 }
 
-// TestInlineRunsContinuesOnTheCaller: continues that outlast their
-// first chunk run to their stop inside the client's read, so serving
-// them starts no goroutine; a kill then ends the stub, which Wait
-// reports as a clean end, and the client reads io.EOF.
+// TestInlineRunsContinuesOnTheCaller: continues run their chunks inside
+// the client's read, the timer stops on the way to each breakpoint
+// included, so serving them starts no goroutine; a kill then ends the
+// stub, which Wait reports as a clean end, and the client reads io.EOF.
 func TestInlineRunsContinuesOnTheCaller(t *testing.T) {
 	base := settledGoroutines()
 	cl, cpu, im, in := newInlineTarget(t, longLoopProg)
@@ -41,16 +42,16 @@ func TestInlineRunsContinuesOnTheCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		ev, err := cl.Continue()
-		if err != nil || ev.Signal != 5 || ev.PC != im.MustSymbol("target") {
-			t.Fatalf("continue %d = %+v, %v; want the breakpoint stop", i, ev, err)
+		ev, timers, err := continueToStop(cl)
+		if err != nil || ev.Signal != 5 || ev.PC != im.MustSymbol("target") || timers == 0 {
+			t.Fatalf("continue %d = %+v, %v after %d timer stops; want the breakpoint stop after some", i, ev, err, timers)
 		}
 		if n := runtime.NumGoroutine(); n > base {
 			t.Fatalf("%d goroutines after continue %d, want at most the baseline %d", n, i, base)
 		}
 	}
 	if got := cpu.Instructions(); got < 3*chunkBudget {
-		t.Fatalf("%d instructions in three continues, want each past its first chunk", got)
+		t.Fatalf("%d instructions to the third breakpoint stop, want more than three chunks", got)
 	}
 	if err := cl.Kill(); err != nil {
 		t.Fatal(err)
@@ -63,26 +64,39 @@ func TestInlineRunsContinuesOnTheCaller(t *testing.T) {
 	}
 }
 
-// TestInlineStopTimeout: the stop watchdog closes the inline end under
-// a continue that never stops; the close hangs the stub up, so the
-// continue ends at its next chunk and the client fails with ErrTimeout
-// within twice the timeout.
+// TestInlineStopTimeout: an inline stub runs each continue's chunk
+// inside the client's read, so a spinning guest's continues end in
+// timer stops within the stop timeout. Only a stub whose replies are
+// lost outlasts it: the watchdog's close, from its own goroutine, ends
+// the read, and the client fails with ErrTimeout within twice the
+// timeout.
 func TestInlineStopTimeout(t *testing.T) {
-	cl, _, _, in := newInlineTarget(t, `
-_start:
-spin:
-    j spin
-`)
-	const d = 200 * time.Millisecond
+	cpu, _ := testCPU(t, "_start:\nspin:\n    j spin\n")
+	host, guest, err := link.Ring.Pair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mute atomic.Bool
+	_, in := NewInline(cpu, host, mutedEnd{guest, &mute})
+	cl, err := NewClient(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Kill(); in.Close() })
+	const d = 100 * time.Millisecond
 	cl.SetStopTimeout(d)
+	for start := time.Now(); time.Since(start) < 2*d; {
+		if ev, err := cl.Continue(); err != nil || !ev.Timer() {
+			t.Fatalf("continue = %v, %v; want a timer stop", ev, err)
+		}
+	}
+	time.Sleep(3 * d) // the watchdog goes idle, so the next wait gets a fresh tick
+	mute.Store(true)
 	start := time.Now()
 	if _, err := cl.Continue(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("continue = %v, want ErrTimeout", err)
 	}
 	if took := time.Since(start); took >= 2*d {
 		t.Fatalf("the timeout took %v, want under %v", took, 2*d)
-	}
-	if err := in.Wait(); err == nil {
-		t.Fatal("Wait = nil; want the failed write of the stop reply")
 	}
 }

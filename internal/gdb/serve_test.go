@@ -7,7 +7,7 @@ import (
 )
 
 // longLoopProg stops at target once per 100 000 loop iterations, so
-// every continue outlasts its first chunk.
+// every run to target takes several chunks.
 const longLoopProg = `
 _start:
     li   t0, 100000
@@ -49,6 +49,17 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
+// continueToStop continues until a stop other than a timer stop and
+// returns it, with the timer stops on the way.
+func continueToStop(cl *Client) (ev *StopEvent, timers int, err error) {
+	for {
+		if ev, err = cl.Continue(); err != nil || !ev.Timer() {
+			return ev, timers, err
+		}
+		timers++
+	}
+}
+
 // continueToTarget sets a breakpoint at the program's target and
 // continues to it n times.
 func continueToTarget(t *testing.T, src string, n int) *Client {
@@ -58,7 +69,7 @@ func continueToTarget(t *testing.T, src string, n int) *Client {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		ev, err := cl.Continue()
+		ev, _, err := continueToStop(cl)
 		if err != nil || ev.Signal != 5 {
 			t.Fatalf("continue %d = %+v, %v; want the breakpoint stop", i, ev, err)
 		}
@@ -67,8 +78,8 @@ func continueToTarget(t *testing.T, src string, n int) *Client {
 }
 
 // TestKillLeavesNoGoroutines: Serve runs every continue itself, those
-// that stop within their first chunk and those that outlast it, so the
-// stub's only goroutine is Serve's, and Kill ends it.
+// that stop within their chunk and those that end in a timer stop, so
+// the stub's only goroutine is Serve's, and Kill ends it.
 func TestKillLeavesNoGoroutines(t *testing.T) {
 	for _, c := range []struct{ name, src string }{
 		{"short", warmLoopProg},

@@ -5,8 +5,6 @@ import (
 	"io"
 	"slices"
 	"strconv"
-	"sync/atomic"
-	"time"
 
 	"cosim/internal/iss"
 )
@@ -18,6 +16,10 @@ const (
 	RegCycle  = 38
 	RegCycleH = 39
 )
+
+// SigTimer is the signal of a timer stop (SIGVTALRM): a continue's
+// chunk ended with the guest still running.
+const SigTimer = 0x1a
 
 // Fixed replies, shared read-only by every stub.
 var (
@@ -41,24 +43,13 @@ type Stub struct {
 	cpu *iss.CPU
 	t   *transport
 
-	// hangUp is set when the host end closes (HangUpOnClose,
-	// Inline.Close), possibly from another goroutine, and never
-	// cleared: it ends a continue at its next chunk, and every later
-	// continue after its first chunk.
-	hangUp atomic.Bool
-
 	// reply and mem are scratch buffers for building replies.
 	reply, mem []byte
 }
 
-const (
-	// chunkBudget is the number of instructions a continue runs between
-	// hang-up checks.
-	chunkBudget = 50_000
-	// idleSleep is how long the stub sleeps when the CPU is in WFI with
-	// no pending interrupt.
-	idleSleep = 50 * time.Microsecond
-)
+// chunkBudget is the most instructions a continue runs, and the cycles
+// a CPU idle in WFI sleeps at its start.
+const chunkBudget = 50_000
 
 // NewStub creates a stub for the CPU over the connection.
 func NewStub(cpu *iss.CPU, conn io.ReadWriter) *Stub {
@@ -68,27 +59,8 @@ func NewStub(cpu *iss.CPU, conn io.ReadWriter) *Stub {
 // Stats returns protocol traffic counters.
 func (s *Stub) Stats() Stats { return s.t.stats }
 
-// HangUpOnClose returns host, the peer's end of the link Serve serves,
-// with a Close that first hangs the stub up. Serve reads nothing while
-// a continue runs, so closing this end (a stop watchdog) is what ends a
-// continue that never stops, at its next chunk.
-func (s *Stub) HangUpOnClose(host io.ReadWriteCloser) io.ReadWriteCloser {
-	return hangUpEnd{host, s}
-}
-
-// hangUpEnd is a host end whose Close hangs its stub up.
-type hangUpEnd struct {
-	io.ReadWriteCloser
-	stub *Stub
-}
-
-func (h hangUpEnd) Close() error {
-	h.stub.hangUp.Store(true)
-	return h.ReadWriteCloser.Close()
-}
-
 // Serve processes packets until kill or connection close, each on the
-// calling goroutine, a continue to its stop included. In no-ack mode a
+// calling goroutine, a continue's chunk included. In no-ack mode a
 // reply waits while the peer's next packet is already buffered whole
 // and goes out with the next reply, in one write: a transfer pipelined
 // with a continue is answered together with the stop.
@@ -313,37 +285,22 @@ func (s *Stub) step() []byte {
 }
 
 // cont implements 'c': it runs the CPU, which steps over the breakpoint
-// it last stopped at itself, to its stop. keepRunning takes on a
-// continue whose first chunk ends without one.
+// it last stopped at itself, for one chunk of at most chunkBudget
+// instructions. A chunk that ends without a stop of the guest's own
+// (the budget ran out, or the CPU went idle in WFI) answers with a
+// timer stop, SIGVTALRM with the expedited PC and cycle counter, which
+// the host serves at its own time by resuming. A CPU idle in WFI with
+// nothing pending first sleeps a chunk of cycles, so its timer stops
+// advance in guest time.
 func (s *Stub) cont() []byte {
-	if r := s.runChunk(); r != nil {
+	if s.cpu.Sleeping() && s.cpu.PendingIRQ() == 0 {
+		s.cpu.Sleep(chunkBudget)
+	}
+	stop, _ := s.cpu.Run(chunkBudget)
+	if r := s.stopReply(stop); r != nil {
 		return r
 	}
-	return s.keepRunning()
-}
-
-// runChunk runs one chunk of a continue and returns its stop reply, or
-// nil if the budget ran out or the CPU idles in WFI with nothing
-// pending.
-func (s *Stub) runChunk() []byte {
-	stop, _ := s.cpu.Run(chunkBudget)
-	return s.stopReply(stop)
-}
-
-// keepRunning runs a continue whose first chunk ended without a stop
-// until it stops or a hang-up ends it with SIGINT. The hang-up is
-// checked between chunks, and a CPU idle in WFI is given idleSleep
-// before the next.
-func (s *Stub) keepRunning() []byte {
-	for {
-		if s.hangUp.Load() {
-			return []byte("S02")
-		}
-		if s.cpu.Sleeping() {
-			time.Sleep(idleSleep)
-		}
-		if r := s.runChunk(); r != nil {
-			return r
-		}
-	}
+	s.reply = append(s.reply[:0], 'T', hexDigits[SigTimer>>4], hexDigits[SigTimer&0xf])
+	s.reply = appendExpedited(s.reply, s.cpu.PC, s.cpu.Cycles())
+	return s.reply
 }

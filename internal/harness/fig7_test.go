@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"os"
 	"testing"
 
@@ -30,6 +29,6 @@ func TestFigure7Shape(t *testing.T) {
 		t.Errorf("at largest delay both should approach 100%%: K=%.1f D=%.1f", last.GDBKernelPct, last.DriverPct)
 	}
 	if first.DriverPct >= last.DriverPct {
-		fmt.Println("note: driver curve not increasing", first.DriverPct, last.DriverPct)
+		t.Errorf("the Driver-Kernel curve does not rise: %.1f%% at the smallest delay, %.1f%% at the largest", first.DriverPct, last.DriverPct)
 	}
 }

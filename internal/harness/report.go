@@ -169,11 +169,11 @@ func Figure7Points(outs []RunOutcome) ([]Figure7Point, error) {
 // PrintFigure7 renders the Figure 7 series as a table plus an ASCII
 // plot of the two curves.
 func PrintFigure7(w io.Writer, points []Figure7Point) {
-	fmt.Fprintln(w, "Figure 7: % packets forwarded vs inter-packet delay")
+	fmt.Fprintln(w, "Figure 7: % packets forwarded vs inter-packet delay (mean latency in µs)")
 	fmt.Fprintf(w, "%-12s %14s %14s %12s %12s\n", "delay", "GDB-Kernel %", "Driver-Kernel %", "lat(GDB)", "lat(Drv)")
 	for _, p := range points {
-		fmt.Fprintf(w, "%-12s %14.1f %14.1f %12s %12s\n",
-			p.Delay, p.GDBKernelPct, p.DriverPct, p.GDBLat, p.DriverLat)
+		fmt.Fprintf(w, "%-12s %14.1f %14.1f %12.3f %12.3f\n",
+			p.Delay, p.GDBKernelPct, p.DriverPct, float64(p.GDBLat)/float64(sim.US), float64(p.DriverLat)/float64(sim.US))
 	}
 	fmt.Fprintln(w)
 	// ASCII plot: one row per delay, 50 columns = 0..100%.
